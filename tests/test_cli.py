@@ -1,11 +1,16 @@
-"""End-to-end tests for the command-line runner (in-process, no subprocess)."""
+"""End-to-end tests for the command-line runner (in-process, apart from one
+fresh-interpreter import check)."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import varlp
 from varlp.cli import main
 
 TWO_PIECE = {
@@ -299,3 +304,15 @@ def test_blowup_bad_t_exits_1(tmp_path, capsys):
     code = main(["blowup", "--t", "4", "--out", str(tmp_path / "o")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency; the runtime must not pull it in
+    src = os.path.dirname(os.path.dirname(varlp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = "import sys, varlp.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False", "importing varlp.cli loaded scipy"

@@ -33,6 +33,7 @@ from varlp import (
     riesz_potential,
     verify_tu_pair,
 )
+from varlp.operators import _self_cell_integral
 
 
 def line_grid(lo, hi, cells):
@@ -43,7 +44,124 @@ def indicator_on(grid, a, b):
     return GridFunction.indicator(grid, MeasurableSet.from_box(((a, b),)))
 
 
+# -- reference copies of the per-radius, per-row and pairwise implementations --
+#
+# The operators now share one half-cell cumulative, one uncentered table and one
+# FFT; these are the direct implementations they replaced, kept as oracles.
+
+
+def ref_axis_box_sum(arr, axis, m):
+    c = arr.shape[axis]
+    pad_shape = list(arr.shape)
+    pad_shape[axis] = 1
+    cum = np.concatenate([np.zeros(pad_shape), np.cumsum(arr, axis=axis)], axis=axis)
+
+    def interp(z):
+        z = np.clip(z, 0.0, float(c))
+        k = np.minimum(np.floor(z).astype(int), c - 1)
+        frac = z - k
+        lo = np.take(cum, k, axis=axis)
+        hi = np.take(cum, k + 1, axis=axis)
+        shape = [1] * arr.ndim
+        shape[axis] = len(z)
+        return lo + frac.reshape(shape) * (hi - lo)
+
+    j = np.arange(c)
+    return interp(j + 0.5 + m) - interp(j + 0.5 - m)
+
+
+def ref_box_sums(f, m):
+    arr = f.values
+    for axis in range(arr.ndim):
+        arr = ref_axis_box_sum(arr, axis, float(m))
+    return arr * f.domain.cell_volume
+
+
+def ref_fractional_maximal(f, alpha, policy):
+    n = f.domain.dimension
+    h = f.domain.h
+    absf = GridFunction(f.domain, np.abs(f.values))
+    m_max = max(f.domain.cells)
+    if policy == EXACT:
+        radii = list(range(1, m_max + 1))
+    else:
+        radii = [1]
+        while radii[-1] < m_max:
+            radii.append(2 * radii[-1])
+    best = np.full(f.domain.cells, -np.inf)
+    for m in radii:
+        np.maximum(best, (2.0 * m * h) ** (alpha - n) * ref_box_sums(absf, m), out=best)
+    return np.maximum(best, 0.0)
+
+
+def ref_uncentered(f, alpha):
+    h = f.domain.h
+    vals = np.abs(f.values)
+    n_cells = vals.shape[0]
+    cum = np.concatenate([[0.0], np.cumsum(vals)]) * h
+    best = np.zeros(n_cells)
+    b = np.arange(n_cells)
+    for a in range(n_cells):
+        lengths = (b[a:] - a + 1.0) * h
+        va = (cum[b[a:] + 1] - cum[a]) * lengths ** (alpha - 1.0)
+        suf = np.maximum.accumulate(va[::-1])[::-1]
+        np.maximum(best[a:], suf, out=best[a:])
+    return best
+
+
+def ref_riesz(f, alpha):
+    """Dense pairwise kernel: midpoint rule off the diagonal, exact self-cell."""
+    n = f.domain.dimension
+    pts = f.domain.points()
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    with np.errstate(divide="ignore"):
+        kern = d ** (alpha - n) * f.domain.cell_volume
+    np.fill_diagonal(kern, _self_cell_integral(alpha, n, f.domain.h))
+    return (riesz_gamma(alpha, n) * (kern @ f.values.ravel())).reshape(f.domain.cells)
+
+
+# large enough that the maximal's radii span several blocks
+PARITY_GRIDS = [
+    GridDomain(((0.0, 1.0),), (1100,)),
+    GridDomain(((0.0, 1.0), (0.0, 1.0)), (80, 80)),
+    GridDomain(((0.0, 1.0), (0.0, 2.0 / 3.0)), (96, 64)),
+]
+PARITY_IDS = ["1d", "2d-square", "2d-96x64"]
+
+
+def random_paircheck_pair(rng, cells=512):
+    """A random function and translate pair, drawn as `varlp paircheck` draws them."""
+    grid = line_grid(0.0, 1.0, cells)
+    h = grid.h
+    mcap = max(2, int((cells - 4) / (10.0 + 3.0)))
+    f = GridFunction(grid, rng.uniform(0.0, 1.0, cells))
+    m = int(rng.integers(2, mcap + 1))
+    t = math.ceil(float(rng.uniform(4.0, 10.0)) * m) / m
+    span = int(round(t * m)) + 2 * m
+    corner = int(rng.integers(0, cells - span))
+    return f, make_tu_pair(Cube((corner * h + m * h,), m * h), t)
+
+
 # -- box sums ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("grid", PARITY_GRIDS, ids=PARITY_IDS)
+def test_box_sums_match_reference_bitwise(grid, rng):
+    f = GridFunction(grid, rng.uniform(-1.0, 3.0, grid.cells))
+    radii = (1, 2, 5, 17, 1.5)
+    for m in radii:
+        assert np.array_equal(box_sums(f, m), ref_box_sums(f, m)), f"m={m}"
+    stacked = box_sums(f, np.array(radii))
+    assert stacked.shape == (len(radii),) + grid.cells
+    for got, m in zip(stacked, radii):
+        assert np.array_equal(got, ref_box_sums(f, m)), f"stacked m={m}"
+
+
+def test_box_sums_reject_other_radii():
+    f = GridFunction(line_grid(0.0, 1.0, 16), np.ones(16))
+    for m in (0.7, 0.0, -1.0, math.inf, math.nan, np.array([1.0, 2.25]), np.ones((2, 2))):
+        with pytest.raises(PreconditionError):
+            box_sums(f, m)
 
 
 def test_box_sums_matches_direct_window(rng):
@@ -222,6 +340,25 @@ def test_maximal_sublinear_on_indicators():
     assert np.all(msum <= parts + 1e-12)
 
 
+@pytest.mark.parametrize("grid", PARITY_GRIDS, ids=PARITY_IDS)
+@pytest.mark.parametrize("policy", [EXACT, DYADIC])
+def test_maximal_matches_reference_bitwise(grid, policy, rng):
+    for alpha in (0.0, 0.5, 0.9):
+        f = GridFunction(grid, rng.uniform(-1.0, 2.0, grid.cells))
+        got = fractional_maximal(f, alpha, radii=policy).values
+        assert np.array_equal(got, ref_fractional_maximal(f, alpha, policy)), f"alpha={alpha}"
+
+
+def test_uncentered_matches_reference_bitwise(rng):
+    # 1200 cells take the table in several blocks of rows
+    for cells in (1, 7, 300, 1200):
+        grid = line_grid(0.0, 3.0, cells)
+        for alpha in (0.0, 0.5, 0.8):
+            f = GridFunction(grid, rng.uniform(-1.0, 2.0, cells))
+            got = fractional_maximal_uncentered(f, alpha).values
+            assert np.array_equal(got, ref_uncentered(f, alpha)), f"cells={cells}, alpha={alpha}"
+
+
 def test_maximal_rejects_bad_alpha():
     grid = line_grid(0.0, 1.0, 32)
     f = GridFunction(grid, np.ones(32))
@@ -286,6 +423,30 @@ def test_riesz_potential_zero_and_preconditions():
         riesz_potential(f, 0.0)
     with pytest.raises(PreconditionError):
         riesz_potential(f, 1.0)
+
+
+@pytest.mark.parametrize("cells", [(1500,), (40, 40), (50, 18)], ids=["1d", "2d-square", "2d-50x18"])
+def test_riesz_matches_dense_oracle(cells, rng):
+    grid = GridDomain(tuple((0.0, c / 40.0) for c in cells), cells)
+    for alpha in (0.3, 0.5, 0.9):
+        pos = GridFunction(grid, rng.uniform(0.0, 1.0, cells))
+        got, want = riesz_potential(pos, alpha).values, ref_riesz(pos, alpha)
+        assert np.max(np.abs(got - want) / want) <= 1e-12, f"positive data, alpha={alpha}"
+        signed = GridFunction(grid, rng.uniform(-1.0, 1.0, cells))
+        got, want = riesz_potential(signed, alpha).values, ref_riesz(signed, alpha)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (
+            f"signed data, alpha={alpha}"
+        )
+
+
+def test_riesz_potential_runs_past_twenty_thousand_cells():
+    grid = line_grid(0.0, 1.0, 20001)
+    f = GridFunction(grid, np.ones(20001))
+    out = riesz_potential(f, 0.5).values
+    # the potential of the indicator of [0, 1] is symmetric and largest at the center
+    assert out.shape == (20001,)
+    assert np.allclose(out, out[::-1], rtol=1e-12)
+    assert int(np.argmax(out)) == 10000
 
 
 def test_maximal_below_potential(rng):
@@ -372,6 +533,16 @@ def test_pair_bound_random_support(rng):
         vals[inside] = rng.uniform(0.0, 2.0, int(inside.sum()))
         rep = maximal_pair_lower_bound(GridFunction(grid, vals), pair, 0.5)
         assert rep.holds, f"trial {trial}: lhs {rep.lhs_min} rhs {rep.rhs}"
+
+
+def test_pair_bound_matches_reference_bitwise(rng):
+    for trial in range(200):
+        # every twentieth draw on a grid long enough for several blocks of table rows
+        f, pair = random_paircheck_pair(rng, cells=2048 if trial % 20 == 0 else 512)
+        rep = maximal_pair_lower_bound(f, pair, 0.5)
+        pmask = MeasurableSet.from_cube(pair.partner).mask_on(f.domain)
+        want = float(ref_uncentered(f, 0.5)[pmask].min())
+        assert rep.lhs_min == want, f"trial {trial}: {rep.lhs_min!r} vs {want!r}"
 
 
 def test_pair_bound_needs_separation():
