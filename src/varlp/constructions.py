@@ -901,14 +901,14 @@ def witness_check(spec, j_values):
     return rows
 
 
-def witness_norm_check(spec, j, rel_tol=1e-8):
-    """Direct bisection route for one witness index: returns (norm, lambda)."""
+def witness_norm_check(spec, j):
+    """Direct norm solve for one witness index: returns (norm, lambda)."""
     target = _witness_target_exponent(spec)
     a, b = witness_interval(spec, j)
     inv_mean = mean_inverse_exponent(target, MeasurableSet.from_box(((a, b),)))
     mean = INF if inv_mean == 0.0 else 1.0 / inv_mean
     lam = j * (b - a) ** (1.0 / mean)
-    return interval_indicator_norm(target, a, b, rel_tol=rel_tol), lam
+    return interval_indicator_norm(target, a, b), lam
 
 
 def two_sided_interval_check(spec, intervals=None, seed=0):

@@ -78,6 +78,12 @@ class GridDomain:
         mesh = self.meshgrid()
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
+    def points_where(self, mask):
+        """Midpoints of the cells where mask holds, as an (m, n) array in
+        row-major cell order: the rows of points() that mask selects."""
+        idx = np.nonzero(np.reshape(mask, self.cells))
+        return np.stack([self.axis_midpoints(i)[j] for i, j in enumerate(idx)], axis=-1)
+
 
 @dataclass(eq=False)
 class GridFunction:
@@ -247,20 +253,22 @@ class MeasurableSet:
         return box_volume(self.box)
 
     def mask_on(self, domain):
-        pts = domain.points()
-        mask = np.ones(pts.shape[0], dtype=bool)
+        out = np.ones(domain.cells, dtype=bool)
         if self.box is not None:
             for axis, (lo, hi) in enumerate(self.box):
-                mask &= (pts[:, axis] >= lo) & (pts[:, axis] <= hi)
-        if self.sublevel is not None:
-            p, thr = self.sublevel
-            mask &= p.values(pts) < thr
-        out = mask.reshape(domain.cells)
+                mids = domain.axis_midpoints(axis)
+                shape = [1] * domain.dimension
+                shape[axis] = -1
+                out &= ((mids >= lo) & (mids <= hi)).reshape(shape)
         if self.grid_mask is not None:
             mdom, m = self.grid_mask
             if mdom.box != domain.box or mdom.cells != domain.cells:
                 raise PreconditionError("mask grid does not match the evaluation grid")
             out &= m
+        if self.sublevel is not None and out.any():
+            # the exponent is evaluated on the cells still in the set only
+            p, thr = self.sublevel
+            out[out] = p.values(domain.points_where(out)) < thr
         return out
 
     def measure_on(self, domain):

@@ -19,6 +19,7 @@ from .errors import ConstructionError, DomainError, PreconditionError
 from .exponent import INF, conjugate, sobolev_dual
 from .grid import Cube, GridFunction, MeasurableSet
 from .norms import (
+    compile_set,
     duality_constant,
     harmonic_mean,
     holder_constant,
@@ -121,8 +122,9 @@ def k0alpha_constant(p, alpha, family, grid=None):
         measure = set_measure(E.intersect_box(p.domain), grid)
         if measure <= 0.0:
             raise PreconditionError(f"family set {i} has measure {measure}")
-        nc = set_norm(pc, E, grid)
-        nd = set_norm(q, E, grid)
+        dist = compile_set(p, E, grid)
+        nc = dist.norm(pc)
+        nd = dist.norm(q)
         value = measure ** (alpha / n - 1.0) * nc * nd
         samples.append(K0Sample(i, E.label, measure, nc, nd, value))
         if value > best_value:
@@ -308,10 +310,7 @@ def k0alpha_iff_k0_check(p, alpha, family, grid=None, tol=1e-6, identity_tol=1e-
 
 def _max_exponent_on(p, E, grid):
     if E.is_box() and grid is None:
-        from .norms import _constant_piece_cells
-
-        cells = _constant_piece_cells(p, E.box)
-        return max(w for _, w in cells)
+        return float(compile_set(p, E).values(p).max())
     mask = E.mask_on(grid)
     pv = p.values(grid.points()).reshape(grid.cells)
     return float(pv[mask].max()) if mask.any() else -math.inf

@@ -1,16 +1,30 @@
 """Modulars, Luxemburg norms, pairing constants and harmonic means.
 
-Two evaluation routes coexist:
+Every set or grid function is first compiled against an exponent into a
+:class:`Distribution`: atoms that each carry a measure, a value of |f| and
+a pre-transform exponent value.  Four routes compile:
 
-* a grid route for arbitrary grid functions (midpoint sampling, exact for
-  piecewise-constant data aligned with the cells), and
-* an analytic route for indicators of intervals and boxes, exact for
-  constant pieces and using fixed Gauss quadrature across bump shoulders.
-  Its cost does not depend on the number of bumps inside the interval, so
-  intervals of length 1e27 containing 1e13 bumps are fine.
+* a grid function: one atom per cell with f != 0 (midpoint sampling, exact
+  for piecewise-constant data aligned with the cells);
+* the indicator of an interval: per piece segment the base length, the
+  plateaus and shoulder Gauss nodes of the fully contained bumps weighted by
+  their count, and Gauss nodes across the few bumps that straddle an end.
+  The walk does not depend on the number of bumps, so intervals of length
+  1e27 containing 1e13 bumps are fine;
+* the indicator of a box in higher dimension: the exact overlap volume of
+  each constant piece;
+* the set {p = inf}, which enters the modular as one atom with exponent 1
+  and weight sup |f| over it (1 for an indicator).
 
-The Luxemburg norm is found by bisection on the scaling parameter; the
-modular is strictly decreasing in it, so bracketing is straightforward.
+An integral of g(p) over a compiled set is the sum of w_i g(v_i) over its
+atoms.  The Luxemburg norm lam = exp(t) solves
+logsumexp(a_i - v_i t) = 0 with a_i = log w_i + v_i log|f_i|.  The left
+side is convex and decreasing in t (the modular is log-convex in log lam;
+Cruz-Uribe and Fiorenza, Variable Lebesgue Spaces, 2013, ch. 2), so
+Newton's method started at the left end max a_i / v_i climbs monotonically
+to the root, at any scale a float can hold.  Conjugate and fractional-dual
+exponents share the pieces of their base exponent and differ only in how
+the exponent values are transformed, so one compiled set serves all of them.
 """
 
 from __future__ import annotations
@@ -23,84 +37,164 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .exponent import (
     INF,
-    BumpsPiece,
     ConstantPiece,
     _gauss_nodes,
     _tf_array,
-    _tf_scalar,
     box_intersect,
     box_subtract_volume,
     box_volume,
     conjugate,
 )
-from .grid import GridFunction, MeasurableSet
+
+# Newton from the left end reaches machine precision in a handful of steps;
+# the cap only turns a broken invariant into an error instead of a hang
+_NEWTON_STEPS = 200
+_CONTRACT_STEPS = 64
+
+
+# -- compiled distributions ---------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Distribution:
+    """Exponent values over one set or grid function, compiled once.
+
+    Atom i carries the measure ``w[i]``, the value ``f[i]`` of |f| and the
+    pre-transform exponent value ``raw[i]``; ``w`` and ``f`` may be scalars
+    shared by all atoms.  The sup of |f| over {p = inf} is read from the
+    atoms themselves, unless ``inf_raw`` is given: then the compiled set is
+    an indicator and {p = inf} has positive measure exactly when one of
+    those pre-transform values maps to inf.  ``measure`` is the measure of
+    the compiled set (for a grid function, of the cells where f != 0).
+
+    Every read takes the exponent q to apply.  q must share the pieces of
+    the compiled exponent; it may be that exponent, its conjugate or its
+    fractional dual.
+    """
+
+    pieces: tuple
+    w: object
+    f: object
+    raw: np.ndarray
+    measure: float
+    inf_raw: np.ndarray | None = None
+
+    def values(self, q):
+        """The exponent q on every atom."""
+        if q.pieces != self.pieces:
+            raise PreconditionError("exponent does not share the compiled pieces")
+        return _tf_array(q.transforms, self.raw)
+
+    def _split(self, q):
+        """(w, f, v) on the atoms where q is finite, and sup |f| over {q = inf}."""
+        v = self.values(q)
+        finite = np.isfinite(v)
+        if self.inf_raw is not None:
+            sup = float(np.isinf(_tf_array(q.transforms, self.inf_raw)).any())
+        else:
+            sup = float(np.broadcast_to(self.f, v.shape)[~finite].max(initial=0.0))
+        if finite.all():
+            return self.w, self.f, v, sup
+        return _atoms_where(self.w, finite), _atoms_where(self.f, finite), v[finite], sup
+
+    def integral(self, q, g):
+        """Integral of g(q) over the compiled set: the sum of w_i g(q_i).
+
+        g is a vectorized nonnegative function of the exponent values; it
+        sees inf where q is infinite and should map it to something finite.
+        """
+        return float(np.sum(self.w * g(self.values(q))))
+
+    def modular(self, q, lam):
+        """Modular of f / lam in q."""
+        if not lam > 0.0:
+            raise PreconditionError(f"scale lambda must be positive, got {lam}")
+        return _modular(*self._split(q), lam)
+
+    def norm(self, q):
+        """Luxemburg norm in q: the least lam with modular(q, lam) <= 1."""
+        w, f, v, sup = self._split(q)
+        if v.size == 0 and sup == 0.0:
+            return 0.0
+        a = np.log(w) + v * np.log(f)
+        exps = v
+        if sup > 0.0:
+            a = np.append(a, math.log(sup))
+            exps = np.append(v, 1.0)
+        with np.errstate(over="ignore"):
+            lam = float(np.exp(_log_norm(a, exps)))
+        # rho(c lam) <= c^(-min q) rho(lam) for c >= 1: rounding in the log
+        # domain is repaired upward until the modular itself is at most 1
+        v_min = float(exps.min())
+        for _ in range(_CONTRACT_STEPS):
+            rho = _modular(w, f, v, sup, lam)
+            if rho <= 1.0:
+                return lam
+            with np.errstate(over="ignore"):
+                up = lam * rho ** (1.0 / v_min)
+            lam = up if up > lam else float(np.nextafter(lam, INF))
+        raise ArithmeticError(f"no scale with modular <= 1 found near {lam}")
+
+
+def _atoms_where(x, keep):
+    return x[keep] if np.ndim(x) else x
+
+
+def _modular(w, f, v, sup, lam):
+    with np.errstate(over="ignore"):
+        return float(np.sum(w * (f / lam) ** v)) + sup / lam
+
+
+def _log_norm(a, v):
+    """Root t of logsumexp(a - v t) = 0 for exponents v >= 1.
+
+    The function is convex and decreasing and is nonnegative at the start
+    max a / v, so every Newton step stays left of the root; iteration stops
+    when the step no longer moves t or t reaches the root.
+    """
+    t = float(np.max(a / v))
+    for _ in range(_NEWTON_STEPS):
+        e = a - v * t
+        top = float(e.max())
+        z = np.exp(e - top)
+        s = float(z.sum())
+        value = top + math.log(s)
+        if value <= 0.0:
+            return t
+        nxt = t + value * s / float(np.dot(v, z))
+        if not nxt > t:
+            return t
+        t = nxt
+    raise ArithmeticError("Newton iteration for the norm did not settle")
 
 
 # -- grid route -------------------------------------------------------------
 
 
-def _grid_modular_parts(f, p, region=None):
-    """Split |f| into the finite-exponent samples and the sup over {p = inf}."""
-    domain = f.domain
-    pv = p.values(domain.points())
-    af = np.abs(f.values).ravel()
+def _compile_cells(p, domain, keep, f):
+    """One atom per grid cell where keep holds; f is |f| on those cells."""
+    raw = p.raw_values(domain.points_where(keep))
+    return Distribution(p.pieces, domain.cell_volume, f, raw,
+                        int(np.count_nonzero(keep)) * domain.cell_volume)
+
+
+def _compile_grid(f, p, region=None):
+    """One atom per cell of f where f != 0, optionally within a region."""
+    af = np.abs(f.values)
+    keep = af > 0.0
     if region is not None:
-        mask = region.mask_on(domain).ravel()
-    else:
-        mask = np.ones(af.shape, dtype=bool)
-    finite = mask & np.isfinite(pv) & (af > 0)
-    infty = mask & np.isinf(pv)
-    sup = float(af[infty].max()) if infty.any() else 0.0
-    return af[finite], pv[finite], domain.cell_volume, sup
+        keep &= region.mask_on(f.domain)
+    return _compile_cells(p, f.domain, keep, af[keep])
 
 
 def modular(f, p, region=None):
     """Modular of a grid function: integral of |f|^p plus sup of |f| over {p = inf}."""
-    af, pv, vol, sup = _grid_modular_parts(f, p, region)
-    with np.errstate(over="ignore"):
-        return float((af ** pv).sum() * vol) + sup
+    return _compile_grid(f, p, region).modular(p, 1.0)
 
 
-def _norm_bisect(rho, rel_tol=1e-8):
-    """Smallest lam with rho(lam) <= 1, for rho strictly decreasing in lam."""
-    hi = 1.0
-    for _ in range(4200):
-        if rho(hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise ArithmeticError("modular stays above 1, no norm bracket found")
-    lo = 0.5 * hi
-    for _ in range(4200):
-        if rho(lo) > 1.0:
-            break
-        hi = lo
-        lo *= 0.5
-        if lo < 1e-300:
-            return 0.0
-    while (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if rho(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def luxemburg_norm(f, p, region=None, rel_tol=1e-8):
+def luxemburg_norm(f, p, region=None):
     """Luxemburg norm of a grid function: inf of lam with modular(f/lam) <= 1."""
-    af, pv, vol, sup = _grid_modular_parts(f, p, region)
-    if af.size == 0 and sup == 0.0:
-        return 0.0
-
-    def rho(lam):
-        with np.errstate(over="ignore"):
-            val = float(((af / lam) ** pv).sum() * vol)
-        if sup > 0.0:
-            val += sup / lam
-        return val
-
-    return _norm_bisect(rho, rel_tol)
+    return _compile_grid(f, p, region).norm(p)
 
 
 # -- pairing constants ------------------------------------------------------
@@ -211,43 +305,34 @@ def _effective_segments(p, a, b):
     return out
 
 
-def _g_scalar(g, w):
-    return float(g(np.array([w], dtype=float))[0])
+def _bump_atoms(piece, lo, hi, ws, raws, inf_raw):
+    """Append the atoms of one bump-piece segment [lo, hi].
 
-
-def _bumps_segment_integral(piece, lo, hi, g, transforms):
-    """Integral of g(p) over one bump-piece segment; g must be nonnegative.
-
-    Assembled as base-region length times g(base) plus one closed-form bump
-    integral per fully contained bump plus explicit quadrature over at most
-    a few straddling windows, so the cost is independent of the bump count.
+    The fully contained bumps give one plateau atom and one atom per
+    shoulder Gauss node, weighted by their count; each straddling window
+    gives Gauss nodes per smooth stretch; what is left is the base length.
+    Bumps whose center coordinates are quantized more coarsely than the
+    bump itself count as whole when the center lies in [lo, hi] (O(1)
+    absolute error).  The base and the plateau value go to inf_raw when
+    they are attained on positive measure.
     """
     bump = piece.bump
     s, m = bump.support_halfwidth, bump.plateau_halfwidth
-    g_base = _g_scalar(g, _tf_scalar(transforms, piece.base))
-    g_top = _g_scalar(g, _tf_scalar(transforms, piece.top))
+    nodes, wts = _gauss_nodes()
 
-    def g_of_profile(prof):
-        return g(_tf_array(transforms, piece.base + piece.direction * prof))
+    def raw_at(dist):
+        return piece.base + piece.direction * bump.profile(dist)
 
-    shoulder = bump.shoulder_integral(g_of_profile)
-    full_int = 2.0 * m * g_top + 2.0 * shoulder
     (kf, kl), straddlers = piece.full_and_straddling(lo, hi)
     n_full = max(0, kl - kf + 1)
-
-    total = 0.0
-    base_len = hi - lo
-    if n_full:
-        base_len -= n_full * 2.0 * s
-        total += n_full * full_int
-    nodes, wts = _gauss_nodes()
+    cover = n_full * 2.0 * s
+    base_len = hi - lo - n_full * 2.0 * s
     for _, c in straddlers:
+        cover += max(0.0, min(hi, c + s) - max(lo, c - s))
         if np.spacing(abs(c)) > 0.01 * s:
-            # center coordinates are quantized more coarsely than the bump
-            # itself; resolve by center membership (O(1) absolute error)
             if lo <= c <= hi:
                 base_len -= 2.0 * s
-                total += full_int
+                n_full += 1
             continue
         o0, o1 = max(lo - c, -s), min(hi - c, s)
         if o1 <= o0:
@@ -256,12 +341,41 @@ def _bumps_segment_integral(piece, lo, hi, g, transforms):
         knots = [o0] + [o for o in (-s, -m, m, s) if o0 < o < o1] + [o1]
         for u0, u1 in zip(knots, knots[1:]):
             half, midp = 0.5 * (u1 - u0), 0.5 * (u0 + u1)
-            d = np.abs(midp + half * nodes)
-            total += half * float(np.dot(wts, g_of_profile(bump.profile(d))))
-    base_len = max(base_len, 0.0)
+            ws.append(half * wts)
+            raws.append(raw_at(np.abs(midp + half * nodes)))
+    if n_full:
+        half, mid = 0.5 * (s - m), 0.5 * (s + m)
+        ws.append(np.array([n_full * 2.0 * m]))
+        raws.append(np.array([piece.top]))
+        ws.append((n_full * 2.0 * half) * wts)
+        raws.append(raw_at(mid + half * nodes))
     if base_len > 0.0:
-        total += base_len * g_base
-    return total
+        ws.append(np.array([base_len]))
+        raws.append(np.array([piece.base]))
+    if (hi - lo) - cover > 1e-12 * max(1.0, hi - lo):
+        inf_raw.append(piece.base)
+    if bump.height > 0:
+        pf, pl = piece.centers.index_range_in(lo - m, hi + m)
+        if pl >= pf:
+            inf_raw.append(piece.top)
+
+
+def _compile_interval(p, a, b):
+    """Atoms of the indicator of [a, b] (clipped to the domain), one walk."""
+    ws, raws, inf_raw = [np.zeros(0)], [np.zeros(0)], []
+    for piece, lo, hi in _effective_segments(p, a, b):
+        if isinstance(piece, ConstantPiece):
+            ws.append(np.array([hi - lo]))
+            raws.append(np.array([piece.value]))
+            inf_raw.append(piece.value)
+        else:
+            _bump_atoms(piece, lo, hi, ws, raws, inf_raw)
+    w = np.concatenate(ws)
+    keep = w > 0.0
+    (dom_lo, dom_hi), = p.domain
+    return Distribution(p.pieces, w[keep], 1.0, np.concatenate(raws)[keep],
+                        max(min(b, dom_hi) - max(a, dom_lo), 0.0),
+                        np.array(inf_raw, dtype=float))
 
 
 def interval_integral(p, a, b, g):
@@ -269,173 +383,103 @@ def interval_integral(p, a, b, g):
 
     g is a vectorized nonnegative function of the transformed exponent
     values and must map the value inf to something finite (or the result
-    is inf, which bisection treats as an infeasible scaling).
+    is inf).
     """
-    total = 0.0
-    for piece, lo, hi in _effective_segments(p, a, b):
-        if isinstance(piece, ConstantPiece):
-            total += (hi - lo) * _g_scalar(g, _tf_scalar(p.transforms, piece.value))
-        else:
-            total += _bumps_segment_integral(piece, lo, hi, g, p.transforms)
-    return total
+    return _compile_interval(p, a, b).integral(p, g)
 
 
 def interval_has_infinite_exponent(p, a, b):
     """Whether the transformed exponent equals inf on positive measure in [a, b]."""
-    for piece, lo, hi in _effective_segments(p, a, b):
-        if isinstance(piece, ConstantPiece):
-            if _tf_scalar(p.transforms, piece.value) == INF:
-                return True
-            continue
-        w_base = _tf_scalar(p.transforms, piece.base)
-        w_top = _tf_scalar(p.transforms, piece.top)
-        if w_base == INF:
-            cover = piece.support_cover_length(lo, hi)
-            if (hi - lo) - cover > 1e-12 * max(1.0, hi - lo):
-                return True
-        if w_top == INF and piece.bump.height > 0:
-            mw = piece.bump.plateau_halfwidth
-            kf, kl = piece.centers.index_range_in(lo - mw, hi + mw)
-            if kl >= kf:
-                return True
-    return False
+    return _compile_interval(p, a, b)._split(p)[3] > 0.0
 
 
 def interval_indicator_modular(p, a, b, lam):
     """Modular of (indicator of [a, b]) / lam via the analytic route."""
-    log_lam = math.log(lam)
-
-    def g(w):
-        out = np.zeros_like(w)
-        finite = np.isfinite(w)
-        with np.errstate(over="ignore"):
-            out[finite] = np.exp(-w[finite] * log_lam)
-        return out
-
-    val = interval_integral(p, a, b, g)
-    if interval_has_infinite_exponent(p, a, b):
-        val += 1.0 / lam
-    return val
+    return _compile_interval(p, a, b).modular(p, lam)
 
 
-def interval_indicator_norm(p, a, b, rel_tol=1e-8):
+def interval_indicator_norm(p, a, b):
     """Luxemburg norm of the indicator of [a, b] via the analytic route."""
     if b <= a:
         return 0.0
-    has_inf = interval_has_infinite_exponent(p, a, b)
-
-    def rho(lam):
-        log_lam = math.log(lam)
-
-        def g(w):
-            out = np.zeros_like(w)
-            finite = np.isfinite(w)
-            with np.errstate(over="ignore"):
-                out[finite] = np.exp(-w[finite] * log_lam)
-            return out
-
-        val = interval_integral(p, a, b, g)
-        if has_inf:
-            val += 1.0 / lam
-        return val
-
-    return _norm_bisect(rho, rel_tol)
+    return _compile_interval(p, a, b).norm(p)
 
 
 # -- indicator norms and means for general sets ------------------------------
 
 
-def _constant_piece_cells(p, box):
-    """(effective volume, transformed value) per piece over a box; exact."""
-    cells = []
+def _compile_box(p, box):
+    """One atom per constant piece: its exact overlap volume with the box."""
+    clipped = box_intersect(box, p.domain)
+    if clipped is None:
+        raise DomainError("set lies outside the exponent's domain")
+    vols, raws = [], []
     for i, piece in enumerate(p.pieces):
         if not isinstance(piece, ConstantPiece):
             raise PreconditionError("exact box route needs constant pieces")
-        region = box_intersect(piece.box, box)
-        if region is None:
-            continue
-        region = box_intersect(region, p.domain)
+        region = box_intersect(piece.box, clipped)
         if region is None:
             continue
         vol = box_subtract_volume(region, [q.box for q in p.pieces[:i]])
         if vol > 0.0:
-            cells.append((vol, _tf_scalar(p.transforms, piece.value)))
-    return cells
+            vols.append(vol)
+            raws.append(piece.value)
+    total = sum(vols)
+    if total < box_volume(clipped) * (1.0 - 1e-9):
+        raise DomainError("box is not covered by the exponent pieces")
+    return Distribution(p.pieces, np.array(vols), 1.0, np.array(raws, dtype=float), total)
+
+
+def _set_grid(E, grid):
+    """The grid a non-box set is rasterized on: its own mask grid, else grid."""
+    domain = E.grid_mask[0] if E.grid_mask is not None else grid
+    if domain is None:
+        raise PreconditionError("a non-box set needs an evaluation grid")
+    return domain
+
+
+def compile_set(p, E, grid=None):
+    """Distribution of the indicator of a measurable set against p.
+
+    Boxes compile analytically (the interval walk in one dimension, exact
+    piece volumes for constant pieces in higher dimension); anything else
+    is rasterized on its own mask grid or on the given grid.
+    """
+    if E.is_box():
+        if p.dimension == 1:
+            a, b = E.box[0]
+            return _compile_interval(p, a, b)
+        return _compile_box(p, E.box)
+    domain = _set_grid(E, grid)
+    return _compile_cells(p, domain, E.mask_on(domain), 1.0)
 
 
 def set_measure(E, grid=None):
     """Lebesgue measure of a measurable set, exact for boxes."""
     if E.is_box():
         return E.measure_exact()
-    domain = E.grid_mask[0] if E.grid_mask is not None else grid
-    if domain is None:
-        raise PreconditionError("set measure needs a grid for non-box sets")
-    return E.measure_on(domain)
+    return E.measure_on(_set_grid(E, grid))
 
 
-def set_norm(p, E, grid=None, rel_tol=1e-8):
-    """Luxemburg norm of the indicator of a measurable set.
+def set_norm(p, E, grid=None):
+    """Luxemburg norm of the indicator of a measurable set (see compile_set)."""
+    return compile_set(p, E, grid).norm(p)
 
-    Boxes go through the analytic route (interval engine in one dimension,
-    exact piece volumes for constant pieces in higher dimension); anything
-    else is rasterized on the given grid.
-    """
-    if E.is_box():
-        if p.dimension == 1:
-            a, b = E.box[0]
-            return interval_indicator_norm(p, a, b, rel_tol)
-        clipped = box_intersect(E.box, p.domain)
-        if clipped is None:
-            raise DomainError("set lies outside the exponent's domain")
-        cells = _constant_piece_cells(p, E.box)
-        vols = np.array([v for v, _ in cells])
-        ws = np.array([w for _, w in cells])
-        finite = np.isfinite(ws)
-        has_inf = bool((~finite).any())
-        if vols.sum() < box_volume(clipped) * (1.0 - 1e-9):
-            raise DomainError("box is not covered by the exponent pieces")
 
-        def rho(lam):
-            with np.errstate(over="ignore"):
-                val = float((vols[finite] * lam ** (-ws[finite])).sum())
-            return val + (1.0 / lam if has_inf else 0.0)
-
-        return _norm_bisect(rho, rel_tol)
-    domain = E.grid_mask[0] if E.grid_mask is not None else grid
-    if domain is None:
-        raise PreconditionError("set norm needs a grid for non-box sets")
-    return luxemburg_norm(GridFunction.indicator(domain, E), p, rel_tol=rel_tol)
+def _inverse(v):
+    with np.errstate(divide="ignore"):
+        return np.where(np.isinf(v), 0.0, 1.0 / v)
 
 
 def mean_inverse_exponent(p, E, grid=None):
     """Average of 1/p over the set (clipped to the exponent's domain),
     with 1/inf = 0."""
-    if E.is_box():
-        clipped = box_intersect(E.box, p.domain)
-        if clipped is None:
+    dist = compile_set(p, E, grid)
+    if dist.measure <= 0.0:
+        if E.is_box():
             raise DomainError("set lies outside the exponent's domain")
-        if p.dimension == 1:
-            a, b = clipped[0]
-
-            def g(w):
-                with np.errstate(divide="ignore"):
-                    return np.where(np.isinf(w), 0.0, 1.0 / w)
-
-            return interval_integral(p, a, b, g) / (b - a)
-        cells = _constant_piece_cells(p, E.box)
-        total = sum(v for v, _ in cells)
-        if total < box_volume(clipped) * (1.0 - 1e-9):
-            raise DomainError("box is not covered by the exponent pieces")
-        return sum(v * (0.0 if w == INF else 1.0 / w) for v, w in cells) / total
-    domain = E.grid_mask[0] if E.grid_mask is not None else grid
-    if domain is None:
-        raise PreconditionError("harmonic mean needs a grid for non-box sets")
-    mask = E.mask_on(domain)
-    if not mask.any():
         raise PreconditionError("set has no cells on this grid")
-    pv = p.values(domain.points()).reshape(domain.cells)
-    inv = np.where(np.isinf(pv), 0.0, 1.0 / pv)
-    return float(inv[mask].mean())
+    return dist.integral(p, _inverse) / dist.measure
 
 
 def harmonic_mean(p, E, grid=None):

@@ -17,7 +17,7 @@ def lambda_scan_norm(f, p, num_points=10 ** 6):
     """Independent Luxemburg-norm oracle: smallest lambda on a geometric grid
     with modular(f/lambda) <= 1.
 
-    Uses only the modular (never the bisection routine).  The modular is
+    Uses only the modular (never the norm solver).  The modular is
     nonincreasing in lambda, so a binary search over the grid index is exact
     for the grid.  A coarse 1000-point pass narrows the 4x expansion bracket
     first so the final num_points grid has relative spacing well below 1e-6;

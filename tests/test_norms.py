@@ -20,6 +20,7 @@ from varlp import (
     holder_constant,
     holder_pairing_check,
     interval_has_infinite_exponent,
+    interval_indicator_modular,
     interval_indicator_norm,
     interval_integral,
     luxemburg_norm,
@@ -28,7 +29,19 @@ from varlp import (
     set_measure,
     set_norm,
 )
-from varlp.exponent import INF, BumpsPiece, CenterSequence, PlateauBump, evaluate
+from varlp.exponent import (
+    INF,
+    BumpsPiece,
+    CenterSequence,
+    PlateauBump,
+    _gauss_nodes,
+    _tf_array,
+    _tf_scalar,
+    box_intersect,
+    box_subtract_volume,
+    evaluate,
+)
+from varlp.norms import _effective_segments
 
 from conftest import FINITE_VALUES, lambda_scan_norm, random_grid_function, random_piecewise_exponent
 
@@ -124,7 +137,7 @@ def test_norm_two_piece_golden_ratio():
     scanned = lambda_scan_norm(f, p)
     assert scanned == pytest.approx(GOLDEN, rel=1e-5), f"scan oracle {scanned} vs (1+sqrt5)/2"
     got = luxemburg_norm(f, p)
-    assert got == pytest.approx(GOLDEN, rel=1e-6), f"bisection {got} vs {GOLDEN}"
+    assert got == pytest.approx(GOLDEN, rel=1e-6), f"norm solver {got} vs {GOLDEN}"
     assert got == pytest.approx(scanned, rel=1e-5)
     # interval route solves the same scalar equation without a grid
     assert interval_indicator_norm(p, 0.0, 2.0) == pytest.approx(GOLDEN, rel=1e-7)
@@ -143,7 +156,7 @@ def test_norm_sup_piece_golden_ratio():
 
 
 @settings(max_examples=60, deadline=None)
-@given(c=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False))
+@given(c=st.floats(min_value=1e-200, max_value=1e200, allow_nan=False, allow_infinity=False))
 def test_norm_scaling_homogeneity(c):
     rng = np.random.default_rng(7)
     grid = GridDomain(((0.0, 2.0),), (128,))
@@ -151,7 +164,9 @@ def test_norm_scaling_homogeneity(c):
     p = random_piecewise_exponent(rng, lo=0.0, hi=2.0, allow_inf=True)
     base = luxemburg_norm(f, p)
     scaled = luxemburg_norm(GridFunction(grid, c * f.values), p)
-    assert scaled == pytest.approx(c * base, rel=1e-7), f"gauge must be homogeneous, c={c}"
+    # abs=0: the default absolute slack would pass any scaled norm below 1e-12
+    assert scaled == pytest.approx(c * base, rel=1e-7, abs=0.0), \
+        f"gauge must be homogeneous, c={c}"
 
 
 def test_norm_unit_ball_law(rng, unit_grid):
@@ -380,3 +395,311 @@ def test_set_norm_constant_plane():
     p = ExponentFunction.constant(2.0, ((0.0, 2.0), (0.0, 2.0)))
     E = MeasurableSet.from_box(((0.0, 1.0), (0.0, 2.0)))
     assert set_norm(p, E) == pytest.approx(math.sqrt(2.0), rel=1e-8)
+
+
+# -- float range ---------------------------------------------------------------
+
+
+FLOAT_RANGE_CASES = (
+    [("grid", c, pv) for c in (1e-300, 1e308) for pv in (1.0, 2.0, 5.0, INF)]
+    + [("interval", length, 1.0) for length in (1e-301, 1.7e308)]
+)
+
+
+@pytest.mark.parametrize("route,size,pv", FLOAT_RANGE_CASES)
+def test_norm_at_the_ends_of_the_float_range(route, size, pv):
+    if route == "grid":
+        # constant c on the unit interval: the norm is c for every exponent
+        grid = GridDomain(((0.0, 1.0),), (64,))
+        p = ExponentFunction.constant(pv, ((0.0, 1.0),))
+        got = luxemburg_norm(GridFunction(grid, np.full(64, size)), p)
+        want = size
+    else:
+        # indicator of (0, L) with p = 1: the norm is L
+        p = ExponentFunction.constant(pv, ((0.0, size),))
+        got = interval_indicator_norm(p, 0.0, size)
+        want = size
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0), f"{route} {size:g} p={pv}: {got!r}"
+
+
+# -- reference copies of the replaced code ---------------------------------------
+#
+# The bisection solver, its four modular closures and the interval walker as
+# they were before the norms were compiled into atoms.  The new solver is
+# pinned to them at 1e-10 relative, with the bisection run at 1e-12.
+
+
+def seed_norm_bisect(rho, rel_tol=1e-12):
+    hi = 1.0
+    for _ in range(4200):
+        if rho(hi) <= 1.0:
+            break
+        hi *= 2.0
+    else:
+        raise ArithmeticError("modular stays above 1, no norm bracket found")
+    lo = 0.5 * hi
+    for _ in range(4200):
+        if rho(lo) > 1.0:
+            break
+        hi = lo
+        lo *= 0.5
+        if lo < 1e-300:
+            return 0.0
+    while (hi - lo) > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if rho(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def seed_grid_norm(f, p):
+    pv = p.values(f.domain.points())
+    af = np.abs(f.values).ravel()
+    finite = np.isfinite(pv) & (af > 0)
+    infty = np.isinf(pv)
+    sup = float(af[infty].max()) if infty.any() else 0.0
+    af, pv, vol = af[finite], pv[finite], f.domain.cell_volume
+
+    def rho(lam):
+        with np.errstate(over="ignore"):
+            val = float(((af / lam) ** pv).sum() * vol)
+        return val + (sup / lam if sup > 0.0 else 0.0)
+
+    return seed_norm_bisect(rho)
+
+
+def _seed_g_scalar(g, w):
+    return float(g(np.array([w], dtype=float))[0])
+
+
+def seed_bumps_segment_integral(piece, lo, hi, g, transforms):
+    bump = piece.bump
+    s, m = bump.support_halfwidth, bump.plateau_halfwidth
+    g_base = _seed_g_scalar(g, _tf_scalar(transforms, piece.base))
+    g_top = _seed_g_scalar(g, _tf_scalar(transforms, piece.top))
+
+    def g_of_profile(prof):
+        return g(_tf_array(transforms, piece.base + piece.direction * prof))
+
+    shoulder = bump.shoulder_integral(g_of_profile)
+    full_int = 2.0 * m * g_top + 2.0 * shoulder
+    (kf, kl), straddlers = piece.full_and_straddling(lo, hi)
+    n_full = max(0, kl - kf + 1)
+    total = 0.0
+    base_len = hi - lo
+    if n_full:
+        base_len -= n_full * 2.0 * s
+        total += n_full * full_int
+    nodes, wts = _gauss_nodes()
+    for _, c in straddlers:
+        if np.spacing(abs(c)) > 0.01 * s:
+            if lo <= c <= hi:
+                base_len -= 2.0 * s
+                total += full_int
+            continue
+        o0, o1 = max(lo - c, -s), min(hi - c, s)
+        if o1 <= o0:
+            continue
+        base_len -= o1 - o0
+        knots = [o0] + [o for o in (-s, -m, m, s) if o0 < o < o1] + [o1]
+        for u0, u1 in zip(knots, knots[1:]):
+            half, midp = 0.5 * (u1 - u0), 0.5 * (u0 + u1)
+            d = np.abs(midp + half * nodes)
+            total += half * float(np.dot(wts, g_of_profile(bump.profile(d))))
+    base_len = max(base_len, 0.0)
+    if base_len > 0.0:
+        total += base_len * g_base
+    return total
+
+
+def seed_interval_integral(p, a, b, g):
+    total = 0.0
+    for piece, lo, hi in _effective_segments(p, a, b):
+        if isinstance(piece, ConstantPiece):
+            total += (hi - lo) * _seed_g_scalar(g, _tf_scalar(p.transforms, piece.value))
+        else:
+            total += seed_bumps_segment_integral(piece, lo, hi, g, p.transforms)
+    return total
+
+
+def seed_interval_has_inf(p, a, b):
+    for piece, lo, hi in _effective_segments(p, a, b):
+        if isinstance(piece, ConstantPiece):
+            if _tf_scalar(p.transforms, piece.value) == INF:
+                return True
+            continue
+        if _tf_scalar(p.transforms, piece.base) == INF:
+            cover = piece.support_cover_length(lo, hi)
+            if (hi - lo) - cover > 1e-12 * max(1.0, hi - lo):
+                return True
+        if _tf_scalar(p.transforms, piece.top) == INF and piece.bump.height > 0:
+            mw = piece.bump.plateau_halfwidth
+            kf, kl = piece.centers.index_range_in(lo - mw, hi + mw)
+            if kl >= kf:
+                return True
+    return False
+
+
+def seed_interval_norm(p, a, b):
+    has_inf = seed_interval_has_inf(p, a, b)
+
+    def rho(lam):
+        log_lam = math.log(lam)
+
+        def g(w):
+            out = np.zeros_like(w)
+            finite = np.isfinite(w)
+            with np.errstate(over="ignore"):
+                out[finite] = np.exp(-w[finite] * log_lam)
+            return out
+
+        return seed_interval_integral(p, a, b, g) + (1.0 / lam if has_inf else 0.0)
+
+    return seed_norm_bisect(rho)
+
+
+def seed_box_norm(p, box):
+    cells = []
+    for i, piece in enumerate(p.pieces):
+        region = box_intersect(piece.box, box)
+        region = None if region is None else box_intersect(region, p.domain)
+        if region is None:
+            continue
+        vol = box_subtract_volume(region, [q.box for q in p.pieces[:i]])
+        if vol > 0.0:
+            cells.append((vol, _tf_scalar(p.transforms, piece.value)))
+    vols = np.array([v for v, _ in cells])
+    ws = np.array([w for _, w in cells])
+    finite = np.isfinite(ws)
+    has_inf = bool((~finite).any())
+
+    def rho(lam):
+        with np.errstate(over="ignore"):
+            val = float((vols[finite] * lam ** (-ws[finite])).sum())
+        return val + (1.0 / lam if has_inf else 0.0)
+
+    return seed_norm_bisect(rho)
+
+
+def seed_mask_on(E, domain):
+    pts = domain.points()
+    mask = np.ones(pts.shape[0], dtype=bool)
+    if E.box is not None:
+        for axis, (lo, hi) in enumerate(E.box):
+            mask &= (pts[:, axis] >= lo) & (pts[:, axis] <= hi)
+    if E.sublevel is not None:
+        p, thr = E.sublevel
+        mask &= p.values(pts) < thr
+    out = mask.reshape(domain.cells)
+    if E.grid_mask is not None:
+        mdom, m = E.grid_mask
+        out &= m
+    return out
+
+
+# -- parity with the replaced code ---------------------------------------------
+
+
+def test_solver_matches_bisection_on_criterion_02_corpus():
+    # the inputs of test_criterion_02_bisection_vs_lambda_scan, drawn the same way
+    rng = np.random.default_rng(7)
+    for trial in range(50):
+        p = random_piecewise_exponent(rng)
+        grid = GridDomain(p.domain, (128,))
+        f = random_grid_function(rng, grid)
+        for q in (p, conjugate(p)):
+            lam = luxemburg_norm(f, q)
+            want = seed_grid_norm(f, q)
+            assert lam == pytest.approx(want, rel=1e-10), f"trial {trial}"
+            assert modular(GridFunction(grid, f.values / lam), q) <= 1.0, f"trial {trial}"
+
+
+def _interval_norm_inputs(monkeypatch):
+    """(p, a, b) of every interval norm the norm and construction tests solve."""
+    import varlp.constructions as cons
+
+    inputs = [(two_piece_exponent(1.0, 2.0), 0.0, 2.0),
+              (two_piece_exponent(INF, 2.0), 0.0, 2.0),
+              (bump_train_exponent(), 0.3, 10.7)]
+    real = cons.interval_indicator_norm
+
+    def record(p, a, b):
+        inputs.append((p, a, b))
+        return real(p, a, b)
+
+    monkeypatch.setattr(cons, "interval_indicator_norm", record)
+    spec62 = cons.build_ex62()
+    spec63, spec64 = cons.build_ex63(0.25, 1.2, 2.0), cons.build_ex64(0.25, 1.2, 2.0)
+    for sp, j in ((spec62, 2), (spec62, 3), (spec63, 2), (spec64, 2)):
+        cons.witness_norm_check(sp, j)
+    cons.two_sided_interval_check(spec62)
+    cons.ex61_interval_constant_scan(cons.build_ex61(0.25), 20)
+    monkeypatch.undo()
+    return inputs
+
+
+def test_solver_matches_bisection_on_interval_corpus(monkeypatch):
+    inputs = _interval_norm_inputs(monkeypatch)
+    assert len(inputs) > 100
+    for p, a, b in inputs:
+        lam = interval_indicator_norm(p, a, b)
+        want = seed_interval_norm(p, a, b)
+        assert lam == pytest.approx(want, rel=1e-10), f"({a}, {b})"
+        assert interval_indicator_modular(p, a, b, lam) <= 1.0, f"({a}, {b})"
+
+
+def test_solver_matches_bisection_on_plane_boxes(rng):
+    values = (1.0, 1.5, 2.0, 3.0, 5.0, INF)
+    step = 0.25
+    boxes = [((i * step, (i + 1) * step), (j * step, (j + 1) * step))
+             for i in range(4) for j in range(4)]
+    for trial in range(20):
+        p = ExponentFunction(
+            dimension=2, domain=((0.0, 1.0), (0.0, 1.0)),
+            pieces=tuple(ConstantPiece(bx, values[int(k)])
+                         for bx, k in zip(boxes, rng.integers(0, len(values), 16))))
+        lo = rng.uniform(0.0, 0.9, 2)
+        hi = lo + rng.uniform(0.01, 1.0 - lo)
+        box = tuple(zip(lo.tolist(), hi.tolist()))
+        for q in (p, conjugate(p)):
+            lam = set_norm(q, MeasurableSet.from_box(box))
+            assert lam == pytest.approx(seed_box_norm(q, box), rel=1e-10), f"trial {trial}"
+    p = frame_exponent()
+    box = ((-1.0, 1.0), (-1.0, 1.0))
+    assert set_norm(p, MeasurableSet.from_box(box)) == pytest.approx(seed_box_norm(p, box),
+                                                                     rel=1e-10)
+
+
+def test_mask_on_matches_replaced_code(rng):
+    line = GridDomain(((0.0, 2.0),), (256,))
+    plane = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (64, 64))
+    flat = GridDomain(((-1.0, 1.0), (-0.5, 0.5)), (40, 20))
+    p1 = random_piecewise_exponent(rng, lo=0.0, hi=2.0, allow_inf=True)
+    p2 = frame_exponent()
+    p2_flat = ExponentFunction(dimension=2, domain=((-1.0, 1.0), (-0.5, 0.5)),
+                               pieces=(ConstantPiece(((-1.0, 0.0), (-0.5, 0.5)), 1.5),
+                                       ConstantPiece(((0.0, 1.0), (-0.5, 0.5)), 3.0)))
+    cases = []
+    for domain, p in ((line, p1), (plane, p2), (flat, p2_flat)):
+        n = domain.dimension
+        mids = [domain.axis_midpoints(i) for i in range(n)]
+        boxes = [domain.box,
+                 tuple((float(m[3]), float(m[-5])) for m in mids),  # edges on midpoints
+                 tuple((float(m[0]) - 0.1, float(m[len(m) // 2])) for m in mids),
+                 tuple((lo + 0.3 * (hi - lo), lo + 0.31 * (hi - lo)) for lo, hi in domain.box)]
+        mask = rng.random(domain.cells) < 0.5
+        for box in boxes:
+            cases.append((MeasurableSet.from_box(box), domain))
+            cases.append((MeasurableSet.from_sublevel(p, 2.5, within=box), domain))
+            cases.append((MeasurableSet(box=box, grid_mask=(domain, mask)), domain))
+            cases.append((MeasurableSet(box=box, sublevel=(p, 1.6), grid_mask=(domain, mask)),
+                          domain))
+        cases.append((MeasurableSet.from_sublevel(p, 2.0), domain))
+        cases.append((MeasurableSet.from_mask(domain, mask), domain))
+        cases.append((MeasurableSet(sublevel=(p, 4.0), grid_mask=(domain, mask)), domain))
+    for k, (E, domain) in enumerate(cases):
+        got, want = E.mask_on(domain), seed_mask_on(E, domain)
+        assert got.dtype == want.dtype and got.shape == want.shape, f"case {k}"
+        assert np.array_equal(got, want), f"case {k}"
