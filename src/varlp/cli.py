@@ -1,13 +1,17 @@
 """Command-line experiment runner.
 
-Every subcommand writes three artifacts into the output directory: a
-``results.csv`` with a header row and 9-significant-digit values, a
-``summary.txt`` with the headline numbers and pairing constants, and a
-``config.json`` echo of the parsed arguments (seed included).  Identical
-configurations produce byte-identical outputs.
+Each subcommand only computes: it returns a header, the result rows, the
+summary lines and whether its checks held.  ``main`` writes the three
+artifacts into the output directory: a ``config.json`` echo of the parsed
+arguments (seed included) before the subcommand runs, then a
+``results.csv`` with a header row and 9-significant-digit values and a
+``summary.txt`` with the headline numbers and pairing constants.  A run
+that raises leaves only ``config.json``.  Identical configurations
+produce byte-identical outputs.  Each subcommand accepts only the flags
+it reads.
 
-Exit codes: 0 on success, 1 when a precondition or construction fails,
-2 when an input file cannot be parsed.
+Exit codes: 0 on success, 1 when a precondition or construction fails or
+a subcommand's checks do not hold, 2 when an input file cannot be parsed.
 """
 
 from __future__ import annotations
@@ -56,24 +60,20 @@ def _fmt(x):
     return "%.9g" % float(x)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
+def _echo_config(args):
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    with open(os.path.join(args.out, "config.json"), "w") as fh:
+        json.dump(config, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
+
+
+def _write_artifacts(outdir, header, rows, lines):
+    with open(os.path.join(outdir, "results.csv"), "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_text(path, lines):
-    with open(path, "w") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-
-
-def _echo_config(outdir, args):
-    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    with open(os.path.join(outdir, "config.json"), "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    with open(os.path.join(outdir, "summary.txt"), "w") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _constant_lines(p):
@@ -110,101 +110,80 @@ def _function_on_grid(args, p):
         raise PreconditionError("provide a function via --csv or --box")
     box = _parse_box(args.box)
     domain = p.domain if p is not None else box
-    cells = tuple(max(int(args.cells), 16) for _ in domain)
-    grid = GridDomain(domain, cells)
+    grid = GridDomain(domain, tuple(args.cells for _ in domain))
     return GridFunction.indicator(grid, MeasurableSet.from_box(box))
 
 
-# -- subcommands -------------------------------------------------------------
-
-
-def _run_norm(args, outdir):
-    p = _load_exponent(args)
+def _by_route(args, p, on_interval, on_grid):
+    """(value, route): a 1-D --box indicator takes the exact interval route
+    on_interval(a, b); anything else goes through on_grid(grid function)."""
     if args.box is not None and args.csv is None and p.dimension == 1:
         a, b = _parse_box(args.box)[0]
-        value = interval_indicator_norm(p, a, b)
-        route = "interval"
-    else:
-        f = _function_on_grid(args, p)
-        value = luxemburg_norm(f, p)
-        route = "grid"
-    print("%.7f" % value)
-    _write_csv(os.path.join(outdir, "results.csv"), ["quantity", "value"],
-               [("norm", value)])
-    _write_text(
-        os.path.join(outdir, "summary.txt"),
-        ["norm = %.9g" % value, "route = " + route, "seed = %d" % args.seed]
-        + _constant_lines(p),
+        return on_interval(a, b), "interval"
+    return on_grid(_function_on_grid(args, p)), "grid"
+
+
+def _grid_output(args, p, g, lines):
+    """One row per cell (midpoint coordinates, value), and the summary lines
+    followed by the maximum, the integral, the seed and, given an exponent,
+    its constants."""
+    header = ["x%d" % (i + 1) for i in range(g.domain.dimension)] + ["value"]
+    rows = [tuple(pt) + (v,) for pt, v in zip(g.domain.points(), g.values.ravel())]
+    lines = lines + [
+        "max value = %.9g" % float(g.values.max()),
+        "integral = %.9g" % g.integral(),
+        "seed = %d" % args.seed,
+    ]
+    if p is not None:
+        lines += _constant_lines(p)
+    return header, rows, lines, True
+
+
+# -- subcommands: each returns (header, rows, summary lines, ok) --------------
+
+
+def _run_norm(args):
+    p = _load_exponent(args)
+    value, route = _by_route(
+        args, p,
+        lambda a, b: interval_indicator_norm(p, a, b),
+        lambda f: luxemburg_norm(f, p),
     )
-    return 0
+    print("%.7f" % value)
+    lines = ["norm = %.9g" % value, "route = " + route, "seed = %d" % args.seed]
+    return ["quantity", "value"], [("norm", value)], lines + _constant_lines(p), True
 
 
-def _run_modular(args, outdir):
+def _run_modular(args):
     p = _load_exponent(args)
     lam = float(args.lam)
-    if args.box is not None and args.csv is None and p.dimension == 1:
-        a, b = _parse_box(args.box)[0]
-        value = interval_indicator_modular(p, a, b, lam)
-        route = "interval"
-    else:
-        f = _function_on_grid(args, p)
-        scaled = GridFunction(f.domain, f.values / lam)
-        value = modular(scaled, p)
-        route = "grid"
-    print("%.7f" % value)
-    _write_csv(os.path.join(outdir, "results.csv"), ["quantity", "value"],
-               [("modular", value), ("lambda", lam)])
-    _write_text(
-        os.path.join(outdir, "summary.txt"),
-        ["modular = %.9g at lambda = %.9g" % (value, lam), "route = " + route,
-         "seed = %d" % args.seed] + _constant_lines(p),
+    value, route = _by_route(
+        args, p,
+        lambda a, b: interval_indicator_modular(p, a, b, lam),
+        lambda f: modular(GridFunction(f.domain, f.values / lam), p),
     )
-    return 0
+    print("%.7f" % value)
+    lines = ["modular = %.9g at lambda = %.9g" % (value, lam), "route = " + route,
+             "seed = %d" % args.seed]
+    rows = [("modular", value), ("lambda", lam)]
+    return ["quantity", "value"], rows, lines + _constant_lines(p), True
 
 
-def _run_maximal(args, outdir):
+def _run_maximal(args):
     p = _load_exponent(args, required=False)
     f = _function_on_grid(args, p)
     policy = EXACT if args.policy == "exact" else DYADIC
     mf = fractional_maximal(f, args.alpha, radii=policy)
-    pts = mf.domain.points()
-    rows = [tuple(pt) + (v,) for pt, v in zip(pts, mf.values.ravel())]
-    header = ["x%d" % (i + 1) for i in range(mf.domain.dimension)] + ["value"]
-    _write_csv(os.path.join(outdir, "results.csv"), header, rows)
-    lines = [
-        "policy = " + args.policy,
-        "alpha = %.9g" % args.alpha,
-        "max value = %.9g" % float(mf.values.max()),
-        "integral = %.9g" % mf.integral(),
-        "seed = %d" % args.seed,
-    ]
-    if p is not None:
-        lines += _constant_lines(p)
-    _write_text(os.path.join(outdir, "summary.txt"), lines)
-    return 0
+    return _grid_output(args, p, mf, ["policy = " + args.policy, "alpha = %.9g" % args.alpha])
 
 
-def _run_riesz(args, outdir):
+def _run_riesz(args):
     p = _load_exponent(args, required=False)
-    f = _function_on_grid(args, p)
-    pot = riesz_potential(f, args.alpha)
-    pts = pot.domain.points()
-    rows = [tuple(pt) + (v,) for pt, v in zip(pts, pot.values.ravel())]
-    header = ["x%d" % (i + 1) for i in range(pot.domain.dimension)] + ["value"]
-    _write_csv(os.path.join(outdir, "results.csv"), header, rows)
-    lines = [
-        "alpha = %.9g" % args.alpha,
-        "max value = %.9g" % float(pot.values.max()),
-        "integral = %.9g" % pot.integral(),
-        "seed = %d" % args.seed,
-    ]
-    if p is not None:
-        lines += _constant_lines(p)
-    _write_text(os.path.join(outdir, "summary.txt"), lines)
-    return 0
+    pot = riesz_potential(_function_on_grid(args, p), args.alpha)
+    return _grid_output(args, p, pot, ["alpha = %.9g" % args.alpha])
 
 
-def _run_k0scan(args, outdir):
+def _run_k0scan(args):
     p = _load_exponent(args)
     if p.dimension != 1:
         raise PreconditionError("the scan subcommand is one-dimensional")
@@ -220,29 +199,22 @@ def _run_k0scan(args, outdir):
         (c, r, s.value)
         for c, r, s in zip(centers, radii, report.samples)
     ]
-    _write_csv(os.path.join(outdir, "results.csv"),
-               ["center", "radius", "sample_value"], rows)
     sandwich = norm_harmonic_sandwich(p, family)
-    _write_text(
-        os.path.join(outdir, "summary.txt"),
-        [
-            "alpha = %.9g" % args.alpha,
-            "best sample = %.9g at index %d" % (report.best_value, report.best_index),
-            "sandwich holds = %s" % sandwich.all_ok,
-            "seed = %d" % args.seed,
-        ]
-        + _constant_lines(p),
-    )
-    return 0
+    lines = [
+        "alpha = %.9g" % args.alpha,
+        "best sample = %.9g at index %d" % (report.best_value, report.best_index),
+        "sandwich holds = %s" % sandwich.all_ok,
+        "seed = %d" % args.seed,
+    ] + _constant_lines(p)
+    return ["center", "radius", "sample_value"], rows, lines, True
 
 
-def _run_paircheck(args, outdir):
+def _run_paircheck(args):
     rng = np.random.default_rng(args.seed)
     cells = max(int(args.cells), 64)
     grid = GridDomain(((0.0, 1.0),), (cells,))
     h = grid.h
     rows = []
-    lines = []
     kernel = riesz_kernel(args.alpha, 1) if args.mode == "czo" else None
     t0 = kernel_threshold(kernel) if kernel is not None else None
     t_hi = 10.0 if t0 is None else t0 + 6.0
@@ -261,14 +233,11 @@ def _run_paircheck(args, outdir):
         pair = make_tu_pair(base, t)
         if args.mode == "maximal":
             rep = maximal_pair_lower_bound(f, pair, args.alpha)
-            rows.append((index, t, m * h, rep.lhs_min, rep.rhs, rep.holds))
         else:
             rep = czo_pair_lower_bound(kernel, f, pair)
-            rows.append((index, t, m * h, rep.lhs_min, rep.rhs, rep.holds))
-    _write_csv(os.path.join(outdir, "results.csv"),
-               ["index", "t", "radius", "lhs", "rhs", "holds"], rows)
+        rows.append((index, t, m * h, rep.lhs_min, rep.rhs, rep.holds))
     ok = all(bool(r[-1]) for r in rows)
-    lines += [
+    lines = [
         "mode = " + args.mode,
         "alpha = %.9g" % args.alpha,
         "all bounds hold = %s" % ok,
@@ -276,100 +245,115 @@ def _run_paircheck(args, outdir):
     ]
     if t0 is not None:
         lines.append("kernel threshold = %.9g" % t0)
-    _write_text(os.path.join(outdir, "summary.txt"), lines)
-    return 0 if ok else 1
+    return ["index", "t", "radius", "lhs", "rhs", "holds"], rows, lines, ok
 
 
-def _run_example(args, outdir):
+# -- examples: each returns (header, rows, summary lines) ---------------------
+
+
+def _example_l1_failure(args):
+    out = cons.build_l1_failure(args.alpha, r_max=args.rmax)
+    rows = list(zip(out["ladder"], out["partial_modulars"], out["analytic_partials"]))
+    lines = [
+        "alpha = %.9g" % args.alpha,
+        "measured slope = %.9g" % out["slope"],
+        "analytic slope = %.9g" % out["analytic_slope"],
+    ]
+    return ["window", "measured", "analytic"], rows, lines
+
+
+def _example_ex61(args):
+    spec = cons.build_ex61(args.alpha)
+    chk = cons.ex61_divergence_check(spec, args.k)
+    rows = [
+        (k + 1, wp, wo, mp, mo, hn)
+        for k, (wp, wo, mp, mo, hn) in enumerate(
+            zip(chk["weight_partials"], chk["weight_oracle"],
+                chk["maximal_partials"], chk["maximal_oracle"],
+                chk["harmonic_numbers"])
+        )
+    ]
+    scan = cons.ex61_interval_constant_scan(spec, min(args.k, 50))
+    window_ok = all(w["holds"] for w in chk["window_reports"])
+    lines = [
+        "alpha = %.9g" % args.alpha,
+        "scan best = %.9g over %d samples" % (scan["best"], len(scan["samples"])),
+        "window floors hold = %s" % window_ok,
+    ] + _constant_lines(spec.exponent)
+    header = ["k", "rho_p_partial", "rho_p_oracle", "rho_q_partial", "rho_q_oracle",
+              "harmonic"]
+    return header, rows, lines
+
+
+def _witness_table(args, spec):
+    """Witness rows j = 2..--j-max of an EX62/EX63/EX64 spec."""
+    rows_raw = cons.witness_check(spec, range(2, args.j_max + 1))
+    rows = [
+        (r["j"], r["measure"], r["mean"], r["lambda"], r["modular"],
+         r["mean_ok"], r["norm_beats_lambda"])
+        for r in rows_raw
+    ]
+    lines = [
+        "all witnesses beat their scale = %s"
+        % all(r["norm_beats_lambda"] for r in rows_raw),
+    ] + _constant_lines(spec.exponent)
+    return ["j", "measure", "mean", "lambda", "modular", "mean_ok", "beats"], rows, lines
+
+
+def _example_ex62(args):
+    spec = cons.build_ex62()
+    header, rows, lines = _witness_table(args, spec)
+    two = cons.two_sided_interval_check(spec, seed=args.seed)
+    lines += [
+        "two-sided lower = %.9g (holds = %s)" % (two["lower"], two["lower_holds"]),
+        "two-sided measured upper = %.9g" % two["measured_upper"],
+        "long-interval cap = %.9g (holds = %s)"
+        % (two["long_interval_cap"], two["long_cap_holds"]),
+    ]
+    return header, rows, lines
+
+
+def _example_ex63(args):
+    return _witness_table(args, cons.build_ex63(args.alpha, args.p_minus, args.p_plus))
+
+
+def _example_ex64(args):
+    return _witness_table(args, cons.build_ex64(args.alpha, args.p_minus, args.p_plus))
+
+
+def _example_hm_counter(args):
+    w = cons.hm_counterexample().witnesses
+    rows = [("containing_mean", w["mean_big"], w["formula_big"]),
+            ("subcube_mean", w["mean_sub"], w["formula_sub"])]
+    lines = [
+        "containing-cube mean = %.9g" % w["mean_big"],
+        "subcube mean = %.9g" % w["mean_sub"],
+        "monotonicity fails = %s" % w["monotone_fails"],
+    ]
+    return ["quantity", "computed", "closed_form"], rows, lines
+
+
+_EXAMPLES = {
+    "L1_FAILURE": _example_l1_failure,
+    "EX61": _example_ex61,
+    "EX62": _example_ex62,
+    "EX63": _example_ex63,
+    "EX64": _example_ex64,
+    "HM_COUNTER": _example_hm_counter,
+}
+
+
+def _run_example(args):
     name = args.name.upper()
-    lines = ["example = " + name, "seed = %d" % args.seed]
-    if name == "L1_FAILURE":
-        out = cons.build_l1_failure(args.alpha, r_max=args.rmax)
-        rows = list(zip(out["ladder"], out["partial_modulars"], out["analytic_partials"]))
-        _write_csv(os.path.join(outdir, "results.csv"),
-                   ["window", "measured", "analytic"], rows)
-        lines += [
-            "alpha = %.9g" % args.alpha,
-            "measured slope = %.9g" % out["slope"],
-            "analytic slope = %.9g" % out["analytic_slope"],
-        ]
-    elif name == "EX61":
-        spec = cons.build_ex61(args.alpha)
-        chk = cons.ex61_divergence_check(spec, args.k)
-        rows = [
-            (k + 1, wp, wo, mp, mo, hn)
-            for k, (wp, wo, mp, mo, hn) in enumerate(
-                zip(chk["weight_partials"], chk["weight_oracle"],
-                    chk["maximal_partials"], chk["maximal_oracle"],
-                    chk["harmonic_numbers"])
-            )
-        ]
-        _write_csv(
-            os.path.join(outdir, "results.csv"),
-            ["k", "rho_p_partial", "rho_p_oracle", "rho_q_partial",
-             "rho_q_oracle", "harmonic"],
-            rows,
-        )
-        scan = cons.ex61_interval_constant_scan(spec, min(args.k, 50))
-        window_ok = all(w["holds"] for w in chk["window_reports"])
-        lines += [
-            "alpha = %.9g" % args.alpha,
-            "scan best = %.9g over %d samples" % (scan["best"], len(scan["samples"])),
-            "window floors hold = %s" % window_ok,
-        ] + _constant_lines(spec.exponent)
-    elif name in ("EX62", "EX63", "EX64"):
-        if name == "EX62":
-            spec = cons.build_ex62()
-        elif name == "EX63":
-            spec = cons.build_ex63(args.alpha, args.p_minus, args.p_plus)
-        else:
-            spec = cons.build_ex64(args.alpha, args.p_minus, args.p_plus)
-        rows_raw = cons.witness_check(spec, range(2, args.j_max + 1))
-        rows = [
-            (r["j"], r["measure"], r["mean"], r["lambda"], r["modular"],
-             r["mean_ok"], r["norm_beats_lambda"])
-            for r in rows_raw
-        ]
-        _write_csv(
-            os.path.join(outdir, "results.csv"),
-            ["j", "measure", "mean", "lambda", "modular", "mean_ok", "beats"],
-            rows,
-        )
-        lines += [
-            "all witnesses beat their scale = %s"
-            % all(r["norm_beats_lambda"] for r in rows_raw),
-        ] + _constant_lines(spec.exponent)
-        if name == "EX62":
-            two = cons.two_sided_interval_check(spec, seed=args.seed)
-            lines += [
-                "two-sided lower = %.9g (holds = %s)" % (two["lower"], two["lower_holds"]),
-                "two-sided measured upper = %.9g" % two["measured_upper"],
-                "long-interval cap = %.9g (holds = %s)"
-                % (two["long_interval_cap"], two["long_cap_holds"]),
-            ]
-    elif name == "HM_COUNTER":
-        spec = cons.hm_counterexample()
-        w = spec.witnesses
-        _write_csv(
-            os.path.join(outdir, "results.csv"),
-            ["quantity", "computed", "closed_form"],
-            [("containing_mean", w["mean_big"], w["formula_big"]),
-             ("subcube_mean", w["mean_sub"], w["formula_sub"])],
-        )
-        lines += [
-            "containing-cube mean = %.9g" % w["mean_big"],
-            "subcube mean = %.9g" % w["mean_sub"],
-            "monotonicity fails = %s" % w["monotone_fails"],
-        ]
-    else:
+    if name not in _EXAMPLES:
         raise PreconditionError(
             f"unknown example {args.name!r}; choose from {cons.EXAMPLE_NAMES}"
         )
-    _write_text(os.path.join(outdir, "summary.txt"), lines)
-    return 0
+    header, rows, lines = _EXAMPLES[name](args)
+    return header, rows, ["example = " + name, "seed = %d" % args.seed] + lines, True
 
 
-def _run_blowup(args, outdir):
+def _run_blowup(args):
     p = load_spec(args.spec) if args.spec else cons.default_blowup_exponent()
     fam = cons.build_blowup(p, args.alpha, args.t, args.k,
                             cells_per_radius=args.cells_per_radius)
@@ -381,8 +365,6 @@ def _run_blowup(args, outdir):
         (lv.k, s, s / lv.k, floor)
         for lv, s in zip(fam.levels, series)
     ]
-    _write_csv(os.path.join(outdir, "results.csv"),
-               ["k", "series", "series_over_k", "floor"], rows)
     lines = [
         "alpha = %.9g, t = %.9g, scale C = %.9g" % (args.alpha, args.t, args.c_scale),
         "family interval constant = %.9g" % k0_family,
@@ -394,11 +376,20 @@ def _run_blowup(args, outdir):
         status = "ok" if row["ok"] else "; ".join(row["issues"])
         lines.append("level %d: %s" % (row["k"], status))
     lines += _constant_lines(p)
-    _write_text(os.path.join(outdir, "summary.txt"), lines)
-    return 0 if geo["ok"] else 1
+    return ["k", "series", "series_over_k", "floor"], rows, lines, geo["ok"]
 
 
 # -- argument parsing --------------------------------------------------------
+
+# flags shared by several subcommands; each subcommand registers the ones it reads
+_SHARED_FLAGS = {
+    "--spec": dict(default=None, help="exponent spec JSON path"),
+    "--cells": dict(type=int, default=256, help="grid resolution per axis (minimum 16)"),
+    "--alpha": dict(type=float, default=0.0, help="fractional order"),
+    "--csv": dict(default=None, help="grid function CSV"),
+    "--box": dict(default=None, help="indicator box 'lo,hi[;lo,hi]'"),
+}
+_GRID_INPUT = ("--spec", "--cells", "--csv", "--box")
 
 
 def build_parser():
@@ -408,94 +399,75 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, needs_alpha=True):
-        sp.add_argument("--spec", default=None, help="exponent spec JSON path")
+    # no abbreviations: `blowup --cells` would otherwise set --cells-per-radius
+    def add(name, func, help, *flags):
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
         sp.add_argument("--out", default="varlp-out", help="output directory")
         sp.add_argument("--seed", type=int, default=0, help="seed for randomized parts")
-        sp.add_argument("--cells", type=int, default=256,
-                        help="grid resolution per axis (minimum 16)")
-        if needs_alpha:
-            sp.add_argument("--alpha", type=float, default=0.0,
-                            help="fractional order")
+        for flag in flags:
+            sp.add_argument(flag, **_SHARED_FLAGS[flag])
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("norm", help="Luxemburg norm of a function")
-    common(sp, needs_alpha=False)
-    sp.add_argument("--csv", default=None, help="grid function CSV")
-    sp.add_argument("--box", default=None, help="indicator box 'lo,hi[;lo,hi]'")
-    sp.set_defaults(func=_run_norm)
+    add("norm", _run_norm, "Luxemburg norm of a function", *_GRID_INPUT)
 
-    sp = sub.add_parser("modular", help="modular of a scaled function")
-    common(sp, needs_alpha=False)
-    sp.add_argument("--csv", default=None)
-    sp.add_argument("--box", default=None)
+    sp = add("modular", _run_modular, "modular of a scaled function", *_GRID_INPUT)
     sp.add_argument("--lam", type=float, default=1.0, help="scale in rho(f/lam)")
-    sp.set_defaults(func=_run_modular)
 
-    sp = sub.add_parser("maximal", help="fractional maximal function")
-    common(sp)
-    sp.add_argument("--csv", default=None)
-    sp.add_argument("--box", default=None)
+    sp = add("maximal", _run_maximal, "fractional maximal function", *_GRID_INPUT, "--alpha")
     sp.add_argument("--policy", choices=("exact", "dyadic"), default="exact")
-    sp.set_defaults(func=_run_maximal)
 
-    sp = sub.add_parser("riesz", help="fractional integral of a grid function")
-    common(sp)
-    sp.add_argument("--csv", default=None)
-    sp.add_argument("--box", default=None)
-    sp.set_defaults(func=_run_riesz)
+    add("riesz", _run_riesz, "fractional integral of a grid function", *_GRID_INPUT,
+        "--alpha")
 
-    sp = sub.add_parser("k0scan", help="normalized norm-product samples over intervals")
-    common(sp)
+    sp = add("k0scan", _run_k0scan, "normalized norm-product samples over intervals",
+             "--spec", "--alpha")
     sp.add_argument("--vol-min", type=float, default=1e-3)
     sp.add_argument("--vol-max", type=float, default=1e3)
     sp.add_argument("--num", type=int, default=50)
     sp.add_argument("--anchor", type=float, default=0.0)
-    sp.set_defaults(func=_run_k0scan)
 
-    sp = sub.add_parser("paircheck", help="translate-pair lower bounds on random data")
-    common(sp)
+    sp = add("paircheck", _run_paircheck, "translate-pair lower bounds on random data",
+             "--cells", "--alpha")
     sp.add_argument("--count", type=int, default=25)
     sp.add_argument("--mode", choices=("maximal", "czo"), default="maximal")
-    sp.set_defaults(func=_run_paircheck)
 
-    sp = sub.add_parser("example", help="build a named construction and its checks")
-    common(sp)
+    sp = add("example", _run_example, "build a named construction and its checks",
+             "--alpha")
     sp.add_argument("name", help="one of %s" % ", ".join(cons.EXAMPLE_NAMES))
     sp.add_argument("--k", type=int, default=50, help="partial series length")
     sp.add_argument("--j-max", type=int, default=6, help="last witness index")
     sp.add_argument("--rmax", type=float, default=1000.0, help="largest window")
     sp.add_argument("--p-minus", type=float, default=1.2)
     sp.add_argument("--p-plus", type=float, default=2.0)
-    sp.set_defaults(func=_run_example)
 
-    sp = sub.add_parser("blowup", help="build the chain family and its growth series")
-    common(sp)
+    sp = add("blowup", _run_blowup, "build the chain family and its growth series",
+             "--spec", "--alpha")
     sp.add_argument("--t", type=float, default=5.0, help="pair separation parameter")
     sp.add_argument("--k", type=int, default=4, help="deepest chain level")
     sp.add_argument("--cells-per-radius", type=int, default=4)
     sp.add_argument("--c-scale", type=float, default=10.0)
-    sp.set_defaults(func=_run_blowup)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "cells", 256) < 16:
         print("error: --cells must be at least 16", file=sys.stderr)
         return 1
-    outdir = args.out
-    os.makedirs(outdir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
+    _echo_config(args)
     try:
-        _echo_config(outdir, args)
-        return args.func(args, outdir)
+        header, rows, lines, ok = args.func(args)
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PreconditionError, DomainError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _write_artifacts(args.out, header, rows, lines)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -215,7 +215,6 @@ class BlowupLevel:
     big_radius: float
     small_radius: float
     cube_d: Cube
-    basis: np.ndarray
     direction_sign: float
     chain: tuple
     pairs: tuple
@@ -354,7 +353,6 @@ def build_blowup(p, alpha, t, k_max, cells_per_radius=4):
                 big_radius=big_r,
                 small_radius=small_r,
                 cube_d=cube_d,
-                basis=np.eye(n),
                 direction_sign=sign,
                 chain=tuple(chain),
                 pairs=tuple(pairs),
@@ -576,9 +574,9 @@ def ex61_local_window(spec, half_width=4.0):
     return ExponentFunction(dimension=1, domain=box, pieces=(local,))
 
 
-def ex61_sets(k):
-    """Support window, plateau core, and flanking pair at center e^k
-    (in window coordinates u = x - e^k)."""
+def ex61_sets():
+    """Support window, plateau core, and flanking pair of every EX61 bump
+    (in window coordinates u = x - e^k, the same for each k)."""
     return {
         "support": (-0.5, 0.5),
         "core": (-0.25, 0.25),
@@ -609,7 +607,7 @@ def ex61_divergence_check(spec, big_k, window_cells=256, check_levels=6):
 
     p_loc = ex61_local_window(spec)
     q_loc = sobolev_dual(p_loc, alpha)
-    sets = ex61_sets(1)
+    sets = ex61_sets()
 
     weight_terms = []
     maximal_terms = []

@@ -319,21 +319,7 @@ class BumpsPiece:
 
 
 def _tf_scalar(ops, v):
-    for op in ops:
-        if op[0] == "conjugate":
-            if v == 1.0:
-                v = INF
-            elif v == INF:
-                v = 1.0
-            else:
-                v = v / (v - 1.0)
-        else:
-            _, alpha, n = op
-            if alpha == 0.0:
-                continue
-            den = n - alpha * v
-            v = INF if (v == INF or den <= 0.0) else n * v / den
-    return v
+    return float(_tf_array(ops, (v,))[0])
 
 
 def _tf_array(ops, values):

@@ -101,12 +101,6 @@ class GridFunction:
         self.values = vals
 
     @classmethod
-    def from_callable(cls, domain, fn):
-        pts = domain.points()
-        vals = np.asarray(fn(pts), dtype=float).reshape(domain.cells)
-        return cls(domain, vals)
-
-    @classmethod
     def indicator(cls, domain, mset):
         return cls(domain, mset.mask_on(domain).astype(float))
 
@@ -190,9 +184,6 @@ class Cube:
 
     def as_box(self):
         return tuple((c - self.radius, c + self.radius) for c in self.center)
-
-    def lower_corner(self):
-        return tuple(c - self.radius for c in self.center)
 
     def contains_points(self, pts):
         pts = np.asarray(pts, dtype=float).reshape(-1, self.dimension)

@@ -4,6 +4,8 @@ fresh-interpreter import check)."""
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import varlp
-from varlp.cli import main
+from varlp.cli import _EXAMPLES, main
 
 TWO_PIECE = {
     "dimension": 1,
@@ -56,9 +58,14 @@ def test_norm_interval_route_golden_ratio(tmp_path, capsys):
     assert lines[0] == "quantity,value"
     assert lines[1].startswith("norm,")
     assert float(lines[1].split(",")[1]) == pytest.approx(golden, rel=1e-8)
-    summary = (out / "summary.txt").read_text()
-    assert "route = interval" in summary
-    assert "pairing constant K" in summary
+    assert (out / "summary.txt").read_text() == (
+        "norm = 1.61803399\n"
+        "route = interval\n"
+        "seed = 0\n"
+        "pairing constant K = 2.5\n"
+        "duality constant k = 0.5\n"
+        "exponent bounds = (1, 2)\n"
+    )
     config = json.loads((out / "config.json").read_text())
     assert config["box"] == "0,2" and config["seed"] == 0
 
@@ -247,7 +254,13 @@ def test_example_hm_counter(tmp_path):
     assert big[0] == "containing_mean"
     assert float(big[1]) == pytest.approx(8.0 / 7.0, rel=1e-8)
     assert float(big[1]) == pytest.approx(float(big[2]), rel=1e-8)
-    assert "monotonicity fails = True" in (out / "summary.txt").read_text()
+    assert (out / "summary.txt").read_text() == (
+        "example = HM_COUNTER\n"
+        "seed = 0\n"
+        "containing-cube mean = 1.14285714\n"
+        "subcube mean = 1.28571429\n"
+        "monotonicity fails = True\n"
+    )
 
 
 def test_example_l1_failure(tmp_path):
@@ -279,6 +292,7 @@ def test_example_ex62_witnesses(tmp_path):
 
 
 def test_example_unknown_name(tmp_path, capsys):
+    assert tuple(_EXAMPLES) == varlp.EXAMPLE_NAMES
     code = main(["example", "NOPE", "--out", str(tmp_path / "o")])
     assert code == 1
     assert "unknown example" in capsys.readouterr().err
@@ -316,3 +330,39 @@ def test_cli_import_does_not_load_scipy():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False", "importing varlp.cli loaded scipy"
+
+
+def readme_commands():
+    """The `varlp` lines of the README's *Command line* block."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line[len("varlp "):] for line in block.splitlines() if line.startswith("varlp ")]
+
+
+@pytest.mark.parametrize("command", readme_commands())
+def test_readme_command_runs(command, tmp_path, capsys):
+    argv = shlex.split(command)
+    spec = write_spec(tmp_path, TWO_PIECE, name="twopiece.json")
+    argv = [spec if a == "twopiece.json" else a for a in argv]
+    out = tmp_path / argv[argv.index("--out") + 1]
+    argv[argv.index("--out") + 1] = str(out)
+    assert main(argv) == 0, capsys.readouterr().err
+    for name in ("results.csv", "summary.txt", "config.json"):
+        assert (out / name).stat().st_size > 0, name
+
+
+@pytest.mark.parametrize("argv", [
+    ["k0scan", "--spec", "s.json", "--cells", "64"],
+    ["example", "HM_COUNTER", "--cells", "64"],
+    ["blowup", "--cells", "64"],
+    ["paircheck", "--spec", "s.json"],
+    ["example", "HM_COUNTER", "--spec", "s.json"],
+])
+def test_flag_the_subcommand_does_not_read_is_rejected(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -301,7 +301,7 @@ def test_ex61_parameter_window():
 
 
 def test_ex61_sets_geometry():
-    sets = ex61_sets(3)
+    sets = ex61_sets()
     lo, hi = sets["support"]
     clo, chi = sets["core"]
     assert lo < clo < chi < hi

@@ -22,7 +22,7 @@ from varlp import (
     sobolev_dual,
     to_spec,
 )
-from varlp.exponent import INF
+from varlp.exponent import INF, _tf_scalar
 
 from conftest import random_piecewise_exponent
 
@@ -201,6 +201,37 @@ def test_conjugate_bounds_relation(rng):
                 assert got == INF
             else:
                 assert abs(got - want) <= 1e-9, f"(p')_- = (p_+)' failed: {got} vs {want}"
+
+
+def _reference_tf_scalar(ops, v):
+    """The scalar transform loop that _tf_scalar replaced with _tf_array."""
+    for op in ops:
+        if op[0] == "conjugate":
+            if v == 1.0:
+                v = INF
+            elif v == INF:
+                v = 1.0
+            else:
+                v = v / (v - 1.0)
+        else:
+            _, alpha, n = op
+            if alpha == 0.0:
+                continue
+            den = n - alpha * v
+            v = INF if (v == INF or den <= 0.0) else n * v / den
+    return v
+
+
+def test_scalar_transform_matches_replaced_loop():
+    conj, sob = ("conjugate",), ("sobolev", 0.25, 1.0)
+    chains = [(), (conj,), (conj, conj), (sob,), (sob, conj), (conj, sob),
+              (("sobolev", 0.5, 2.0), conj, conj), (("sobolev", 0.0, 1.0),)]
+    values = [1.0, 1.0 + 1e-15, 1.2, 1.5, 2.0, 3.0, 3.999999, 4.0, 4.5, 10.0, 1e300, INF]
+    for ops in chains:
+        for v in values:
+            got = _tf_scalar(ops, v)
+            assert type(got) is float
+            assert got == _reference_tf_scalar(ops, v), (ops, v)
 
 
 # -- log-continuity modulus ---------------------------------------------------
