@@ -26,7 +26,7 @@ import numpy as np
 
 from . import constructions as cons
 from .errors import ConstructionError, DomainError, PreconditionError, SpecParseError
-from .exponent import load_spec
+from .exponent import box_intersect, load_spec
 from .grid import Cube, GridDomain, GridFunction, MeasurableSet, as_box
 from .k0 import CubeFamily, k0alpha_constant, norm_harmonic_sandwich
 from .norms import (
@@ -102,13 +102,21 @@ def _parse_box(text):
     return as_box(axes)
 
 
+def _box_arg(args, p):
+    """The --box, which must lie inside the exponent's domain when one is given."""
+    box = _parse_box(args.box)
+    if p is not None and box_intersect(box, p.domain) != box:
+        raise PreconditionError(f"--box {box} is not inside the exponent's domain {p.domain}")
+    return box
+
+
 def _function_on_grid(args, p):
     """Grid function from --csv, or the --box indicator on a fresh grid."""
     if args.csv is not None:
         return GridFunction.from_csv(args.csv)
     if args.box is None:
         raise PreconditionError("provide a function via --csv or --box")
-    box = _parse_box(args.box)
+    box = _box_arg(args, p)
     domain = p.domain if p is not None else box
     grid = GridDomain(domain, tuple(args.cells for _ in domain))
     return GridFunction.indicator(grid, MeasurableSet.from_box(box))
@@ -118,7 +126,7 @@ def _by_route(args, p, on_interval, on_grid):
     """(value, route): a 1-D --box indicator takes the exact interval route
     on_interval(a, b); anything else goes through on_grid(grid function)."""
     if args.box is not None and args.csv is None and p.dimension == 1:
-        a, b = _parse_box(args.box)[0]
+        (a, b), = _box_arg(args, p)
         return on_interval(a, b), "interval"
     return on_grid(_function_on_grid(args, p)), "grid"
 
@@ -211,7 +219,7 @@ def _run_k0scan(args):
 
 def _run_paircheck(args):
     rng = np.random.default_rng(args.seed)
-    cells = max(int(args.cells), 64)
+    cells = args.cells
     grid = GridDomain(((0.0, 1.0),), (cells,))
     h = grid.h
     rows = []
@@ -384,7 +392,7 @@ def _run_blowup(args):
 # flags shared by several subcommands; each subcommand registers the ones it reads
 _SHARED_FLAGS = {
     "--spec": dict(default=None, help="exponent spec JSON path"),
-    "--cells": dict(type=int, default=256, help="grid resolution per axis (minimum 16)"),
+    "--cells": dict(type=int, default=256, help="grid resolution per axis (at least 16)"),
     "--alpha": dict(type=float, default=0.0, help="fractional order"),
     "--csv": dict(default=None, help="grid function CSV"),
     "--box": dict(default=None, help="indicator box 'lo,hi[;lo,hi]'"),
@@ -428,7 +436,8 @@ def build_parser():
     sp.add_argument("--anchor", type=float, default=0.0)
 
     sp = add("paircheck", _run_paircheck, "translate-pair lower bounds on random data",
-             "--cells", "--alpha")
+             "--alpha")
+    sp.add_argument("--cells", type=int, default=256, help="grid cells (at least 64)")
     sp.add_argument("--count", type=int, default=25)
     sp.add_argument("--mode", choices=("maximal", "czo"), default="maximal")
 
@@ -453,8 +462,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if getattr(args, "cells", 256) < 16:
-        print("error: --cells must be at least 16", file=sys.stderr)
+    least = 64 if args.subcommand == "paircheck" else 16
+    if getattr(args, "cells", least) < least:
+        print(f"error: --cells must be at least {least}", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
     _echo_config(args)

@@ -1,5 +1,5 @@
-"""Cube-family constants: indicator-norm products, averaging bounds, and
-harmonic-mean estimates.
+"""Cube-family constants: indicator-norm products, averaging bounds,
+harmonic-mean estimates, and the lattice search for the least-mean cube.
 
 Supremum-type constants are estimated by scanning a declared finite family
 of sets, so every reported value is a lower bound for the true supremum.
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +20,9 @@ from .errors import ConstructionError, DomainError, PreconditionError
 from .exponent import INF, conjugate, sobolev_dual
 from .grid import Cube, GridFunction, MeasurableSet
 from .norms import (
+    _mean_inverse,
     compile_set,
     duality_constant,
-    harmonic_mean,
     holder_constant,
     luxemburg_norm,
     mean_inverse_exponent,
@@ -242,8 +243,10 @@ def norm_harmonic_sandwich(p, family, grid=None, k0_value=None, tol=1e-6):
     rows = []
     for i, E in enumerate(family):
         measure = set_measure(E.intersect_box(p.domain), grid)
-        hm = harmonic_mean(p, E, grid)
-        norm = set_norm(p, E, grid)
+        dist = compile_set(p, E, grid)
+        inv = _mean_inverse(dist, p, E)
+        hm = INF if inv == 0.0 else 1.0 / inv
+        norm = dist.norm(p)
         base = measure ** (0.0 if hm == INF else 1.0 / hm)
         lower = base / (2.0 * holder)
         upper = 2.0 * holder ** 2 * k0_value / duality * base
@@ -308,14 +311,6 @@ def k0alpha_iff_k0_check(p, alpha, family, grid=None, tol=1e-6, identity_tol=1e-
 # -- harmonic-mean minimization over cube positions ---------------------------
 
 
-def _max_exponent_on(p, E, grid):
-    if E.is_box() and grid is None:
-        return float(compile_set(p, E).values(p).max())
-    mask = E.mask_on(grid)
-    pv = p.values(grid.points()).reshape(grid.cells)
-    return float(pv[mask].max()) if mask.any() else -math.inf
-
-
 def _center_lattice(x, half_range, spacing):
     if half_range < spacing * 1e-12:
         return np.array([x])
@@ -323,18 +318,56 @@ def _center_lattice(x, half_range, spacing):
     return x - half_range + spacing * np.arange(count)
 
 
+def _cube_mean_reader(p, E, grid):
+    """means(axes, radius): mean of 1/p (1/inf = 0) over E cap Q for cubes Q
+    centered on the outer product of axes, nan where Q misses E.  On a grid
+    Q takes its cells per axis by mask_on's closed-box rule and its sums from
+    the 2^n corners of one zero-padded summed-area table of 1/p and 1 on E."""
+    if grid is None:
+        def exact_means(axes, radius):
+            out = np.full(tuple(len(a) for a in axes), np.nan)
+            for idx in np.ndindex(out.shape):
+                cube = Cube([a[i] for a, i in zip(axes, idx)], radius)
+                with suppress(PreconditionError):
+                    out[idx] = mean_inverse_exponent(p, E.intersect_box(cube.as_box()))
+            return out
+
+        return exact_means
+
+    mask = E.mask_on(grid)
+    table = np.zeros((2,) + mask.shape)
+    table[0][mask] = 1.0 / p.values(grid.points_where(mask))
+    table[1] = mask
+    for axis in range(1, grid.dimension + 1):
+        table = np.cumsum(table, axis=axis)
+    table = np.pad(table, [(0, 0)] + [(1, 0)] * grid.dimension)
+
+    def grid_means(axes, radius):
+        sums = table
+        for axis, a in enumerate(axes):
+            mids = grid.axis_midpoints(axis)
+            lo = np.searchsorted(mids, a - radius, side="left")
+            hi = np.searchsorted(mids, a + radius, side="right")
+            sums = np.take(sums, hi, axis=axis + 1) - np.take(sums, lo, axis=axis + 1)
+        inv, count = sums
+        return np.divide(inv, count, out=np.full(count.shape, np.nan), where=count > 0)
+
+    return grid_means
+
+
 def minimal_harmonic_mean_cube(p, D, r, E, grid=None, spacing=None, verify_scaling=True):
     """Cube of radius r inside D whose intersection with E has the smallest
     harmonic mean exponent, found by scanning a center lattice.
 
     Requires 0 < r <= radius(D), the complement D minus E smaller than one
-    radius-r cube, and a bounded exponent on D and E.  With verify_scaling,
-    cubes of radius m*r sampled inside D are checked to never beat the
-    minimum (their mean is a weighted average over radius-r subcubes), a
-    guard against lattice misalignment.
+    radius-r cube, and a bounded exponent on D and E.  On a grid all cubes
+    read one summed-area table of 1/p over E's cells; without one, each cube
+    is compiled exactly.  In row-major order a cube wins when it beats the
+    best so far by a relative 1e-15.  With verify_scaling, cubes of radius
+    m*r sampled inside D must not beat the minimum (their mean is a weighted
+    average over radius-r subcubes), a guard against lattice misalignment.
     """
-    n = D.dimension
-    R = D.radius
+    n, R = D.dimension, D.radius
     if not (0.0 < r <= R * (1.0 + 1e-12)):
         raise PreconditionError(f"need 0 < r <= {R}, got r = {r}")
     d_set = E.intersect_box(D.as_box())
@@ -343,73 +376,39 @@ def minimal_harmonic_mean_cube(p, D, r, E, grid=None, spacing=None, verify_scali
         raise PreconditionError(
             f"complement of E in D has measure {gap}, needs < {(2.0 * r) ** n}"
         )
-    if _max_exponent_on(p, d_set, grid) == INF:
+    if compile_set(p, d_set, grid).values(p).max(initial=-INF) == INF:
         raise PreconditionError("exponent must be bounded on D and E")
     if spacing is None:
         spacing = grid.h if grid is not None else r / 8.0
-    half = R - r
-    axes = [_center_lattice(D.center[i], half, spacing) for i in range(n)]
+    means = _cube_mean_reader(p, E, grid)
 
-    best_inv, best_center = -1.0, None
-    if n == 1 and grid is not None:
-        # prefix sums over cells make each candidate cube O(1)
-        mask = E.mask_on(grid).astype(float).ravel()
-        pv = p.values(grid.points())
-        inv = np.where(np.isinf(pv), 0.0, 1.0 / pv) * mask
-        s_inv = np.concatenate([[0.0], np.cumsum(inv)])
-        s_cnt = np.concatenate([[0.0], np.cumsum(mask)])
-        mids = grid.axis_midpoints(0)
-        eps = 1e-9 * grid.h
-        for y in axes[0]:
-            i0 = int(np.searchsorted(mids, y - r - eps, side="left"))
-            i1 = int(np.searchsorted(mids, y + r + eps, side="right"))
-            cnt = s_cnt[i1] - s_cnt[i0]
-            if cnt <= 0:
-                continue
-            mi = (s_inv[i1] - s_inv[i0]) / cnt
-            if mi > best_inv * (1.0 + 1e-15):
-                best_inv, best_center = mi, (float(y),)
-    else:
-        for center in itertools.product(*axes):
-            cube = Cube(center, r)
-            sub = E.intersect_box(cube.as_box())
-            if grid is None and not sub.is_box():
-                raise PreconditionError("grid needed for non-box sets")
-            try:
-                mi = mean_inverse_exponent(p, sub, grid)
-            except PreconditionError:
-                continue
-            if mi > best_inv * (1.0 + 1e-15):
-                best_inv, best_center = mi, center
-    if best_center is None:
+    axes = [_center_lattice(D.center[i], R - r, spacing) for i in range(n)]
+    inv = means(axes, r)
+    best_inv, best_idx = -1.0, None
+    for idx in np.ndindex(inv.shape):  # nan (a cube that misses E) never wins
+        if inv[idx] > best_inv * (1.0 + 1e-15):
+            best_inv, best_idx = inv[idx], idx
+    if best_idx is None:
         raise ConstructionError("no candidate cube met E on the lattice")
-    best = Cube(best_center, r)
     best_mean = INF if best_inv == 0.0 else 1.0 / best_inv
 
-    if verify_scaling:
-        m = 2
-        while m * r <= R * (1.0 + 1e-12):
-            half_m = R - m * r
-            for i in range(n):
-                lat = _center_lattice(D.center[i], half_m, spacing)
-                if len(lat) > 9:
-                    keep = np.unique(np.linspace(0, len(lat) - 1, 9).astype(int))
-                    lat = lat[keep]
-                axes_m = [lat if j == i else np.array([D.center[j]]) for j in range(n)]
-                for center in itertools.product(*axes_m):
-                    sub = E.intersect_box(Cube(center, m * r).as_box())
-                    try:
-                        mi = mean_inverse_exponent(p, sub, grid)
-                    except PreconditionError:
-                        continue
-                    mean_m = INF if mi == 0.0 else 1.0 / mi
-                    if best_mean > mean_m + 1e-9:
-                        raise ConstructionError(
-                            f"radius-{m}r cube at {center} has smaller mean "
-                            f"{mean_m} than the minimum {best_mean}"
-                        )
-            m += 1
-    return best
+    m_max = int(R * (1.0 + 1e-12) / r) if verify_scaling else 1
+    for m in range(2, m_max + 1):
+        for i in range(n):
+            lat = _center_lattice(D.center[i], R - m * r, spacing)
+            lat = lat[np.unique(np.linspace(0, len(lat) - 1, min(len(lat), 9)).astype(int))]
+            axes_m = [lat if j == i else np.array([D.center[j]]) for j in range(n)]
+            with np.errstate(divide="ignore"):
+                mean_m = 1.0 / means(axes_m, m * r)
+            beaten = np.argwhere(best_mean > mean_m + 1e-9)
+            if len(beaten):
+                idx = tuple(beaten[0])
+                center = tuple(float(a[k]) for a, k in zip(axes_m, idx))
+                raise ConstructionError(
+                    f"radius-{m}r cube at {center} has smaller mean "
+                    f"{mean_m[idx]} than the minimum {best_mean}"
+                )
+    return Cube([a[i] for a, i in zip(axes, best_idx)], r)
 
 
 def subdivision_identity_gap(p, K, E, m, grid=None):

@@ -471,15 +471,19 @@ def _inverse(v):
         return np.where(np.isinf(v), 0.0, 1.0 / v)
 
 
-def mean_inverse_exponent(p, E, grid=None):
-    """Average of 1/p over the set (clipped to the exponent's domain),
-    with 1/inf = 0."""
-    dist = compile_set(p, E, grid)
+def _mean_inverse(dist, p, E):
+    """Average of 1/p over the set E compiled into dist, with 1/inf = 0."""
     if dist.measure <= 0.0:
         if E.is_box():
             raise DomainError("set lies outside the exponent's domain")
         raise PreconditionError("set has no cells on this grid")
     return dist.integral(p, _inverse) / dist.measure
+
+
+def mean_inverse_exponent(p, E, grid=None):
+    """Average of 1/p over the set (clipped to the exponent's domain),
+    with 1/inf = 0."""
+    return _mean_inverse(compile_set(p, E, grid), p, E)
 
 
 def harmonic_mean(p, E, grid=None):

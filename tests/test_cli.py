@@ -159,6 +159,29 @@ def test_cells_floor_is_enforced(tmp_path, capsys):
     assert "--cells" in capsys.readouterr().err
 
 
+def test_paircheck_cells_floor_is_64(tmp_path, capsys):
+    args = ["paircheck", "--alpha", "0.5", "--count", "2"]
+    code = main(args + ["--cells", "63", "--out", str(tmp_path / "low")])
+    assert code == 1
+    assert "--cells must be at least 64" in capsys.readouterr().err
+    assert not (tmp_path / "low" / "results.csv").exists()
+    assert main(args + ["--cells", "64", "--out", str(tmp_path / "ok")]) == 0
+    assert json.loads((tmp_path / "ok" / "config.json").read_text())["cells"] == 64
+    assert (tmp_path / "ok" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["norm"], ["modular"], ["maximal", "--alpha", "0.5"],
+                                     ["riesz", "--alpha", "0.5"]])
+def test_box_outside_the_exponent_domain_is_refused(tmp_path, capsys, command):
+    args = command + ["--spec", write_spec(tmp_path, TWO_PIECE), "--cells", "64"]
+    out = tmp_path / "run"
+    assert main(args + ["--box", "0,3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "not inside the exponent's domain ((0.0, 2.0),)" in err, err
+    assert not (out / "results.csv").exists()
+    assert main(args + ["--box", "0,2", "--out", str(tmp_path / "inside")]) == 0
+
+
 def test_maximal_writes_one_row_per_cell(tmp_path):
     out = tmp_path / "run"
     code = main([

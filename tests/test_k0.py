@@ -1,5 +1,6 @@
 """Tests for K0-type constants, the sandwich, equivalences, and cube search."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,9 @@ from varlp import (
     averaging_uniform_bound,
     conjugate,
     dual_witness,
+    duality_constant,
     harmonic_mean,
+    holder_constant,
     k0_constant,
     k0alpha_constant,
     k0alpha_iff_k0_check,
@@ -32,7 +35,9 @@ from varlp import (
     sobolev_dual,
     subdivision_identity_gap,
 )
-from varlp.exponent import ConstantPiece
+from varlp.exponent import INF, ConstantPiece
+from varlp.k0 import SandwichRow, _cube_mean_reader
+from varlp.norms import compile_set, mean_inverse_exponent, set_measure
 
 import varlp.constructions as cx
 
@@ -205,6 +210,47 @@ def test_sandwich_jump_straddle_direct():
     assert row.ok and rep.all_ok
 
 
+def _reference_sandwich_rows(p, family):
+    """Rows of norm_harmonic_sandwich(p, family) as computed before each set
+    was compiled once: the harmonic mean and the norm each compile the set."""
+    holder, duality = holder_constant(p), duality_constant(p)
+    k0_value = k0_constant(p, family).best_value
+    rows = []
+    for i, E in enumerate(family):
+        measure = set_measure(E.intersect_box(p.domain))
+        hm = harmonic_mean(p, E)
+        norm = set_norm(p, E)
+        base = measure ** (0.0 if hm == INF else 1.0 / hm)
+        lower = base / (2.0 * holder)
+        upper = 2.0 * holder ** 2 * k0_value / duality * base
+        ok = lower * (1.0 - 1e-6) <= norm <= upper * (1.0 + 1e-6)
+        rows.append(SandwichRow(i, E.label, measure, hm, norm, lower, upper, ok))
+    return rows
+
+
+def _sandwich_families():
+    rng = np.random.default_rng(20240611)
+    boxes = []
+    for _ in range(12):
+        c = rng.uniform(0.0, 1e6)
+        boxes.append(((c, c + 10.0 ** rng.uniform(-1, 4)),))
+    volumes = np.geomspace(1e-3, 1e3, 50)
+    readme_k0scan = CubeFamily.from_cubes([Cube((v / 2.0,), v / 2.0) for v in volumes])
+    return [
+        (ExponentFunction.constant(2.0, ((0.0, 6.0),)), CubeFamily.from_boxes([((1.0, 5.0),)])),
+        (cx.build_ex62().exponent, CubeFamily.from_boxes(boxes)),
+        (two_piece(1.5, 3.0), CubeFamily.from_boxes([((0.99, 1.01),)])),
+        (two_piece(1.0, 2.0), readme_k0scan),
+    ]
+
+
+def test_sandwich_rows_match_two_compile_reference():
+    for p, family in _sandwich_families():
+        got = norm_harmonic_sandwich(p, family).rows
+        want = _reference_sandwich_rows(p, family)
+        assert got == want, "rows must be bitwise those of the reference"
+
+
 # -- equivalence of the constants ----------------------------------------------
 
 
@@ -293,6 +339,236 @@ def test_minimal_cube_preconditions():
     tiny = MeasurableSet.from_box(((1.9, 2.1),))
     with pytest.raises(PreconditionError):
         minimal_harmonic_mean_cube(p, Cube((2.0,), 1.0), 0.25, tiny)
+
+
+def test_minimal_cube_scaling_guard_catches_a_missed_window():
+    # lattice cubes [c - 1/4, c + 1/4] at c = 1/4, 5/4, ... leave gaps; the
+    # low window (0.6, 0.9) lies in a gap, and the radius-1/2 cube [0, 1]
+    # that holds it beats every lattice cube
+    p = ExponentFunction(
+        dimension=1,
+        domain=((0.0, 4.0),),
+        pieces=(ConstantPiece(((0.6, 0.9),), 1.1), ConstantPiece(((0.0, 4.0),), 3.0)),
+    )
+    D, E = Cube((2.0,), 2.0), MeasurableSet.from_box(((0.0, 4.0),))
+    for grid in (None, GridDomain(((0.0, 4.0),), (64,))):
+        with pytest.raises(ConstructionError, match="smaller mean"):
+            minimal_harmonic_mean_cube(p, D, 0.25, E, grid=grid, spacing=1.0)
+        q = minimal_harmonic_mean_cube(p, D, 0.25, E, grid=grid, spacing=1.0,
+                                       verify_scaling=False)
+        assert q.center[0] in (0.25, 1.25, 2.25, 3.25) and q.radius == 0.25
+        assert harmonic_mean(p, MeasurableSet.from_cube(q)) == pytest.approx(3.0, rel=1e-12)
+        assert q == _reference_minimal_cube(p, D, 0.25, E, grid=grid, spacing=1.0,
+                                            verify_scaling=False)
+
+
+# -- parity with the replaced per-cube search ------------------------------------
+
+
+def _reference_center_lattice(x, half_range, spacing):
+    if half_range < spacing * 1e-12:
+        return np.array([x])
+    count = int(math.floor(2.0 * half_range / spacing + 1e-9)) + 1
+    return x - half_range + spacing * np.arange(count)
+
+
+def _reference_max_exponent_on(p, E, grid):
+    if E.is_box() and grid is None:
+        return float(compile_set(p, E).values(p).max())
+    mask = E.mask_on(grid)
+    pv = p.values(grid.points()).reshape(grid.cells)
+    return float(pv[mask].max()) if mask.any() else -math.inf
+
+
+def _reference_minimal_cube(p, D, r, E, grid=None, spacing=None, verify_scaling=True):
+    """The replaced minimal_harmonic_mean_cube: prefix sums in 1-D on a grid,
+    otherwise one compiled set per lattice cube and per sampled m*r cube."""
+    n = D.dimension
+    R = D.radius
+    if not (0.0 < r <= R * (1.0 + 1e-12)):
+        raise PreconditionError(f"need 0 < r <= {R}, got r = {r}")
+    d_set = E.intersect_box(D.as_box())
+    gap = set_measure(MeasurableSet.from_cube(D), grid) - set_measure(d_set, grid)
+    if gap >= (2.0 * r) ** n:
+        raise PreconditionError(
+            f"complement of E in D has measure {gap}, needs < {(2.0 * r) ** n}"
+        )
+    if _reference_max_exponent_on(p, d_set, grid) == INF:
+        raise PreconditionError("exponent must be bounded on D and E")
+    if spacing is None:
+        spacing = grid.h if grid is not None else r / 8.0
+    half = R - r
+    axes = [_reference_center_lattice(D.center[i], half, spacing) for i in range(n)]
+
+    best_inv, best_center = -1.0, None
+    if n == 1 and grid is not None:
+        mask = E.mask_on(grid).astype(float).ravel()
+        pv = p.values(grid.points())
+        inv = np.where(np.isinf(pv), 0.0, 1.0 / pv) * mask
+        s_inv = np.concatenate([[0.0], np.cumsum(inv)])
+        s_cnt = np.concatenate([[0.0], np.cumsum(mask)])
+        mids = grid.axis_midpoints(0)
+        eps = 1e-9 * grid.h
+        for y in axes[0]:
+            i0 = int(np.searchsorted(mids, y - r - eps, side="left"))
+            i1 = int(np.searchsorted(mids, y + r + eps, side="right"))
+            cnt = s_cnt[i1] - s_cnt[i0]
+            if cnt <= 0:
+                continue
+            mi = (s_inv[i1] - s_inv[i0]) / cnt
+            if mi > best_inv * (1.0 + 1e-15):
+                best_inv, best_center = mi, (float(y),)
+    else:
+        for center in itertools.product(*axes):
+            sub = E.intersect_box(Cube(center, r).as_box())
+            if grid is None and not sub.is_box():
+                raise PreconditionError("grid needed for non-box sets")
+            try:
+                mi = mean_inverse_exponent(p, sub, grid)
+            except PreconditionError:
+                continue
+            if mi > best_inv * (1.0 + 1e-15):
+                best_inv, best_center = mi, center
+    if best_center is None:
+        raise ConstructionError("no candidate cube met E on the lattice")
+    best = Cube(best_center, r)
+    best_mean = INF if best_inv == 0.0 else 1.0 / best_inv
+
+    if verify_scaling:
+        m = 2
+        while m * r <= R * (1.0 + 1e-12):
+            half_m = R - m * r
+            for i in range(n):
+                lat = _reference_center_lattice(D.center[i], half_m, spacing)
+                if len(lat) > 9:
+                    keep = np.unique(np.linspace(0, len(lat) - 1, 9).astype(int))
+                    lat = lat[keep]
+                axes_m = [lat if j == i else np.array([D.center[j]]) for j in range(n)]
+                for center in itertools.product(*axes_m):
+                    sub = E.intersect_box(Cube(center, m * r).as_box())
+                    try:
+                        mi = mean_inverse_exponent(p, sub, grid)
+                    except PreconditionError:
+                        continue
+                    mean_m = INF if mi == 0.0 else 1.0 / mi
+                    if best_mean > mean_m + 1e-9:
+                        raise ConstructionError(
+                            f"radius-{m}r cube at {center} has smaller mean "
+                            f"{mean_m} than the minimum {best_mean}"
+                        )
+            m += 1
+    return best
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25])
+def test_minimal_cube_matches_reference_on_blowup_levels(alpha):
+    fam = cx.build_blowup(cx.default_blowup_exponent(), alpha, 5.0, 6)
+    for lv in fam.levels:
+        args = (fam.p, lv.cube_d, lv.small_radius, lv.threshold_set)
+        got = minimal_harmonic_mean_cube(*args, grid=lv.grid)
+        want = _reference_minimal_cube(*args, grid=lv.grid)
+        assert got == want, f"level {lv.k}: anchor {got} vs {want}"
+
+
+def test_minimal_cube_matches_reference_without_grid():
+    whole = MeasurableSet.from_box(((0.0, 4.0),))
+    square = MeasurableSet.from_box(((-1.0, 1.0), (-1.0, 1.0)))
+    cases = [
+        (ExponentFunction.constant(2.5, ((0.0, 4.0),)), Cube((2.0,), 1.5), 0.5, whole, None),
+        (two_piece(1.5, 3.0, split=2.0, hi=4.0), Cube((2.0,), 1.5), 0.5, whole, 0.125),
+        (two_piece(1.5, 3.0, split=2.3, hi=4.0), Cube((2.0,), 2.0), 0.3, whole, 0.07),
+        (two_piece(3.0, 1.2, split=2.7, hi=4.0), Cube((2.0,), 2.0), 0.45, whole, None),
+        (frame_exponent(), Cube((0.0, 0.0), 1.0), 0.75, square, 0.125),
+        (frame_exponent(0.3), Cube((0.0, 0.0), 1.0), 0.6, square, 0.1),
+    ]
+    for p, D, r, E, spacing in cases:
+        got = minimal_harmonic_mean_cube(p, D, r, E, spacing=spacing)
+        want = _reference_minimal_cube(p, D, r, E, spacing=spacing)
+        assert got == want, f"anchor {got} vs {want}"
+
+
+def piece_exponent_2d(k, seed):
+    """k x k constant pieces on [-1, 1]^2 with values in [1.1, 2.5], one in
+    nine of them raised to 3."""
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(1.1, 2.5, (k, k))
+    vals.flat[rng.choice(k * k, size=k * k // 9, replace=False)] = 3.0
+    edges = np.linspace(-1.0, 1.0, k + 1)
+    pieces = tuple(
+        ConstantPiece(((edges[i], edges[i + 1]), (edges[j], edges[j + 1])), float(vals[i, j]))
+        for i in range(k) for j in range(k)
+    )
+    return ExponentFunction(dimension=2, domain=((-1.0, 1.0), (-1.0, 1.0)), pieces=pieces)
+
+
+@pytest.mark.parametrize("cells, seed, k, r", [
+    (40, 1, 6, 0.55), (48, 2, 7, 0.6), (64, 3, 5, 0.7),
+])
+def test_minimal_cube_matches_reference_on_2d_grid_sublevel_sets(cells, seed, k, r):
+    grid = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (cells, cells))
+    D = Cube((0.0, 0.0), 1.0)
+    p = piece_exponent_2d(k, seed)
+    E = MeasurableSet.from_sublevel(p, 2.8, within=D.as_box())
+    got = minimal_harmonic_mean_cube(p, D, r, E, grid=grid)
+    want = _reference_minimal_cube(p, D, r, E, grid=grid)
+
+    def per_cube_mean(cube):
+        return mean_inverse_exponent(p, E.intersect_box(cube.as_box()), grid)
+
+    assert per_cube_mean(got) == pytest.approx(per_cube_mean(want), rel=1e-12, abs=0.0)
+    if got != want:
+        assert per_cube_mean(got) == per_cube_mean(want), "centers differ only on a tie"
+
+
+def test_cube_mean_reader_matches_per_cube_means():
+    # dyadic centers and radius put every cube edge exactly on a cell
+    # midpoint, where mask_on's closed-box rule decides; some cubes miss E
+    grid = GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (32, 32))
+    p = piece_exponent_2d(6, 1)
+    E = MeasurableSet.from_sublevel(p, 2.8, within=((-1.0, 1.0), (-1.0, 1.0)))
+    axes, r = [np.arange(-44, 45, 4) / 32.0] * 2, 7.0 / 32.0
+    got = _cube_mean_reader(p, E, grid)(axes, r)
+    assert np.isnan(got).any()
+    for idx in np.ndindex(got.shape):
+        cube = Cube([a[i] for a, i in zip(axes, idx)], r)
+        try:
+            want = mean_inverse_exponent(p, E.intersect_box(cube.as_box()), grid)
+        except (PreconditionError, DomainError):
+            assert np.isnan(got[idx]), f"cube at {cube.center} misses E"
+            continue
+        assert got[idx] == pytest.approx(want, rel=1e-12, abs=0.0), f"cube at {cube.center}"
+
+
+def _raised(fn, *args, **kwargs):
+    with pytest.raises((PreconditionError, ConstructionError, DomainError)) as info:
+        fn(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+def test_minimal_cube_raises_what_the_reference_raises():
+    p = ExponentFunction.constant(2.0, ((0.0, 4.0),))
+    whole = MeasurableSet.from_box(((0.0, 4.0),))
+    unbounded = ExponentFunction(
+        dimension=1,
+        domain=((0.0, 4.0),),
+        pieces=(ConstantPiece(((1.0, 1.5),), INF), ConstantPiece(((0.0, 4.0),), 2.0)),
+    )
+    grid = GridDomain(((0.0, 4.0),), (64,))
+    cases = [
+        ((p, Cube((2.0,), 1.0), 1.5, whole), {}),
+        ((p, Cube((2.0,), 1.0), 0.0, whole), {}),
+        ((p, Cube((2.0,), 1.0), 0.25, MeasurableSet.from_box(((1.9, 2.1),))), {}),
+        ((p, Cube((2.0,), 1.0), 0.25, MeasurableSet.from_box(((1.9, 2.1),))), {"grid": grid}),
+        ((unbounded, Cube((2.0,), 2.0), 1.0, whole), {}),
+        ((unbounded, Cube((2.0,), 2.0), 1.0, whole), {"grid": grid}),
+        ((p, Cube((2.0,), 2.0), 1.0, MeasurableSet.from_sublevel(p, 3.0)), {}),
+        ((frame_exponent(), Cube((0.0, 0.0), 1.0), 0.75,
+          MeasurableSet.from_sublevel(frame_exponent(), 1.5)), {}),
+    ]
+    for args, kwargs in cases:
+        assert _raised(minimal_harmonic_mean_cube, *args, **kwargs) == _raised(
+            _reference_minimal_cube, *args, **kwargs
+        ), f"inputs {args} {kwargs}"
 
 
 def test_subdivision_identity_gap_small():
