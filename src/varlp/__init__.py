@@ -27,7 +27,6 @@ from .exponent import (
     from_spec,
     lh0_modulus,
     load_spec,
-    save_spec,
     sobolev_dual,
     to_spec,
 )

@@ -195,6 +195,8 @@ def _run_k0scan(args):
     p = _load_exponent(args)
     if p.dimension != 1:
         raise PreconditionError("the scan subcommand is one-dimensional")
+    if not (0.0 < args.vol_min <= args.vol_max < math.inf):
+        raise PreconditionError("need 0 < --vol-min <= --vol-max < inf")
     volumes = np.geomspace(args.vol_min, args.vol_max, args.num)
     anchor = float(args.anchor)
     centers = [anchor + v / 2.0 for v in volumes]
@@ -399,6 +401,10 @@ _SHARED_FLAGS = {
 }
 _GRID_INPUT = ("--spec", "--cells", "--csv", "--box")
 
+# the counts that set how much work a run does, with the range each must lie
+# in; at the top of each range a run still takes seconds
+_COUNT_RANGES = {"--num": (1, 10_000), "--count": (1, 10_000), "--j-max": (2, 10_000)}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -432,20 +438,20 @@ def build_parser():
              "--spec", "--alpha")
     sp.add_argument("--vol-min", type=float, default=1e-3)
     sp.add_argument("--vol-max", type=float, default=1e3)
-    sp.add_argument("--num", type=int, default=50)
+    sp.add_argument("--num", type=int, default=50, help="samples (1 to 10000)")
     sp.add_argument("--anchor", type=float, default=0.0)
 
     sp = add("paircheck", _run_paircheck, "translate-pair lower bounds on random data",
              "--alpha")
     sp.add_argument("--cells", type=int, default=256, help="grid cells (at least 64)")
-    sp.add_argument("--count", type=int, default=25)
+    sp.add_argument("--count", type=int, default=25, help="pairs (1 to 10000)")
     sp.add_argument("--mode", choices=("maximal", "czo"), default="maximal")
 
     sp = add("example", _run_example, "build a named construction and its checks",
              "--alpha")
     sp.add_argument("name", help="one of %s" % ", ".join(cons.EXAMPLE_NAMES))
     sp.add_argument("--k", type=int, default=50, help="partial series length")
-    sp.add_argument("--j-max", type=int, default=6, help="last witness index")
+    sp.add_argument("--j-max", type=int, default=6, help="last witness index (2 to 10000)")
     sp.add_argument("--rmax", type=float, default=1000.0, help="largest window")
     sp.add_argument("--p-minus", type=float, default=1.2)
     sp.add_argument("--p-plus", type=float, default=2.0)
@@ -466,6 +472,11 @@ def main(argv=None):
     if getattr(args, "cells", least) < least:
         print(f"error: --cells must be at least {least}", file=sys.stderr)
         return 1
+    for flag, (low, high) in _COUNT_RANGES.items():
+        value = getattr(args, flag[2:].replace("-", "_"), low)
+        if not low <= value <= high:
+            print(f"error: {flag} must be in {low}..{high}, got {value}", file=sys.stderr)
+            return 1
     os.makedirs(args.out, exist_ok=True)
     _echo_config(args)
     try:

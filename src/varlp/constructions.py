@@ -42,6 +42,7 @@ from .exponent import (
 from .grid import Cube, GridDomain, GridFunction, MeasurableSet
 from .k0 import minimal_harmonic_mean_cube
 from .norms import (
+    compile_set,
     duality_constant,
     harmonic_mean,
     holder_constant,
@@ -120,8 +121,8 @@ def build_l1_failure(alpha, n=1, r_max=1000.0, cells_per_unit=8, ladder=None):
     if not (0.0 <= alpha < 1.0):
         raise PreconditionError(f"need 0 <= alpha < 1, got {alpha}")
     r_max = float(r_max)
-    if r_max < 4.0:
-        raise PreconditionError(f"window maximum too small: {r_max}")
+    if not (4.0 <= r_max < INF):
+        raise PreconditionError(f"window maximum must be finite and at least 4, got {r_max}")
     if ladder is None:
         ladder = [1.0]
         r = 2.0
@@ -295,6 +296,8 @@ def build_blowup(p, alpha, t, k_max, cells_per_radius=4):
         raise PreconditionError(f"need t > 4, got t = {t}")
     if not (1 <= int(k_max) <= 10):
         raise PreconditionError(f"k_max must be in 1..10, got {k_max}")
+    if not cells_per_radius >= 1:
+        raise PreconditionError(f"need at least one cell per radius, got {cells_per_radius}")
     k_max = int(k_max)
     sqrt_n = math.sqrt(n)
     width = t * sqrt_n + 2.0
@@ -407,8 +410,7 @@ def check_blowup_geometry(fam, tol=1e-9):
         cell = lv.grid.cell_volume
         for j, (cube, pair) in enumerate(zip(lv.chain, lv.pairs), start=1):
             for tag, c in (("chain", cube), ("partner", pair.partner)):
-                inside = MeasurableSet.from_cube(c).mask_on(lv.grid)
-                overlap = float((inside & mask_e).sum()) * cell
+                overlap = float(mask_e[lv.grid.box_cells(c.as_box())].sum()) * cell
                 if not overlap > 0.5 * c.volume:
                     issues.append(f"{tag} {j} overlap {overlap} <= half its volume")
 
@@ -417,7 +419,7 @@ def check_blowup_geometry(fam, tol=1e-9):
         if abs(lv.f_norm - 1.0) > 1e-6:
             issues.append(f"normalized indicator has norm {lv.f_norm}")
 
-        qv = q.values(lv.grid.points())[mask_e.ravel()]
+        qv = q.values_on(lv.grid, mask_e)[mask_e]
         q_plus = float(qv.max()) if qv.size else 0.0
         if q_plus > qcap + 1e-12:
             issues.append(f"dual exponent {q_plus} above the cap {qcap}")
@@ -445,19 +447,20 @@ def blowup_modular_growth(fam, c_scale):
     q = sobolev_dual(p, alpha)
     series = []
     for lv in fam.levels:
-        qv = q.values(lv.grid.points()).ravel()
-        mask_e = lv.threshold_set.mask_on(lv.grid).ravel()
+        qv = q.values_on(lv.grid)
+        mask_e = lv.threshold_set.mask_on(lv.grid)
         cell = lv.grid.cell_volume
         total = 0.0
         for pair in lv.pairs:
             cover = covering_cube(pair)
             integral = cube_average(lv.f, cover) * cover.volume
             value = cover.volume ** (alpha / n - 1.0) * integral
-            pmask = MeasurableSet.from_cube(pair.partner).mask_on(lv.grid).ravel() & mask_e
-            if not pmask.any():
+            cells = lv.grid.box_cells(pair.partner.as_box())
+            on_e = mask_e[cells]
+            if not on_e.any():
                 continue
             with np.errstate(over="ignore"):
-                contrib = (value / c_scale) ** qv[pmask]
+                contrib = (value / c_scale) ** qv[cells][on_e]
             total += float(contrib.sum()) * cell
         series.append(total)
     return series
@@ -491,16 +494,12 @@ def blowup_family_k0(fam):
     pc = conjugate(p)
     best = 0.0
     for lv in fam.levels:
-        cell = lv.grid.cell_volume
-        mask_e = lv.threshold_set.mask_on(lv.grid)
+        threshold = MeasurableSet.from_mask(lv.grid, lv.threshold_set.mask_on(lv.grid))
         for cube in list(lv.chain) + [pr.partner for pr in lv.pairs]:
-            inside = MeasurableSet.from_cube(cube).mask_on(lv.grid) & mask_e
-            measure = float(inside.sum()) * cell
-            if measure <= 0.0:
+            dist = compile_set(p, threshold.intersect_box(cube.as_box()))
+            if dist.measure <= 0.0:
                 continue
-            chi = GridFunction(lv.grid, inside.astype(float))
-            value = luxemburg_norm(chi, p) * luxemburg_norm(chi, pc) / measure
-            best = max(best, value)
+            best = max(best, dist.norm(p) * dist.norm(pc) / dist.measure)
     return best
 
 

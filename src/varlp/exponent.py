@@ -5,7 +5,8 @@ p(x) in [1, inf].  Building blocks are constant boxes and, in one dimension,
 smooth plateau bumps repeated along a center sequence.  Derived exponents
 (the conjugate exponent, the fractional smoothing dual) are stored lazily as
 transform chains over the same piece data so that analytic integration
-routines keep access to the exact piece geometry.
+routines keep access to the exact piece geometry.  On a grid the pieces are
+painted onto the cells they cover, so only bump pieces evaluate points.
 
 Center sequences can hold astronomically many bumps (counts around 1e14 show
 up in the long-interval witness constructions), so nothing here ever
@@ -416,6 +417,32 @@ class ExponentFunction:
     def values(self, points):
         return _tf_array(self.transforms, self.raw_values(points))
 
+    def raw_values_on(self, grid, where=None):
+        """raw_values at the cell midpoints of a grid, in the grid's shape.
+
+        Pieces are painted last to first onto their cells, clipped to the
+        domain's cells, so the first piece wins.  Every cell in where (all
+        cells when where is None) must be painted; the others may be nan.
+        """
+        if grid.dimension != self.dimension:
+            raise DomainError(f"grid has {grid.dimension} axes, expected {self.dimension}")
+        out = np.full(grid.cells, np.nan)
+        inside = grid.box_cells(self.domain)
+        for piece in reversed(self.pieces):
+            cells = tuple(slice(max(a.start, b.start), min(a.stop, b.stop))
+                          for a, b in zip(grid.box_cells(piece.box), inside))
+            if isinstance(piece, ConstantPiece):
+                out[cells] = piece.value
+            elif cells[0].start < cells[0].stop:
+                out[cells] = piece.raw_values(grid.axis_midpoints(0)[cells][:, None])
+        missing = np.isnan(out) if where is None else np.isnan(out) & where
+        if missing.any():  # raw_values raises its error on these midpoints
+            out[missing] = self.raw_values(grid.points()[missing.ravel()])
+        return out
+
+    def values_on(self, grid, where=None):
+        return _tf_array(self.transforms, self.raw_values_on(grid, where))
+
     # -- structure ----------------------------------------------------------
 
     def _raw_level_sets(self):
@@ -671,9 +698,3 @@ def load_spec(path):
     except json.JSONDecodeError as exc:
         raise SpecParseError(f"invalid JSON in {path}: {exc}") from exc
     return from_spec(data)
-
-
-def save_spec(p, path):
-    with open(path, "w") as fh:
-        json.dump(to_spec(p), fh, indent=2)
-        fh.write("\n")

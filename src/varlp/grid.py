@@ -3,7 +3,8 @@
 Grid functions are piecewise constant on the cells of a uniform grid and are
 identified with their midpoint samples.  All quadrature in the package is
 exact for such functions, which is what makes the operator identities
-checkable at tight tolerances.
+checkable at tight tolerances.  A closed box covers the cells whose
+midpoints it contains; GridDomain.box_cells finds them for every caller.
 """
 
 from __future__ import annotations
@@ -69,20 +70,23 @@ class GridDomain:
         c = self.cells[axis]
         return lo + (np.arange(c) + 0.5) * ((hi - lo) / c)
 
-    def meshgrid(self):
-        axes = [self.axis_midpoints(i) for i in range(self.dimension)]
-        return np.meshgrid(*axes, indexing="ij")
-
     def points(self):
         """All cell midpoints as an (N, n) array in row-major cell order."""
-        mesh = self.meshgrid()
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        axes = [self.axis_midpoints(i) for i in range(self.dimension)]
+        return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
-    def points_where(self, mask):
-        """Midpoints of the cells where mask holds, as an (m, n) array in
-        row-major cell order: the rows of points() that mask selects."""
-        idx = np.nonzero(np.reshape(mask, self.cells))
-        return np.stack([self.axis_midpoints(i)[j] for i, j in enumerate(idx)], axis=-1)
+    def box_cells(self, box):
+        """Per-axis slices of the cells whose midpoints lie in the closed box.
+
+        An axis's (lo, hi) may also be two arrays, one entry per box; the
+        slice ends are then index arrays of the same shape.
+        """
+        cells = []
+        for axis, (lo, hi) in enumerate(box):
+            mids = self.axis_midpoints(axis)
+            cells.append(slice(np.searchsorted(mids, lo, side="left"),
+                               np.searchsorted(mids, hi, side="right")))
+        return tuple(cells)
 
 
 @dataclass(eq=False)
@@ -244,22 +248,20 @@ class MeasurableSet:
         return box_volume(self.box)
 
     def mask_on(self, domain):
-        out = np.ones(domain.cells, dtype=bool)
-        if self.box is not None:
-            for axis, (lo, hi) in enumerate(self.box):
-                mids = domain.axis_midpoints(axis)
-                shape = [1] * domain.dimension
-                shape[axis] = -1
-                out &= ((mids >= lo) & (mids <= hi)).reshape(shape)
+        if self.box is None:
+            out = np.ones(domain.cells, dtype=bool)
+        else:
+            out = np.zeros(domain.cells, dtype=bool)
+            out[domain.box_cells(self.box)] = True
         if self.grid_mask is not None:
             mdom, m = self.grid_mask
             if mdom.box != domain.box or mdom.cells != domain.cells:
                 raise PreconditionError("mask grid does not match the evaluation grid")
             out &= m
         if self.sublevel is not None and out.any():
-            # the exponent is evaluated on the cells still in the set only
+            # the exponent must cover the cells still in the set only
             p, thr = self.sublevel
-            out[out] = p.values(domain.points_where(out)) < thr
+            out &= p.values_on(domain, where=out) < thr
         return out
 
     def measure_on(self, domain):

@@ -146,7 +146,7 @@ def dual_witness(p, E, domain, cap=200.0):
     integral over E recovers ||chi_E||_p' exactly.  Returns None when p' is
     unbounded (or huge) on E, where the formula degenerates.
     """
-    pv = conjugate(p).values(domain.points()).reshape(domain.cells)
+    pv = conjugate(p).values_on(domain)
     mask = E.mask_on(domain)
     if not mask.any():
         return None
@@ -321,7 +321,7 @@ def _center_lattice(x, half_range, spacing):
 def _cube_mean_reader(p, E, grid):
     """means(axes, radius): mean of 1/p (1/inf = 0) over E cap Q for cubes Q
     centered on the outer product of axes, nan where Q misses E.  On a grid
-    Q takes its cells per axis by mask_on's closed-box rule and its sums from
+    Q takes its cells per axis from GridDomain.box_cells and its sums from
     the 2^n corners of one zero-padded summed-area table of 1/p and 1 on E."""
     if grid is None:
         def exact_means(axes, radius):
@@ -336,7 +336,7 @@ def _cube_mean_reader(p, E, grid):
 
     mask = E.mask_on(grid)
     table = np.zeros((2,) + mask.shape)
-    table[0][mask] = 1.0 / p.values(grid.points_where(mask))
+    table[0][mask] = 1.0 / p.values_on(grid, mask)[mask]
     table[1] = mask
     for axis in range(1, grid.dimension + 1):
         table = np.cumsum(table, axis=axis)
@@ -344,11 +344,9 @@ def _cube_mean_reader(p, E, grid):
 
     def grid_means(axes, radius):
         sums = table
-        for axis, a in enumerate(axes):
-            mids = grid.axis_midpoints(axis)
-            lo = np.searchsorted(mids, a - radius, side="left")
-            hi = np.searchsorted(mids, a + radius, side="right")
-            sums = np.take(sums, hi, axis=axis + 1) - np.take(sums, lo, axis=axis + 1)
+        cells = grid.box_cells([(a - radius, a + radius) for a in axes])
+        for axis, run in enumerate(cells):
+            sums = np.take(sums, run.stop, axis=axis + 1) - np.take(sums, run.start, axis=axis + 1)
         inv, count = sums
         return np.divide(inv, count, out=np.full(count.shape, np.nan), where=count > 0)
 

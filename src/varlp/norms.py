@@ -173,7 +173,7 @@ def _log_norm(a, v):
 
 def _compile_cells(p, domain, keep, f):
     """One atom per grid cell where keep holds; f is |f| on those cells."""
-    raw = p.raw_values(domain.points_where(keep))
+    raw = p.raw_values_on(domain, keep)[keep]
     return Distribution(p.pieces, domain.cell_volume, f, raw,
                         int(np.count_nonzero(keep)) * domain.cell_volume)
 

@@ -338,12 +338,11 @@ def maximal_pair_lower_bound(f, pair, alpha):
     q = pair.base
     factor = ((pair.t + 2.0) * math.sqrt(n) / 2.0) ** (alpha - n)
     rhs = factor * q.volume ** (alpha / n) * cube_average(f, q)
-    pmask = MeasurableSet.from_cube(pair.partner).mask_on(f.domain)
-    if not pmask.any():
-        raise PreconditionError("partner cube contains no grid cells")
     # a cube's cells on a line are one run, so only that run is evaluated
-    cells = np.flatnonzero(pmask)
-    lhs_min = float(_uncentered_on(f, alpha, cells[0], cells[-1] + 1).min())
+    run, = f.domain.box_cells(pair.partner.as_box())
+    if not run.start < run.stop:
+        raise PreconditionError("partner cube contains no grid cells")
+    lhs_min = float(_uncentered_on(f, alpha, run.start, run.stop).min())
     return PairBoundReport(lhs_min, rhs, factor, lhs_min >= rhs * (1.0 - 1e-9))
 
 

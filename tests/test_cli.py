@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import varlp
+from varlp import cli
 from varlp.cli import _EXAMPLES, main
 
 TWO_PIECE = {
@@ -168,6 +169,44 @@ def test_paircheck_cells_floor_is_64(tmp_path, capsys):
     assert main(args + ["--cells", "64", "--out", str(tmp_path / "ok")]) == 0
     assert json.loads((tmp_path / "ok" / "config.json").read_text())["cells"] == 64
     assert (tmp_path / "ok" / "results.csv").exists()
+
+
+def _no_work(args):
+    raise AssertionError("the subcommand must not start")
+
+
+@pytest.mark.parametrize("argv, flag, low, high", [
+    (["example", "EX62"], "--j-max", 2, 10_000),
+    (["k0scan", "--spec", "never-read.json"], "--num", 1, 10_000),
+    (["paircheck"], "--count", 1, 10_000),
+])
+def test_count_ranges_refuse_before_any_work(argv, flag, low, high, tmp_path, capsys,
+                                             monkeypatch):
+    for name in ("_run_example", "_run_k0scan", "_run_paircheck"):
+        monkeypatch.setattr(cli, name, _no_work)
+    for value in (high + 1, low - 1):
+        out = tmp_path / str(value)
+        assert main(argv + [flag, str(value), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {flag} must be in {low}..{high}, got {value}" in err, err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["k0scan", "--vol-min", "0"],
+    ["k0scan", "--num", "0"],
+    ["blowup", "--cells-per-radius", "0"],
+    ["example", "L1_FAILURE", "--rmax", "nan"],
+    ["example", "L1_FAILURE", "--rmax", "inf"],
+])
+def test_bad_input_ends_with_an_error_line(argv, tmp_path, capsys):
+    if argv[0] == "k0scan":
+        argv = argv + ["--spec", write_spec(tmp_path, TWO_PIECE)]
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert not (out / "results.csv").exists()
 
 
 @pytest.mark.parametrize("command", [["norm"], ["modular"], ["maximal", "--alpha", "0.5"],

@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from varlp import Cube, ConstructionError, PreconditionError
+from varlp import (
+    ConstructionError,
+    Cube,
+    GridFunction,
+    MeasurableSet,
+    PreconditionError,
+    conjugate,
+    luxemburg_norm,
+)
 from varlp.constructions import (
     EXAMPLE_NAMES,
     ExampleSpec,
@@ -206,12 +214,37 @@ def test_blowup_family_k0_near_one(blowup_family):
     assert 1.0 - 1e-6 <= val <= 1.0 + 1e-6, f"family constant {val}"
 
 
+def _replaced_blowup_family_k0(fam):
+    """blowup_family_k0 as it was before each cut set was compiled once: a
+    grid indicator per cube and two grid norm solves."""
+    pc = conjugate(fam.p)
+    best = 0.0
+    for lv in fam.levels:
+        mask_e = lv.threshold_set.mask_on(lv.grid)
+        for cube in list(lv.chain) + [pr.partner for pr in lv.pairs]:
+            inside = MeasurableSet.from_cube(cube).mask_on(lv.grid) & mask_e
+            measure = float(inside.sum()) * lv.grid.cell_volume
+            if measure <= 0.0:
+                continue
+            chi = GridFunction(lv.grid, inside.astype(float))
+            best = max(best, luxemburg_norm(chi, fam.p) * luxemburg_norm(chi, pc) / measure)
+    return best
+
+
+def test_blowup_family_k0_matches_replaced_code(blowup_family, blowup_family_quarter):
+    third = build_blowup(default_blowup_exponent(), 0.5, 6.0, 5, cells_per_radius=3)
+    for fam in (blowup_family, blowup_family_quarter, third):
+        assert blowup_family_k0(fam) == _replaced_blowup_family_k0(fam)
+
+
 def test_blowup_parameter_windows():
     p = default_blowup_exponent()
     with pytest.raises(PreconditionError):
         build_blowup(p, 0.0, 4.0, 2)
     with pytest.raises(PreconditionError):
         build_blowup(p, 0.0, 5.0, 11)
+    with pytest.raises(PreconditionError, match="cell per radius"):
+        build_blowup(p, 0.0, 5.0, 2, cells_per_radius=0)
 
 
 def test_blowup_needs_flat_region():
@@ -259,6 +292,12 @@ def test_l1_partials_track_analytic(alpha):
     assert rel.max() < 0.05, f"worst tracking error {rel.max()}"
     slope, want = res["slope"], res["analytic_slope"]
     assert abs(slope - want) <= 0.2 * abs(want), f"slope {slope} vs {want}"
+
+
+@pytest.mark.parametrize("r_max", [3.5, math.nan, math.inf])
+def test_l1_window_maximum_must_be_finite_and_at_least_four(r_max):
+    with pytest.raises(PreconditionError, match="finite and at least 4"):
+        build_l1_failure(0.0, r_max=r_max)
 
 
 def test_l1_ladder_and_spec():

@@ -11,7 +11,9 @@ from varlp import (
     BumpsPiece,
     CenterSequence,
     ConstantPiece,
+    DomainError,
     ExponentFunction,
+    GridDomain,
     PlateauBump,
     SpecParseError,
     PreconditionError,
@@ -24,7 +26,7 @@ from varlp import (
 )
 from varlp.exponent import INF, _tf_scalar
 
-from conftest import random_piecewise_exponent
+from conftest import FINITE_VALUES, random_piecewise_exponent
 
 
 # -- plateau bump profile -----------------------------------------------------
@@ -232,6 +234,157 @@ def test_scalar_transform_matches_replaced_loop():
             got = _tf_scalar(ops, v)
             assert type(got) is float
             assert got == _reference_tf_scalar(ops, v), (ops, v)
+
+
+# -- painting onto a grid -----------------------------------------------------
+
+
+def _assert_paints_like_points(p, grid, where=None):
+    """raw_values_on and values_on against raw_values and values at the
+    midpoints of the cells in where (every cell when where is None): equal
+    bit for bit, or the same DomainError with the same message."""
+    pts = grid.points() if where is None else grid.points()[np.ravel(where)]
+    for on_grid, at_points in ((p.raw_values_on, p.raw_values), (p.values_on, p.values)):
+        try:
+            want = at_points(pts)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                on_grid(grid, where)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            continue
+        got = on_grid(grid, where)
+        assert got.shape == grid.cells
+        got = got.ravel() if where is None else got[where]
+        assert got.tobytes() == want.tobytes()
+
+
+def _random_axis_box(rng, grid, axis):
+    """(lo, hi) whose ends are grid midpoints, grid cell edges or arbitrary
+    points a little past the grid."""
+    lo, hi = grid.box[axis]
+    h = grid.h
+    mids = grid.axis_midpoints(axis)
+    while True:
+        ends = []
+        for _ in range(2):
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                ends.append(float(mids[rng.integers(0, len(mids))]))
+            elif kind == 1:
+                ends.append(lo + h * float(rng.integers(0, grid.cells[axis] + 1)))
+            else:
+                ends.append(float(rng.uniform(lo - h, hi + h)))
+        if ends[0] != ends[1]:
+            return min(ends), max(ends)
+
+
+def _random_painting_case(rng):
+    """A 1-D or 2-D grid (square or not) and a piecewise-constant exponent
+    whose domain may be narrower or wider than the grid and whose pieces may
+    overlap, leave the domain or leave gaps in it."""
+    n = int(rng.integers(1, 3))
+    h = 0.125 * float(rng.integers(1, 4))
+    cells = tuple(int(c) for c in rng.integers(3, 20, n))
+    corner = 0.0625 * rng.integers(-8, 8, n)
+    grid = GridDomain(tuple((float(a), float(a) + c * h) for a, c in zip(corner, cells)), cells)
+    if rng.random() < 0.3:
+        domain = grid.box
+    else:
+        domain = tuple(_random_axis_box(rng, grid, i) for i in range(n))
+    values = FINITE_VALUES + (INF,)
+    pieces = [ConstantPiece(tuple(_random_axis_box(rng, grid, i) for i in range(n)),
+                            values[rng.integers(0, len(values))])
+              for _ in range(int(rng.integers(1, 6)))]
+    if rng.random() < 0.6:
+        pieces.append(ConstantPiece(domain, values[rng.integers(0, len(values))]))
+    return grid, ExponentFunction(dimension=n, domain=domain, pieces=tuple(pieces))
+
+
+def _transformed(p):
+    """p, its conjugate and, where p is bounded, a fractional dual of it."""
+    out = [p, conjugate(p)]
+    try:
+        p_plus = p.bounds()[1]
+    except ValueError:  # no piece meets the domain
+        return out
+    if p_plus < INF:
+        out.append(sobolev_dual(p, 0.5 * p.dimension / p_plus))
+    return out
+
+
+def test_painting_matches_points_on_random_pieces(rng):
+    for _ in range(300):
+        grid, p = _random_painting_case(rng)
+        pts = grid.points()
+        in_domain = np.ones(len(pts), dtype=bool)
+        for axis, (lo, hi) in enumerate(p.domain):
+            in_domain &= (pts[:, axis] >= lo) & (pts[:, axis] <= hi)
+        wheres = [None, rng.random(grid.cells) < 0.5,
+                  in_domain.reshape(grid.cells) & (rng.random(grid.cells) < 0.7)]
+        for q in _transformed(p):
+            for where in wheres:
+                _assert_paints_like_points(q, grid, where)
+
+
+def test_painting_edges_on_midpoints_and_overlaps():
+    grid = GridDomain(((0.0, 2.0),), (8,))  # midpoints 0.125, 0.375, ..., 1.875
+    p = ExponentFunction(dimension=1, domain=((0.125, 1.875),), pieces=(
+        ConstantPiece(((0.375, 0.625),), 3.0),  # both ends on midpoints, wins the overlap
+        ConstantPiece(((0.0, 0.625),), 1.0),
+        ConstantPiece(((0.625, 2.0),), INF),
+    ))
+    inner = np.zeros(8, dtype=bool)
+    inner[1:7] = True
+    _assert_paints_like_points(p, GridDomain(((0.125, 1.875),), (7,)))
+    _assert_paints_like_points(p, grid)  # the domain ends on midpoints: every cell is in it
+    _assert_paints_like_points(p, grid, inner)
+    assert p.raw_values_on(grid).tolist() == [1.0, 3.0, 3.0, INF, INF, INF, INF, INF]
+    wide = GridDomain(((-0.25, 2.25),), (10,))
+    with pytest.raises(DomainError, match="outside domain"):
+        p.raw_values_on(wide)
+    _assert_paints_like_points(p, wide)
+    _assert_paints_like_points(p, wide, np.arange(10) % 9 != 0)
+    gap = ExponentFunction(dimension=1, domain=((0.0, 2.0),), pieces=(
+        ConstantPiece(((0.0, 0.5),), 2.0), ConstantPiece(((1.0, 2.0),), 1.5)))
+    with pytest.raises(DomainError, match="not covered"):
+        gap.raw_values_on(grid)
+    _assert_paints_like_points(gap, grid)
+    _assert_paints_like_points(gap, grid, np.arange(8) != 2)
+    with pytest.raises(DomainError, match="grid has 2 axes, expected 1"):
+        p.values_on(GridDomain(((0.0, 2.0), (0.0, 2.0)), (8, 8)))
+
+
+def test_painting_tiled_plane_and_non_square_grids(rng):
+    values = (1.0, 1.5, 2.0, 3.0, INF)
+    tiles = tuple(ConstantPiece(((i / 8, (i + 1) / 8), (j / 8, (j + 1) / 8)),
+                                values[rng.integers(0, len(values))])
+                  for i in range(8) for j in range(8))
+    p = ExponentFunction(dimension=2, domain=((0.0, 1.0), (0.0, 1.0)), pieces=tiles)
+    for grid in (GridDomain(((0.0, 1.0), (0.0, 1.0)), (64, 64)),
+                 GridDomain(((0.0, 1.0), (0.25, 0.75)), (48, 24)),
+                 GridDomain(((-0.5, 1.5), (0.0, 1.0)), (40, 20))):
+        for q in (p, conjugate(p)):
+            _assert_paints_like_points(q, grid)
+            _assert_paints_like_points(q, grid, rng.random(grid.cells) < 0.3)
+
+
+def test_painting_bump_pieces():
+    from varlp.constructions import build_ex61, default_blowup_exponent, ex61_local_window
+
+    window = ex61_local_window(build_ex61(0.25))
+    blowup = default_blowup_exponent()
+    grids = {
+        window: [GridDomain(((-4.0, 4.0),), (256,)), GridDomain(((-0.5, 0.5),), (7,)),
+                 GridDomain(((-5.0, 5.0),), (80,))],
+        blowup: [GridDomain(((-5.0, 5.0),), (100,)), GridDomain(((-5.0, 0.0),), (40,)),
+                 GridDomain(((0.125, 1.375),), (5,)), GridDomain(((0.0, 6.0),), (24,))],
+    }
+    for p, cases in grids.items():
+        for grid in cases:
+            inside = np.abs(grid.axis_midpoints(0)) <= p.domain[0][1]
+            for q in (p, conjugate(p), sobolev_dual(p, 0.25)):
+                _assert_paints_like_points(q, grid)
+                _assert_paints_like_points(q, grid, inside)
 
 
 # -- log-continuity modulus ---------------------------------------------------

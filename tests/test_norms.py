@@ -233,6 +233,37 @@ def test_interval_norm_agrees_with_grid_route():
     assert sampled == pytest.approx(analytic, rel=1e-3), f"grid {sampled} vs interval {analytic}"
 
 
+@settings(max_examples=60, deadline=None)
+@given(cells=st.integers(4, 64), data=st.data())
+def test_grid_route_equals_interval_route_on_cell_aligned_data(cells, data):
+    h = 0.125
+    cuts = sorted(data.draw(st.sets(st.integers(1, cells - 1), max_size=5)))
+    edges = [0] + cuts + [cells]
+    values = data.draw(st.lists(st.sampled_from(FINITE_VALUES + (INF,)),
+                                min_size=len(edges) - 1, max_size=len(edges) - 1))
+    p = ExponentFunction(dimension=1, domain=((0.0, cells * h),), pieces=tuple(
+        ConstantPiece(((i * h, j * h),), v) for i, j, v in zip(edges[:-1], edges[1:], values)))
+    i0, i1 = sorted(data.draw(st.lists(st.integers(0, cells), min_size=2, max_size=2,
+                                       unique=True)))
+    a, b = i0 * h, i1 * h
+    grid = GridDomain(p.domain, (cells,))
+    f = GridFunction.indicator(grid, MeasurableSet.from_box(((a, b),)))
+    assert luxemburg_norm(f, p) == pytest.approx(interval_indicator_norm(p, a, b), rel=1e-12)
+
+
+def test_grid_norm_solves_where_the_grid_leaves_the_domain_only_off_the_support():
+    p = two_piece_exponent(1.5, 3.0)  # domain [0, 2]
+    wide = GridDomain(((-1.0, 3.0),), (64,))
+    narrow = GridDomain(((0.0, 2.0),), (32,))
+    support = MeasurableSet.from_box(((0.25, 1.75),))
+    f_wide = GridFunction.indicator(wide, support)
+    assert luxemburg_norm(f_wide, p) == luxemburg_norm(GridFunction.indicator(narrow, support), p)
+    assert luxemburg_norm(f_wide, p) == pytest.approx(interval_indicator_norm(p, 0.25, 1.75),
+                                                      rel=1e-12)
+    with pytest.raises(DomainError, match="outside domain"):
+        luxemburg_norm(GridFunction(wide, np.ones(64)), p)
+
+
 def test_interval_infinite_exponent_detection():
     p = two_piece_exponent(INF, 2.0)
     assert interval_has_infinite_exponent(p, 0.0, 0.5)
