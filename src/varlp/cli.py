@@ -401,9 +401,11 @@ _SHARED_FLAGS = {
 }
 _GRID_INPUT = ("--spec", "--cells", "--csv", "--box")
 
-# the counts that set how much work a run does, with the range each must lie
-# in; at the top of each range a run still takes seconds
-_COUNT_RANGES = {"--num": (1, 10_000), "--count": (1, 10_000), "--j-max": (2, 10_000)}
+# the flags that set how much work a run does, with the range each must lie
+# in; at the top of each range a run still takes seconds.  --rmax and
+# --cells-per-radius set a grid's size, and the time grows faster than it
+_WORK_RANGES = {"--num": (1, 10_000), "--count": (1, 10_000), "--j-max": (2, 10_000),
+                "--rmax": (4, 1000), "--cells-per-radius": (1, 4096)}
 
 
 def build_parser():
@@ -452,7 +454,7 @@ def build_parser():
     sp.add_argument("name", help="one of %s" % ", ".join(cons.EXAMPLE_NAMES))
     sp.add_argument("--k", type=int, default=50, help="partial series length")
     sp.add_argument("--j-max", type=int, default=6, help="last witness index (2 to 10000)")
-    sp.add_argument("--rmax", type=float, default=1000.0, help="largest window")
+    sp.add_argument("--rmax", type=float, default=1000.0, help="largest window (4 to 1000)")
     sp.add_argument("--p-minus", type=float, default=1.2)
     sp.add_argument("--p-plus", type=float, default=2.0)
 
@@ -460,7 +462,7 @@ def build_parser():
              "--spec", "--alpha")
     sp.add_argument("--t", type=float, default=5.0, help="pair separation parameter")
     sp.add_argument("--k", type=int, default=4, help="deepest chain level")
-    sp.add_argument("--cells-per-radius", type=int, default=4)
+    sp.add_argument("--cells-per-radius", type=int, default=4, help="1 to 4096")
     sp.add_argument("--c-scale", type=float, default=10.0)
 
     return parser
@@ -472,7 +474,7 @@ def main(argv=None):
     if getattr(args, "cells", least) < least:
         print(f"error: --cells must be at least {least}", file=sys.stderr)
         return 1
-    for flag, (low, high) in _COUNT_RANGES.items():
+    for flag, (low, high) in _WORK_RANGES.items():
         value = getattr(args, flag[2:].replace("-", "_"), low)
         if not low <= value <= high:
             print(f"error: {flag} must be in {low}..{high}, got {value}", file=sys.stderr)

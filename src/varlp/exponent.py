@@ -427,10 +427,16 @@ class ExponentFunction:
         if grid.dimension != self.dimension:
             raise DomainError(f"grid has {grid.dimension} axes, expected {self.dimension}")
         out = np.full(grid.cells, np.nan)
-        inside = grid.box_cells(self.domain)
-        for piece in reversed(self.pieces):
-            cells = tuple(slice(max(a.start, b.start), min(a.stop, b.stop))
-                          for a, b in zip(grid.box_cells(piece.box), inside))
+        # one box_cells call for the domain (row 0) and every piece, stacked per
+        # axis, so each axis's midpoints are built once
+        boxes = np.array([self.domain] + [piece.box for piece in self.pieces], dtype=float)
+        ends = grid.box_cells(tuple(zip(boxes[:, :, 0].T, boxes[:, :, 1].T)))
+        lo = np.array([s.start for s in ends]).T
+        hi = np.array([s.stop for s in ends]).T
+        clipped = zip(self.pieces, np.maximum(lo[1:], lo[0]).tolist(),
+                      np.minimum(hi[1:], hi[0]).tolist())
+        for piece, starts, stops in reversed(list(clipped)):
+            cells = tuple(map(slice, starts, stops))
             if isinstance(piece, ConstantPiece):
                 out[cells] = piece.value
             elif cells[0].start < cells[0].stop:

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DomainError, PreconditionError
 from .exponent import _gauss_nodes
@@ -161,40 +162,55 @@ def fractional_maximal(f, alpha, radii=EXACT):
     return GridFunction(f.domain, best)
 
 
+def _toeplitz(vec, start, shape):
+    """Read-only view whose entry (i, k) is vec[start - i + k]."""
+    step = vec.strides[0]
+    return as_strided(vec[start:], shape=shape, strides=(-step, step), writeable=False)
+
+
 def _uncentered_on(f, alpha, lo, hi):
     """Uncentered fractional maximal of a 1-D grid function at cells lo .. hi-1.
 
     With F(a, b) the value of the lattice interval of cells a .. b, the result
     at cell j is the max of F over a <= j <= b.  The table of F over rows a < hi
-    and columns b >= lo is built in blocks of rows: a running max down a,
-    carried from block to block, then a running max from the right along b,
-    read on the diagonal.
+    and columns b >= lo is built in blocks of rows.  F depends on the length
+    only through b - a, so the weights are a Toeplitz view of one vector
+    indexed by n_cells - 1 + b - a, and 0 where b < a, where there is no
+    interval.  Rows a < lo hold intervals only and only their column max is
+    read, so they fold into the carried column max.  The rows from lo on take
+    a running max down a, carried from block to block; row j then masks its
+    columns b < j through a second Toeplitz view and takes its max.
     """
     if not (0.0 <= alpha < 1.0):
         raise PreconditionError(f"need 0 <= alpha < 1, got {alpha}")
     h = f.domain.h
     n_cells = f.values.shape[0]
     cum = np.concatenate([[0.0], np.cumsum(np.abs(f.values))]) * h
-    # F depends on the length only through b - a, so the powers are taken once;
-    # entries with b < a, where there is no interval, are masked instead
-    weight = ((np.arange(n_cells) + 1.0) * h) ** (alpha - 1.0)
+    weight = np.concatenate([np.zeros(n_cells - 1),
+                             ((np.arange(n_cells) + 1.0) * h) ** (alpha - 1.0)])
+    # a min with -inf masks an entry and a min with +inf keeps its bits; adding
+    # -inf instead would turn an overflowed +inf entry into nan
+    ceiling = np.concatenate([np.full(n_cells - 1, -np.inf), np.full(n_cells, np.inf)])
     out = np.empty(hi - lo)
     carry = np.full(n_cells - lo, -np.inf)
     rows = max(1, _BLOCK_VALUES // (n_cells - lo))
     for r0 in range(0, hi, rows):
         r1 = min(r0 + rows, hi)
         c0 = max(r0, lo)
-        a = np.arange(r0, r1)[:, None]
-        b = np.arange(c0, n_cells)
-        table = (cum[b + 1] - cum[a]) * weight[np.maximum(b - a, 0)]
-        table[:, :r1 - c0][b[:r1 - c0] < a] = -np.inf
-        np.maximum.accumulate(table, axis=0, out=table)
-        np.maximum(table, carry[c0 - lo:], out=table)
-        carry[c0 - lo:] = table[-1]
+        table = cum[c0 + 1:] - cum[r0:r1, None]
+        table *= _toeplitz(weight, n_cells - 1 + c0 - r0, table.shape)
+        if r0 < c0:
+            np.maximum(carry, table[:c0 - r0].max(axis=0), out=carry)
         if c0 < r1:
-            suffix = np.maximum.accumulate(table[c0 - r0:, ::-1], axis=1)[:, ::-1]
-            k = np.arange(r1 - c0)
-            out[c0 - lo:r1 - lo] = suffix[k, k]
+            # entries with b < a stay finite, and the running max carries them
+            # only to entries with b < a, which the row max masks
+            run = table[c0 - r0:]
+            np.maximum(run[0], carry[c0 - lo:], out=run[0])
+            np.maximum.accumulate(run, axis=0, out=run)
+            carry[c0 - lo:] = run[-1]
+            k = r1 - c0
+            np.minimum(run[:, :k], _toeplitz(ceiling, n_cells - 1, (k, k)), out=run[:, :k])
+            out[c0 - lo:r1 - lo] = run.max(axis=1)
     return out
 
 
@@ -314,8 +330,8 @@ def covering_cube(pair):
 
 def cube_average(f, cube):
     """Mean of f over a cube, zero-extension convention (unclipped measure)."""
-    mask = MeasurableSet.from_cube(cube).mask_on(f.domain)
-    integral = float(f.values[mask].sum()) * f.domain.cell_volume
+    cells = f.values[f.domain.box_cells(cube.as_box())]
+    integral = float(cells.ravel().sum()) * f.domain.cell_volume
     return integral / cube.volume
 
 

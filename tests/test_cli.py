@@ -192,6 +192,24 @@ def test_count_ranges_refuse_before_any_work(argv, flag, low, high, tmp_path, ca
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag, values", [
+    (["example", "L1_FAILURE"], "--rmax", ("3.999", "1000.001")),
+    (["blowup"], "--cells-per-radius", ("0", "4097")),
+])
+def test_grid_size_budgets_refuse_before_any_grid(argv, flag, values, tmp_path, capsys,
+                                                  monkeypatch):
+    # a value just past either end exits before the run could allocate a grid
+    low, high = cli._WORK_RANGES[flag]
+    for name in ("_run_example", "_run_blowup"):
+        monkeypatch.setattr(cli, name, _no_work)
+    for value in values:
+        out = tmp_path / value
+        assert main(argv + [flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == f"error: {flag} must be in {low}..{high}, got {value}", err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["k0scan", "--vol-min", "0"],
     ["k0scan", "--num", "0"],

@@ -251,6 +251,29 @@ def test_grid_route_equals_interval_route_on_cell_aligned_data(cells, data):
     assert luxemburg_norm(f, p) == pytest.approx(interval_indicator_norm(p, a, b), rel=1e-12)
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(cells=st.integers(4, 96), seed=st.integers(0, 2 ** 32 - 1),
+       decades=st.integers(-30, 30), data=st.data())
+def test_norm_is_monotone_in_the_modulus(cells, seed, decades, data):
+    # |f| <= |g| cell by cell gives ||f|| <= ||g||, with 1 and inf among the exponents
+    h = 0.125
+    cuts = sorted(data.draw(st.sets(st.integers(1, cells - 1), min_size=1, max_size=5)))
+    edges = [0] + cuts + [cells]
+    values = data.draw(st.lists(st.sampled_from(FINITE_VALUES + (INF,)),
+                                min_size=len(edges) - 1, max_size=len(edges) - 1))
+    one, inf = data.draw(st.permutations(range(len(values))))[:2]
+    values[one], values[inf] = 1.0, INF
+    p = ExponentFunction(dimension=1, domain=((0.0, cells * h),), pieces=tuple(
+        ConstantPiece(((i * h, j * h),), v) for i, j, v in zip(edges[:-1], edges[1:], values)))
+    rng = np.random.default_rng(seed)
+    grid = GridDomain(p.domain, (cells,))
+    g = rng.uniform(-3.0, 3.0, cells) * np.where(rng.random(cells) < 0.2, 0.0, 10.0 ** decades)
+    f = g * rng.uniform(0.0, 1.0, cells) * rng.choice([-1.0, 1.0], cells)
+    f[rng.random(cells) < 0.2] = 0.0
+    small, large = (luxemburg_norm(GridFunction(grid, v), p) for v in (f, g))
+    assert small <= large * (1.0 + 1e-12), (small, large)
+
 def test_grid_norm_solves_where_the_grid_leaves_the_domain_only_off_the_support():
     p = two_piece_exponent(1.5, 3.0)  # domain [0, 2]
     wide = GridDomain(((-1.0, 3.0),), (64,))

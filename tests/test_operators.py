@@ -33,7 +33,8 @@ from varlp import (
     riesz_potential,
     verify_tu_pair,
 )
-from varlp.operators import _self_cell_integral
+from varlp import operators
+from varlp.operators import _self_cell_integral, _uncentered_on
 
 
 def line_grid(lo, hi, cells):
@@ -248,6 +249,25 @@ def test_cube_average_uses_unclipped_measure():
     assert cube_average(f, Cube((1.5,), 1.0)) == pytest.approx(1.5 / 2.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("grid", [line_grid(-1.0, 2.0, 96),
+                                  GridDomain(((0.0, 1.0), (0.0, 1.5)), (40, 60))],
+                         ids=["1d", "2d"])
+def test_cube_average_matches_mask_route_bitwise(grid, rng):
+    # the cells of the cube's box, summed in C order, as the full-grid mask read them
+    f = GridFunction(grid, rng.uniform(-1.0, 2.0, grid.cells))
+    lo = np.array([b[0] for b in grid.box])
+    hi = np.array([b[1] for b in grid.box])
+    for trial in range(600):
+        center = rng.uniform(lo - 0.3, hi + 0.3)
+        if trial % 3 == 0:  # faces on cell midpoints
+            center = lo + (rng.integers(0, grid.cells) + 0.5) * grid.h
+        radius = grid.h * (rng.integers(1, 20) if trial % 3 == 0 else rng.uniform(0.2, 20.0))
+        cube = Cube(tuple(center), float(radius))
+        mask = MeasurableSet.from_cube(cube).mask_on(grid)
+        want = float(f.values[mask].sum()) * grid.cell_volume / cube.volume
+        got = cube_average(f, cube)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), trial
+
 # -- fractional maximal --------------------------------------------------------
 
 
@@ -358,6 +378,50 @@ def test_uncentered_matches_reference_bitwise(rng):
             got = fractional_maximal_uncentered(f, alpha).values
             assert np.array_equal(got, ref_uncentered(f, alpha)), f"cells={cells}, alpha={alpha}"
 
+
+
+def assert_run_matches_reference(f, alpha, lo, hi):
+    got = _uncentered_on(f, alpha, lo, hi)
+    want = ref_uncentered(f, alpha)[lo:hi]
+    assert got.tobytes() == want.tobytes(), f"alpha={alpha}, run {lo}..{hi}: {got} vs {want}"
+
+
+def test_uncentered_blocks_around_the_run_match_reference_bitwise(rng, monkeypatch):
+    # 30 columns from lo = 10 give blocks of 4 rows: boundaries at 4 and 8 fall
+    # before lo, the block 8..12 straddles it and 12, 16, 20, 24 fall in the run
+    monkeypatch.setattr(operators, "_BLOCK_VALUES", 120)
+    grid = line_grid(0.0, 2.0, 40)
+    for alpha in (0.0, 0.5, 0.9):
+        f = GridFunction(grid, rng.uniform(-1.0, 2.0, 40))
+        assert_run_matches_reference(f, alpha, 10, 25)
+        assert_run_matches_reference(f, alpha, 0, 40)
+
+
+@pytest.mark.parametrize("block", [operators._BLOCK_VALUES, 7])
+def test_uncentered_runs_at_the_ends_match_reference_bitwise(block, rng, monkeypatch):
+    monkeypatch.setattr(operators, "_BLOCK_VALUES", block)
+    cells = 33
+    f = GridFunction(line_grid(0.0, 1.0, cells), rng.uniform(0.0, 1.0, cells))
+    for lo, hi in [(0, 9), (0, 1), (20, cells), (cells - 1, cells), (0, cells), (16, 17)]:
+        assert_run_matches_reference(f, 0.5, lo, hi)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["zero", "negative-zero"])
+def test_uncentered_zero_data_matches_reference_bitwise(sign):
+    f = GridFunction(line_grid(0.0, 1.0, 50), np.full(50, sign * 0.0))
+    for alpha in (0.0, 0.5):
+        for lo, hi in [(0, 50), (12, 30), (49, 50)]:
+            assert_run_matches_reference(f, alpha, lo, hi)
+
+
+@pytest.mark.parametrize("cells", [1, 2])
+def test_uncentered_on_one_and_two_cells_matches_reference_bitwise(cells, rng):
+    grid = line_grid(0.0, 1.0, cells)
+    for values in (rng.uniform(0.0, 2.0, cells), np.zeros(cells), np.array([-0.0, 3.0][:cells])):
+        f = GridFunction(grid, values)
+        for lo in range(cells):
+            for hi in range(lo + 1, cells + 1):
+                assert_run_matches_reference(f, 0.5, lo, hi)
 
 def test_maximal_rejects_bad_alpha():
     grid = line_grid(0.0, 1.0, 32)
