@@ -54,10 +54,20 @@ def _half_cumulative(arr, pad):
             np.concatenate([left, mid, right], axis=-1))
 
 
+def _window(whole, mid, pad, d, lo, hi, out):
+    """Sums over the index windows [j + 1/2 - d/2, j + 1/2 + d/2], for cells
+    j = lo .. hi-1 along the last axis, from the samples of _half_cumulative
+    padded by `pad` >= (d + 1) // 2; written to out."""
+    # window edges sit on half cells for whole radii, on whole cells otherwise
+    src = whole if d % 2 else mid
+    right, left = pad + (d + 1) // 2, pad - d // 2
+    return np.subtract(src[..., right + lo:right + hi], src[..., left + lo:left + hi], out=out)
+
+
 def _axis_box_sums(arr, doubled, stacked):
-    """Sums over the index windows [j + 1/2 - d/2, j + 1/2 + d/2] along the last
-    axis, one slab per doubled radius d.  A `stacked` arr already holds one slab
-    per radius along its first axis; otherwise all radii share one cumulative."""
+    """Window sums along the last axis, one slab per doubled radius d.  A
+    `stacked` arr already holds one slab per radius along its first axis;
+    otherwise all radii share one cumulative."""
     c = arr.shape[-1]
     # a window of 2c half cells or more covers the grid from every cell
     doubled = np.minimum(doubled, 2 * c)
@@ -69,10 +79,7 @@ def _axis_box_sums(arr, doubled, stacked):
         if stacked:
             pad = (d + 1) // 2
             whole, mid = _half_cumulative(arr[i], pad)
-        # window edges sit on half cells for whole radii, on whole cells otherwise
-        src = whole if d % 2 else mid
-        hi, lo = pad + (d + 1) // 2, pad - d // 2
-        np.subtract(src[..., hi:hi + c], src[..., lo:lo + c], out=out[i])
+        _window(whole, mid, pad, d, 0, c, out[i])
     return out
 
 
@@ -137,6 +144,50 @@ def _radius_list(policy, m_max):
     raise PreconditionError(f"unknown radius policy {policy!r}")
 
 
+def _overflow(h, what):
+    return PreconditionError(f"cell width {h!r} is too small: {what} overflows")
+
+
+def _line_maximal(absf, radius_list, scales, volume):
+    """Max over the radii of (window sum * volume) * scale at every cell of a
+    line, skipping the blocks of radii that cannot raise it (see
+    fractional_maximal)."""
+    c = absf.shape[0]
+    radius_list = np.asarray(radius_list)
+    # a window of c cells or more covers the grid from every cell
+    doubled = 2 * np.minimum(radius_list, c)
+    pad = int(doubled.max()) // 2
+    whole, mid = _half_cumulative(absf, pad)
+    # whole radii read mid only, padded with the ends of whole
+    prune = np.isfinite(mid).all() and (mid[1:] >= mid[:-1]).all() and scales.min() > 0.0
+    # the powers of two and the last radius
+    seeded = (radius_list & (radius_list - 1)) == 0
+    seeded[-1] = True
+    first, rest = np.flatnonzero(seeded), np.flatnonzero(~seeded)
+    size = max(1, _BLOCK_VALUES // c)
+    blocks = [(first[k:k + size], False) for k in range(0, len(first), size)]
+    blocks += [(rest[k:k + size], prune) for k in reversed(range(0, len(rest), size))]
+    best = np.zeros(c)
+    bound = np.empty(c)
+    for radii, bounded in blocks:
+        lo, hi = 0, c
+        if bounded:
+            _window(whole, mid, pad, doubled[radii[-1]], 0, c, bound)
+            bound *= volume
+            bound *= scales[radii].max()
+            live = ~(bound <= best)
+            if not live.any():
+                continue
+            lo, hi = int(live.argmax()), c - int(live[::-1].argmax())
+        sums = np.empty((len(radii), hi - lo))
+        for row, i in zip(sums, radii):
+            _window(whole, mid, pad, doubled[i], lo, hi, row)
+        sums *= volume
+        sums *= scales[radii, None]
+        np.maximum(best[lo:hi], sums.max(axis=0), out=best[lo:hi])
+    return best
+
+
 def fractional_maximal(f, alpha, radii=EXACT):
     """Centered fractional maximal function on the grid.
 
@@ -144,20 +195,39 @@ def fractional_maximal(f, alpha, radii=EXACT):
     axis-parallel cubes Q centered at each cell midpoint whose radius is a
     whole number of cells (all of them for EXACT, powers of two for DYADIC).
     Radii stop once the cube swallows the whole grid from any position.
+
+    On a line every radius is two slices of one half-cell cumulative.  The
+    powers of two and the last radius are evaluated first, at every cell.
+    The other radii follow in blocks from the largest down, and a block is
+    evaluated only on the cells from the first to the last where its bound,
+    (window sum at its largest radius * cell volume) * its largest scale, is
+    not <= the max so far; a block with no such cell is skipped.  The bound
+    is exact: the windows are differences of one array that never decreases,
+    so no window shrinks as the radius grows, and a float product of
+    nonnegative factors never shrinks as a factor grows.  Where the
+    cumulative is not finite and nondecreasing, or a scale underflows to 0, a
+    product could be nan and nothing is skipped.  Either way the result is
+    bitwise that of evaluating every radius at every cell.  In higher
+    dimensions blocks of radii go through box_sums.
     """
     n = f.domain.dimension
     if not (0.0 <= alpha < n):
         raise PreconditionError(f"need 0 <= alpha < n = {n}, got alpha = {alpha}")
     h = f.domain.h
-    absf = GridFunction(f.domain, np.abs(f.values))
     radius_list = _radius_list(radii, max(f.domain.cells))
+    try:
+        scales = np.array([(2.0 * m * h) ** (alpha - n) for m in radius_list])
+    except OverflowError:
+        raise _overflow(h, "the cube normalizer (2 m h)^(alpha - n)") from None
+    absf = GridFunction(f.domain, np.abs(f.values))
+    if n == 1:
+        return GridFunction(f.domain, _line_maximal(absf.values, radius_list, scales,
+                                                    f.domain.cell_volume))
     block = max(1, _BLOCK_VALUES // f.domain.total_cells)
     best = np.zeros(f.domain.cells)
     for start in range(0, len(radius_list), block):
-        ms = radius_list[start:start + block]
-        scale = np.array([(2.0 * m * h) ** (alpha - n) for m in ms]).reshape((-1,) + (1,) * n)
-        sums = box_sums(absf, ms)
-        sums *= scale
+        sums = box_sums(absf, radius_list[start:start + block])
+        sums *= scales[start:start + block].reshape((-1,) + (1,) * n)
         np.maximum(best, sums.max(axis=0), out=best)
     return GridFunction(f.domain, best)
 
@@ -186,8 +256,12 @@ def _uncentered_on(f, alpha, lo, hi):
     h = f.domain.h
     n_cells = f.values.shape[0]
     cum = np.concatenate([[0.0], np.cumsum(np.abs(f.values))]) * h
-    weight = np.concatenate([np.zeros(n_cells - 1),
-                             ((np.arange(n_cells) + 1.0) * h) ** (alpha - 1.0)])
+    with np.errstate(over="ignore"):
+        weight = np.concatenate([np.zeros(n_cells - 1),
+                                 ((np.arange(n_cells) + 1.0) * h) ** (alpha - 1.0)])
+    # the one-cell interval has the largest weight
+    if not math.isfinite(weight[n_cells - 1]):
+        raise _overflow(h, "the interval weight (length)^(alpha - 1)")
     # a min with -inf masks an entry and a min with +inf keeps its bits; adding
     # -inf instead would turn an overflowed +inf entry into nan
     ceiling = np.concatenate([np.full(n_cells - 1, -np.inf), np.full(n_cells, np.inf)])

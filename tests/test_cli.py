@@ -446,3 +446,28 @@ def test_flag_the_subcommand_does_not_read_is_rejected(argv, tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_subnormal_cell_width_ends_with_an_error_line(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["maximal", "--box=0,2e-310", "--cells", "16", "--alpha", "0", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cell width 1.25e-311 is too small"), err
+    assert not (out / "results.csv").exists()
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["maximal", "--box=-0.5,0.5", "--alpha", "0.5", "--cells", "256", "--policy", "exact"],
+     "maximal"),
+    (["example", "L1_FAILURE", "--alpha", "0", "--rmax", "100"], "l1_failure"),
+])
+def test_maximal_artifacts_match_golden_bytes(argv, golden, tmp_path):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 0
+    for name in ("results.csv", "summary.txt"):
+        with open(os.path.join(GOLDEN, golden, name), "rb") as fh:
+            assert (out / name).read_bytes() == fh.read(), name

@@ -16,6 +16,7 @@ from varlp import (
     GridFunction,
     MeasurableSet,
     PreconditionError,
+    SpecParseError,
     TUPair,
     averaging_op,
     box_sums,
@@ -360,13 +361,112 @@ def test_maximal_sublinear_on_indicators():
     assert np.all(msum <= parts + 1e-12)
 
 
-@pytest.mark.parametrize("grid", PARITY_GRIDS, ids=PARITY_IDS)
+def l1_failure_indicator(r_max):
+    """The `example L1_FAILURE` input: the unit interval's indicator on [-R, R]."""
+    grid = GridDomain.from_spacing(((-r_max, r_max),), 0.125)
+    return indicator_on(grid, -0.5, 0.5)
+
+
+def maximal_inputs():
+    """(id, make) pairs: make(rng) gives a function.  Past the random parity
+    grids come 1-D inputs on which the line search skips radii, or must not."""
+    for name, grid in zip(PARITY_IDS, PARITY_GRIDS):
+        yield name, lambda rng, grid=grid: GridFunction(grid, rng.uniform(-1.0, 2.0, grid.cells))
+    rng = np.random.default_rng(7)
+    fixed = [
+        ("l1-failure", l1_failure_indicator(100.0)),
+        ("zeros", GridFunction(line_grid(0.0, 1.0, 300), np.zeros(300))),
+        ("negative-zeros", GridFunction(line_grid(0.0, 1.0, 300), np.full(300, -0.0))),
+        # values from about 1e-30 to 1e30
+        ("lognormal", GridFunction(line_grid(0.0, 1.0, 700), rng.lognormal(0.0, 20.0, 700))),
+    ] + [
+        (f"cells-{cells}", GridFunction(line_grid(0.0, 1.0, cells), rng.uniform(-1.0, 2.0, cells)))
+        for cells in (1, 2, 3)
+    ] + [
+        ("spacing-0.0875", GridFunction(line_grid(-3.0, 40.75, 500), rng.uniform(0.0, 1.0, 500))),
+        ("spacing-3.75", GridFunction(line_grid(0.0, 1500.0, 400), rng.uniform(0.0, 1.0, 400))),
+        # DYADIC radii run to 128
+        ("cells-100", GridFunction(line_grid(0.0, 1.0, 100), rng.uniform(-1.0, 2.0, 100))),
+    ]
+    for name, f in fixed:
+        yield name, lambda rng, f=f: f
+
+
+MAXIMAL_INPUTS = list(maximal_inputs())
+
+
+@pytest.mark.parametrize("make", [make for _, make in MAXIMAL_INPUTS],
+                         ids=[name for name, _ in MAXIMAL_INPUTS])
 @pytest.mark.parametrize("policy", [EXACT, DYADIC])
-def test_maximal_matches_reference_bitwise(grid, policy, rng):
-    for alpha in (0.0, 0.5, 0.9):
-        f = GridFunction(grid, rng.uniform(-1.0, 2.0, grid.cells))
-        got = fractional_maximal(f, alpha, radii=policy).values
-        assert np.array_equal(got, ref_fractional_maximal(f, alpha, policy)), f"alpha={alpha}"
+def test_maximal_matches_reference_bitwise(make, policy, rng, monkeypatch):
+    # the small block takes the radii in many blocks, each with its own bound
+    for block in (operators._BLOCK_VALUES, 2000):
+        monkeypatch.setattr(operators, "_BLOCK_VALUES", block)
+        for alpha in (0.0, 0.5, 0.9):
+            f = make(rng)
+            got = fractional_maximal(f, alpha, radii=policy).values
+            want = ref_fractional_maximal(f, alpha, policy)
+            assert got.tobytes() == want.tobytes(), f"block={block}, alpha={alpha}"
+
+
+def count_window_cells(monkeypatch):
+    """Count the cells of every window sum the line search evaluates."""
+    counted = [0]
+    window = operators._window
+
+    def counting(whole, mid, pad, d, lo, hi, out):
+        counted[0] += hi - lo
+        return window(whole, mid, pad, d, lo, hi, out)
+
+    monkeypatch.setattr(operators, "_window", counting)
+    return counted
+
+
+def test_line_maximal_skips_most_windows_of_an_indicator(monkeypatch):
+    f = l1_failure_indicator(100.0)
+    cells = f.values.size
+    counted = count_window_cells(monkeypatch)
+    got = fractional_maximal(f, 0.0).values
+    assert got.tobytes() == ref_fractional_maximal(f, 0.0, EXACT).tobytes()
+    # bounds included, about half of the cells * radii that every radius takes
+    assert counted[0] < 3 * cells * cells // 4, counted[0]
+
+
+@pytest.mark.parametrize("values, hi", [(1e307, 1.0), (1e306, 1000.0)],
+                         ids=["cumulative-overflows", "products-overflow"])
+def test_line_maximal_of_overflowing_data_raises_as_reference(values, hi, monkeypatch):
+    f = GridFunction(line_grid(0.0, hi, 100), np.full(100, values))
+    counted = count_window_cells(monkeypatch)
+    for alpha in (0.0, 0.5):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SpecParseError, match="must be finite"):
+                GridFunction(f.domain, ref_fractional_maximal(f, alpha, EXACT))
+            with pytest.raises(SpecParseError, match="must be finite"):
+                fractional_maximal(f, alpha)
+    if values == 1e307:
+        # a cumulative that is not finite prunes nothing
+        assert counted[0] == 2 * 100 * 100
+
+
+@pytest.mark.parametrize("cells", [2, 16])
+def test_subnormal_cell_width_raises_precondition(cells):
+    grid = line_grid(0.0, 2e-310, cells)
+    f = GridFunction(grid, np.ones(cells))
+    with pytest.raises(PreconditionError, match="cell width"):
+        fractional_maximal(f, 0.0)
+    with pytest.raises(PreconditionError, match="cell width"):
+        fractional_maximal_uncentered(f, 0.0)
+    plane = GridDomain(((0.0, 2e-210), (0.0, 2e-210)), (cells, cells))
+    with pytest.raises(PreconditionError, match="cell width"):
+        fractional_maximal(GridFunction(plane, np.ones((cells, cells))), 0.5)
+
+
+def test_pair_bound_on_subnormal_cells_raises_precondition():
+    grid = line_grid(0.0, 2e-310, 64)
+    h = grid.h
+    pair = make_tu_pair(Cube((3.0 * h,), 2.0 * h), 5.0)
+    with pytest.raises(PreconditionError, match="cell width"):
+        maximal_pair_lower_bound(GridFunction(grid, np.ones(64)), pair, 0.0)
 
 
 def test_uncentered_matches_reference_bitwise(rng):
