@@ -118,6 +118,9 @@ def _function_on_grid(args, p):
         raise PreconditionError("provide a function via --csv or --box")
     box = _box_arg(args, p)
     domain = p.domain if p is not None else box
+    if args.cells ** len(domain) > _MAX_GRID_CELLS:
+        raise PreconditionError(f"--cells {args.cells} on {len(domain)} axes gives more than "
+                                f"{_MAX_GRID_CELLS} cells")
     grid = GridDomain(domain, tuple(args.cells for _ in domain))
     return GridFunction.indicator(grid, MeasurableSet.from_box(box))
 
@@ -394,7 +397,8 @@ def _run_blowup(args):
 # flags shared by several subcommands; each subcommand registers the ones it reads
 _SHARED_FLAGS = {
     "--spec": dict(default=None, help="exponent spec JSON path"),
-    "--cells": dict(type=int, default=256, help="grid resolution per axis (at least 16)"),
+    "--cells": dict(type=int, default=256,
+                    help="grid resolution per axis (at least 16; at most 65536 cells in all)"),
     "--alpha": dict(type=float, default=0.0, help="fractional order"),
     "--csv": dict(default=None, help="grid function CSV"),
     "--box": dict(default=None, help="indicator box 'lo,hi[;lo,hi]'"),
@@ -406,6 +410,13 @@ _GRID_INPUT = ("--spec", "--cells", "--csv", "--box")
 # --cells-per-radius set a grid's size, and the time grows faster than it
 _WORK_RANGES = {"--num": (1, 10_000), "--count": (1, 10_000), "--j-max": (2, 10_000),
                 "--rmax": (4, 1000), "--cells-per-radius": (1, 4096)}
+
+# the most cells a grid built from --cells may hold in all, and the most
+# paircheck's line may hold.  At these ceilings EXACT maximal takes about 6 s
+# on a line and 1.4 s on 256^2 cells (17 s on 512^2), and paircheck about 5 s
+# for 25 pairs, on 2 vCPUs
+_MAX_GRID_CELLS = 1 << 16
+_MAX_PAIRCHECK_CELLS = 1 << 14
 
 
 def build_parser():
@@ -445,7 +456,7 @@ def build_parser():
 
     sp = add("paircheck", _run_paircheck, "translate-pair lower bounds on random data",
              "--alpha")
-    sp.add_argument("--cells", type=int, default=256, help="grid cells (at least 64)")
+    sp.add_argument("--cells", type=int, default=256, help="grid cells (64 to 16384)")
     sp.add_argument("--count", type=int, default=25, help="pairs (1 to 10000)")
     sp.add_argument("--mode", choices=("maximal", "czo"), default="maximal")
 
@@ -473,6 +484,9 @@ def main(argv=None):
     least = 64 if args.subcommand == "paircheck" else 16
     if getattr(args, "cells", least) < least:
         print(f"error: --cells must be at least {least}", file=sys.stderr)
+        return 1
+    if args.subcommand == "paircheck" and args.cells > _MAX_PAIRCHECK_CELLS:
+        print(f"error: --cells must be at most {_MAX_PAIRCHECK_CELLS}", file=sys.stderr)
         return 1
     for flag, (low, high) in _WORK_RANGES.items():
         value = getattr(args, flag[2:].replace("-", "_"), low)

@@ -18,16 +18,14 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError, SpecParseError
 
 INF = math.inf
-
-_MAX_OVERLAP_PIECES = 16
 
 
 def as_box(obj, dimension=None):
@@ -62,25 +60,38 @@ def box_intersect(a, b):
     return tuple(out)
 
 
-def box_subtract_volume(box, earlier):
-    """Volume of box minus the union of the earlier boxes (inclusion-exclusion)."""
-    clipped = [c for c in (box_intersect(box, e) for e in earlier) if c is not None]
-    if len(clipped) > _MAX_OVERLAP_PIECES:
-        raise PreconditionError(
-            f"too many overlapping pieces ({len(clipped)}) for exact box algebra"
-        )
-    union = 0.0
-    for r in range(1, len(clipped) + 1):
-        sign = 1.0 if r % 2 == 1 else -1.0
-        for combo in combinations(clipped, r):
-            inter = combo[0]
-            for c in combo[1:]:
-                inter = box_intersect(inter, c)
-                if inter is None:
-                    break
-            if inter is not None:
-                union += sign * box_volume(inter)
-    return box_volume(box) - union
+def _first_piece_cells(pieces, box):
+    """Cut a box at every piece edge inside it and give each elementary cell
+    to the first piece whose closed box covers it.
+
+    Returns (edges, owner, volumes): the sorted cut positions per axis, box
+    ends included; the index of the piece that owns each cell, -1 where no
+    piece covers it; and the volume each piece owns in the box.  A piece
+    covers the block of cells between its edges and never part of a cell,
+    so painting the blocks from the last piece to the first gives the owner
+    of every cell exactly, however many pieces overlap.  A piece that owns
+    its whole block gets the volume of its part of the box, bit for bit; a
+    piece that earlier ones cut into gets the sum over the cells it owns.
+    """
+    edges = [sorted({lo, hi}.union(x for piece in pieces for x in piece.box[axis] if lo < x < hi))
+             for axis, (lo, hi) in enumerate(box)]
+    # per axis, the cells whose left edge is >= the piece's lo and right edge <= its hi
+    blocks = [tuple(slice(bisect_left(e, lo, 0, len(e) - 1), bisect_right(e, hi, 1) - 1)
+                    for e, (lo, hi) in zip(edges, piece.box)) for piece in pieces]
+    owner = np.full([len(e) - 1 for e in edges], -1)
+    for i in reversed(range(len(pieces))):
+        owner[blocks[i]] = i
+    labels = owner.ravel() + 1
+    owned = np.bincount(labels, minlength=len(pieces) + 1)[1:].tolist()
+    sizes = [math.prod([c.stop - c.start for c in cells]) for cells in blocks]
+    volumes = [box_volume([(e[c.start], e[c.stop]) for e, c in zip(edges, cells)])
+               for cells in blocks]
+    if owned != sizes:
+        cell_volumes = math.prod(np.ix_(*map(np.diff, edges)))
+        sums = np.bincount(labels, cell_volumes.ravel(), len(pieces) + 1)[1:].tolist()
+        volumes = [v if count == size else total
+                   for v, total, count, size in zip(volumes, sums, owned, sizes)]
+    return edges, owner, volumes
 
 
 def points_in_box(pts, box):
@@ -452,13 +463,20 @@ class ExponentFunction:
     # -- structure ----------------------------------------------------------
 
     def _raw_level_sets(self):
-        """(atoms, open intervals) of values attained on positive measure."""
+        """(atoms, open intervals) of values attained on positive measure.
+
+        Each piece counts with the volume it owns in the domain, where the
+        first piece listed wins (see _first_piece_cells); any number of
+        pieces may overlap.  A piece that owns next to nothing is skipped,
+        and a bump piece that earlier ones cut into keeps every level it
+        could attain.
+        """
         atoms, intervals = set(), []
-        for i, piece in enumerate(self.pieces):
+        _, _, volumes = _first_piece_cells(self.pieces, self.domain)
+        for piece, eff in zip(self.pieces, volumes):
             region = box_intersect(piece.box, self.domain)
             if region is None:
                 continue
-            eff = box_subtract_volume(region, [q.box for q in self.pieces[:i]])
             if eff <= 1e-12 * box_volume(region):
                 continue
             cut = eff < box_volume(region) * (1.0 - 1e-12)

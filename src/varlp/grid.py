@@ -10,6 +10,7 @@ midpoints it contains; GridDomain.box_cells finds them for every caller.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,13 @@ class GridDomain:
 
     @property
     def cell_volume(self):
-        return self.h ** self.dimension
+        """h^n, which scales every integral on the grid; a volume below the
+        smallest normal float has lost its digits, so it is refused."""
+        volume = self.h ** self.dimension
+        if not volume >= sys.float_info.min:
+            raise PreconditionError(f"cell width {self.h!r} is too small: the cell volume "
+                                    f"h^{self.dimension} = {volume!r} underflows")
+        return volume
 
     @property
     def total_cells(self):

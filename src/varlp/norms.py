@@ -11,8 +11,9 @@ a pre-transform exponent value.  Four routes compile:
   their count, and Gauss nodes across the few bumps that straddle an end.
   The walk does not depend on the number of bumps, so intervals of length
   1e27 containing 1e13 bumps are fine;
-* the indicator of a box in higher dimension: the exact overlap volume of
-  each constant piece;
+* the indicator of a box in higher dimension: the volume of the box each
+  constant piece owns, where pieces may overlap and the first one listed
+  wins;
 * the set {p = inf}, which enters the modular as one atom with exponent 1
   and weight sup |f| over it (1 for an indicator).
 
@@ -38,10 +39,10 @@ from .errors import DomainError, PreconditionError
 from .exponent import (
     INF,
     ConstantPiece,
+    _first_piece_cells,
     _gauss_nodes,
     _tf_array,
     box_intersect,
-    box_subtract_volume,
     box_volume,
     conjugate,
 )
@@ -253,52 +254,23 @@ def holder_pairing_check(f, g, p, tol=1e-6):
 # -- analytic interval route (one dimension) --------------------------------
 
 
-def _segment_subtract(seg, covered):
-    """seg minus a sorted disjoint list of segments."""
-    out = [seg]
-    for clo, chi in covered:
-        nxt = []
-        for lo, hi in out:
-            if chi <= lo or clo >= hi:
-                nxt.append((lo, hi))
-                continue
-            if clo > lo:
-                nxt.append((lo, clo))
-            if chi < hi:
-                nxt.append((chi, hi))
-        out = nxt
-    return [(lo, hi) for lo, hi in out if hi > lo]
-
-
-def _segment_union(covered, extra):
-    segs = sorted(covered + extra)
-    out = []
-    for lo, hi in segs:
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
-
-
 def _effective_segments(p, a, b):
-    """First-match piece segments covering [a, b] within the domain."""
+    """First-match piece segments covering [a, b] within the domain: the runs
+    of cells one piece owns, piece by piece and left to right."""
     if p.dimension != 1:
         raise PreconditionError("interval integrals are one-dimensional")
     dom_lo, dom_hi = p.domain[0]
     a2, b2 = max(a, dom_lo), min(b, dom_hi)
     if b2 <= a2:
         return []
-    covered = []
-    out = []
-    for piece in p.pieces:
-        plo, phi = piece.box[0]
-        lo, hi = max(a2, plo), min(b2, phi)
-        if hi <= lo:
-            continue
-        for slo, shi in _segment_subtract((lo, hi), covered):
-            out.append((piece, slo, shi))
-        covered = _segment_union(covered, [(lo, hi)])
+    (edges,), owner, _ = _first_piece_cells(p.pieces, ((a2, b2),))
+    runs = []
+    for k, lo, hi in zip(owner.tolist(), edges, edges[1:]):
+        if runs and runs[-1][0] == k:
+            runs[-1][2] = hi
+        else:
+            runs.append([k, lo, hi])
+    out = [(p.pieces[k], lo, hi) for k, lo, hi in sorted(runs) if k >= 0]
     total = sum(hi - lo for _, lo, hi in out)
     if total < (b2 - a2) * (1.0 - 1e-9):
         raise DomainError(f"interval ({a2}, {b2}) is not covered by the exponent pieces")
@@ -409,24 +381,19 @@ def interval_indicator_norm(p, a, b):
 
 
 def _compile_box(p, box):
-    """One atom per constant piece: its exact overlap volume with the box."""
+    """One atom per constant piece: the volume of the box it owns, where the
+    first piece listed wins (see _first_piece_cells)."""
     clipped = box_intersect(box, p.domain)
     if clipped is None:
         raise DomainError("set lies outside the exponent's domain")
-    vols, raws = [], []
-    for i, piece in enumerate(p.pieces):
-        if not isinstance(piece, ConstantPiece):
-            raise PreconditionError("exact box route needs constant pieces")
-        region = box_intersect(piece.box, clipped)
-        if region is None:
-            continue
-        vol = box_subtract_volume(region, [q.box for q in p.pieces[:i]])
-        if vol > 0.0:
-            vols.append(vol)
-            raws.append(piece.value)
+    if not all(isinstance(piece, ConstantPiece) for piece in p.pieces):
+        raise PreconditionError("exact box route needs constant pieces")
+    _, _, volumes = _first_piece_cells(p.pieces, clipped)
+    vols = [v for v in volumes if v > 0.0]
     total = sum(vols)
     if total < box_volume(clipped) * (1.0 - 1e-9):
         raise DomainError("box is not covered by the exponent pieces")
+    raws = [piece.value for piece, v in zip(p.pieces, volumes) if v > 0.0]
     return Distribution(p.pieces, np.array(vols), 1.0, np.array(raws, dtype=float), total)
 
 

@@ -506,16 +506,16 @@ def czo_pair_lower_bound(kernel, f, pair):
         * q.volume ** (alpha / n)
         * cube_average(f, q)
     )
-    qmask = MeasurableSet.from_cube(q).mask_on(f.domain)
-    pmask = MeasurableSet.from_cube(pair.partner).mask_on(f.domain)
-    if not pmask.any() or not qmask.any():
+    blocks = [f.domain.box_cells(cube.as_box()) for cube in (q, pair.partner)]
+    if any(s.start >= s.stop for cells in blocks for s in cells):
         raise PreconditionError("pair cubes contain no grid cells")
-    pts = f.domain.points()
-    fvals = f.values.ravel()
-    qsel = qmask.ravel()
-    xq, fq = pts[qsel], fvals[qsel]
+    # the midpoints of each block in row-major order, as in GridDomain.points
+    xq, yp = (np.stack([m.ravel() for m in np.meshgrid(
+        *[f.domain.axis_midpoints(axis)[s] for axis, s in enumerate(cells)], indexing="ij")],
+        axis=-1) for cells in blocks)
+    fq = f.values[blocks[0]].ravel()
     lhs_min = math.inf
-    for y in pts[pmask.ravel()]:
+    for y in yp:
         val = float(np.dot(kernel(xq, y), fq)) * f.domain.cell_volume
         lhs_min = min(lhs_min, abs(val))
     holds = applicable and lhs_min >= rhs * (1.0 - 1e-6)

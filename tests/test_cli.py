@@ -471,3 +471,69 @@ def test_maximal_artifacts_match_golden_bytes(argv, golden, tmp_path):
     for name in ("results.csv", "summary.txt"):
         with open(os.path.join(GOLDEN, golden, name), "rb") as fh:
             assert (out / name).read_bytes() == fh.read(), name
+
+
+def test_underflowing_cell_volume_ends_with_an_error_line(tmp_path, capsys):
+    # h = 1.25e-171 is a normal float, but h^2 is 0
+    out = tmp_path / "run"
+    argv = ["maximal", "--box", "0,2e-170;0,2e-170", "--cells", "16", "--alpha", "0.5",
+            "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cell width 1.25e-171 is too small: the cell volume"), err
+    assert not (out / "results.csv").exists()
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def test_norm_on_seventeen_nested_pieces(tmp_path, capsys):
+    # 17 nested intervals and a last piece they shadow: the first piece wins
+    out = tmp_path / "run"
+    argv = ["norm", "--spec", os.path.join(DATA, "nested17.json"), "--box=-1,1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == "1.6943089\n"
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert "exponent bounds = (1.25, 1.5)" in lines, lines
+    assert "route = interval" in lines, lines
+
+
+def _no_grid(*args, **kwargs):
+    raise AssertionError("no grid may be allocated")
+
+
+@pytest.mark.parametrize("box, ceiling", [("-1,1", 65536), ("-1,1;-1,1", 256),
+                                          ("-1,1;-1,1;-1,1", 40)])
+def test_cells_ceiling_refuses_before_any_grid(box, ceiling, tmp_path, capsys, monkeypatch):
+    # a value just past the ceiling exits before the grid is built
+    monkeypatch.setattr(cli, "GridDomain", _no_grid)
+    axes = box.count(";") + 1
+    for command in ("maximal", "riesz"):
+        argv = [command, "--box=" + box, "--cells", str(ceiling + 1)]
+        assert main(argv + ["--out", str(tmp_path / command)]) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == (f"error: --cells {ceiling + 1} on {axes} axes gives more "
+                               f"than 65536 cells"), err
+        assert not (tmp_path / command / "results.csv").exists()
+    with pytest.raises(AssertionError, match="no grid may be allocated"):
+        main(["maximal", "--box=" + box, "--cells", str(ceiling), "--out", str(tmp_path / "at")])
+
+
+def test_cells_ceiling_counts_the_spec_dimension(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "GridDomain", _no_grid)
+    spec = write_spec(tmp_path, {"dimension": 2, "domain": [[0.0, 1.0], [0.0, 1.0]],
+                                 "pieces": [{"box": [[0.0, 1.0], [0.0, 1.0]],
+                                             "kind": "constant", "value": 2.0}]})
+    argv = ["norm", "--spec", spec, "--box", "0,1;0,1", "--cells", "257"]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+    assert "error: --cells 257 on 2 axes gives more than 65536 cells" in capsys.readouterr().err
+
+
+def test_paircheck_cells_ceiling_refuses_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_run_paircheck", _no_work)
+    out = tmp_path / "past"
+    assert main(["paircheck", "--cells", "16385", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == "error: --cells must be at most 16384"
+    assert not out.exists()
+    with pytest.raises(AssertionError, match="must not start"):
+        main(["paircheck", "--cells", "16384", "--out", str(tmp_path / "at")])

@@ -1,6 +1,8 @@
 """Tests for modulars, Luxemburg norms, pairing bounds, and set functionals."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,9 +16,16 @@ from varlp import (
     GridDomain,
     GridFunction,
     MeasurableSet,
+    PreconditionError,
+    build_ex61,
+    build_ex62,
+    build_ex63,
+    build_ex64,
     conjugate,
+    default_blowup_exponent,
     duality_constant,
     harmonic_mean,
+    hm_counterexample,
     holder_constant,
     holder_pairing_check,
     interval_has_infinite_exponent,
@@ -34,14 +43,16 @@ from varlp.exponent import (
     BumpsPiece,
     CenterSequence,
     PlateauBump,
+    Strata,
+    _first_piece_cells,
     _gauss_nodes,
     _tf_array,
     _tf_scalar,
     box_intersect,
-    box_subtract_volume,
+    box_volume,
     evaluate,
 )
-from varlp.norms import _effective_segments
+from varlp.norms import _effective_segments, compile_set
 
 from conftest import FINITE_VALUES, lambda_scan_norm, random_grid_function, random_piecewise_exponent
 
@@ -481,6 +492,120 @@ def test_norm_at_the_ends_of_the_float_range(route, size, pv):
 # The bisection solver, its four modular closures and the interval walker as
 # they were before the norms were compiled into atoms.  The new solver is
 # pinned to them at 1e-10 relative, with the bisection run at 1e-12.
+#
+# The first-piece geometry as it was before the elementary cells: the
+# inclusion-exclusion volume of a box minus the earlier pieces (at most 16
+# of them), the segment walk for intervals, and the level sets built on them.
+
+
+def seed_box_subtract_volume(box, earlier):
+    clipped = [c for c in (box_intersect(box, e) for e in earlier) if c is not None]
+    assert len(clipped) <= 16, "the replaced code refused more than 16 overlaps"
+    union = 0.0
+    for r in range(1, len(clipped) + 1):
+        sign = 1.0 if r % 2 == 1 else -1.0
+        for combo in itertools.combinations(clipped, r):
+            inter = combo[0]
+            for c in combo[1:]:
+                inter = box_intersect(inter, c)
+                if inter is None:
+                    break
+            if inter is not None:
+                union += sign * box_volume(inter)
+    return box_volume(box) - union
+
+
+def seed_segment_subtract(seg, covered):
+    out = [seg]
+    for clo, chi in covered:
+        nxt = []
+        for lo, hi in out:
+            if chi <= lo or clo >= hi:
+                nxt.append((lo, hi))
+                continue
+            if clo > lo:
+                nxt.append((lo, clo))
+            if chi < hi:
+                nxt.append((chi, hi))
+        out = nxt
+    return [(lo, hi) for lo, hi in out if hi > lo]
+
+
+def seed_segment_union(covered, extra):
+    out = []
+    for lo, hi in sorted(covered + extra):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def seed_effective_segments(p, a, b):
+    dom_lo, dom_hi = p.domain[0]
+    a2, b2 = max(a, dom_lo), min(b, dom_hi)
+    if b2 <= a2:
+        return []
+    covered, out = [], []
+    for piece in p.pieces:
+        plo, phi = piece.box[0]
+        lo, hi = max(a2, plo), min(b2, phi)
+        if hi <= lo:
+            continue
+        for slo, shi in seed_segment_subtract((lo, hi), covered):
+            out.append((piece, slo, shi))
+        covered = seed_segment_union(covered, [(lo, hi)])
+    total = sum(hi - lo for _, lo, hi in out)
+    if total < (b2 - a2) * (1.0 - 1e-9):
+        raise DomainError(f"interval ({a2}, {b2}) is not covered by the exponent pieces")
+    return out
+
+
+def seed_box_volumes(p, box):
+    """Per piece, the volume of the box (clipped to the domain) it owns."""
+    clipped = box_intersect(box, p.domain)
+    vols = []
+    for i, piece in enumerate(p.pieces):
+        region = box_intersect(piece.box, clipped)
+        vols.append(0.0 if region is None
+                    else seed_box_subtract_volume(region, [q.box for q in p.pieces[:i]]))
+    return vols
+
+
+def seed_raw_level_sets(p):
+    atoms, intervals = set(), []
+    for i, piece in enumerate(p.pieces):
+        region = box_intersect(piece.box, p.domain)
+        if region is None:
+            continue
+        eff = seed_box_subtract_volume(region, [q.box for q in p.pieces[:i]])
+        if eff <= 1e-12 * box_volume(region):
+            continue
+        cut = eff < box_volume(region) * (1.0 - 1e-12)
+        if isinstance(piece, ConstantPiece):
+            atoms.add(piece.value)
+            continue
+        lo, hi = region[0]
+        s = piece.bump.support_halfwidth
+        m = piece.bump.plateau_halfwidth
+        if cut:
+            atoms.add(piece.base)
+            if piece.bump.height > 0:
+                atoms.add(piece.top)
+                intervals.append((piece.base, piece.top))
+            continue
+        kf, kl = piece.centers.index_range_in(lo - s, hi + s)
+        touches_support = kl >= kf
+        pf, pl = piece.centers.index_range_in(lo - m, hi + m)
+        touches_plateau = pl >= pf
+        cover = piece.support_cover_length(lo, hi) if touches_support else 0.0
+        if (hi - lo) - cover > 1e-12 * max(1.0, hi - lo):
+            atoms.add(piece.base)
+        if piece.bump.height > 0 and touches_plateau:
+            atoms.add(piece.top)
+        if piece.bump.height > 0 and touches_support:
+            intervals.append((piece.base, piece.top))
+    return atoms, intervals
 
 
 def seed_norm_bisect(rho, rel_tol=1e-12):
@@ -570,7 +695,7 @@ def seed_bumps_segment_integral(piece, lo, hi, g, transforms):
 
 def seed_interval_integral(p, a, b, g):
     total = 0.0
-    for piece, lo, hi in _effective_segments(p, a, b):
+    for piece, lo, hi in seed_effective_segments(p, a, b):
         if isinstance(piece, ConstantPiece):
             total += (hi - lo) * _seed_g_scalar(g, _tf_scalar(p.transforms, piece.value))
         else:
@@ -579,7 +704,7 @@ def seed_interval_integral(p, a, b, g):
 
 
 def seed_interval_has_inf(p, a, b):
-    for piece, lo, hi in _effective_segments(p, a, b):
+    for piece, lo, hi in seed_effective_segments(p, a, b):
         if isinstance(piece, ConstantPiece):
             if _tf_scalar(p.transforms, piece.value) == INF:
                 return True
@@ -621,7 +746,7 @@ def seed_box_norm(p, box):
         region = None if region is None else box_intersect(region, p.domain)
         if region is None:
             continue
-        vol = box_subtract_volume(region, [q.box for q in p.pieces[:i]])
+        vol = seed_box_subtract_volume(region, [q.box for q in p.pieces[:i]])
         if vol > 0.0:
             cells.append((vol, _tf_scalar(p.transforms, piece.value)))
     vols = np.array([v for v, _ in cells])
@@ -757,3 +882,221 @@ def test_mask_on_matches_replaced_code(rng):
         got, want = E.mask_on(domain), seed_mask_on(E, domain)
         assert got.dtype == want.dtype and got.shape == want.shape, f"case {k}"
         assert np.array_equal(got, want), f"case {k}"
+
+
+# -- first-piece geometry on elementary cells ------------------------------------
+
+
+def random_overlapping_line(rng):
+    """Up to 8 pieces on [-2, 2] that may overlap, share edges, stick out of
+    the domain or leave gaps; constant values include 1 and inf, and about a
+    quarter of the pieces are bump trains."""
+    pieces, edges = [], [-2.0, 2.0]
+    for _ in range(int(rng.integers(1, 9))):
+        lo, hi = np.sort(rng.uniform(-2.5, 2.5, 2)).tolist()
+        if rng.random() < 0.3:
+            lo, hi = sorted((lo, edges[int(rng.integers(0, len(edges)))]))
+        if hi - lo < 1e-3:
+            continue
+        edges += [lo, hi]
+        if rng.random() < 0.25:
+            centers = CenterSequence("fixed", positions=tuple(
+                (np.arange(-2.0, 2.0, 0.5) + rng.uniform(0.0, 0.4)).tolist()))
+            pieces.append(BumpsPiece(((lo, hi),), 1.5, PlateauBump(0.5, 0.05, 0.1), centers,
+                                     direction=int(rng.choice([1, -1]))))
+        else:
+            values = FINITE_VALUES + (INF,)
+            pieces.append(ConstantPiece(((lo, hi),), values[int(rng.integers(0, len(values)))]))
+    if not pieces or rng.random() < 0.5:
+        pieces.append(ConstantPiece(((-2.0, 2.0),), 2.0))
+    return ExponentFunction(dimension=1, domain=((-2.0, 2.0),), pieces=tuple(pieces))
+
+
+def random_overlapping_plane(rng, most=12):
+    """Up to `most` random boxes in the unit square, often closed by a piece
+    over the whole domain."""
+    values = FINITE_VALUES + (INF,)
+    pieces = []
+    for _ in range(int(rng.integers(1, most + 1))):
+        lo = rng.uniform(-0.1, 0.9, 2)
+        hi = lo + rng.uniform(0.05, 0.6, 2)
+        pieces.append(ConstantPiece(tuple(zip(lo.tolist(), hi.tolist())),
+                                    values[int(rng.integers(0, len(values)))]))
+    if rng.random() < 0.7:
+        pieces[-1] = ConstantPiece(((0.0, 1.0), (0.0, 1.0)), pieces[-1].value)
+    return ExponentFunction(dimension=2, domain=((0.0, 1.0), (0.0, 1.0)), pieces=tuple(pieces))
+
+
+def random_tiling(rng, splits=12):
+    """The unit square cut by `splits` random guillotine cuts: pieces that
+    tile it without overlap, but not as a product grid."""
+    boxes = [((0.0, 1.0), (0.0, 1.0))]
+    for _ in range(splits):
+        box = boxes.pop(int(rng.integers(0, len(boxes))))
+        axis = int(rng.integers(0, 2))
+        lo, hi = box[axis]
+        cut = float(rng.uniform(lo, hi))
+        if not lo < cut < hi:
+            boxes.append(box)
+            continue
+        for part in ((lo, cut), (cut, hi)):
+            boxes.append(tuple(part if a == axis else ax for a, ax in enumerate(box)))
+    values = FINITE_VALUES + (INF,)
+    return ExponentFunction(dimension=2, domain=((0.0, 1.0), (0.0, 1.0)), pieces=tuple(
+        ConstantPiece(b, values[int(rng.integers(0, len(values)))]) for b in boxes))
+
+
+def random_box(rng, domain, spill=0.1):
+    """A random box meeting the domain, possibly sticking out of it."""
+    out = []
+    for lo, hi in domain:
+        span = hi - lo
+        a = float(rng.uniform(lo - spill * span, hi - 0.01 * span))
+        out.append((a, float(rng.uniform(max(a, lo) + 0.005 * span, hi + spill * span))))
+    return tuple(out)
+
+
+def line_exponents(rng):
+    return [random_overlapping_line(rng) for _ in range(300)] + [
+        build_ex61(0.25).exponent, build_ex62().exponent, build_ex63(0.25, 1.2, 2.0).exponent,
+        build_ex64(0.25, 1.2, 2.0).exponent, default_blowup_exponent(), bump_train_exponent(),
+        two_piece_exponent(INF, 1.0)]
+
+
+def test_interval_segments_match_replaced_code(rng):
+    compared = 0
+    for p in line_exponents(rng):
+        piece_edges = [x for piece in p.pieces for x in piece.box[0]]
+        for _ in range(20):
+            (a, b), = random_box(rng, p.domain)
+            if rng.random() < 0.3:  # ends on piece edges
+                a, b = sorted((a, piece_edges[int(rng.integers(0, len(piece_edges)))]))
+            try:
+                want = seed_effective_segments(p, a, b)
+            except DomainError as exc:
+                with pytest.raises(DomainError, match=re.escape(str(exc))):
+                    _effective_segments(p, a, b)
+                continue
+            got = _effective_segments(p, a, b)
+            assert [(id(q), lo, hi) for q, lo, hi in got] == \
+                [(id(q), lo, hi) for q, lo, hi in want], f"{p.pieces} on ({a}, {b})"
+            assert all(type(x) is float for _, lo, hi in got for x in (lo, hi))
+            compared += 1
+    assert compared > 4000
+
+
+def test_box_volumes_match_replaced_code(rng):
+    k = 4
+    grid_pieces = tuple(ConstantPiece(((i / k, (i + 1) / k), (j / k, (j + 1) / k)), 1.0 + i + j)
+                        for i in range(k) for j in range(k))
+    tiled = [ExponentFunction(dimension=2, domain=((0.0, 1.0), (0.0, 1.0)), pieces=grid_pieces),
+             frame_exponent(), frame_exponent(0.3)]
+    tiled += [random_tiling(rng, int(rng.integers(1, 16))) for _ in range(60)]
+    for p in tiled:
+        for _ in range(10):
+            box = random_box(rng, p.domain)
+            dist = compile_set(p, MeasurableSet.from_box(box))
+            want = seed_box_volumes(p, box)
+            # pieces that tile keep the bits of their overlap volume
+            assert np.array_equal(dist.w, [v for v in want if v > 0.0]), f"{p.pieces} on {box}"
+            assert dist.raw.tolist() == [q.value for q, v in zip(p.pieces, want) if v > 0.0]
+            assert dist.measure == sum(v for v in want if v > 0.0)
+    overlapping = [hm_counterexample().exponent] + [random_overlapping_plane(rng) for _ in range(40)]
+    overlapping += [random_overlapping_plane(rng, 16) for _ in range(3)]
+    for p in overlapping:
+        for _ in range(5):
+            clipped = box_intersect(random_box(rng, p.domain), p.domain)
+            got = _first_piece_cells(p.pieces, clipped)[2]
+            np.testing.assert_allclose(got, seed_box_volumes(p, clipped), rtol=1e-12,
+                                       atol=1e-12 * box_volume(clipped))
+
+
+def test_box_route_errors_match_replaced_code():
+    holed = ExponentFunction(dimension=2, domain=((0.0, 2.0), (0.0, 1.0)),
+                             pieces=(ConstantPiece(((0.0, 1.0), (0.0, 1.0)), 2.0),
+                                     ConstantPiece(((1.5, 2.0), (0.0, 1.0)), 3.0)))
+    with pytest.raises(DomainError, match="^box is not covered by the exponent pieces$"):
+        set_norm(holed, MeasurableSet.from_box(((0.5, 1.8), (0.0, 1.0))))
+    with pytest.raises(DomainError, match="^set lies outside the exponent's domain$"):
+        set_norm(holed, MeasurableSet.from_box(((3.0, 4.0), (0.0, 1.0))))
+    gap = two_piece_exponent(1.0, 2.0)
+    gap = ExponentFunction(dimension=1, domain=((0.0, 3.0),), pieces=gap.pieces)
+    with pytest.raises(DomainError, match=re.escape("interval (0.5, 2.5) is not covered")):
+        interval_indicator_norm(gap, 0.5, 2.5)
+    from varlp.norms import _compile_box
+
+    with pytest.raises(PreconditionError, match="^exact box route needs constant pieces$"):
+        _compile_box(bump_train_exponent(), ((0.0, 1.0),))
+
+
+def test_level_sets_match_replaced_code(rng, monkeypatch):
+    exponents = line_exponents(rng) + [random_overlapping_plane(rng) for _ in range(60)]
+    exponents += [random_tiling(rng, 10) for _ in range(20)]
+    exponents += [frame_exponent(), hm_counterexample().exponent]
+    for p in exponents:
+        atoms, intervals = p._raw_level_sets()
+        want_atoms, want_intervals = seed_raw_level_sets(p)
+        assert atoms == want_atoms and intervals == want_intervals, p.pieces
+        if not atoms and not intervals:
+            continue
+        got = [(q.bounds(), q.strata()) for q in (p, conjugate(p))]
+        with monkeypatch.context() as m:
+            m.setattr(ExponentFunction, "_raw_level_sets", seed_raw_level_sets)
+            assert got == [(q.bounds(), q.strata()) for q in (p, conjugate(p))], p.pieces
+
+
+def nested_exponent(count, dimension):
+    """count nested cubes, the k-th of half side k / count, valued 2, 1, inf,
+    2, 1, ... from the inside out; each wins on its shell."""
+    values = (2.0, 1.0, INF)
+    pieces = tuple(ConstantPiece(((-k / count, k / count),) * dimension, values[(k - 1) % 3])
+                   for k in range(1, count + 1))
+    return ExponentFunction(dimension=dimension, domain=((-1.0, 1.0),) * dimension,
+                            pieces=pieces)
+
+
+@pytest.mark.parametrize("count", [17, 64])
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_nested_pieces_match_closed_forms(count, dimension):
+    p = nested_exponent(count, dimension)
+    assert p.bounds() == (1.0, INF)
+    assert p.strata() == Strata(True, True, True)
+    assert holder_constant(p) == 4.0
+    # shell k has measure (2k/count)^n - (2(k-1)/count)^n
+    shells = [(2.0 * k / count) ** dimension - (2.0 * (k - 1) / count) ** dimension
+              for k in range(1, count + 1)]
+    ones = math.fsum(shells[1::3])
+    twos = math.fsum(shells[0::3])
+    # the indicator of the domain: (ones + 1) / lam + twos / lam^2 = 1, with
+    # 1 / lam from {p = inf}
+    want = 0.5 * (ones + 1.0 + math.sqrt((ones + 1.0) ** 2 + 4.0 * twos))
+    if dimension == 1:
+        got = interval_indicator_norm(p, -1.0, 1.0)
+    else:
+        got = set_norm(p, MeasurableSet.from_box(p.domain))
+    assert got == pytest.approx(want, rel=1e-12)
+    # a last piece over the whole domain is shadowed everywhere
+    shadowed = ExponentFunction(dimension=dimension, domain=p.domain,
+                                pieces=p.pieces + (ConstantPiece(p.domain, 7.0),))
+    assert shadowed.bounds() == (1.0, INF)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=st.integers(4, 64), data=st.data())
+def test_holder_pairing_holds_on_random_grid_data(cells, data):
+    # piecewise-constant exponents on [0, 1] that take the values 1 and inf
+    count = data.draw(st.integers(2, 6))
+    values = data.draw(st.permutations(
+        [1.0, INF] + data.draw(st.lists(st.sampled_from(FINITE_VALUES[1:]),
+                                        min_size=count - 2, max_size=count - 2))))
+    cuts = sorted(data.draw(st.lists(st.floats(0.01, 0.99), min_size=count - 1,
+                                     max_size=count - 1, unique=True)))
+    edges = [0.0] + cuts + [1.0]
+    p = ExponentFunction(dimension=1, domain=((0.0, 1.0),), pieces=tuple(
+        ConstantPiece(((lo, hi),), v) for lo, hi, v in zip(edges, edges[1:], values)))
+    grid = GridDomain(((0.0, 1.0),), (cells,))
+    data_values = st.lists(st.floats(0.0, 1e3), min_size=cells, max_size=cells)
+    f = GridFunction(grid, np.array(data.draw(data_values)))
+    g = GridFunction(grid, np.array(data.draw(data_values)))
+    report = holder_pairing_check(f, g, p)
+    assert report.holds, report

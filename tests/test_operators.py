@@ -11,6 +11,7 @@ from varlp import (
     DYADIC,
     DomainError,
     EXACT,
+    ExponentFunction,
     FractionalKernel,
     GridDomain,
     GridFunction,
@@ -27,6 +28,7 @@ from varlp import (
     fractional_maximal_uncentered,
     kernel_sign_coherent,
     kernel_threshold,
+    luxemburg_norm,
     make_tu_pair,
     maximal_pair_lower_bound,
     riesz_gamma,
@@ -761,3 +763,67 @@ def test_kernel_sign_coherent_on_valid_pair():
     kern = riesz_kernel(0.5, 1)
     pair = make_tu_pair(Cube((0.0,), 1.0), 8.0)
     assert kernel_sign_coherent(kern, pair)
+
+
+def ref_czo_pair_lower_bound(kernel, f, pair):
+    """czo_pair_lower_bound as it was with full-grid masks and points, for
+    applicable kernels: (lhs_min, rhs)."""
+    n = f.domain.dimension
+    q = pair.base
+    alpha = kernel.alpha
+    rhs = (2.0 ** (n - alpha - 1.0) * kernel.lower * (abs(pair.t) * math.sqrt(n)) ** (alpha - n)
+           * q.volume ** (alpha / n) * cube_average(f, q))
+    qmask = MeasurableSet.from_cube(q).mask_on(f.domain)
+    pmask = MeasurableSet.from_cube(pair.partner).mask_on(f.domain)
+    pts = f.domain.points()
+    fvals = f.values.ravel()
+    qsel = qmask.ravel()
+    xq, fq = pts[qsel], fvals[qsel]
+    lhs_min = math.inf
+    for y in pts[pmask.ravel()]:
+        val = float(np.dot(kernel(xq, y), fq)) * f.domain.cell_volume
+        lhs_min = min(lhs_min, abs(val))
+    return lhs_min, rhs
+
+
+def test_czo_pair_bound_matches_reference_bitwise(tmp_path, monkeypatch):
+    from varlp import cli
+
+    calls = []
+
+    def record(kernel, f, pair):
+        rep = czo_pair_lower_bound(kernel, f, pair)
+        calls.append((kernel, f, pair, rep))
+        return rep
+
+    monkeypatch.setattr(cli, "czo_pair_lower_bound", record)
+    for seed, alpha in ((0, 0.5), (3, 0.25), (7, 0.8)):
+        argv = ["paircheck", "--mode", "czo", "--alpha", str(alpha), "--seed", str(seed),
+                "--out", str(tmp_path / str(seed))]
+        cli.main(argv)
+    assert len(calls) == 75
+    # a plane pair reads its two blocks of cells in row-major order
+    plane = GridDomain(((0.0, 8.0), (0.0, 4.0)), (64, 32))
+    f = GridFunction(plane, np.random.default_rng(5).uniform(0.0, 1.0, (64, 32)))
+    kern = riesz_kernel(0.5, 2)
+    pair = make_tu_pair(Cube((0.5, 2.0), 0.25), 9.0)
+    calls.append((kern, f, pair, czo_pair_lower_bound(kern, f, pair)))
+    for kernel, f, pair, rep in calls:
+        assert (rep.lhs_min, rep.rhs) == ref_czo_pair_lower_bound(kernel, f, pair)
+    with pytest.raises(PreconditionError, match="pair cubes contain no grid cells"):
+        czo_pair_lower_bound(kern, f, make_tu_pair(Cube((0.5, 2.0), 0.25), 40.0))
+
+
+def test_underflowing_cell_volume_raises_precondition():
+    # h = 1.25e-171 is a normal float, but h^2 underflows to 0
+    plane = GridDomain(((0.0, 2e-170), (0.0, 2e-170)), (16, 16))
+    ones = GridFunction(plane, np.ones((16, 16)))
+    p = ExponentFunction.constant(2.0, plane.box)
+    runs = {"maximal": lambda: fractional_maximal(ones, 0.5),
+            "box_sums": lambda: box_sums(ones, 1),
+            "riesz": lambda: riesz_potential(ones, 0.5),
+            "norm": lambda: luxemburg_norm(ones, p),
+            "cube_average": lambda: cube_average(ones, Cube((1e-170, 1e-170), 5e-171))}
+    for name, run in runs.items():
+        with pytest.raises(PreconditionError, match="cell width 1.25e-171 is too small"):
+            run()
