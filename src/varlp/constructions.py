@@ -17,7 +17,7 @@ functions) together with the numbers the construction promises:
 
 Bump trains with centers at   e^k or k^rate reach coordinates where float
 spacing exceeds the bump width; witness checks there run through the
-analytic interval engine in ``norms`` and, for per-window operator checks,
+exact box compile in ``norms`` and, for per-window operator checks,
 through translated local windows, never through global grids.
 """
 
@@ -42,11 +42,11 @@ from .exponent import (
 from .grid import Cube, GridDomain, GridFunction, MeasurableSet
 from .k0 import minimal_harmonic_mean_cube
 from .norms import (
+    _mean_inverse,
     compile_set,
     duality_constant,
     harmonic_mean,
     holder_constant,
-    interval_indicator_modular,
     interval_indicator_norm,
     interval_integral,
     luxemburg_norm,
@@ -608,6 +608,9 @@ def ex61_divergence_check(spec, big_k, window_cells=256, check_levels=6):
     q_loc = sobolev_dual(p_loc, alpha)
     sets = ex61_sets()
 
+    core = compile_set(p_loc, MeasurableSet.from_box((sets["core"],)))
+    flanks = [compile_set(q_loc, MeasurableSet.from_box((ab,))) for ab in sets["flanks"]]
+
     weight_terms = []
     maximal_terms = []
     oracle_weight = []
@@ -620,8 +623,7 @@ def ex61_divergence_check(spec, big_k, window_cells=256, check_levels=6):
         def g_weight(v, w=w):
             return np.where(np.isfinite(v), w ** v, 0.0)
 
-        a, b = sets["core"]
-        weight_terms.append(interval_integral(p_loc, a, b, g_weight))
+        weight_terms.append(core.integral(p_loc, g_weight))
         oracle_weight.append(0.5 * k ** (-spec.witnesses["modular_rate"]))
 
         bound = flank_value_base * w
@@ -629,8 +631,7 @@ def ex61_divergence_check(spec, big_k, window_cells=256, check_levels=6):
         def g_max(v, bound=bound):
             return np.where(np.isfinite(v), bound ** v, 0.0)
 
-        term = sum(interval_integral(q_loc, a, b, g_max) for a, b in sets["flanks"])
-        maximal_terms.append(term)
+        maximal_terms.append(sum(flank.integral(q_loc, g_max) for flank in flanks))
         oracle_maximal.append(2.0 * flank_value_base ** q_flank / k)
 
     window_reports = []
@@ -879,10 +880,12 @@ def witness_check(spec, j_values):
             raise PreconditionError(f"witness indices start at 2, got {j}")
         a, b = witness_interval(spec, j)
         measure = b - a
-        inv_mean = mean_inverse_exponent(target, MeasurableSet.from_box(((a, b),)))
+        interval = MeasurableSet.from_box(((a, b),))
+        dist = compile_set(target, interval)
+        inv_mean = _mean_inverse(dist, target, interval)
         mean = INF if inv_mean == 0.0 else 1.0 / inv_mean
         lam = j * measure ** (1.0 / mean)
-        rho = interval_indicator_modular(target, a, b, lam)
+        rho = dist.modular(target, lam)
         rows.append(
             {
                 "j": j,

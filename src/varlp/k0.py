@@ -230,23 +230,31 @@ class SandwichReport:
     all_ok: bool
 
 
-def norm_harmonic_sandwich(p, family, grid=None, k0_value=None, tol=1e-6):
+def norm_harmonic_sandwich(p, family, grid=None, tol=1e-6):
     """Two-sided comparison of indicator norms with measure^(1/p_E).
 
     lower = measure^(1/p_E) / (2K) and upper = (2 K^2 K0 / k) measure^(1/p_E)
-    with K, k the pairing constants of p and K0 the family constant.
+    with K, k the pairing constants of p and K0 the family constant
+    (k0_constant), read from the same compiled sets as the rows.
     """
     holder = holder_constant(p)
     duality = duality_constant(p)
-    if k0_value is None:
-        k0_value = k0_constant(p, family, grid).best_value
-    rows = []
+    pc = conjugate(p)
+    samples = []
     for i, E in enumerate(family):
         measure = set_measure(E.intersect_box(p.domain), grid)
+        if measure <= 0.0:
+            raise PreconditionError(f"family set {i} has measure {measure}")
         dist = compile_set(p, E, grid)
+        norm = dist.norm(p)
+        samples.append((E, measure, dist, norm))
+    # the samples of k0_constant, bit for bit: its dual exponent at order 0 is p
+    k0_value = max((measure ** -1.0 * dist.norm(pc) * norm for _, measure, dist, norm in samples),
+                   default=-math.inf)
+    rows = []
+    for i, (E, measure, dist, norm) in enumerate(samples):
         inv = _mean_inverse(dist, p, E)
         hm = INF if inv == 0.0 else 1.0 / inv
-        norm = dist.norm(p)
         base = measure ** (0.0 if hm == INF else 1.0 / hm)
         lower = base / (2.0 * holder)
         upper = 2.0 * holder ** 2 * k0_value / duality * base

@@ -2,18 +2,18 @@
 
 Every set or grid function is first compiled against an exponent into a
 :class:`Distribution`: atoms that each carry a measure, a value of |f| and
-a pre-transform exponent value.  Four routes compile:
+a pre-transform exponent value.  Three routes compile:
 
 * a grid function: one atom per cell with f != 0 (midpoint sampling, exact
   for piecewise-constant data aligned with the cells);
-* the indicator of an interval: per piece segment the base length, the
-  plateaus and shoulder Gauss nodes of the fully contained bumps weighted by
-  their count, and Gauss nodes across the few bumps that straddle an end.
-  The walk does not depend on the number of bumps, so intervals of length
-  1e27 containing 1e13 bumps are fine;
-* the indicator of a box in higher dimension: the volume of the box each
-  constant piece owns, where pieces may overlap and the first one listed
-  wins;
+* the indicator of a box in any dimension, intervals included: the box is
+  cut into the cells each piece owns, where pieces may overlap and the
+  first one listed wins.  A constant piece gives one atom, the volume it
+  owns.  A bump piece (one dimension only) gives, per run of cells it owns,
+  the base length, the plateaus and shoulder Gauss nodes of the fully
+  contained bumps weighted by their count, and Gauss nodes across the few
+  bumps that straddle an end.  The walk does not depend on the number of
+  bumps, so intervals of length 1e27 containing 1e13 bumps are fine;
 * the set {p = inf}, which enters the modular as one atom with exponent 1
   and weight sup |f| over it (1 for an indicator).
 
@@ -30,6 +30,7 @@ the exponent values are transformed, so one compiled set serves all of them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -251,30 +252,7 @@ def holder_pairing_check(f, g, p, tol=1e-6):
     return PairingReport(lhs, fn, gn, const, bound, lhs <= bound * (1.0 + tol))
 
 
-# -- analytic interval route (one dimension) --------------------------------
-
-
-def _effective_segments(p, a, b):
-    """First-match piece segments covering [a, b] within the domain: the runs
-    of cells one piece owns, piece by piece and left to right."""
-    if p.dimension != 1:
-        raise PreconditionError("interval integrals are one-dimensional")
-    dom_lo, dom_hi = p.domain[0]
-    a2, b2 = max(a, dom_lo), min(b, dom_hi)
-    if b2 <= a2:
-        return []
-    (edges,), owner, _ = _first_piece_cells(p.pieces, ((a2, b2),))
-    runs = []
-    for k, lo, hi in zip(owner.tolist(), edges, edges[1:]):
-        if runs and runs[-1][0] == k:
-            runs[-1][2] = hi
-        else:
-            runs.append([k, lo, hi])
-    out = [(p.pieces[k], lo, hi) for k, lo, hi in sorted(runs) if k >= 0]
-    total = sum(hi - lo for _, lo, hi in out)
-    if total < (b2 - a2) * (1.0 - 1e-9):
-        raise DomainError(f"interval ({a2}, {b2}) is not covered by the exponent pieces")
-    return out
+# -- indicator norms and means for boxes and general sets -------------------
 
 
 def _bump_atoms(piece, lo, hi, ws, raws, inf_raw):
@@ -332,22 +310,53 @@ def _bump_atoms(piece, lo, hi, ws, raws, inf_raw):
             inf_raw.append(piece.top)
 
 
-def _compile_interval(p, a, b):
-    """Atoms of the indicator of [a, b] (clipped to the domain), one walk."""
-    ws, raws, inf_raw = [np.zeros(0)], [np.zeros(0)], []
-    for piece, lo, hi in _effective_segments(p, a, b):
+def _compile_box(p, box):
+    """Atoms of the indicator of a box clipped to the exponent's domain.
+
+    Each elementary cell of the box goes to the first piece listed whose
+    closed box covers it (see _first_piece_cells).  A constant piece gives
+    one atom, the volume it owns; a bump piece, which lives on a line, gives
+    the atoms of _bump_atoms for each run of cells it owns, left to right.
+    Atoms keep the order of the pieces.  An interval that misses the domain
+    compiles to no atoms; a box in higher dimension that misses it is an
+    error.
+    """
+    if len(box) != p.dimension:
+        raise PreconditionError(f"a {len(box)}-D box against a {p.dimension}-D exponent")
+    clipped = box_intersect(box, p.domain)
+    if clipped is None:
+        if p.dimension > 1:
+            raise DomainError("set lies outside the exponent's domain")
+        return Distribution(p.pieces, np.zeros(0), 1.0, np.zeros(0), 0.0, np.zeros(0))
+    edges, owner, volumes = _first_piece_cells(p.pieces, clipped)
+    measure = sum((v for v in volumes if v > 0.0), 0.0)
+    if measure < box_volume(clipped) * (1.0 - 1e-9):
+        if p.dimension > 1:
+            raise DomainError("box is not covered by the exponent pieces")
+        (a, b), = clipped
+        raise DomainError(f"interval ({a}, {b}) is not covered by the exponent pieces")
+    ws, raws, inf_raw = [], [], []
+    bumped = False
+    for k, (piece, v) in enumerate(zip(p.pieces, volumes)):
+        if not v > 0.0:
+            continue
         if isinstance(piece, ConstantPiece):
-            ws.append(np.array([hi - lo]))
-            raws.append(np.array([piece.value]))
+            ws.append(v)
+            raws.append(piece.value)
             inf_raw.append(piece.value)
-        else:
-            _bump_atoms(piece, lo, hi, ws, raws, inf_raw)
-    w = np.concatenate(ws)
+            continue
+        bumped = True
+        start = 0
+        for owned_by, run in itertools.groupby(owner.tolist()):
+            stop = start + len(list(run))
+            if owned_by == k:
+                _bump_atoms(piece, edges[0][start], edges[0][stop], ws, raws, inf_raw)
+            start = stop
+    # without bump atoms the constant atoms make one array in one step
+    stack = np.hstack if bumped else np.array
+    w, raw = stack(ws), stack(raws).astype(float, copy=False)
     keep = w > 0.0
-    (dom_lo, dom_hi), = p.domain
-    return Distribution(p.pieces, w[keep], 1.0, np.concatenate(raws)[keep],
-                        max(min(b, dom_hi) - max(a, dom_lo), 0.0),
-                        np.array(inf_raw, dtype=float))
+    return Distribution(p.pieces, w[keep], 1.0, raw[keep], measure, np.array(inf_raw, dtype=float))
 
 
 def interval_integral(p, a, b, g):
@@ -357,44 +366,24 @@ def interval_integral(p, a, b, g):
     values and must map the value inf to something finite (or the result
     is inf).
     """
-    return _compile_interval(p, a, b).integral(p, g)
+    return _compile_box(p, ((a, b),)).integral(p, g)
 
 
 def interval_has_infinite_exponent(p, a, b):
     """Whether the transformed exponent equals inf on positive measure in [a, b]."""
-    return _compile_interval(p, a, b)._split(p)[3] > 0.0
+    return _compile_box(p, ((a, b),))._split(p)[3] > 0.0
 
 
 def interval_indicator_modular(p, a, b, lam):
-    """Modular of (indicator of [a, b]) / lam via the analytic route."""
-    return _compile_interval(p, a, b).modular(p, lam)
+    """Modular of (indicator of [a, b]) / lam via the box route."""
+    return _compile_box(p, ((a, b),)).modular(p, lam)
 
 
 def interval_indicator_norm(p, a, b):
-    """Luxemburg norm of the indicator of [a, b] via the analytic route."""
+    """Luxemburg norm of the indicator of [a, b] via the box route."""
     if b <= a:
         return 0.0
-    return _compile_interval(p, a, b).norm(p)
-
-
-# -- indicator norms and means for general sets ------------------------------
-
-
-def _compile_box(p, box):
-    """One atom per constant piece: the volume of the box it owns, where the
-    first piece listed wins (see _first_piece_cells)."""
-    clipped = box_intersect(box, p.domain)
-    if clipped is None:
-        raise DomainError("set lies outside the exponent's domain")
-    if not all(isinstance(piece, ConstantPiece) for piece in p.pieces):
-        raise PreconditionError("exact box route needs constant pieces")
-    _, _, volumes = _first_piece_cells(p.pieces, clipped)
-    vols = [v for v in volumes if v > 0.0]
-    total = sum(vols)
-    if total < box_volume(clipped) * (1.0 - 1e-9):
-        raise DomainError("box is not covered by the exponent pieces")
-    raws = [piece.value for piece, v in zip(p.pieces, volumes) if v > 0.0]
-    return Distribution(p.pieces, np.array(vols), 1.0, np.array(raws, dtype=float), total)
+    return _compile_box(p, ((a, b),)).norm(p)
 
 
 def _set_grid(E, grid):
@@ -408,14 +397,11 @@ def _set_grid(E, grid):
 def compile_set(p, E, grid=None):
     """Distribution of the indicator of a measurable set against p.
 
-    Boxes compile analytically (the interval walk in one dimension, exact
-    piece volumes for constant pieces in higher dimension); anything else
-    is rasterized on its own mask grid or on the given grid.
+    Boxes, intervals included, compile exactly from the cells each piece
+    owns (see _compile_box); anything else is rasterized on its own mask
+    grid or on the given grid.
     """
     if E.is_box():
-        if p.dimension == 1:
-            a, b = E.box[0]
-            return _compile_interval(p, a, b)
         return _compile_box(p, E.box)
     domain = _set_grid(E, grid)
     return _compile_cells(p, domain, E.mask_on(domain), 1.0)

@@ -83,12 +83,19 @@ def _axis_box_sums(arr, doubled, stacked):
     return out
 
 
+def _finite(out, what):
+    """out, unless a sum or product of finite data overflowed on the way."""
+    if not np.isfinite(out).all():
+        raise PreconditionError(f"{what} overflows the float range on this data")
+    return out
+
+
 def box_sums(f, m):
     """Integral of f over the cube of index-radius m centered at every cell.
 
     m is a positive whole or half-whole number of cells, or a 1-D array of such
     radii; an array gives the sums for each radius stacked along a new first
-    axis.
+    axis.  Data whose cumulative leaves the float range is refused.
     """
     radii = np.asarray(m, dtype=float)
     doubled = 2.0 * radii.reshape(-1)
@@ -100,11 +107,13 @@ def box_sums(f, m):
     # no window needs more than twice the longest axis; the cap keeps the cast exact
     doubled = np.minimum(doubled, 2.0 * max(arr.shape)).astype(np.int64)
     # axis by axis in order, each axis moved last while its windows are summed
-    for axis in range(arr.ndim):
-        stacked = axis > 0
-        sums = _axis_box_sums(np.moveaxis(arr, axis + stacked, -1), doubled, stacked)
-        arr = np.moveaxis(sums, -1, axis + 1)
-    arr *= f.domain.cell_volume
+    with np.errstate(over="ignore", invalid="ignore"):
+        for axis in range(arr.ndim):
+            stacked = axis > 0
+            sums = _axis_box_sums(np.moveaxis(arr, axis + stacked, -1), doubled, stacked)
+            arr = np.moveaxis(sums, -1, axis + 1)
+        arr *= f.domain.cell_volume
+    _finite(arr, "a box sum")
     return arr if radii.ndim else arr[0]
 
 
@@ -208,7 +217,8 @@ def fractional_maximal(f, alpha, radii=EXACT):
     cumulative is not finite and nondecreasing, or a scale underflows to 0, a
     product could be nan and nothing is skipped.  Either way the result is
     bitwise that of evaluating every radius at every cell.  In higher
-    dimensions blocks of radii go through box_sums.
+    dimensions blocks of radii go through box_sums.  Data on which a window
+    sum or a scaled value leaves the float range is refused.
     """
     n = f.domain.dimension
     if not (0.0 <= alpha < n):
@@ -220,16 +230,17 @@ def fractional_maximal(f, alpha, radii=EXACT):
     except OverflowError:
         raise _overflow(h, "the cube normalizer (2 m h)^(alpha - n)") from None
     absf = GridFunction(f.domain, np.abs(f.values))
-    if n == 1:
-        return GridFunction(f.domain, _line_maximal(absf.values, radius_list, scales,
-                                                    f.domain.cell_volume))
-    block = max(1, _BLOCK_VALUES // f.domain.total_cells)
-    best = np.zeros(f.domain.cells)
-    for start in range(0, len(radius_list), block):
-        sums = box_sums(absf, radius_list[start:start + block])
-        sums *= scales[start:start + block].reshape((-1,) + (1,) * n)
-        np.maximum(best, sums.max(axis=0), out=best)
-    return GridFunction(f.domain, best)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n == 1:
+            best = _line_maximal(absf.values, radius_list, scales, f.domain.cell_volume)
+        else:
+            block = max(1, _BLOCK_VALUES // f.domain.total_cells)
+            best = np.zeros(f.domain.cells)
+            for start in range(0, len(radius_list), block):
+                sums = box_sums(absf, radius_list[start:start + block])
+                sums *= scales[start:start + block].reshape((-1,) + (1,) * n)
+                np.maximum(best, sums.max(axis=0), out=best)
+    return GridFunction(f.domain, _finite(best, "the fractional maximal function"))
 
 
 def _toeplitz(vec, start, shape):
@@ -238,6 +249,7 @@ def _toeplitz(vec, start, shape):
     return as_strided(vec[start:], shape=shape, strides=(-step, step), writeable=False)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _uncentered_on(f, alpha, lo, hi):
     """Uncentered fractional maximal of a 1-D grid function at cells lo .. hi-1.
 
@@ -249,16 +261,16 @@ def _uncentered_on(f, alpha, lo, hi):
     interval.  Rows a < lo hold intervals only and only their column max is
     read, so they fold into the carried column max.  The rows from lo on take
     a running max down a, carried from block to block; row j then masks its
-    columns b < j through a second Toeplitz view and takes its max.
+    columns b < j through a second Toeplitz view and takes its max.  Data
+    on which an interval value leaves the float range is refused.
     """
     if not (0.0 <= alpha < 1.0):
         raise PreconditionError(f"need 0 <= alpha < 1, got {alpha}")
     h = f.domain.h
     n_cells = f.values.shape[0]
     cum = np.concatenate([[0.0], np.cumsum(np.abs(f.values))]) * h
-    with np.errstate(over="ignore"):
-        weight = np.concatenate([np.zeros(n_cells - 1),
-                                 ((np.arange(n_cells) + 1.0) * h) ** (alpha - 1.0)])
+    weight = np.concatenate([np.zeros(n_cells - 1),
+                             ((np.arange(n_cells) + 1.0) * h) ** (alpha - 1.0)])
     # the one-cell interval has the largest weight
     if not math.isfinite(weight[n_cells - 1]):
         raise _overflow(h, "the interval weight (length)^(alpha - 1)")
@@ -285,7 +297,7 @@ def _uncentered_on(f, alpha, lo, hi):
             k = r1 - c0
             np.minimum(run[:, :k], _toeplitz(ceiling, n_cells - 1, (k, k)), out=run[:, :k])
             out[c0 - lo:r1 - lo] = run.max(axis=1)
-    return out
+    return _finite(out, "the uncentered maximal function")
 
 
 def fractional_maximal_uncentered(f, alpha):
@@ -326,7 +338,8 @@ def riesz_potential(f, alpha):
     Midpoint quadrature off the diagonal plus the exact self-cell integral, in
     dimension 1 or 2.  On a uniform grid the kernel depends only on the cell
     offset, so the sum is one convolution, taken by FFT on a grid padded to
-    twice the size in every axis so that no offset wraps around.
+    twice the size in every axis so that no offset wraps around.  Data on
+    which the transform leaves the float range is refused.
     """
     n = f.domain.dimension
     if n > 2:
@@ -344,9 +357,11 @@ def riesz_potential(f, alpha):
     dist[origin] = 1.0
     kern = dist ** (alpha - n) * f.domain.cell_volume
     kern[origin] = _self_cell_integral(alpha, n, h)
-    spectrum = np.fft.rfftn(f.values, s=shape, axes=axes) * np.fft.rfftn(kern, axes=axes)
-    out = np.fft.irfftn(spectrum, s=shape, axes=axes)[tuple(slice(0, c) for c in cells)]
-    return GridFunction(f.domain, gamma * out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = np.fft.rfftn(f.values, s=shape, axes=axes) * np.fft.rfftn(kern, axes=axes)
+        out = np.fft.irfftn(spectrum, s=shape, axes=axes)[tuple(slice(0, c) for c in cells)]
+        out = gamma * out
+    return GridFunction(f.domain, _finite(out, "the Riesz potential"))
 
 
 # -- positioned cube pairs ---------------------------------------------------

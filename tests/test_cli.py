@@ -371,6 +371,22 @@ def test_example_ex62_witnesses(tmp_path):
     assert "two-sided lower" in summary and "long-interval cap" in summary
 
 
+def test_example_ex61(tmp_path):
+    out = tmp_path / "run"
+    assert main(["example", "EX61", "--alpha", "0.25", "--k", "20", "--out", str(out)]) == 0
+    assert "window floors hold = True\n" in (out / "summary.txt").read_text()
+    assert (out / "results.csv").exists()
+
+
+def test_example_ex61_needs_an_alpha(tmp_path, capsys):
+    # the shared --alpha default, 0, lies outside EX61's range
+    out = tmp_path / "run"
+    assert main(["example", "EX61", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "alpha" in err, err
+    assert not (out / "results.csv").exists()
+
+
 def test_example_unknown_name(tmp_path, capsys):
     assert tuple(_EXAMPLES) == varlp.EXAMPLE_NAMES
     code = main(["example", "NOPE", "--out", str(tmp_path / "o")])
@@ -454,6 +470,20 @@ def test_subnormal_cell_width_ends_with_an_error_line(tmp_path, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cell width 1.25e-311 is too small"), err
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_csv_data_ends_with_an_error_line(tmp_path, capsys):
+    # each value is finite, their cumulative is not
+    csv_path = tmp_path / "f.csv"
+    varlp.GridFunction(varlp.GridDomain(((0.0, 1.0),), (100,)),
+                       np.full(100, 1e307)).to_csv(str(csv_path))
+    out = tmp_path / "run"
+    argv = ["maximal", "--csv", str(csv_path), "--alpha", "0.5", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the fractional maximal function overflows the float range on this data\n"
     assert not (out / "results.csv").exists()
 
 

@@ -36,6 +36,7 @@ from varlp.constructions import (
     default_blowup_exponent,
     ex61_divergence_check,
     ex61_interval_constant_scan,
+    ex61_local_window,
     ex61_sets,
     hm_counterexample,
     l1_failure_maximal_closed_form,
@@ -44,8 +45,10 @@ from varlp.constructions import (
     witness_check,
     witness_interval,
     witness_norm_check,
+    _witness_target_exponent,
 )
-from varlp.exponent import ConstantPiece, ExponentFunction
+from varlp.exponent import ConstantPiece, ExponentFunction, sobolev_dual
+from varlp.norms import interval_indicator_modular, interval_integral, mean_inverse_exponent
 
 
 @pytest.fixture(scope="module")
@@ -449,6 +452,40 @@ def test_witness_rows_hold(spec62, spec63, spec64):
             assert row["mean"] >= row["mean_floor"] - 1e-9
             if floor is not None:
                 assert row["mean_floor"] >= floor - 1e-9
+
+
+def test_witness_rows_match_two_compile_reference(spec62, spec63, spec64):
+    """The mean and the modular read one compiled interval; before, each
+    compiled it again."""
+    for sp in (spec62, spec63, spec64):
+        target = _witness_target_exponent(sp)
+        for row in witness_check(sp, range(2, 12)):
+            a, b = witness_interval(sp, row["j"])
+            inv_mean = mean_inverse_exponent(target, MeasurableSet.from_box(((a, b),)))
+            mean = math.inf if inv_mean == 0.0 else 1.0 / inv_mean
+            lam = row["j"] * (b - a) ** (1.0 / mean)
+            assert (row["mean"], row["lambda"]) == (mean, lam), (sp.name, row["j"])
+            assert row["modular"] == interval_indicator_modular(target, a, b, lam)
+
+
+def test_ex61_partials_match_per_term_compile_reference(spec61):
+    """The core and the flanks are compiled once for all k; before, each
+    term compiled them again."""
+    div = ex61_divergence_check(spec61, 20, check_levels=1)
+    p_loc = ex61_local_window(spec61)
+    q_loc = sobolev_dual(p_loc, spec61.parameters["alpha"])
+    sets = ex61_sets()
+    weight, maximal = [], []
+    for k in range(1, 21):
+        w = k ** (-spec61.witnesses["weight_rate"])
+        bound = div["flank_base"] * w
+        weight.append(interval_integral(p_loc, *sets["core"],
+                                        lambda v: np.where(np.isfinite(v), w ** v, 0.0)))
+        maximal.append(sum(interval_integral(q_loc, a, b,
+                                             lambda v: np.where(np.isfinite(v), bound ** v, 0.0))
+                           for a, b in sets["flanks"]))
+    assert div["weight_partials"].tobytes() == np.cumsum(weight).tobytes()
+    assert div["maximal_partials"].tobytes() == np.cumsum(maximal).tobytes()
 
 
 def test_witness_norm_dual_route(spec62, spec63, spec64):

@@ -52,7 +52,7 @@ from varlp.exponent import (
     box_volume,
     evaluate,
 )
-from varlp.norms import _effective_segments, compile_set
+from varlp.norms import Distribution, _bump_atoms, compile_set
 
 from conftest import FINITE_VALUES, lambda_scan_norm, random_grid_function, random_piecewise_exponent
 
@@ -963,26 +963,58 @@ def line_exponents(rng):
         two_piece_exponent(INF, 1.0)]
 
 
+def seed_compile_interval(p, a, b):
+    """Atoms of the indicator of [a, b] as the replaced interval walk built
+    them: one atom per constant-piece segment, bump atoms per bump segment."""
+    ws, raws, inf_raw = [np.zeros(0)], [np.zeros(0)], []
+    for piece, lo, hi in seed_effective_segments(p, a, b):
+        if isinstance(piece, ConstantPiece):
+            ws.append(np.array([hi - lo]))
+            raws.append(np.array([piece.value]))
+            inf_raw.append(piece.value)
+        else:
+            _bump_atoms(piece, lo, hi, ws, raws, inf_raw)
+    w = np.concatenate(ws)
+    keep = w > 0.0
+    (dom_lo, dom_hi), = p.domain
+    return Distribution(p.pieces, w[keep], 1.0, np.concatenate(raws)[keep],
+                        max(min(b, dom_hi) - max(a, dom_lo), 0.0),
+                        np.array(inf_raw, dtype=float))
+
+
 def test_interval_segments_match_replaced_code(rng):
-    compared = 0
+    compared = bitwise = 0
     for p in line_exponents(rng):
         piece_edges = [x for piece in p.pieces for x in piece.box[0]]
         for _ in range(20):
             (a, b), = random_box(rng, p.domain)
             if rng.random() < 0.3:  # ends on piece edges
                 a, b = sorted((a, piece_edges[int(rng.integers(0, len(piece_edges)))]))
+            E = MeasurableSet.from_box(((a, b),))
             try:
-                want = seed_effective_segments(p, a, b)
+                segments = seed_effective_segments(p, a, b)
             except DomainError as exc:
-                with pytest.raises(DomainError, match=re.escape(str(exc))):
-                    _effective_segments(p, a, b)
+                with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                    compile_set(p, E)
                 continue
-            got = _effective_segments(p, a, b)
-            assert [(id(q), lo, hi) for q, lo, hi in got] == \
-                [(id(q), lo, hi) for q, lo, hi in want], f"{p.pieces} on ({a}, {b})"
-            assert all(type(x) is float for _, lo, hi in got for x in (lo, hi))
+            want = seed_compile_interval(p, a, b)
+            got = compile_set(p, E)
+            where = f"{p.pieces} on ({a}, {b})"
+            assert set(got.inf_raw.tolist()) == set(want.inf_raw.tolist()), where
+            # the measure sums the owned lengths, which can round apart from
+            # the clipped length b - a unless one piece owns all of it
+            if len({id(q) for q, _, _ in segments}) == 1:
+                assert got.measure == want.measure, where
+            assert got.measure == pytest.approx(want.measure, rel=1e-13, abs=0.0), where
+            norms = [(got.norm(q), want.norm(q)) for q in (p, conjugate(p))]
+            owners = [id(q) for q, _, _ in segments if isinstance(q, ConstantPiece)]
+            if len(set(owners)) == len(owners):  # no constant piece owns two runs
+                assert all(x == y for x, y in norms), where
+                bitwise += 1
+            for x, y in norms:
+                assert x == pytest.approx(y, rel=1e-13, abs=0.0), where
             compared += 1
-    assert compared > 4000
+    assert compared > 4000 and bitwise > 4000
 
 
 def test_box_volumes_match_replaced_code(rng):
@@ -1023,10 +1055,25 @@ def test_box_route_errors_match_replaced_code():
     gap = ExponentFunction(dimension=1, domain=((0.0, 3.0),), pieces=gap.pieces)
     with pytest.raises(DomainError, match=re.escape("interval (0.5, 2.5) is not covered")):
         interval_indicator_norm(gap, 0.5, 2.5)
-    from varlp.norms import _compile_box
 
-    with pytest.raises(PreconditionError, match="^exact box route needs constant pieces$"):
-        _compile_box(bump_train_exponent(), ((0.0, 1.0),))
+
+def test_interval_that_misses_the_domain_compiles_to_no_atoms():
+    p = two_piece_exponent(INF, 1.0)
+    dist = compile_set(p, MeasurableSet.from_box(((3.0, 4.0),)))
+    assert (dist.w.size, dist.measure, dist.norm(p)) == (0, 0.0, 0.0)
+    assert interval_integral(p, 3.0, 4.0, lambda v: np.ones_like(v)) == 0.0
+    assert interval_indicator_norm(p, -2.0, -1.0) == 0.0
+    # [2, 4] meets the domain [0, 2] in one point only
+    assert interval_indicator_modular(p, 2.0, 4.0, 1.0) == 0.0
+    assert not interval_has_infinite_exponent(p, -2.0, 0.0)
+
+
+def test_box_of_another_dimension_is_refused():
+    plane = hm_counterexample().exponent
+    with pytest.raises(PreconditionError, match="^a 1-D box against a 2-D exponent$"):
+        interval_indicator_norm(plane, 0.0, 1.0)
+    with pytest.raises(PreconditionError, match="^a 2-D box against a 1-D exponent$"):
+        set_norm(two_piece_exponent(1.0, 2.0), MeasurableSet.from_box(((0.0, 1.0), (0.0, 1.0))))
 
 
 def test_level_sets_match_replaced_code(rng, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for averaging, maximal, and potential operators plus pair geometry."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -443,11 +444,37 @@ def test_line_maximal_of_overflowing_data_raises_as_reference(values, hi, monkey
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SpecParseError, match="must be finite"):
                 GridFunction(f.domain, ref_fractional_maximal(f, alpha, EXACT))
-            with pytest.raises(SpecParseError, match="must be finite"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="maximal function overflows"):
                 fractional_maximal(f, alpha)
     if values == 1e307:
         # a cumulative that is not finite prunes nothing
         assert counted[0] == 2 * 100 * 100
+
+
+@pytest.mark.parametrize("dimension, call, what", [
+    (1, lambda f: fractional_maximal(f, 0.5), "the fractional maximal function"),
+    (1, lambda f: fractional_maximal(f, 0.5, radii=DYADIC), "the fractional maximal function"),
+    (2, lambda f: fractional_maximal(f, 0.5), "a box sum"),
+    (1, lambda f: fractional_maximal_uncentered(f, 0.5), "the uncentered maximal function"),
+    (1, lambda f: maximal_pair_lower_bound(f, make_tu_pair(Cube((0.1,), 0.02), 5.0), 0.5),
+     "the uncentered maximal function"),
+    (1, lambda f: riesz_potential(f, 0.5), "the Riesz potential"),
+    (2, lambda f: riesz_potential(f, 0.5), "the Riesz potential"),
+    (1, lambda f: box_sums(f, 1), "a box sum"),
+    (2, lambda f: box_sums(f, [1, 2.5]), "a box sum"),
+], ids=["maximal-1d", "maximal-dyadic", "maximal-2d", "uncentered", "pair-bound", "riesz-1d",
+        "riesz-2d", "box-sums-1d", "box-sums-2d"])
+def test_overflow_of_finite_data_is_a_precondition_failure(dimension, call, what):
+    # 100 cells of 1e307: every value is finite, their sum is not
+    grid = GridDomain(((0.0, 1.0),) * dimension, (100,) if dimension == 1 else (10, 10))
+    f = GridFunction(grid, np.full(grid.cells, 1e307))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError,
+                           match=f"^{what} overflows the float range on this data$"):
+            call(f)
 
 
 @pytest.mark.parametrize("cells", [2, 16])
