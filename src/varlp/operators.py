@@ -4,7 +4,12 @@ Centered box integrals read one cumulative per axis, sampled at whole and
 half cells: a cube centered at a cell midpoint whose radius is a whole or
 half-whole number of cells has its faces on those positions, where the
 cumulative of cell-constant data is exact, so every radius is two slices of
-the same samples.  The uncentered maximal reads one table of lattice-interval
+the same samples, and a run of consecutive radii on a line is two strided
+views of them.  The axis being summed is moved first and the samples are
+laid out along it, so each slice is a block of whole rows.  Axes after the
+first hold one slab per radius and sample each slab at the one parity its
+radius reads, with no padded copy: a window edge past the grid reads the
+end sample.  The uncentered maximal reads one table of lattice-interval
 values through running maxima, and the Riesz potential is one FFT
 convolution with the cell-offset kernel.  Everything uses the zero-extension
 convention: a function is 0 outside its grid, and cube normalizers are never
@@ -17,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import DomainError, PreconditionError
 from .exponent import _gauss_nodes
@@ -31,62 +36,103 @@ DYADIC = "DYADIC"
 _BLOCK_VALUES = 1 << 18
 
 
-def _half_cumulative(arr, pad):
-    """Cumulative of arr along its last axis at whole and at half cells.
+def _half_cumulative(arr, pad, parity=None):
+    """Cumulative of arr along its first axis at whole and at half cells.
 
     Returns `whole`, the samples at z = 0, 1, ..., c cells, and `mid`, those at
     z = 1/2, 3/2, ..., c - 1/2.  Each is lo + frac * (hi - lo) between the
     whole-cell cumulatives around z, with frac = 1 at the right end, so both
-    are exact for cell-constant data.  Both carry `pad` copies of the end
-    values on each side, so that windows past the grid saturate, matching
-    extension of the data by zero.
+    are exact for cell-constant data.  Both carry `pad` >= 1 copies of the end
+    values whole[0] and whole[c] on each side, so that windows past the grid
+    saturate, matching extension of the data by zero.  Given the `parity` of
+    a doubled radius, only the samples its windows read are built (`whole`
+    for 1, `mid` for 0) and the other is None.  The samples are contiguous
+    whatever the layout of arr, so a window is a slice of whole rows.
     """
-    cum = np.cumsum(arr, axis=-1)
-    lo = np.concatenate([np.zeros(arr.shape[:-1] + (1,)), cum[..., :-1]], axis=-1)
-    step = cum - lo
+    c = arr.shape[0]
+    cum = np.empty((c + 1,) + arr.shape[1:])
+    cum[0] = 0.0
+    np.cumsum(arr, axis=0, out=cum[1:])
+    lo = cum[:-1]
+    step = cum[1:] - lo
     # frac = 0 stays in the arithmetic, so each sample keeps the bits of linear
     # interpolation at z
-    whole = np.concatenate([lo + 0.0 * step, lo[..., -1:] + 1.0 * step[..., -1:]], axis=-1)
-    mid = lo + 0.5 * step
-    left = np.repeat(whole[..., :1], pad, axis=-1)
-    right = np.repeat(whole[..., -1:], pad, axis=-1)
-    return (np.concatenate([left, whole, right], axis=-1),
-            np.concatenate([left, mid, right], axis=-1))
+    first = lo[:1] + 0.0 * step[:1]
+    last = lo[-1:] + 1.0 * step[-1:]
+    samples = []
+    for odd in (1, 0):
+        if parity is not None and parity != odd:
+            samples.append(None)
+            continue
+        out = np.empty((c + odd + 2 * pad,) + arr.shape[1:])
+        core = out[pad:pad + c]
+        np.multiply(step, 0.0 if odd else 0.5, out=core)
+        np.add(lo, core, out=core)
+        out[:pad] = first
+        out[pad + c:] = last
+        samples.append(out)
+    return tuple(samples)
 
 
 def _window(whole, mid, pad, d, lo, hi, out):
     """Sums over the index windows [j + 1/2 - d/2, j + 1/2 + d/2], for cells
-    j = lo .. hi-1 along the last axis, from the samples of _half_cumulative
-    padded by `pad` >= (d + 1) // 2; written to out."""
+    j = lo .. hi-1 along the first axis, from the samples of _half_cumulative
+    padded by `pad`; written to out.  A pad of (d + 1) // 2 or more holds
+    every edge, and a window edge past a shorter pad reads the end sample."""
     # window edges sit on half cells for whole radii, on whole cells otherwise
     src = whole if d % 2 else mid
     right, left = pad + (d + 1) // 2, pad - d // 2
-    return np.subtract(src[..., right + lo:right + hi], src[..., left + lo:left + hi], out=out)
+    # the left edges of the cells before `start` and the right edges of the
+    # cells from `stop` on lie past the samples: at most three runs of cells
+    start, stop = min(max(-left, lo), hi), max(min(len(src) - right, hi), lo)
+    if start == lo and stop == hi:
+        return np.subtract(src[right + lo:right + hi], src[left + lo:left + hi], out=out)
+    first, second = sorted((start, stop))
+    for a, b in (lo, first), (first, second), (second, hi):
+        if a < b:
+            np.subtract(src[right + a:right + b] if a < stop else src[-1:],
+                        src[left + a:left + b] if a >= start else src[:1], out=out[a - lo:b - lo])
+    return out
+
+
+def _windows(rows, pad, d, lo, hi, out):
+    """The sums of _window on a line for the consecutive whole radii d/2,
+    d/2 + 1, ..., one row of out each, as one difference of two blocks of
+    `rows`, whose row r is mid[r:r + c] for the samples `mid` padded by
+    `pad` >= the largest radius.  Right edges step +1 cell from row to row,
+    left edges -1."""
+    m, k = d // 2, len(out)
+    right = rows[pad + m:pad + m + k, lo:hi]
+    left = rows[pad - m - k + 1:pad - m + 1, lo:hi][::-1]
+    return np.subtract(right, left, out=out)
 
 
 def _axis_box_sums(arr, doubled, stacked):
-    """Window sums along the last axis, one slab per doubled radius d.  A
-    `stacked` arr already holds one slab per radius along its first axis;
+    """Window sums along the first axis of each slab, one slab per doubled
+    radius d.  A `stacked` arr already holds one slab per radius along its
+    first axis, and each slab is sampled at the one parity its radius reads;
     otherwise all radii share one cumulative."""
-    c = arr.shape[-1]
+    c = arr.shape[stacked]
     # a window of 2c half cells or more covers the grid from every cell
     doubled = np.minimum(doubled, 2 * c)
     out = np.empty((len(doubled),) + (arr.shape[1:] if stacked else arr.shape))
     if not stacked:
-        pad = (int(doubled.max(initial=0)) + 1) // 2
-        whole, mid = _half_cumulative(arr, pad)
-    for i, d in enumerate(doubled):
+        whole, mid = _half_cumulative(arr, 1)
+    for i, d in enumerate(doubled.tolist()):
         if stacked:
-            pad = (d + 1) // 2
-            whole, mid = _half_cumulative(arr[i], pad)
-        _window(whole, mid, pad, d, 0, c, out[i])
+            whole, mid = _half_cumulative(arr[i], 1, d % 2)
+        _window(whole, mid, 1, d, 0, c, out[i])
     return out
+
+
+def _overflows(what):
+    return PreconditionError(f"{what} overflows the float range on this data")
 
 
 def _finite(out, what):
     """out, unless a sum or product of finite data overflowed on the way."""
     if not np.isfinite(out).all():
-        raise PreconditionError(f"{what} overflows the float range on this data")
+        raise _overflows(what)
     return out
 
 
@@ -95,7 +141,12 @@ def box_sums(f, m):
 
     m is a positive whole or half-whole number of cells, or a 1-D array of such
     radii; an array gives the sums for each radius stacked along a new first
-    axis.  Data whose cumulative leaves the float range is refused.
+    axis.  The first axis reads one cumulative shared by every radius.  Each
+    later axis sums the slab of each radius on its own: one cumulative, the
+    samples at whole cells for half radii or at half cells for whole radii,
+    and at most three subtractions, the cells whose window runs past the
+    grid reading the end samples.  Data whose cumulative leaves the float
+    range is refused.
     """
     radii = np.asarray(m, dtype=float)
     doubled = 2.0 * radii.reshape(-1)
@@ -106,15 +157,23 @@ def box_sums(f, m):
     arr = f.values
     # no window needs more than twice the longest axis; the cap keeps the cast exact
     doubled = np.minimum(doubled, 2.0 * max(arr.shape)).astype(np.int64)
-    # axis by axis in order, each axis moved last while its windows are summed
+    # axis by axis in order, each axis moved first in its slab while its
+    # windows are summed
     with np.errstate(over="ignore", invalid="ignore"):
         for axis in range(arr.ndim):
             stacked = axis > 0
-            sums = _axis_box_sums(np.moveaxis(arr, axis + stacked, -1), doubled, stacked)
-            arr = np.moveaxis(sums, -1, axis + 1)
+            sums = _axis_box_sums(np.moveaxis(arr, axis + stacked, stacked), doubled, stacked)
+            arr = np.moveaxis(sums, 1, axis + 1)
         arr *= f.domain.cell_volume
     _finite(arr, "a box sum")
     return arr if radii.ndim else arr[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _integral(values, cell_volume):
+    """The sum of a 1-D array of cell values times the cell volume, inf or
+    nan where finite values overflow."""
+    return float(values.sum()) * cell_volume
 
 
 def averaging_op(f, E, alpha=0.0):
@@ -123,6 +182,7 @@ def averaging_op(f, E, alpha=0.0):
     The mean uses the full (unclipped) measure of E in the normalizer while
     the integral runs over the part of E inside the grid, so the result
     agrees with applying the whole-space operator to the zero-extended f.
+    Data on which the value leaves the float range is refused.
     """
     if isinstance(E, Cube):
         E = MeasurableSet.from_cube(E)
@@ -133,9 +193,12 @@ def averaging_op(f, E, alpha=0.0):
     measure = E.measure_exact() if E.is_box() else E.measure_on(f.domain)
     if measure <= 0.0:
         raise PreconditionError("averaging set must have positive measure")
-    integral = float(f.values[mask].sum()) * f.domain.cell_volume
+    integral = _integral(f.values[mask], f.domain.cell_volume)
+    value = measure ** (alpha / n - 1.0) * integral
+    if not math.isfinite(value):
+        raise _overflows("the averaging operator")
     out = np.zeros_like(f.values)
-    out[mask] = measure ** (alpha / n - 1.0) * integral
+    out[mask] = value
     return GridFunction(f.domain, out)
 
 
@@ -166,8 +229,9 @@ def _line_maximal(absf, radius_list, scales, volume):
     # a window of c cells or more covers the grid from every cell
     doubled = 2 * np.minimum(radius_list, c)
     pad = int(doubled.max()) // 2
-    whole, mid = _half_cumulative(absf, pad)
-    # whole radii read mid only, padded with the ends of whole
+    # whole radii read mid only
+    _, mid = _half_cumulative(absf, pad, 0)
+    rows = sliding_window_view(mid, c)
     prune = np.isfinite(mid).all() and (mid[1:] >= mid[:-1]).all() and scales.min() > 0.0
     # the powers of two and the last radius
     seeded = (radius_list & (radius_list - 1)) == 0
@@ -181,7 +245,7 @@ def _line_maximal(absf, radius_list, scales, volume):
     for radii, bounded in blocks:
         lo, hi = 0, c
         if bounded:
-            _window(whole, mid, pad, doubled[radii[-1]], 0, c, bound)
+            _window(None, mid, pad, int(doubled[radii[-1]]), 0, c, bound)
             bound *= volume
             bound *= scales[radii].max()
             live = ~(bound <= best)
@@ -189,8 +253,12 @@ def _line_maximal(absf, radius_list, scales, volume):
                 continue
             lo, hi = int(live.argmax()), c - int(live[::-1].argmax())
         sums = np.empty((len(radii), hi - lo))
-        for row, i in zip(sums, radii):
-            _window(whole, mid, pad, doubled[i], lo, hi, row)
+        # a run of consecutive radii is one difference of two blocks of rows;
+        # a power of two taken out of the other radii breaks their run
+        span = doubled[radii].tolist()
+        starts = [0] + [i for i in range(1, len(span)) if span[i] - span[i - 1] != 2]
+        for a, b in zip(starts, starts[1:] + [len(span)]):
+            _windows(rows, pad, span[a], lo, hi, sums[a:b])
         sums *= volume
         sums *= scales[radii, None]
         np.maximum(best[lo:hi], sums.max(axis=0), out=best[lo:hi])
@@ -205,20 +273,23 @@ def fractional_maximal(f, alpha, radii=EXACT):
     whole number of cells (all of them for EXACT, powers of two for DYADIC).
     Radii stop once the cube swallows the whole grid from any position.
 
-    On a line every radius is two slices of one half-cell cumulative.  The
-    powers of two and the last radius are evaluated first, at every cell.
-    The other radii follow in blocks from the largest down, and a block is
-    evaluated only on the cells from the first to the last where its bound,
-    (window sum at its largest radius * cell volume) * its largest scale, is
-    not <= the max so far; a block with no such cell is skipped.  The bound
-    is exact: the windows are differences of one array that never decreases,
-    so no window shrinks as the radius grows, and a float product of
-    nonnegative factors never shrinks as a factor grows.  Where the
+    On a line every radius is two slices of one half-cell cumulative, and a
+    run of consecutive radii is one subtraction of two strided views of it,
+    one row per radius.  The powers of two and the last radius are evaluated
+    first, at every cell.  The other radii follow in blocks from the largest
+    down, each block split into runs where a power of two was taken out of
+    it.  A block is evaluated only on the cells from the first to the last
+    where its bound, (window sum at its largest radius * cell volume) * its
+    largest scale, is not <= the max so far; a block with no such cell is
+    skipped.  The bound is exact: the windows are differences of one array
+    that never decreases, so no window shrinks as the radius grows, and a
+    float product of nonnegative factors never shrinks as a factor grows.
+    Where the
     cumulative is not finite and nondecreasing, or a scale underflows to 0, a
     product could be nan and nothing is skipped.  Either way the result is
     bitwise that of evaluating every radius at every cell.  In higher
-    dimensions blocks of radii go through box_sums.  Data on which a window
-    sum or a scaled value leaves the float range is refused.
+    dimensions each block of radii is one call of box_sums.  Data on which a
+    window sum or a scaled value leaves the float range is refused.
     """
     n = f.domain.dimension
     if not (0.0 <= alpha < n):
@@ -418,10 +489,13 @@ def covering_cube(pair):
 
 
 def cube_average(f, cube):
-    """Mean of f over a cube, zero-extension convention (unclipped measure)."""
+    """Mean of f over a cube, zero-extension convention (unclipped measure).
+    Data on which the mean leaves the float range is refused."""
     cells = f.values[f.domain.box_cells(cube.as_box())]
-    integral = float(cells.ravel().sum()) * f.domain.cell_volume
-    return integral / cube.volume
+    average = _integral(cells.ravel(), f.domain.cell_volume) / cube.volume
+    if not math.isfinite(average):
+        raise _overflows("the cube average")
+    return average
 
 
 @dataclass(frozen=True)
@@ -503,6 +577,8 @@ def czo_pair_lower_bound(kernel, f, pair):
     For |t| at least the kernel threshold t0, the integral of K(x, y) f(x)
     over the base cube has, at every y in the partner cube, absolute value at
     least 2^(n-alpha-1) a (|t| sqrt(n))^(alpha-n) |Q|^(alpha/n) avg_Q f.
+    Data on which the integral leaves the float range while the kernel is
+    finite is refused.
     """
     n = f.domain.dimension
     if kernel.dimension != n:
@@ -530,9 +606,13 @@ def czo_pair_lower_bound(kernel, f, pair):
         axis=-1) for cells in blocks)
     fq = f.values[blocks[0]].ravel()
     lhs_min = math.inf
-    for y in yp:
-        val = float(np.dot(kernel(xq, y), fq)) * f.domain.cell_volume
-        lhs_min = min(lhs_min, abs(val))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for y in yp:
+            kern = kernel(xq, y)
+            val = float(np.dot(kern, fq)) * f.domain.cell_volume
+            if not math.isfinite(val) and np.isfinite(kern).all():
+                raise _overflows("the kernel integral")
+            lhs_min = min(lhs_min, abs(val))
     holds = applicable and lhs_min >= rhs * (1.0 - 1e-6)
     return CZOPairReport(t0, applicable, lhs_min, rhs, holds)
 

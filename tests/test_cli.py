@@ -494,6 +494,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
     (["maximal", "--box=-0.5,0.5", "--alpha", "0.5", "--cells", "256", "--policy", "exact"],
      "maximal"),
     (["example", "L1_FAILURE", "--alpha", "0", "--rmax", "100"], "l1_failure"),
+    (["maximal", "--box=-0.5,0.5;-0.5,0.5", "--alpha", "0.5", "--cells", "32",
+      "--policy", "exact"], "maximal_2d"),
 ])
 def test_maximal_artifacts_match_golden_bytes(argv, golden, tmp_path):
     out = tmp_path / "run"

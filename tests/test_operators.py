@@ -162,6 +162,35 @@ def test_box_sums_match_reference_bitwise(grid, rng):
         assert np.array_equal(got, ref_box_sums(f, m)), f"stacked m={m}"
 
 
+@pytest.mark.parametrize("cells", [(1, 5), (2, 3), (3, 1), (3, 2, 2), (7, 5, 4)],
+                         ids=lambda cells: "x".join(map(str, cells)))
+def test_stacked_box_sums_match_reference_bitwise(cells, rng):
+    # whole and half radii below, at and past every axis length, with doubled
+    # radii above twice the longest axis, on data from about 1e-30 to 1e30
+    grid = GridDomain(tuple((0.0, float(c)) for c in cells), cells)
+    radii = (0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4, 6.5, 9, 15.5, 40)
+    signs = rng.choice([-1.0, 1.0], size=cells)
+    for values in (rng.uniform(-1.0, 3.0, cells), signs * rng.lognormal(0.0, 20.0, cells)):
+        f = GridFunction(grid, values)
+        for got, m in zip(box_sums(f, np.array(radii)), radii):
+            assert np.array_equal(got, ref_box_sums(f, m)), f"m={m}"
+
+
+def test_stacked_box_sums_of_overflowing_data_raise_as_reference():
+    # the values and their sums along the first two axes are finite, the
+    # sums along the third are not
+    grid = GridDomain(((0.0, 4.0), (0.0, 6.0), (0.0, 6.0)), (4, 6, 6))
+    f = GridFunction(grid, np.full(grid.cells, 3e306))
+    radii = (1, 2.5, 6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [ref_box_sums(f, m) for m in radii]
+    assert not all(np.isfinite(w).all() for w in want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="^a box sum overflows the float range"):
+            box_sums(f, np.array(radii))
+
+
 def test_box_sums_reject_other_radii():
     f = GridFunction(line_grid(0.0, 1.0, 16), np.ones(16))
     for m in (0.7, 0.0, -1.0, math.inf, math.nan, np.array([1.0, 2.25]), np.ones((2, 2))):
@@ -413,15 +442,21 @@ def test_maximal_matches_reference_bitwise(make, policy, rng, monkeypatch):
 
 
 def count_window_cells(monkeypatch):
-    """Count the cells of every window sum the line search evaluates."""
+    """Count the cells of every window sum the line search evaluates, one
+    radius at a time or in a block of consecutive radii."""
     counted = [0]
-    window = operators._window
+    window, windows = operators._window, operators._windows
 
     def counting(whole, mid, pad, d, lo, hi, out):
         counted[0] += hi - lo
         return window(whole, mid, pad, d, lo, hi, out)
 
+    def counting_block(rows, pad, d, lo, hi, out):
+        counted[0] += len(out) * (hi - lo)
+        return windows(rows, pad, d, lo, hi, out)
+
     monkeypatch.setattr(operators, "_window", counting)
+    monkeypatch.setattr(operators, "_windows", counting_block)
     return counted
 
 
@@ -464,8 +499,17 @@ def test_line_maximal_of_overflowing_data_raises_as_reference(values, hi, monkey
     (2, lambda f: riesz_potential(f, 0.5), "the Riesz potential"),
     (1, lambda f: box_sums(f, 1), "a box sum"),
     (2, lambda f: box_sums(f, [1, 2.5]), "a box sum"),
+    (1, lambda f: averaging_op(f, Cube((0.5,), 0.5)), "the averaging operator"),
+    (2, lambda f: averaging_op(f, Cube((0.5, 0.5), 0.5), 0.5), "the averaging operator"),
+    (1, lambda f: cube_average(f, Cube((0.5,), 0.5)), "the cube average"),
+    (2, lambda f: cube_average(f, Cube((0.5, 0.5), 0.5)), "the cube average"),
+    # the 16 base cells sum to 1.6e308, within range, and the kernel exceeds 1
+    (1, lambda f: czo_pair_lower_bound(riesz_kernel(0.5, 1), f,
+                                       make_tu_pair(Cube((0.1,), 0.08), 4.0)),
+     "the kernel integral"),
 ], ids=["maximal-1d", "maximal-dyadic", "maximal-2d", "uncentered", "pair-bound", "riesz-1d",
-        "riesz-2d", "box-sums-1d", "box-sums-2d"])
+        "riesz-2d", "box-sums-1d", "box-sums-2d", "averaging-1d", "averaging-2d",
+        "cube-average-1d", "cube-average-2d", "czo-pair-bound"])
 def test_overflow_of_finite_data_is_a_precondition_failure(dimension, call, what):
     # 100 cells of 1e307: every value is finite, their sum is not
     grid = GridDomain(((0.0, 1.0),) * dimension, (100,) if dimension == 1 else (10, 10))
