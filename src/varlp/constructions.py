@@ -42,16 +42,15 @@ from .exponent import (
 from .grid import Cube, GridDomain, GridFunction, MeasurableSet
 from .k0 import minimal_harmonic_mean_cube
 from .norms import (
+    _compile_family,
     _mean_inverse,
+    _mean_inverses,
     compile_set,
     duality_constant,
     harmonic_mean,
     holder_constant,
-    interval_indicator_norm,
     interval_integral,
     luxemburg_norm,
-    mean_inverse_exponent,
-    set_norm,
 )
 from .operators import (
     covering_cube,
@@ -489,18 +488,18 @@ def blowup_growth_floor(fam, c_scale, family_k0=None):
 def blowup_family_k0(fam):
     """Interval constant of the chain family: the largest normalized product
     of indicator norms over every chain cube and partner cut by its level's
-    threshold set."""
+    threshold set.  All the cut sets of all levels compile as one family."""
     p = fam.p
-    pc = conjugate(p)
-    best = 0.0
+    sets = []
     for lv in fam.levels:
         threshold = MeasurableSet.from_mask(lv.grid, lv.threshold_set.mask_on(lv.grid))
-        for cube in list(lv.chain) + [pr.partner for pr in lv.pairs]:
-            dist = compile_set(p, threshold.intersect_box(cube.as_box()))
-            if dist.measure <= 0.0:
-                continue
-            best = max(best, dist.norm(p) * dist.norm(pc) / dist.measure)
-    return best
+        sets += [threshold.intersect_box(cube.as_box())
+                 for cube in list(lv.chain) + [pr.partner for pr in lv.pairs]]
+    compiled = _compile_family(p, sets)
+    met = compiled.measure > 0.0
+    products = (compiled.norms(p)[met] * compiled.norms(conjugate(p))[met]
+                / compiled.measure[met])
+    return max([0.0] + products.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -682,32 +681,25 @@ def ex61_interval_constant_scan(spec, big_k, per_run=None):
     big_k = int(min(big_k, spec.parameters["count"] - 1))
     density = 1 if per_run is None else int(per_run)
     p = spec.exponent
-    pc = conjugate(p)
-    q = sobolev_dual(p, alpha)
-    p_loc = ex61_local_window(spec)
-    pc_loc = conjugate(p_loc)
-    q_loc = sobolev_dual(p_loc, alpha)
 
-    samples = []
-
-    def sample(pp, qq, a, b, label):
-        vol = b - a
-        value = (
-            vol ** (alpha - 1.0)
-            * interval_indicator_norm(qq, a, b)
-            * interval_indicator_norm(pp, a, b)
-        )
-        samples.append({"label": label, "measure": vol, "value": value})
+    def scan(pp, intervals):
+        # the conjugate and the dual share the pieces of pp: one family serves both
+        sets = [MeasurableSet.from_box(((a, b),)) for a, b, _ in intervals]
+        compiled = _compile_family(pp, sets)
+        norms_q = compiled.norms(sobolev_dual(pp, alpha)).tolist()
+        norms_pc = compiled.norms(conjugate(pp)).tolist()
+        return [{"label": label, "measure": b - a, "value": (b - a) ** (alpha - 1.0) * nq * npc}
+                for (a, b, label), nq, npc in zip(intervals, norms_q, norms_pc)]
 
     base_anchor = math.exp(1.0) + 1.0
     vol_count = 7 * density
-    for vol in np.geomspace(1e-3, 1.0, vol_count):
-        sample(pc, q, base_anchor, base_anchor + vol, f"flat-{vol:.3e}")
-    for vol in np.geomspace(1e-3, 1.0, vol_count):
-        sample(pc_loc, q_loc, -vol / 2.0, vol / 2.0, f"plateau-{vol:.3e}")
-    for j in np.linspace(1.0, float(big_k), density * big_k):
-        b = math.exp(float(j)) + 1.5
-        sample(pc, q, -1.0, b, f"long-{float(j):.2f}")
+    vols = np.geomspace(1e-3, 1.0, vol_count)
+    flat = [(base_anchor, base_anchor + vol, f"flat-{vol:.3e}") for vol in vols]
+    plateau = [(-vol / 2.0, vol / 2.0, f"plateau-{vol:.3e}") for vol in vols]
+    long = [(-1.0, math.exp(float(j)) + 1.5, f"long-{float(j):.2f}")
+            for j in np.linspace(1.0, float(big_k), density * big_k)]
+    far = scan(p, flat + long)
+    samples = far[:len(flat)] + scan(ex61_local_window(spec), plateau) + far[len(flat):]
 
     best = max(s["value"] for s in samples)
     return {"samples": samples, "best": best}
@@ -902,13 +894,16 @@ def witness_check(spec, j_values):
 
 
 def witness_norm_check(spec, j):
-    """Direct norm solve for one witness index: returns (norm, lambda)."""
+    """Direct norm solve for one witness index: returns (norm, lambda).
+    The mean and the norm read one compiled interval."""
     target = _witness_target_exponent(spec)
     a, b = witness_interval(spec, j)
-    inv_mean = mean_inverse_exponent(target, MeasurableSet.from_box(((a, b),)))
+    interval = MeasurableSet.from_box(((a, b),))
+    dist = compile_set(target, interval)
+    inv_mean = _mean_inverse(dist, target, interval)
     mean = INF if inv_mean == 0.0 else 1.0 / inv_mean
     lam = j * (b - a) ** (1.0 / mean)
-    return interval_indicator_norm(target, a, b), lam
+    return dist.norm(target), lam
 
 
 def two_sided_interval_check(spec, intervals=None, seed=0):
@@ -916,7 +911,10 @@ def two_sided_interval_check(spec, intervals=None, seed=0):
 
     The lower constant 1/(2K) is certified; the upper constant is measured
     and reported, with the long-interval branch additionally capped by the
-    closed-form maximum of x^(2(1 - (6/5) x^-2 ((5/6) x^2 - 2x - 1/6)))."""
+    closed-form maximum of x^(2(1 - (6/5) x^-2 ((5/6) x^2 - 2x - 1/6))).
+    The intervals compile once, as one family: each harmonic mean and each
+    norm is read from the same row, and the norms come from one batched
+    solve."""
     if spec.name != "EX62":
         raise PreconditionError(f"two-sided check is the EX62 scan, got {spec.name}")
     p = spec.exponent
@@ -933,11 +931,13 @@ def two_sided_interval_check(spec, intervals=None, seed=0):
     with np.errstate(all="ignore"):
         shape = xs ** (2.0 * (1.0 - 1.2 * (xs ** -2.0) * (xs * xs * 5.0 / 6.0 - 2.0 * xs - 1.0 / 6.0)))
     long_cap = float(np.nanmax(shape))
+    sets = [MeasurableSet.from_box(((a, b),)) for a, b in intervals]
+    compiled = _compile_family(p, sets)
     rows = []
-    for a, b in intervals:
-        inv_mean = mean_inverse_exponent(p, MeasurableSet.from_box(((a, b),)))
+    for (a, b), inv_mean, norm in zip(intervals, _mean_inverses(compiled, p, sets).tolist(),
+                                      compiled.norms(p).tolist()):
         mean = 1.0 / inv_mean
-        ratio = interval_indicator_norm(p, a, b) / (b - a) ** (1.0 / mean)
+        ratio = norm / (b - a) ** (1.0 / mean)
         rows.append({"interval": (a, b), "measure": b - a, "ratio": ratio})
     measured_upper = max(r["ratio"] for r in rows)
     return {

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,8 @@ from .errors import ConstructionError, DomainError, PreconditionError
 from .exponent import INF, conjugate, sobolev_dual
 from .grid import Cube, GridFunction, MeasurableSet
 from .norms import (
-    _mean_inverse,
+    _compile_family,
+    _mean_inverses,
     compile_set,
     duality_constant,
     holder_constant,
@@ -112,20 +112,32 @@ def k0alpha_constant(p, alpha, family, grid=None):
     """Family supremum of measure(E)^(alpha/n - 1) * ||chi_E||_p' * ||chi_E||_q.
 
     q is the fractional dual of order alpha; at alpha = 0 this reduces to the
-    plain indicator-product constant with the (p, p') pair.
+    plain indicator-product constant with the (p, p') pair.  The family is
+    compiled once (see norms._compile_family) and both norms of every set
+    come from one batched solve each.
     """
-    n = p.dimension
     pc = conjugate(p)
     q = sobolev_dual(p, alpha)
-    samples = []
-    best_value, best_index = -math.inf, -1
-    for i, E in enumerate(family):
-        measure = set_measure(E.intersect_box(p.domain), grid)
+    measures = _family_measures(p, family, grid)
+    compiled = _compile_family(p, family, grid)
+    return _k0_report(alpha, p.dimension, family, measures, compiled.norms(pc), compiled.norms(q))
+
+
+def _family_measures(p, family, grid):
+    """measure(E cap domain) of every set of the family, each positive."""
+    measures = [set_measure(E.intersect_box(p.domain), grid) for E in family]
+    for i, measure in enumerate(measures):
         if measure <= 0.0:
             raise PreconditionError(f"family set {i} has measure {measure}")
-        dist = compile_set(p, E, grid)
-        nc = dist.norm(pc)
-        nd = dist.norm(q)
+    return measures
+
+
+def _k0_report(alpha, n, family, measures, norms_conjugate, norms_dual):
+    """The samples measure^(alpha/n - 1) * ||chi_E||_p' * ||chi_E||_q and their sup."""
+    samples = []
+    best_value, best_index = -math.inf, -1
+    for i, (E, measure, nc, nd) in enumerate(zip(family, measures, norms_conjugate.tolist(),
+                                                 norms_dual.tolist())):
         value = measure ** (alpha / n - 1.0) * nc * nd
         samples.append(K0Sample(i, E.label, measure, nc, nd, value))
         if value > best_value:
@@ -235,25 +247,22 @@ def norm_harmonic_sandwich(p, family, grid=None, tol=1e-6):
 
     lower = measure^(1/p_E) / (2K) and upper = (2 K^2 K0 / k) measure^(1/p_E)
     with K, k the pairing constants of p and K0 the family constant
-    (k0_constant), read from the same compiled sets as the rows.
+    (k0_constant).  The family is compiled once: the norms in p and p' of
+    every set come from one batched solve each, and the harmonic means and
+    K0 from the same rows.
     """
     holder = holder_constant(p)
     duality = duality_constant(p)
-    pc = conjugate(p)
-    samples = []
-    for i, E in enumerate(family):
-        measure = set_measure(E.intersect_box(p.domain), grid)
-        if measure <= 0.0:
-            raise PreconditionError(f"family set {i} has measure {measure}")
-        dist = compile_set(p, E, grid)
-        norm = dist.norm(p)
-        samples.append((E, measure, dist, norm))
+    measures = _family_measures(p, family, grid)
+    compiled = _compile_family(p, family, grid)
+    norms = compiled.norms(p).tolist()
     # the samples of k0_constant, bit for bit: its dual exponent at order 0 is p
-    k0_value = max((measure ** -1.0 * dist.norm(pc) * norm for _, measure, dist, norm in samples),
+    k0_value = max((measure ** -1.0 * nc * norm for measure, nc, norm
+                    in zip(measures, compiled.norms(conjugate(p)).tolist(), norms)),
                    default=-math.inf)
+    inverses = _mean_inverses(compiled, p, family).tolist()
     rows = []
-    for i, (E, measure, dist, norm) in enumerate(samples):
-        inv = _mean_inverse(dist, p, E)
+    for i, (E, measure, norm, inv) in enumerate(zip(family, measures, norms, inverses)):
         hm = INF if inv == 0.0 else 1.0 / inv
         base = measure ** (0.0 if hm == INF else 1.0 / hm)
         lower = base / (2.0 * holder)
@@ -291,20 +300,27 @@ def k0alpha_iff_k0_check(p, alpha, family, grid=None, tol=1e-6, identity_tol=1e-
     pointwise Young inequality, since the indicator norm in the constant
     exponent n/alpha is measure^(alpha/n)); the alpha sample is at most
     4 K_p K_q times the product of the two family constants, through the
-    exact relation 1/p'_E + 1/q_E = 1 - alpha/n.
+    exact relation 1/p'_E + 1/q_E = 1 - alpha/n.  The family is compiled
+    once, against p: the norms in p, p', q and q' and both means share its
+    rows, since q has the pieces of p.
     """
     n = p.dimension
     q = sobolev_dual(p, alpha)
-    rep_alpha = k0alpha_constant(p, alpha, family, grid)
-    rep_p = k0_constant(p, family, grid)
-    rep_q = k0_constant(q, family, grid)
+    measures = _family_measures(p, family, grid)
+    compiled = _compile_family(p, family, grid)
+    norm_p, norm_pc, norm_q, norm_qc = (compiled.norms(r)
+                                        for r in (p, conjugate(p), q, conjugate(q)))
+    rep_alpha = _k0_report(alpha, n, family, measures, norm_pc, norm_q)
+    rep_p = _k0_report(0.0, n, family, measures, norm_pc, norm_p)
+    rep_q = _k0_report(0.0, n, family, measures, norm_qc, norm_q)
     kp, kq = holder_constant(p), holder_constant(q)
     c_conv = 4.0 * kp * kq
     rows = []
     converse_ok = True
-    for sa, sp, sq, E in zip(rep_alpha.samples, rep_p.samples, rep_q.samples, family):
-        inv_p = mean_inverse_exponent(p, E, grid)
-        inv_q = mean_inverse_exponent(q, E, grid)
+    inverses = zip(_mean_inverses(compiled, p, family).tolist(),
+                   _mean_inverses(compiled, q, family).tolist())
+    samples = zip(rep_alpha.samples, rep_p.samples, rep_q.samples)
+    for (sa, sp, sq), (inv_p, inv_q) in zip(samples, inverses):
         gap = abs((1.0 - inv_p) + inv_q - (1.0 - alpha / n))
         forward_ok = (sp.value <= 2.0 * sa.value * (1.0 + tol)
                       and sq.value <= 2.0 * sa.value * (1.0 + tol))
@@ -330,15 +346,17 @@ def _cube_mean_reader(p, E, grid):
     """means(axes, radius): mean of 1/p (1/inf = 0) over E cap Q for cubes Q
     centered on the outer product of axes, nan where Q misses E.  On a grid
     Q takes its cells per axis from GridDomain.box_cells and its sums from
-    the 2^n corners of one zero-padded summed-area table of 1/p and 1 on E."""
+    the 2^n corners of one zero-padded summed-area table of 1/p and 1 on E.
+    Without a grid, all the sets E cap Q compile as one family (see
+    norms._compile_family) and their means are read from its rows."""
     if grid is None:
         def exact_means(axes, radius):
-            out = np.full(tuple(len(a) for a in axes), np.nan)
-            for idx in np.ndindex(out.shape):
-                cube = Cube([a[i] for a, i in zip(axes, idx)], radius)
-                with suppress(PreconditionError):
-                    out[idx] = mean_inverse_exponent(p, E.intersect_box(cube.as_box()))
-            return out
+            shape = tuple(len(a) for a in axes)
+            if not E.is_box():  # a non-box set needs a grid: no cube has a mean
+                return np.full(shape, np.nan)
+            sets = [E.intersect_box(Cube([a[i] for a, i in zip(axes, idx)], radius).as_box())
+                    for idx in np.ndindex(shape)]
+            return _mean_inverses(_compile_family(p, sets), p, sets).reshape(shape)
 
         return exact_means
 
@@ -367,11 +385,12 @@ def minimal_harmonic_mean_cube(p, D, r, E, grid=None, spacing=None, verify_scali
 
     Requires 0 < r <= radius(D), the complement D minus E smaller than one
     radius-r cube, and a bounded exponent on D and E.  On a grid all cubes
-    read one summed-area table of 1/p over E's cells; without one, each cube
-    is compiled exactly.  In row-major order a cube wins when it beats the
-    best so far by a relative 1e-15.  With verify_scaling, cubes of radius
-    m*r sampled inside D must not beat the minimum (their mean is a weighted
-    average over radius-r subcubes), a guard against lattice misalignment.
+    read one summed-area table of 1/p over E's cells; without one, the cubes
+    compile exactly, as one family.  In row-major order a cube wins when it
+    beats the best so far by a relative 1e-15.  With verify_scaling, cubes
+    of radius m*r sampled inside D must not beat the minimum (their mean is
+    a weighted average over radius-r subcubes), a guard against lattice
+    misalignment.
     """
     n, R = D.dimension, D.radius
     if not (0.0 < r <= R * (1.0 + 1e-12)):

@@ -17,21 +17,33 @@ a pre-transform exponent value.  Three routes compile:
 * the set {p = inf}, which enters the modular as one atom with exponent 1
   and weight sup |f| over it (1 for an indicator).
 
+A family of sets (the cubes of a K0 scan, the intervals of a witness
+ladder) compiles into one rows x atoms matrix, one row per set, padded
+with atoms of weight 0.  When every piece is constant and every set a box,
+the rows come from one level-volume table per call: the domain cut at
+every piece edge into cells, each labelled with the distinct value of the
+piece that owns it, so the volume a box owns at each value is a sum of
+clipped cell volumes and no box compiles alone.  Bump exponents and mask
+or sublevel sets compile each set through the routes above and pad it
+into the matrix.
+
 An integral of g(p) over a compiled set is the sum of w_i g(v_i) over its
 atoms.  The Luxemburg norm lam = exp(t) solves
 logsumexp(a_i - v_i t) = 0 with a_i = log w_i + v_i log|f_i|.  The left
 side is convex and decreasing in t (the modular is log-convex in log lam;
 Cruz-Uribe and Fiorenza, Variable Lebesgue Spaces, 2013, ch. 2), so
 Newton's method started at the left end max a_i / v_i climbs monotonically
-to the root, at any scale a float can hold.  Conjugate and fractional-dual
-exponents share the pieces of their base exponent and differ only in how
-the exponent values are transformed, so one compiled set serves all of them.
+to the root, at any scale a float can hold.  One solver runs this Newton
+over every row of a rows x atoms matrix at once, each row with its own
+start, stopping test and repair, so a single set is a batch of one.
+Conjugate and fractional-dual exponents share the pieces of their base
+exponent and differ only in how the exponent values are transformed, so
+one compiled set or family serves all of them.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +95,7 @@ class Distribution:
 
     def values(self, q):
         """The exponent q on every atom."""
-        if q.pieces != self.pieces:
-            raise PreconditionError("exponent does not share the compiled pieces")
-        return _tf_array(q.transforms, self.raw)
+        return _values(self.pieces, q, self.raw)
 
     def _split(self, q):
         """(w, f, v) on the atoms where q is finite, and sup |f| over {q = inf}."""
@@ -111,63 +121,134 @@ class Distribution:
         """Modular of f / lam in q."""
         if not lam > 0.0:
             raise PreconditionError(f"scale lambda must be positive, got {lam}")
-        return _modular(*self._split(q), lam)
+        with np.errstate(over="ignore"):
+            return float(_modular(*self._split(q), lam))
 
     def norm(self, q):
         """Luxemburg norm in q: the least lam with modular(q, lam) <= 1."""
         w, f, v, sup = self._split(q)
-        if v.size == 0 and sup == 0.0:
-            return 0.0
-        a = np.log(w) + v * np.log(f)
-        exps = v
-        if sup > 0.0:
-            a = np.append(a, math.log(sup))
-            exps = np.append(v, 1.0)
-        with np.errstate(over="ignore"):
-            lam = float(np.exp(_log_norm(a, exps)))
-        # rho(c lam) <= c^(-min q) rho(lam) for c >= 1: rounding in the log
-        # domain is repaired upward until the modular itself is at most 1
-        v_min = float(exps.min())
-        for _ in range(_CONTRACT_STEPS):
-            rho = _modular(w, f, v, sup, lam)
-            if rho <= 1.0:
-                return lam
-            with np.errstate(over="ignore"):
-                up = lam * rho ** (1.0 / v_min)
-            lam = up if up > lam else float(np.nextafter(lam, INF))
-        raise ArithmeticError(f"no scale with modular <= 1 found near {lam}")
+        return float(_norms(_one_row(w), _one_row(f), v[None], np.array([sup]))[0])
+
+
+def _values(pieces, q, raw):
+    """q on pre-transform values compiled against pieces that q must share."""
+    if q.pieces != pieces:
+        raise PreconditionError("exponent does not share the compiled pieces")
+    return _tf_array(q.transforms, raw)
 
 
 def _atoms_where(x, keep):
     return x[keep] if np.ndim(x) else x
 
 
+def _one_row(x):
+    """x as the weights of one row: a scalar stays shared by every atom."""
+    return x[None] if getattr(x, "ndim", 0) else x
+
+
+def _pick(x, rows):
+    return x[rows] if getattr(x, "ndim", 0) else x
+
+
+def _col(x):
+    """Row values against a row's atoms: a column, or a float for a lone row
+    (numpy broadcasts a Python float faster than a numpy scalar)."""
+    return x[:, None] if getattr(x, "ndim", 0) else float(x)
+
+
 def _modular(w, f, v, sup, lam):
-    with np.errstate(over="ignore"):
-        return float(np.sum(w * (f / lam) ** v)) + sup / lam
+    """Per row: the sum over its atoms of w (f / lam)^v, plus sup / lam."""
+    return np.add.reduce(w * (f / _col(lam)) ** v, axis=-1) + sup / lam
 
 
-def _log_norm(a, v):
-    """Root t of logsumexp(a - v t) = 0 for exponents v >= 1.
+def _norms(w, f, v, sup):
+    """Luxemburg norm of every row of a modular: the least lam with
+    sum_k w[r, k] (f[r, k] / lam)^v[r, k] + sup[r] / lam <= 1.
 
-    The function is convex and decreasing and is nonnegative at the start
-    max a / v, so every Newton step stays left of the root; iteration stops
-    when the step no longer moves t or t reaches the root.
+    v is a (rows, atoms) array of finite exponents >= 1; w and f are
+    scalars shared by every atom or arrays with one row per row of v that
+    broadcast against it, and an atom with w = 0 or f = 0 is padding that
+    adds nothing.  Each row runs its own Newton in t = log lam on
+    logsumexp(a - v t) = 0, a = log w + v log f, from its own start
+    max a / v (the root of its largest term, where the left side is still
+    nonnegative); the left side is convex and decreasing, so every step
+    stays left of the root.  A row stops when its step no longer moves t,
+    which includes reaching the root, and then has the rounding of the log
+    domain repaired upward until its modular itself is at most 1.  Rows
+    never mix: every reduction runs along one row's atoms, so a row's norm
+    does not depend on the other rows.  A row with no atom and no sup has
+    norm 0.
     """
-    t = float(np.max(a / v))
+    n = len(sup)
+    with np.errstate(divide="ignore", over="ignore"):
+        a = np.log(w) + v * np.log(f)
+        exps = v
+        if np.count_nonzero(sup):
+            a = np.hstack([a, np.log(sup)[:, None]])
+            exps = np.hstack([v, np.ones((n, 1))])
+        t = np.maximum.reduce(a / exps, axis=1, initial=-INF)
+        if n == 1:
+            if t[0] == -INF:
+                return np.zeros(1)
+            rows = 0  # a lone row runs on scalars: the same arithmetic, less overhead
+        else:
+            live = t > -INF
+            if not live.any():
+                return np.zeros(n)
+            rows = slice(None) if live.all() else np.flatnonzero(live)
+        _newton(t, rows, a[rows], exps[rows])
+        lam = np.exp(t)
+        # rho(c lam) <= c^(-min q) rho(lam) for c >= 1: rounding in the log
+        # domain is repaired upward until the modular itself is at most 1
+        v_min = None
+        for _ in range(_CONTRACT_STEPS):
+            rho = _modular(_pick(w, rows), _pick(f, rows), v[rows], sup[rows], lam[rows])
+            if isinstance(rows, int):
+                if rho <= 1.0:
+                    return lam
+            else:
+                over = ~(rho <= 1.0)
+                if not over.any():
+                    return lam
+                rows, rho = _rows_where(rows, over), rho[over]
+                v_min = None if v_min is None else v_min[over]
+            if v_min is None:
+                v_min = np.minimum.reduce(np.where(a[rows] > -INF, exps[rows], INF), axis=-1)
+            # the step, or the next float up when the step does not move lam
+            lam[rows] = np.fmax(lam[rows] * rho ** (1.0 / v_min), np.nextafter(lam[rows], INF))
+    raise ArithmeticError(f"no scale with modular <= 1 found near {np.min(lam[rows])}")
+
+
+def _newton(t, rows, a, v):
+    """Move t[rows] to the root of logsumexp(a - v t) = 0, each row alone."""
+    lone = isinstance(rows, int)
+    # a lone row's values are floats; np.dot equals np.vecdot on one row
+    col, dot = (float, np.dot) if lone else (_col, np.vecdot)
     for _ in range(_NEWTON_STEPS):
-        e = a - v * t
-        top = float(e.max())
-        z = np.exp(e - top)
-        s = float(z.sum())
-        value = top + math.log(s)
-        if value <= 0.0:
-            return t
-        nxt = t + value * s / float(np.dot(v, z))
-        if not nxt > t:
-            return t
-        t = nxt
+        tr = t[rows]
+        e = a - v * col(tr)
+        top = np.maximum.reduce(e, axis=-1)
+        z = np.exp(e - col(top))
+        s = np.add.reduce(z, axis=-1)
+        value = top + np.log(s)
+        if lone and not value > 0.0:  # at the root: skip the step, which would not move t
+            return
+        nxt = tr + value * s / dot(v, z)
+        move = nxt > tr
+        if lone:
+            if not move:
+                return
+        elif not move.all():
+            if not move.any():
+                return
+            rows, nxt, a, v = _rows_where(rows, move), nxt[move], a[move], v[move]
+        t[rows] = nxt
     raise ArithmeticError("Newton iteration for the norm did not settle")
+
+
+def _rows_where(rows, keep):
+    """The rows of a slice or index array where keep holds, as indices."""
+    return np.flatnonzero(keep) if isinstance(rows, slice) else rows[keep]
 
 
 # -- grid route -------------------------------------------------------------
@@ -424,12 +505,17 @@ def _inverse(v):
         return np.where(np.isinf(v), 0.0, 1.0 / v)
 
 
+def _no_measure(E):
+    """The error for a set that compiled to measure 0."""
+    if E.is_box():
+        return DomainError("set lies outside the exponent's domain")
+    return PreconditionError("set has no cells on this grid")
+
+
 def _mean_inverse(dist, p, E):
     """Average of 1/p over the set E compiled into dist, with 1/inf = 0."""
     if dist.measure <= 0.0:
-        if E.is_box():
-            raise DomainError("set lies outside the exponent's domain")
-        raise PreconditionError("set has no cells on this grid")
+        raise _no_measure(E)
     return dist.integral(p, _inverse) / dist.measure
 
 
@@ -443,3 +529,138 @@ def harmonic_mean(p, E, grid=None):
     """Harmonic mean exponent of the set: reciprocal of the average of 1/p."""
     inv = mean_inverse_exponent(p, E, grid)
     return INF if inv == 0.0 else 1.0 / inv
+
+
+# -- families of sets: one row per set ----------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class _Family:
+    """Many sets compiled against one exponent, one row of atoms per set.
+
+    Row r of ``w`` and ``raw`` holds the measures and pre-transform
+    exponent values of set r's atoms; w = 0 marks padding or a value the
+    set does not meet.  ``inf_raw[r]`` lists the pre-transform values set r
+    attains on positive measure, nan-padded, so {q = inf} has positive
+    measure in it exactly when one of them maps to inf.  ``measure[r]`` is
+    the measure of set r as compiled.  Reads take the exponent q to apply,
+    as for Distribution, and return one value per row.
+    """
+
+    pieces: tuple
+    w: np.ndarray
+    raw: np.ndarray
+    measure: np.ndarray
+    inf_raw: np.ndarray
+
+    def values(self, q):
+        return _values(self.pieces, q, self.raw)
+
+    def integrals(self, q, g):
+        """Integral of g(q) over every set (see Distribution.integral)."""
+        return np.add.reduce(self.w * g(self.values(q)), axis=1)
+
+    def _split(self, q):
+        """The rows (w, f, v, sup) of _norms: atoms where q is infinite become
+        padding, and sup is 1 where {q = inf} has positive measure."""
+        v = self.values(q)
+        live = np.isfinite(v) & (self.w > 0.0)
+        sup = np.isinf(_tf_array(q.transforms, self.inf_raw)).any(axis=1)
+        return (np.where(live, self.w, 0.0), live.astype(float), np.where(live, v, 1.0),
+                sup.astype(float))
+
+    def norms(self, q):
+        """Luxemburg norm in q of every set's indicator, all rows in one solve."""
+        return _norms(*self._split(q))
+
+
+def _compile_family(p, sets, grid=None):
+    """Compile every set of a family against p, row r for sets[r].
+
+    When every piece is constant and every set a box, all rows are read
+    from one level-volume table (see _box_rows); otherwise each set
+    compiles alone through compile_set and its atoms are padded into the
+    rows.  Errors are those of compile_set for the first set that fails.
+    """
+    sets = list(sets)
+    if all(isinstance(piece, ConstantPiece) for piece in p.pieces) and all(
+            E.is_box() for E in sets):
+        return _box_rows(p, [E.box for E in sets])
+    dists = [compile_set(p, E, grid) for E in sets]
+    atoms = max((d.raw.size for d in dists), default=0)
+    levels = max((d.raw.size if d.inf_raw is None else d.inf_raw.size for d in dists), default=0)
+    w, raw = np.zeros((len(dists), atoms)), np.ones((len(dists), atoms))
+    inf_raw = np.full((len(dists), levels), np.nan)
+    for r, d in enumerate(dists):
+        w[r, :d.raw.size] = d.w
+        raw[r, :d.raw.size] = d.raw
+        attained = d.raw if d.inf_raw is None else d.inf_raw
+        inf_raw[r, :attained.size] = attained
+    return _Family(p.pieces, w, raw, np.array([d.measure for d in dists]), inf_raw)
+
+
+def _box_rows(p, boxes):
+    """Rows of the indicators of boxes against a constant-piece exponent.
+
+    The level-volume table cuts the domain at every piece edge into the
+    cells of _first_piece_cells and gives each cell the level (distinct raw
+    value) of the first piece that covers it; on a line, runs of one level
+    merge into one cell.  The volume W_j a box owns at level j is linear in
+    the table: the sum over the cells of level j of the cell volume inside
+    the box, a product of one clipped length per axis.  Every term is one
+    difference of nearby numbers, so W_j keeps its relative precision
+    however small the box is against the domain.  Levels are ordered by the
+    first piece that owns them, which keeps the atom order of _compile_box
+    when the pieces have distinct values.
+    """
+    n = p.dimension
+    for box in boxes:
+        if len(box) != n:
+            raise PreconditionError(f"a {len(box)}-D box against a {n}-D exponent")
+    edges, owner, _ = _first_piece_cells(p.pieces, p.domain)
+    values = []
+    for k in np.unique(owner[owner >= 0]).tolist():
+        if p.pieces[k].value not in values:
+            values.append(p.pieces[k].value)
+    level = np.array([values.index(pc.value) if pc.value in values else -1
+                      for pc in p.pieces] + [-1])[owner]
+    edges = [np.asarray(e) for e in edges]
+    if n == 1:
+        keep = np.flatnonzero(np.diff(level, prepend=-2, append=-2))
+        edges, level = [edges[0][keep]], level[keep[:-1]]
+    ends = np.array(boxes, dtype=float).reshape(len(boxes), n, 2)
+    dom = np.array(p.domain)
+    lo, hi = np.maximum(ends[:, :, 0], dom[:, 0]), np.minimum(ends[:, :, 1], dom[:, 1])
+    cells = None
+    for axis, e in enumerate(edges):
+        upper = np.minimum(hi[:, axis, None], e[1:])
+        inside = np.maximum(upper - np.maximum(lo[:, axis, None], e[:-1]), 0.0)
+        cells = inside if cells is None else (cells[:, :, None] * inside[:, None, :]).reshape(
+            len(boxes), cells.shape[1] * inside.shape[1])
+    level = level.ravel()
+    order = np.argsort(level, kind="stable")[np.count_nonzero(level < 0):]
+    starts = np.flatnonzero(np.diff(level[order], prepend=-1))
+    if order.size:
+        w = np.add.reduceat(cells[:, order], starts, axis=1)
+    else:
+        w = np.zeros((len(boxes), 0))
+    measure = np.add.reduce(w, axis=1)
+    miss = (hi <= lo).any(axis=1)
+    short = ~miss & (measure < np.multiply.reduce(hi - lo, axis=1) * (1.0 - 1e-9))
+    for r in np.flatnonzero((miss & (n > 1)) | short)[:1].tolist():
+        if miss[r]:
+            raise DomainError("set lies outside the exponent's domain")
+        if n > 1:
+            raise DomainError("box is not covered by the exponent pieces")
+        a, b = float(lo[r, 0]), float(hi[r, 0])
+        raise DomainError(f"interval ({a}, {b}) is not covered by the exponent pieces")
+    raw = np.broadcast_to(np.array(values, dtype=float), w.shape)
+    return _Family(p.pieces, w, raw, measure, np.where(w > 0.0, raw, np.nan))
+
+
+def _mean_inverses(family, p, sets):
+    """Average of 1/p over every set of a compiled family (see _mean_inverse)."""
+    empty = np.flatnonzero(~(family.measure > 0.0))
+    if empty.size:
+        raise _no_measure(sets[empty[0]])
+    return family.integrals(p, _inverse) / family.measure

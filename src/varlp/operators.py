@@ -194,7 +194,11 @@ def averaging_op(f, E, alpha=0.0):
     if measure <= 0.0:
         raise PreconditionError("averaging set must have positive measure")
     integral = _integral(f.values[mask], f.domain.cell_volume)
-    value = measure ** (alpha / n - 1.0) * integral
+    try:
+        scale = measure ** (alpha / n - 1.0)
+    except OverflowError:  # the normalizer of a set of subnormal measure
+        raise _overflows("the averaging operator") from None
+    value = scale * integral
     if not math.isfinite(value):
         raise _overflows("the averaging operator")
     out = np.zeros_like(f.values)
@@ -490,9 +494,15 @@ def covering_cube(pair):
 
 def cube_average(f, cube):
     """Mean of f over a cube, zero-extension convention (unclipped measure).
-    Data on which the mean leaves the float range is refused."""
+    Data on which the mean leaves the float range is refused, and so is a
+    cube whose volume underflows to 0."""
     cells = f.values[f.domain.box_cells(cube.as_box())]
-    average = _integral(cells.ravel(), f.domain.cell_volume) / cube.volume
+    integral = _integral(cells.ravel(), f.domain.cell_volume)
+    volume = cube.volume
+    if not volume > 0.0:
+        raise PreconditionError(f"cube radius {cube.radius!r} is too small: the cube volume "
+                                f"underflows")
+    average = integral / volume
     if not math.isfinite(average):
         raise _overflows("the cube average")
     return average

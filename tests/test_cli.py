@@ -498,11 +498,27 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
       "--policy", "exact"], "maximal_2d"),
 ])
 def test_maximal_artifacts_match_golden_bytes(argv, golden, tmp_path):
+    _assert_golden_bytes(argv, golden, tmp_path)
+
+
+def _assert_golden_bytes(argv, golden, tmp_path):
     out = tmp_path / "run"
     assert main(argv + ["--out", str(out)]) == 0
     for name in ("results.csv", "summary.txt"):
         with open(os.path.join(GOLDEN, golden, name), "rb") as fh:
             assert (out / name).read_bytes() == fh.read(), name
+
+
+# commands whose sets go through the batched norm solve
+@pytest.mark.parametrize("argv, golden", [
+    (["k0scan", "--spec", os.path.join(os.path.dirname(__file__), "data", "twopiece.json"),
+      "--alpha", "0.25", "--num", "50", "--vol-min", "1e-3", "--vol-max", "1e3"], "k0scan"),
+    (["blowup", "--alpha", "0.25", "--t", "5", "--k", "4", "--c-scale", "10"], "blowup"),
+    (["example", "HM_COUNTER"], "hm_counter"),
+    (["example", "EX62", "--j-max", "6"], "ex62"),
+])
+def test_norm_artifacts_match_golden_bytes(argv, golden, tmp_path):
+    _assert_golden_bytes(argv, golden, tmp_path)
 
 
 def test_underflowing_cell_volume_ends_with_an_error_line(tmp_path, capsys):

@@ -37,6 +37,7 @@ from varlp import (
     modular,
     set_measure,
     set_norm,
+    sobolev_dual,
 )
 from varlp.exponent import (
     INF,
@@ -52,7 +53,14 @@ from varlp.exponent import (
     box_volume,
     evaluate,
 )
-from varlp.norms import Distribution, _bump_atoms, compile_set
+from varlp.norms import (
+    Distribution,
+    _bump_atoms,
+    _compile_family,
+    _mean_inverses,
+    _norms,
+    compile_set,
+)
 
 from conftest import FINITE_VALUES, lambda_scan_norm, random_grid_function, random_piecewise_exponent
 
@@ -795,6 +803,25 @@ def test_solver_matches_bisection_on_criterion_02_corpus():
             assert modular(GridFunction(grid, f.values / lam), q) <= 1.0, f"trial {trial}"
 
 
+class _NormRecorder:
+    """A compiled set or family that records (q, a, b) for every interval
+    norm read from it."""
+
+    def __init__(self, inner, intervals, inputs):
+        self.inner, self.intervals, self.inputs = inner, intervals, inputs
+
+    def norm(self, q):
+        self.inputs += [(q, a, b) for a, b in self.intervals]
+        return self.inner.norm(q)
+
+    def norms(self, q):
+        self.inputs += [(q, a, b) for a, b in self.intervals]
+        return self.inner.norms(q)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
 def _interval_norm_inputs(monkeypatch):
     """(p, a, b) of every interval norm the norm and construction tests solve."""
     import varlp.constructions as cons
@@ -802,13 +829,18 @@ def _interval_norm_inputs(monkeypatch):
     inputs = [(two_piece_exponent(1.0, 2.0), 0.0, 2.0),
               (two_piece_exponent(INF, 2.0), 0.0, 2.0),
               (bump_train_exponent(), 0.3, 10.7)]
-    real = cons.interval_indicator_norm
 
-    def record(p, a, b):
-        inputs.append((p, a, b))
-        return real(p, a, b)
+    def intervals(sets):
+        return [E.box[0] for E in sets]
 
-    monkeypatch.setattr(cons, "interval_indicator_norm", record)
+    def record_set(p, E, grid=None):
+        return _NormRecorder(compile_set(p, E, grid), intervals([E]), inputs)
+
+    def record_family(p, sets, grid=None):
+        return _NormRecorder(_compile_family(p, sets, grid), intervals(sets), inputs)
+
+    monkeypatch.setattr(cons, "compile_set", record_set)
+    monkeypatch.setattr(cons, "_compile_family", record_family)
     spec62 = cons.build_ex62()
     spec63, spec64 = cons.build_ex63(0.25, 1.2, 2.0), cons.build_ex64(0.25, 1.2, 2.0)
     for sp, j in ((spec62, 2), (spec62, 3), (spec63, 2), (spec64, 2)):
@@ -1147,3 +1179,154 @@ def test_holder_pairing_holds_on_random_grid_data(cells, data):
     g = GridFunction(grid, np.array(data.draw(data_values)))
     report = holder_pairing_check(f, g, p)
     assert report.holds, report
+
+
+# -- families: many sets, one batched solve ------------------------------------------
+
+
+def _stack(rows):
+    """The solver rows (w, f, v, sup) of several families as one batch,
+    padded to the widest row with w = f = 0."""
+    width = max(w.shape[1] for w, _, _, _ in rows)
+
+    def pad(x, fill):
+        return np.hstack([x, np.full((x.shape[0], width - x.shape[1]), fill)])
+
+    return (np.vstack([pad(w, 0.0) for w, _, _, _ in rows]),
+            np.vstack([pad(f, 0.0) for _, f, _, _ in rows]),
+            np.vstack([pad(v, 1.0) for _, _, v, _ in rows]),
+            np.concatenate([sup for _, _, _, sup in rows]))
+
+
+def _float_range_rows():
+    """(solver rows, closed form or None, table route?) of one interval each:
+    constant exponents over the float range, an interval that misses the
+    domain, and an interval of a bump train."""
+    cases = []
+    for length in (1e-300, 1.0, 1e300, 1.7e308):
+        for value in (1.0, 2.0, 5.0, INF):
+            p = ExponentFunction.constant(value, ((0.0, length),))
+            family = _compile_family(p, [MeasurableSet.from_box(((0.0, length),))])
+            cases.append((family._split(p), 1.0 if value == INF else length ** (1.0 / value), True))
+    p = two_piece_exponent(2.0, INF)
+    cases.append((_compile_family(p, [MeasurableSet.from_box(((3.0, 4.0),))])._split(p), 0.0, True))
+    bumps = bump_train_exponent()
+    family = _compile_family(bumps, [MeasurableSet.from_box(((0.3, 10.7),))])
+    cases.append((family._split(bumps), None, False))
+    return cases
+
+
+def test_batch_rows_keep_their_closed_forms_over_the_float_range():
+    cases = _float_range_rows()
+    batch = _norms(*_stack([rows for rows, _, _ in cases]))
+    for k, (rows, closed, table) in enumerate(cases):
+        alone = _norms(*rows)[0]
+        if closed is not None:
+            assert batch[k] == pytest.approx(closed, rel=1e-13, abs=0.0), f"row {k}"
+        if table:
+            assert batch[k] == alone, f"row {k}: a table row solves bitwise as alone"
+        assert batch[k] == pytest.approx(alone, rel=1e-13, abs=0.0), f"row {k}"
+    bumps = bump_train_exponent()
+    assert batch[-1] == pytest.approx(seed_interval_norm(bumps, 0.3, 10.7), rel=1e-10)
+
+
+def test_batch_rows_do_not_depend_on_their_order(rng):
+    cases = _float_range_rows()
+    batch = _norms(*_stack([rows for rows, _, _ in cases]))
+    for _ in range(5):
+        order = rng.permutation(len(cases))
+        shuffled = _norms(*_stack([cases[k][0] for k in order]))
+        assert shuffled.tobytes() == batch[order].tobytes()
+
+
+def test_family_rows_equal_sets_compiled_alone_bitwise(rng):
+    p = ExponentFunction(dimension=1, domain=((-2.0, 2.0),), pieces=(
+        ConstantPiece(((-1.0, 0.5),), 1.0), ConstantPiece(((0.0, 1.5),), 3.0),
+        ConstantPiece(((-2.0, 2.0),), INF)))
+    sets = [MeasurableSet.from_box(random_box(rng, p.domain)) for _ in range(40)]
+    family = _compile_family(p, sets)
+    for q in (p, conjugate(p)):
+        got = family.norms(q)
+        for k, E in enumerate(sets):
+            assert got[k] == _compile_family(p, [E]).norms(q)[0], f"set {k}"
+            assert got[k] == pytest.approx(set_norm(q, E), rel=1e-13, abs=0.0), f"set {k}"
+
+
+def test_family_raises_what_compile_set_raises():
+    holed = ExponentFunction(dimension=2, domain=((0.0, 2.0), (0.0, 1.0)),
+                             pieces=(ConstantPiece(((0.0, 1.0), (0.0, 1.0)), 2.0),
+                                     ConstantPiece(((1.5, 2.0), (0.0, 1.0)), 3.0)))
+    gap = ExponentFunction(dimension=1, domain=((0.0, 3.0),),
+                           pieces=two_piece_exponent(1.0, 2.0).pieces)
+    cases = [(holed, [((0.1, 0.9), (0.0, 1.0)), ((0.5, 1.8), (0.0, 1.0))]),
+             (holed, [((0.1, 0.9), (0.0, 1.0)), ((3.0, 4.0), (0.0, 1.0))]),
+             (gap, [((0.5, 1.5),), ((4.0, 5.0),), ((0.5, 2.5),), ((2.5, 2.9),)])]
+    for p, boxes in cases:
+        sets = [MeasurableSet.from_box(box) for box in boxes]
+        with pytest.raises(DomainError) as alone:
+            for E in sets:
+                compile_set(p, E)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(alone.value))}$"):
+            _compile_family(p, sets)
+
+
+def _random_constant_exponent(rng, dimension):
+    """Up to 8 overlapping constant pieces on [-2, 2]^n, values 1 to inf,
+    that may stick out of the domain or leave gaps, often closed by a piece
+    over the whole domain."""
+    values = FINITE_VALUES + (INF,)
+    pieces = []
+    for _ in range(int(rng.integers(1, 9))):
+        lo = rng.uniform(-2.5, 2.0, dimension)
+        hi = lo + rng.uniform(1e-3, 2.5, dimension)
+        pieces.append(ConstantPiece(tuple(zip(lo.tolist(), hi.tolist())),
+                                    values[int(rng.integers(0, len(values)))]))
+    if rng.random() < 0.7:
+        pieces.append(ConstantPiece(((-2.0, 2.0),) * dimension, values[int(rng.integers(0, 7))]))
+    return ExponentFunction(dimension=dimension, domain=((-2.0, 2.0),) * dimension,
+                            pieces=tuple(pieces))
+
+
+def _random_family_boxes(rng, p):
+    """Boxes that meet the domain: random ones, tiny ones far from the
+    origin, and ones that end on piece edges."""
+    boxes = [random_box(rng, p.domain) for _ in range(6)]
+    for _ in range(3):
+        center = rng.uniform(-1.9, 1.9, p.dimension)
+        half = 10.0 ** rng.uniform(-12, -6)
+        boxes.append(tuple((c - half, c + half) for c in center.tolist()))
+    for _ in range(3):
+        piece = p.pieces[int(rng.integers(0, len(p.pieces)))]
+        boxes.append(tuple(sorted((x, float(rng.uniform(-2.0, 2.0))))
+                           for x, _ in piece.box))
+    return [box for box in boxes if all(hi > lo for lo, hi in box)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dimension=st.sampled_from([1, 2]))
+def test_table_rows_match_compile_set(seed, dimension):
+    rng = np.random.default_rng(seed)
+    p = _random_constant_exponent(rng, dimension)
+    sets = []
+    for box in _random_family_boxes(rng, p):
+        E = MeasurableSet.from_box(box)
+        try:
+            compile_set(p, E)
+        except DomainError:
+            continue
+        sets.append(E)
+    family = _compile_family(p, sets)
+    bounded = all(piece.value <= dimension / 0.1 for piece in p.pieces)
+    duals = [sobolev_dual(p, 0.1)] if bounded and sets else []
+    for q in [p, conjugate(p)] + duals:
+        for E, got in zip(sets, family.norms(q)):
+            want = compile_set(p, E).norm(q)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), E.box
+    compiled = [compile_set(p, E) for E in sets]
+    for E, dist, measure in zip(sets, compiled, family.measure):
+        assert measure == pytest.approx(dist.measure, rel=1e-13, abs=0.0), E.box
+    met = [E for E, dist in zip(sets, compiled) if dist.measure > 0.0]
+    if met:
+        means = _mean_inverses(_compile_family(p, met), p, met)
+        for E, got in zip(met, means):
+            assert got == pytest.approx(mean_inverse_exponent(p, E), rel=1e-13, abs=0.0), E.box

@@ -885,6 +885,15 @@ def test_czo_pair_bound_matches_reference_bitwise(tmp_path, monkeypatch):
         czo_pair_lower_bound(kern, f, make_tu_pair(Cube((0.5, 2.0), 0.25), 40.0))
 
 
+def test_averaging_op_of_a_subnormal_set_raises_precondition():
+    # measure 2e-311 makes the normalizer measure^(alpha/n - 1) overflow
+    line = GridDomain(((0.0, 2e-300),), (2,))
+    ones = GridFunction(line, np.ones(2))
+    with pytest.raises(PreconditionError,
+                       match="^the averaging operator overflows the float range on this data$"):
+        averaging_op(ones, Cube((5e-301,), 1e-311))
+
+
 def test_underflowing_cell_volume_raises_precondition():
     # h = 1.25e-171 is a normal float, but h^2 underflows to 0
     plane = GridDomain(((0.0, 2e-170), (0.0, 2e-170)), (16, 16))
@@ -898,3 +907,12 @@ def test_underflowing_cell_volume_raises_precondition():
     for name, run in runs.items():
         with pytest.raises(PreconditionError, match="cell width 1.25e-171 is too small"):
             run()
+
+
+def test_cube_average_of_an_underflowing_cube_raises_precondition():
+    # normal cells, but the cube volume (2e-170)^2 underflows to 0
+    plane = GridDomain(((0.0, 1.0), (0.0, 1.0)), (10, 10))
+    ones = GridFunction(plane, np.ones((10, 10)))
+    with pytest.raises(PreconditionError,
+                       match="^cube radius 1e-170 is too small: the cube volume underflows$"):
+        cube_average(ones, Cube((0.05, 0.05), 1e-170))
