@@ -43,7 +43,6 @@ from .grid import Cube, GridDomain, GridFunction, MeasurableSet
 from .k0 import minimal_harmonic_mean_cube
 from .norms import (
     _compile_family,
-    _mean_inverse,
     _mean_inverses,
     compile_set,
     duality_constant,
@@ -874,7 +873,7 @@ def witness_check(spec, j_values):
         measure = b - a
         interval = MeasurableSet.from_box(((a, b),))
         dist = compile_set(target, interval)
-        inv_mean = _mean_inverse(dist, target, interval)
+        inv_mean = float(_mean_inverses(dist, target, [interval]))
         mean = INF if inv_mean == 0.0 else 1.0 / inv_mean
         lam = j * measure ** (1.0 / mean)
         rho = dist.modular(target, lam)
@@ -900,7 +899,7 @@ def witness_norm_check(spec, j):
     a, b = witness_interval(spec, j)
     interval = MeasurableSet.from_box(((a, b),))
     dist = compile_set(target, interval)
-    inv_mean = _mean_inverse(dist, target, interval)
+    inv_mean = float(_mean_inverses(dist, target, [interval]))
     mean = INF if inv_mean == 0.0 else 1.0 / inv_mean
     lam = j * (b - a) ** (1.0 / mean)
     return dist.norm(target), lam

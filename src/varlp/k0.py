@@ -20,6 +20,7 @@ from .exponent import INF, conjugate, sobolev_dual
 from .grid import Cube, GridFunction, MeasurableSet
 from .norms import (
     _compile_family,
+    _inverse,
     _mean_inverses,
     compile_set,
     duality_constant,
@@ -352,11 +353,18 @@ def _cube_mean_reader(p, E, grid):
     if grid is None:
         def exact_means(axes, radius):
             shape = tuple(len(a) for a in axes)
-            if not E.is_box():  # a non-box set needs a grid: no cube has a mean
-                return np.full(shape, np.nan)
             sets = [E.intersect_box(Cube([a[i] for a, i in zip(axes, idx)], radius).as_box())
                     for idx in np.ndindex(shape)]
-            return _mean_inverses(_compile_family(p, sets), p, sets).reshape(shape)
+            try:
+                compiled = _compile_family(p, sets)
+            except PreconditionError:  # e.g. a sublevel set and no grid: no cube has a mean
+                return np.full(shape, np.nan)
+            if E.is_box():  # a cube outside the domain raises, as for one set
+                return _mean_inverses(compiled, p, sets).reshape(shape)
+            measure = compiled.measure  # a cube without cells of E has no mean
+            inv = np.divide(compiled.integrals(p, _inverse), measure,
+                            out=np.full(measure.shape, np.nan), where=measure > 0.0)
+            return inv.reshape(shape)
 
         return exact_means
 

@@ -18,14 +18,16 @@ a pre-transform exponent value.  Three routes compile:
   and weight sup |f| over it (1 for an indicator).
 
 A family of sets (the cubes of a K0 scan, the intervals of a witness
-ladder) compiles into one rows x atoms matrix, one row per set, padded
-with atoms of weight 0.  When every piece is constant and every set a box,
-the rows come from one level-volume table per call: the domain cut at
-every piece edge into cells, each labelled with the distinct value of the
-piece that owns it, so the volume a box owns at each value is a sum of
-clipped cell volumes and no box compiles alone.  Bump exponents and mask
-or sublevel sets compile each set through the routes above and pad it
-into the matrix.
+ladder) compiles into one Distribution whose arrays are a rows x atoms
+matrix, one row per set, padded with atoms of weight 0.  When every piece
+is constant and every set a box, the rows come from one level-volume
+table per call: the domain cut at every piece edge into cells, each
+labelled with the distinct value of the piece that owns it, so the volume
+a box owns at each value is a sum of clipped cell volumes and no box
+compiles alone.  Bump exponents and mask or sublevel sets compile each
+set through the routes above and pad it into the matrix.  A single box
+keeps the box route: it cuts only the box, not the whole domain, and
+gives one atom per piece.
 
 An integral of g(p) over a compiled set is the sum of w_i g(v_i) over its
 atoms.  The Luxemburg norm lam = exp(t) solves
@@ -64,6 +66,8 @@ from .exponent import (
 # the cap only turns a broken invariant into an error instead of a hang
 _NEWTON_STEPS = 200
 _CONTRACT_STEPS = 64
+# box-cell products per pass of the level-volume table
+_TABLE_BLOCK = 1 << 18
 
 
 # -- compiled distributions ---------------------------------------------------
@@ -71,26 +75,31 @@ _CONTRACT_STEPS = 64
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """Exponent values over one set or grid function, compiled once.
+    """Exponent values over one set or grid function, or over a family of
+    sets, compiled once.
 
-    Atom i carries the measure ``w[i]``, the value ``f[i]`` of |f| and the
-    pre-transform exponent value ``raw[i]``; ``w`` and ``f`` may be scalars
-    shared by all atoms.  The sup of |f| over {p = inf} is read from the
-    atoms themselves, unless ``inf_raw`` is given: then the compiled set is
-    an indicator and {p = inf} has positive measure exactly when one of
-    those pre-transform values maps to inf.  ``measure`` is the measure of
-    the compiled set (for a grid function, of the cells where f != 0).
+    One set compiles into one row of atoms: atom i carries the measure
+    ``w[i]``, the value ``f[i]`` of |f| and the pre-transform exponent value
+    ``raw[i]``, and ``measure`` is the measure of the compiled set (for a
+    grid function, of the cells where f != 0).  A family compiles into a
+    rows x atoms matrix, row r for set r, with one measure per row; w = 0
+    marks padding or a value the set does not meet.  ``w`` and ``f`` may be
+    scalars shared by all atoms.  The sup of |f| over {p = inf} is read from
+    the atoms themselves, unless ``inf_raw`` is given: then every compiled
+    set is an indicator and {p = inf} has positive measure in it exactly
+    when one of its pre-transform values (nan-padded in a family) maps to
+    inf.
 
-    Every read takes the exponent q to apply.  q must share the pieces of
-    the compiled exponent; it may be that exponent, its conjugate or its
-    fractional dual.
+    Every read takes the exponent q to apply and gives one value per row.
+    q must share the pieces of the compiled exponent; it may be that
+    exponent, its conjugate or its fractional dual.
     """
 
     pieces: tuple
     w: object
     f: object
     raw: np.ndarray
-    measure: float
+    measure: object
     inf_raw: np.ndarray | None = None
 
     def values(self, q):
@@ -98,36 +107,54 @@ class Distribution:
         return _values(self.pieces, q, self.raw)
 
     def _split(self, q):
-        """(w, f, v) on the atoms where q is finite, and sup |f| over {q = inf}."""
+        """(w, f, v) on the atoms where q is finite, and sup |f| over {q = inf}.
+
+        One set keeps only those atoms; in a family the others become
+        padding with w = f = 0, so every row keeps its width."""
         v = self.values(q)
         finite = np.isfinite(v)
         if self.inf_raw is not None:
-            sup = float(np.isinf(_tf_array(q.transforms, self.inf_raw)).any())
+            sup = np.isinf(_tf_array(q.transforms, self.inf_raw)).any(axis=-1)
         else:
-            sup = float(np.broadcast_to(self.f, v.shape)[~finite].max(initial=0.0))
-        if finite.all():
-            return self.w, self.f, v, sup
-        return _atoms_where(self.w, finite), _atoms_where(self.f, finite), v[finite], sup
+            sup = np.where(finite, 0.0, self.f).max(axis=-1, initial=0.0)
+        sup = np.asarray(sup, dtype=float)
+        if v.ndim == 1:
+            if finite.all():
+                return self.w, self.f, v, sup
+            return _atoms_where(self.w, finite), _atoms_where(self.f, finite), v[finite], sup
+        live = finite & (self.w > 0.0)
+        return (np.where(live, self.w, 0.0), np.where(live, self.f, 0.0),
+                np.where(live, v, 1.0), sup)
 
-    def integral(self, q, g):
-        """Integral of g(q) over the compiled set: the sum of w_i g(q_i).
+    def integrals(self, q, g):
+        """Integral of g(q) over every compiled set: the sum of w_i g(q_i).
 
         g is a vectorized nonnegative function of the exponent values; it
         sees inf where q is infinite and should map it to something finite.
         """
-        return float(np.sum(self.w * g(self.values(q))))
+        return np.add.reduce(self.w * g(self.values(q)), axis=-1)
+
+    def integral(self, q, g):
+        """Integral of g(q) over the one compiled set."""
+        return float(self.integrals(q, g))
 
     def modular(self, q, lam):
-        """Modular of f / lam in q."""
+        """Modular of f / lam in q, for one compiled set."""
         if not lam > 0.0:
             raise PreconditionError(f"scale lambda must be positive, got {lam}")
         with np.errstate(over="ignore"):
             return float(_modular(*self._split(q), lam))
 
+    def norms(self, q):
+        """Luxemburg norm in q of every compiled set, all rows in one solve."""
+        w, f, v, sup = self._split(q)
+        if v.ndim == 1:  # one set: a batch of one
+            return _norms(_one_row(w), _one_row(f), v[None], sup[None])[0]
+        return _norms(w, f, v, sup)
+
     def norm(self, q):
         """Luxemburg norm in q: the least lam with modular(q, lam) <= 1."""
-        w, f, v, sup = self._split(q)
-        return float(_norms(_one_row(w), _one_row(f), v[None], np.array([sup]))[0])
+        return float(self.norms(q))
 
 
 def _values(pieces, q, raw):
@@ -406,16 +433,11 @@ def _compile_box(p, box):
         raise PreconditionError(f"a {len(box)}-D box against a {p.dimension}-D exponent")
     clipped = box_intersect(box, p.domain)
     if clipped is None:
-        if p.dimension > 1:
-            raise DomainError("set lies outside the exponent's domain")
+        _check_covered(p.dimension, None, 0.0)
         return Distribution(p.pieces, np.zeros(0), 1.0, np.zeros(0), 0.0, np.zeros(0))
     edges, owner, volumes = _first_piece_cells(p.pieces, clipped)
     measure = sum((v for v in volumes if v > 0.0), 0.0)
-    if measure < box_volume(clipped) * (1.0 - 1e-9):
-        if p.dimension > 1:
-            raise DomainError("box is not covered by the exponent pieces")
-        (a, b), = clipped
-        raise DomainError(f"interval ({a}, {b}) is not covered by the exponent pieces")
+    _check_covered(p.dimension, clipped, measure)
     ws, raws, inf_raw = [], [], []
     bumped = False
     for k, (piece, v) in enumerate(zip(p.pieces, volumes)):
@@ -438,6 +460,20 @@ def _compile_box(p, box):
     w, raw = stack(ws), stack(raws).astype(float, copy=False)
     keep = w > 0.0
     return Distribution(p.pieces, w[keep], 1.0, raw[keep], measure, np.array(inf_raw, dtype=float))
+
+
+def _check_covered(n, clipped, measure):
+    """Refuse an n-D box whose part in the exponent's domain, clipped (None
+    when it misses the domain), the pieces own only measure of.  An
+    interval that misses the domain is no error: it compiles to no atoms."""
+    if clipped is None:
+        if n > 1:
+            raise DomainError("set lies outside the exponent's domain")
+    elif measure < box_volume(clipped) * (1.0 - 1e-9):
+        if n > 1:
+            raise DomainError("box is not covered by the exponent pieces")
+        (a, b), = clipped
+        raise DomainError(f"interval ({a}, {b}) is not covered by the exponent pieces")
 
 
 def interval_integral(p, a, b, g):
@@ -512,17 +548,19 @@ def _no_measure(E):
     return PreconditionError("set has no cells on this grid")
 
 
-def _mean_inverse(dist, p, E):
-    """Average of 1/p over the set E compiled into dist, with 1/inf = 0."""
-    if dist.measure <= 0.0:
-        raise _no_measure(E)
-    return dist.integral(p, _inverse) / dist.measure
+def _mean_inverses(dist, p, sets):
+    """Average of 1/p over every set compiled into dist, with 1/inf = 0;
+    the error of _no_measure for the first set of measure 0."""
+    empty = np.flatnonzero(~(np.asarray(dist.measure) > 0.0))
+    if empty.size:
+        raise _no_measure(sets[empty[0]])
+    return dist.integrals(p, _inverse) / dist.measure
 
 
 def mean_inverse_exponent(p, E, grid=None):
     """Average of 1/p over the set (clipped to the exponent's domain),
     with 1/inf = 0."""
-    return _mean_inverse(compile_set(p, E, grid), p, E)
+    return float(_mean_inverses(compile_set(p, E, grid), p, [E]))
 
 
 def harmonic_mean(p, E, grid=None):
@@ -532,46 +570,6 @@ def harmonic_mean(p, E, grid=None):
 
 
 # -- families of sets: one row per set ----------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class _Family:
-    """Many sets compiled against one exponent, one row of atoms per set.
-
-    Row r of ``w`` and ``raw`` holds the measures and pre-transform
-    exponent values of set r's atoms; w = 0 marks padding or a value the
-    set does not meet.  ``inf_raw[r]`` lists the pre-transform values set r
-    attains on positive measure, nan-padded, so {q = inf} has positive
-    measure in it exactly when one of them maps to inf.  ``measure[r]`` is
-    the measure of set r as compiled.  Reads take the exponent q to apply,
-    as for Distribution, and return one value per row.
-    """
-
-    pieces: tuple
-    w: np.ndarray
-    raw: np.ndarray
-    measure: np.ndarray
-    inf_raw: np.ndarray
-
-    def values(self, q):
-        return _values(self.pieces, q, self.raw)
-
-    def integrals(self, q, g):
-        """Integral of g(q) over every set (see Distribution.integral)."""
-        return np.add.reduce(self.w * g(self.values(q)), axis=1)
-
-    def _split(self, q):
-        """The rows (w, f, v, sup) of _norms: atoms where q is infinite become
-        padding, and sup is 1 where {q = inf} has positive measure."""
-        v = self.values(q)
-        live = np.isfinite(v) & (self.w > 0.0)
-        sup = np.isinf(_tf_array(q.transforms, self.inf_raw)).any(axis=1)
-        return (np.where(live, self.w, 0.0), live.astype(float), np.where(live, v, 1.0),
-                sup.astype(float))
-
-    def norms(self, q):
-        """Luxemburg norm in q of every set's indicator, all rows in one solve."""
-        return _norms(*self._split(q))
 
 
 def _compile_family(p, sets, grid=None):
@@ -596,7 +594,7 @@ def _compile_family(p, sets, grid=None):
         raw[r, :d.raw.size] = d.raw
         attained = d.raw if d.inf_raw is None else d.inf_raw
         inf_raw[r, :attained.size] = attained
-    return _Family(p.pieces, w, raw, np.array([d.measure for d in dists]), inf_raw)
+    return Distribution(p.pieces, w, 1.0, raw, np.array([d.measure for d in dists]), inf_raw)
 
 
 def _box_rows(p, boxes):
@@ -609,9 +607,11 @@ def _box_rows(p, boxes):
     the table: the sum over the cells of level j of the cell volume inside
     the box, a product of one clipped length per axis.  Every term is one
     difference of nearby numbers, so W_j keeps its relative precision
-    however small the box is against the domain.  Levels are ordered by the
-    first piece that owns them, which keeps the atom order of _compile_box
-    when the pieces have distinct values.
+    however small the box is against the domain.  The boxes pass in blocks
+    of at most _TABLE_BLOCK box-cell products, so memory does not grow with
+    the family.  Levels are ordered by the first piece that owns them, which
+    keeps the atom order of _compile_box when the pieces have distinct
+    values.
     """
     n = p.dimension
     for box in boxes:
@@ -628,39 +628,25 @@ def _box_rows(p, boxes):
     if n == 1:
         keep = np.flatnonzero(np.diff(level, prepend=-2, append=-2))
         edges, level = [edges[0][keep]], level[keep[:-1]]
-    ends = np.array(boxes, dtype=float).reshape(len(boxes), n, 2)
-    dom = np.array(p.domain)
-    lo, hi = np.maximum(ends[:, :, 0], dom[:, 0]), np.minimum(ends[:, :, 1], dom[:, 1])
-    cells = None
-    for axis, e in enumerate(edges):
-        upper = np.minimum(hi[:, axis, None], e[1:])
-        inside = np.maximum(upper - np.maximum(lo[:, axis, None], e[:-1]), 0.0)
-        cells = inside if cells is None else (cells[:, :, None] * inside[:, None, :]).reshape(
-            len(boxes), cells.shape[1] * inside.shape[1])
     level = level.ravel()
     order = np.argsort(level, kind="stable")[np.count_nonzero(level < 0):]
     starts = np.flatnonzero(np.diff(level[order], prepend=-1))
-    if order.size:
-        w = np.add.reduceat(cells[:, order], starts, axis=1)
-    else:
-        w = np.zeros((len(boxes), 0))
+    ends = np.array(boxes, dtype=float).reshape(len(boxes), n, 2)
+    dom = np.array(p.domain)
+    lo, hi = np.maximum(ends[:, :, 0], dom[:, 0]), np.minimum(ends[:, :, 1], dom[:, 1])
+    w = np.zeros((len(boxes), starts.size))
+    step = max(1, _TABLE_BLOCK // level.size)
+    for r in range(0, len(boxes) if order.size else 0, step):
+        cells = None
+        for axis, e in enumerate(edges):
+            upper = np.minimum(hi[r:r + step, axis, None], e[1:])
+            inside = np.maximum(upper - np.maximum(lo[r:r + step, axis, None], e[:-1]), 0.0)
+            cells = inside if cells is None else (cells[:, :, None] * inside[:, None, :]).reshape(
+                len(inside), cells.shape[1] * inside.shape[1])
+        w[r:r + step] = np.add.reduceat(cells[:, order], starts, axis=1)
     measure = np.add.reduce(w, axis=1)
-    miss = (hi <= lo).any(axis=1)
-    short = ~miss & (measure < np.multiply.reduce(hi - lo, axis=1) * (1.0 - 1e-9))
-    for r in np.flatnonzero((miss & (n > 1)) | short)[:1].tolist():
-        if miss[r]:
-            raise DomainError("set lies outside the exponent's domain")
-        if n > 1:
-            raise DomainError("box is not covered by the exponent pieces")
-        a, b = float(lo[r, 0]), float(hi[r, 0])
-        raise DomainError(f"interval ({a}, {b}) is not covered by the exponent pieces")
+    short = (hi <= lo).any(axis=1) | (measure < np.multiply.reduce(hi - lo, axis=1) * (1.0 - 1e-9))
+    for r in np.flatnonzero(short).tolist():
+        _check_covered(n, box_intersect(boxes[r], p.domain), float(measure[r]))
     raw = np.broadcast_to(np.array(values, dtype=float), w.shape)
-    return _Family(p.pieces, w, raw, measure, np.where(w > 0.0, raw, np.nan))
-
-
-def _mean_inverses(family, p, sets):
-    """Average of 1/p over every set of a compiled family (see _mean_inverse)."""
-    empty = np.flatnonzero(~(family.measure > 0.0))
-    if empty.size:
-        raise _no_measure(sets[empty[0]])
-    return family.integrals(p, _inverse) / family.measure
+    return Distribution(p.pieces, w, 1.0, raw, measure, np.where(w > 0.0, raw, np.nan))

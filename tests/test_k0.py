@@ -539,6 +539,60 @@ def test_cube_mean_reader_matches_per_cube_means():
         assert got[idx] == pytest.approx(want, rel=1e-12, abs=0.0), f"cube at {cube.center}"
 
 
+def _per_cube_means(p, E, axes, r):
+    """The replaced grid-less reader: each E cap Q compiled alone, nan where
+    that raises PreconditionError (a cube without cells of a mask set)."""
+    out = np.full(tuple(len(a) for a in axes), np.nan)
+    for idx in np.ndindex(out.shape):
+        cube = Cube([a[i] for a, i in zip(axes, idx)], r)
+        try:
+            out[idx] = mean_inverse_exponent(p, E.intersect_box(cube.as_box()))
+        except PreconditionError:
+            continue
+    return out
+
+
+def _mask_case(dimension):
+    """(p, D, r, spacing, grid) with a random mask grid over D."""
+    if dimension == 1:
+        return (two_piece(1.5, 3.0, split=2.3, hi=4.0), Cube((2.0,), 2.0), 0.3, 0.07,
+                GridDomain(((0.0, 4.0),), (64,)))
+    return (frame_exponent(0.3), Cube((0.0, 0.0), 1.0), 0.4, 0.1,
+            GridDomain(((-1.0, 1.0), (-1.0, 1.0)), (32, 32)))
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_cube_mean_reader_without_grid_reads_a_mask_set_on_its_own_grid(dimension):
+    p, D, r, _, grid = _mask_case(dimension)
+    rng = np.random.default_rng(dimension)
+    mask = rng.random(grid.cells) < 0.8
+    mask[(slice(0, grid.cells[0] // 4),) * dimension] = False  # cubes in here miss E
+    E = MeasurableSet.from_mask(grid, mask)
+    axes = [np.linspace(lo + 0.1, hi - 0.1, 15) for lo, hi in D.as_box()]
+    got = _cube_mean_reader(p, E, None)(axes, 0.1)
+    want = _per_cube_means(p, E, axes, 0.1)
+    assert np.isnan(want).any() and not np.isnan(want).all()
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    met = ~np.isnan(want)
+    np.testing.assert_allclose(got[met], want[met], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_minimal_cube_of_a_mask_set_without_grid_matches_per_cube_means(dimension):
+    p, D, r, spacing, grid = _mask_case(dimension)
+    rng = np.random.default_rng(10 + dimension)
+    E = MeasurableSet.from_mask(grid, rng.random(grid.cells) < 0.95)
+    got = minimal_harmonic_mean_cube(p, D, r, E, spacing=spacing)
+    axes = [_reference_center_lattice(D.center[i], D.radius - r, spacing)
+            for i in range(dimension)]
+    means = _per_cube_means(p, E, axes, r)
+    best_inv, best_idx = -1.0, None
+    for idx in np.ndindex(means.shape):
+        if means[idx] > best_inv * (1.0 + 1e-15):
+            best_inv, best_idx = means[idx], idx
+    assert got == Cube([a[i] for a, i in zip(axes, best_idx)], r)
+
+
 def _raised(fn, *args, **kwargs):
     with pytest.raises((PreconditionError, ConstructionError, DomainError)) as info:
         fn(*args, **kwargs)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1268,6 +1269,36 @@ def test_family_raises_what_compile_set_raises():
                 compile_set(p, E)
         with pytest.raises(DomainError, match=f"^{re.escape(str(alone.value))}$"):
             _compile_family(p, sets)
+
+
+def test_table_rows_of_a_many_piece_plane_match_sets_compiled_alone(rng):
+    # 64 nested squares cut the plane into 127^2 cells, so a family of 200
+    # boxes reads the level-volume table in several blocks
+    p = nested_exponent(64, 2)
+    sets = [MeasurableSet.from_box(random_box(rng, p.domain)) for _ in range(200)]
+    family = _compile_family(p, sets)
+    alone = [_compile_family(p, [E]) for E in sets]
+    compiled = [compile_set(p, E) for E in sets]
+    for q in (p, conjugate(p)):
+        got = family.norms(q)
+        for k, E in enumerate(sets):
+            assert got[k] == alone[k].norms(q)[0], f"set {k}"
+            assert got[k] == pytest.approx(compiled[k].norm(q), rel=1e-13, abs=0.0), f"set {k}"
+    for k, dist in enumerate(compiled):
+        assert family.measure[k] == pytest.approx(dist.measure, rel=1e-13, abs=0.0), f"set {k}"
+
+
+def test_table_memory_does_not_grow_with_the_family(rng):
+    # one dense boxes x cells table of this family would take 2 x 65 MB
+    p = nested_exponent(64, 2)
+    sets = [MeasurableSet.from_box(random_box(rng, p.domain)) for _ in range(500)]
+    tracemalloc.start()
+    try:
+        _compile_family(p, sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def _random_constant_exponent(rng, dimension):
