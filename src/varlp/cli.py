@@ -412,9 +412,10 @@ _WORK_RANGES = {"--num": (1, 10_000), "--count": (1, 10_000), "--j-max": (2, 10_
                 "--rmax": (4, 1000), "--cells-per-radius": (1, 4096)}
 
 # the most cells a grid built from --cells may hold in all, and the most
-# paircheck's line may hold.  At these ceilings EXACT maximal takes about 5 s
-# on a line and 0.6-0.8 s on 256^2 cells (7.9 s on 512^2), and paircheck
-# about 5 s for 25 pairs, on 2 vCPUs
+# paircheck's line may hold.  At these ceilings EXACT maximal takes about
+# 0.8 s on a line (half of it writing results.csv) and 0.6-1.1 s on 256^2
+# cells (7.9 s on 512^2), and paircheck about 0.3-0.4 s for 25 pairs, on
+# 2 vCPUs
 _MAX_GRID_CELLS = 1 << 16
 _MAX_PAIRCHECK_CELLS = 1 << 14
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, DomainError, PreconditionError
-from .exponent import INF, conjugate, sobolev_dual
+from .exponent import INF, box_intersect, box_volume, conjugate, sobolev_dual
 from .grid import Cube, GridFunction, MeasurableSet
 from .norms import (
     _compile_family,
@@ -124,9 +124,19 @@ def k0alpha_constant(p, alpha, family, grid=None):
     return _k0_report(alpha, p.dimension, family, measures, compiled.norms(pc), compiled.norms(q))
 
 
+def _measure_in_domain(p, E, grid):
+    """measure(E cap domain), read from the two boxes when E is a box."""
+    if not E.is_box():
+        return set_measure(E.intersect_box(p.domain), grid)
+    both = box_intersect(E.box, p.domain)
+    if both is None:
+        raise DomainError("intersection with box is empty")
+    return box_volume(both)
+
+
 def _family_measures(p, family, grid):
     """measure(E cap domain) of every set of the family, each positive."""
-    measures = [set_measure(E.intersect_box(p.domain), grid) for E in family]
+    measures = [_measure_in_domain(p, E, grid) for E in family]
     for i, measure in enumerate(measures):
         if measure <= 0.0:
             raise PreconditionError(f"family set {i} has measure {measure}")

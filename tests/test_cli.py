@@ -496,6 +496,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
     (["example", "L1_FAILURE", "--alpha", "0", "--rmax", "100"], "l1_failure"),
     (["maximal", "--box=-0.5,0.5;-0.5,0.5", "--alpha", "0.5", "--cells", "32",
       "--policy", "exact"], "maximal_2d"),
+    (["paircheck", "--alpha", "0.5", "--mode", "maximal", "--count", "25", "--seed", "3"],
+     "paircheck_maximal"),
 ])
 def test_maximal_artifacts_match_golden_bytes(argv, golden, tmp_path):
     _assert_golden_bytes(argv, golden, tmp_path)

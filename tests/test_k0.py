@@ -36,7 +36,7 @@ from varlp import (
     subdivision_identity_gap,
 )
 from varlp.exponent import INF, ConstantPiece
-from varlp.k0 import SandwichRow, _cube_mean_reader
+from varlp.k0 import SandwichRow, _cube_mean_reader, _family_measures
 from varlp.norms import compile_set, mean_inverse_exponent, set_measure
 
 import varlp.constructions as cx
@@ -666,3 +666,24 @@ def test_cube_property_witnesses():
         offset.check_cube_property()
     with pytest.raises(PreconditionError):
         CubeFamily((E,), witnesses=(), cube_property=True)
+
+
+def test_family_measures_read_boxes_directly_bitwise():
+    # boxes read their clipped volume; a sublevel set still goes through set_measure
+    p = two_piece(1.5, 3.0)
+    rng = np.random.default_rng(3)
+    centers, radii = rng.uniform(0.01, 1.99, 40), rng.uniform(1e-9, 1.5, 40)
+    sets = [MeasurableSet.from_box(((c - r, c + r),)) for c, r in zip(centers, radii)]
+    sets += [MeasurableSet.from_cube(Cube((0.3,), 1e-12)),
+             MeasurableSet.from_sublevel(p, 2.0, within=((0.5, 1.5),))]
+    grid = GridDomain(((0.0, 2.0),), (64,))
+    got = _family_measures(p, CubeFamily(sets), grid)
+    want = [set_measure(E.intersect_box(p.domain), grid) for E in sets]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_family_measures_of_a_box_outside_the_domain_raise():
+    p = two_piece(1.5, 3.0)
+    family = CubeFamily.from_boxes([((0.5, 1.0),), ((2.5, 3.0),)])
+    with pytest.raises(DomainError, match="^intersection with box is empty$"):
+        _family_measures(p, family, None)

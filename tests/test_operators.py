@@ -419,19 +419,30 @@ def maximal_inputs():
         ("spacing-3.75", GridFunction(line_grid(0.0, 1500.0, 400), rng.uniform(0.0, 1.0, 400))),
         # DYADIC radii run to 128
         ("cells-100", GridFunction(line_grid(0.0, 1.0, 100), rng.uniform(-1.0, 2.0, 100))),
+        # the support-covering seeds: a support that reaches the right end, so
+        # the window edges past it read the padded end sample, and one cell
+        ("support-at-end", GridFunction(line_grid(0.0, 1.0, 400),
+                                        np.where(np.arange(400) >= 330, rng.uniform(0.5, 2.0, 400), 0.0))),
+        ("single-cell", GridFunction(line_grid(0.0, 1.0, 301), np.eye(1, 301, 117)[0] * 3.0)),
+        ("negative-zeros-one-cell", GridFunction(line_grid(0.0, 1.0, 300),
+                                                 np.where(np.arange(300) == 41, 0.75, -0.0))),
     ]
     for name, f in fixed:
         yield name, lambda rng, f=f: f
 
 
 MAXIMAL_INPUTS = list(maximal_inputs())
+# the 1-D inputs that are small enough for bounds of one radius
+LINE_INPUTS = [(name, make) for name, make in MAXIMAL_INPUTS
+               if name in ("l1-failure", "lognormal", "cells-3", "support-at-end", "single-cell",
+                           "negative-zeros-one-cell")]
 
 
 @pytest.mark.parametrize("make", [make for _, make in MAXIMAL_INPUTS],
                          ids=[name for name, _ in MAXIMAL_INPUTS])
 @pytest.mark.parametrize("policy", [EXACT, DYADIC])
 def test_maximal_matches_reference_bitwise(make, policy, rng, monkeypatch):
-    # the small block takes the radii in many blocks, each with its own bound
+    # the small block evaluates the radii in chunks of a few cells
     for block in (operators._BLOCK_VALUES, 2000):
         monkeypatch.setattr(operators, "_BLOCK_VALUES", block)
         for alpha in (0.0, 0.5, 0.9):
@@ -443,9 +454,9 @@ def test_maximal_matches_reference_bitwise(make, policy, rng, monkeypatch):
 
 def count_window_cells(monkeypatch):
     """Count the cells of every window sum the line search evaluates, one
-    radius at a time or in a block of consecutive radii."""
+    radius at a time, in a block of consecutive radii or one radius per cell."""
     counted = [0]
-    window, windows = operators._window, operators._windows
+    window, windows, gather = operators._window, operators._windows, operators._gather_windows
 
     def counting(whole, mid, pad, d, lo, hi, out):
         counted[0] += hi - lo
@@ -455,8 +466,13 @@ def count_window_cells(monkeypatch):
         counted[0] += len(out) * (hi - lo)
         return windows(rows, pad, d, lo, hi, out)
 
+    def counting_gather(mid, pad, d, out):
+        counted[0] += len(out)
+        return gather(mid, pad, d, out)
+
     monkeypatch.setattr(operators, "_window", counting)
     monkeypatch.setattr(operators, "_windows", counting_block)
+    monkeypatch.setattr(operators, "_gather_windows", counting_gather)
     return counted
 
 
@@ -468,6 +484,35 @@ def test_line_maximal_skips_most_windows_of_an_indicator(monkeypatch):
     assert got.tobytes() == ref_fractional_maximal(f, 0.0, EXACT).tobytes()
     # bounds included, about half of the cells * radii that every radius takes
     assert counted[0] < 3 * cells * cells // 4, counted[0]
+
+
+@pytest.mark.parametrize("name, alpha, share", [("uniform", 0.5, 0.10), ("l1-failure", 0.0, 0.20)])
+def test_line_maximal_evaluates_a_small_share_of_the_windows(name, alpha, share, rng, monkeypatch):
+    # the support-covering seeds are nearly the final max on both inputs
+    if name == "uniform":
+        f = GridFunction(line_grid(0.0, 1.0, 6000), rng.uniform(0.0, 1.0, 6000))
+    else:
+        f = l1_failure_indicator(100.0)
+    cells = f.values.size
+    counted = count_window_cells(monkeypatch)
+    got = fractional_maximal(f, alpha).values
+    assert got.tobytes() == ref_fractional_maximal(f, alpha, EXACT).tobytes()
+    # bounds and seeds included
+    assert counted[0] <= share * cells * cells, counted[0] / cells / cells
+
+
+@pytest.mark.parametrize("make", [make for _, make in LINE_INPUTS],
+                         ids=[name for name, _ in LINE_INPUTS])
+def test_line_maximal_in_small_bound_blocks_matches_reference_bitwise(make, rng, monkeypatch):
+    # a bound per radius or per three radii, and chunks of a few cells
+    for radii, block in ((1, 1 << 18), (3, 40)):
+        monkeypatch.setattr(operators, "_BOUND_RADII", radii)
+        monkeypatch.setattr(operators, "_BLOCK_VALUES", block)
+        for alpha in (0.0, 0.5):
+            f = make(rng)
+            got = fractional_maximal(f, alpha).values
+            want = ref_fractional_maximal(f, alpha, EXACT)
+            assert got.tobytes() == want.tobytes(), f"radii={radii}, alpha={alpha}"
 
 
 @pytest.mark.parametrize("values, hi", [(1e307, 1.0), (1e306, 1000.0)],
@@ -551,6 +596,55 @@ def test_uncentered_matches_reference_bitwise(rng):
             got = fractional_maximal_uncentered(f, alpha).values
             assert np.array_equal(got, ref_uncentered(f, alpha)), f"cells={cells}, alpha={alpha}"
 
+
+
+def count_table_entries(monkeypatch):
+    """Count the entries of every uncentered table block that is computed."""
+    counted = [0]
+    interval_values = operators._interval_values
+
+    def counting(cum, weight, r0, r1, s, e):
+        counted[0] += (r1 - r0) * (e - s)
+        return interval_values(cum, weight, r0, r1, s, e)
+
+    monkeypatch.setattr(operators, "_interval_values", counting)
+    return counted
+
+
+def test_uncentered_computes_a_third_of_the_table_at_most(rng, monkeypatch):
+    cells = 2048
+    f = GridFunction(line_grid(0.0, 1.0, cells), rng.uniform(0.0, 1.0, cells))
+    counted = count_table_entries(monkeypatch)
+    got = fractional_maximal_uncentered(f, 0.5).values
+    assert got.tobytes() == ref_uncentered(f, 0.5).tobytes()
+    # every column from the first row of each block on, as without the floor
+    rows = operators._BLOCK_VALUES // cells
+    whole = sum((min(r0 + rows, cells) - r0) * (cells - r0) for r0 in range(0, cells, rows))
+    assert counted[0] <= whole // 3, counted[0] / whole
+
+
+def uncentered_inputs(cells, rng):
+    """Lognormal, indicator, single-spike and all-zero data on a line."""
+    spike = np.zeros(cells)
+    spike[cells // 3] = 2.5
+    return {"lognormal": rng.lognormal(0.0, 20.0, cells),
+            "indicator": (np.abs(np.arange(cells) - 0.6 * cells) < 5) * 1.0,
+            "spike": spike, "zeros": np.zeros(cells)}
+
+
+def test_uncentered_in_many_row_blocks_matches_reference_bitwise(rng, monkeypatch):
+    # blocks of 3 rows: the prefix/suffix floor and the column bounds prune
+    cells = 90
+    monkeypatch.setattr(operators, "_BLOCK_VALUES", 3 * cells)
+    grid = line_grid(0.0, 2.0, cells)
+    for name, values in uncentered_inputs(cells, rng).items():
+        f = GridFunction(grid, values)
+        for alpha in (0.0, 0.5, 0.9):
+            want = ref_uncentered(f, alpha)
+            got = fractional_maximal_uncentered(f, alpha).values
+            assert got.tobytes() == want.tobytes(), f"{name}, alpha={alpha}"
+            for lo, hi in [(0, 7), (0, 1), (cells - 7, cells), (cells - 1, cells), (40, 52)]:
+                assert_run_matches_reference(f, alpha, lo, hi)
 
 
 def assert_run_matches_reference(f, alpha, lo, hi):
