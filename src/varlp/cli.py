@@ -68,10 +68,12 @@ def _echo_config(args):
 
 
 def _write_artifacts(outdir, header, rows, lines):
+    """Write results.csv, a row at a time, and summary.txt.  A row is a
+    tuple of values, each formatted by _fmt, or a line formatted already."""
     with open(os.path.join(outdir, "results.csv"), "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write((row if isinstance(row, str) else ",".join(_fmt(v) for v in row)) + "\n")
     with open(os.path.join(outdir, "summary.txt"), "w") as fh:
         fh.writelines(line + "\n" for line in lines)
 
@@ -139,7 +141,11 @@ def _grid_output(args, p, g, lines):
     followed by the maximum, the integral, the seed and, given an exponent,
     its constants."""
     header = ["x%d" % (i + 1) for i in range(g.domain.dimension)] + ["value"]
-    rows = [tuple(pt) + (v,) for pt, v in zip(g.domain.points(), g.values.ravel())]
+    # every value is a float, so each row is one format string applied to
+    # Python floats: the digits _fmt would write, without a call per value
+    row = ",".join(["%.9g"] * len(header))
+    rows = [row % tuple(values) for values in
+            np.column_stack([g.domain.points(), g.values.reshape(-1)]).tolist()]
     lines = lines + [
         "max value = %.9g" % float(g.values.max()),
         "integral = %.9g" % g.integral(),
@@ -413,9 +419,9 @@ _WORK_RANGES = {"--num": (1, 10_000), "--count": (1, 10_000), "--j-max": (2, 10_
 
 # the most cells a grid built from --cells may hold in all, and the most
 # paircheck's line may hold.  At these ceilings EXACT maximal takes about
-# 0.8 s on a line (half of it writing results.csv) and 0.6-1.1 s on 256^2
-# cells (7.9 s on 512^2), and paircheck about 0.3-0.4 s for 25 pairs, on
-# 2 vCPUs
+# 0.7 s on a line (0.2 s of it writing results.csv) and 0.8 s on 256^2
+# cells (7.9 s on 512^2), and paircheck about 0.6 s for 25 pairs, with the
+# interpreter's start, on 2 vCPUs
 _MAX_GRID_CELLS = 1 << 16
 _MAX_PAIRCHECK_CELLS = 1 << 14
 

@@ -15,8 +15,12 @@ radii only on the runs of cells where an exact bound can beat the max so far.
 The uncentered maximal reads one table of lattice-interval values through
 running maxima; on a table of many blocks of rows, the prefix and suffix
 intervals give every cell a floor, and a block computes only the columns
-that can beat it.  Both skip only values that are <= a value they compute,
-so their results are bitwise those of the full search.  The Riesz potential
+that can beat it.  On a table of one block, the largest prefix or suffix
+interval that covers the whole run is a floor for all of its cells, and
+only the tiles of earlier rows and the columns of the run's rows whose
+bound can beat it are computed.  Both maximals skip only values that are
+<= a value they compute, so their results are bitwise those of the full
+search.  The Riesz potential
 is one FFT convolution with the cell-offset kernel.  Everything uses the
 zero-extension convention: a function is 0 outside its grid, and cube
 normalizers are never clipped at the domain boundary.
@@ -24,11 +28,12 @@ normalizers are never clipped at the domain boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, PreconditionError
 from .exponent import _gauss_nodes
@@ -46,6 +51,13 @@ _BLOCK_VALUES = 1 << 18
 # 7% and 10% of the cells x radii, and on a line of 65 536 ones EXACT took
 # 0.57-0.65 s, 0.37 s and 0.38-0.43 s (2 vCPUs)
 _BOUND_RADII = 64
+# cells per side of the square tiles that bound the rows before the run in a
+# one-block uncentered table.  On 100 pairs drawn as `paircheck` draws them
+# (512 cells, alpha 0.5), tiles of 8, 16 and 32 cells computed 4.5%, 6.6%
+# and 17.9% of the table, in 0.64, 0.63 and 0.80 of the full table's time;
+# at alpha 0, where little prunes, the bounds cost 1.09, 1.05 and 1.04 times
+# it (2 vCPUs)
+_TILE = 16
 
 
 def _half_cumulative(arr, pad, parity=None):
@@ -291,13 +303,17 @@ def _line_maximal(absf, radius_list, scales, volume):
     support = np.flatnonzero(absf) if prune and not seeded.all() else ()
     if len(support):
         # the least radius whose window covers the support from each cell
+        first, last = int(support[0]), int(support[-1])
         cells = np.arange(c)
-        cover = np.maximum(support[-1] - cells, cells - support[0]) + 1
+        cover = np.maximum(last - cells, cells - first) + 1
         seed = np.searchsorted(radius_list, cover)
         sums = _gather_windows(mid, pad, doubled[seed], np.empty(c))
         sums *= volume
         sums *= scales[seed]
         np.maximum(best, sums, out=best)
+        # least[i] is the least scale of the seeds from the least one to i
+        least_seed = int(seed.min())
+        least = np.minimum.accumulate(scales[least_seed:])
     # the other radii from the largest down, in blocks of consecutive radii
     # between two seeded ones
     rest = np.flatnonzero(~seeded)
@@ -307,10 +323,23 @@ def _line_maximal(absf, radius_list, scales, volume):
             radii = between[k:k + _BOUND_RADII]
             runs = [(0, c)]
             if prune:
-                _window(None, mid, pad, int(doubled[radii[-1]]), 0, c, bound)
-                bound *= volume
-                bound *= scales[radii].max()
-                runs = _runs(~(bound <= best))
+                top = scales[radii].max()
+                bounded = [(0, c)]
+                r = int(radii[0])
+                if len(support) and r >= least_seed and least[r - least_seed] >= top:
+                    # the cells seeded at or below the block, at scales >= the
+                    # block's, sum their seed's window at every radius of it, so
+                    # their bounds are <= their seeds' values: they are the cells
+                    # whose window at the block's least radius covers the support
+                    m = int(radius_list[r])
+                    closed = max(last + 1 - m, 0), min(first + m, c)
+                    bounded = [(a, b) for a, b in ((0, closed[0]), (closed[1], c)) if a < b]
+                runs = []
+                for a, b in bounded:
+                    part = _window(None, mid, pad, int(doubled[radii[-1]]), a, b, bound[a:b])
+                    part *= volume
+                    part *= top
+                    runs += [(a + s, a + e) for s, e in _runs(~(part <= best[a:b]))]
             evaluate(radii, runs)
     return best
 
@@ -335,10 +364,13 @@ def fractional_maximal(f, alpha, radii=EXACT):
     consecutive radii from the largest down.  A block is evaluated only on
     the runs of cells where its bound, (window sum at its largest radius *
     cell volume) * its largest scale, is not <= the max so far, in chunks of
-    cells that keep each evaluation at _BLOCK_VALUES values.  The bound is
-    exact: the windows are differences of one array that never decreases,
-    so no window shrinks as the radius grows, and a float product of
-    nonnegative factors never shrinks as a factor grows.  Where the
+    cells that keep each evaluation at _BLOCK_VALUES values.  The cells
+    whose window at the block's least radius covers the support take no
+    bound when no scale of the block exceeds the least scale of their seeds:
+    their window sum is their seed's, so the bound cannot beat the seed.
+    The bound is exact: the windows are differences of one array that never
+    decreases, so no window shrinks as the radius grows, and a float
+    product of nonnegative factors never shrinks as a factor grows.  Where the
     cumulative is not finite and nondecreasing, or a scale underflows to 0,
     a product could be nan: nothing is seeded or skipped.  DYADIC radii are
     all powers of two and take neither.  Either way the result is bitwise
@@ -370,9 +402,11 @@ def fractional_maximal(f, alpha, radii=EXACT):
 
 
 def _toeplitz(vec, start, shape):
-    """Read-only view whose entry (i, k) is vec[start - i + k]."""
+    """View whose entry (i, k) is vec[start - i + k]."""
     step = vec.strides[0]
-    return as_strided(vec[start:], shape=shape, strides=(-step, step), writeable=False)
+    # np.ndarray checks that the view stays inside vec, as as_strided does
+    # not, at a fifth of its cost
+    return np.ndarray(shape, vec.dtype, vec, start * step, (-step, step))
 
 
 def _interval_values(cum, weight, r0, r1, s, e):
@@ -382,6 +416,57 @@ def _interval_values(cum, weight, r0, r1, s, e):
     table = cum[s + 1:e + 1] - cum[r0:r1, None]
     table *= _toeplitz(weight, len(cum) - 2 + s - r0, table.shape)
     return table
+
+
+def _tile_values(cum, weight, a, b):
+    """F(a, b), as in _interval_values, for index arrays a <= b that
+    broadcast."""
+    return (cum[1:][b] - cum[a]) * weight[len(cum) - 2:][b - a]
+
+
+def _carry_tiles(cum, weight, widest, threshold, lo, carry):
+    """Fold the rows a < lo of the table into the column max `carry` of the
+    columns lo .. n_cells-1, computing only the tiles of at most _TILE x
+    _TILE entries whose bound is not <= threshold, in one gather; widest[k]
+    is the largest weight of any length > k.  When more than a quarter of
+    the tiles are live, fold nothing and return False: whole rows then cost
+    less than the gather."""
+    n_cells = len(cum) - 1
+    rows, cols = min(_TILE, lo), min(_TILE, n_cells - lo)
+    # the last tile of rows and of columns ends at the edge of the block, and
+    # may overlap the one before it
+    r0 = np.minimum(np.arange(0, lo, rows), lo - rows)
+    c0 = np.minimum(np.arange(lo, n_cells, cols), n_cells - cols)
+    # the entries of a tile are at least c0 - (r0 + rows) + 2 long
+    bound = cum[c0 + cols] - cum[r0, None]
+    bound *= widest[c0 - r0[:, None] - rows + 1]
+    ti, tj = np.nonzero(~(bound <= threshold))
+    if 4 * len(ti) > bound.size:
+        return False
+    if len(ti):
+        a = r0[ti, None] + np.arange(rows)[:, None, None]
+        b = c0[tj, None] + np.arange(cols)
+        np.maximum.at(carry, b - lo, _tile_values(cum, weight, a, b).max(axis=0))
+    return True
+
+
+@functools.lru_cache(maxsize=4)
+def _interval_weights(n_cells, h, alpha):
+    """The read-only vectors of the uncentered table on n_cells cells of
+    width h: `weight`, 0 at the n_cells - 1 entries before the weights
+    ((k + 1) h)^(alpha - 1) of the lengths k + 1; `ceiling`, -inf and then
+    +inf at the same places; and `widest`, whose entry k is the largest
+    weight of any length > k.  A pair check reads them once for all its
+    pairs."""
+    weight = np.concatenate([np.zeros(n_cells - 1),
+                             ((np.arange(n_cells) + 1.0) * h) ** (alpha - 1.0)])
+    # a min with -inf masks an entry and a min with +inf keeps its bits; adding
+    # -inf instead would turn an overflowed +inf entry into nan
+    ceiling = np.concatenate([np.full(n_cells - 1, -np.inf), np.full(n_cells, np.inf)])
+    widest = np.maximum.accumulate(weight[n_cells - 1:][::-1])[::-1]
+    for vec in (weight, ceiling, widest):
+        vec.flags.writeable = False
+    return weight, ceiling, widest
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -398,57 +483,76 @@ def _uncentered_on(f, alpha, lo, hi):
     a running max down a, carried from block to block; row j then masks its
     columns b < j through a second Toeplitz view and takes its max.
 
-    When the table spans more than one block of rows and the cumulative is
-    finite, the prefix intervals [0, b] and the suffix intervals [a, n - 1],
-    computed with the table's own operations, give each cell a floor: the
-    largest of them that contains it.  A block of rows r0 .. r1-1 then
-    computes only the columns b whose bound, (cum[b + 1] - cum[r0]) * (the
-    largest weight of any length its entries can have), is not <= the least
-    floor of the cells from max(r0, lo) to min(b, hi - 1), the only cells
-    its entries and the carried max serve from this block on; in a block
-    that holds rows from lo on, a column whose carried max is not <= that
-    floor is computed too.  A skipped entry or carried max is then <= the
-    floor of every cell it could raise, so the max of the floor and the
-    rows' maxima is bitwise the max over the whole table.  One block of rows
-    takes none of this.  Data on which an interval value leaves the float
-    range is refused.
+    When the cumulative is finite, the prefix intervals [0, b] and the
+    suffix intervals [a, n - 1], computed with the table's own operations,
+    are entries the result can skip against.  When the table spans more than
+    one block of rows, they give each cell a floor: the largest of them that
+    contains it.  A block of rows r0 .. r1-1 then computes only the columns
+    b whose bound, (cum[b + 1] - cum[r0]) * (the largest weight of any
+    length its entries can have), is not <= the least floor of the cells
+    from max(r0, lo) to min(b, hi - 1), the only cells its entries and the
+    carried max serve from this block on; in a block that holds rows from
+    lo on, a column whose carried max is not <= that floor is computed too.
+
+    One block of rows takes the largest of the prefix intervals with
+    b >= hi - 1 and the suffix intervals with a <= lo: the covering entry
+    G0, which contains every cell of the run, so G0 is the floor of every
+    cell.  The rows a < lo are cut into tiles of _TILE x _TILE entries; a tile
+    of rows r0 .. r1-1 and columns c0 .. c1-1 is bounded by (cum[c1] -
+    cum[r0]) * (the largest weight of any length > c0 - r1 + 1), and only
+    the tiles whose bound is not <= G0 are computed, in one gather, and
+    folded into the carried max.  The rows of the run then compute only the
+    columns whose bound, (cum[b + 1] - cum[lo]) * (the largest weight of any
+    length >= max(1, b - hi + 2)), or carried max is not <= G0.  Where more than a quarter of the tiles are live, the
+    whole block is computed instead, and so is a run from cell 0, whose one
+    block is the whole table.
+
+    Either way a skipped entry or carried max is <= the floor of every cell
+    it could raise, so the max of the floor and the rows' maxima is bitwise
+    the max over the whole table.  Data on which an interval value leaves
+    the float range is refused.
     """
     if not (0.0 <= alpha < 1.0):
         raise PreconditionError(f"need 0 <= alpha < 1, got {alpha}")
     h = f.domain.h
     n_cells = f.values.shape[0]
     cum = np.concatenate([[0.0], np.cumsum(np.abs(f.values))]) * h
-    weight = np.concatenate([np.zeros(n_cells - 1),
-                             ((np.arange(n_cells) + 1.0) * h) ** (alpha - 1.0)])
+    weight, ceiling, widest = _interval_weights(n_cells, h, alpha)
     # the one-cell interval has the largest weight
     if not math.isfinite(weight[n_cells - 1]):
         raise _overflow(h, "the interval weight (length)^(alpha - 1)")
-    # a min with -inf masks an entry and a min with +inf keeps its bits; adding
-    # -inf instead would turn an overflowed +inf entry into nan
-    ceiling = np.concatenate([np.full(n_cells - 1, -np.inf), np.full(n_cells, np.inf)])
     out = np.empty(hi - lo)
     carry = np.full(n_cells - lo, -np.inf)
     rows = max(1, _BLOCK_VALUES // (n_cells - lo))
-    prune = rows < hi and math.isfinite(cum[-1])
+    one_block = rows >= hi
+    prune = math.isfinite(cum[-1]) and (lo > 0 or not one_block)
     if prune:
         lengths = weight[n_cells - 1:]
         prefix = (cum[1:] - cum[0]) * lengths
         suffix = (cum[-1] - cum[:-1]) * lengths[::-1]
-        floor = np.maximum(np.maximum.accumulate(prefix[::-1])[::-1],
-                           np.maximum.accumulate(suffix))[lo:hi]
+        if one_block:
+            # G0, the largest prefix or suffix interval that covers the run
+            covering = max(prefix[hi - 1:].max(), suffix[:lo + 1].max())
+            prune = _carry_tiles(cum, weight, widest, covering, lo, carry)
+            floor = np.full(hi - lo, covering)
+        else:
+            floor = np.maximum(np.maximum.accumulate(prefix[::-1])[::-1],
+                               np.maximum.accumulate(suffix))[lo:hi]
+    if prune:
         out[:] = floor
-        # widest[rows + k] is the largest weight of any length >= k + 1, and
-        # the rows entries before it repeat the largest weight of all
-        widest = np.maximum.accumulate(lengths[::-1])[::-1]
-        widest = np.concatenate([np.full(rows, widest[0]), widest])
-    for r0 in range(0, hi, rows):
+        # widest[pad + k] is the largest weight of any length >= k + 1, and
+        # the pad entries before it repeat the largest weight of all
+        pad = min(rows, hi)
+        widest = np.concatenate([np.full(pad, widest[0]), widest])
+    # the rows a < lo of one block are folded into carry already
+    for r0 in range(lo if prune and one_block else 0, hi, rows):
         r1 = min(r0 + rows, hi)
         c0 = max(r0, lo)
         spans = [(c0, n_cells)]
         if prune:
             # the entries of column b in this block are at least b - r1 + 2 long
             bound = cum[c0 + 1:] - cum[r0]
-            bound *= widest[rows + c0 - r1 + 1:rows + n_cells - r1 + 1]
+            bound *= widest[pad + c0 - r1 + 1:pad + n_cells - r1 + 1]
             if c0 < r1:
                 np.maximum(bound, carry[c0 - lo:], out=bound)
             least = np.minimum.accumulate(floor[c0 - lo:])

@@ -498,6 +498,9 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
       "--policy", "exact"], "maximal_2d"),
     (["paircheck", "--alpha", "0.5", "--mode", "maximal", "--count", "25", "--seed", "3"],
      "paircheck_maximal"),
+    # at alpha 0 short intervals weigh most, so the one-block prune skips least
+    (["paircheck", "--alpha", "0", "--mode", "maximal", "--count", "25", "--cells", "512",
+      "--seed", "5"], "paircheck_maximal_a0"),
 ])
 def test_maximal_artifacts_match_golden_bytes(argv, golden, tmp_path):
     _assert_golden_bytes(argv, golden, tmp_path)

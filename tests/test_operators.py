@@ -515,6 +515,21 @@ def test_line_maximal_in_small_bound_blocks_matches_reference_bitwise(make, rng,
             assert got.tobytes() == want.tobytes(), f"radii={radii}, alpha={alpha}"
 
 
+def test_line_maximal_with_a_rising_scale_matches_reference_bitwise():
+    # the scales come from Python ** and are not proven to fall: a block whose
+    # scale rises above its cells' seeds must still bound the cells whose
+    # window covers the support
+    f = indicator_on(line_grid(0.0, 1.0, 300), 0.45, 0.55)
+    radius_list = list(range(1, 301))
+    scales = np.array([(2.0 * m / 300.0) ** -0.5 for m in radius_list])
+    scales[200] *= 10.0
+    got = operators._line_maximal(f.values, radius_list, scales, f.domain.cell_volume)
+    want = np.zeros(300)
+    for m, scale in zip(radius_list, scales):
+        np.maximum(want, scale * ref_box_sums(f, m), out=want)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("values, hi", [(1e307, 1.0), (1e306, 1000.0)],
                          ids=["cumulative-overflows", "products-overflow"])
 def test_line_maximal_of_overflowing_data_raises_as_reference(values, hi, monkeypatch):
@@ -599,15 +614,21 @@ def test_uncentered_matches_reference_bitwise(rng):
 
 
 def count_table_entries(monkeypatch):
-    """Count the entries of every uncentered table block that is computed."""
+    """Count the entries of every uncentered table block or gathered tile
+    that is computed."""
     counted = [0]
-    interval_values = operators._interval_values
+    interval_values, tile_values = operators._interval_values, operators._tile_values
 
     def counting(cum, weight, r0, r1, s, e):
         counted[0] += (r1 - r0) * (e - s)
         return interval_values(cum, weight, r0, r1, s, e)
 
+    def counting_tiles(cum, weight, a, b):
+        counted[0] += np.broadcast(a, b).size
+        return tile_values(cum, weight, a, b)
+
     monkeypatch.setattr(operators, "_interval_values", counting)
+    monkeypatch.setattr(operators, "_tile_values", counting_tiles)
     return counted
 
 
@@ -689,6 +710,59 @@ def test_uncentered_on_one_and_two_cells_matches_reference_bitwise(cells, rng):
         for lo in range(cells):
             for hi in range(lo + 1, cells + 1):
                 assert_run_matches_reference(f, 0.5, lo, hi)
+
+
+def paircheck_runs(rng, count):
+    """(f, lo, hi): the partner-cube runs of random `varlp paircheck` pairs
+    on 512 cells, where every table is one block of rows."""
+    for _ in range(count):
+        f, pair = random_paircheck_pair(rng)
+        run, = f.domain.box_cells(pair.partner.as_box())
+        yield f, run.start, run.stop
+
+
+def test_one_block_pair_runs_match_reference_bitwise(rng):
+    for f, lo, hi in paircheck_runs(rng, 20):
+        want = {alpha: ref_uncentered(f, alpha)[lo:hi] for alpha in (0.0, 0.5, 0.9)}
+        for alpha, values in want.items():
+            got = _uncentered_on(f, alpha, lo, hi)
+            assert got.tobytes() == values.tobytes(), f"alpha={alpha}, run {lo}..{hi}"
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+def test_one_block_runs_match_reference_bitwise(alpha, rng):
+    # the covering entry, the tiles before the run and the run's columns skip
+    # against each of these; runs at both ends, of one cell and of all cells
+    cells = 512
+    grid = line_grid(0.0, 1.0, cells)
+    inputs = uncentered_inputs(cells, rng)
+    inputs["cubic-ramp"] = (np.arange(cells) / cells) ** 3
+    inputs["short-indicator"] = ((np.arange(cells) >= 100) & (np.arange(cells) < 103)) * 1.0
+    inputs["negative-zeros"] = np.full(cells, -0.0)
+    inputs["uniform"] = rng.uniform(0.0, 1.0, cells)
+    # a prefix [0, 255] or a suffix [256, n - 1] beats every interval that
+    # holds the run's last or first cell
+    inputs["step-down"] = (np.arange(cells) < 256) * 1.0
+    inputs["step-up"] = (np.arange(cells) >= 256) * 1.0
+    runs = [(0, cells), (0, 1), (0, 40), (1, cells), (300, cells), (cells - 1, cells), (101, 102),
+            (137, 210), (20, 30), (450, 500), (200, 257), (255, 300)]
+    for name, values in inputs.items():
+        f = GridFunction(grid, values)
+        want = ref_uncentered(f, alpha)
+        for lo, hi in runs:
+            got = _uncentered_on(f, alpha, lo, hi)
+            assert got.tobytes() == want[lo:hi].tobytes(), f"{name}, run {lo}..{hi}"
+
+
+def test_one_block_pair_runs_compute_a_quarter_of_the_table_at_most(rng, monkeypatch):
+    counted = count_table_entries(monkeypatch)
+    whole = 0
+    for f, lo, hi in paircheck_runs(rng, 100):
+        _uncentered_on(f, 0.5, lo, hi)
+        whole += hi * (f.values.size - lo)
+    # about 7% on these pairs
+    assert counted[0] <= whole // 4, counted[0] / whole
+
 
 def test_maximal_rejects_bad_alpha():
     grid = line_grid(0.0, 1.0, 32)
