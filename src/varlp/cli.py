@@ -206,9 +206,10 @@ def _run_k0scan(args):
         raise PreconditionError("the scan subcommand is one-dimensional")
     if not (0.0 < args.vol_min <= args.vol_max < math.inf):
         raise PreconditionError("need 0 < --vol-min <= --vol-max < inf")
+    if not math.isfinite(args.anchor):
+        raise PreconditionError(f"--anchor must be finite, got {args.anchor}")
     volumes = np.geomspace(args.vol_min, args.vol_max, args.num)
-    anchor = float(args.anchor)
-    centers = [anchor + v / 2.0 for v in volumes]
+    centers = [args.anchor + v / 2.0 for v in volumes]
     radii = [v / 2.0 for v in volumes]
     family = CubeFamily.from_cubes(
         [Cube((c,), r) for c, r in zip(centers, radii)]

@@ -40,10 +40,10 @@ from .exponent import (
     sobolev_dual,
 )
 from .grid import Cube, GridDomain, GridFunction, MeasurableSet
-from .k0 import minimal_harmonic_mean_cube
+from .k0 import k0alpha_constant, minimal_harmonic_mean_cube
 from .norms import (
     _compile_family,
-    _mean_inverses,
+    _harmonic_means,
     compile_set,
     duality_constant,
     harmonic_mean,
@@ -290,8 +290,8 @@ def build_blowup(p, alpha, t, k_max, cells_per_radius=4):
         raise PreconditionError("chain builds are one-dimensional")
     if not (0.0 <= alpha < n):
         raise PreconditionError(f"need 0 <= alpha < n = {n}, got {alpha}")
-    if not t > 4.0:
-        raise PreconditionError(f"need t > 4, got t = {t}")
+    if not 4.0 < t < INF:
+        raise PreconditionError(f"need finite t > 4, got t = {t}")
     if not (1 <= int(k_max) <= 10):
         raise PreconditionError(f"k_max must be in 1..10, got {k_max}")
     if not cells_per_radius >= 1:
@@ -316,6 +316,7 @@ def build_blowup(p, alpha, t, k_max, cells_per_radius=4):
 
         # flat region, so the level set fills D; assert the density bound
         mask = e_set.mask_on(grid)
+        e_cells = MeasurableSet.from_mask(grid, mask, label=e_set.label)  # painted once
         density = float(mask.mean())
         density_floor = 1.0 - 2.0 ** (-n * k) * width ** (-n)
         if not density > density_floor:
@@ -324,7 +325,7 @@ def build_blowup(p, alpha, t, k_max, cells_per_radius=4):
                 f"{density_floor}"
             )
 
-        anchor = minimal_harmonic_mean_cube(p, cube_d, small_r, e_set, grid=grid)
+        anchor = minimal_harmonic_mean_cube(p, cube_d, small_r, e_cells, grid=grid)
 
         # the chain grows away from the anchor corner; pick the side with room
         sign = 1.0 if anchor.center[0] <= x0 else -1.0
@@ -337,7 +338,7 @@ def build_blowup(p, alpha, t, k_max, cells_per_radius=4):
             chain.append(cube_j)
             pairs.append(make_tu_pair(cube_j, t, direction=(sign,)))
 
-        indicator = GridFunction.indicator(grid, e_set.intersect_box(anchor.as_box()))
+        indicator = GridFunction.indicator(grid, e_cells.intersect_box(anchor.as_box()))
         if not indicator.values.any():
             raise ConstructionError(f"level {k}: anchor cube misses the threshold set")
         chi_norm = luxemburg_norm(indicator, p)
@@ -682,13 +683,9 @@ def ex61_interval_constant_scan(spec, big_k, per_run=None):
     p = spec.exponent
 
     def scan(pp, intervals):
-        # the conjugate and the dual share the pieces of pp: one family serves both
-        sets = [MeasurableSet.from_box(((a, b),)) for a, b, _ in intervals]
-        compiled = _compile_family(pp, sets)
-        norms_q = compiled.norms(sobolev_dual(pp, alpha)).tolist()
-        norms_pc = compiled.norms(conjugate(pp)).tolist()
-        return [{"label": label, "measure": b - a, "value": (b - a) ** (alpha - 1.0) * nq * npc}
-                for (a, b, label), nq, npc in zip(intervals, norms_q, norms_pc)]
+        sets = [MeasurableSet.from_box(((a, b),), label=label) for a, b, label in intervals]
+        return [{"label": s.label, "measure": s.measure, "value": s.value}
+                for s in k0alpha_constant(pp, alpha, sets).samples]
 
     base_anchor = math.exp(1.0) + 1.0
     vol_count = 7 * density
@@ -850,6 +847,17 @@ def _witness_target_exponent(spec):
     raise PreconditionError(f"{spec.name} has no witness sequence")
 
 
+def _witness_scale(target, spec, j):
+    """(dist, measure, mean, lambda = j * measure^(1/mean)) of the j-th
+    witness interval, its mean and norm read from one compile against target."""
+    a, b = witness_interval(spec, j)
+    interval = MeasurableSet.from_box(((a, b),))
+    dist = compile_set(target, interval)
+    measure = b - a
+    mean = float(_harmonic_means(dist, target, [interval])[0])
+    return dist, measure, mean, j * measure ** (1.0 / mean)
+
+
 def witness_check(spec, j_values):
     """Norm blow-up along the witness intervals.
 
@@ -860,22 +868,13 @@ def witness_check(spec, j_values):
     (top + rate * bottom)/2 from j >= 2.
     """
     target = _witness_target_exponent(spec)
-    if spec.name == "EX62":
-        mean_floor = 5.0
-    else:
-        mean_floor = spec.witnesses["mean_floor"]
+    mean_floor = 5.0 if spec.name == "EX62" else spec.witnesses["mean_floor"]
     rows = []
     for j in j_values:
         j = int(j)
         if j < 2:
             raise PreconditionError(f"witness indices start at 2, got {j}")
-        a, b = witness_interval(spec, j)
-        measure = b - a
-        interval = MeasurableSet.from_box(((a, b),))
-        dist = compile_set(target, interval)
-        inv_mean = float(_mean_inverses(dist, target, [interval]))
-        mean = INF if inv_mean == 0.0 else 1.0 / inv_mean
-        lam = j * measure ** (1.0 / mean)
+        dist, measure, mean, lam = _witness_scale(target, spec, j)
         rho = dist.modular(target, lam)
         rows.append(
             {
@@ -896,12 +895,7 @@ def witness_norm_check(spec, j):
     """Direct norm solve for one witness index: returns (norm, lambda).
     The mean and the norm read one compiled interval."""
     target = _witness_target_exponent(spec)
-    a, b = witness_interval(spec, j)
-    interval = MeasurableSet.from_box(((a, b),))
-    dist = compile_set(target, interval)
-    inv_mean = float(_mean_inverses(dist, target, [interval]))
-    mean = INF if inv_mean == 0.0 else 1.0 / inv_mean
-    lam = j * (b - a) ** (1.0 / mean)
+    dist, _, _, lam = _witness_scale(target, spec, j)
     return dist.norm(target), lam
 
 
@@ -917,8 +911,7 @@ def two_sided_interval_check(spec, intervals=None, seed=0):
     if spec.name != "EX62":
         raise PreconditionError(f"two-sided check is the EX62 scan, got {spec.name}")
     p = spec.exponent
-    kk = holder_constant(p)
-    lower = 1.0 / (2.0 * kk)
+    lower = 1.0 / (2.0 * holder_constant(p))
     if intervals is None:
         rng = np.random.default_rng(seed)
         intervals = []
@@ -932,12 +925,9 @@ def two_sided_interval_check(spec, intervals=None, seed=0):
     long_cap = float(np.nanmax(shape))
     sets = [MeasurableSet.from_box(((a, b),)) for a, b in intervals]
     compiled = _compile_family(p, sets)
-    rows = []
-    for (a, b), inv_mean, norm in zip(intervals, _mean_inverses(compiled, p, sets).tolist(),
-                                      compiled.norms(p).tolist()):
-        mean = 1.0 / inv_mean
-        ratio = norm / (b - a) ** (1.0 / mean)
-        rows.append({"interval": (a, b), "measure": b - a, "ratio": ratio})
+    means, norms = _harmonic_means(compiled, p, sets).tolist(), compiled.norms(p).tolist()
+    rows = [{"interval": (a, b), "measure": b - a, "ratio": norm / (b - a) ** (1.0 / mean)}
+            for (a, b), mean, norm in zip(intervals, means, norms)]
     measured_upper = max(r["ratio"] for r in rows)
     return {
         "lower": lower,

@@ -182,6 +182,8 @@ class Cube:
     def __post_init__(self):
         center = tuple(float(c) for c in np.atleast_1d(np.asarray(self.center, dtype=float)))
         object.__setattr__(self, "center", center)
+        if not all(math.isfinite(c) for c in center):
+            raise SpecParseError(f"cube center must be finite, got {center}")
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise SpecParseError(f"cube radius must be positive, got {self.radius}")
 

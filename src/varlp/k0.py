@@ -5,6 +5,10 @@ Supremum-type constants are estimated by scanning a declared finite family
 of sets, so every reported value is a lower bound for the true supremum.
 Unboundedness claims are therefore always phrased through monotone growth
 along an explicit witness sequence, never as a proven divergence.
+
+A family is measured and compiled once (_family_rows), and every K0^alpha
+sample and harmonic mean is read from its rows, each sample through one
+formula (_k0_report).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .exponent import INF, box_intersect, box_volume, conjugate, sobolev_dual
 from .grid import Cube, GridFunction, MeasurableSet
 from .norms import (
     _compile_family,
+    _harmonic_means,
     _inverse,
     _mean_inverses,
     compile_set,
@@ -113,15 +118,12 @@ def k0alpha_constant(p, alpha, family, grid=None):
     """Family supremum of measure(E)^(alpha/n - 1) * ||chi_E||_p' * ||chi_E||_q.
 
     q is the fractional dual of order alpha; at alpha = 0 this reduces to the
-    plain indicator-product constant with the (p, p') pair.  The family is
-    compiled once (see norms._compile_family) and both norms of every set
-    come from one batched solve each.
+    plain indicator-product constant with the (p, p') pair.
     """
-    pc = conjugate(p)
     q = sobolev_dual(p, alpha)
-    measures = _family_measures(p, family, grid)
-    compiled = _compile_family(p, family, grid)
-    return _k0_report(alpha, p.dimension, family, measures, compiled.norms(pc), compiled.norms(q))
+    sets, measures, compiled = _family_rows(p, family, grid)
+    return _k0_report(alpha, p.dimension, sets, measures, compiled.norms(conjugate(p)),
+                      compiled.norms(q))
 
 
 def _measure_in_domain(p, E, grid):
@@ -138,16 +140,23 @@ def _family_measures(p, family, grid):
     """measure(E cap domain) of every set of the family, each positive."""
     measures = [_measure_in_domain(p, E, grid) for E in family]
     for i, measure in enumerate(measures):
-        if measure <= 0.0:
+        if not measure > 0.0:
             raise PreconditionError(f"family set {i} has measure {measure}")
     return measures
 
 
-def _k0_report(alpha, n, family, measures, norms_conjugate, norms_dual):
+def _family_rows(p, family, grid):
+    """(sets, measures, compiled): the family as a list, the measure of each
+    set in the domain, and all sets compiled against p as one family."""
+    sets = list(family)
+    return sets, _family_measures(p, sets, grid), _compile_family(p, sets, grid)
+
+
+def _k0_report(alpha, n, sets, measures, norms_conjugate, norms_dual):
     """The samples measure^(alpha/n - 1) * ||chi_E||_p' * ||chi_E||_q and their sup."""
     samples = []
     best_value, best_index = -math.inf, -1
-    for i, (E, measure, nc, nd) in enumerate(zip(family, measures, norms_conjugate.tolist(),
+    for i, (E, measure, nc, nd) in enumerate(zip(sets, measures, norms_conjugate.tolist(),
                                                  norms_dual.tolist())):
         value = measure ** (alpha / n - 1.0) * nc * nd
         samples.append(K0Sample(i, E.label, measure, nc, nd, value))
@@ -258,23 +267,17 @@ def norm_harmonic_sandwich(p, family, grid=None, tol=1e-6):
 
     lower = measure^(1/p_E) / (2K) and upper = (2 K^2 K0 / k) measure^(1/p_E)
     with K, k the pairing constants of p and K0 the family constant
-    (k0_constant).  The family is compiled once: the norms in p and p' of
-    every set come from one batched solve each, and the harmonic means and
-    K0 from the same rows.
+    (k0_constant).  The norms in p and p' come from one batched solve each.
     """
-    holder = holder_constant(p)
-    duality = duality_constant(p)
-    measures = _family_measures(p, family, grid)
-    compiled = _compile_family(p, family, grid)
-    norms = compiled.norms(p).tolist()
-    # the samples of k0_constant, bit for bit: its dual exponent at order 0 is p
-    k0_value = max((measure ** -1.0 * nc * norm for measure, nc, norm
-                    in zip(measures, compiled.norms(conjugate(p)).tolist(), norms)),
-                   default=-math.inf)
-    inverses = _mean_inverses(compiled, p, family).tolist()
+    holder, duality = holder_constant(p), duality_constant(p)
+    sets, measures, compiled = _family_rows(p, family, grid)
+    norms_p = compiled.norms(p)
+    # the dual exponent of order 0 is p itself
+    k0_value = _k0_report(0.0, p.dimension, sets, measures, compiled.norms(conjugate(p)),
+                          norms_p).best_value
+    means = _harmonic_means(compiled, p, sets).tolist()
     rows = []
-    for i, (E, measure, norm, inv) in enumerate(zip(family, measures, norms, inverses)):
-        hm = INF if inv == 0.0 else 1.0 / inv
+    for i, (E, measure, norm, hm) in enumerate(zip(sets, measures, norms_p.tolist(), means)):
         base = measure ** (0.0 if hm == INF else 1.0 / hm)
         lower = base / (2.0 * holder)
         upper = 2.0 * holder ** 2 * k0_value / duality * base
@@ -311,25 +314,21 @@ def k0alpha_iff_k0_check(p, alpha, family, grid=None, tol=1e-6, identity_tol=1e-
     pointwise Young inequality, since the indicator norm in the constant
     exponent n/alpha is measure^(alpha/n)); the alpha sample is at most
     4 K_p K_q times the product of the two family constants, through the
-    exact relation 1/p'_E + 1/q_E = 1 - alpha/n.  The family is compiled
-    once, against p: the norms in p, p', q and q' and both means share its
-    rows, since q has the pieces of p.
+    exact relation 1/p'_E + 1/q_E = 1 - alpha/n.  q has the pieces of p, so
+    the norms in p, p', q and q' and both means read the rows of p.
     """
     n = p.dimension
     q = sobolev_dual(p, alpha)
-    measures = _family_measures(p, family, grid)
-    compiled = _compile_family(p, family, grid)
+    sets, measures, compiled = _family_rows(p, family, grid)
     norm_p, norm_pc, norm_q, norm_qc = (compiled.norms(r)
                                         for r in (p, conjugate(p), q, conjugate(q)))
-    rep_alpha = _k0_report(alpha, n, family, measures, norm_pc, norm_q)
-    rep_p = _k0_report(0.0, n, family, measures, norm_pc, norm_p)
-    rep_q = _k0_report(0.0, n, family, measures, norm_qc, norm_q)
-    kp, kq = holder_constant(p), holder_constant(q)
-    c_conv = 4.0 * kp * kq
-    rows = []
-    converse_ok = True
-    inverses = zip(_mean_inverses(compiled, p, family).tolist(),
-                   _mean_inverses(compiled, q, family).tolist())
+    rep_alpha = _k0_report(alpha, n, sets, measures, norm_pc, norm_q)
+    rep_p = _k0_report(0.0, n, sets, measures, norm_pc, norm_p)
+    rep_q = _k0_report(0.0, n, sets, measures, norm_qc, norm_q)
+    c_conv = 4.0 * holder_constant(p) * holder_constant(q)
+    rows, converse_ok = [], True
+    inverses = zip(_mean_inverses(compiled, p, sets).tolist(),
+                   _mean_inverses(compiled, q, sets).tolist())
     samples = zip(rep_alpha.samples, rep_p.samples, rep_q.samples)
     for (sa, sp, sq), (inv_p, inv_q) in zip(samples, inverses):
         gap = abs((1.0 - inv_p) + inv_q - (1.0 - alpha / n))

@@ -563,10 +563,17 @@ def mean_inverse_exponent(p, E, grid=None):
     return float(_mean_inverses(compile_set(p, E, grid), p, [E]))
 
 
+def _harmonic_means(dist, p, sets):
+    """Harmonic mean of p over every set compiled into dist, one per set:
+    the reciprocal of its _mean_inverses, inf where the average of 1/p is 0."""
+    inv = np.ravel(_mean_inverses(dist, p, sets))
+    with np.errstate(divide="ignore"):
+        return np.where(inv == 0.0, INF, 1.0 / inv)
+
+
 def harmonic_mean(p, E, grid=None):
     """Harmonic mean exponent of the set: reciprocal of the average of 1/p."""
-    inv = mean_inverse_exponent(p, E, grid)
-    return INF if inv == 0.0 else 1.0 / inv
+    return float(_harmonic_means(compile_set(p, E, grid), p, [E])[0])
 
 
 # -- families of sets: one row per set ----------------------------------------

@@ -216,6 +216,9 @@ def test_grid_size_budgets_refuse_before_any_grid(argv, flag, values, tmp_path, 
     ["blowup", "--cells-per-radius", "0"],
     ["example", "L1_FAILURE", "--rmax", "nan"],
     ["example", "L1_FAILURE", "--rmax", "inf"],
+    ["k0scan", "--anchor", "nan"],
+    ["k0scan", "--anchor=-inf"],
+    ["blowup", "--t", "inf"],
 ])
 def test_bad_input_ends_with_an_error_line(argv, tmp_path, capsys):
     if argv[0] == "k0scan":

@@ -48,7 +48,14 @@ from varlp.constructions import (
     _witness_target_exponent,
 )
 from varlp.exponent import ConstantPiece, ExponentFunction, sobolev_dual
-from varlp.norms import interval_indicator_modular, interval_integral, mean_inverse_exponent
+from varlp.norms import (
+    _compile_family,
+    _mean_inverses,
+    compile_set,
+    interval_indicator_modular,
+    interval_integral,
+    mean_inverse_exponent,
+)
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +255,13 @@ def test_blowup_parameter_windows():
         build_blowup(p, 0.0, 5.0, 11)
     with pytest.raises(PreconditionError, match="cell per radius"):
         build_blowup(p, 0.0, 5.0, 2, cells_per_radius=0)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_blowup_refuses_a_non_finite_t(t):
+    # t = inf would make the small radius 0 and the level grid's spacing 0
+    with pytest.raises(PreconditionError, match="need finite t > 4"):
+        build_blowup(default_blowup_exponent(), 0.0, t, 2)
 
 
 def test_blowup_needs_flat_region():
@@ -486,6 +500,88 @@ def test_ex61_partials_match_per_term_compile_reference(spec61):
                            for a, b in sets["flanks"]))
     assert div["weight_partials"].tobytes() == np.cumsum(weight).tobytes()
     assert div["maximal_partials"].tobytes() == np.cumsum(maximal).tobytes()
+
+
+def _replaced_witness_scale(target, spec, j):
+    """The witness interval, its mean and lambda as witness_check and
+    witness_norm_check each wrote them out."""
+    a, b = witness_interval(spec, j)
+    interval = MeasurableSet.from_box(((a, b),))
+    dist = compile_set(target, interval)
+    inv_mean = float(_mean_inverses(dist, target, [interval]))
+    mean = math.inf if inv_mean == 0.0 else 1.0 / inv_mean
+    return dist, b - a, mean, j * (b - a) ** (1.0 / mean)
+
+
+def _replaced_two_sided_rows(p, intervals):
+    sets = [MeasurableSet.from_box(((a, b),)) for a, b in intervals]
+    compiled = _compile_family(p, sets)
+    rows = []
+    for (a, b), inv_mean, norm in zip(intervals, _mean_inverses(compiled, p, sets).tolist(),
+                                      compiled.norms(p).tolist()):
+        mean = 1.0 / inv_mean
+        rows.append({"interval": (a, b), "measure": b - a,
+                     "ratio": norm / (b - a) ** (1.0 / mean)})
+    return rows
+
+
+def test_witness_reads_match_replaced_code_bitwise(spec62, spec63, spec64):
+    for sp in (spec62, spec63, spec64):
+        target = _witness_target_exponent(sp)
+        for row in witness_check(sp, range(2, 12)):
+            dist, measure, mean, lam = _replaced_witness_scale(target, sp, row["j"])
+            want = (measure, mean, lam, dist.modular(target, lam))
+            assert (row["measure"], row["mean"], row["lambda"], row["modular"]) == want
+        for j in (2, 3, 5):
+            dist, _, _, lam = _replaced_witness_scale(target, sp, j)
+            assert witness_norm_check(sp, j) == (dist.norm(target), lam), (sp.name, j)
+
+
+def test_two_sided_rows_match_replaced_code_bitwise(spec62):
+    rng = np.random.default_rng(11)
+    starts = rng.uniform(0.0, 1e4, 30)
+    own = [(a, a + 10.0 ** e) for a, e in zip(starts.tolist(), rng.uniform(-3, 7, 30).tolist())]
+    p = spec62.exponent
+    intervals = [row["interval"] for row in two_sided_interval_check(spec62)["rows"]]
+    assert two_sided_interval_check(spec62)["rows"] == _replaced_two_sided_rows(p, intervals)
+    assert two_sided_interval_check(spec62, own)["rows"] == _replaced_two_sided_rows(p, own)
+
+
+def _replaced_ex61_scan(spec, big_k, per_run):
+    """ex61_interval_constant_scan before it read its samples through
+    k0alpha_constant: its own product measure^(alpha - 1) * ||.||_q * ||.||_p'."""
+    alpha = spec.parameters["alpha"]
+    big_k = int(min(big_k, spec.parameters["count"] - 1))
+
+    def scan(pp, intervals):
+        sets = [MeasurableSet.from_box(((a, b),)) for a, b, _ in intervals]
+        compiled = _compile_family(pp, sets)
+        norms_q = compiled.norms(sobolev_dual(pp, alpha)).tolist()
+        norms_pc = compiled.norms(conjugate(pp)).tolist()
+        return [{"label": label, "measure": b - a, "value": (b - a) ** (alpha - 1.0) * nq * npc}
+                for (a, b, label), nq, npc in zip(intervals, norms_q, norms_pc)]
+
+    anchor = math.exp(1.0) + 1.0
+    vols = np.geomspace(1e-3, 1.0, 7 * per_run)
+    flat = [(anchor, anchor + vol, f"flat-{vol:.3e}") for vol in vols]
+    plateau = [(-vol / 2.0, vol / 2.0, f"plateau-{vol:.3e}") for vol in vols]
+    long = [(-1.0, math.exp(float(j)) + 1.5, f"long-{float(j):.2f}")
+            for j in np.linspace(1.0, float(big_k), per_run * big_k)]
+    far = scan(spec.exponent, flat + long)
+    return far[:len(flat)] + scan(ex61_local_window(spec), plateau) + far[len(flat):]
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])
+def test_ex61_scan_matches_replaced_code(alpha):
+    # the product now runs measure * ||.||_p' * ||.||_q: a value may move by one rounding
+    spec = build_ex61(alpha)
+    for per_run in (1, 2):
+        got = ex61_interval_constant_scan(spec, 50, per_run)["samples"]
+        want = _replaced_ex61_scan(spec, 50, per_run)
+        assert [(s["label"], s["measure"]) for s in got] == [(s["label"], s["measure"])
+                                                             for s in want]
+        for s, w in zip(got, want):
+            assert abs(s["value"] - w["value"]) <= 2.3e-16 * w["value"], s["label"]
 
 
 def test_witness_norm_dual_route(spec62, spec63, spec64):

@@ -17,6 +17,7 @@ from varlp import (
     GridFunction,
     MeasurableSet,
     PreconditionError,
+    SpecParseError,
     averaging_op,
     averaging_uniform_bound,
     conjugate,
@@ -36,8 +37,22 @@ from varlp import (
     subdivision_identity_gap,
 )
 from varlp.exponent import INF, ConstantPiece
-from varlp.k0 import SandwichRow, _cube_mean_reader, _family_measures
-from varlp.norms import compile_set, mean_inverse_exponent, set_measure
+from varlp.k0 import (
+    EquivalenceReport,
+    EquivalenceRow,
+    K0Report,
+    K0Sample,
+    SandwichRow,
+    _cube_mean_reader,
+    _family_measures,
+)
+from varlp.norms import (
+    _compile_family,
+    _mean_inverses,
+    compile_set,
+    mean_inverse_exponent,
+    set_measure,
+)
 
 import varlp.constructions as cx
 
@@ -249,6 +264,110 @@ def test_sandwich_rows_match_two_compile_reference():
         got = norm_harmonic_sandwich(p, family).rows
         want = _reference_sandwich_rows(p, family)
         assert got == want, "rows must be bitwise those of the reference"
+
+
+# -- one family read: parity with the code it replaced --------------------------
+
+
+def _replaced_k0_report(alpha, p, family, measures, compiled, q_conj, q_dual):
+    """The K0^alpha samples as each scan wrote them out before they shared
+    one formula."""
+    samples = []
+    best_value, best_index = -math.inf, -1
+    for i, (E, measure, nc, nd) in enumerate(zip(family, measures,
+                                                 compiled.norms(q_conj).tolist(),
+                                                 compiled.norms(q_dual).tolist())):
+        value = measure ** (alpha / p.dimension - 1.0) * nc * nd
+        samples.append(K0Sample(i, E.label, measure, nc, nd, value))
+        if value > best_value:
+            best_value, best_index = value, i
+    return K0Report(alpha, best_value, best_index, samples)
+
+
+def _replaced_k0alpha_constant(p, alpha, family):
+    q = sobolev_dual(p, alpha)
+    measures = _family_measures(p, family, None)
+    compiled = _compile_family(p, family)
+    return _replaced_k0_report(alpha, p, family, measures, compiled, conjugate(p), q)
+
+
+def _replaced_sandwich_rows(p, family, tol=1e-6):
+    """norm_harmonic_sandwich's rows with its own K0 maximum and its own
+    inversion of the mean of 1/p."""
+    holder, duality = holder_constant(p), duality_constant(p)
+    measures = _family_measures(p, family, None)
+    compiled = _compile_family(p, family)
+    norms = compiled.norms(p).tolist()
+    k0_value = max((measure ** -1.0 * nc * norm for measure, nc, norm
+                    in zip(measures, compiled.norms(conjugate(p)).tolist(), norms)),
+                   default=-math.inf)
+    rows = []
+    for i, (E, measure, norm, inv) in enumerate(
+            zip(family, measures, norms, _mean_inverses(compiled, p, family).tolist())):
+        hm = INF if inv == 0.0 else 1.0 / inv
+        base = measure ** (0.0 if hm == INF else 1.0 / hm)
+        lower = base / (2.0 * holder)
+        upper = 2.0 * holder ** 2 * k0_value / duality * base
+        ok = lower * (1.0 - tol) <= norm <= upper * (1.0 + tol)
+        rows.append(SandwichRow(i, E.label, measure, hm, norm, lower, upper, ok))
+    return k0_value, rows
+
+
+def _replaced_iff_check(p, alpha, family, tol=1e-6, identity_tol=1e-9):
+    n = p.dimension
+    q = sobolev_dual(p, alpha)
+    measures = _family_measures(p, family, None)
+    compiled = _compile_family(p, family)
+    rep_alpha = _replaced_k0_report(alpha, p, family, measures, compiled, conjugate(p), q)
+    rep_p = _replaced_k0_report(0.0, p, family, measures, compiled, conjugate(p), p)
+    rep_q = _replaced_k0_report(0.0, p, family, measures, compiled, conjugate(q), q)
+    c_conv = 4.0 * holder_constant(p) * holder_constant(q)
+    rows, converse_ok = [], True
+    inverses = zip(_mean_inverses(compiled, p, family).tolist(),
+                   _mean_inverses(compiled, q, family).tolist())
+    for (sa, sp, sq), (inv_p, inv_q) in zip(zip(rep_alpha.samples, rep_p.samples,
+                                                rep_q.samples), inverses):
+        gap = abs((1.0 - inv_p) + inv_q - (1.0 - alpha / n))
+        forward_ok = (sp.value <= 2.0 * sa.value * (1.0 + tol)
+                      and sq.value <= 2.0 * sa.value * (1.0 + tol))
+        if sa.value > c_conv * rep_p.best_value * rep_q.best_value * (1.0 + tol):
+            converse_ok = False
+        rows.append(EquivalenceRow(sa.index, sa.label, sa.value, sp.value, sq.value,
+                                   gap, forward_ok, gap <= identity_tol))
+    all_ok = converse_ok and all(r.forward_ok and r.identity_ok for r in rows)
+    return EquivalenceReport(rows, c_conv, converse_ok, all_ok)
+
+
+def _family_read_cases():
+    """The sandwich families, the two-piece scan and the EX62-EX64 witness
+    intervals, each with an order alpha its fractional dual admits."""
+    cases = [(p, family, 0.25) for p, family in _sandwich_families()]
+    cases.append((two_piece(1.0, 3.0), CubeFamily.interval_ladder([0.5, 1.0, 1.5],
+                                                                  [1e-9, 1e-3, 0.4, 2.0]), 0.3))
+    for spec in (cx.build_ex62(), cx.build_ex63(0.25, 1.2, 2.0), cx.build_ex64(0.25, 1.2, 2.0)):
+        family = CubeFamily.from_boxes([(cx.witness_interval(spec, j),) for j in range(2, 9)])
+        cases.append((spec.exponent, family, 0.25))
+    return cases
+
+
+def test_family_reads_match_replaced_code_bitwise():
+    for p, family, alpha in _family_read_cases():
+        sandwich = norm_harmonic_sandwich(p, family)
+        assert (sandwich.k0, sandwich.rows) == _replaced_sandwich_rows(p, family)
+        for order in (0.0, alpha):
+            assert k0alpha_constant(p, order, family) == _replaced_k0alpha_constant(p, order,
+                                                                                      family)
+        assert k0alpha_iff_k0_check(p, alpha, family) == _replaced_iff_check(p, alpha, family)
+        for E in family:
+            inv = mean_inverse_exponent(p, E)
+            assert harmonic_mean(p, E) == (INF if inv == 0.0 else 1.0 / inv), E.label
+
+
+def test_harmonic_mean_of_an_infinite_exponent_is_inf():
+    p = two_piece(INF, 2.0)
+    assert harmonic_mean(p, MeasurableSet.from_box(((0.25, 0.75),))) == INF
+    rows = norm_harmonic_sandwich(p, CubeFamily.from_boxes([((0.25, 0.75),), ((0.5, 1.5),)])).rows
+    assert [r.mean_exponent for r in rows] == [INF, 1.0 / (0.5 * 0.5)]
 
 
 # -- equivalence of the constants ----------------------------------------------
@@ -687,3 +806,18 @@ def test_family_measures_of_a_box_outside_the_domain_raise():
     family = CubeFamily.from_boxes([((0.5, 1.0),), ((2.5, 3.0),)])
     with pytest.raises(DomainError, match="^intersection with box is empty$"):
         _family_measures(p, family, None)
+
+
+def test_family_measures_refuse_a_nan_measure():
+    # a box with a nan edge has measure nan, which is not positive either
+    p = two_piece(1.5, 3.0)
+    sets = [MeasurableSet.from_box(((0.5, 1.0),)), MeasurableSet(box=((math.nan, 1.0),))]
+    with pytest.raises(PreconditionError, match="^family set 1 has measure nan$"):
+        _family_measures(p, sets, None)
+
+
+@pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+def test_cube_refuses_a_non_finite_center(center):
+    for point in ((center,), (0.0, center)):
+        with pytest.raises(SpecParseError, match="cube center must be finite"):
+            Cube(point, 0.5)

@@ -1,14 +1,19 @@
 """Tests for modulars, Luxemburg norms, pairing bounds, and set functionals."""
 
 import itertools
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import varlp
 from varlp import (
     ConstantPiece,
     Cube,
@@ -826,6 +831,7 @@ class _NormRecorder:
 def _interval_norm_inputs(monkeypatch):
     """(p, a, b) of every interval norm the norm and construction tests solve."""
     import varlp.constructions as cons
+    import varlp.k0 as k0
 
     inputs = [(two_piece_exponent(1.0, 2.0), 0.0, 2.0),
               (two_piece_exponent(INF, 2.0), 0.0, 2.0),
@@ -842,6 +848,8 @@ def _interval_norm_inputs(monkeypatch):
 
     monkeypatch.setattr(cons, "compile_set", record_set)
     monkeypatch.setattr(cons, "_compile_family", record_family)
+    # the EX61 scan compiles its families through k0alpha_constant
+    monkeypatch.setattr(k0, "_compile_family", record_family)
     spec62 = cons.build_ex62()
     spec63, spec64 = cons.build_ex63(0.25, 1.2, 2.0), cons.build_ex64(0.25, 1.2, 2.0)
     for sp, j in ((spec62, 2), (spec62, 3), (spec63, 2), (spec64, 2)):
@@ -1361,3 +1369,48 @@ def test_table_rows_match_compile_set(seed, dimension):
         means = _mean_inverses(_compile_family(p, met), p, met)
         for E, got in zip(met, means):
             assert got == pytest.approx(mean_inverse_exponent(p, E), rel=1e-13, abs=0.0), E.box
+
+
+# a 256^2-cell grid norm solves one row of 65 536 atoms, long enough for a
+# threaded BLAS to split its reductions; prints the norms of five lognormal
+# data sets, then runs the grid-route CLI norm on the indicator of the square
+_BLAS_PROBE = """
+import sys
+import numpy as np
+from varlp import GridDomain, GridFunction, luxemburg_norm
+from varlp.cli import main
+from varlp.exponent import load_spec
+spec, out = sys.argv[1:]
+p = load_spec(spec)
+grid = GridDomain(((0.0, 1.0), (0.0, 1.0)), (256, 256))
+rng = np.random.default_rng(5)
+for _ in range(5):
+    f = GridFunction(grid, rng.lognormal(0.0, 1.0, grid.cells))
+    print(float(luxemburg_norm(f, p)).hex())
+sys.exit(main(["norm", "--spec", spec, "--box", "0,1;0,1", "--cells", "256", "--out", out]))
+"""
+
+
+def test_grid_norm_bits_do_not_depend_on_blas_threads(tmp_path):
+    rng = np.random.default_rng(16)
+    edges = np.linspace(0.0, 1.0, 17).tolist()
+    pieces = [{"box": [[x0, x1], [y0, y1]], "kind": "constant",
+               "value": float(rng.choice(FINITE_VALUES))}
+              for x0, x1 in zip(edges, edges[1:]) for y0, y1 in zip(edges, edges[1:])]
+    spec = tmp_path / "pieces.json"
+    spec.write_text(json.dumps({"dimension": 2, "domain": [[0.0, 1.0], [0.0, 1.0]],
+                                "pieces": pieces}))
+    src = os.path.dirname(os.path.dirname(varlp.__file__))
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    runs = []
+    for name, env in (("pinned", dict(base, OPENBLAS_NUM_THREADS="1")), ("default", base)):
+        out = tmp_path / name
+        done = subprocess.run([sys.executable, "-c", _BLAS_PROBE, str(spec), str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append((done.stdout, [(out / f).read_bytes() for f in ("results.csv",
+                                                                       "summary.txt")]))
+    assert len(runs[0][0].splitlines()) == 6
+    assert runs[0] == runs[1], "BLAS threads changed the bits of a grid norm"
