@@ -421,8 +421,9 @@ _WORK_RANGES = {"--num": (1, 10_000), "--count": (1, 10_000), "--j-max": (2, 10_
 # the most cells a grid built from --cells may hold in all, and the most
 # paircheck's line may hold.  At these ceilings EXACT maximal takes about
 # 0.7 s on a line (0.2 s of it writing results.csv) and 0.8 s on 256^2
-# cells (7.9 s on 512^2), and paircheck about 0.6 s for 25 pairs, with the
-# interpreter's start, on 2 vCPUs
+# cells (7.9 s on 512^2), and paircheck with 25 pairs about 0.6-0.8 s in
+# maximal mode and 1.1-1.3 s in czo mode, with the interpreter's start, on
+# 2 vCPUs
 _MAX_GRID_CELLS = 1 << 16
 _MAX_PAIRCHECK_CELLS = 1 << 14
 

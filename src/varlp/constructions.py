@@ -204,7 +204,8 @@ def blowup_threshold_identity_residual(n, k, alpha):
 
 @dataclass
 class BlowupLevel:
-    """Level k of the family: geometry, grid, and normalized indicator."""
+    """Level k of the family: geometry, grid, and normalized indicator; the
+    threshold set {p < beta} is a cell mask on the level's grid."""
 
     k: int
     beta: float
@@ -316,7 +317,7 @@ def build_blowup(p, alpha, t, k_max, cells_per_radius=4):
 
         # flat region, so the level set fills D; assert the density bound
         mask = e_set.mask_on(grid)
-        e_cells = MeasurableSet.from_mask(grid, mask, label=e_set.label)  # painted once
+        e_cells = MeasurableSet.from_mask(grid, mask, label=e_set.label)
         density = float(mask.mean())
         density_floor = 1.0 - 2.0 ** (-n * k) * width ** (-n)
         if not density > density_floor:
@@ -349,7 +350,7 @@ def build_blowup(p, alpha, t, k_max, cells_per_radius=4):
             BlowupLevel(
                 k=k,
                 beta=beta,
-                threshold_set=e_set,
+                threshold_set=e_cells,
                 x=(x0,),
                 s_half=s_half,
                 big_radius=big_r,
@@ -492,8 +493,7 @@ def blowup_family_k0(fam):
     p = fam.p
     sets = []
     for lv in fam.levels:
-        threshold = MeasurableSet.from_mask(lv.grid, lv.threshold_set.mask_on(lv.grid))
-        sets += [threshold.intersect_box(cube.as_box())
+        sets += [lv.threshold_set.intersect_box(cube.as_box())
                  for cube in list(lv.chain) + [pr.partner for pr in lv.pairs]]
     compiled = _compile_family(p, sets)
     met = compiled.measure > 0.0

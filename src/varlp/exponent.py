@@ -7,6 +7,8 @@ smooth plateau bumps repeated along a center sequence.  Derived exponents
 transform chains over the same piece data so that analytic integration
 routines keep access to the exact piece geometry.  On a grid the pieces are
 painted onto the cells they cover, so only bump pieces evaluate points.
+The levels behind bounds() and strata() are read per run of cells each
+piece owns, by the rule the box compiler of varlp.norms uses.
 
 Center sequences can hold astronomically many bumps (counts around 1e14 show
 up in the long-interval witness constructions), so nothing here ever
@@ -92,6 +94,14 @@ def _first_piece_cells(pieces, box):
         volumes = [v if count == size else total
                    for v, total, count, size in zip(volumes, sums, owned, sizes)]
     return edges, owner, volumes
+
+
+def _owned_runs(edges, owner, k):
+    """(lo, hi) of every run of cells on a line that piece k owns, left to
+    right, from the edges and owner map of _first_piece_cells."""
+    owned = np.concatenate(([False], owner == k, [False]))
+    ends = np.flatnonzero(owned[1:] != owned[:-1]).tolist()
+    return [(edges[0][a], edges[0][b]) for a, b in zip(ends[::2], ends[1::2])]
 
 
 def points_in_box(pts, box):
@@ -320,14 +330,45 @@ class BumpsPiece:
                 straddlers.append((k, c))
         return (k_in_first, k_in_last), straddlers
 
-    def support_cover_length(self, lo, hi):
-        """Length of [lo, hi] covered by bump supports (exact up to rounding)."""
-        s = self.bump.support_halfwidth
-        (k_in_first, k_in_last), straddlers = self.full_and_straddling(lo, hi)
-        cover = max(0, k_in_last - k_in_first + 1) * 2.0 * s
+    def attained(self, lo, hi, split):
+        """Raw levels taken on positive measure in [lo, hi], where split is
+        full_and_straddling(lo, hi): the base where the supports leave more
+        than rounding uncovered, the plateau value where a plateau overlaps
+        [lo, hi] on positive length.  A center quantized more coarsely than
+        the bump counts as a whole bump when it lies in [lo, hi]."""
+        s, m = self.bump.support_halfwidth, self.bump.plateau_halfwidth
+        (kf, kl), straddlers = split
+        cover = max(0, kl - kf + 1) * 2.0 * s
+        plateau = kl >= kf
         for _, c in straddlers:
             cover += max(0.0, min(hi, c + s) - max(lo, c - s))
-        return cover
+            if np.spacing(abs(c)) > 0.01 * s:
+                plateau |= lo <= c <= hi
+            else:
+                plateau |= min(hi, c + m) > max(lo, c - m)
+        levels = [self.base] if (hi - lo) - cover > 1e-12 * max(1.0, hi - lo) else []
+        if self.bump.height > 0 and plateau:
+            levels.append(self.top)
+        return levels
+
+    def ranges(self, lo, hi, split):
+        """Raw ranges the bumps sweep in [lo, hi] (split as in attained): the
+        base to the plateau value for a whole bump or a coarse center, and for
+        a straddler the values at the farthest and the nearest distance from
+        its center within the overlap, exact since the profile is monotone in
+        the distance.  Degenerate ranges are dropped."""
+        s = self.bump.support_halfwidth
+        (kf, kl), straddlers = split
+        out = [(self.base, self.top)] if kl >= kf else []
+        for _, c in straddlers:
+            if np.spacing(abs(c)) > 0.01 * s:
+                if lo <= c <= hi:
+                    out.append((self.base, self.top))
+                continue
+            o0, o1 = max(lo, c - s), min(hi, c + s)
+            dist = [max(c - o0, o1 - c), max(o0 - c, c - o1, 0.0)]
+            out.append(tuple((self.base + self.direction * self.bump.profile(dist)).tolist()))
+        return [(a, b) for a, b in out if a != b]
 
 
 def _tf_scalar(ops, v):
@@ -463,76 +504,46 @@ class ExponentFunction:
     # -- structure ----------------------------------------------------------
 
     def _raw_level_sets(self):
-        """(atoms, open intervals) of values attained on positive measure.
+        """(atoms, ranges) of raw values attained on positive measure.
 
-        Each piece counts with the volume it owns in the domain, where the
-        first piece listed wins (see _first_piece_cells); any number of
-        pieces may overlap.  A piece that owns next to nothing is skipped,
-        and a bump piece that earlier ones cut into keeps every level it
-        could attain.
+        Each cell of the domain goes to the first piece listed whose box
+        covers it (see _first_piece_cells); any number of pieces may overlap.
+        A constant piece that owns more than 1e-12 of its region gives its
+        value.  A bump piece is read on every run of cells it owns, as the
+        box compiler reads it: BumpsPiece.attained gives the atoms and
+        BumpsPiece.ranges the ranges its profile sweeps.
         """
-        atoms, intervals = set(), []
-        _, _, volumes = _first_piece_cells(self.pieces, self.domain)
-        for piece, eff in zip(self.pieces, volumes):
-            region = box_intersect(piece.box, self.domain)
-            if region is None:
-                continue
-            if eff <= 1e-12 * box_volume(region):
-                continue
-            cut = eff < box_volume(region) * (1.0 - 1e-12)
+        atoms, ranges = set(), []
+        edges, owner, volumes = _first_piece_cells(self.pieces, self.domain)
+        for k, (piece, eff) in enumerate(zip(self.pieces, volumes)):
             if isinstance(piece, ConstantPiece):
-                atoms.add(piece.value)
+                region = box_intersect(piece.box, self.domain)
+                if region is not None and eff > 1e-12 * box_volume(region):
+                    atoms.add(piece.value)
                 continue
-            lo, hi = region[0]
-            s = piece.bump.support_halfwidth
-            m = piece.bump.plateau_halfwidth
-            if cut:
-                # earlier pieces cut into this box; keep every candidate level
-                atoms.add(piece.base)
-                if piece.bump.height > 0:
-                    atoms.add(piece.top)
-                    intervals.append((piece.base, piece.top))
-                continue
-            kf, kl = piece.centers.index_range_in(lo - s, hi + s)
-            touches_support = kl >= kf
-            pf, pl = piece.centers.index_range_in(lo - m, hi + m)
-            touches_plateau = pl >= pf
-            cover = piece.support_cover_length(lo, hi) if touches_support else 0.0
-            if (hi - lo) - cover > 1e-12 * max(1.0, hi - lo):
-                atoms.add(piece.base)
-            if piece.bump.height > 0 and touches_plateau:
-                atoms.add(piece.top)
-            if piece.bump.height > 0 and touches_support:
-                intervals.append((piece.base, piece.top))
-        return atoms, intervals
+            for lo, hi in _owned_runs(edges, owner, k):
+                split = piece.full_and_straddling(lo, hi)
+                atoms.update(piece.attained(lo, hi, split))
+                ranges += piece.ranges(lo, hi, split)
+        return atoms, ranges
+
+    def _levels(self):
+        """The atoms and the (low, high) ranges of _raw_level_sets, transformed."""
+        atoms, ranges = self._raw_level_sets()
+        ends = np.sort(_tf_array(self.transforms, np.reshape(ranges, (-1, 2))), axis=1)
+        return _tf_array(self.transforms, sorted(atoms)).tolist(), ends.tolist()
 
     def strata(self):
-        atoms, intervals = self._raw_level_sets()
-        t_atoms = {_tf_scalar(self.transforms, v) for v in atoms}
-        t_ints = []
-        for a, b in intervals:
-            wa, wb = _tf_scalar(self.transforms, a), _tf_scalar(self.transforms, b)
-            t_ints.append((min(wa, wb), max(wa, wb)))
-        has_one = any(v == 1.0 for v in t_atoms)
-        has_inf = any(v == INF for v in t_atoms)
-        has_finite = any(1.0 < v < INF for v in t_atoms) or any(
-            hi > 1.0 and lo < INF and hi > lo for lo, hi in t_ints
+        atoms, ranges = self._levels()
+        has_finite = any(1.0 < v < INF for v in atoms) or any(
+            hi > 1.0 and lo < INF and hi > lo for lo, hi in ranges
         )
-        return Strata(has_one, has_finite, has_inf)
+        return Strata(1.0 in atoms, has_finite, INF in atoms)
 
     def bounds(self):
         """Essential (inf, sup) of the exponent over its domain."""
-        atoms, intervals = self._raw_level_sets()
-        lows, highs = [], []
-        for v in atoms:
-            w = _tf_scalar(self.transforms, v)
-            lows.append(w)
-            highs.append(w)
-        for a, b in intervals:
-            wa, wb = _tf_scalar(self.transforms, a), _tf_scalar(self.transforms, b)
-            lows.append(min(wa, wb))
-            highs.append(max(wa, wb))
-        return min(lows), max(highs)
+        atoms, ranges = self._levels()
+        return min(atoms + [lo for lo, _ in ranges]), max(atoms + [hi for _, hi in ranges])
 
 
 def evaluate(p, x):

@@ -9,8 +9,9 @@ a pre-transform exponent value.  Three routes compile:
 * the indicator of a box in any dimension, intervals included: the box is
   cut into the cells each piece owns, where pieces may overlap and the
   first one listed wins.  A constant piece gives one atom, the volume it
-  owns.  A bump piece (one dimension only) gives, per run of cells it owns,
-  the base length, the plateaus and shoulder Gauss nodes of the fully
+  owns.  A bump piece (one dimension only) gives, per run of cells it owns
+  (exponent._owned_runs, the walk bounds() and strata() also read), the
+  base length, the plateaus and shoulder Gauss nodes of the fully
   contained bumps weighted by their count, and Gauss nodes across the few
   bumps that straddle an end.  The walk does not depend on the number of
   bumps, so intervals of length 1e27 containing 1e13 bumps are fine;
@@ -45,7 +46,6 @@ one compiled set or family serves all of them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +56,7 @@ from .exponent import (
     ConstantPiece,
     _first_piece_cells,
     _gauss_nodes,
+    _owned_runs,
     _tf_array,
     box_intersect,
     box_volume,
@@ -371,8 +372,7 @@ def _bump_atoms(piece, lo, hi, ws, raws, inf_raw):
     gives Gauss nodes per smooth stretch; what is left is the base length.
     Bumps whose center coordinates are quantized more coarsely than the
     bump itself count as whole when the center lies in [lo, hi] (O(1)
-    absolute error).  The base and the plateau value go to inf_raw when
-    they are attained on positive measure.
+    absolute error).  The levels of BumpsPiece.attained go to inf_raw.
     """
     bump = piece.bump
     s, m = bump.support_halfwidth, bump.plateau_halfwidth
@@ -381,12 +381,10 @@ def _bump_atoms(piece, lo, hi, ws, raws, inf_raw):
     def raw_at(dist):
         return piece.base + piece.direction * bump.profile(dist)
 
-    (kf, kl), straddlers = piece.full_and_straddling(lo, hi)
+    (kf, kl), straddlers = split = piece.full_and_straddling(lo, hi)
     n_full = max(0, kl - kf + 1)
-    cover = n_full * 2.0 * s
     base_len = hi - lo - n_full * 2.0 * s
     for _, c in straddlers:
-        cover += max(0.0, min(hi, c + s) - max(lo, c - s))
         if np.spacing(abs(c)) > 0.01 * s:
             if lo <= c <= hi:
                 base_len -= 2.0 * s
@@ -410,12 +408,7 @@ def _bump_atoms(piece, lo, hi, ws, raws, inf_raw):
     if base_len > 0.0:
         ws.append(np.array([base_len]))
         raws.append(np.array([piece.base]))
-    if (hi - lo) - cover > 1e-12 * max(1.0, hi - lo):
-        inf_raw.append(piece.base)
-    if bump.height > 0:
-        pf, pl = piece.centers.index_range_in(lo - m, hi + m)
-        if pl >= pf:
-            inf_raw.append(piece.top)
+    inf_raw.extend(piece.attained(lo, hi, split))
 
 
 def _compile_box(p, box):
@@ -449,12 +442,8 @@ def _compile_box(p, box):
             inf_raw.append(piece.value)
             continue
         bumped = True
-        start = 0
-        for owned_by, run in itertools.groupby(owner.tolist()):
-            stop = start + len(list(run))
-            if owned_by == k:
-                _bump_atoms(piece, edges[0][start], edges[0][stop], ws, raws, inf_raw)
-            start = stop
+        for lo, hi in _owned_runs(edges, owner, k):
+            _bump_atoms(piece, lo, hi, ws, raws, inf_raw)
     # without bump atoms the constant atoms make one array in one step
     stack = np.hstack if bumped else np.array
     w, raw = stack(ws), stack(raws).astype(float, copy=False)

@@ -504,6 +504,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
     # at alpha 0 short intervals weigh most, so the one-block prune skips least
     (["paircheck", "--alpha", "0", "--mode", "maximal", "--count", "25", "--cells", "512",
       "--seed", "5"], "paircheck_maximal_a0"),
+    (["paircheck", "--alpha", "0.5", "--mode", "czo", "--count", "25", "--seed", "3"],
+     "paircheck_czo"),
 ])
 def test_maximal_artifacts_match_golden_bytes(argv, golden, tmp_path):
     _assert_golden_bytes(argv, golden, tmp_path)
@@ -524,6 +526,10 @@ def _assert_golden_bytes(argv, golden, tmp_path):
     (["blowup", "--alpha", "0.25", "--t", "5", "--k", "4", "--c-scale", "10"], "blowup"),
     (["example", "HM_COUNTER"], "hm_counter"),
     (["example", "EX62", "--j-max", "6"], "ex62"),
+    # the examples whose sobolev_dual reads the exponent bounds
+    (["example", "EX61", "--alpha", "0.25", "--k", "20"], "ex61"),
+    (["example", "EX63", "--alpha", "0.25"], "ex63"),
+    (["example", "EX64", "--alpha", "0.25"], "ex64"),
 ])
 def test_norm_artifacts_match_golden_bytes(argv, golden, tmp_path):
     _assert_golden_bytes(argv, golden, tmp_path)
@@ -552,6 +558,16 @@ def test_norm_on_seventeen_nested_pieces(tmp_path, capsys):
     lines = (out / "summary.txt").read_text().splitlines()
     assert "exponent bounds = (1.25, 1.5)" in lines, lines
     assert "route = interval" in lines, lines
+
+
+def test_k0scan_on_a_bump_piece_cut_by_a_constant(tmp_path, capsys):
+    # the constant owns the bump's plateau, so p_plus is 2, not the shadowed 5
+    out = tmp_path / "run"
+    argv = ["k0scan", "--spec", os.path.join(DATA, "cutbump.json"), "--alpha", "0.3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert "exponent bounds = (1.5, 2)" in lines, lines
+    assert "pairing constant K = 1.16666667" in lines, lines
 
 
 def _no_grid(*args, **kwargs):

@@ -586,6 +586,16 @@ def seed_box_volumes(p, box):
     return vols
 
 
+def seed_support_cover_length(piece, lo, hi):
+    """Length of [lo, hi] covered by bump supports (exact up to rounding)."""
+    s = piece.bump.support_halfwidth
+    (k_in_first, k_in_last), straddlers = piece.full_and_straddling(lo, hi)
+    cover = max(0, k_in_last - k_in_first + 1) * 2.0 * s
+    for _, c in straddlers:
+        cover += max(0.0, min(hi, c + s) - max(lo, c - s))
+    return cover
+
+
 def seed_raw_level_sets(p):
     atoms, intervals = set(), []
     for i, piece in enumerate(p.pieces):
@@ -612,7 +622,7 @@ def seed_raw_level_sets(p):
         touches_support = kl >= kf
         pf, pl = piece.centers.index_range_in(lo - m, hi + m)
         touches_plateau = pl >= pf
-        cover = piece.support_cover_length(lo, hi) if touches_support else 0.0
+        cover = seed_support_cover_length(piece, lo, hi) if touches_support else 0.0
         if (hi - lo) - cover > 1e-12 * max(1.0, hi - lo):
             atoms.add(piece.base)
         if piece.bump.height > 0 and touches_plateau:
@@ -724,7 +734,7 @@ def seed_interval_has_inf(p, a, b):
                 return True
             continue
         if _tf_scalar(p.transforms, piece.base) == INF:
-            cover = piece.support_cover_length(lo, hi)
+            cover = seed_support_cover_length(piece, lo, hi)
             if (hi - lo) - cover > 1e-12 * max(1.0, hi - lo):
                 return True
         if _tf_scalar(p.transforms, piece.top) == INF and piece.bump.height > 0:
@@ -1118,9 +1128,17 @@ def test_box_of_another_dimension_is_refused():
 
 
 def test_level_sets_match_replaced_code(rng, monkeypatch):
-    exponents = line_exponents(rng) + [random_overlapping_plane(rng) for _ in range(60)]
+    # the replaced code kept every level a bump piece could take once earlier
+    # pieces cut into it, and counted plateaus and shoulders that only touch
+    # the domain; bump lines are held to dense sampling below instead, and
+    # the named ones, which have neither case, still to the replaced code
+    lines = line_exponents(rng)
+    exponents = [p for p in lines[:300]
+                 if not any(isinstance(q, BumpsPiece) for q in p.pieces)] + lines[300:]
+    exponents += [random_overlapping_plane(rng) for _ in range(60)]
     exponents += [random_tiling(rng, 10) for _ in range(20)]
     exponents += [frame_exponent(), hm_counterexample().exponent]
+    assert len(exponents) > 170
     for p in exponents:
         atoms, intervals = p._raw_level_sets()
         want_atoms, want_intervals = seed_raw_level_sets(p)
@@ -1131,6 +1149,72 @@ def test_level_sets_match_replaced_code(rng, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(ExponentFunction, "_raw_level_sets", seed_raw_level_sets)
             assert got == [(q.bounds(), q.strata()) for q in (p, conjugate(p))], p.pieces
+
+
+def test_level_sets_match_dense_sampling(rng):
+    # every random line whose pieces cover [-2, 2], sampled on 1e5 cells
+    grid = GridDomain(((-2.0, 2.0),), (100_000,))
+    compared = 0
+    for p in line_exponents(rng)[:300]:
+        if not _first_piece_cells(p.pieces, p.domain)[1].min() >= 0:
+            continue
+        for q in (p, conjugate(p)):
+            values = q.values_on(grid)
+            lo, hi = q.bounds()
+            if q is p:
+                np.testing.assert_allclose([lo, hi], [values.min(), values.max()], rtol=1e-3,
+                                           err_msg=str(p.pieces))
+            else:
+                assert lo <= values.min() and values.max() <= hi, p.pieces
+            assert q.strata() == Strata(bool((values == 1.0).any()),
+                                        bool(((values > 1.0) & (values < INF)).any()),
+                                        bool((values == INF).any())), p.pieces
+        compared += 1
+    assert compared > 200
+
+
+def one_bump(box, base, height, direction=1):
+    """A bump piece with one bump of center 1, plateau [0.75, 1.25] and
+    support [0.5, 1.5]."""
+    return BumpsPiece((box,), base, PlateauBump(height, 0.25, 0.5),
+                      CenterSequence("fixed", positions=(1.0,)), direction)
+
+
+def test_shadowed_base_is_not_a_level():
+    # the constants own every cell where the bump piece sits at its base
+    p = ExponentFunction(dimension=1, domain=((0.0, 3.0),), pieces=(
+        ConstantPiece(((0.0, 0.75),), 3.0), ConstantPiece(((1.25, 3.0),), 3.0),
+        one_bump((0.0, 3.0), 1.0, 1.0)))
+    assert p.bounds() == (2.0, 3.0)
+    assert not p.strata().has_one
+    assert holder_constant(p) == pytest.approx(7.0 / 6.0, rel=1e-15)
+    assert duality_constant(p) == 1.0
+
+
+def test_shoulder_only_domain_reads_the_shoulder_range():
+    p = ExponentFunction(dimension=1, domain=((0.6, 0.7),),
+                         pieces=(one_bump((0.0, 3.0), 1.0, 1.0),))
+    # the profile at the farthest and the nearest distance from the center
+    want = 1.0 + p.pieces[0].bump.profile([1.0 - 0.6, 1.0 - 0.7])
+    assert p.bounds() == tuple(want.tolist())
+    assert p.bounds() == pytest.approx((1.352, 1.896), rel=1e-12)
+    assert p.strata() == Strata(False, True, False)
+
+
+def test_plateau_touching_one_point_is_not_a_level():
+    # a well whose plateau [0.75, 1.25] meets the domain [0, 0.75] in one point
+    p = ExponentFunction(dimension=1, domain=((0.0, 0.75),),
+                         pieces=(one_bump((0.0, 0.75), 2.0, 1.0, -1),))
+    assert p.bounds() == (1.0, 2.0)
+    assert p.strata() == Strata(False, True, False)
+    assert holder_constant(p) == 1.5
+    q = conjugate(p)
+    assert not interval_has_infinite_exponent(q, 0.0, 0.75)
+    # no sup term for the null set {q = inf}; dense sampling agrees
+    norm = interval_indicator_norm(q, 0.0, 0.75)
+    assert norm == pytest.approx(0.99999, abs=1e-5)
+    grid = GridDomain(((0.0, 0.75),), (10_000,))
+    assert luxemburg_norm(GridFunction(grid, np.ones(10_000)), q) == pytest.approx(norm, rel=1e-5)
 
 
 def nested_exponent(count, dimension):
