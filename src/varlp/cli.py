@@ -17,6 +17,7 @@ a subcommand's checks do not hold, 2 when an input file cannot be parsed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -422,13 +423,16 @@ _WORK_RANGES = {"--num": (1, 10_000), "--count": (1, 10_000), "--j-max": (2, 10_
 # paircheck's line may hold.  At these ceilings EXACT maximal takes about
 # 0.7 s on a line (0.2 s of it writing results.csv) and 0.8 s on 256^2
 # cells (7.9 s on 512^2), and paircheck with 25 pairs about 0.6-0.8 s in
-# maximal mode and 1.1-1.3 s in czo mode, with the interpreter's start, on
+# maximal mode and 0.7-0.8 s in czo mode, with the interpreter's start, on
 # 2 vCPUs
 _MAX_GRID_CELLS = 1 << 16
 _MAX_PAIRCHECK_CELLS = 1 << 14
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process.  Each subcommand's default `func`
+    is its handler's name, which main looks up in this module at call time."""
     parser = argparse.ArgumentParser(
         prog="varlp",
         description="Variable-exponent norms, maximal operators, and worked constructions.",
@@ -442,7 +446,7 @@ def build_parser():
         sp.add_argument("--seed", type=int, default=0, help="seed for randomized parts")
         for flag in flags:
             sp.add_argument(flag, **_SHARED_FLAGS[flag])
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func.__name__)
         return sp
 
     add("norm", _run_norm, "Luxemburg norm of a function", *_GRID_INPUT)
@@ -505,7 +509,7 @@ def main(argv=None):
     os.makedirs(args.out, exist_ok=True)
     _echo_config(args)
     try:
-        header, rows, lines, ok = args.func(args)
+        header, rows, lines, ok = globals()[args.func](args)
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

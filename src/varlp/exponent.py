@@ -371,10 +371,6 @@ class BumpsPiece:
         return [(a, b) for a, b in out if a != b]
 
 
-def _tf_scalar(ops, v):
-    return float(_tf_array(ops, (v,))[0])
-
-
 def _tf_array(ops, values):
     v = np.array(values, dtype=float, copy=True)
     for op in ops:

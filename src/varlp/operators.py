@@ -45,6 +45,13 @@ DYADIC = "DYADIC"
 # values per block of window sums (radii x cells) or of uncentered-table
 # rows: 2 MiB of doubles, which measured faster than 4x larger or smaller blocks
 _BLOCK_VALUES = 1 << 18
+# kernel values per block of partner rows.  The distances take about four
+# temporaries of the block's size, so a block of _BLOCK_VALUES left the cache:
+# on the 16 384-cell czo paircheck (25 pairs), blocks of 2^18, 2^16, 2^14 and
+# 2^13 values took 0.49-0.52, 0.43-0.44, 0.34-0.42 and 0.43-0.45 s at a peak
+# of 46.8, 39.4, 37.3 and 37.1 MB, against 0.56-0.70 s and 37.0 MB one partner
+# cell at a time (2 vCPUs)
+_KERNEL_VALUES = 1 << 14
 # radii per bounded block of the 1-D centered search.  Each bound is one
 # window over the whole line, and a wider block has a looser bound: on 6 000
 # cells of uniform random data, blocks of 32, 64 and 128 radii evaluate 6%,
@@ -747,7 +754,11 @@ def maximal_pair_lower_bound(f, pair, alpha):
 class FractionalKernel:
     """Kernel of fractional order: |K(x,y)| <= c0 / |x-y|^(n-alpha), with a
     Holder-type smoothness constant c0 at exponent delta, and a one-direction
-    nondegeneracy floor a (K at least a / |x-y|^(n-alpha) along `direction`)."""
+    nondegeneracy floor a (K at least a / |x-y|^(n-alpha) along `direction`).
+
+    Called on points x (m of them, one per row) and one point y, it returns
+    the m values K(x, y); called on a (k, n) block of points y, it returns
+    the (k, m) matrix whose row i is K(x, y_i), bitwise the one-point call."""
 
     fn: callable
     alpha: float
@@ -762,13 +773,24 @@ class FractionalKernel:
 
 def riesz_kernel(alpha, n):
     """The positive power kernel |x - y|^(alpha - n) as a FractionalKernel."""
+    if not (0.0 <= alpha < n):
+        raise PreconditionError(f"need 0 <= alpha < n = {n}, got alpha = {alpha}")
 
     def fn(x_pts, y):
-        d = np.linalg.norm(x_pts.reshape(-1, n) - y.reshape(1, n), axis=1)
+        d = np.linalg.norm(x_pts.reshape(-1, n) - y.reshape(-1, 1, n), axis=-1)
         with np.errstate(divide="ignore"):
-            return d ** (alpha - n)
+            d **= alpha - n
+        return d if y.ndim == 2 else d[0]
 
     return FractionalKernel(fn=fn, alpha=alpha, c0=1.0, delta=1.0, lower=1.0, dimension=n)
+
+
+def _kernel_rows(kernel, x_pts, ys):
+    """K(x, y) for each point y of ys, as blocks of rows of at most
+    _KERNEL_VALUES values."""
+    rows = max(1, _KERNEL_VALUES // len(x_pts))
+    for lo in range(0, len(ys), rows):
+        yield kernel(x_pts, ys[lo:lo + rows])
 
 
 def kernel_threshold(kernel, n=None):
@@ -823,14 +845,16 @@ def czo_pair_lower_bound(kernel, f, pair):
         *[f.domain.axis_midpoints(axis)[s] for axis, s in enumerate(cells)], indexing="ij")],
         axis=-1) for cells in blocks)
     fq = f.values[blocks[0]].ravel()
+    volume = f.domain.cell_volume
     lhs_min = math.inf
+    # one dot per row: a matrix product does not give the row dots' bits
     with np.errstate(over="ignore", invalid="ignore"):
-        for y in yp:
-            kern = kernel(xq, y)
-            val = float(np.dot(kern, fq)) * f.domain.cell_volume
-            if not math.isfinite(val) and np.isfinite(kern).all():
-                raise _overflows("the kernel integral")
-            lhs_min = min(lhs_min, abs(val))
+        for kmat in _kernel_rows(kernel, xq, yp):
+            for kern in kmat:
+                val = float(np.dot(kern, fq)) * volume
+                if not math.isfinite(val) and np.isfinite(kern).all():
+                    raise _overflows("the kernel integral")
+                lhs_min = min(lhs_min, abs(val))
     holds = applicable and lhs_min >= rhs * (1.0 - 1e-6)
     return CZOPairReport(t0, applicable, lhs_min, rhs, holds)
 
@@ -844,7 +868,6 @@ def kernel_sign_coherent(kernel, pair, samples=200, seed=0):
     x = rng.uniform(qb[:, 0], qb[:, 1], size=(samples, n))
     y = rng.uniform(pb[:, 0], pb[:, 1], size=(samples, n))
     signs = set()
-    for yi in y[: min(samples, 40)]:
-        v = kernel(x, yi)
+    for v in _kernel_rows(kernel, x, y[:40]):
         signs.update(np.sign(v[v != 0.0]).tolist())
     return len(signs) <= 1

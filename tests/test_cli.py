@@ -219,6 +219,11 @@ def test_grid_size_budgets_refuse_before_any_grid(argv, flag, values, tmp_path, 
     ["k0scan", "--anchor", "nan"],
     ["k0scan", "--anchor=-inf"],
     ["blowup", "--t", "inf"],
+    # the czo kernel |x - y|^(alpha - 1) needs 0 <= alpha < 1
+    ["paircheck", "--mode", "czo", "--alpha", "nan"],
+    ["paircheck", "--mode", "czo", "--alpha", "inf"],
+    ["paircheck", "--mode", "czo", "--alpha", "1"],
+    ["paircheck", "--mode", "czo", "--alpha=-0.5"],
 ])
 def test_bad_input_ends_with_an_error_line(argv, tmp_path, capsys):
     if argv[0] == "k0scan":
@@ -228,6 +233,20 @@ def test_bad_input_ends_with_an_error_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, err
     assert not (out / "results.csv").exists()
+
+
+def test_parser_is_built_once_and_leaks_nothing_between_calls(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    box = ["--box=-0.5,0.5", "--cells", "64"]
+    assert main(["maximal", "--policy", "dyadic", "--alpha", "0.5"] + box
+                + ["--out", str(tmp_path / "dyadic")]) == 0
+    assert main(["maximal"] + box + ["--out", str(tmp_path / "default")]) == 0
+    dyadic = json.loads((tmp_path / "dyadic" / "config.json").read_text())
+    default = json.loads((tmp_path / "default" / "config.json").read_text())
+    assert (dyadic["policy"], dyadic["alpha"]) == ("dyadic", 0.5)
+    assert (default["policy"], default["alpha"]) == ("exact", 0.0)
+    summary = (tmp_path / "default" / "summary.txt").read_text().splitlines()
+    assert summary[:2] == ["policy = exact", "alpha = 0"]
 
 
 @pytest.mark.parametrize("command", [["norm"], ["modular"], ["maximal", "--alpha", "0.5"],

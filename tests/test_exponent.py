@@ -24,7 +24,7 @@ from varlp import (
     sobolev_dual,
     to_spec,
 )
-from varlp.exponent import INF, _tf_scalar
+from varlp.exponent import INF, _tf_array
 
 from conftest import FINITE_VALUES, random_piecewise_exponent
 
@@ -205,8 +205,13 @@ def test_conjugate_bounds_relation(rng):
                 assert abs(got - want) <= 1e-9, f"(p')_- = (p_+)' failed: {got} vs {want}"
 
 
+def _tf_scalar(ops, v):
+    """One exponent value through a transform chain, read through _tf_array."""
+    return float(_tf_array(ops, (v,))[0])
+
+
 def _reference_tf_scalar(ops, v):
-    """The scalar transform loop that _tf_scalar replaced with _tf_array."""
+    """The scalar transform loop that _tf_array replaced."""
     for op in ops:
         if op[0] == "conjugate":
             if v == 1.0:

@@ -54,7 +54,6 @@ from varlp.exponent import (
     _first_piece_cells,
     _gauss_nodes,
     _tf_array,
-    _tf_scalar,
     box_intersect,
     box_volume,
     evaluate,
@@ -671,6 +670,10 @@ def seed_grid_norm(f, p):
         return val + (sup / lam if sup > 0.0 else 0.0)
 
     return seed_norm_bisect(rho)
+
+
+def _tf_scalar(ops, v):
+    return float(_tf_array(ops, (v,))[0])
 
 
 def _seed_g_scalar(g, w):

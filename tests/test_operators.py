@@ -1004,6 +1004,77 @@ def test_kernel_sign_coherent_on_valid_pair():
     assert kernel_sign_coherent(kern, pair)
 
 
+def _wavy_kernel(x_pts, y):
+    """A 1-D kernel that changes sign across a pair, on one point or a block."""
+    v = np.cos(3.0 * (x_pts.reshape(-1) - y.reshape(-1, 1)))
+    return v if y.ndim == 2 else v[0]
+
+
+def test_kernel_sign_coherent_matches_one_point_loop():
+    def one_point_loop(kernel, pair, samples=200, seed=0):
+        # kernel_sign_coherent as it was, one partner sample per kernel call
+        rng = np.random.default_rng(seed)
+        n = pair.base.dimension
+        qb, pb = np.asarray(pair.base.as_box()), np.asarray(pair.partner.as_box())
+        x = rng.uniform(qb[:, 0], qb[:, 1], size=(samples, n))
+        y = rng.uniform(pb[:, 0], pb[:, 1], size=(samples, n))
+        signs = set()
+        for yi in y[: min(samples, 40)]:
+            v = kernel(x, yi)
+            signs.update(np.sign(v[v != 0.0]).tolist())
+        return len(signs) <= 1
+
+    wavy = FractionalKernel(fn=_wavy_kernel, alpha=0.5, c0=1.0, delta=1.0, lower=1.0,
+                            dimension=1)
+    answers = []
+    for kernel in (riesz_kernel(0.5, 1), riesz_kernel(0.0, 1), wavy):
+        for t in (5.0, 8.0, 12.0):
+            for samples, seed in ((200, 0), (7, 3), (1000, 11)):
+                pair = make_tu_pair(Cube((0.0,), 1.0), t)
+                got = kernel_sign_coherent(kernel, pair, samples=samples, seed=seed)
+                assert got == one_point_loop(kernel, pair, samples=samples, seed=seed)
+                answers.append(got)
+    plane = make_tu_pair(Cube((0.5, 2.0), 0.25), 9.0)
+    assert kernel_sign_coherent(riesz_kernel(0.5, 2), plane)
+    assert True in answers and False in answers
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_riesz_kernel_block_matches_one_point_calls(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1.0, 1.0, (300, n))
+    ys = rng.uniform(2.0, 5.0, (37, n))
+    # a partner point on a cell of x gives the kernel's inf at alpha < n
+    ys[5] = x[17]
+    for alpha in (0.0, 0.5, 0.8 * n):
+        kern = riesz_kernel(alpha, n)
+        rows = np.array([kern(x, y) for y in ys])
+        block = kern(x, ys)
+        assert block.shape == (37, 300)
+        assert np.array_equal(block.view(np.int64), rows.view(np.int64))
+        # 4 rows of 300 values per chunk: the last chunk holds one row
+        monkeypatch.setattr(operators, "_KERNEL_VALUES", 1200)
+        chunks = list(operators._kernel_rows(kern, x, ys))
+        monkeypatch.undo()
+        assert [len(c) for c in chunks] == [4] * 9 + [1]
+        assert np.array_equal(np.concatenate(chunks).view(np.int64), rows.view(np.int64))
+
+
+def test_czo_pair_bound_across_chunks_matches_reference_bitwise(monkeypatch):
+    line = line_grid(-4.0, 12.0, 512)
+    f = GridFunction(line, np.random.default_rng(2).uniform(0.0, 1.0, 512))
+    plane = GridDomain(((0.0, 8.0), (0.0, 4.0)), (64, 32))
+    g = GridFunction(plane, np.random.default_rng(5).uniform(0.0, 1.0, (64, 32)))
+    cases = [(riesz_kernel(0.5, 1), f, make_tu_pair(Cube((0.0,), 1.0), 8.0)),
+             (riesz_kernel(0.5, 2), g, make_tu_pair(Cube((0.5, 2.0), 0.25), 9.0))]
+    # chunks of 3 partner rows, so every partner block spans several chunks
+    for kernel, h, pair in cases:
+        monkeypatch.setattr(operators, "_KERNEL_VALUES",
+                            3 * h.values[h.domain.box_cells(pair.base.as_box())].size)
+        rep = czo_pair_lower_bound(kernel, h, pair)
+        assert (rep.lhs_min, rep.rhs) == ref_czo_pair_lower_bound(kernel, h, pair)
+
+
 def ref_czo_pair_lower_bound(kernel, f, pair):
     """czo_pair_lower_bound as it was with full-grid masks and points, for
     applicable kernels: (lhs_min, rhs)."""
