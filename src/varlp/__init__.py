@@ -43,7 +43,6 @@ from .norms import (
     luxemburg_norm,
     mean_inverse_exponent,
     modular,
-    set_measure,
     set_norm,
 )
 from .operators import (

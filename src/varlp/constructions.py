@@ -61,6 +61,8 @@ from .operators import (
 )
 
 EXAMPLE_NAMES = ("L1_FAILURE", "EX61", "EX62", "EX63", "EX64", "HM_COUNTER")
+# half width of the EX61 window |u| <= 4 around one bump, u = x - e^k
+_EX61_HALF_WIDTH = 4.0
 
 
 @dataclass
@@ -107,36 +109,32 @@ def l1_failure_analytic_partial(r, alpha):
     return math.log((2.0 * r + 1.0) / 3.0)
 
 
-def build_l1_failure(alpha, n=1, r_max=1000.0, cells_per_unit=8, ladder=None):
-    """Indicator of the unit cube plus its window modulars at the dual exponent.
+def build_l1_failure(alpha, r_max=1000.0):
+    """Indicator of the unit interval plus its window modulars at the dual exponent.
 
-    Returns a dict with the grid function, the measured maximal function,
-    the R ladder, measured and analytic window modulars, and the two slopes
-    of the modular against log R (least squares over the ladder tail).
+    The grid has 8 cells per unit on [-R, R], R = ceil(r_max).  Returns a
+    dict with the grid function, the measured maximal function, the R ladder
+    1, 2, 4, ..., r_max, measured and analytic window modulars, and the two
+    slopes of the modular against log R (least squares over the ladder tail).
     """
-    if n != 1:
-        raise PreconditionError("the endpoint failure build is one-dimensional")
     if not (0.0 <= alpha < 1.0):
         raise PreconditionError(f"need 0 <= alpha < 1, got {alpha}")
     r_max = float(r_max)
     if not (4.0 <= r_max < INF):
         raise PreconditionError(f"window maximum must be finite and at least 4, got {r_max}")
-    if ladder is None:
-        ladder = [1.0]
-        r = 2.0
-        while r < r_max:
-            ladder.append(r)
-            r *= 2.0
-        ladder.append(r_max)
-    ladder = [float(r) for r in ladder]
+    ladder = [1.0]
+    r = 2.0
+    while r < r_max:
+        ladder.append(r)
+        r *= 2.0
+    ladder.append(r_max)
 
-    h = 1.0 / float(cells_per_unit)
     half = math.ceil(r_max) * 1.0
-    grid = GridDomain.from_spacing(((-half, half),), h)
+    grid = GridDomain.from_spacing(((-half, half),), 0.125)
     f = GridFunction.indicator(grid, MeasurableSet.from_box(((-0.5, 0.5),)))
     mf = fractional_maximal(f, alpha)
 
-    qexp = n / (n - alpha)
+    qexp = 1.0 / (1.0 - alpha)
     x = grid.axis_midpoints(0)
     integrand = mf.values ** qexp
     measured = []
@@ -235,13 +233,14 @@ class BlowupFamily:
     levels: tuple
 
 
-def default_blowup_exponent(half_width=5.0):
-    """Continuous exponent equal to 1 left of 0.25, rising smoothly to 2.
+def default_blowup_exponent():
+    """Continuous exponent on [-5, 5] equal to 1 left of 0.25, rising
+    smoothly to 2.
 
     The flat value-1 region gives the level sets full density, so level
     placement is a deterministic scan.
     """
-    w = float(half_width)
+    w = 5.0
     bump = PlateauBump(height=1.0, plateau_halfwidth=0.25, support_halfwidth=0.75)
     centers = CenterSequence(kind="power", rate=1.0, count=1)
     return ExponentFunction(
@@ -307,7 +306,6 @@ def build_blowup(p, alpha, t, k_max, cells_per_radius=4):
     levels = []
     for k in range(1, k_max + 1):
         beta = blowup_threshold(n, k, alpha)
-        e_set = MeasurableSet.from_sublevel(p, beta, label=f"below-{beta:.6g}")
         big_r = s_half / sqrt_n
         small_r = big_r / (2.0 ** (k - 1) * width)
         cube_d = Cube((x0,), big_r)
@@ -316,9 +314,8 @@ def build_blowup(p, alpha, t, k_max, cells_per_radius=4):
         grid = GridDomain.from_spacing(cube_d.as_box(), h)
 
         # flat region, so the level set fills D; assert the density bound
-        mask = e_set.mask_on(grid)
-        e_cells = MeasurableSet.from_mask(grid, mask, label=e_set.label)
-        density = float(mask.mean())
+        e_cells = MeasurableSet.from_sublevel(p, beta, grid, label=f"below-{beta:.6g}")
+        density = float(e_cells.grid_mask[1].mean())
         density_floor = 1.0 - 2.0 ** (-n * k) * width ** (-n)
         if not density > density_floor:
             raise ConstructionError(
@@ -551,17 +548,17 @@ def build_ex61(alpha, count=400):
     )
 
 
-def ex61_local_window(spec, half_width=4.0):
+def ex61_local_window(spec):
     """Exponent of one bump in window coordinates u = x - e^k.
 
     Valid verbatim for every k >= 1 because neighboring bump supports stay
-    outside |u| <= half_width.
+    outside |u| <= _EX61_HALF_WIDTH.
     """
     piece = spec.exponent.pieces[0]
     gap = math.exp(2.0) - math.exp(1.0)
-    if half_width + piece.bump.support_halfwidth >= gap:
-        raise PreconditionError(f"window {half_width} reaches the neighboring bump")
-    box = ((-half_width, half_width),)
+    if _EX61_HALF_WIDTH + piece.bump.support_halfwidth >= gap:
+        raise PreconditionError(f"window {_EX61_HALF_WIDTH} reaches the neighboring bump")
+    box = ((-_EX61_HALF_WIDTH, _EX61_HALF_WIDTH),)
     local = BumpsPiece(
         box,
         piece.base,
@@ -582,7 +579,7 @@ def ex61_sets():
     }
 
 
-def ex61_divergence_check(spec, big_k, window_cells=256, check_levels=6):
+def ex61_divergence_check(spec, big_k, check_levels=6):
     """Partial series of the two modulars: the function itself converges, the
     scaled maximal lower bound diverges harmonically.
 
@@ -634,7 +631,7 @@ def ex61_divergence_check(spec, big_k, window_cells=256, check_levels=6):
         oracle_maximal.append(2.0 * flank_value_base ** q_flank / k)
 
     window_reports = []
-    grid = GridDomain.from_spacing(p_loc.domain, (2.0 * 4.0) / window_cells)
+    grid = GridDomain.from_spacing(p_loc.domain, (2.0 * _EX61_HALF_WIDTH) / 256)
     for k in range(1, min(check_levels, big_k) + 1):
         w = k ** (-sigma)
         chi = GridFunction.indicator(grid, MeasurableSet.from_box((sets["core"],)))

@@ -18,6 +18,7 @@ center map plus a short verification scan.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from bisect import bisect_left, bisect_right
@@ -134,12 +135,12 @@ class PlateauBump:
         u = np.clip((s - d) / (s - m), 0.0, 1.0)
         return self.height * u * u * (3.0 - 2.0 * u)
 
-    def shoulder_integral(self, g, nodes=None):
+    def shoulder_integral(self, g):
         """Integral of g(profile) over one shoulder m <= d <= s of the bump.
 
         Uses fixed Gauss-Legendre quadrature; the integrand is smooth.
         """
-        x, w = _gauss_nodes() if nodes is None else nodes
+        x, w = _gauss_nodes()
         m, s = self.plateau_halfwidth, self.support_halfwidth
         half = 0.5 * (s - m)
         mid = 0.5 * (s + m)
@@ -147,13 +148,10 @@ class PlateauBump:
         return half * float(np.dot(w, g(self.profile(d))))
 
 
-_GAUSS_CACHE = {}
-
-
-def _gauss_nodes(order=48):
-    if order not in _GAUSS_CACHE:
-        _GAUSS_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GAUSS_CACHE[order]
+@functools.cache
+def _gauss_nodes():
+    """Nodes and weights of 48-point Gauss-Legendre quadrature on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(48)
 
 
 @dataclass(frozen=True)

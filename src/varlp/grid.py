@@ -206,17 +206,29 @@ class Cube:
 
 @dataclass(eq=False)
 class MeasurableSet:
-    """Box window, optionally cut by a sublevel set of an exponent or a cell mask.
+    """A box, a cell mask on the grid it was built on, or both.
 
-    The stored shape is (box) & {p < threshold} & (explicit mask); any of the
-    three parts may be absent.  Pure boxes support exact measure queries, the
-    general case is evaluated through cell masks on a grid.
+    The set is (box) & (mask), where the box is absent for a mask over its
+    whole grid and the mask is absent for a pure box.  A pure box is exact:
+    it has an exact measure and covers its cells on any grid.  A set with a
+    mask is read on its own grid only; from_sublevel paints {p < threshold}
+    onto its grid once.
     """
 
     box: tuple | None = None
-    sublevel: tuple | None = None
     grid_mask: tuple | None = None
     label: str = ""
+
+    def __post_init__(self):
+        if self.grid_mask is None:
+            if self.box is None:
+                raise PreconditionError("a set needs a box or a cell mask")
+            return
+        domain, mask = self.grid_mask
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != tuple(domain.cells):
+            raise SpecParseError("mask shape does not match grid cells")
+        self.grid_mask = (domain, mask)
 
     @classmethod
     def from_box(cls, box, label=""):
@@ -227,15 +239,17 @@ class MeasurableSet:
         return cls(box=cube.as_box(), label=label)
 
     @classmethod
-    def from_sublevel(cls, p, threshold, within=None, label=""):
+    def from_sublevel(cls, p, threshold, grid, within=None, label=""):
+        """The cells of grid in the box within (all cells when None) where
+        p < threshold at the midpoint; p need cover those window cells only."""
         box = as_box(within) if within is not None else None
-        return cls(box=box, sublevel=(p, float(threshold)), label=label)
+        mask = _window(box, grid)
+        if mask.any():
+            mask &= p.values_on(grid, where=mask) < float(threshold)
+        return cls(box=box, grid_mask=(grid, mask), label=label)
 
     @classmethod
     def from_mask(cls, domain, mask, label=""):
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != tuple(domain.cells):
-            raise SpecParseError("mask shape does not match grid cells")
         return cls(grid_mask=(domain, mask), label=label)
 
     def intersect_box(self, box):
@@ -245,33 +259,34 @@ class MeasurableSet:
             if both is None:
                 raise DomainError("intersection with box is empty")
             box = both
-        return MeasurableSet(box=box, sublevel=self.sublevel, grid_mask=self.grid_mask,
-                             label=self.label)
+        return MeasurableSet(box=box, grid_mask=self.grid_mask, label=self.label)
 
     def is_box(self):
-        return self.box is not None and self.sublevel is None and self.grid_mask is None
+        return self.grid_mask is None
 
-    def measure_exact(self):
-        if not self.is_box():
-            raise PreconditionError("exact measure available for pure boxes only")
-        return box_volume(self.box)
+    @property
+    def measure(self):
+        """Exact for a pure box; else the mask's cells in the box window
+        times the cell volume."""
+        if self.grid_mask is None:
+            return box_volume(self.box)
+        domain = self.grid_mask[0]
+        return float(self.mask_on(domain).sum()) * domain.cell_volume
 
     def mask_on(self, domain):
-        if self.box is None:
-            out = np.ones(domain.cells, dtype=bool)
-        else:
-            out = np.zeros(domain.cells, dtype=bool)
-            out[domain.box_cells(self.box)] = True
+        out = _window(self.box, domain)
         if self.grid_mask is not None:
             mdom, m = self.grid_mask
             if mdom.box != domain.box or mdom.cells != domain.cells:
                 raise PreconditionError("mask grid does not match the evaluation grid")
             out &= m
-        if self.sublevel is not None and out.any():
-            # the exponent must cover the cells still in the set only
-            p, thr = self.sublevel
-            out &= p.values_on(domain, where=out) < thr
         return out
 
-    def measure_on(self, domain):
-        return float(self.mask_on(domain).sum()) * domain.cell_volume
+
+def _window(box, domain):
+    """The cells of domain the box covers, or all of them when box is None."""
+    if box is None:
+        return np.ones(domain.cells, dtype=bool)
+    out = np.zeros(domain.cells, dtype=bool)
+    out[domain.box_cells(box)] = True
+    return out

@@ -32,7 +32,6 @@ from .norms import (
     holder_constant,
     luxemburg_norm,
     mean_inverse_exponent,
-    set_measure,
     set_norm,
 )
 from .operators import averaging_op
@@ -80,13 +79,11 @@ class CubeFamily:
     def __len__(self):
         return len(self.sets)
 
-    def check_cube_property(self, grid=None):
+    def check_cube_property(self):
         if not self.cube_property:
             return True
         for E, Q in zip(self.sets, self.witnesses):
-            inside = E.intersect_box(Q.as_box())
-            me = set_measure(E, grid)
-            mi = set_measure(inside, grid)
+            me, mi = E.measure, E.intersect_box(Q.as_box()).measure
             if mi < me * (1.0 - 1e-9):
                 raise ConstructionError(f"set {E.label!r} is not inside its witness cube")
             if me < 0.5 * Q.volume * (1.0 - 1e-9):
@@ -114,42 +111,42 @@ class K0Report:
     samples: list
 
 
-def k0alpha_constant(p, alpha, family, grid=None):
+def k0alpha_constant(p, alpha, family):
     """Family supremum of measure(E)^(alpha/n - 1) * ||chi_E||_p' * ||chi_E||_q.
 
     q is the fractional dual of order alpha; at alpha = 0 this reduces to the
     plain indicator-product constant with the (p, p') pair.
     """
     q = sobolev_dual(p, alpha)
-    sets, measures, compiled = _family_rows(p, family, grid)
+    sets, measures, compiled = _family_rows(p, family)
     return _k0_report(alpha, p.dimension, sets, measures, compiled.norms(conjugate(p)),
                       compiled.norms(q))
 
 
-def _measure_in_domain(p, E, grid):
+def _measure_in_domain(p, E):
     """measure(E cap domain), read from the two boxes when E is a box."""
     if not E.is_box():
-        return set_measure(E.intersect_box(p.domain), grid)
+        return E.intersect_box(p.domain).measure
     both = box_intersect(E.box, p.domain)
     if both is None:
         raise DomainError("intersection with box is empty")
     return box_volume(both)
 
 
-def _family_measures(p, family, grid):
+def _family_measures(p, family):
     """measure(E cap domain) of every set of the family, each positive."""
-    measures = [_measure_in_domain(p, E, grid) for E in family]
+    measures = [_measure_in_domain(p, E) for E in family]
     for i, measure in enumerate(measures):
         if not measure > 0.0:
             raise PreconditionError(f"family set {i} has measure {measure}")
     return measures
 
 
-def _family_rows(p, family, grid):
+def _family_rows(p, family):
     """(sets, measures, compiled): the family as a list, the measure of each
     set in the domain, and all sets compiled against p as one family."""
     sets = list(family)
-    return sets, _family_measures(p, sets, grid), _compile_family(p, sets, grid)
+    return sets, _family_measures(p, sets), _compile_family(p, sets)
 
 
 def _k0_report(alpha, n, sets, measures, norms_conjugate, norms_dual):
@@ -165,26 +162,26 @@ def _k0_report(alpha, n, sets, measures, norms_conjugate, norms_dual):
     return K0Report(alpha, best_value, best_index, samples)
 
 
-def k0_constant(p, family, grid=None):
+def k0_constant(p, family):
     """Family supremum of measure(E)^(-1) * ||chi_E||_p * ||chi_E||_p'."""
-    return k0alpha_constant(p, 0.0, family, grid)
+    return k0alpha_constant(p, 0.0, family)
 
 
-def dual_witness(p, E, domain, cap=200.0):
+def dual_witness(p, E, domain):
     """Unit-modular witness concentrated on E.
 
     Takes ||chi_E||_p' raised to the power 1 - p'(x) on E; its modular in p
     equals the modular of chi_E / ||chi_E||_p' in p', which is 1, and its
     integral over E recovers ||chi_E||_p' exactly.  Returns None when p' is
-    unbounded (or huge) on E, where the formula degenerates.
+    unbounded or above 200 on E, where the formula degenerates.
     """
     pv = conjugate(p).values_on(domain)
     mask = E.mask_on(domain)
     if not mask.any():
         return None
-    if not np.isfinite(pv[mask]).all() or pv[mask].max() > cap:
+    if not np.isfinite(pv[mask]).all() or pv[mask].max() > 200.0:
         return None
-    lam = set_norm(conjugate(p), E, domain)
+    lam = set_norm(conjugate(p), E)
     vals = np.zeros(domain.cells)
     vals[mask] = lam ** (1.0 - pv[mask])
     return GridFunction(domain, vals)
@@ -214,7 +211,7 @@ def averaging_uniform_bound(p, alpha, family, witnesses=None, grid=None, tol=1e-
     if grid is None:
         raise PreconditionError("averaging bound needs an evaluation grid")
     q = sobolev_dual(p, alpha)
-    k0 = k0alpha_constant(p, alpha, family, grid)
+    k0 = k0alpha_constant(p, alpha, family)
     holder = holder_constant(p)
     duality = duality_constant(p)
     rows = []
@@ -262,7 +259,7 @@ class SandwichReport:
     all_ok: bool
 
 
-def norm_harmonic_sandwich(p, family, grid=None, tol=1e-6):
+def norm_harmonic_sandwich(p, family, tol=1e-6):
     """Two-sided comparison of indicator norms with measure^(1/p_E).
 
     lower = measure^(1/p_E) / (2K) and upper = (2 K^2 K0 / k) measure^(1/p_E)
@@ -270,7 +267,7 @@ def norm_harmonic_sandwich(p, family, grid=None, tol=1e-6):
     (k0_constant).  The norms in p and p' come from one batched solve each.
     """
     holder, duality = holder_constant(p), duality_constant(p)
-    sets, measures, compiled = _family_rows(p, family, grid)
+    sets, measures, compiled = _family_rows(p, family)
     norms_p = compiled.norms(p)
     # the dual exponent of order 0 is p itself
     k0_value = _k0_report(0.0, p.dimension, sets, measures, compiled.norms(conjugate(p)),
@@ -306,7 +303,7 @@ class EquivalenceReport:
     all_ok: bool
 
 
-def k0alpha_iff_k0_check(p, alpha, family, grid=None, tol=1e-6, identity_tol=1e-9):
+def k0alpha_iff_k0_check(p, alpha, family, tol=1e-6, identity_tol=1e-9):
     """Quantitative equivalence between the order-alpha constant and the two
     order-zero constants of p and its fractional dual q.
 
@@ -319,7 +316,7 @@ def k0alpha_iff_k0_check(p, alpha, family, grid=None, tol=1e-6, identity_tol=1e-
     """
     n = p.dimension
     q = sobolev_dual(p, alpha)
-    sets, measures, compiled = _family_rows(p, family, grid)
+    sets, measures, compiled = _family_rows(p, family)
     norm_p, norm_pc, norm_q, norm_qc = (compiled.norms(r)
                                         for r in (p, conjugate(p), q, conjugate(q)))
     rep_alpha = _k0_report(alpha, n, sets, measures, norm_pc, norm_q)
@@ -364,10 +361,7 @@ def _cube_mean_reader(p, E, grid):
             shape = tuple(len(a) for a in axes)
             sets = [E.intersect_box(Cube([a[i] for a, i in zip(axes, idx)], radius).as_box())
                     for idx in np.ndindex(shape)]
-            try:
-                compiled = _compile_family(p, sets)
-            except PreconditionError:  # e.g. a sublevel set and no grid: no cube has a mean
-                return np.full(shape, np.nan)
+            compiled = _compile_family(p, sets)
             if E.is_box():  # a cube outside the domain raises, as for one set
                 return _mean_inverses(compiled, p, sets).reshape(shape)
             measure = compiled.measure  # a cube without cells of E has no mean
@@ -413,12 +407,12 @@ def minimal_harmonic_mean_cube(p, D, r, E, grid=None, spacing=None, verify_scali
     if not (0.0 < r <= R * (1.0 + 1e-12)):
         raise PreconditionError(f"need 0 < r <= {R}, got r = {r}")
     d_set = E.intersect_box(D.as_box())
-    gap = set_measure(MeasurableSet.from_cube(D), grid) - set_measure(d_set, grid)
+    gap = MeasurableSet.from_cube(D).measure - d_set.measure
     if gap >= (2.0 * r) ** n:
         raise PreconditionError(
             f"complement of E in D has measure {gap}, needs < {(2.0 * r) ** n}"
         )
-    if compile_set(p, d_set, grid).values(p).max(initial=-INF) == INF:
+    if compile_set(p, d_set).values(p).max(initial=-INF) == INF:
         raise PreconditionError("exponent must be bounded on D and E")
     if spacing is None:
         spacing = grid.h if grid is not None else r / 8.0
@@ -453,7 +447,7 @@ def minimal_harmonic_mean_cube(p, D, r, E, grid=None, spacing=None, verify_scali
     return Cube([a[i] for a, i in zip(axes, best_idx)], r)
 
 
-def subdivision_identity_gap(p, K, E, m, grid=None):
+def subdivision_identity_gap(p, K, E, m):
     """Deviation in the exact subdivision identity for a cube split m-fold.
 
     1/p_{K cap E} equals the measure-weighted average of 1/p_{K_i cap E}
@@ -461,8 +455,8 @@ def subdivision_identity_gap(p, K, E, m, grid=None):
     """
     n = K.dimension
     r = K.radius / m
-    total_inv = mean_inverse_exponent(p, E.intersect_box(K.as_box()), grid)
-    total_measure = set_measure(E.intersect_box(K.as_box()), grid)
+    total = E.intersect_box(K.as_box())
+    total_inv, total_measure = mean_inverse_exponent(p, total), total.measure
     acc = 0.0
     offsets = [(2 * j + 1 - m) * r for j in range(m)]
     for combo in itertools.product(offsets, repeat=n):
@@ -471,8 +465,8 @@ def subdivision_identity_gap(p, K, E, m, grid=None):
             sub = E.intersect_box(Cube(center, r).as_box())
         except DomainError:
             continue
-        mi = set_measure(sub, grid)
+        mi = sub.measure
         if mi <= 0.0:
             continue
-        acc += mi * mean_inverse_exponent(p, sub, grid)
+        acc += mi * mean_inverse_exponent(p, sub)
     return abs(total_inv - acc / total_measure)

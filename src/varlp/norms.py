@@ -25,8 +25,8 @@ is constant and every set a box, the rows come from one level-volume
 table per call: the domain cut at every piece edge into cells, each
 labelled with the distinct value of the piece that owns it, so the volume
 a box owns at each value is a sum of clipped cell volumes and no box
-compiles alone.  Bump exponents and mask or sublevel sets compile each
-set through the routes above and pad it into the matrix.  A single box
+compiles alone.  Bump exponents and mask sets compile each set through
+the routes above and pad it into the matrix.  A single box
 keeps the box route: it cuts only the box, not the whole domain, and
 gives one atom per piece.
 
@@ -492,37 +492,21 @@ def interval_indicator_norm(p, a, b):
     return _compile_box(p, ((a, b),)).norm(p)
 
 
-def _set_grid(E, grid):
-    """The grid a non-box set is rasterized on: its own mask grid, else grid."""
-    domain = E.grid_mask[0] if E.grid_mask is not None else grid
-    if domain is None:
-        raise PreconditionError("a non-box set needs an evaluation grid")
-    return domain
-
-
-def compile_set(p, E, grid=None):
+def compile_set(p, E):
     """Distribution of the indicator of a measurable set against p.
 
     Boxes, intervals included, compile exactly from the cells each piece
-    owns (see _compile_box); anything else is rasterized on its own mask
-    grid or on the given grid.
+    owns (see _compile_box); a mask set compiles its cells on its own grid.
     """
     if E.is_box():
         return _compile_box(p, E.box)
-    domain = _set_grid(E, grid)
+    domain = E.grid_mask[0]
     return _compile_cells(p, domain, E.mask_on(domain), 1.0)
 
 
-def set_measure(E, grid=None):
-    """Lebesgue measure of a measurable set, exact for boxes."""
-    if E.is_box():
-        return E.measure_exact()
-    return E.measure_on(_set_grid(E, grid))
-
-
-def set_norm(p, E, grid=None):
+def set_norm(p, E):
     """Luxemburg norm of the indicator of a measurable set (see compile_set)."""
-    return compile_set(p, E, grid).norm(p)
+    return compile_set(p, E).norm(p)
 
 
 def _inverse(v):
@@ -546,10 +530,10 @@ def _mean_inverses(dist, p, sets):
     return dist.integrals(p, _inverse) / dist.measure
 
 
-def mean_inverse_exponent(p, E, grid=None):
+def mean_inverse_exponent(p, E):
     """Average of 1/p over the set (clipped to the exponent's domain),
     with 1/inf = 0."""
-    return float(_mean_inverses(compile_set(p, E, grid), p, [E]))
+    return float(_mean_inverses(compile_set(p, E), p, [E]))
 
 
 def _harmonic_means(dist, p, sets):
@@ -560,15 +544,15 @@ def _harmonic_means(dist, p, sets):
         return np.where(inv == 0.0, INF, 1.0 / inv)
 
 
-def harmonic_mean(p, E, grid=None):
+def harmonic_mean(p, E):
     """Harmonic mean exponent of the set: reciprocal of the average of 1/p."""
-    return float(_harmonic_means(compile_set(p, E, grid), p, [E])[0])
+    return float(_harmonic_means(compile_set(p, E), p, [E])[0])
 
 
 # -- families of sets: one row per set ----------------------------------------
 
 
-def _compile_family(p, sets, grid=None):
+def _compile_family(p, sets):
     """Compile every set of a family against p, row r for sets[r].
 
     When every piece is constant and every set a box, all rows are read
@@ -580,7 +564,7 @@ def _compile_family(p, sets, grid=None):
     if all(isinstance(piece, ConstantPiece) for piece in p.pieces) and all(
             E.is_box() for E in sets):
         return _box_rows(p, [E.box for E in sets])
-    dists = [compile_set(p, E, grid) for E in sets]
+    dists = [compile_set(p, E) for E in sets]
     atoms = max((d.raw.size for d in dists), default=0)
     levels = max((d.raw.size if d.inf_raw is None else d.inf_raw.size for d in dists), default=0)
     w, raw = np.zeros((len(dists), atoms)), np.ones((len(dists), atoms))

@@ -221,7 +221,7 @@ def averaging_op(f, E, alpha=0.0):
     mask = E.mask_on(f.domain)
     if not mask.any():
         raise DomainError("averaging set does not meet the grid")
-    measure = E.measure_exact() if E.is_box() else E.measure_on(f.domain)
+    measure = E.measure
     if measure <= 0.0:
         raise PreconditionError("averaging set must have positive measure")
     integral = _integral(f.values[mask], f.domain.cell_volume)
@@ -793,9 +793,9 @@ def _kernel_rows(kernel, x_pts, ys):
         yield kernel(x_pts, ys[lo:lo + rows])
 
 
-def kernel_threshold(kernel, n=None):
+def kernel_threshold(kernel):
     """Separation threshold t0 past which the pair lower bound applies."""
-    n = kernel.dimension if n is None else n
+    n = kernel.dimension
     a, c0, delta, alpha = kernel.lower, kernel.c0, kernel.delta, kernel.alpha
     if a <= 0:
         raise PreconditionError("kernel has no nondegeneracy floor (lower <= 0)")

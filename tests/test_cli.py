@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -457,6 +458,29 @@ def readme_commands():
         section = fh.read().split("## Command line", 1)[1]
     block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
     return [line[len("varlp "):] for line in block.splitlines() if line.startswith("varlp ")]
+
+
+def test_readme_library_example_runs():
+    # the block runs against the current API, and every line `expression  # value`
+    # gives its value: a prefix for "1.618...", else to 1e-12 ("4/3" is a fraction)
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("## Library", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    checked = 0
+    for line in block.splitlines():
+        code, _, note = line.partition("#")
+        if not code.strip() or not note or "=" in code:
+            continue
+        value, want = eval(code, namespace), note.split()[0]
+        if want.endswith("..."):
+            assert repr(value).startswith(want[:-3]), line
+        else:
+            assert value == pytest.approx(float(Fraction(want)), rel=1e-12), line
+        checked += 1
+    assert checked >= 5
 
 
 @pytest.mark.parametrize("command", readme_commands())

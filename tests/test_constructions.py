@@ -286,7 +286,7 @@ def test_l1_closed_form_values():
 
 
 def test_l1_maximal_matches_closed_form():
-    res = build_l1_failure(0.5, r_max=60.0, cells_per_unit=8)
+    res = build_l1_failure(0.5, r_max=60.0)
     grid = res["maximal"].domain
     mids = grid.axis_midpoints(0)
     vals = res["maximal"].values

@@ -23,6 +23,7 @@ from varlp import (
     GridFunction,
     MeasurableSet,
     PreconditionError,
+    SpecParseError,
     build_ex61,
     build_ex62,
     build_ex63,
@@ -41,7 +42,6 @@ from varlp import (
     luxemburg_norm,
     mean_inverse_exponent,
     modular,
-    set_measure,
     set_norm,
     sobolev_dual,
 )
@@ -450,11 +450,42 @@ def test_harmonic_mean_intersects_domain():
 
 def test_set_measure_routes():
     box = MeasurableSet.from_box(((0.0, 1.5), (0.0, 2.0)))
-    assert set_measure(box) == pytest.approx(3.0, rel=1e-12)
+    assert box.measure == pytest.approx(3.0, rel=1e-12)
     grid = GridDomain(((0.0, 2.0), (0.0, 2.0)), (64, 64))
     mask = box.mask_on(grid)
     counted = MeasurableSet.from_mask(grid, mask)
-    assert set_measure(counted, grid) == pytest.approx(3.0, rel=1e-12), "grid-aligned box counts exactly"
+    assert counted.measure == pytest.approx(3.0, rel=1e-12), "grid-aligned box counts exactly"
+
+
+def test_a_set_needs_a_box_or_a_mask():
+    for kwargs in ({}, {"label": "nothing"}):
+        with pytest.raises(PreconditionError, match="^a set needs a box or a cell mask$"):
+            MeasurableSet(**kwargs)
+
+
+def test_a_misshaped_mask_is_refused():
+    grid = GridDomain(((0.0, 2.0), (0.0, 1.0)), (8, 4))
+    makers = (lambda m: MeasurableSet(grid_mask=(grid, m)),
+              lambda m: MeasurableSet(box=((0.0, 1.0), (0.0, 1.0)), grid_mask=(grid, m)),
+              lambda m: MeasurableSet.from_mask(grid, m))
+    for make in makers:
+        with pytest.raises(SpecParseError, match="^mask shape does not match grid cells$"):
+            make(np.ones((4, 8), dtype=bool))
+    E = MeasurableSet(grid_mask=(grid, np.ones((8, 4), dtype=int)))
+    assert E.grid_mask[1].dtype == bool and E.measure == 2.0
+
+
+def test_sublevel_set_on_a_grid_wider_than_the_domain():
+    # p is painted on the window's cells only, so cells outside its domain are fine
+    p = two_piece_exponent(1.0, 2.0)
+    wide = GridDomain(((-1.0, 3.0),), (64,))
+    E = MeasurableSet.from_sublevel(p, 1.5, wide, within=p.domain)
+    x = wide.axis_midpoints(0)
+    assert np.array_equal(E.mask_on(wide), (x > 0.0) & (x < 1.0))
+    assert E.measure == 1.0 and harmonic_mean(p, E) == 1.0
+    assert set_norm(p, E) == pytest.approx(1.0, rel=1e-15)
+    with pytest.raises(DomainError):
+        MeasurableSet.from_sublevel(p, 1.5, wide)
 
 
 def test_set_norm_plane_closed_form():
@@ -789,19 +820,20 @@ def seed_box_norm(p, box):
     return seed_norm_bisect(rho)
 
 
-def seed_mask_on(E, domain):
+def seed_mask_on(domain, box=None, sublevel=None, mask=None):
+    """The cells of domain in box & {p < t} & mask, for sublevel = (p, t),
+    from the midpoints; an absent part does not cut."""
     pts = domain.points()
-    mask = np.ones(pts.shape[0], dtype=bool)
-    if E.box is not None:
-        for axis, (lo, hi) in enumerate(E.box):
-            mask &= (pts[:, axis] >= lo) & (pts[:, axis] <= hi)
-    if E.sublevel is not None:
-        p, thr = E.sublevel
-        mask &= p.values(pts) < thr
-    out = mask.reshape(domain.cells)
-    if E.grid_mask is not None:
-        mdom, m = E.grid_mask
-        out &= m
+    keep = np.ones(pts.shape[0], dtype=bool)
+    if box is not None:
+        for axis, (lo, hi) in enumerate(box):
+            keep &= (pts[:, axis] >= lo) & (pts[:, axis] <= hi)
+    if sublevel is not None:
+        p, thr = sublevel
+        keep &= p.values(pts) < thr
+    out = keep.reshape(domain.cells)
+    if mask is not None:
+        out &= mask
     return out
 
 
@@ -853,11 +885,11 @@ def _interval_norm_inputs(monkeypatch):
     def intervals(sets):
         return [E.box[0] for E in sets]
 
-    def record_set(p, E, grid=None):
-        return _NormRecorder(compile_set(p, E, grid), intervals([E]), inputs)
+    def record_set(p, E):
+        return _NormRecorder(compile_set(p, E), intervals([E]), inputs)
 
-    def record_family(p, sets, grid=None):
-        return _NormRecorder(_compile_family(p, sets, grid), intervals(sets), inputs)
+    def record_family(p, sets):
+        return _NormRecorder(_compile_family(p, sets), intervals(sets), inputs)
 
     monkeypatch.setattr(cons, "compile_set", record_set)
     monkeypatch.setattr(cons, "_compile_family", record_family)
@@ -914,6 +946,7 @@ def test_mask_on_matches_replaced_code(rng):
     p2_flat = ExponentFunction(dimension=2, domain=((-1.0, 1.0), (-0.5, 0.5)),
                                pieces=(ConstantPiece(((-1.0, 0.0), (-0.5, 0.5)), 1.5),
                                        ConstantPiece(((0.0, 1.0), (-0.5, 0.5)), 3.0)))
+    # (set, domain, box, sublevel, mask): the seed rebuilds each set from its parts
     cases = []
     for domain, p in ((line, p1), (plane, p2), (flat, p2_flat)):
         n = domain.dimension
@@ -923,17 +956,25 @@ def test_mask_on_matches_replaced_code(rng):
                  tuple((float(m[0]) - 0.1, float(m[len(m) // 2])) for m in mids),
                  tuple((lo + 0.3 * (hi - lo), lo + 0.31 * (hi - lo)) for lo, hi in domain.box)]
         mask = rng.random(domain.cells) < 0.5
+
+        def painted(t, box=None):
+            # box & {p < t} & mask as one mask set
+            E = MeasurableSet.from_sublevel(p, t, domain, within=box)
+            both = MeasurableSet.from_mask(domain, E.grid_mask[1] & mask)
+            return both if box is None else both.intersect_box(box)
+
         for box in boxes:
-            cases.append((MeasurableSet.from_box(box), domain))
-            cases.append((MeasurableSet.from_sublevel(p, 2.5, within=box), domain))
-            cases.append((MeasurableSet(box=box, grid_mask=(domain, mask)), domain))
-            cases.append((MeasurableSet(box=box, sublevel=(p, 1.6), grid_mask=(domain, mask)),
-                          domain))
-        cases.append((MeasurableSet.from_sublevel(p, 2.0), domain))
-        cases.append((MeasurableSet.from_mask(domain, mask), domain))
-        cases.append((MeasurableSet(sublevel=(p, 4.0), grid_mask=(domain, mask)), domain))
-    for k, (E, domain) in enumerate(cases):
-        got, want = E.mask_on(domain), seed_mask_on(E, domain)
+            cases.append((MeasurableSet.from_box(box), domain, box, None, None))
+            cases.append((MeasurableSet.from_sublevel(p, 2.5, domain, within=box), domain, box,
+                          (p, 2.5), None))
+            cases.append((MeasurableSet(box=box, grid_mask=(domain, mask)), domain, box, None,
+                          mask))
+            cases.append((painted(1.6, box), domain, box, (p, 1.6), mask))
+        cases.append((MeasurableSet.from_sublevel(p, 2.0, domain), domain, None, (p, 2.0), None))
+        cases.append((MeasurableSet.from_mask(domain, mask), domain, None, None, mask))
+        cases.append((painted(4.0), domain, None, (p, 4.0), mask))
+    for k, (E, domain, *parts) in enumerate(cases):
+        got, want = E.mask_on(domain), seed_mask_on(domain, *parts)
         assert got.dtype == want.dtype and got.shape == want.shape, f"case {k}"
         assert np.array_equal(got, want), f"case {k}"
 
