@@ -101,7 +101,6 @@ from .constructions import (
     ex61_sets,
     hm_counterexample,
     l1_failure_maximal_closed_form,
-    l1_failure_spec,
     two_sided_interval_check,
     witness_check,
     witness_interval,

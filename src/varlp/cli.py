@@ -210,11 +210,11 @@ def _run_k0scan(args):
     if not math.isfinite(args.anchor):
         raise PreconditionError(f"--anchor must be finite, got {args.anchor}")
     volumes = np.geomspace(args.vol_min, args.vol_max, args.num)
+    # boxes, not center and radius: anchor + v/2 - v/2 can round below the
+    # anchor and read a sliver of the piece to its left
+    family = CubeFamily.from_boxes([((args.anchor, args.anchor + v),) for v in volumes])
     centers = [args.anchor + v / 2.0 for v in volumes]
     radii = [v / 2.0 for v in volumes]
-    family = CubeFamily.from_cubes(
-        [Cube((c,), r) for c, r in zip(centers, radii)]
-    )
     report = k0alpha_constant(p, args.alpha, family)
     rows = [
         (c, r, s.value)
@@ -494,6 +494,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if args.seed < 0:
+        print(f"error: --seed must be at least 0, got {args.seed}", file=sys.stderr)
+        return 1
     least = 64 if args.subcommand == "paircheck" else 16
     if getattr(args, "cells", least) < least:
         print(f"error: --cells must be at least {least}", file=sys.stderr)

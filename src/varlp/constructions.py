@@ -40,7 +40,7 @@ from .exponent import (
     sobolev_dual,
 )
 from .grid import Cube, GridDomain, GridFunction, MeasurableSet
-from .k0 import k0alpha_constant, minimal_harmonic_mean_cube
+from .k0 import _k0_report, k0alpha_constant, minimal_harmonic_mean_cube
 from .norms import (
     _compile_family,
     _harmonic_means,
@@ -162,15 +162,6 @@ def build_l1_failure(alpha, r_max=1000.0):
         "slope": slope_measured,
         "analytic_slope": slope_analytic,
     }
-
-
-def l1_failure_spec(alpha, r_max=1000.0):
-    box = ((-math.ceil(r_max), math.ceil(r_max)),)
-    return ExampleSpec(
-        name="L1_FAILURE",
-        parameters={"alpha": alpha, "r_max": r_max},
-        exponent=ExponentFunction.constant(1.0, box),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +314,7 @@ def build_blowup(p, alpha, t, k_max, cells_per_radius=4):
                 f"{density_floor}"
             )
 
-        anchor = minimal_harmonic_mean_cube(p, cube_d, small_r, e_cells, grid=grid)
+        anchor = minimal_harmonic_mean_cube(p, cube_d, small_r, e_cells)
 
         # the chain grows away from the anchor corner; pick the side with room
         sign = 1.0 if anchor.center[0] <= x0 else -1.0
@@ -486,17 +477,20 @@ def blowup_growth_floor(fam, c_scale, family_k0=None):
 def blowup_family_k0(fam):
     """Interval constant of the chain family: the largest normalized product
     of indicator norms over every chain cube and partner cut by its level's
-    threshold set.  All the cut sets of all levels compile as one family."""
+    threshold set.  All the cut sets of all levels compile as one family,
+    and the K0 samples of those of positive measure are read at alpha = 0;
+    0.0 when no cut set has measure."""
     p = fam.p
     sets = []
     for lv in fam.levels:
         sets += [lv.threshold_set.intersect_box(cube.as_box())
                  for cube in list(lv.chain) + [pr.partner for pr in lv.pairs]]
     compiled = _compile_family(p, sets)
-    met = compiled.measure > 0.0
-    products = (compiled.norms(p)[met] * compiled.norms(conjugate(p))[met]
-                / compiled.measure[met])
-    return max([0.0] + products.tolist())
+    met = np.flatnonzero(compiled.measure > 0.0)
+    report = _k0_report(0.0, p.dimension, [sets[i] for i in met.tolist()],
+                        compiled.measure[met].tolist(), compiled.norms(conjugate(p))[met],
+                        compiled.norms(p)[met])
+    return max(0.0, report.best_value)
 
 
 # ---------------------------------------------------------------------------
@@ -703,10 +697,11 @@ def ex61_interval_constant_scan(spec, big_k, per_run=None):
 # ---------------------------------------------------------------------------
 
 
-def _train_exponent(base, height, direction, rate, count, pad=2.0):
-    """Bump/well train k -> k^rate with unit-width supports."""
+def _train_exponent(base, height, direction, rate, count):
+    """Bump/well train k -> k^rate with unit-width supports, on a domain
+    that runs 2 past the first and the last center."""
     top_center = float(count) ** rate
-    box = ((-pad, top_center * (1.0 + 1e-9) + pad),)
+    box = ((-2.0, top_center * (1.0 + 1e-9) + 2.0),)
     piece = BumpsPiece(
         box,
         base,

@@ -135,18 +135,6 @@ class PlateauBump:
         u = np.clip((s - d) / (s - m), 0.0, 1.0)
         return self.height * u * u * (3.0 - 2.0 * u)
 
-    def shoulder_integral(self, g):
-        """Integral of g(profile) over one shoulder m <= d <= s of the bump.
-
-        Uses fixed Gauss-Legendre quadrature; the integrand is smooth.
-        """
-        x, w = _gauss_nodes()
-        m, s = self.plateau_halfwidth, self.support_halfwidth
-        half = 0.5 * (s - m)
-        mid = 0.5 * (s + m)
-        d = mid + half * x
-        return half * float(np.dot(w, g(self.profile(d))))
-
 
 @functools.cache
 def _gauss_nodes():

@@ -198,11 +198,6 @@ class Cube:
     def as_box(self):
         return tuple((c - self.radius, c + self.radius) for c in self.center)
 
-    def contains_points(self, pts):
-        pts = np.asarray(pts, dtype=float).reshape(-1, self.dimension)
-        d = np.abs(pts - np.asarray(self.center)).max(axis=1)
-        return d <= self.radius
-
 
 @dataclass(eq=False)
 class MeasurableSet:

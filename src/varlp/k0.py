@@ -25,7 +25,6 @@ from .grid import Cube, GridFunction, MeasurableSet
 from .norms import (
     _compile_family,
     _harmonic_means,
-    _inverse,
     _mean_inverses,
     compile_set,
     duality_constant,
@@ -39,21 +38,12 @@ from .operators import averaging_op
 
 @dataclass
 class CubeFamily:
-    """Finite family of measurable sets, optionally with witness cubes.
-
-    When cube_property is set, each set E carries a cube Q with E inside Q
-    and measure(E) at least half of measure(Q).
-    """
+    """Finite family of measurable sets."""
 
     sets: tuple
-    witnesses: tuple = ()
-    cube_property: bool = False
 
     def __post_init__(self):
         self.sets = tuple(self.sets)
-        self.witnesses = tuple(self.witnesses)
-        if self.cube_property and len(self.witnesses) != len(self.sets):
-            raise PreconditionError("cube property needs one witness cube per set")
 
     @classmethod
     def from_cubes(cls, cubes):
@@ -63,34 +53,11 @@ class CubeFamily:
     def from_boxes(cls, boxes):
         return cls(tuple(MeasurableSet.from_box(b) for b in boxes))
 
-    @classmethod
-    def interval_ladder(cls, centers, radii):
-        """All intervals (c - r, c + r) over the cross product, one dimension."""
-        sets = []
-        for c in centers:
-            for r in radii:
-                sets.append(MeasurableSet.from_box([(c - r, c + r)],
-                                                   label=f"I({c:g},{r:g})"))
-        return cls(tuple(sets))
-
     def __iter__(self):
         return iter(self.sets)
 
     def __len__(self):
         return len(self.sets)
-
-    def check_cube_property(self):
-        if not self.cube_property:
-            return True
-        for E, Q in zip(self.sets, self.witnesses):
-            me, mi = E.measure, E.intersect_box(Q.as_box()).measure
-            if mi < me * (1.0 - 1e-9):
-                raise ConstructionError(f"set {E.label!r} is not inside its witness cube")
-            if me < 0.5 * Q.volume * (1.0 - 1e-9):
-                raise ConstructionError(
-                    f"set {E.label!r} has measure {me} < half of its cube {Q.volume}"
-                )
-        return True
 
 
 @dataclass(frozen=True)
@@ -199,8 +166,9 @@ class AveragingReport:
     rows: list
 
 
-def averaging_uniform_bound(p, alpha, family, witnesses=None, grid=None, tol=1e-6):
-    """Largest observed ratio ||A_E f||_q / ||f||_p over the family.
+def averaging_uniform_bound(p, alpha, family, grid, witnesses=None, tol=1e-6):
+    """Largest observed ratio ||A_E f||_q / ||f||_p over the family, every
+    function read on the evaluation grid.
 
     Checks the two transfer inequalities: the ratio never exceeds the
     pairing constant times the family constant, and conversely the family
@@ -208,8 +176,6 @@ def averaging_uniform_bound(p, alpha, family, witnesses=None, grid=None, tol=1e-
     The converse needs sharp witnesses, so each set also gets its canonical
     unit-modular witness in addition to any supplied ones.
     """
-    if grid is None:
-        raise PreconditionError("averaging bound needs an evaluation grid")
     q = sobolev_dual(p, alpha)
     k0 = k0alpha_constant(p, alpha, family)
     holder = holder_constant(p)
@@ -349,28 +315,25 @@ def _center_lattice(x, half_range, spacing):
     return x - half_range + spacing * np.arange(count)
 
 
-def _cube_mean_reader(p, E, grid):
+def _cube_mean_reader(p, E):
     """means(axes, radius): mean of 1/p (1/inf = 0) over E cap Q for cubes Q
-    centered on the outer product of axes, nan where Q misses E.  On a grid
-    Q takes its cells per axis from GridDomain.box_cells and its sums from
-    the 2^n corners of one zero-padded summed-area table of 1/p and 1 on E.
-    Without a grid, all the sets E cap Q compile as one family (see
-    norms._compile_family) and their means are read from its rows."""
-    if grid is None:
+    centered on the outer product of axes.  A mask set is read on its own
+    grid: Q takes its cells per axis from GridDomain.box_cells and its sums
+    from the 2^n corners of one zero-padded summed-area table of 1/p and 1
+    on E, and the mean is nan where Q has no cells of E.  For a box E all
+    the boxes E cap Q compile as one family (see norms._compile_family) and
+    their means are read from its rows; a cube outside the domain raises,
+    as for one set."""
+    if E.is_box():
         def exact_means(axes, radius):
             shape = tuple(len(a) for a in axes)
             sets = [E.intersect_box(Cube([a[i] for a, i in zip(axes, idx)], radius).as_box())
                     for idx in np.ndindex(shape)]
-            compiled = _compile_family(p, sets)
-            if E.is_box():  # a cube outside the domain raises, as for one set
-                return _mean_inverses(compiled, p, sets).reshape(shape)
-            measure = compiled.measure  # a cube without cells of E has no mean
-            inv = np.divide(compiled.integrals(p, _inverse), measure,
-                            out=np.full(measure.shape, np.nan), where=measure > 0.0)
-            return inv.reshape(shape)
+            return _mean_inverses(_compile_family(p, sets), p, sets).reshape(shape)
 
         return exact_means
 
+    grid = E.grid_mask[0]
     mask = E.mask_on(grid)
     table = np.zeros((2,) + mask.shape)
     table[0][mask] = 1.0 / p.values_on(grid, mask)[mask]
@@ -390,18 +353,20 @@ def _cube_mean_reader(p, E, grid):
     return grid_means
 
 
-def minimal_harmonic_mean_cube(p, D, r, E, grid=None, spacing=None, verify_scaling=True):
+def minimal_harmonic_mean_cube(p, D, r, E, spacing=None, verify_scaling=True):
     """Cube of radius r inside D whose intersection with E has the smallest
     harmonic mean exponent, found by scanning a center lattice.
 
     Requires 0 < r <= radius(D), the complement D minus E smaller than one
-    radius-r cube, and a bounded exponent on D and E.  On a grid all cubes
-    read one summed-area table of 1/p over E's cells; without one, the cubes
-    compile exactly, as one family.  In row-major order a cube wins when it
-    beats the best so far by a relative 1e-15.  With verify_scaling, cubes
-    of radius m*r sampled inside D must not beat the minimum (their mean is
-    a weighted average over radius-r subcubes), a guard against lattice
-    misalignment.
+    radius-r cube, and a bounded exponent on D and E.  The set picks the
+    route (see _cube_mean_reader): for a mask set all cubes read one
+    summed-area table of 1/p over its cells on its own grid, and the lattice
+    spacing defaults to that grid's h; for a box the cubes compile exactly,
+    as one family, and the spacing defaults to r/8.  In row-major order a
+    cube wins when it beats the best so far by a relative 1e-15.  With
+    verify_scaling, cubes of radius m*r sampled inside D must not beat the
+    minimum (their mean is a weighted average over radius-r subcubes), a
+    guard against lattice misalignment.
     """
     n, R = D.dimension, D.radius
     if not (0.0 < r <= R * (1.0 + 1e-12)):
@@ -415,8 +380,8 @@ def minimal_harmonic_mean_cube(p, D, r, E, grid=None, spacing=None, verify_scali
     if compile_set(p, d_set).values(p).max(initial=-INF) == INF:
         raise PreconditionError("exponent must be bounded on D and E")
     if spacing is None:
-        spacing = grid.h if grid is not None else r / 8.0
-    means = _cube_mean_reader(p, E, grid)
+        spacing = r / 8.0 if E.is_box() else E.grid_mask[0].h
+    means = _cube_mean_reader(p, E)
 
     axes = [_center_lattice(D.center[i], R - r, spacing) for i in range(n)]
     inv = means(axes, r)

@@ -289,23 +289,21 @@ def _compile_cells(p, domain, keep, f):
                         int(np.count_nonzero(keep)) * domain.cell_volume)
 
 
-def _compile_grid(f, p, region=None):
-    """One atom per cell of f where f != 0, optionally within a region."""
+def _compile_grid(f, p):
+    """One atom per cell of f where f != 0."""
     af = np.abs(f.values)
     keep = af > 0.0
-    if region is not None:
-        keep &= region.mask_on(f.domain)
     return _compile_cells(p, f.domain, keep, af[keep])
 
 
-def modular(f, p, region=None):
+def modular(f, p):
     """Modular of a grid function: integral of |f|^p plus sup of |f| over {p = inf}."""
-    return _compile_grid(f, p, region).modular(p, 1.0)
+    return _compile_grid(f, p).modular(p, 1.0)
 
 
-def luxemburg_norm(f, p, region=None):
+def luxemburg_norm(f, p):
     """Luxemburg norm of a grid function: inf of lam with modular(f/lam) <= 1."""
-    return _compile_grid(f, p, region).norm(p)
+    return _compile_grid(f, p).norm(p)
 
 
 # -- pairing constants ------------------------------------------------------

@@ -225,6 +225,9 @@ def test_grid_size_budgets_refuse_before_any_grid(argv, flag, values, tmp_path, 
     ["paircheck", "--mode", "czo", "--alpha", "inf"],
     ["paircheck", "--mode", "czo", "--alpha", "1"],
     ["paircheck", "--mode", "czo", "--alpha=-0.5"],
+    # numpy's generators take no negative seed
+    ["paircheck", "--seed", "-1", "--count", "1"],
+    ["example", "EX62", "--seed", "-1", "--j-max", "2"],
 ])
 def test_bad_input_ends_with_an_error_line(argv, tmp_path, capsys):
     if argv[0] == "k0scan":
@@ -234,6 +237,14 @@ def test_bad_input_ends_with_an_error_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, err
     assert not (out / "results.csv").exists()
+
+
+def test_negative_seed_refuses_before_config(tmp_path, capsys):
+    for argv in (["paircheck", "--count", "1"], ["example", "EX62", "--j-max", "2"]):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
+        assert not out.exists()
 
 
 def test_parser_is_built_once_and_leaks_nothing_between_calls(tmp_path):
@@ -611,6 +622,19 @@ def test_k0scan_on_a_bump_piece_cut_by_a_constant(tmp_path, capsys):
     lines = (out / "summary.txt").read_text().splitlines()
     assert "exponent bounds = (1.5, 2)" in lines, lines
     assert "pairing constant K = 1.16666667" in lines, lines
+
+
+def test_k0scan_at_a_jump_reads_no_sliver(tmp_path):
+    # every [1, 1 + v] lies in the p = 2 piece, where each sample is 1; an
+    # interval built from its center and radius rounds its left end below 1
+    # for some v and reads a sliver of the p = 1 piece, where p' = inf
+    out = tmp_path / "run"
+    argv = ["k0scan", "--spec", os.path.join(DATA, "twopiece.json"), "--anchor", "1",
+            "--vol-min", "1e-12", "--vol-max", "1e-11", "--num", "10"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["1"] * 10
+    assert [row[2] for row in rows] == ["1"] * 10
 
 
 def _no_grid(*args, **kwargs):

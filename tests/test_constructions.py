@@ -40,7 +40,6 @@ from varlp.constructions import (
     ex61_sets,
     hm_counterexample,
     l1_failure_maximal_closed_form,
-    l1_failure_spec,
     two_sided_interval_check,
     witness_check,
     witness_interval,
@@ -321,10 +320,6 @@ def test_l1_ladder_and_spec():
     res = build_l1_failure(0.0, r_max=16.0)
     assert res["ladder"][0] == 1.0 and res["ladder"][-1] == 16.0
     assert res["alpha"] == 0.0
-    sp = l1_failure_spec(0.5)
-    assert isinstance(sp, ExampleSpec)
-    assert sp.name == "L1_FAILURE"
-    assert sp.parameters["alpha"] == 0.5
 
 
 # -- single-bump ladder with slow divergence ------------------------------------

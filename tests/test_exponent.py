@@ -20,6 +20,7 @@ from varlp import (
     conjugate,
     evaluate,
     from_spec,
+    interval_integral,
     lh0_modulus,
     sobolev_dual,
     to_spec,
@@ -51,13 +52,16 @@ def test_profile_monotone_on_shoulder():
 
 
 def test_shoulder_integral_matches_dense_quadrature():
-    # oracle first: dense midpoint quadrature of g(profile) over one shoulder
+    # oracle first: dense midpoint quadrature of g(profile) over one shoulder;
+    # the box route reads the interval [c + m, c + s] of p = 1 + bump
     bump = PlateauBump(height=0.8, plateau_halfwidth=0.25, support_halfwidth=0.5)
     xs = np.linspace(0.25, 0.5, 400001)
     mids = 0.5 * (xs[:-1] + xs[1:])
+    piece = BumpsPiece(((0.0, 4.0),), 1.0, bump, CenterSequence(kind="fixed", positions=(2.0,)))
+    p = ExponentFunction(dimension=1, domain=((0.0, 4.0),), pieces=(piece,))
     for g in (lambda v: v + 1.0, lambda v: (v + 1.2) ** 2, np.exp):
         dense = float(np.sum(g(bump.profile(mids))) * (xs[1] - xs[0]))
-        exact = bump.shoulder_integral(g)
+        exact = interval_integral(p, 2.25, 2.5, lambda v: g(v - 1.0))
         assert abs(exact - dense) <= 1e-9 * abs(dense), (
             f"shoulder integral {exact} vs dense {dense}"
         )
