@@ -63,6 +63,8 @@ from .operators import (
 EXAMPLE_NAMES = ("L1_FAILURE", "EX61", "EX62", "EX63", "EX64", "HM_COUNTER")
 # half width of the EX61 window |u| <= 4 around one bump, u = x - e^k
 _EX61_HALF_WIDTH = 4.0
+# slack of the positions and radii check_blowup_geometry compares
+_GEOMETRY_TOL = 1e-9
 
 
 @dataclass
@@ -357,7 +359,7 @@ def build_blowup(p, alpha, t, k_max, cells_per_radius=4):
     return BlowupFamily(p=p, alpha=alpha, t=float(t), k_max=k_max, n=n, levels=tuple(levels))
 
 
-def check_blowup_geometry(fam, tol=1e-9):
+def check_blowup_geometry(fam):
     """Measure every geometric promise of the family; returns a report dict.
 
     Checks, per level: cubes and partners inside D, pairwise-disjoint
@@ -377,12 +379,12 @@ def check_blowup_geometry(fam, tol=1e-9):
         for j, (cube, pair) in enumerate(zip(lv.chain, lv.pairs), start=1):
             for tag, c in (("chain", cube), ("partner", pair.partner)):
                 lo, hi = c.as_box()[0]
-                if lo < d_lo - tol or hi > d_hi + tol:
+                if lo < d_lo - _GEOMETRY_TOL or hi > d_hi + _GEOMETRY_TOL:
                     issues.append(f"{tag} {j} leaves D: [{lo}, {hi}]")
             if not verify_tu_pair(pair):
                 issues.append(f"pair {j} fails the translate relation")
             r_j = cube.radius
-            if abs(r_j - 2.0 ** (j - 1) * lv.small_radius) > tol * r_j:
+            if abs(r_j - 2.0 ** (j - 1) * lv.small_radius) > _GEOMETRY_TOL * r_j:
                 issues.append(f"chain radius {j} off the doubling ladder")
 
         for j1 in range(len(lv.pairs)):
@@ -391,7 +393,7 @@ def check_blowup_geometry(fam, tol=1e-9):
                 b = lv.pairs[j2].partner.as_box()[0]
                 gap = max(a[0], b[0]) - min(a[1], b[1])
                 need = (t - 4.0) / 2.0 * lv.pairs[j2].partner.radius
-                if gap < need - tol:
+                if gap < need - _GEOMETRY_TOL:
                     issues.append(f"partners {j1 + 1},{j2 + 1} gap {gap} < {need}")
 
         mask_e = lv.threshold_set.mask_on(lv.grid)

@@ -7,8 +7,9 @@ smooth plateau bumps repeated along a center sequence.  Derived exponents
 transform chains over the same piece data so that analytic integration
 routines keep access to the exact piece geometry.  On a grid the pieces are
 painted onto the cells they cover, so only bump pieces evaluate points.
-The levels behind bounds() and strata() are read per run of cells each
-piece owns, by the rule the box compiler of varlp.norms uses.
+The levels behind bounds() and strata() come from the walk and the run
+split (_owned_parts, BumpsPiece.run) the box compiler of varlp.norms takes
+its atoms from; a constant piece is a level where it owns positive volume.
 
 Center sequences can hold astronomically many bumps (counts around 1e14 show
 up in the long-interval witness constructions), so nothing here ever
@@ -103,6 +104,15 @@ def _owned_runs(edges, owner, k):
     owned = np.concatenate(([False], owner == k, [False]))
     ends = np.flatnonzero(owned[1:] != owned[:-1]).tolist()
     return [(edges[0][a], edges[0][b]) for a, b in zip(ends[::2], ends[1::2])]
+
+
+def _owned_parts(pieces, box):
+    """(piece, volume, runs) for every piece that owns positive volume of
+    the box, in piece order: runs is None for a constant piece and the
+    _owned_runs of a bump piece, which lives on a line."""
+    edges, owner, volumes = _first_piece_cells(pieces, box)
+    return [(piece, v, None if isinstance(piece, ConstantPiece) else _owned_runs(edges, owner, k))
+            for k, (piece, v) in enumerate(zip(pieces, volumes)) if v > 0.0]
 
 
 def points_in_box(pts, box):
@@ -294,65 +304,67 @@ class BumpsPiece:
         d = self.centers.nearest_distance(pts[:, 0])
         return self.base + self.direction * self.bump.profile(d)
 
-    def full_and_straddling(self, lo, hi):
-        """Split centers touching [lo, hi] into fully-inside and straddling ones.
+    def run(self, lo, hi):
+        """Split [lo, hi] at the bumps whose supports meet it.
 
-        Returns ((k_first, k_last), straddlers) where the index range covers
-        centers whose whole support sits inside [lo, hi] and straddlers is a
-        short list of (k, c_k) whose support crosses an endpoint.  Supports
-        are pairwise disjoint, so at most a couple of straddlers exist per end.
+        Returns (whole, base_len, windows): the number of bumps whose whole
+        support lies in [lo, hi]; the length the supports leave uncovered,
+        0 where that is rounding (at most 1e-12 of max(1, hi - lo)); and an
+        (o0, o1) window for each bump that straddles an end, its support
+        meeting [lo, hi] on [c + o0, c + o1] about its center c.  A center
+        quantized more coarsely than the bump counts as whole when it lies
+        in [lo, hi] (O(1) absolute error).  Supports are pairwise disjoint,
+        so at most a couple of bumps straddle each end, and the split does
+        not depend on the number of bumps.
         """
         s = self.bump.support_halfwidth
         k_in_first, k_in_last = self.centers.index_range_in(lo + s, hi - s)
         k_any_first, k_any_last = self.centers.index_range_in(lo - s, hi + s)
         candidates = set(range(k_any_first, min(k_any_first + 4, k_any_last) + 1))
         candidates |= set(range(max(k_any_first, k_any_last - 4), k_any_last + 1))
-        straddlers = []
+        whole = max(0, k_in_last - k_in_first + 1)
+        base_len = hi - lo - whole * 2.0 * s
+        windows = []
         for k in sorted(candidates):
             if k_in_first <= k <= k_in_last:
                 continue
             c = float(self.centers.position(k))
-            if min(hi, c + s) > max(lo, c - s):
-                straddlers.append((k, c))
-        return (k_in_first, k_in_last), straddlers
-
-    def attained(self, lo, hi, split):
-        """Raw levels taken on positive measure in [lo, hi], where split is
-        full_and_straddling(lo, hi): the base where the supports leave more
-        than rounding uncovered, the plateau value where a plateau overlaps
-        [lo, hi] on positive length.  A center quantized more coarsely than
-        the bump counts as a whole bump when it lies in [lo, hi]."""
-        s, m = self.bump.support_halfwidth, self.bump.plateau_halfwidth
-        (kf, kl), straddlers = split
-        cover = max(0, kl - kf + 1) * 2.0 * s
-        plateau = kl >= kf
-        for _, c in straddlers:
-            cover += max(0.0, min(hi, c + s) - max(lo, c - s))
-            if np.spacing(abs(c)) > 0.01 * s:
-                plateau |= lo <= c <= hi
-            else:
-                plateau |= min(hi, c + m) > max(lo, c - m)
-        levels = [self.base] if (hi - lo) - cover > 1e-12 * max(1.0, hi - lo) else []
-        if self.bump.height > 0 and plateau:
-            levels.append(self.top)
-        return levels
-
-    def ranges(self, lo, hi, split):
-        """Raw ranges the bumps sweep in [lo, hi] (split as in attained): the
-        base to the plateau value for a whole bump or a coarse center, and for
-        a straddler the values at the farthest and the nearest distance from
-        its center within the overlap, exact since the profile is monotone in
-        the distance.  Degenerate ranges are dropped."""
-        s = self.bump.support_halfwidth
-        (kf, kl), straddlers = split
-        out = [(self.base, self.top)] if kl >= kf else []
-        for _, c in straddlers:
+            if not min(hi, c + s) > max(lo, c - s):
+                continue
             if np.spacing(abs(c)) > 0.01 * s:
                 if lo <= c <= hi:
-                    out.append((self.base, self.top))
+                    base_len -= 2.0 * s
+                    whole += 1
                 continue
-            o0, o1 = max(lo, c - s), min(hi, c + s)
-            dist = [max(c - o0, o1 - c), max(o0 - c, c - o1, 0.0)]
+            o0, o1 = max(lo - c, -s), min(hi - c, s)
+            if o0 < o1:
+                base_len -= o1 - o0
+                windows.append((o0, o1))
+        if not base_len > 1e-12 * max(1.0, hi - lo):
+            base_len = 0.0
+        return whole, base_len, windows
+
+    def levels(self, run):
+        """Raw levels taken on positive length in a run (see run): the base
+        where the supports leave some length uncovered, the plateau value
+        where a bump lies whole or a window meets its plateau on positive
+        length."""
+        whole, base_len, windows = run
+        m = self.bump.plateau_halfwidth
+        out = [self.base] if base_len > 0.0 else []
+        if self.bump.height > 0 and (whole or any(min(o1, m) > max(o0, -m) for o0, o1 in windows)):
+            out.append(self.top)
+        return out
+
+    def ranges(self, run):
+        """Raw ranges the bumps sweep in a run (see run): the base to the
+        plateau value for a whole bump, and for a window the values at its
+        farthest and its nearest distance from the center, exact since the
+        profile is monotone in the distance.  Degenerate ranges are dropped."""
+        whole, _, windows = run
+        out = [(self.base, self.top)] if whole else []
+        for o0, o1 in windows:
+            dist = [max(-o0, o1), max(o0, -o1, 0.0)]
             out.append(tuple((self.base + self.direction * self.bump.profile(dist)).tolist()))
         return [(a, b) for a, b in out if a != b]
 
@@ -488,25 +500,21 @@ class ExponentFunction:
     def _raw_level_sets(self):
         """(atoms, ranges) of raw values attained on positive measure.
 
-        Each cell of the domain goes to the first piece listed whose box
-        covers it (see _first_piece_cells); any number of pieces may overlap.
-        A constant piece that owns more than 1e-12 of its region gives its
-        value.  A bump piece is read on every run of cells it owns, as the
-        box compiler reads it: BumpsPiece.attained gives the atoms and
-        BumpsPiece.ranges the ranges its profile sweeps.
+        The domain is walked as the box compiler of varlp.norms walks a box
+        (see _owned_parts), so both read the same levels: a constant piece
+        that owns positive volume gives its value, and a bump piece gives
+        BumpsPiece.levels and BumpsPiece.ranges of every run it owns.
         """
         atoms, ranges = set(), []
-        edges, owner, volumes = _first_piece_cells(self.pieces, self.domain)
-        for k, (piece, eff) in enumerate(zip(self.pieces, volumes)):
-            if isinstance(piece, ConstantPiece):
-                region = box_intersect(piece.box, self.domain)
-                if region is not None and eff > 1e-12 * box_volume(region):
-                    atoms.add(piece.value)
-                continue
-            for lo, hi in _owned_runs(edges, owner, k):
-                split = piece.full_and_straddling(lo, hi)
-                atoms.update(piece.attained(lo, hi, split))
-                ranges += piece.ranges(lo, hi, split)
+        for piece, _, runs in _owned_parts(self.pieces, self.domain):
+            if runs is None:
+                atoms.add(piece.value)
+            for lo, hi in runs or ():
+                run = piece.run(lo, hi)
+                atoms.update(piece.levels(run))
+                ranges += piece.ranges(run)
+        if not atoms and not ranges:
+            raise DomainError("no piece owns any part of the exponent's domain")
         return atoms, ranges
 
     def _levels(self):

@@ -35,6 +35,11 @@ from .norms import (
 )
 from .operators import averaging_op
 
+# relative slack of every inequality the checks below test, and the
+# absolute slack of the mean identity of k0alpha_iff_k0_check
+_CHECK_TOL = 1e-6
+_IDENTITY_TOL = 1e-9
+
 
 @dataclass
 class CubeFamily:
@@ -166,7 +171,7 @@ class AveragingReport:
     rows: list
 
 
-def averaging_uniform_bound(p, alpha, family, grid, witnesses=None, tol=1e-6):
+def averaging_uniform_bound(p, alpha, family, grid, witnesses=None):
     """Largest observed ratio ||A_E f||_q / ||f||_p over the family, every
     function read on the evaluation grid.
 
@@ -198,8 +203,8 @@ def averaging_uniform_bound(p, alpha, family, grid, witnesses=None, tol=1e-6):
             rows.append((i, name, ratio))
             if ratio > sup_ratio:
                 sup_ratio, best_set = ratio, i
-    upper_ok = sup_ratio <= holder * k0.best_value * (1.0 + tol)
-    converse_ok = k0.best_value <= sup_ratio / duality * (1.0 + tol)
+    upper_ok = sup_ratio <= holder * k0.best_value * (1.0 + _CHECK_TOL)
+    converse_ok = k0.best_value <= sup_ratio / duality * (1.0 + _CHECK_TOL)
     return AveragingReport(sup_ratio, best_set, holder, duality, k0.best_value,
                            upper_ok, converse_ok, rows)
 
@@ -225,7 +230,7 @@ class SandwichReport:
     all_ok: bool
 
 
-def norm_harmonic_sandwich(p, family, tol=1e-6):
+def norm_harmonic_sandwich(p, family):
     """Two-sided comparison of indicator norms with measure^(1/p_E).
 
     lower = measure^(1/p_E) / (2K) and upper = (2 K^2 K0 / k) measure^(1/p_E)
@@ -244,7 +249,7 @@ def norm_harmonic_sandwich(p, family, tol=1e-6):
         base = measure ** (0.0 if hm == INF else 1.0 / hm)
         lower = base / (2.0 * holder)
         upper = 2.0 * holder ** 2 * k0_value / duality * base
-        ok = lower * (1.0 - tol) <= norm <= upper * (1.0 + tol)
+        ok = lower * (1.0 - _CHECK_TOL) <= norm <= upper * (1.0 + _CHECK_TOL)
         rows.append(SandwichRow(i, E.label, measure, hm, norm, lower, upper, ok))
     return SandwichReport(holder, duality, k0_value, rows, all(r.ok for r in rows))
 
@@ -269,7 +274,7 @@ class EquivalenceReport:
     all_ok: bool
 
 
-def k0alpha_iff_k0_check(p, alpha, family, tol=1e-6, identity_tol=1e-9):
+def k0alpha_iff_k0_check(p, alpha, family):
     """Quantitative equivalence between the order-alpha constant and the two
     order-zero constants of p and its fractional dual q.
 
@@ -295,12 +300,12 @@ def k0alpha_iff_k0_check(p, alpha, family, tol=1e-6, identity_tol=1e-9):
     samples = zip(rep_alpha.samples, rep_p.samples, rep_q.samples)
     for (sa, sp, sq), (inv_p, inv_q) in zip(samples, inverses):
         gap = abs((1.0 - inv_p) + inv_q - (1.0 - alpha / n))
-        forward_ok = (sp.value <= 2.0 * sa.value * (1.0 + tol)
-                      and sq.value <= 2.0 * sa.value * (1.0 + tol))
-        if sa.value > c_conv * rep_p.best_value * rep_q.best_value * (1.0 + tol):
+        forward_ok = (sp.value <= 2.0 * sa.value * (1.0 + _CHECK_TOL)
+                      and sq.value <= 2.0 * sa.value * (1.0 + _CHECK_TOL))
+        if sa.value > c_conv * rep_p.best_value * rep_q.best_value * (1.0 + _CHECK_TOL):
             converse_ok = False
         rows.append(EquivalenceRow(sa.index, sa.label, sa.value, sp.value, sq.value,
-                                   gap, forward_ok, gap <= identity_tol))
+                                   gap, forward_ok, gap <= _IDENTITY_TOL))
     all_ok = converse_ok and all(r.forward_ok and r.identity_ok for r in rows)
     return EquivalenceReport(rows, c_conv, converse_ok, all_ok)
 

@@ -2,21 +2,23 @@
 
 Every set or grid function is first compiled against an exponent into a
 :class:`Distribution`: atoms that each carry a measure, a value of |f| and
-a pre-transform exponent value.  Three routes compile:
+a pre-transform exponent value.  Two routes compile:
 
 * a grid function: one atom per cell with f != 0 (midpoint sampling, exact
   for piecewise-constant data aligned with the cells);
 * the indicator of a box in any dimension, intervals included: the box is
   cut into the cells each piece owns, where pieces may overlap and the
   first one listed wins.  A constant piece gives one atom, the volume it
-  owns.  A bump piece (one dimension only) gives, per run of cells it owns
-  (exponent._owned_runs, the walk bounds() and strata() also read), the
-  base length, the plateaus and shoulder Gauss nodes of the fully
-  contained bumps weighted by their count, and Gauss nodes across the few
-  bumps that straddle an end.  The walk does not depend on the number of
-  bumps, so intervals of length 1e27 containing 1e13 bumps are fine;
-* the set {p = inf}, which enters the modular as one atom with exponent 1
-  and weight sup |f| over it (1 for an indicator).
+  owns.  A bump piece (one dimension only) gives, per run of cells it owns,
+  the atoms of the run's split (BumpsPiece.run): Gauss nodes across the
+  few bumps that straddle an end, the plateaus and shoulder Gauss nodes of
+  the whole bumps weighted by their count, and the base length.  bounds()
+  and strata() read levels from the same walk and split, which do not
+  depend on the number of bumps, so intervals of length 1e27 containing
+  1e13 bumps are fine.
+
+The atoms where the exponent is inf enter the modular as one term with
+exponent 1 and weight sup |f| over them (1 for an indicator).
 
 A family of sets (the cubes of a K0 scan, the intervals of a witness
 ladder) compiles into one Distribution whose arrays are a rows x atoms
@@ -56,7 +58,7 @@ from .exponent import (
     ConstantPiece,
     _first_piece_cells,
     _gauss_nodes,
-    _owned_runs,
+    _owned_parts,
     _tf_array,
     box_intersect,
     box_volume,
@@ -69,6 +71,8 @@ _NEWTON_STEPS = 200
 _CONTRACT_STEPS = 64
 # box-cell products per pass of the level-volume table
 _TABLE_BLOCK = 1 << 18
+# relative slack of the bound in holder_pairing_check
+_PAIRING_TOL = 1e-6
 
 
 # -- compiled distributions ---------------------------------------------------
@@ -85,11 +89,9 @@ class Distribution:
     grid function, of the cells where f != 0).  A family compiles into a
     rows x atoms matrix, row r for set r, with one measure per row; w = 0
     marks padding or a value the set does not meet.  ``w`` and ``f`` may be
-    scalars shared by all atoms.  The sup of |f| over {p = inf} is read from
-    the atoms themselves, unless ``inf_raw`` is given: then every compiled
-    set is an indicator and {p = inf} has positive measure in it exactly
-    when one of its pre-transform values (nan-padded in a family) maps to
-    inf.
+    scalars shared by all atoms; every atom of one set has w > 0.  {p = inf}
+    is read from the atoms by one rule: sup |f| over it is the largest f
+    over the atoms of positive weight where the exponent is inf.
 
     Every read takes the exponent q to apply and gives one value per row.
     q must share the pieces of the compiled exponent; it may be that
@@ -101,29 +103,27 @@ class Distribution:
     f: object
     raw: np.ndarray
     measure: object
-    inf_raw: np.ndarray | None = None
 
     def values(self, q):
         """The exponent q on every atom."""
         return _values(self.pieces, q, self.raw)
 
     def _split(self, q):
-        """(w, f, v) on the atoms where q is finite, and sup |f| over {q = inf}.
+        """(w, f, v) on the atoms where q is finite, and sup |f| over the
+        atoms of positive weight where q is inf.
 
-        One set keeps only those atoms; in a family the others become
+        One set keeps only the finite atoms; in a family the others become
         padding with w = f = 0, so every row keeps its width."""
         v = self.values(q)
         finite = np.isfinite(v)
-        if self.inf_raw is not None:
-            sup = np.isinf(_tf_array(q.transforms, self.inf_raw)).any(axis=-1)
-        else:
-            sup = np.where(finite, 0.0, self.f).max(axis=-1, initial=0.0)
-        sup = np.asarray(sup, dtype=float)
         if v.ndim == 1:
+            sup = np.where(finite, 0.0, self.f).max(initial=0.0)
             if finite.all():
                 return self.w, self.f, v, sup
             return _atoms_where(self.w, finite), _atoms_where(self.f, finite), v[finite], sup
-        live = finite & (self.w > 0.0)
+        padding = ~(self.w > 0.0)
+        sup = np.where(finite | padding, 0.0, self.f).max(axis=-1, initial=0.0)
+        live = finite & ~padding
         return (np.where(live, self.w, 0.0), np.where(live, self.f, 0.0),
                 np.where(live, v, 1.0), sup)
 
@@ -347,7 +347,7 @@ class PairingReport:
     holds: bool
 
 
-def holder_pairing_check(f, g, p, tol=1e-6):
+def holder_pairing_check(f, g, p):
     """Check integral |f g| <= K * norm_p(f) * norm_p'(g) on a shared grid."""
     if f.domain.box != g.domain.box or f.domain.cells != g.domain.cells:
         raise PreconditionError("pairing check needs both functions on the same grid")
@@ -356,21 +356,19 @@ def holder_pairing_check(f, g, p, tol=1e-6):
     fn = luxemburg_norm(f, p)
     gn = luxemburg_norm(g, conjugate(p))
     bound = const * fn * gn
-    return PairingReport(lhs, fn, gn, const, bound, lhs <= bound * (1.0 + tol))
+    return PairingReport(lhs, fn, gn, const, bound, lhs <= bound * (1.0 + _PAIRING_TOL))
 
 
 # -- indicator norms and means for boxes and general sets -------------------
 
 
-def _bump_atoms(piece, lo, hi, ws, raws, inf_raw):
-    """Append the atoms of one bump-piece segment [lo, hi].
+def _bump_atoms(piece, lo, hi, ws, raws):
+    """Append the atoms of one bump-piece run [lo, hi], split by BumpsPiece.run.
 
-    The fully contained bumps give one plateau atom and one atom per
-    shoulder Gauss node, weighted by their count; each straddling window
-    gives Gauss nodes per smooth stretch; what is left is the base length.
-    Bumps whose center coordinates are quantized more coarsely than the
-    bump itself count as whole when the center lies in [lo, hi] (O(1)
-    absolute error).  The levels of BumpsPiece.attained go to inf_raw.
+    Each window gives Gauss nodes per smooth stretch; the whole bumps give
+    one plateau atom and one atom per shoulder Gauss node, weighted by their
+    count; the base length gives one atom.  So a level of BumpsPiece.levels
+    is an atom value, and the base is an atom exactly when it is a level.
     """
     bump = piece.bump
     s, m = bump.support_halfwidth, bump.plateau_halfwidth
@@ -379,41 +377,29 @@ def _bump_atoms(piece, lo, hi, ws, raws, inf_raw):
     def raw_at(dist):
         return piece.base + piece.direction * bump.profile(dist)
 
-    (kf, kl), straddlers = split = piece.full_and_straddling(lo, hi)
-    n_full = max(0, kl - kf + 1)
-    base_len = hi - lo - n_full * 2.0 * s
-    for _, c in straddlers:
-        if np.spacing(abs(c)) > 0.01 * s:
-            if lo <= c <= hi:
-                base_len -= 2.0 * s
-                n_full += 1
-            continue
-        o0, o1 = max(lo - c, -s), min(hi - c, s)
-        if o1 <= o0:
-            continue
-        base_len -= o1 - o0
+    whole, base_len, windows = piece.run(lo, hi)
+    for o0, o1 in windows:
         knots = [o0] + [o for o in (-s, -m, m, s) if o0 < o < o1] + [o1]
         for u0, u1 in zip(knots, knots[1:]):
             half, midp = 0.5 * (u1 - u0), 0.5 * (u0 + u1)
             ws.append(half * wts)
             raws.append(raw_at(np.abs(midp + half * nodes)))
-    if n_full:
+    if whole:
         half, mid = 0.5 * (s - m), 0.5 * (s + m)
-        ws.append(np.array([n_full * 2.0 * m]))
+        ws.append(np.array([whole * 2.0 * m]))
         raws.append(np.array([piece.top]))
-        ws.append((n_full * 2.0 * half) * wts)
+        ws.append((whole * 2.0 * half) * wts)
         raws.append(raw_at(mid + half * nodes))
     if base_len > 0.0:
         ws.append(np.array([base_len]))
         raws.append(np.array([piece.base]))
-    inf_raw.extend(piece.attained(lo, hi, split))
 
 
 def _compile_box(p, box):
     """Atoms of the indicator of a box clipped to the exponent's domain.
 
     Each elementary cell of the box goes to the first piece listed whose
-    closed box covers it (see _first_piece_cells).  A constant piece gives
+    closed box covers it (see exponent._owned_parts).  A constant piece gives
     one atom, the volume it owns; a bump piece, which lives on a line, gives
     the atoms of _bump_atoms for each run of cells it owns, left to right.
     Atoms keep the order of the pieces.  An interval that misses the domain
@@ -425,28 +411,22 @@ def _compile_box(p, box):
     clipped = box_intersect(box, p.domain)
     if clipped is None:
         _check_covered(p.dimension, None, 0.0)
-        return Distribution(p.pieces, np.zeros(0), 1.0, np.zeros(0), 0.0, np.zeros(0))
-    edges, owner, volumes = _first_piece_cells(p.pieces, clipped)
-    measure = sum((v for v in volumes if v > 0.0), 0.0)
+        return Distribution(p.pieces, np.zeros(0), 1.0, np.zeros(0), 0.0)
+    parts = _owned_parts(p.pieces, clipped)
+    measure = sum((v for _, v, _ in parts), 0.0)
     _check_covered(p.dimension, clipped, measure)
-    ws, raws, inf_raw = [], [], []
-    bumped = False
-    for k, (piece, v) in enumerate(zip(p.pieces, volumes)):
-        if not v > 0.0:
-            continue
-        if isinstance(piece, ConstantPiece):
+    ws, raws = [], []
+    for piece, v, runs in parts:
+        if runs is None:
             ws.append(v)
             raws.append(piece.value)
-            inf_raw.append(piece.value)
-            continue
-        bumped = True
-        for lo, hi in _owned_runs(edges, owner, k):
-            _bump_atoms(piece, lo, hi, ws, raws, inf_raw)
+        for lo, hi in runs or ():
+            _bump_atoms(piece, lo, hi, ws, raws)
     # without bump atoms the constant atoms make one array in one step
-    stack = np.hstack if bumped else np.array
+    stack = np.array if all(runs is None for *_, runs in parts) else np.hstack
     w, raw = stack(ws), stack(raws).astype(float, copy=False)
     keep = w > 0.0
-    return Distribution(p.pieces, w[keep], 1.0, raw[keep], measure, np.array(inf_raw, dtype=float))
+    return Distribution(p.pieces, w[keep], 1.0, raw[keep], measure)
 
 
 def _check_covered(n, clipped, measure):
@@ -564,15 +544,11 @@ def _compile_family(p, sets):
         return _box_rows(p, [E.box for E in sets])
     dists = [compile_set(p, E) for E in sets]
     atoms = max((d.raw.size for d in dists), default=0)
-    levels = max((d.raw.size if d.inf_raw is None else d.inf_raw.size for d in dists), default=0)
     w, raw = np.zeros((len(dists), atoms)), np.ones((len(dists), atoms))
-    inf_raw = np.full((len(dists), levels), np.nan)
     for r, d in enumerate(dists):
         w[r, :d.raw.size] = d.w
         raw[r, :d.raw.size] = d.raw
-        attained = d.raw if d.inf_raw is None else d.inf_raw
-        inf_raw[r, :attained.size] = attained
-    return Distribution(p.pieces, w, 1.0, raw, np.array([d.measure for d in dists]), inf_raw)
+    return Distribution(p.pieces, w, 1.0, raw, np.array([d.measure for d in dists]))
 
 
 def _box_rows(p, boxes):
@@ -627,4 +603,4 @@ def _box_rows(p, boxes):
     for r in np.flatnonzero(short).tolist():
         _check_covered(n, box_intersect(boxes[r], p.domain), float(measure[r]))
     raw = np.broadcast_to(np.array(values, dtype=float), w.shape)
-    return Distribution(p.pieces, w, 1.0, raw, measure, np.where(w > 0.0, raw, np.nan))
+    return Distribution(p.pieces, w, 1.0, raw, measure)

@@ -65,6 +65,9 @@ _BOUND_RADII = 64
 # at alpha 0, where little prunes, the bounds cost 1.09, 1.05 and 1.04 times
 # it (2 vCPUs)
 _TILE = 16
+# relative slack of the radius and t, and absolute slack of the direction,
+# when verify_tu_pair recovers a pair from its cubes
+_TU_TOL = 1e-10
 
 
 def _half_cumulative(arr, pad, parity=None):
@@ -679,21 +682,21 @@ def make_tu_pair(cube, t, direction=None):
     return TUPair(cube, partner, float(t), tuple(u))
 
 
-def verify_tu_pair(pair, tol=1e-10):
+def verify_tu_pair(pair):
     """Recover (t, u) from the stored cubes and compare with the stored values."""
     q, pt = pair.base, pair.partner
-    if abs(q.radius - pt.radius) > tol * q.radius:
+    if abs(q.radius - pt.radius) > _TU_TOL * q.radius:
         return False
     n = q.dimension
     d = np.asarray(pt.center) - np.asarray(q.center)
     dist = float(np.linalg.norm(d))
     t = dist / (q.radius * math.sqrt(n))
-    if abs(t - abs(pair.t)) > tol * max(1.0, abs(pair.t)):
+    if abs(t - abs(pair.t)) > _TU_TOL * max(1.0, abs(pair.t)):
         return False
     if dist > 0:
         u = d / dist
         sign = 1.0 if pair.t >= 0 else -1.0
-        if np.max(np.abs(u - sign * np.asarray(pair.direction))) > tol:
+        if np.max(np.abs(u - sign * np.asarray(pair.direction))) > _TU_TOL:
             return False
     return True
 

@@ -239,6 +239,20 @@ def test_bad_input_ends_with_an_error_line(argv, tmp_path, capsys):
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["k0scan", "--alpha", "0.25"],
+    ["maximal", "--box", "0,1"],
+])
+def test_spec_whose_pieces_own_none_of_its_domain_is_refused(argv, tmp_path, capsys):
+    spec = write_spec(tmp_path, {"dimension": 1, "domain": [[0.0, 2.0]], "pieces": [
+        {"box": [[5.0, 6.0]], "kind": "constant", "value": 2.0}]})
+    out = tmp_path / "run"
+    assert main(argv + ["--spec", spec, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: no piece owns any part of the exponent's domain\n", err
+    assert not (out / "results.csv").exists()
+
+
 def test_negative_seed_refuses_before_config(tmp_path, capsys):
     for argv in (["paircheck", "--count", "1"], ["example", "EX62", "--j-max", "2"]):
         out = tmp_path / argv[0]

@@ -314,7 +314,7 @@ def _transformed(p):
     out = [p, conjugate(p)]
     try:
         p_plus = p.bounds()[1]
-    except ValueError:  # no piece meets the domain
+    except DomainError:  # no piece owns any part of the domain
         return out
     if p_plus < INF:
         out.append(sobolev_dual(p, 0.5 * p.dimension / p_plus))

@@ -351,6 +351,15 @@ def test_duality_constant_examples():
     assert holder_constant(two) == pytest.approx(1.0 - 1.0 / 3.0 + 1.0 + 1.0), "finite spread plus the p=1 stratum"
 
 
+def test_exponent_whose_pieces_own_none_of_its_domain_has_no_levels():
+    p = ExponentFunction(dimension=1, domain=((0.0, 2.0),),
+                         pieces=(ConstantPiece(((5.0, 6.0),), 2.0),))
+    for read in (ExponentFunction.bounds, ExponentFunction.strata, holder_constant,
+                 duality_constant):
+        with pytest.raises(DomainError, match="^no piece owns any part of the exponent's domain$"):
+            read(p)
+
+
 def test_pairing_equality_case():
     grid = GridDomain(((0.0, 1.0),), (128,))
     f = GridFunction(grid, np.ones(128))
@@ -618,10 +627,29 @@ def seed_box_volumes(p, box):
     return vols
 
 
+def seed_full_and_straddling(piece, lo, hi):
+    """The replaced BumpsPiece.full_and_straddling: ((k_first, k_last),
+    straddlers), the index range of the centers whose whole support lies in
+    [lo, hi] and the (k, c_k) whose support crosses an end."""
+    s = piece.bump.support_halfwidth
+    k_in_first, k_in_last = piece.centers.index_range_in(lo + s, hi - s)
+    k_any_first, k_any_last = piece.centers.index_range_in(lo - s, hi + s)
+    candidates = set(range(k_any_first, min(k_any_first + 4, k_any_last) + 1))
+    candidates |= set(range(max(k_any_first, k_any_last - 4), k_any_last + 1))
+    straddlers = []
+    for k in sorted(candidates):
+        if k_in_first <= k <= k_in_last:
+            continue
+        c = float(piece.centers.position(k))
+        if min(hi, c + s) > max(lo, c - s):
+            straddlers.append((k, c))
+    return (k_in_first, k_in_last), straddlers
+
+
 def seed_support_cover_length(piece, lo, hi):
     """Length of [lo, hi] covered by bump supports (exact up to rounding)."""
     s = piece.bump.support_halfwidth
-    (k_in_first, k_in_last), straddlers = piece.full_and_straddling(lo, hi)
+    (k_in_first, k_in_last), straddlers = seed_full_and_straddling(piece, lo, hi)
     cover = max(0, k_in_last - k_in_first + 1) * 2.0 * s
     for _, c in straddlers:
         cover += max(0.0, min(hi, c + s) - max(lo, c - s))
@@ -734,7 +762,7 @@ def seed_bumps_segment_integral(piece, lo, hi, g, transforms):
 
     shoulder = _seed_shoulder_integral(bump, g_of_profile)
     full_int = 2.0 * m * g_top + 2.0 * shoulder
-    (kf, kl), straddlers = piece.full_and_straddling(lo, hi)
+    (kf, kl), straddlers = seed_full_and_straddling(piece, lo, hi)
     n_full = max(0, kl - kf + 1)
     total = 0.0
     base_len = hi - lo
@@ -1073,20 +1101,18 @@ def line_exponents(rng):
 def seed_compile_interval(p, a, b):
     """Atoms of the indicator of [a, b] as the replaced interval walk built
     them: one atom per constant-piece segment, bump atoms per bump segment."""
-    ws, raws, inf_raw = [np.zeros(0)], [np.zeros(0)], []
+    ws, raws = [np.zeros(0)], [np.zeros(0)]
     for piece, lo, hi in seed_effective_segments(p, a, b):
         if isinstance(piece, ConstantPiece):
             ws.append(np.array([hi - lo]))
             raws.append(np.array([piece.value]))
-            inf_raw.append(piece.value)
         else:
-            _bump_atoms(piece, lo, hi, ws, raws, inf_raw)
+            _bump_atoms(piece, lo, hi, ws, raws)
     w = np.concatenate(ws)
     keep = w > 0.0
     (dom_lo, dom_hi), = p.domain
     return Distribution(p.pieces, w[keep], 1.0, np.concatenate(raws)[keep],
-                        max(min(b, dom_hi) - max(a, dom_lo), 0.0),
-                        np.array(inf_raw, dtype=float))
+                        max(min(b, dom_hi) - max(a, dom_lo), 0.0))
 
 
 def test_interval_segments_match_replaced_code(rng):
@@ -1107,7 +1133,8 @@ def test_interval_segments_match_replaced_code(rng):
             want = seed_compile_interval(p, a, b)
             got = compile_set(p, E)
             where = f"{p.pieces} on ({a}, {b})"
-            assert set(got.inf_raw.tolist()) == set(want.inf_raw.tolist()), where
+            for q in (p, conjugate(p)):
+                assert got._split(q)[3] == want._split(q)[3], where
             # the measure sums the owned lengths, which can round apart from
             # the clipped length b - a unless one piece owns all of it
             if len({id(q) for q, _, _ in segments}) == 1:
@@ -1196,11 +1223,13 @@ def test_level_sets_match_replaced_code(rng, monkeypatch):
     exponents += [frame_exponent(), hm_counterexample().exponent]
     assert len(exponents) > 170
     for p in exponents:
-        atoms, intervals = p._raw_level_sets()
         want_atoms, want_intervals = seed_raw_level_sets(p)
-        assert atoms == want_atoms and intervals == want_intervals, p.pieces
-        if not atoms and not intervals:
+        if not want_atoms and not want_intervals:  # the replaced code read no level
+            with pytest.raises(DomainError, match="^no piece owns any part of the exponent's domain$"):
+                p._raw_level_sets()
             continue
+        atoms, intervals = p._raw_level_sets()
+        assert atoms == want_atoms and intervals == want_intervals, p.pieces
         got = [(q.bounds(), q.strata()) for q in (p, conjugate(p))]
         with monkeypatch.context() as m:
             m.setattr(ExponentFunction, "_raw_level_sets", seed_raw_level_sets)
@@ -1273,18 +1302,36 @@ def test_plateau_touching_one_point_is_not_a_level():
     assert luxemburg_norm(GridFunction(grid, np.ones(10_000)), q) == pytest.approx(norm, rel=1e-5)
 
 
-def test_level_reader_and_box_compiler_split_on_a_tiny_inf_piece():
-    # a known split, pinned until one side is chosen: the level reader
-    # (exponent._raw_level_sets, behind bounds() and strata()) skips a
-    # constant piece that owns at most 1e-12 of its region, but the box
-    # compiler (norms._compile_box) keeps that piece's atom
-    p = ExponentFunction(dimension=1, domain=((0.0, 1.0),), pieces=(
+def sliver_exponent():
+    """2 on [0, 1 - 1e-14], then inf on the 1e-14 left of [0, 1]."""
+    return ExponentFunction(dimension=1, domain=((0.0, 1.0),), pieces=(
         ConstantPiece(((0.0, 1.0 - 1e-14),), 2.0), ConstantPiece(((0.0, 1.0),), INF)))
-    assert p.bounds() == (2.0, 2.0)
-    assert holder_constant(p) == 1.0
-    # the inf piece's 1e-14 atom adds a sup term: (1 - 1e-14) / lam^2 + 1 / lam = 1
-    assert interval_indicator_norm(p, 0.0, 1.0) == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0,
-                                                                 rel=1e-12)
+
+
+def test_level_reader_and_box_compiler_agree_on_a_tiny_inf_piece():
+    # the inf piece owns 1e-14 of the domain: positive volume, so a level for
+    # the level reader (bounds(), strata()) as for the box compiler
+    p = sliver_exponent()
+    assert p.bounds() == (2.0, INF)
+    assert p.strata().has_inf
+    assert holder_constant(p) == 2.5
+    assert duality_constant(p) == 0.5
+    with pytest.raises(PreconditionError, match="p_plus = inf"):
+        sobolev_dual(p, 0.25)
+    # the 1e-14 inf atom adds a sup term: (1 - 1e-14) / lam^2 + 1 / lam = 1
+    assert interval_indicator_norm(p, 0.0, 1.0) == pytest.approx(GOLDEN, rel=1e-12)
+
+
+def test_strata_and_compiled_domain_agree_on_inf(rng):
+    # {q = inf} carries measure for strata() exactly when the compiled
+    # domain has a sup term, for every exponent whose pieces cover it
+    exponents = line_exponents(rng) + [random_overlapping_plane(rng) for _ in range(60)]
+    exponents = [p for p in exponents if _first_piece_cells(p.pieces, p.domain)[1].min() >= 0]
+    assert len(exponents) > 250
+    for p in exponents + [sliver_exponent()]:
+        for q in (p, conjugate(p)):
+            dist = compile_set(q, MeasurableSet.from_box(q.domain))
+            assert q.strata().has_inf == (dist._split(q)[3] > 0.0), p.pieces
 
 
 def nested_exponent(count, dimension):
