@@ -360,13 +360,14 @@ class BumpsPiece:
         """Raw ranges the bumps sweep in a run (see run): the base to the
         plateau value for a whole bump, and for a window the values at its
         farthest and its nearest distance from the center, exact since the
-        profile is monotone in the distance.  Degenerate ranges are dropped."""
+        profile is monotone in the distance.  A range is degenerate where it
+        sweeps one value: on a plateau, or anywhere on a bump of height 0."""
         whole, _, windows = run
         out = [(self.base, self.top)] if whole else []
         for o0, o1 in windows:
             dist = [max(-o0, o1), max(o0, -o1, 0.0)]
             out.append(tuple((self.base + self.direction * self.bump.profile(dist)).tolist()))
-        return [(a, b) for a, b in out if a != b]
+        return out
 
 
 def _tf_array(ops, values):
@@ -503,7 +504,9 @@ class ExponentFunction:
         The domain is walked as the box compiler of varlp.norms walks a box
         (see _owned_parts), so both read the same levels: a constant piece
         that owns positive volume gives its value, and a bump piece gives
-        BumpsPiece.levels and BumpsPiece.ranges of every run it owns.
+        BumpsPiece.levels and BumpsPiece.ranges of every run it owns.  A
+        degenerate range is swept on positive length, so its one value is an
+        atom.
         """
         atoms, ranges = set(), []
         for piece, _, runs in _owned_parts(self.pieces, self.domain):
@@ -512,7 +515,11 @@ class ExponentFunction:
             for lo, hi in runs or ():
                 run = piece.run(lo, hi)
                 atoms.update(piece.levels(run))
-                ranges += piece.ranges(run)
+                for low, high in piece.ranges(run):
+                    if low == high:
+                        atoms.add(low)
+                    else:
+                        ranges.append((low, high))
         if not atoms and not ranges:
             raise DomainError("no piece owns any part of the exponent's domain")
         return atoms, ranges

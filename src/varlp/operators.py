@@ -1,17 +1,17 @@
 """Averaging, fractional maximal and potential operators on grid functions.
 
-Centered box integrals read one cumulative per axis, sampled at whole and
-half cells: a cube centered at a cell midpoint whose radius is a whole or
-half-whole number of cells has its faces on those positions, where the
-cumulative of cell-constant data is exact, so every radius is two slices of
-the same samples, and a run of consecutive radii on a line is two strided
-views of them.  The axis being summed is moved first and the samples are
-laid out along it, so each slice is a block of whole rows.  Axes after the
-first hold one slab per radius and sample each slab at the one parity its
-radius reads, with no padded copy: a window edge past the grid reads the
-end sample.  On a line the centered maximal seeds each cell at the least
-radius whose window covers the support of the data, and evaluates the other
-radii only on the runs of cells where an exact bound can beat the max so far.
+Centered box integrals read one cumulative per axis, sampled at the cell
+midpoints: a cube centered at a cell midpoint whose radius is a whole number
+of cells has its faces on those positions, where the cumulative of
+cell-constant data is exact, so every radius is two slices of the same
+samples, and a run of consecutive radii on a line is two strided views of
+them.  The axis being summed is moved first and the samples are laid out
+along it, so each slice is a block of whole rows.  Axes after the first hold
+one slab per radius and sample each slab on its own, with no padded copy: a
+window edge past the grid reads the end sample.  On a line the centered
+maximal seeds each cell at the least radius whose window covers the support
+of the data, and evaluates the other radii only on the runs of cells where an
+exact bound can beat the max so far.
 The uncentered maximal reads one table of lattice-interval values through
 running maxima; on a table of many blocks of rows, the prefix and suffix
 intervals give every cell a floor, and a block computes only the columns
@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, PreconditionError
 from .exponent import _gauss_nodes
-from .grid import Cube, GridFunction, MeasurableSet
+from .grid import Cube, GridFunction
 
 EXACT = "EXACT"
 DYADIC = "DYADIC"
@@ -70,17 +70,14 @@ _TILE = 16
 _TU_TOL = 1e-10
 
 
-def _half_cumulative(arr, pad, parity=None):
-    """Cumulative of arr along its first axis at whole and at half cells.
+def _half_cumulative(arr, pad):
+    """Cumulative of arr along its first axis at the cell midpoints.
 
-    Returns `whole`, the samples at z = 0, 1, ..., c cells, and `mid`, those at
-    z = 1/2, 3/2, ..., c - 1/2.  Each is lo + frac * (hi - lo) between the
-    whole-cell cumulatives around z, with frac = 1 at the right end, so both
-    are exact for cell-constant data.  Both carry `pad` >= 1 copies of the end
-    values whole[0] and whole[c] on each side, so that windows past the grid
-    saturate, matching extension of the data by zero.  Given the `parity` of
-    a doubled radius, only the samples its windows read are built (`whole`
-    for 1, `mid` for 0) and the other is None.  The samples are contiguous
+    Returns the samples at z = 1/2, 3/2, ..., c - 1/2, each lo + (hi - lo) / 2
+    between the whole-cell cumulatives around z, so they are exact for
+    cell-constant data.  They carry `pad` >= 1 copies of the cumulatives at
+    z = 0 and z = c on each side, so that windows past the grid saturate,
+    matching extension of the data by zero.  The samples are contiguous
     whatever the layout of arr, so a window is a slice of whole rows.
     """
     c = arr.shape[0]
@@ -89,73 +86,60 @@ def _half_cumulative(arr, pad, parity=None):
     np.cumsum(arr, axis=0, out=cum[1:])
     lo = cum[:-1]
     step = cum[1:] - lo
-    # frac = 0 stays in the arithmetic, so each sample keeps the bits of linear
-    # interpolation at z
-    first = lo[:1] + 0.0 * step[:1]
-    last = lo[-1:] + 1.0 * step[-1:]
-    samples = []
-    for odd in (1, 0):
-        if parity is not None and parity != odd:
-            samples.append(None)
-            continue
-        out = np.empty((c + odd + 2 * pad,) + arr.shape[1:])
-        core = out[pad:pad + c]
-        np.multiply(step, 0.0 if odd else 0.5, out=core)
-        np.add(lo, core, out=core)
-        out[:pad] = first
-        out[pad + c:] = last
-        samples.append(out)
-    return tuple(samples)
-
-
-def _window(whole, mid, pad, d, lo, hi, out):
-    """Sums over the index windows [j + 1/2 - d/2, j + 1/2 + d/2], for cells
-    j = lo .. hi-1 along the first axis, from the samples of _half_cumulative
-    padded by `pad`; written to out.  A pad of (d + 1) // 2 or more holds
-    every edge, and a window edge past a shorter pad reads the end sample."""
-    # window edges sit on half cells for whole radii, on whole cells otherwise
-    src = whole if d % 2 else mid
-    right, left = pad + (d + 1) // 2, pad - d // 2
-    # the left edges of the cells before `start` and the right edges of the
-    # cells from `stop` on lie past the samples: at most three runs of cells
-    start, stop = min(max(-left, lo), hi), max(min(len(src) - right, hi), lo)
-    if start == lo and stop == hi:
-        return np.subtract(src[right + lo:right + hi], src[left + lo:left + hi], out=out)
-    first, second = sorted((start, stop))
-    for a, b in (lo, first), (first, second), (second, hi):
-        if a < b:
-            np.subtract(src[right + a:right + b] if a < stop else src[-1:],
-                        src[left + a:left + b] if a >= start else src[:1], out=out[a - lo:b - lo])
+    out = np.empty((c + 2 * pad,) + arr.shape[1:])
+    core = out[pad:pad + c]
+    np.multiply(step, 0.5, out=core)
+    np.add(lo, core, out=core)
+    # the end values keep the bits of linear interpolation at z = 0 and z = c
+    out[:pad] = lo[:1] + 0.0 * step[:1]
+    out[pad + c:] = lo[-1:] + 1.0 * step[-1:]
     return out
 
 
-def _windows(rows, pad, d, lo, hi, out):
-    """The sums of _window on a line for the consecutive whole radii d/2,
-    d/2 + 1, ..., one row of out each, as one difference of two blocks of
-    `rows`, whose row r is mid[r:r + c] for the samples `mid` padded by
-    `pad` >= the largest radius.  Right edges step +1 cell from row to row,
-    left edges -1."""
-    m, k = d // 2, len(out)
+def _window(mid, pad, m, lo, hi, out):
+    """Sums over the index windows [j + 1/2 - m, j + 1/2 + m], for cells
+    j = lo .. hi-1 along the first axis, from the samples of _half_cumulative
+    padded by `pad`; written to out.  A pad of m or more holds every edge, and
+    a window edge past a shorter pad reads the end sample."""
+    right, left = pad + m, pad - m
+    # the left edges of the cells before `start` and the right edges of the
+    # cells from `stop` on lie past the samples: at most three runs of cells
+    start, stop = min(max(-left, lo), hi), max(min(len(mid) - right, hi), lo)
+    if start == lo and stop == hi:
+        return np.subtract(mid[right + lo:right + hi], mid[left + lo:left + hi], out=out)
+    first, second = sorted((start, stop))
+    for a, b in (lo, first), (first, second), (second, hi):
+        if a < b:
+            np.subtract(mid[right + a:right + b] if a < stop else mid[-1:],
+                        mid[left + a:left + b] if a >= start else mid[:1], out=out[a - lo:b - lo])
+    return out
+
+
+def _windows(rows, pad, m, lo, hi, out):
+    """The sums of _window on a line for the consecutive radii m, m + 1, ...,
+    one row of out each, as one difference of two blocks of `rows`, whose row
+    r is mid[r:r + c] for the samples `mid` padded by `pad` >= the largest
+    radius.  Right edges step +1 cell from row to row, left edges -1."""
+    k = len(out)
     right = rows[pad + m:pad + m + k, lo:hi]
     left = rows[pad - m - k + 1:pad - m + 1, lo:hi][::-1]
     return np.subtract(right, left, out=out)
 
 
-def _axis_box_sums(arr, doubled, stacked):
-    """Window sums along the first axis of each slab, one slab per doubled
-    radius d.  A `stacked` arr already holds one slab per radius along its
-    first axis, and each slab is sampled at the one parity its radius reads;
-    otherwise all radii share one cumulative."""
+def _axis_box_sums(arr, radii, stacked):
+    """Window sums along the first axis of each slab, one slab per radius.  A
+    `stacked` arr already holds one slab per radius along its first axis,
+    each with its own cumulative; otherwise all radii share one."""
     c = arr.shape[stacked]
-    # a window of 2c half cells or more covers the grid from every cell
-    doubled = np.minimum(doubled, 2 * c)
-    out = np.empty((len(doubled),) + (arr.shape[1:] if stacked else arr.shape))
+    # a window of radius c or more covers the grid from every cell
+    radii = np.minimum(radii, c)
+    out = np.empty((len(radii),) + (arr.shape[1:] if stacked else arr.shape))
     if not stacked:
-        whole, mid = _half_cumulative(arr, 1)
-    for i, d in enumerate(doubled.tolist()):
+        mid = _half_cumulative(arr, 1)
+    for i, m in enumerate(radii.tolist()):
         if stacked:
-            whole, mid = _half_cumulative(arr[i], 1, d % 2)
-        _window(whole, mid, 1, d, 0, c, out[i])
+            mid = _half_cumulative(arr[i], 1)
+        _window(mid, 1, m, 0, c, out[i])
     return out
 
 
@@ -173,30 +157,27 @@ def _finite(out, what):
 def box_sums(f, m):
     """Integral of f over the cube of index-radius m centered at every cell.
 
-    m is a positive whole or half-whole number of cells, or a 1-D array of such
-    radii; an array gives the sums for each radius stacked along a new first
-    axis.  The first axis reads one cumulative shared by every radius.  Each
-    later axis sums the slab of each radius on its own: one cumulative, the
-    samples at whole cells for half radii or at half cells for whole radii,
-    and at most three subtractions, the cells whose window runs past the
-    grid reading the end samples.  Data whose cumulative leaves the float
-    range is refused.
+    m is a positive whole number of cells, or a 1-D array of such radii; an
+    array gives the sums for each radius stacked along a new first axis.  The
+    first axis reads one cumulative shared by every radius.  Each later axis
+    sums the slab of each radius on its own: one cumulative sampled at the
+    cell midpoints, and at most three subtractions, the cells whose window
+    runs past the grid reading the end samples.  Data whose cumulative leaves
+    the float range is refused.
     """
     radii = np.asarray(m, dtype=float)
-    doubled = 2.0 * radii.reshape(-1)
-    if radii.ndim > 1 or not np.all(
-        np.isfinite(doubled) & (doubled > 0.0) & (doubled == np.floor(doubled))
-    ):
-        raise PreconditionError(f"box radii must be positive multiples of half a cell, got {m!r}")
+    flat = radii.reshape(-1)
+    if radii.ndim > 1 or not np.all(np.isfinite(flat) & (flat > 0.0) & (flat == np.floor(flat))):
+        raise PreconditionError(f"box radii must be positive whole numbers of cells, got {m!r}")
     arr = f.values
-    # no window needs more than twice the longest axis; the cap keeps the cast exact
-    doubled = np.minimum(doubled, 2.0 * max(arr.shape)).astype(np.int64)
+    # no window needs more than the longest axis; the cap keeps the cast exact
+    capped = np.minimum(flat, max(arr.shape)).astype(np.int64)
     # axis by axis in order, each axis moved first in its slab while its
     # windows are summed
     with np.errstate(over="ignore", invalid="ignore"):
         for axis in range(arr.ndim):
             stacked = axis > 0
-            sums = _axis_box_sums(np.moveaxis(arr, axis + stacked, stacked), doubled, stacked)
+            sums = _axis_box_sums(np.moveaxis(arr, axis + stacked, stacked), capped, stacked)
             arr = np.moveaxis(sums, 1, axis + 1)
         arr *= f.domain.cell_volume
     _finite(arr, "a box sum")
@@ -211,15 +192,14 @@ def _integral(values, cell_volume):
 
 
 def averaging_op(f, E, alpha=0.0):
-    """Averaging operator: measure(E)^(alpha/n) times the mean of f over E, on E.
+    """Averaging operator: measure(E)^(alpha/n) times the mean of f over the
+    MeasurableSet E, on E.
 
     The mean uses the full (unclipped) measure of E in the normalizer while
     the integral runs over the part of E inside the grid, so the result
     agrees with applying the whole-space operator to the zero-extended f.
     Data on which the value leaves the float range is refused.
     """
-    if isinstance(E, Cube):
-        E = MeasurableSet.from_cube(E)
     n = f.domain.dimension
     mask = E.mask_on(f.domain)
     if not mask.any():
@@ -258,12 +238,11 @@ def _overflow(h, what):
     return PreconditionError(f"cell width {h!r} is too small: {what} overflows")
 
 
-def _gather_windows(mid, pad, d, out):
-    """The sums of _window on a line with one doubled whole radius d[j] per
-    cell j, from the samples `mid` padded by `pad` >= every radius: the same
-    subtraction of the same two samples that _windows takes."""
-    cells = np.arange(len(d))
-    m = d // 2
+def _gather_windows(mid, pad, m, out):
+    """The sums of _window on a line with one radius m[j] per cell j, from
+    the samples `mid` padded by `pad` >= every radius: the same subtraction
+    of the same two samples that _windows takes."""
+    cells = np.arange(len(m))
     return np.subtract(mid[pad + m + cells], mid[pad - m + cells], out=out)
 
 
@@ -280,19 +259,18 @@ def _line_maximal(absf, radius_list, scales, volume):
     fractional_maximal)."""
     c = absf.shape[0]
     radius_list = np.asarray(radius_list)
-    # a window of c cells or more covers the grid from every cell
-    doubled = 2 * np.minimum(radius_list, c)
-    pad = int(doubled.max()) // 2
-    # whole radii read mid only
-    _, mid = _half_cumulative(absf, pad, 0)
+    # a window of radius c or more covers the grid from every cell
+    capped = np.minimum(radius_list, c)
+    pad = int(capped.max())
+    mid = _half_cumulative(absf, pad)
     rows = sliding_window_view(mid, c)
     best = np.zeros(c)
 
     def evaluate(radii, runs):
         # a run of consecutive radii is one difference of two blocks of rows;
         # a power of two taken out of the other radii breaks their run
-        span = doubled[radii].tolist()
-        starts = [0] + [i for i in range(1, len(span)) if span[i] - span[i - 1] != 2]
+        span = capped[radii].tolist()
+        starts = [0] + [i for i in range(1, len(span)) if span[i] - span[i - 1] != 1]
         stops = starts[1:] + [len(span)]
         chunk = max(1, _BLOCK_VALUES // len(span))
         for lo, hi in runs:
@@ -317,7 +295,7 @@ def _line_maximal(absf, radius_list, scales, volume):
         cells = np.arange(c)
         cover = np.maximum(last - cells, cells - first) + 1
         seed = np.searchsorted(radius_list, cover)
-        sums = _gather_windows(mid, pad, doubled[seed], np.empty(c))
+        sums = _gather_windows(mid, pad, capped[seed], np.empty(c))
         sums *= volume
         sums *= scales[seed]
         np.maximum(best, sums, out=best)
@@ -346,7 +324,7 @@ def _line_maximal(absf, radius_list, scales, volume):
                     bounded = [(a, b) for a, b in ((0, closed[0]), (closed[1], c)) if a < b]
                 runs = []
                 for a, b in bounded:
-                    part = _window(None, mid, pad, int(doubled[radii[-1]]), a, b, bound[a:b])
+                    part = _window(mid, pad, int(capped[radii[-1]]), a, b, bound[a:b])
                     part *= volume
                     part *= top
                     runs += [(a + s, a + e) for s, e in _runs(~(part <= best[a:b]))]
@@ -362,9 +340,9 @@ def fractional_maximal(f, alpha, radii=EXACT):
     whole number of cells (all of them for EXACT, powers of two for DYADIC).
     Radii stop once the cube swallows the whole grid from any position.
 
-    On a line every radius is two slices of one half-cell cumulative, and a
-    run of consecutive radii is one subtraction of two strided views of it,
-    one row per radius.  The powers of two and the last radius are evaluated
+    On a line every radius is two slices of one cumulative sampled at the
+    cell midpoints, and a run of consecutive radii is one subtraction of two
+    strided views of it, one row per radius.  The powers of two and the last radius are evaluated
     first, at every cell.  Each cell is then seeded at the least listed
     radius whose window covers [first nonzero cell, last nonzero cell]:
     past it the window sum no longer changes while the scale falls, so no
@@ -759,9 +737,8 @@ class FractionalKernel:
     Holder-type smoothness constant c0 at exponent delta, and a one-direction
     nondegeneracy floor a (K at least a / |x-y|^(n-alpha) along `direction`).
 
-    Called on points x (m of them, one per row) and one point y, it returns
-    the m values K(x, y); called on a (k, n) block of points y, it returns
-    the (k, m) matrix whose row i is K(x, y_i), bitwise the one-point call."""
+    Called on points x (m of them, one per row) and a (k, n) block of points
+    y, it returns the (k, m) matrix whose row i is K(x, y_i)."""
 
     fn: callable
     alpha: float
@@ -783,7 +760,7 @@ def riesz_kernel(alpha, n):
         d = np.linalg.norm(x_pts.reshape(-1, n) - y.reshape(-1, 1, n), axis=-1)
         with np.errstate(divide="ignore"):
             d **= alpha - n
-        return d if y.ndim == 2 else d[0]
+        return d
 
     return FractionalKernel(fn=fn, alpha=alpha, c0=1.0, delta=1.0, lower=1.0, dimension=n)
 

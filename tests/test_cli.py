@@ -628,6 +628,16 @@ def test_norm_on_seventeen_nested_pieces(tmp_path, capsys):
     assert "route = interval" in lines, lines
 
 
+def test_norm_on_a_flat_bump(tmp_path, capsys):
+    # a bump of height 0 whose support covers the box: p = 2 throughout
+    out = tmp_path / "run"
+    argv = ["norm", "--spec", os.path.join(DATA, "flatbump.json"), "--box", "0.5,1.5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == "1.0000000\n"
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert "exponent bounds = (2, 2)" in lines, lines
+
+
 def test_k0scan_on_a_bump_piece_cut_by_a_constant(tmp_path, capsys):
     # the constant owns the bump's plateau, so p_plus is 2, not the shadowed 5
     out = tmp_path / "run"

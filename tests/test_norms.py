@@ -1286,6 +1286,18 @@ def test_shoulder_only_domain_reads_the_shoulder_range():
     assert p.strata() == Strata(False, True, False)
 
 
+@pytest.mark.parametrize("domain, norm", [((0.5, 1.5), 1.0), ((0.6, 0.7), math.sqrt(0.1))],
+                         ids=["whole-support", "inside-shoulder"])
+def test_flat_bump_is_its_base_level(domain, norm):
+    # a bump of height 0 sweeps only its base: on a run its whole support
+    # covers, or inside one shoulder, the base is the one level
+    p = ExponentFunction(dimension=1, domain=(domain,), pieces=(one_bump((0.0, 3.0), 2.0, 0.0),))
+    assert p.bounds() == (2.0, 2.0)
+    assert p.strata() == Strata(False, True, False)
+    assert holder_constant(p) == 1.0
+    assert interval_indicator_norm(p, *domain) == pytest.approx(norm, rel=1e-12)
+
+
 def test_plateau_touching_one_point_is_not_a_level():
     # a well whose plateau [0.75, 1.25] meets the domain [0, 0.75] in one point
     p = ExponentFunction(dimension=1, domain=((0.0, 0.75),),
