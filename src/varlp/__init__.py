@@ -64,7 +64,6 @@ from .operators import (
     riesz_gamma,
     riesz_kernel,
     riesz_potential,
-    verify_tu_pair,
 )
 from .k0 import (
     CubeFamily,

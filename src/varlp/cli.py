@@ -175,6 +175,8 @@ def _run_norm(args):
 def _run_modular(args):
     p = _load_exponent(args)
     lam = float(args.lam)
+    if not lam > 0.0:
+        raise PreconditionError(f"scale lambda must be positive, got {lam}")
     value, route = _by_route(
         args, p,
         lambda a, b: interval_indicator_modular(p, a, b, lam),

@@ -57,7 +57,6 @@ from .operators import (
     fractional_maximal,
     fractional_maximal_uncentered,
     make_tu_pair,
-    verify_tu_pair,
 )
 
 EXAMPLE_NAMES = ("L1_FAILURE", "EX61", "EX62", "EX63", "EX64", "HM_COUNTER")
@@ -363,10 +362,9 @@ def check_blowup_geometry(fam):
     """Measure every geometric promise of the family; returns a report dict.
 
     Checks, per level: cubes and partners inside D, pairwise-disjoint
-    partners with the (t-4)/2 r gap, the translate relation, the half-measure
-    overlap with the threshold set, the density bound, unit norm of the
-    normalized indicator, and the dual-exponent cap on D against the
-    threshold set.
+    partners with the (t-4)/2 r gap, the half-measure overlap with the
+    threshold set, the density bound, unit norm of the normalized
+    indicator, and the dual-exponent cap on D against the threshold set.
     """
     p, alpha, t, n = fam.p, fam.alpha, fam.t, fam.n
     q = sobolev_dual(p, alpha)
@@ -381,8 +379,6 @@ def check_blowup_geometry(fam):
                 lo, hi = c.as_box()[0]
                 if lo < d_lo - _GEOMETRY_TOL or hi > d_hi + _GEOMETRY_TOL:
                     issues.append(f"{tag} {j} leaves D: [{lo}, {hi}]")
-            if not verify_tu_pair(pair):
-                issues.append(f"pair {j} fails the translate relation")
             r_j = cube.radius
             if abs(r_j - 2.0 ** (j - 1) * lv.small_radius) > _GEOMETRY_TOL * r_j:
                 issues.append(f"chain radius {j} off the doubling ladder")

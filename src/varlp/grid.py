@@ -215,6 +215,8 @@ class MeasurableSet:
     label: str = ""
 
     def __post_init__(self):
+        if self.box is not None:
+            self.box = as_box(self.box)
         if self.grid_mask is None:
             if self.box is None:
                 raise PreconditionError("a set needs a box or a cell mask")
@@ -227,7 +229,7 @@ class MeasurableSet:
 
     @classmethod
     def from_box(cls, box, label=""):
-        return cls(box=as_box(box), label=label)
+        return cls(box=box, label=label)
 
     @classmethod
     def from_cube(cls, cube, label=""):

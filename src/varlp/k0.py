@@ -6,7 +6,7 @@ of sets, so every reported value is a lower bound for the true supremum.
 Unboundedness claims are therefore always phrased through monotone growth
 along an explicit witness sequence, never as a proven divergence.
 
-A family is measured and compiled once (_family_rows), and every K0^alpha
+A family is compiled once (_family_rows), and every measure, K0^alpha
 sample and harmonic mean is read from its rows, each sample through one
 formula (_k0_report).
 """
@@ -20,12 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, DomainError, PreconditionError
-from .exponent import INF, box_intersect, box_volume, conjugate, sobolev_dual
+from .exponent import INF, conjugate, sobolev_dual
 from .grid import Cube, GridFunction, MeasurableSet
 from .norms import (
     _compile_family,
     _harmonic_means,
     _mean_inverses,
+    _measures,
     compile_set,
     duality_constant,
     holder_constant,
@@ -67,6 +68,9 @@ class CubeFamily:
 
 @dataclass(frozen=True)
 class K0Sample:
+    """One set's K0^alpha sample; measure is that of the set in the
+    exponent's domain, read from the family's compiled rows."""
+
     index: int
     label: str
     measure: float
@@ -95,30 +99,14 @@ def k0alpha_constant(p, alpha, family):
                       compiled.norms(q))
 
 
-def _measure_in_domain(p, E):
-    """measure(E cap domain), read from the two boxes when E is a box."""
-    if not E.is_box():
-        return E.intersect_box(p.domain).measure
-    both = box_intersect(E.box, p.domain)
-    if both is None:
-        raise DomainError("intersection with box is empty")
-    return box_volume(both)
-
-
-def _family_measures(p, family):
-    """measure(E cap domain) of every set of the family, each positive."""
-    measures = [_measure_in_domain(p, E) for E in family]
-    for i, measure in enumerate(measures):
-        if not measure > 0.0:
-            raise PreconditionError(f"family set {i} has measure {measure}")
-    return measures
-
-
 def _family_rows(p, family):
-    """(sets, measures, compiled): the family as a list, the measure of each
-    set in the domain, and all sets compiled against p as one family."""
+    """(sets, measures, compiled): the family as a list, all its sets
+    compiled against p as one family, and the measure of each set in the
+    domain read from the compiled rows; a set of measure 0 is refused (see
+    norms._measures)."""
     sets = list(family)
-    return sets, _family_measures(p, sets), _compile_family(p, sets)
+    compiled = _compile_family(p, sets)
+    return sets, _measures(compiled, sets).tolist(), compiled
 
 
 def _k0_report(alpha, n, sets, measures, norms_conjugate, norms_dual):

@@ -499,13 +499,20 @@ def _no_measure(E):
     return PreconditionError("set has no cells on this grid")
 
 
-def _mean_inverses(dist, p, sets):
-    """Average of 1/p over every set compiled into dist, with 1/inf = 0;
-    the error of _no_measure for the first set of measure 0."""
-    empty = np.flatnonzero(~(np.asarray(dist.measure) > 0.0))
+def _measures(dist, sets):
+    """The measure of every set compiled into dist, as an array; the error
+    of _no_measure for the first set of measure 0."""
+    measure = np.asarray(dist.measure)
+    empty = np.flatnonzero(~(measure > 0.0))
     if empty.size:
         raise _no_measure(sets[empty[0]])
-    return dist.integrals(p, _inverse) / dist.measure
+    return measure
+
+
+def _mean_inverses(dist, p, sets):
+    """Average of 1/p over every set compiled into dist, with 1/inf = 0;
+    a set of measure 0 is refused (see _measures)."""
+    return dist.integrals(p, _inverse) / _measures(dist, sets)
 
 
 def mean_inverse_exponent(p, E):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -65,9 +65,6 @@ _BOUND_RADII = 64
 # at alpha 0, where little prunes, the bounds cost 1.09, 1.05 and 1.04 times
 # it (2 vCPUs)
 _TILE = 16
-# relative slack of the radius and t, and absolute slack of the direction,
-# when verify_tu_pair recovers a pair from its cubes
-_TU_TOL = 1e-10
 
 
 def _half_cumulative(arr, pad):
@@ -198,9 +195,12 @@ def averaging_op(f, E, alpha=0.0):
     The mean uses the full (unclipped) measure of E in the normalizer while
     the integral runs over the part of E inside the grid, so the result
     agrees with applying the whole-space operator to the zero-extended f.
-    Data on which the value leaves the float range is refused.
+    Data on which the value leaves the float range is refused, and so is
+    alpha outside [0, n).
     """
     n = f.domain.dimension
+    if not (0.0 <= alpha < n):
+        raise PreconditionError(f"need 0 <= alpha < n = {n}, got alpha = {alpha}")
     mask = E.mask_on(f.domain)
     if not mask.any():
         raise DomainError("averaging set does not meet the grid")
@@ -640,43 +640,32 @@ def riesz_potential(f, alpha):
 
 @dataclass(frozen=True)
 class TUPair:
-    """A cube and its translate by t * r * sqrt(n) in a unit direction."""
+    """A cube and its translate by t * r * sqrt(n) in the unit direction u;
+    the partner is computed from base, t and direction."""
 
     base: Cube
-    partner: Cube
     t: float
     direction: tuple
+    partner: Cube = field(init=False)
+
+    def __post_init__(self):
+        n = self.base.dimension
+        u = np.asarray(self.direction, dtype=float)
+        if u.shape != (n,) or abs(np.linalg.norm(u) - 1.0) > 1e-12:
+            raise PreconditionError("direction must be a unit vector of matching dimension")
+        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "direction", tuple(u))
+        shift = self.t * self.base.radius * math.sqrt(n) * u
+        object.__setattr__(self, "partner",
+                           Cube(tuple(np.asarray(self.base.center) + shift), self.base.radius))
 
 
 def make_tu_pair(cube, t, direction=None):
-    n = cube.dimension
+    """The pair of cube and its translate by t in direction (the first axis
+    when None)."""
     if direction is None:
-        direction = tuple(1.0 if i == 0 else 0.0 for i in range(n))
-    u = np.asarray(direction, dtype=float)
-    if u.shape != (n,) or abs(np.linalg.norm(u) - 1.0) > 1e-12:
-        raise PreconditionError("direction must be a unit vector of matching dimension")
-    shift = t * cube.radius * math.sqrt(n) * u
-    partner = Cube(tuple(np.asarray(cube.center) + shift), cube.radius)
-    return TUPair(cube, partner, float(t), tuple(u))
-
-
-def verify_tu_pair(pair):
-    """Recover (t, u) from the stored cubes and compare with the stored values."""
-    q, pt = pair.base, pair.partner
-    if abs(q.radius - pt.radius) > _TU_TOL * q.radius:
-        return False
-    n = q.dimension
-    d = np.asarray(pt.center) - np.asarray(q.center)
-    dist = float(np.linalg.norm(d))
-    t = dist / (q.radius * math.sqrt(n))
-    if abs(t - abs(pair.t)) > _TU_TOL * max(1.0, abs(pair.t)):
-        return False
-    if dist > 0:
-        u = d / dist
-        sign = 1.0 if pair.t >= 0 else -1.0
-        if np.max(np.abs(u - sign * np.asarray(pair.direction))) > _TU_TOL:
-            return False
-    return True
+        direction = tuple(1.0 if i == 0 else 0.0 for i in range(cube.dimension))
+    return TUPair(cube, t, direction)
 
 
 def covering_cube(pair):

@@ -638,6 +638,32 @@ def test_norm_on_a_flat_bump(tmp_path, capsys):
     assert "exponent bounds = (2, 2)" in lines, lines
 
 
+def test_modular_on_four_quarters_of_the_square(tmp_path, capsys):
+    # 1/4 (2/3)^1.5 + 1/4 (2/3)^2 + 1/4 (2/3)^3 on the finite quarters, and
+    # sup |f / lam| = 2/3 over the quarter where p = inf
+    out = tmp_path / "run"
+    argv = ["modular", "--spec", os.path.join(DATA, "fourpiece2d.json"), "--box", "0,1;0,1",
+            "--cells", "64", "--lam", "1.5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    want = 0.25 * sum((2.0 / 3.0) ** q for q in (1.5, 2.0, 3.0)) + 2.0 / 3.0
+    assert capsys.readouterr().out == "%.7f\n" % want
+    assert "route = grid" in (out / "summary.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("lam", ["-1.5", "0", "nan", "-inf"])
+@pytest.mark.parametrize("route", [
+    ["--spec", os.path.join(DATA, "twopiece.json"), "--box", "0,2"],
+    ["--spec", os.path.join(DATA, "fourpiece2d.json"), "--box", "0,1;0,1", "--cells", "64"],
+], ids=["interval", "grid"])
+def test_modular_refuses_a_scale_that_is_not_positive(route, lam, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["modular", *route, f"--lam={lam}", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: scale lambda must be positive, got {float(lam)}\n"
+    assert captured.out == ""
+    assert not (out / "results.csv").exists()
+
+
 def test_k0scan_on_a_bump_piece_cut_by_a_constant(tmp_path, capsys):
     # the constant owns the bump's plateau, so p_plus is 2, not the shadowed 5
     out = tmp_path / "run"

@@ -11,7 +11,6 @@ from scipy.special import zeta
 
 from varlp import (
     ConstructionError,
-    Cube,
     GridFunction,
     MeasurableSet,
     PreconditionError,
@@ -176,10 +175,7 @@ def test_blowup_geometry_flags_tampering(blowup_family):
     fam = blowup_family
     lv = fam.levels[0]
     pr = lv.pairs[0]
-    moved = dataclasses.replace(
-        pr,
-        partner=Cube(center=(pr.partner.center[0] + 13.0,), radius=pr.partner.radius),
-    )
+    moved = dataclasses.replace(pr, t=pr.t + 13.0 / (pr.base.radius * math.sqrt(fam.n)))
     bad_lv = dataclasses.replace(lv, pairs=(moved,) + tuple(lv.pairs[1:]))
     bad = dataclasses.replace(fam, levels=(bad_lv,) + tuple(fam.levels[1:]))
     rep = check_blowup_geometry(bad)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from varlp import (
     k0_constant,
     k0alpha_constant,
     k0alpha_iff_k0_check,
+    load_spec,
     luxemburg_norm,
     minimal_harmonic_mean_cube,
     modular,
@@ -44,7 +46,6 @@ from varlp.k0 import (
     K0Sample,
     SandwichRow,
     _cube_mean_reader,
-    _family_measures,
 )
 from varlp.norms import (
     _compile_family,
@@ -289,9 +290,28 @@ def _replaced_k0_report(alpha, p, family, measures, compiled, q_conj, q_dual):
     return K0Report(alpha, best_value, best_index, samples)
 
 
+def _replaced_family_measures(p, family):
+    """measure(E cap domain) of every box of the family as the scans read it
+    before the compiled rows were its only measure: the volume of the box
+    clipped to the domain, which must be positive."""
+    measures = []
+    for i, E in enumerate(family):
+        assert E.is_box(), "the parity families are boxes"
+        volume = 1.0
+        for (lo, hi), (dlo, dhi) in zip(E.box, p.domain):
+            lo, hi = max(lo, dlo), min(hi, dhi)
+            if hi <= lo:
+                raise DomainError("intersection with box is empty")
+            volume *= hi - lo
+        if not volume > 0.0:
+            raise PreconditionError(f"family set {i} has measure {volume}")
+        measures.append(volume)
+    return measures
+
+
 def _replaced_k0alpha_constant(p, alpha, family):
     q = sobolev_dual(p, alpha)
-    measures = _family_measures(p, family)
+    measures = _replaced_family_measures(p, family)
     compiled = _compile_family(p, family)
     return _replaced_k0_report(alpha, p, family, measures, compiled, conjugate(p), q)
 
@@ -300,7 +320,7 @@ def _replaced_sandwich_rows(p, family, tol=1e-6):
     """norm_harmonic_sandwich's rows with its own K0 maximum and its own
     inversion of the mean of 1/p."""
     holder, duality = holder_constant(p), duality_constant(p)
-    measures = _family_measures(p, family)
+    measures = _replaced_family_measures(p, family)
     compiled = _compile_family(p, family)
     norms = compiled.norms(p).tolist()
     k0_value = max((measure ** -1.0 * nc * norm for measure, nc, norm
@@ -321,7 +341,7 @@ def _replaced_sandwich_rows(p, family, tol=1e-6):
 def _replaced_iff_check(p, alpha, family, tol=1e-6, identity_tol=1e-9):
     n = p.dimension
     q = sobolev_dual(p, alpha)
-    measures = _family_measures(p, family)
+    measures = _replaced_family_measures(p, family)
     compiled = _compile_family(p, family)
     rep_alpha = _replaced_k0_report(alpha, p, family, measures, compiled, conjugate(p), q)
     rep_p = _replaced_k0_report(0.0, p, family, measures, compiled, conjugate(p), p)
@@ -778,33 +798,63 @@ def test_dual_witness_declines_huge_conjugate():
     assert dual_witness(p, E, grid) is None
 
 
-def test_family_measures_read_boxes_directly_bitwise():
-    # boxes read their clipped volume; a mask set counts its cells
+def _random_constant_exponent(rng, n):
+    """Constant pieces on a random k^n grid of the unit cube (k <= 8), each
+    with a random value in [1.2, 4]."""
+    cuts = [np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, k - 1)), [1.0]))
+            for k in rng.integers(1, 9, n)]
+    pieces = tuple(
+        ConstantPiece(tuple((float(c[i]), float(c[i + 1])) for c, i in zip(cuts, idx)),
+                      float(rng.uniform(1.2, 4.0)))
+        for idx in itertools.product(*(range(len(c) - 1) for c in cuts)))
+    return ExponentFunction(dimension=n, domain=((0.0, 1.0),) * n, pieces=pieces)
+
+
+def test_family_measures_are_the_compiled_rows():
+    # every K0 reader takes its measures from the family's one compile; they
+    # agree with the clipped box volume to rounding
+    rng = np.random.default_rng(24)
+    for trial in range(24):
+        n = 1 + trial % 2
+        p = _random_constant_exponent(rng, n)
+        centers = rng.uniform(0.0, 1.0, (30, n))
+        radii = 10.0 ** rng.uniform(-9.0, 0.3, (30, n))
+        family = CubeFamily.from_boxes([tuple(zip(c - r, c + r)) for c, r in zip(centers, radii)])
+        measures = [s.measure for s in k0alpha_constant(p, 0.0, family).samples]
+        compiled = _compile_family(p, family)
+        assert np.array(measures).tobytes() == compiled.measure.tobytes()
+        assert [r.measure for r in norm_harmonic_sandwich(p, family).rows] == measures
+        clipped = np.prod(np.minimum(centers + radii, 1.0) - np.maximum(centers - radii, 0.0),
+                          axis=1)
+        np.testing.assert_allclose(measures, clipped, rtol=1e-14, atol=0.0)
+    # a mask set's measure counts its cells, as E.measure does
     p = two_piece(1.5, 3.0)
-    rng = np.random.default_rng(3)
-    centers, radii = rng.uniform(0.01, 1.99, 40), rng.uniform(1e-9, 1.5, 40)
-    sets = [MeasurableSet.from_box(((c - r, c + r),)) for c, r in zip(centers, radii)]
-    sets += [MeasurableSet.from_cube(Cube((0.3,), 1e-12)),
-             MeasurableSet.from_sublevel(p, 2.0, GridDomain(((0.0, 2.0),), (64,)),
-                                         within=((0.5, 1.5),))]
-    got = _family_measures(p, CubeFamily(sets))
-    want = [E.intersect_box(p.domain).measure for E in sets]
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+    mask = MeasurableSet.from_sublevel(p, 2.0, GridDomain(((0.0, 2.0),), (64,)),
+                                       within=((0.5, 1.5),))
+    family = CubeFamily([MeasurableSet.from_box(((0.25, 1.75),)), mask])
+    assert [s.measure for s in k0alpha_constant(p, 0.0, family).samples] == [1.5, mask.measure]
 
 
 def test_family_measures_of_a_box_outside_the_domain_raise():
-    p = two_piece(1.5, 3.0)
-    family = CubeFamily.from_boxes([((0.5, 1.0),), ((2.5, 3.0),)])
-    with pytest.raises(DomainError, match="^intersection with box is empty$"):
-        _family_measures(p, family)
+    # an interval that misses the domain compiles to measure 0, and every
+    # K0 reader refuses it, on the table route and on the bump route
+    bumps = load_spec(os.path.join(os.path.dirname(__file__), "data", "cutbump.json"))
+    for p in (two_piece(1.5, 3.0), bumps):
+        family = CubeFamily.from_boxes([((0.5, 1.0),), ((3.5, 4.0),)])
+        for read in (lambda: k0alpha_constant(p, 0.25, family),
+                     lambda: norm_harmonic_sandwich(p, family),
+                     lambda: k0alpha_iff_k0_check(p, 0.25, family)):
+            with pytest.raises(DomainError, match="^set lies outside the exponent's domain$"):
+                read()
 
 
-def test_family_measures_refuse_a_nan_measure():
-    # a box with a nan edge has measure nan, which is not positive either
-    p = two_piece(1.5, 3.0)
-    sets = [MeasurableSet.from_box(((0.5, 1.0),)), MeasurableSet(box=((math.nan, 1.0),))]
-    with pytest.raises(PreconditionError, match="^family set 1 has measure nan$"):
-        _family_measures(p, sets)
+def test_measurable_set_refuses_a_degenerate_box():
+    # every constructor validates the box, so a set of measure nan or
+    # below 0 cannot reach a family
+    for box in (((math.nan, 1.0),), ((0.0, math.inf),), ((1.0, 0.5),), ((0.0, 1.0), (0.5, 0.5))):
+        for make in (MeasurableSet, MeasurableSet.from_box):
+            with pytest.raises(SpecParseError, match="^degenerate box axis"):
+                make(box=box)
 
 
 @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])

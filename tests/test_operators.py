@@ -35,7 +35,6 @@ from varlp import (
     riesz_gamma,
     riesz_kernel,
     riesz_potential,
-    verify_tu_pair,
 )
 from varlp import operators
 from varlp.operators import _self_cell_integral, _uncentered_on
@@ -266,6 +265,14 @@ def test_averaging_empty_intersection_raises():
     f = GridFunction(grid, np.ones(64))
     with pytest.raises(DomainError):
         averaging_op(f, MeasurableSet.from_cube(Cube((5.0,), 0.5)), alpha=0.0)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 1.0, 2.0, math.nan])
+def test_averaging_refuses_alpha_outside_zero_to_n(alpha):
+    grid = line_grid(0.0, 2.0, 64)
+    f = GridFunction(grid, np.ones(64))
+    with pytest.raises(PreconditionError, match=r"^need 0 <= alpha < n = 1, got alpha = "):
+        averaging_op(f, MeasurableSet.from_cube(Cube((1.0,), 0.5)), alpha=alpha)
 
 
 def test_cube_average_uses_unclipped_measure():
@@ -872,14 +879,14 @@ def test_make_tu_pair_line():
     pair = make_tu_pair(Cube((0.0,), 1.0), 4.0)
     assert pair.partner.center == pytest.approx((4.0,))
     assert pair.partner.radius == 1.0
-    assert verify_tu_pair(pair)
+    assert pair == TUPair(Cube((0.0,), 1.0), 4.0, (1.0,))
 
 
 def test_make_tu_pair_plane_scales_with_dimension():
     pair = make_tu_pair(Cube((0.0, 0.0), 1.0), 5.0)
     assert pair.partner.center[0] == pytest.approx(5.0 * math.sqrt(2.0))
     assert pair.partner.center[1] == pytest.approx(0.0)
-    assert verify_tu_pair(pair)
+    assert pair == TUPair(Cube((0.0, 0.0), 1.0), 5, (1.0, 0.0))
 
 
 def test_make_tu_pair_zero_shift_and_direction():
@@ -887,12 +894,11 @@ def test_make_tu_pair_zero_shift_and_direction():
     assert pair.partner.center == pytest.approx((1.0,))
     with pytest.raises(PreconditionError):
         make_tu_pair(Cube((0.0, 0.0), 1.0), 4.0, direction=(1.0, 1.0))
-
-
-def test_verify_tu_pair_detects_corruption():
-    good = make_tu_pair(Cube((0.0,), 1.0), 4.0)
-    bad = TUPair(base=good.base, partner=Cube((3.5,), 1.0), t=4.0, direction=good.direction)
-    assert not verify_tu_pair(bad)
+    with pytest.raises(PreconditionError, match="unit vector"):
+        TUPair(Cube((0.0,), 1.0), 4.0, (1.0, 0.0))
+    # the partner is computed from base, t and direction, never given
+    with pytest.raises(TypeError):
+        TUPair(Cube((0.0,), 1.0), 4.0, (1.0,), Cube((3.5,), 1.0))
 
 
 def test_covering_cube_contains_both():
