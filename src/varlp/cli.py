@@ -8,7 +8,9 @@ arguments (seed included) before the subcommand runs, then a
 ``summary.txt`` with the headline numbers and pairing constants.  A run
 that raises leaves only ``config.json``.  Identical configurations
 produce byte-identical outputs.  Each subcommand accepts only the flags
-it reads.
+it reads.  ``norm`` and ``modular`` read a ``--box`` exactly in any
+dimension and a ``--csv`` on its own grid; ``maximal`` and ``riesz`` paint a
+``--box`` onto a grid of ``--cells`` per axis.
 
 Exit codes: 0 on success, 1 when a precondition or construction fails or
 a subcommand's checks do not hold, 2 when an input file cannot be parsed.
@@ -30,14 +32,7 @@ from .errors import ConstructionError, DomainError, PreconditionError, SpecParse
 from .exponent import box_intersect, load_spec
 from .grid import Cube, GridDomain, GridFunction, MeasurableSet, as_box
 from .k0 import CubeFamily, k0alpha_constant, norm_harmonic_sandwich
-from .norms import (
-    duality_constant,
-    holder_constant,
-    interval_indicator_modular,
-    interval_indicator_norm,
-    luxemburg_norm,
-    modular,
-)
+from .norms import compile_set, duality_constant, holder_constant, luxemburg_norm, modular
 from .operators import (
     DYADIC,
     EXACT,
@@ -128,13 +123,16 @@ def _function_on_grid(args, p):
     return GridFunction.indicator(grid, MeasurableSet.from_box(box))
 
 
-def _by_route(args, p, on_interval, on_grid):
-    """(value, route): a 1-D --box indicator takes the exact interval route
-    on_interval(a, b); anything else goes through on_grid(grid function)."""
-    if args.box is not None and args.csv is None and p.dimension == 1:
-        (a, b), = _box_arg(args, p)
-        return on_interval(a, b), "interval"
-    return on_grid(_function_on_grid(args, p)), "grid"
+def _set_or_function(args, p):
+    """(input, route) for norm and modular: the --csv grid function on its
+    own grid (route grid), or else the --box as a set, which compiles
+    exactly in any dimension (route interval on a line, box otherwise)."""
+    if args.csv is not None:
+        return GridFunction.from_csv(args.csv), "grid"
+    if args.box is None:
+        raise PreconditionError("provide a function via --csv or --box")
+    box = _box_arg(args, p)
+    return MeasurableSet.from_box(box), "interval" if len(box) == 1 else "box"
 
 
 def _grid_output(args, p, g, lines):
@@ -162,11 +160,8 @@ def _grid_output(args, p, g, lines):
 
 def _run_norm(args):
     p = _load_exponent(args)
-    value, route = _by_route(
-        args, p,
-        lambda a, b: interval_indicator_norm(p, a, b),
-        lambda f: luxemburg_norm(f, p),
-    )
+    f, route = _set_or_function(args, p)
+    value = luxemburg_norm(f, p) if route == "grid" else compile_set(p, f).norm(p)
     print("%.7f" % value)
     lines = ["norm = %.9g" % value, "route = " + route, "seed = %d" % args.seed]
     return ["quantity", "value"], [("norm", value)], lines + _constant_lines(p), True
@@ -177,11 +172,9 @@ def _run_modular(args):
     lam = float(args.lam)
     if not lam > 0.0:
         raise PreconditionError(f"scale lambda must be positive, got {lam}")
-    value, route = _by_route(
-        args, p,
-        lambda a, b: interval_indicator_modular(p, a, b, lam),
-        lambda f: modular(GridFunction(f.domain, f.values / lam), p),
-    )
+    f, route = _set_or_function(args, p)
+    value = (modular(GridFunction(f.domain, f.values / lam), p) if route == "grid"
+             else compile_set(p, f).modular(p, lam))
     print("%.7f" % value)
     lines = ["modular = %.9g at lambda = %.9g" % (value, lam), "route = " + route,
              "seed = %d" % args.seed]
@@ -408,12 +401,14 @@ def _run_blowup(args):
 _SHARED_FLAGS = {
     "--spec": dict(default=None, help="exponent spec JSON path"),
     "--cells": dict(type=int, default=256,
-                    help="grid resolution per axis (at least 16; at most 65536 cells in all)"),
+                    help="resolution per axis of the grid a --box is painted on "
+                         "(at least 16; at most 65536 cells in all)"),
     "--alpha": dict(type=float, default=0.0, help="fractional order"),
     "--csv": dict(default=None, help="grid function CSV"),
     "--box": dict(default=None, help="indicator box 'lo,hi[;lo,hi]'"),
 }
-_GRID_INPUT = ("--spec", "--cells", "--csv", "--box")
+_FUNCTION_INPUT = ("--spec", "--csv", "--box")
+_GRID_INPUT = _FUNCTION_INPUT + ("--cells",)
 
 # the flags that set how much work a run does, with the range each must lie
 # in; at the top of each range a run still takes seconds.  --rmax and
@@ -451,9 +446,9 @@ def build_parser():
         sp.set_defaults(func=func.__name__)
         return sp
 
-    add("norm", _run_norm, "Luxemburg norm of a function", *_GRID_INPUT)
+    add("norm", _run_norm, "Luxemburg norm of a function", *_FUNCTION_INPUT)
 
-    sp = add("modular", _run_modular, "modular of a scaled function", *_GRID_INPUT)
+    sp = add("modular", _run_modular, "modular of a scaled function", *_FUNCTION_INPUT)
     sp.add_argument("--lam", type=float, default=1.0, help="scale in rho(f/lam)")
 
     sp = add("maximal", _run_maximal, "fractional maximal function", *_GRID_INPUT, "--alpha")

@@ -55,6 +55,8 @@ def box_volume(box):
 
 def box_intersect(a, b):
     """Intersection of two boxes, or None when the overlap has measure zero."""
+    if len(a) != len(b):
+        raise PreconditionError(f"a {len(a)}-D box cannot meet a {len(b)}-D box")
     out = []
     for (alo, ahi), (blo, bhi) in zip(a, b):
         lo, hi = max(alo, blo), min(ahi, bhi)

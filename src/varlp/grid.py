@@ -88,6 +88,8 @@ class GridDomain:
         An axis's (lo, hi) may also be two arrays, one entry per box; the
         slice ends are then index arrays of the same shape.
         """
+        if len(box) != self.dimension:
+            raise PreconditionError(f"a {len(box)}-D box on a {self.dimension}-D grid")
         cells = []
         for axis, (lo, hi) in enumerate(box):
             mids = self.axis_midpoints(axis)
@@ -138,33 +140,25 @@ class GridFunction:
             raise SpecParseError(f"unexpected grid csv header {header}")
         if data.shape[1] != n + 1:
             raise SpecParseError("grid csv column count does not match header")
-        axes = []
-        for i in range(n):
-            mids = np.unique(data[:, i])
-            if len(mids) > 1:
-                steps = np.diff(mids)
-                h = steps[0]
-                if np.any(np.abs(steps - h) > 1e-9 * abs(h)):
-                    raise SpecParseError(f"axis {i + 1} midpoints are not uniformly spaced")
-            else:
-                h = None
-            axes.append(mids)
+        axes = [np.unique(data[:, i]) for i in range(n)]
+        for i, mids in enumerate(axes):
+            steps = np.diff(mids)
+            if np.any(np.abs(steps - steps[:1]) > 1e-9 * np.abs(steps[:1])):
+                raise SpecParseError(f"axis {i + 1} midpoints are not uniformly spaced")
         cells = tuple(len(m) for m in axes)
         if int(np.prod(cells)) != data.shape[0]:
             raise SpecParseError("grid csv rows do not form a complete grid")
-        spacing = None
-        for m in axes:
-            if len(m) > 1:
-                spacing = float(m[1] - m[0])
-                break
-        if spacing is None:
+        # each axis's own spacing; an axis of one cell takes the first other one
+        spacings = [float(m[1] - m[0]) for m in axes if len(m) > 1]
+        if not spacings:
             raise SpecParseError("cannot infer spacing from a single-cell grid")
-        box = tuple((float(m[0]) - spacing / 2, float(m[-1]) + spacing / 2) for m in axes)
+        spacings = [float(m[1] - m[0]) if len(m) > 1 else spacings[0] for m in axes]
+        box = tuple((float(m[0]) - h / 2, float(m[-1]) + h / 2) for m, h in zip(axes, spacings))
         domain = GridDomain(box, cells)
         vals = np.full(cells, np.nan)
         idx = []
-        for i in range(n):
-            j = np.round((data[:, i] - box[i][0] - spacing / 2) / spacing).astype(int)
+        for i, h in enumerate(spacings):
+            j = np.round((data[:, i] - box[i][0] - h / 2) / h).astype(int)
             idx.append(np.clip(j, 0, cells[i] - 1))
         vals[tuple(idx)] = data[:, -1]
         if np.isnan(vals).any():
@@ -256,6 +250,9 @@ class MeasurableSet:
             if both is None:
                 raise DomainError("intersection with box is empty")
             box = both
+        elif len(box) != self.grid_mask[0].dimension:
+            raise PreconditionError(f"a {len(box)}-D box on a "
+                                    f"{self.grid_mask[0].dimension}-D grid")
         return MeasurableSet(box=box, grid_mask=self.grid_mask, label=self.label)
 
     def is_box(self):

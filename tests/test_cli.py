@@ -16,6 +16,7 @@ import pytest
 import varlp
 from varlp import cli
 from varlp.cli import _EXAMPLES, main
+from varlp.norms import compile_set
 
 TWO_PIECE = {
     "dimension": 1,
@@ -154,7 +155,7 @@ def test_exit_code_1_without_function(tmp_path, capsys):
 def test_cells_floor_is_enforced(tmp_path, capsys):
     spec = write_spec(tmp_path, CONSTANT_TWO)
     code = main([
-        "norm", "--spec", spec, "--box", "0,1",
+        "maximal", "--spec", spec, "--box", "0,1",
         "--cells", "8", "--out", str(tmp_path / "o"),
     ])
     assert code == 1
@@ -275,16 +276,58 @@ def test_parser_is_built_once_and_leaks_nothing_between_calls(tmp_path):
     assert summary[:2] == ["policy = exact", "alpha = 0"]
 
 
-@pytest.mark.parametrize("command", [["norm"], ["modular"], ["maximal", "--alpha", "0.5"],
-                                     ["riesz", "--alpha", "0.5"]])
+@pytest.mark.parametrize("command", [["norm"], ["modular"],
+                                     ["maximal", "--alpha", "0.5", "--cells", "64"],
+                                     ["riesz", "--alpha", "0.5", "--cells", "64"]])
 def test_box_outside_the_exponent_domain_is_refused(tmp_path, capsys, command):
-    args = command + ["--spec", write_spec(tmp_path, TWO_PIECE), "--cells", "64"]
+    args = command + ["--spec", write_spec(tmp_path, TWO_PIECE)]
     out = tmp_path / "run"
     assert main(args + ["--box", "0,3", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "not inside the exponent's domain ((0.0, 2.0),)" in err, err
     assert not (out / "results.csv").exists()
     assert main(args + ["--box", "0,2", "--out", str(tmp_path / "inside")]) == 0
+
+
+@pytest.mark.parametrize("command", [["norm"], ["modular"], ["maximal", "--cells", "64"],
+                                     ["riesz", "--cells", "64"]])
+@pytest.mark.parametrize("spec, box", [("fourpiece2d.json", "0,0.5"),
+                                       ("twopiece.json", "0,1;0,1")])
+def test_a_box_of_another_dimension_is_refused(command, spec, box, tmp_path, capsys):
+    # a 1-D box against a square is not the band [0, 0.5] x [0, 1]
+    out = tmp_path / "run"
+    argv = command + ["--spec", os.path.join(DATA, spec), "--box", box, "--out", str(out)]
+    assert main(argv) == 1
+    axes = box.count(";") + 1
+    assert capsys.readouterr().err == f"error: a {axes}-D box cannot meet a {3 - axes}-D box\n"
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("y1,value\n0.5,1\n", "unexpected grid csv header"),
+    ("x1,value\n0.25,1,3\n0.75,1,3\n", "grid csv column count does not match header"),
+    ("x1,value\n0.25,one\n0.75,1\n", "cannot read grid csv"),
+    (None, "cannot read grid csv"),
+    ("x1,value\n0.5,1\n1.5,1\n3.5,1\n", "axis 1 midpoints are not uniformly spaced"),
+    ("x1,x2,value\n0.25,0.25,1\n0.25,0.75,1\n0.75,0.25,1\n",
+     "grid csv rows do not form a complete grid"),
+    ("x1,x2,value\n0.25,0.25,1\n0.25,0.75,1\n0.75,0.25,1\n0.25,0.25,1\n",
+     "grid csv rows do not form a complete grid"),
+    ("x1,value\n0.5,1\n", "cannot infer spacing from a single-cell grid"),
+    ("x1,x2,value\n0.25,0.5,1\n0.25,1.5,1\n0.75,0.5,1\n0.75,1.5,1\n",
+     "grid spacing differs across axes: [0.5, 1.0]"),
+], ids=["header", "columns", "text", "missing", "uneven", "short", "repeated", "one-cell",
+        "spacings"])
+def test_malformed_csv_ends_with_one_error_line(text, message, tmp_path, capsys):
+    path = tmp_path / "f.csv"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "run"
+    argv = ["norm", "--spec", os.path.join(DATA, "twopiece.json"), "--csv", str(path)]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and err.count("\n") == 1, err
+    assert not (out / "results.csv").exists()
 
 
 def test_maximal_writes_one_row_per_cell(tmp_path):
@@ -526,6 +569,9 @@ def test_readme_command_runs(command, tmp_path, capsys):
     ["blowup", "--cells", "64"],
     ["paircheck", "--spec", "s.json"],
     ["example", "HM_COUNTER", "--spec", "s.json"],
+    # norm and modular read a --box exactly and a --csv on its own grid
+    ["norm", "--spec", "s.json", "--box", "0,1", "--cells", "64"],
+    ["modular", "--spec", "s.json", "--box", "0,1", "--cells", "64"],
 ])
 def test_flag_the_subcommand_does_not_read_is_rejected(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -638,24 +684,48 @@ def test_norm_on_a_flat_bump(tmp_path, capsys):
     assert "exponent bounds = (2, 2)" in lines, lines
 
 
+def _square_csv(tmp_path):
+    """The indicator of [0, 1]^2 on 256^2 cells, as GridFunction.to_csv writes it."""
+    path = tmp_path / "square.csv"
+    varlp.GridFunction(varlp.GridDomain(((0.0, 1.0), (0.0, 1.0)), (256, 256)),
+                       np.ones((256, 256))).to_csv(str(path))
+    return str(path)
+
+
 def test_modular_on_four_quarters_of_the_square(tmp_path, capsys):
     # 1/4 (2/3)^1.5 + 1/4 (2/3)^2 + 1/4 (2/3)^3 on the finite quarters, and
-    # sup |f / lam| = 2/3 over the quarter where p = inf
-    out = tmp_path / "run"
-    argv = ["modular", "--spec", os.path.join(DATA, "fourpiece2d.json"), "--box", "0,1;0,1",
-            "--cells", "64", "--lam", "1.5"]
-    assert main(argv + ["--out", str(out)]) == 0
+    # sup |f / lam| = 2/3 over the quarter where p = inf; the quarters are
+    # whole cells of the CSV's grid, so both routes give it
     want = 0.25 * sum((2.0 / 3.0) ** q for q in (1.5, 2.0, 3.0)) + 2.0 / 3.0
-    assert capsys.readouterr().out == "%.7f\n" % want
-    assert "route = grid" in (out / "summary.txt").read_text().splitlines()
+    spec = ["modular", "--spec", os.path.join(DATA, "fourpiece2d.json"), "--lam", "1.5"]
+    for data, route in ((["--box", "0,1;0,1"], "box"), (["--csv", _square_csv(tmp_path)], "grid")):
+        out = tmp_path / route
+        assert main(spec + data + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == "%.7f\n" % want
+        assert "route = " + route in (out / "summary.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("command", ["norm", "modular"])
+def test_a_box_that_cuts_cells_compiles_exactly(command, tmp_path):
+    # 0.1 and 0.9 cut cells of the power-of-two grids on which the pieces'
+    # edges fall, so a painted grid is off by O(h); the box compiles exactly
+    spec = os.path.join(DATA, "fourpiece2d.json")
+    argv = [command, "--spec", spec, "--box", "0.1,0.9;0.1,0.9"]
+    args = cli.build_parser().parse_args(argv + ["--lam", "1.5"] * (command == "modular"))
+    _, rows, lines, ok = getattr(cli, args.func)(args)
+    p = varlp.load_spec(spec)
+    dist = compile_set(p, varlp.MeasurableSet.from_box(((0.1, 0.9), (0.1, 0.9))))
+    want = dist.modular(p, 1.5) if command == "modular" else dist.norm(p)
+    assert ok and rows[0] == (command, want) and "route = box" in lines
 
 
 @pytest.mark.parametrize("lam", ["-1.5", "0", "nan", "-inf"])
 @pytest.mark.parametrize("route", [
     ["--spec", os.path.join(DATA, "twopiece.json"), "--box", "0,2"],
-    ["--spec", os.path.join(DATA, "fourpiece2d.json"), "--box", "0,1;0,1", "--cells", "64"],
+    ["--spec", os.path.join(DATA, "fourpiece2d.json"), "--csv", None],
 ], ids=["interval", "grid"])
 def test_modular_refuses_a_scale_that_is_not_positive(route, lam, tmp_path, capsys):
+    route = [_square_csv(tmp_path) if a is None else a for a in route]
     out = tmp_path / "run"
     assert main(["modular", *route, f"--lam={lam}", "--out", str(out)]) == 1
     captured = capsys.readouterr()
@@ -713,7 +783,7 @@ def test_cells_ceiling_counts_the_spec_dimension(tmp_path, capsys, monkeypatch):
     spec = write_spec(tmp_path, {"dimension": 2, "domain": [[0.0, 1.0], [0.0, 1.0]],
                                  "pieces": [{"box": [[0.0, 1.0], [0.0, 1.0]],
                                              "kind": "constant", "value": 2.0}]})
-    argv = ["norm", "--spec", spec, "--box", "0,1;0,1", "--cells", "257"]
+    argv = ["maximal", "--spec", spec, "--box", "0,1;0,1", "--cells", "257"]
     assert main(argv + ["--out", str(tmp_path / "run")]) == 1
     assert "error: --cells 257 on 2 axes gives more than 65536 cells" in capsys.readouterr().err
 

@@ -29,6 +29,7 @@ from varlp import (
     build_ex63,
     build_ex64,
     conjugate,
+    cube_average,
     default_blowup_exponent,
     duality_constant,
     harmonic_mean,
@@ -39,6 +40,7 @@ from varlp import (
     interval_indicator_modular,
     interval_indicator_norm,
     interval_integral,
+    load_spec,
     luxemburg_norm,
     mean_inverse_exponent,
     modular,
@@ -466,6 +468,27 @@ def test_set_measure_routes():
     mask = box.mask_on(grid)
     counted = MeasurableSet.from_mask(grid, mask)
     assert counted.measure == pytest.approx(3.0, rel=1e-12), "grid-aligned box counts exactly"
+
+
+def test_a_box_of_another_dimension_is_refused():
+    # zipping the axes read a 1-D box on the square as the band [0, 0.5] x [0, 1]
+    square, band = ((0.0, 1.0), (0.0, 1.0)), ((0.0, 0.5),)
+    grid = GridDomain(square, (8, 8))
+    p = load_spec(os.path.join(os.path.dirname(__file__), "data", "fourpiece2d.json"))
+    with pytest.raises(PreconditionError, match="^a 2-D box cannot meet a 1-D box$"):
+        box_intersect(square, band)
+    with pytest.raises(PreconditionError, match="^a 1-D box on a 2-D grid$"):
+        grid.box_cells(band)
+    with pytest.raises(PreconditionError, match="^a 1-D box on a 2-D grid$"):
+        MeasurableSet.from_box(band).mask_on(grid)
+    with pytest.raises(PreconditionError, match="^a 1-D box on a 2-D grid$"):
+        cube_average(GridFunction(grid, np.ones((8, 8))), Cube((0.25,), 0.25))
+    with pytest.raises(PreconditionError, match="^a 2-D box cannot meet a 1-D box$"):
+        MeasurableSet.from_box(square).intersect_box(band)
+    with pytest.raises(PreconditionError, match="^a 1-D box on a 2-D grid$"):
+        MeasurableSet.from_mask(grid, np.ones((8, 8))).intersect_box(band)
+    with pytest.raises(PreconditionError, match="^a 1-D box against a 2-D exponent$"):
+        set_norm(p, MeasurableSet.from_box(band))
 
 
 def test_a_set_needs_a_box_or_a_mask():
@@ -1586,7 +1609,8 @@ def test_table_rows_match_compile_set(seed, dimension):
 
 # a 256^2-cell grid norm solves one row of 65 536 atoms, long enough for a
 # threaded BLAS to split its reductions; prints the norms of five lognormal
-# data sets, then runs the grid-route CLI norm on the indicator of the square
+# data sets, then runs the grid-route CLI norm on a CSV of the indicator of
+# the square
 _BLAS_PROBE = """
 import sys
 import numpy as np
@@ -1600,7 +1624,9 @@ rng = np.random.default_rng(5)
 for _ in range(5):
     f = GridFunction(grid, rng.lognormal(0.0, 1.0, grid.cells))
     print(float(luxemburg_norm(f, p)).hex())
-sys.exit(main(["norm", "--spec", spec, "--box", "0,1;0,1", "--cells", "256", "--out", out]))
+csv = out + ".csv"
+GridFunction(grid, np.ones(grid.cells)).to_csv(csv)
+sys.exit(main(["norm", "--spec", spec, "--csv", csv, "--out", out]))
 """
 
 

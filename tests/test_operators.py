@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gamma
 
 from varlp import (
@@ -1094,6 +1095,50 @@ def ref_czo_pair_lower_bound(kernel, f, pair):
         val = float(np.dot(kernel(xq, y[None])[0], fq)) * f.domain.cell_volume
         lhs_min = min(lhs_min, abs(val))
     return lhs_min, rhs
+
+
+def _row_dots_min(blocks, fq, volume):
+    """lhs_min of czo_pair_lower_bound read one np.dot per kernel row, or None
+    where a finite row's integral overflows."""
+    lhs_min = math.inf
+    with np.errstate(all="ignore"):
+        for kmat in blocks:
+            for kern in kmat:
+                val = float(np.dot(kern, fq)) * volume
+                if not math.isfinite(val) and np.isfinite(kern).all():
+                    return None
+                lhs_min = min(lhs_min, abs(val))
+    return lhs_min
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 48), spread=st.floats(0.0, 200.0))
+def test_czo_pair_bound_reads_each_block_as_its_row_dots(seed, rows, spread):
+    # random kernel blocks, with inf entries that meet f = 0 (a nan row) or
+    # f > 0 (an inf row) and rows that overflow, against the per-row loop
+    rng = np.random.default_rng(seed)
+    line = line_grid(-4.0, 12.0, 512)
+    f = GridFunction(line, rng.uniform(0.0, 1.0, 512) * (rng.uniform(size=512) < 0.8))
+    pair = make_tu_pair(Cube((0.0,), 1.0), 8.0)
+    fq = f.values[line.box_cells(pair.base.as_box())].ravel()
+    blocks = []
+
+    def kernel_rows(kernel, x_pts, ys):
+        for lo in range(0, len(ys), rows):
+            kmat = rng.lognormal(0.0, 1.0, (len(ys[lo:lo + rows]), len(x_pts))) ** spread
+            kmat[rng.uniform(size=kmat.shape) < 0.002] = math.inf
+            kmat[rng.uniform(size=len(kmat)) < 0.002] = 1e308
+            blocks.append(kmat)
+            yield kmat
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_kernel_rows", kernel_rows)
+        try:
+            got = czo_pair_lower_bound(riesz_kernel(0.5, 1), f, pair).lhs_min
+        except PreconditionError:
+            got = None
+    want = _row_dots_min(blocks, fq, line.cell_volume)
+    assert (None if got is None else got.hex()) == (None if want is None else want.hex())
 
 
 def test_czo_pair_bound_matches_reference_bitwise(tmp_path, monkeypatch):
