@@ -419,8 +419,8 @@ _WORK_RANGES = {"--num": (1, 10_000), "--count": (1, 10_000), "--j-max": (2, 10_
 # the most cells a grid built from --cells may hold in all, and the most
 # paircheck's line may hold.  At these ceilings EXACT maximal takes about
 # 0.7 s on a line (0.2 s of it writing results.csv) and 0.8 s on 256^2
-# cells (7.9 s on 512^2), and paircheck with 25 pairs about 0.6-0.8 s in
-# maximal mode and 0.7-0.8 s in czo mode, with the interpreter's start, on
+# cells (7.9 s on 512^2), and paircheck with 25 pairs about 0.4-0.5 s in
+# maximal mode and 0.2-0.3 s in czo mode, with the interpreter's start, on
 # 2 vCPUs
 _MAX_GRID_CELLS = 1 << 16
 _MAX_PAIRCHECK_CELLS = 1 << 14

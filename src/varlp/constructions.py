@@ -64,6 +64,11 @@ EXAMPLE_NAMES = ("L1_FAILURE", "EX61", "EX62", "EX63", "EX64", "HM_COUNTER")
 _EX61_HALF_WIDTH = 4.0
 # slack of the positions and radii check_blowup_geometry compares
 _GEOMETRY_TOL = 1e-9
+# the most work, 2 * cells_per_radius * rho^2, a chain build may ask for: its
+# cube search reads rho = 2^(k-1) (t sqrt(n) + 2) radii over its deepest grid
+# of 2 * cells_per_radius * rho cells.  Here `varlp blowup` took up to 4.1 s
+# with the interpreter's start (2 vCPUs)
+_MAX_BLOWUP_WORK = 1 << 27
 
 
 @dataclass
@@ -291,6 +296,10 @@ def build_blowup(p, alpha, t, k_max, cells_per_radius=4):
     k_max = int(k_max)
     sqrt_n = math.sqrt(n)
     width = t * sqrt_n + 2.0
+    rho = 2.0 ** (k_max - 1) * width
+    if 2.0 * cells_per_radius * rho * rho > _MAX_BLOWUP_WORK:
+        raise PreconditionError(f"level {k_max} at t = {t}: 2 * cells_per_radius * rho^2 exceeds "
+                                f"{_MAX_BLOWUP_WORK} at rho = {rho:.4g} radii")
 
     s_ladder = [0.49 * 2.0 ** (-i) for i in range(0, 7)]
     x0, s_half = _find_flat_unit_region(p, s_ladder)

@@ -20,8 +20,8 @@ interval that covers the whole run is a floor for all of its cells, and
 only the tiles of earlier rows and the columns of the run's rows whose
 bound can beat it are computed.  Both maximals skip only values that are
 <= a value they compute, so their results are bitwise those of the full
-search.  The Riesz potential
-is one FFT convolution with the cell-offset kernel.  Everything uses the
+search.  Every kernel integral, the Riesz potential's and the pair bound's,
+is one FFT convolution with the kernel at the cell offsets.  Everything uses the
 zero-extension convention: a function is 0 outside its grid, and cube
 normalizers are never clipped at the domain boundary.
 """
@@ -45,13 +45,6 @@ DYADIC = "DYADIC"
 # values per block of window sums (radii x cells) or of uncentered-table
 # rows: 2 MiB of doubles, which measured faster than 4x larger or smaller blocks
 _BLOCK_VALUES = 1 << 18
-# kernel values per block of partner rows.  The distances take about four
-# temporaries of the block's size, so a block of _BLOCK_VALUES left the cache:
-# on the 16 384-cell czo paircheck (25 pairs), blocks of 2^18, 2^16, 2^14 and
-# 2^13 values took 0.49-0.52, 0.43-0.44, 0.34-0.42 and 0.43-0.45 s at a peak
-# of 46.8, 39.4, 37.3 and 37.1 MB, against 0.56-0.70 s and 37.0 MB one partner
-# cell at a time (2 vCPUs)
-_KERNEL_VALUES = 1 << 14
 # radii per bounded block of the 1-D centered search.  Each bound is one
 # window over the whole line, and a wider block has a looser bound: on 6 000
 # cells of uniform random data, blocks of 32, 64 and 128 radii evaluate 6%,
@@ -603,35 +596,43 @@ def _self_cell_integral(alpha, n, h):
     return (math.pi / 8.0) * float(np.dot(wts, 8.0 * r_edge ** alpha / alpha))
 
 
+def _offsets(cells):
+    """Per axis, the offset x - y in cells that each index of a kernel array
+    on the doubled grid stands for as _convolve reads it: -k at an index k < c,
+    and 2c - k from c on (c itself is never read)."""
+    ks = [np.arange(2 * c) for c in cells]
+    return np.meshgrid(*[np.where(k < c, -k, 2 * c - k) for k, c in zip(ks, cells)], indexing="ij")
+
+
+def _convolve(values, spectrum):
+    """The sum over cells i of values[i] * kern[j - i] at every cell j, from the
+    rfftn `spectrum` of kern on the grid doubled in every axis: no offset wraps."""
+    shape = tuple(2 * c for c in values.shape)
+    axes = tuple(range(values.ndim))
+    product = np.fft.rfftn(values, s=shape, axes=axes) * spectrum
+    return np.fft.irfftn(product, s=shape, axes=axes)[tuple(slice(0, c) for c in values.shape)]
+
+
 def riesz_potential(f, alpha):
     """Fractional integral of f: convolution with the normalized power kernel.
 
     Midpoint quadrature off the diagonal plus the exact self-cell integral, in
     dimension 1 or 2.  On a uniform grid the kernel depends only on the cell
-    offset, so the sum is one convolution, taken by FFT on a grid padded to
-    twice the size in every axis so that no offset wraps around.  Data on
-    which the transform leaves the float range is refused.
+    offset, so the sum is one zero-padded FFT convolution.  Data on which the
+    transform leaves the float range is refused.
     """
     n = f.domain.dimension
     if n > 2:
         raise PreconditionError("potential is implemented for dimensions 1 and 2")
     gamma = riesz_gamma(alpha, n)
     h = f.domain.h
-    cells = f.domain.cells
-    shape = tuple(2 * c for c in cells)
-    axes = tuple(range(n))
-    # index i along an axis stands for offset i, index s - i for offset -i
-    offsets = np.meshgrid(*[np.minimum(np.arange(s), s - np.arange(s)) for s in shape],
-                          indexing="ij")
-    dist = h * np.sqrt(sum(o.astype(float) ** 2 for o in offsets))
+    dist = h * np.sqrt(sum(o.astype(float) ** 2 for o in _offsets(f.domain.cells)))
     origin = (0,) * n
     dist[origin] = 1.0
     kern = dist ** (alpha - n) * f.domain.cell_volume
     kern[origin] = _self_cell_integral(alpha, n, h)
     with np.errstate(over="ignore", invalid="ignore"):
-        spectrum = np.fft.rfftn(f.values, s=shape, axes=axes) * np.fft.rfftn(kern, axes=axes)
-        out = np.fft.irfftn(spectrum, s=shape, axes=axes)[tuple(slice(0, c) for c in cells)]
-        out = gamma * out
+        out = gamma * _convolve(f.values, np.fft.rfftn(kern))
     return GridFunction(f.domain, _finite(out, "the Riesz potential"))
 
 
@@ -726,8 +727,9 @@ class FractionalKernel:
     Holder-type smoothness constant c0 at exponent delta, and a one-direction
     nondegeneracy floor a (K at least a / |x-y|^(n-alpha) along `direction`).
 
-    Called on points x (m of them, one per row) and a (k, n) block of points
-    y, it returns the (k, m) matrix whose row i is K(x, y_i)."""
+    `fn` is the profile K(z) of z = x - y, over the last axis of an array of
+    offsets.  Called on m points x (one per row) and a (k, n) block of points
+    y, the kernel returns the (k, m) matrix whose row i is K(x, y_i)."""
 
     fn: callable
     alpha: float
@@ -737,7 +739,8 @@ class FractionalKernel:
     dimension: int
 
     def __call__(self, x_pts, y):
-        return self.fn(np.asarray(x_pts, dtype=float), np.asarray(y, dtype=float))
+        x, y = (np.asarray(v, dtype=float).reshape(-1, self.dimension) for v in (x_pts, y))
+        return self.fn(x - y[:, None])
 
 
 def riesz_kernel(alpha, n):
@@ -745,21 +748,11 @@ def riesz_kernel(alpha, n):
     if not (0.0 <= alpha < n):
         raise PreconditionError(f"need 0 <= alpha < n = {n}, got alpha = {alpha}")
 
-    def fn(x_pts, y):
-        d = np.linalg.norm(x_pts.reshape(-1, n) - y.reshape(-1, 1, n), axis=-1)
+    def fn(z):
         with np.errstate(divide="ignore"):
-            d **= alpha - n
-        return d
+            return np.linalg.norm(z, axis=-1) ** (alpha - n)
 
     return FractionalKernel(fn=fn, alpha=alpha, c0=1.0, delta=1.0, lower=1.0, dimension=n)
-
-
-def _kernel_rows(kernel, x_pts, ys):
-    """K(x, y) for each point y of ys, as blocks of rows of at most
-    _KERNEL_VALUES values."""
-    rows = max(1, _KERNEL_VALUES // len(x_pts))
-    for lo in range(0, len(ys), rows):
-        yield kernel(x_pts, ys[lo:lo + rows])
 
 
 def kernel_threshold(kernel):
@@ -780,14 +773,28 @@ class CZOPairReport:
     holds: bool
 
 
+@functools.lru_cache(maxsize=4)
+def _kernel_spectrum(kernel, domain):
+    """The read-only rfftn of K at the cell offsets times the cell volume, 0 at
+    offset 0.  It depends only on the kernel and the grid, so a pair check
+    computes it once for all its pairs."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        kern = kernel.fn(domain.h * np.stack(_offsets(domain.cells), axis=-1)) * domain.cell_volume
+    kern[(0,) * domain.dimension] = 0.0
+    spectrum = np.fft.rfftn(kern)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def czo_pair_lower_bound(kernel, f, pair):
     """Check the singular-integral transfer bound on a separated pair.
 
     For |t| at least the kernel threshold t0, the integral of K(x, y) f(x)
     over the base cube has, at every y in the partner cube, absolute value at
     least 2^(n-alpha-1) a (|t| sqrt(n))^(alpha-n) |Q|^(alpha/n) avg_Q f.
-    Data on which the integral leaves the float range while the kernel is
-    finite is refused.
+    The integrals at the partner cells are one FFT convolution.  A pair whose
+    cubes share a grid cell, where K has its pole, is refused, and so is data
+    on which the convolution leaves the float range.
     """
     n = f.domain.dimension
     if kernel.dimension != n:
@@ -795,47 +802,30 @@ def czo_pair_lower_bound(kernel, f, pair):
     if kernel.lower <= 0:
         # degenerate kernel: no nondegeneracy floor, the bound makes no claim
         return CZOPairReport(math.inf, False, 0.0, 0.0, False)
+    base, partner = (f.domain.box_cells(cube.as_box()) for cube in (pair.base, pair.partner))
+    if any(s.start >= s.stop for s in base + partner):
+        raise PreconditionError("pair cubes contain no grid cells")
+    if all(max(a.start, b.start) < min(a.stop, b.stop) for a, b in zip(base, partner)):
+        raise PreconditionError(f"pair cubes share grid cells at t = {pair.t}: K has its pole")
     t0 = kernel_threshold(kernel)
     applicable = abs(pair.t) >= t0
-    q = pair.base
     alpha = kernel.alpha
-    rhs = (
-        2.0 ** (n - alpha - 1.0)
-        * kernel.lower
-        * (abs(pair.t) * math.sqrt(n)) ** (alpha - n)
-        * q.volume ** (alpha / n)
-        * cube_average(f, q)
-    )
-    blocks = [f.domain.box_cells(cube.as_box()) for cube in (q, pair.partner)]
-    if any(s.start >= s.stop for cells in blocks for s in cells):
-        raise PreconditionError("pair cubes contain no grid cells")
-    # the midpoints of each block in row-major order, as in GridDomain.points
-    xq, yp = (np.stack([m.ravel() for m in np.meshgrid(
-        *[f.domain.axis_midpoints(axis)[s] for axis, s in enumerate(cells)], indexing="ij")],
-        axis=-1) for cells in blocks)
-    fq = f.values[blocks[0]].ravel()
-    volume = f.domain.cell_volume
-    lhs_min = math.inf
-    # vecdot gives each row the bits of its own dot; fmin skips nan as min does
+    rhs = (2.0 ** (n - alpha - 1.0) * kernel.lower * (abs(pair.t) * math.sqrt(n)) ** (alpha - n)
+           * pair.base.volume ** (alpha / n) * cube_average(f, pair.base))
+    on_base = np.zeros(f.domain.cells)
+    on_base[base] = f.values[base]
     with np.errstate(over="ignore", invalid="ignore"):
-        for kmat in _kernel_rows(kernel, xq, yp):
-            vals = np.vecdot(kmat, fq) * volume
-            if (~np.isfinite(vals) & np.isfinite(kmat).all(axis=1)).any():
-                raise _overflows("the kernel integral")
-            lhs_min = float(np.fmin.reduce(np.abs(vals), initial=lhs_min))
-    holds = applicable and lhs_min >= rhs * (1.0 - 1e-6)
-    return CZOPairReport(t0, applicable, lhs_min, rhs, holds)
+        vals = _convolve(on_base, _kernel_spectrum(kernel, f.domain))[partner]
+    lhs_min = float(np.abs(_finite(vals, "the kernel integral")).min())
+    return CZOPairReport(t0, applicable, lhs_min, rhs, applicable and lhs_min >= rhs * (1.0 - 1e-6))
 
 
 def kernel_sign_coherent(kernel, pair, samples=200, seed=0):
     """Whether K(x, y) keeps one sign for x in the base cube, y in the partner."""
     rng = np.random.default_rng(seed)
     n = pair.base.dimension
-    qb = np.asarray(pair.base.as_box())
-    pb = np.asarray(pair.partner.as_box())
+    qb, pb = (np.asarray(cube.as_box()) for cube in (pair.base, pair.partner))
     x = rng.uniform(qb[:, 0], qb[:, 1], size=(samples, n))
     y = rng.uniform(pb[:, 0], pb[:, 1], size=(samples, n))
-    signs = set()
-    for v in _kernel_rows(kernel, x, y[:40]):
-        signs.update(np.sign(v[v != 0.0]).tolist())
-    return len(signs) <= 1
+    v = kernel(x, y[:40])
+    return len(set(np.sign(v[v != 0.0]).tolist())) <= 1

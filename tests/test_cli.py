@@ -229,6 +229,9 @@ def test_grid_size_budgets_refuse_before_any_grid(argv, flag, values, tmp_path, 
     # numpy's generators take no negative seed
     ["paircheck", "--seed", "-1", "--count", "1"],
     ["example", "EX62", "--seed", "-1", "--j-max", "2"],
+    # a chain family past the work ceiling: 8e24 and then inf
+    ["blowup", "--t", "1e12", "--k", "1"],
+    ["blowup", "--t", "1e300", "--k", "1"],
 ])
 def test_bad_input_ends_with_an_error_line(argv, tmp_path, capsys):
     if argv[0] == "k0scan":

@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.special import gamma
 
 from varlp import (
@@ -1006,9 +1005,9 @@ def test_kernel_sign_coherent_on_valid_pair():
     assert kernel_sign_coherent(kern, pair)
 
 
-def _wavy_kernel(x_pts, y):
-    """A 1-D kernel that changes sign across a pair, on a block of points y."""
-    return np.cos(3.0 * (x_pts.reshape(-1) - y.reshape(-1, 1)))
+def _wavy_kernel(z):
+    """The profile of a 1-D kernel that changes sign across a pair."""
+    return np.cos(3.0 * z[..., 0])
 
 
 def test_kernel_sign_coherent_matches_one_point_loop():
@@ -1041,7 +1040,7 @@ def test_kernel_sign_coherent_matches_one_point_loop():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_riesz_kernel_block_matches_one_point_calls(n, monkeypatch):
+def test_riesz_kernel_block_matches_one_point_calls(n):
     rng = np.random.default_rng(n)
     x = rng.uniform(-1.0, 1.0, (300, n))
     ys = rng.uniform(2.0, 5.0, (37, n))
@@ -1053,27 +1052,6 @@ def test_riesz_kernel_block_matches_one_point_calls(n, monkeypatch):
         block = kern(x, ys)
         assert block.shape == (37, 300)
         assert np.array_equal(block.view(np.int64), rows.view(np.int64))
-        # 4 rows of 300 values per chunk: the last chunk holds one row
-        monkeypatch.setattr(operators, "_KERNEL_VALUES", 1200)
-        chunks = list(operators._kernel_rows(kern, x, ys))
-        monkeypatch.undo()
-        assert [len(c) for c in chunks] == [4] * 9 + [1]
-        assert np.array_equal(np.concatenate(chunks).view(np.int64), rows.view(np.int64))
-
-
-def test_czo_pair_bound_across_chunks_matches_reference_bitwise(monkeypatch):
-    line = line_grid(-4.0, 12.0, 512)
-    f = GridFunction(line, np.random.default_rng(2).uniform(0.0, 1.0, 512))
-    plane = GridDomain(((0.0, 8.0), (0.0, 4.0)), (64, 32))
-    g = GridFunction(plane, np.random.default_rng(5).uniform(0.0, 1.0, (64, 32)))
-    cases = [(riesz_kernel(0.5, 1), f, make_tu_pair(Cube((0.0,), 1.0), 8.0)),
-             (riesz_kernel(0.5, 2), g, make_tu_pair(Cube((0.5, 2.0), 0.25), 9.0))]
-    # chunks of 3 partner rows, so every partner block spans several chunks
-    for kernel, h, pair in cases:
-        monkeypatch.setattr(operators, "_KERNEL_VALUES",
-                            3 * h.values[h.domain.box_cells(pair.base.as_box())].size)
-        rep = czo_pair_lower_bound(kernel, h, pair)
-        assert (rep.lhs_min, rep.rhs) == ref_czo_pair_lower_bound(kernel, h, pair)
 
 
 def ref_czo_pair_lower_bound(kernel, f, pair):
@@ -1097,51 +1075,7 @@ def ref_czo_pair_lower_bound(kernel, f, pair):
     return lhs_min, rhs
 
 
-def _row_dots_min(blocks, fq, volume):
-    """lhs_min of czo_pair_lower_bound read one np.dot per kernel row, or None
-    where a finite row's integral overflows."""
-    lhs_min = math.inf
-    with np.errstate(all="ignore"):
-        for kmat in blocks:
-            for kern in kmat:
-                val = float(np.dot(kern, fq)) * volume
-                if not math.isfinite(val) and np.isfinite(kern).all():
-                    return None
-                lhs_min = min(lhs_min, abs(val))
-    return lhs_min
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 48), spread=st.floats(0.0, 200.0))
-def test_czo_pair_bound_reads_each_block_as_its_row_dots(seed, rows, spread):
-    # random kernel blocks, with inf entries that meet f = 0 (a nan row) or
-    # f > 0 (an inf row) and rows that overflow, against the per-row loop
-    rng = np.random.default_rng(seed)
-    line = line_grid(-4.0, 12.0, 512)
-    f = GridFunction(line, rng.uniform(0.0, 1.0, 512) * (rng.uniform(size=512) < 0.8))
-    pair = make_tu_pair(Cube((0.0,), 1.0), 8.0)
-    fq = f.values[line.box_cells(pair.base.as_box())].ravel()
-    blocks = []
-
-    def kernel_rows(kernel, x_pts, ys):
-        for lo in range(0, len(ys), rows):
-            kmat = rng.lognormal(0.0, 1.0, (len(ys[lo:lo + rows]), len(x_pts))) ** spread
-            kmat[rng.uniform(size=kmat.shape) < 0.002] = math.inf
-            kmat[rng.uniform(size=len(kmat)) < 0.002] = 1e308
-            blocks.append(kmat)
-            yield kmat
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(operators, "_kernel_rows", kernel_rows)
-        try:
-            got = czo_pair_lower_bound(riesz_kernel(0.5, 1), f, pair).lhs_min
-        except PreconditionError:
-            got = None
-    want = _row_dots_min(blocks, fq, line.cell_volume)
-    assert (None if got is None else got.hex()) == (None if want is None else want.hex())
-
-
-def test_czo_pair_bound_matches_reference_bitwise(tmp_path, monkeypatch):
+def test_czo_pair_bound_matches_reference(tmp_path, monkeypatch):
     from varlp import cli
 
     calls = []
@@ -1152,11 +1086,14 @@ def test_czo_pair_bound_matches_reference_bitwise(tmp_path, monkeypatch):
         return rep
 
     monkeypatch.setattr(cli, "czo_pair_lower_bound", record)
-    for seed, alpha in ((0, 0.5), (3, 0.25), (7, 0.8)):
-        argv = ["paircheck", "--mode", "czo", "--alpha", str(alpha), "--seed", str(seed),
-                "--out", str(tmp_path / str(seed))]
-        cli.main(argv)
-    assert len(calls) == 75
+    # pairs drawn as `paircheck` draws them, where the FFT rounding relative to
+    # the partner values is largest at alpha 0 on the finest line
+    for alpha in (0.0, 0.25, 0.5, 0.8, 0.95):
+        for cells in (256, 4096, 16384):
+            argv = ["paircheck", "--mode", "czo", "--alpha", str(alpha), "--cells", str(cells),
+                    "--seed", "3", "--out", str(tmp_path / f"{alpha}-{cells}")]
+            cli.main(argv)
+    assert len(calls) == 5 * 3 * 25
     # a plane pair reads its two blocks of cells in row-major order
     plane = GridDomain(((0.0, 8.0), (0.0, 4.0)), (64, 32))
     f = GridFunction(plane, np.random.default_rng(5).uniform(0.0, 1.0, (64, 32)))
@@ -1164,9 +1101,38 @@ def test_czo_pair_bound_matches_reference_bitwise(tmp_path, monkeypatch):
     pair = make_tu_pair(Cube((0.5, 2.0), 0.25), 9.0)
     calls.append((kern, f, pair, czo_pair_lower_bound(kern, f, pair)))
     for kernel, f, pair, rep in calls:
-        assert (rep.lhs_min, rep.rhs) == ref_czo_pair_lower_bound(kernel, f, pair)
+        lhs_min, rhs = ref_czo_pair_lower_bound(kernel, f, pair)
+        assert rep.rhs == rhs
+        assert rep.lhs_min == pytest.approx(lhs_min, rel=1e-12, abs=0.0)
     with pytest.raises(PreconditionError, match="pair cubes contain no grid cells"):
         czo_pair_lower_bound(kern, f, make_tu_pair(Cube((0.5, 2.0), 0.25), 40.0))
+    # cubes that share a cell would read the kernel's pole
+    line = line_grid(0.0, 1.0, 256)
+    g = GridFunction(line, np.ones(256))
+    for t in (0.0, 1.0):
+        with pytest.raises(PreconditionError, match="^pair cubes share grid cells at t = "):
+            czo_pair_lower_bound(riesz_kernel(0.5, 1), g, make_tu_pair(Cube((0.3,), 0.05), t))
+
+
+def test_czo_kernel_spectrum_cache_keeps_each_kernel_and_grid_apart():
+    wavy = FractionalKernel(fn=_wavy_kernel, alpha=0.5, c0=1.0, delta=1.0, lower=1.0,
+                            dimension=1)
+    cases = []
+    for cells in (256, 512):
+        f = GridFunction(line_grid(0.0, 1.0, cells),
+                         np.random.default_rng(cells).uniform(0.0, 1.0, cells))
+        pair = make_tu_pair(Cube((0.1,), 0.05), 8.0)
+        for kernel in (riesz_kernel(0.5, 1), wavy):
+            operators._kernel_spectrum.cache_clear()
+            cases.append((kernel, f, pair, czo_pair_lower_bound(kernel, f, pair).lhs_min))
+    operators._kernel_spectrum.cache_clear()
+    for _ in range(2):
+        for kernel, f, pair, want in cases + cases[::-1]:
+            assert czo_pair_lower_bound(kernel, f, pair).lhs_min.hex() == want.hex()
+    assert operators._kernel_spectrum.cache_info().currsize == 4
+    spectrum = operators._kernel_spectrum(wavy, cases[0][1].domain)
+    with pytest.raises(ValueError, match="read-only"):
+        spectrum[0] = 0.0
 
 
 def test_averaging_op_of_a_subnormal_set_raises_precondition():
