@@ -1075,6 +1075,80 @@ def ref_czo_pair_lower_bound(kernel, f, pair):
     return lhs_min, rhs
 
 
+def ref_czo_pair_fft_lhs_min(kernel, f, pair):
+    """lhs_min of czo_pair_lower_bound as one convolution written out on the
+    grid doubled in every axis: f on the base cells (0 elsewhere), and at each
+    index m of an axis of c cells K at the offset x - y congruent to -m modulo
+    2c, taken in (-c, c], times the cell volume, with 0 at offset 0."""
+    dom = f.domain
+    shape = tuple(2 * c for c in dom.cells)
+    fpad = np.zeros(shape)
+    qmask = MeasurableSet.from_cube(pair.base).mask_on(dom)
+    fpad[tuple(slice(0, c) for c in dom.cells)] = np.where(qmask, f.values, 0.0)
+    offsets = []
+    for c in dom.cells:
+        r = -np.arange(2 * c) % (2 * c)
+        offsets.append(np.where(r > c, r - 2 * c, r))
+    z = dom.h * np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1)
+    with np.errstate(divide="ignore"):
+        kpad = kernel.fn(z) * dom.cell_volume
+    kpad[(0,) * dom.dimension] = 0.0
+    axes = tuple(range(dom.dimension))
+    conv = np.fft.irfftn(np.fft.rfftn(fpad) * np.fft.rfftn(kpad), s=shape, axes=axes)
+    tq = conv[tuple(slice(0, c) for c in dom.cells)]
+    pmask = MeasurableSet.from_cube(pair.partner).mask_on(dom)
+    return float(np.abs(tq[pmask]).min())
+
+
+def test_czo_pair_bound_matches_reference_bitwise(tmp_path, monkeypatch):
+    from varlp import cli
+
+    calls = []
+
+    def record(kernel, f, pair):
+        rep = czo_pair_lower_bound(kernel, f, pair)
+        calls.append((kernel, f, pair, rep))
+        return rep
+
+    monkeypatch.setattr(cli, "czo_pair_lower_bound", record)
+    for seed, alpha in ((0, 0.5), (3, 0.25), (7, 0.8)):
+        argv = ["paircheck", "--mode", "czo", "--alpha", str(alpha), "--seed", str(seed),
+                "--out", str(tmp_path / str(seed))]
+        cli.main(argv)
+    assert len(calls) == 75
+    # the rhs is the per-point reference's; lhs_min is the written-out
+    # convolution's, so the FFT path reads its cells and offsets as that does
+    for kernel, f, pair, rep in calls:
+        assert rep.rhs == ref_czo_pair_lower_bound(kernel, f, pair)[1]
+        assert rep.lhs_min.hex() == ref_czo_pair_fft_lhs_min(kernel, f, pair).hex()
+
+
+def test_czo_pair_bound_across_chunks_matches_reference_bitwise():
+    # the partner cells are read in one convolution from a spectrum shared by
+    # the pairs of a check: the bits of a pair do not depend on that sharing,
+    # nor on f outside the base cube
+    line = line_grid(-4.0, 12.0, 512)
+    f = GridFunction(line, np.random.default_rng(2).uniform(0.0, 1.0, 512))
+    plane = GridDomain(((0.0, 8.0), (0.0, 4.0)), (64, 32))
+    g = GridFunction(plane, np.random.default_rng(5).uniform(0.0, 1.0, (64, 32)))
+    cases = [(riesz_kernel(0.5, 1), f, make_tu_pair(Cube((0.0,), 1.0), 8.0)),
+             (riesz_kernel(0.5, 1), f, make_tu_pair(Cube((2.0,), 0.5), -9.0)),
+             (riesz_kernel(0.5, 2), g, make_tu_pair(Cube((0.5, 2.0), 0.25), 9.0)),
+             (riesz_kernel(0.5, 2), g, make_tu_pair(Cube((7.0, 1.0), 0.25), 9.0,
+                                                   (-math.sqrt(0.5), math.sqrt(0.5))))]
+    for kernel, h, pair in cases:
+        want = ref_czo_pair_fft_lhs_min(kernel, h, pair)
+        assert want == pytest.approx(ref_czo_pair_lower_bound(kernel, h, pair)[0],
+                                     rel=1e-12, abs=0.0)
+        only_base = GridFunction(h.domain, np.where(
+            MeasurableSet.from_cube(pair.base).mask_on(h.domain), h.values, 7.0))
+        operators._kernel_spectrum.cache_clear()
+        fresh = czo_pair_lower_bound(kernel, h, pair).lhs_min
+        for got in (fresh, czo_pair_lower_bound(kernel, h, pair).lhs_min,
+                    czo_pair_lower_bound(kernel, only_base, pair).lhs_min):
+            assert got.hex() == want.hex()
+
+
 def test_czo_pair_bound_matches_reference(tmp_path, monkeypatch):
     from varlp import cli
 
