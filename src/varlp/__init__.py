@@ -36,7 +36,6 @@ from .norms import (
     harmonic_mean,
     holder_constant,
     holder_pairing_check,
-    interval_has_infinite_exponent,
     interval_indicator_modular,
     interval_indicator_norm,
     interval_integral,

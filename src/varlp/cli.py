@@ -8,9 +8,10 @@ arguments (seed included) before the subcommand runs, then a
 ``summary.txt`` with the headline numbers and pairing constants.  A run
 that raises leaves only ``config.json``.  Identical configurations
 produce byte-identical outputs.  Each subcommand accepts only the flags
-it reads.  ``norm`` and ``modular`` read a ``--box`` exactly in any
-dimension and a ``--csv`` on its own grid; ``maximal`` and ``riesz`` paint a
-``--box`` onto a grid of ``--cells`` per axis.
+it reads.  ``norm`` and ``modular`` compile a ``--box`` exactly in any
+dimension or a ``--csv`` on its own grid, once, and ``--lam`` scales the
+compiled input; ``maximal`` and ``riesz`` paint a ``--box`` onto a grid of
+``--cells`` per axis.
 
 Exit codes: 0 on success, 1 when a precondition or construction fails or
 a subcommand's checks do not hold, 2 when an input file cannot be parsed.
@@ -32,7 +33,7 @@ from .errors import ConstructionError, DomainError, PreconditionError, SpecParse
 from .exponent import box_intersect, load_spec
 from .grid import Cube, GridDomain, GridFunction, MeasurableSet, as_box
 from .k0 import CubeFamily, k0alpha_constant, norm_harmonic_sandwich
-from .norms import compile_set, duality_constant, holder_constant, luxemburg_norm, modular
+from .norms import _compile_grid, compile_set, duality_constant, holder_constant
 from .operators import (
     DYADIC,
     EXACT,
@@ -100,39 +101,39 @@ def _parse_box(text):
     return as_box(axes)
 
 
-def _box_arg(args, p):
-    """The --box, which must lie inside the exponent's domain when one is given."""
-    box = _parse_box(args.box)
-    if p is not None and box_intersect(box, p.domain) != box:
-        raise PreconditionError(f"--box {box} is not inside the exponent's domain {p.domain}")
-    return box
-
-
-def _function_on_grid(args, p):
-    """Grid function from --csv, or the --box indicator on a fresh grid."""
+def _read_input(args, p):
+    """The --csv as a grid function on its own grid, or else the --box as a
+    set, which must lie inside the exponent's domain when one is given."""
     if args.csv is not None:
         return GridFunction.from_csv(args.csv)
     if args.box is None:
         raise PreconditionError("provide a function via --csv or --box")
-    box = _box_arg(args, p)
-    domain = p.domain if p is not None else box
+    box = _parse_box(args.box)
+    if p is not None and box_intersect(box, p.domain) != box:
+        raise PreconditionError(f"--box {box} is not inside the exponent's domain {p.domain}")
+    return MeasurableSet.from_box(box)
+
+
+def _function_on_grid(args, p):
+    """The input as a grid function: a --box is painted on a fresh grid."""
+    f = _read_input(args, p)
+    if isinstance(f, GridFunction):
+        return f
+    domain = p.domain if p is not None else f.box
     if args.cells ** len(domain) > _MAX_GRID_CELLS:
         raise PreconditionError(f"--cells {args.cells} on {len(domain)} axes gives more than "
                                 f"{_MAX_GRID_CELLS} cells")
-    grid = GridDomain(domain, tuple(args.cells for _ in domain))
-    return GridFunction.indicator(grid, MeasurableSet.from_box(box))
+    return GridFunction.indicator(GridDomain(domain, tuple(args.cells for _ in domain)), f)
 
 
-def _set_or_function(args, p):
-    """(input, route) for norm and modular: the --csv grid function on its
-    own grid (route grid), or else the --box as a set, which compiles
-    exactly in any dimension (route interval on a line, box otherwise)."""
-    if args.csv is not None:
-        return GridFunction.from_csv(args.csv), "grid"
-    if args.box is None:
-        raise PreconditionError("provide a function via --csv or --box")
-    box = _box_arg(args, p)
-    return MeasurableSet.from_box(box), "interval" if len(box) == 1 else "box"
+def _compiled_input(args, p):
+    """(compiled input, route) for norm and modular: a --csv compiles on its
+    own grid (route grid), a --box exactly in any dimension (route interval
+    on a line, box otherwise)."""
+    f = _read_input(args, p)
+    if isinstance(f, GridFunction):
+        return _compile_grid(f, p), "grid"
+    return compile_set(p, f), "interval" if len(f.box) == 1 else "box"
 
 
 def _grid_output(args, p, g, lines):
@@ -160,8 +161,8 @@ def _grid_output(args, p, g, lines):
 
 def _run_norm(args):
     p = _load_exponent(args)
-    f, route = _set_or_function(args, p)
-    value = luxemburg_norm(f, p) if route == "grid" else compile_set(p, f).norm(p)
+    dist, route = _compiled_input(args, p)
+    value = dist.norm(p)
     print("%.7f" % value)
     lines = ["norm = %.9g" % value, "route = " + route, "seed = %d" % args.seed]
     return ["quantity", "value"], [("norm", value)], lines + _constant_lines(p), True
@@ -169,12 +170,9 @@ def _run_norm(args):
 
 def _run_modular(args):
     p = _load_exponent(args)
-    lam = float(args.lam)
-    if not lam > 0.0:
-        raise PreconditionError(f"scale lambda must be positive, got {lam}")
-    f, route = _set_or_function(args, p)
-    value = (modular(GridFunction(f.domain, f.values / lam), p) if route == "grid"
-             else compile_set(p, f).modular(p, lam))
+    dist, route = _compiled_input(args, p)
+    lam = args.lam
+    value = dist.modular(p, lam)
     print("%.7f" % value)
     lines = ["modular = %.9g at lambda = %.9g" % (value, lam), "route = " + route,
              "seed = %d" % args.seed]

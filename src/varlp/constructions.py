@@ -66,8 +66,9 @@ _EX61_HALF_WIDTH = 4.0
 _GEOMETRY_TOL = 1e-9
 # the most work, 2 * cells_per_radius * rho^2, a chain build may ask for: its
 # cube search reads rho = 2^(k-1) (t sqrt(n) + 2) radii over its deepest grid
-# of 2 * cells_per_radius * rho cells.  Here `varlp blowup` took up to 4.1 s
-# with the interpreter's start (2 vCPUs)
+# of 2 * cells_per_radius * rho cells.  The slowest run it allows timed,
+# `varlp blowup --k 5 --t 6 --cells-per-radius 4096`, took 2.8-3.2 s with the
+# interpreter's start (2 vCPUs)
 _MAX_BLOWUP_WORK = 1 << 27
 
 
@@ -205,12 +206,9 @@ class BlowupLevel:
     k: int
     beta: float
     threshold_set: MeasurableSet
-    x: tuple
-    s_half: float
     big_radius: float
     small_radius: float
     cube_d: Cube
-    direction_sign: float
     chain: tuple
     pairs: tuple
     grid: GridDomain
@@ -225,7 +223,6 @@ class BlowupFamily:
     p: ExponentFunction
     alpha: float
     t: float
-    k_max: int
     n: int
     levels: tuple
 
@@ -315,7 +312,7 @@ def build_blowup(p, alpha, t, k_max, cells_per_radius=4):
         grid = GridDomain.from_spacing(cube_d.as_box(), h)
 
         # flat region, so the level set fills D; assert the density bound
-        e_cells = MeasurableSet.from_sublevel(p, beta, grid, label=f"below-{beta:.6g}")
+        e_cells = MeasurableSet.from_sublevel(p, beta, grid)
         density = float(e_cells.grid_mask[1].mean())
         density_floor = 1.0 - 2.0 ** (-n * k) * width ** (-n)
         if not density > density_floor:
@@ -349,12 +346,9 @@ def build_blowup(p, alpha, t, k_max, cells_per_radius=4):
                 k=k,
                 beta=beta,
                 threshold_set=e_cells,
-                x=(x0,),
-                s_half=s_half,
                 big_radius=big_r,
                 small_radius=small_r,
                 cube_d=cube_d,
-                direction_sign=sign,
                 chain=tuple(chain),
                 pairs=tuple(pairs),
                 grid=grid,
@@ -364,7 +358,7 @@ def build_blowup(p, alpha, t, k_max, cells_per_radius=4):
                 density_floor=density_floor,
             )
         )
-    return BlowupFamily(p=p, alpha=alpha, t=float(t), k_max=k_max, n=n, levels=tuple(levels))
+    return BlowupFamily(p=p, alpha=alpha, t=float(t), n=n, levels=tuple(levels))
 
 
 def check_blowup_geometry(fam):
@@ -494,9 +488,8 @@ def blowup_family_k0(fam):
                  for cube in list(lv.chain) + [pr.partner for pr in lv.pairs]]
     compiled = _compile_family(p, sets)
     met = np.flatnonzero(compiled.measure > 0.0)
-    report = _k0_report(0.0, p.dimension, [sets[i] for i in met.tolist()],
-                        compiled.measure[met].tolist(), compiled.norms(conjugate(p))[met],
-                        compiled.norms(p)[met])
+    report = _k0_report(0.0, p.dimension, compiled.measure[met].tolist(),
+                        compiled.norms(conjugate(p))[met], compiled.norms(p)[met])
     return max(0.0, report.best_value)
 
 
@@ -681,9 +674,9 @@ def ex61_interval_constant_scan(spec, big_k, per_run=None):
     p = spec.exponent
 
     def scan(pp, intervals):
-        sets = [MeasurableSet.from_box(((a, b),), label=label) for a, b, label in intervals]
-        return [{"label": s.label, "measure": s.measure, "value": s.value}
-                for s in k0alpha_constant(pp, alpha, sets).samples]
+        sets = [MeasurableSet.from_box(((a, b),)) for a, b, _ in intervals]
+        return [{"label": label, "measure": s.measure, "value": s.value}
+                for (_, _, label), s in zip(intervals, k0alpha_constant(pp, alpha, sets).samples)]
 
     base_anchor = math.exp(1.0) + 1.0
     vol_count = 7 * density

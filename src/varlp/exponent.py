@@ -195,15 +195,12 @@ class CenterSequence:
         return np.asarray(self.positions, dtype=float)[idx]
 
     def real_index(self, x):
-        """Continuous inverse of the center map (vectorized, clipped at 0)."""
+        """Continuous inverse of the exp or power center map (vectorized,
+        clipped at 0); fixed centers are searched by their callers."""
         x = np.asarray(x, dtype=float)
         if self.kind == "exp":
             return np.where(x > 0, np.log(np.maximum(x, 1e-300)) / self.rate, 0.0)
-        if self.kind == "power":
-            return np.where(x > 0, np.maximum(x, 0.0) ** (1.0 / self.rate), 0.0)
-        # fixed: nearest index by search
-        pos = np.asarray(self.positions, dtype=float)
-        return np.clip(np.searchsorted(pos, x) + 0.5, 0.5, self.count + 0.5)
+        return np.where(x > 0, np.maximum(x, 0.0) ** (1.0 / self.rate), 0.0)
 
     def index_range_in(self, lo, hi):
         """(k_first, k_last) with c_k in [lo, hi]; empty when k_last < k_first.

@@ -4,11 +4,13 @@ Grid functions are piecewise constant on the cells of a uniform grid and are
 identified with their midpoint samples.  All quadrature in the package is
 exact for such functions, which is what makes the operator identities
 checkable at tight tolerances.  A closed box covers the cells whose
-midpoints it contains; GridDomain.box_cells finds them for every caller.
+midpoints it contains; GridDomain.box_cells finds them for every caller,
+from midpoints that are built once per distinct axis and shared read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -73,9 +75,10 @@ class GridDomain:
         return int(np.prod(self.cells))
 
     def axis_midpoints(self, axis):
+        """The cell midpoints of one axis, read-only: grids with an equal
+        axis share one array (see _midpoints)."""
         lo, hi = self.box[axis]
-        c = self.cells[axis]
-        return lo + (np.arange(c) + 0.5) * ((hi - lo) / c)
+        return _midpoints(lo, hi, self.cells[axis])
 
     def points(self):
         """All cell midpoints as an (N, n) array in row-major cell order."""
@@ -200,13 +203,12 @@ class MeasurableSet:
     The set is (box) & (mask), where the box is absent for a mask over its
     whole grid and the mask is absent for a pure box.  A pure box is exact:
     it has an exact measure and covers its cells on any grid.  A set with a
-    mask is read on its own grid only; from_sublevel paints {p < threshold}
-    onto its grid once.
+    mask, MeasurableSet(grid_mask=(grid, mask)), is read on its own grid
+    only; from_sublevel paints {p < threshold} onto its grid once.
     """
 
     box: tuple | None = None
     grid_mask: tuple | None = None
-    label: str = ""
 
     def __post_init__(self):
         if self.box is not None:
@@ -222,26 +224,22 @@ class MeasurableSet:
         self.grid_mask = (domain, mask)
 
     @classmethod
-    def from_box(cls, box, label=""):
-        return cls(box=box, label=label)
+    def from_box(cls, box):
+        return cls(box=box)
 
     @classmethod
-    def from_cube(cls, cube, label=""):
-        return cls(box=cube.as_box(), label=label)
+    def from_cube(cls, cube):
+        return cls(box=cube.as_box())
 
     @classmethod
-    def from_sublevel(cls, p, threshold, grid, within=None, label=""):
+    def from_sublevel(cls, p, threshold, grid, within=None):
         """The cells of grid in the box within (all cells when None) where
         p < threshold at the midpoint; p need cover those window cells only."""
         box = as_box(within) if within is not None else None
         mask = _window(box, grid)
         if mask.any():
             mask &= p.values_on(grid, where=mask) < float(threshold)
-        return cls(box=box, grid_mask=(grid, mask), label=label)
-
-    @classmethod
-    def from_mask(cls, domain, mask, label=""):
-        return cls(grid_mask=(domain, mask), label=label)
+        return cls(box=box, grid_mask=(grid, mask))
 
     def intersect_box(self, box):
         box = as_box(box)
@@ -253,7 +251,7 @@ class MeasurableSet:
         elif len(box) != self.grid_mask[0].dimension:
             raise PreconditionError(f"a {len(box)}-D box on a "
                                     f"{self.grid_mask[0].dimension}-D grid")
-        return MeasurableSet(box=box, grid_mask=self.grid_mask, label=self.label)
+        return MeasurableSet(box=box, grid_mask=self.grid_mask)
 
     def is_box(self):
         return self.grid_mask is None
@@ -275,6 +273,16 @@ class MeasurableSet:
                 raise PreconditionError("mask grid does not match the evaluation grid")
             out &= m
         return out
+
+
+@functools.lru_cache(maxsize=4)
+def _midpoints(lo, hi, cells):
+    """lo + (i + 0.5) h for the cells of [lo, hi], built once per axis and
+    shared read-only.  Keyed by value, not held by each grid, so the many
+    short-lived grids of a solve keep no array each."""
+    mids = lo + (np.arange(cells) + 0.5) * ((hi - lo) / cells)
+    mids.flags.writeable = False
+    return mids
 
 
 def _window(box, domain):

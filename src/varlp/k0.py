@@ -72,7 +72,6 @@ class K0Sample:
     exponent's domain, read from the family's compiled rows."""
 
     index: int
-    label: str
     measure: float
     norm_conjugate: float
     norm_dual: float
@@ -94,8 +93,8 @@ def k0alpha_constant(p, alpha, family):
     plain indicator-product constant with the (p, p') pair.
     """
     q = sobolev_dual(p, alpha)
-    sets, measures, compiled = _family_rows(p, family)
-    return _k0_report(alpha, p.dimension, sets, measures, compiled.norms(conjugate(p)),
+    _, measures, compiled = _family_rows(p, family)
+    return _k0_report(alpha, p.dimension, measures, compiled.norms(conjugate(p)),
                       compiled.norms(q))
 
 
@@ -109,14 +108,15 @@ def _family_rows(p, family):
     return sets, _measures(compiled, sets).tolist(), compiled
 
 
-def _k0_report(alpha, n, sets, measures, norms_conjugate, norms_dual):
-    """The samples measure^(alpha/n - 1) * ||chi_E||_p' * ||chi_E||_q and their sup."""
+def _k0_report(alpha, n, measures, norms_conjugate, norms_dual):
+    """The samples measure^(alpha/n - 1) * ||chi_E||_p' * ||chi_E||_q of
+    the compiled rows, indexed by row, and their sup."""
     samples = []
     best_value, best_index = -math.inf, -1
-    for i, (E, measure, nc, nd) in enumerate(zip(sets, measures, norms_conjugate.tolist(),
-                                                 norms_dual.tolist())):
+    for i, (measure, nc, nd) in enumerate(zip(measures, norms_conjugate.tolist(),
+                                              norms_dual.tolist())):
         value = measure ** (alpha / n - 1.0) * nc * nd
-        samples.append(K0Sample(i, E.label, measure, nc, nd, value))
+        samples.append(K0Sample(i, measure, nc, nd, value))
         if value > best_value:
             best_value, best_index = value, i
     return K0Report(alpha, best_value, best_index, samples)
@@ -200,7 +200,6 @@ def averaging_uniform_bound(p, alpha, family, grid, witnesses=None):
 @dataclass(frozen=True)
 class SandwichRow:
     index: int
-    label: str
     measure: float
     mean_exponent: float
     norm: float
@@ -229,23 +228,22 @@ def norm_harmonic_sandwich(p, family):
     sets, measures, compiled = _family_rows(p, family)
     norms_p = compiled.norms(p)
     # the dual exponent of order 0 is p itself
-    k0_value = _k0_report(0.0, p.dimension, sets, measures, compiled.norms(conjugate(p)),
+    k0_value = _k0_report(0.0, p.dimension, measures, compiled.norms(conjugate(p)),
                           norms_p).best_value
     means = _harmonic_means(compiled, p, sets).tolist()
     rows = []
-    for i, (E, measure, norm, hm) in enumerate(zip(sets, measures, norms_p.tolist(), means)):
+    for i, (measure, norm, hm) in enumerate(zip(measures, norms_p.tolist(), means)):
         base = measure ** (0.0 if hm == INF else 1.0 / hm)
         lower = base / (2.0 * holder)
         upper = 2.0 * holder ** 2 * k0_value / duality * base
         ok = lower * (1.0 - _CHECK_TOL) <= norm <= upper * (1.0 + _CHECK_TOL)
-        rows.append(SandwichRow(i, E.label, measure, hm, norm, lower, upper, ok))
+        rows.append(SandwichRow(i, measure, hm, norm, lower, upper, ok))
     return SandwichReport(holder, duality, k0_value, rows, all(r.ok for r in rows))
 
 
 @dataclass(frozen=True)
 class EquivalenceRow:
     index: int
-    label: str
     sample_alpha: float
     sample_p: float
     sample_q: float
@@ -278,9 +276,9 @@ def k0alpha_iff_k0_check(p, alpha, family):
     sets, measures, compiled = _family_rows(p, family)
     norm_p, norm_pc, norm_q, norm_qc = (compiled.norms(r)
                                         for r in (p, conjugate(p), q, conjugate(q)))
-    rep_alpha = _k0_report(alpha, n, sets, measures, norm_pc, norm_q)
-    rep_p = _k0_report(0.0, n, sets, measures, norm_pc, norm_p)
-    rep_q = _k0_report(0.0, n, sets, measures, norm_qc, norm_q)
+    rep_alpha = _k0_report(alpha, n, measures, norm_pc, norm_q)
+    rep_p = _k0_report(0.0, n, measures, norm_pc, norm_p)
+    rep_q = _k0_report(0.0, n, measures, norm_qc, norm_q)
     c_conv = 4.0 * holder_constant(p) * holder_constant(q)
     rows, converse_ok = [], True
     inverses = zip(_mean_inverses(compiled, p, sets).tolist(),
@@ -292,7 +290,7 @@ def k0alpha_iff_k0_check(p, alpha, family):
                       and sq.value <= 2.0 * sa.value * (1.0 + _CHECK_TOL))
         if sa.value > c_conv * rep_p.best_value * rep_q.best_value * (1.0 + _CHECK_TOL):
             converse_ok = False
-        rows.append(EquivalenceRow(sa.index, sa.label, sa.value, sp.value, sq.value,
+        rows.append(EquivalenceRow(sa.index, sa.value, sp.value, sq.value,
                                    gap, forward_ok, gap <= _IDENTITY_TOL))
     all_ok = converse_ok and all(r.forward_ok and r.identity_ok for r in rows)
     return EquivalenceReport(rows, c_conv, converse_ok, all_ok)

@@ -18,7 +18,11 @@ a pre-transform exponent value.  Two routes compile:
   1e13 bumps are fine.
 
 The atoms where the exponent is inf enter the modular as one term with
-exponent 1 and weight sup |f| over them (1 for an indicator).
+exponent 1 and weight sup |f| over them (1 for an indicator).  A bump
+shoulder meets its plateau and its base quadratically, so where a shoulder
+inside a set ends on a value the exponent maps to inf, the modular is inf
+for every lam < 1 and the norm is at least 1: a floor, read from the
+compiled shoulder ends, that no quadrature node can see.
 
 A family of sets (the cubes of a K0 scan, the intervals of a witness
 ladder) compiles into one Distribution whose arrays are a rows x atoms
@@ -86,8 +90,10 @@ class Distribution:
     One set compiles into one row of atoms: atom i carries the measure
     ``w[i]``, the value ``f[i]`` of |f| and the pre-transform exponent value
     ``raw[i]``, and ``measure`` is the measure of the compiled set (for a
-    grid function, of the cells where f != 0).  A family compiles into a
-    rows x atoms matrix, row r for set r, with one measure per row; w = 0
+    grid function, of the cells where f != 0).  ``ends`` holds the raw
+    values at the ends of the bump shoulders inside the set (see
+    _bump_atoms).  A family compiles into a rows x atoms matrix, row r for
+    set r, with one measure per row and its ends padded with nan; w = 0
     marks padding or a value the set does not meet.  ``w`` and ``f`` may be
     scalars shared by all atoms; every atom of one set has w > 0.  {p = inf}
     is read from the atoms by one rule: sup |f| over it is the largest f
@@ -103,6 +109,7 @@ class Distribution:
     f: object
     raw: np.ndarray
     measure: object
+    ends: object
 
     def values(self, q):
         """The exponent q on every atom."""
@@ -127,6 +134,13 @@ class Distribution:
         return (np.where(live, self.w, 0.0), np.where(live, self.f, 0.0),
                 np.where(live, v, 1.0), sup)
 
+    def _poles(self, q):
+        """Per row, whether a shoulder inside the set ends on a raw value
+        that q maps to inf, so the modular is inf for every lam < 1."""
+        if not np.size(self.ends):
+            return False
+        return np.isinf(_values(self.pieces, q, np.asarray(self.ends))).any(axis=-1)
+
     def integrals(self, q, g):
         """Integral of g(q) over every compiled set: the sum of w_i g(q_i).
 
@@ -143,15 +157,20 @@ class Distribution:
         """Modular of f / lam in q, for one compiled set."""
         if not lam > 0.0:
             raise PreconditionError(f"scale lambda must be positive, got {lam}")
+        if lam < 1.0 and self._poles(q):
+            return INF
         with np.errstate(over="ignore"):
             return float(_modular(*self._split(q), lam))
 
     def norms(self, q):
         """Luxemburg norm in q of every compiled set, all rows in one solve."""
         w, f, v, sup = self._split(q)
-        if v.ndim == 1:  # one set: a batch of one
-            return _norms(_one_row(w), _one_row(f), v[None], sup[None])[0]
-        return _norms(w, f, v, sup)
+        one = v.ndim == 1  # one set: a batch of one
+        lam = _norms(_one_row(w), _one_row(f), v[None], sup[None]) if one else _norms(w, f, v, sup)
+        pole = self._poles(q)
+        if np.any(pole):
+            lam = np.where(pole, np.fmax(lam, 1.0), lam)
+        return lam[0] if one else lam
 
     def norm(self, q):
         """Luxemburg norm in q: the least lam with modular(q, lam) <= 1."""
@@ -286,7 +305,7 @@ def _compile_cells(p, domain, keep, f):
     """One atom per grid cell where keep holds; f is |f| on those cells."""
     raw = p.raw_values_on(domain, keep)[keep]
     return Distribution(p.pieces, domain.cell_volume, f, raw,
-                        int(np.count_nonzero(keep)) * domain.cell_volume)
+                        int(np.count_nonzero(keep)) * domain.cell_volume, ())
 
 
 def _compile_grid(f, p):
@@ -363,12 +382,16 @@ def holder_pairing_check(f, g, p):
 
 
 def _bump_atoms(piece, lo, hi, ws, raws):
-    """Append the atoms of one bump-piece run [lo, hi], split by BumpsPiece.run.
+    """Append the atoms of one bump-piece run [lo, hi], split by BumpsPiece.run,
+    and return the raw values at the ends of its shoulders.
 
     Each window gives Gauss nodes per smooth stretch; the whole bumps give
     one plateau atom and one atom per shoulder Gauss node, weighted by their
     count; the base length gives one atom.  So a level of BumpsPiece.levels
     is an atom value, and the base is an atom exactly when it is a level.
+    A shoulder stretch of a bump of positive height that ends at distance m
+    or s from its center ends on the plateau value or the base, which the
+    profile meets quadratically; those are the ends returned.
     """
     bump = piece.bump
     s, m = bump.support_halfwidth, bump.plateau_halfwidth
@@ -377,6 +400,7 @@ def _bump_atoms(piece, lo, hi, ws, raws):
     def raw_at(dist):
         return piece.base + piece.direction * bump.profile(dist)
 
+    ends = []
     whole, base_len, windows = piece.run(lo, hi)
     for o0, o1 in windows:
         knots = [o0] + [o for o in (-s, -m, m, s) if o0 < o < o1] + [o1]
@@ -384,7 +408,11 @@ def _bump_atoms(piece, lo, hi, ws, raws):
             half, midp = 0.5 * (u1 - u0), 0.5 * (u0 + u1)
             ws.append(half * wts)
             raws.append(raw_at(np.abs(midp + half * nodes)))
+            if abs(midp) > m:
+                ends += [piece.top if abs(u) == m else piece.base
+                         for u in (u0, u1) if abs(u) in (m, s)]
     if whole:
+        ends += [piece.top, piece.base]
         half, mid = 0.5 * (s - m), 0.5 * (s + m)
         ws.append(np.array([whole * 2.0 * m]))
         raws.append(np.array([piece.top]))
@@ -393,6 +421,7 @@ def _bump_atoms(piece, lo, hi, ws, raws):
     if base_len > 0.0:
         ws.append(np.array([base_len]))
         raws.append(np.array([piece.base]))
+    return ends if bump.height > 0.0 else []
 
 
 def _compile_box(p, box):
@@ -411,22 +440,22 @@ def _compile_box(p, box):
     clipped = box_intersect(box, p.domain)
     if clipped is None:
         _check_covered(p.dimension, None, 0.0)
-        return Distribution(p.pieces, np.zeros(0), 1.0, np.zeros(0), 0.0)
+        return Distribution(p.pieces, np.zeros(0), 1.0, np.zeros(0), 0.0, ())
     parts = _owned_parts(p.pieces, clipped)
     measure = sum((v for _, v, _ in parts), 0.0)
     _check_covered(p.dimension, clipped, measure)
-    ws, raws = [], []
+    ws, raws, ends = [], [], []
     for piece, v, runs in parts:
         if runs is None:
             ws.append(v)
             raws.append(piece.value)
         for lo, hi in runs or ():
-            _bump_atoms(piece, lo, hi, ws, raws)
+            ends += _bump_atoms(piece, lo, hi, ws, raws)
     # without bump atoms the constant atoms make one array in one step
     stack = np.array if all(runs is None for *_, runs in parts) else np.hstack
     w, raw = stack(ws), stack(raws).astype(float, copy=False)
     keep = w > 0.0
-    return Distribution(p.pieces, w[keep], 1.0, raw[keep], measure)
+    return Distribution(p.pieces, w[keep], 1.0, raw[keep], measure, tuple(ends))
 
 
 def _check_covered(n, clipped, measure):
@@ -451,11 +480,6 @@ def interval_integral(p, a, b, g):
     is inf).
     """
     return _compile_box(p, ((a, b),)).integral(p, g)
-
-
-def interval_has_infinite_exponent(p, a, b):
-    """Whether the transformed exponent equals inf on positive measure in [a, b]."""
-    return _compile_box(p, ((a, b),))._split(p)[3] > 0.0
 
 
 def interval_indicator_modular(p, a, b, lam):
@@ -552,10 +576,12 @@ def _compile_family(p, sets):
     dists = [compile_set(p, E) for E in sets]
     atoms = max((d.raw.size for d in dists), default=0)
     w, raw = np.zeros((len(dists), atoms)), np.ones((len(dists), atoms))
+    ends = np.full((len(dists), max((len(d.ends) for d in dists), default=0)), np.nan)
     for r, d in enumerate(dists):
         w[r, :d.raw.size] = d.w
         raw[r, :d.raw.size] = d.raw
-    return Distribution(p.pieces, w, 1.0, raw, np.array([d.measure for d in dists]))
+        ends[r, :len(d.ends)] = d.ends
+    return Distribution(p.pieces, w, 1.0, raw, np.array([d.measure for d in dists]), ends)
 
 
 def _box_rows(p, boxes):
@@ -610,4 +636,4 @@ def _box_rows(p, boxes):
     for r in np.flatnonzero(short).tolist():
         _check_covered(n, box_intersect(boxes[r], p.domain), float(measure[r]))
     raw = np.broadcast_to(np.array(values, dtype=float), w.shape)
-    return Distribution(p.pieces, w, 1.0, raw, measure)
+    return Distribution(p.pieces, w, 1.0, raw, measure, ())

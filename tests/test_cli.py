@@ -737,6 +737,23 @@ def test_modular_refuses_a_scale_that_is_not_positive(route, lam, tmp_path, caps
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_modular_at_a_subnormal_scale_reads_inf_on_both_routes(tmp_path, capsys):
+    # --lam scales the compiled input, so |f| / lam overflowing to inf is the
+    # modular's value on either route, not a fault of the CSV's data
+    spec = ["--spec", os.path.join(DATA, "twopiece.json")]
+    mx = tmp_path / "mx"
+    assert main(["maximal", *spec, "--box", "0.5,1.5", "--alpha", "0.5", "--cells", "256",
+                 "--out", str(mx)]) == 0
+    capsys.readouterr()
+    for data in (["--csv", str(mx / "results.csv")], ["--box", "0,2"]):
+        out = tmp_path / data[0][2:]
+        assert main(["modular", *spec, *data, "--lam", "1e-310", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("inf\n", "")
+        assert (out / "results.csv").read_text().splitlines()[1] == "modular,inf"
+
+
 def test_k0scan_on_a_bump_piece_cut_by_a_constant(tmp_path, capsys):
     # the constant owns the bump's plateau, so p_plus is 2, not the shadowed 5
     out = tmp_path / "run"

@@ -67,7 +67,7 @@ def two_piece(first, second, split=1.0, hi=2.0):
 
 def interval_ladder(centers, radii):
     """All intervals (c - r, c + r) over the cross product, one dimension."""
-    return CubeFamily(tuple(MeasurableSet.from_box([(c - r, c + r)], label=f"I({c:g},{r:g})")
+    return CubeFamily(tuple(MeasurableSet.from_box([(c - r, c + r)])
                             for c in centers for r in radii))
 
 
@@ -91,7 +91,7 @@ def test_constant_exponent_samples_are_one():
     fam = interval_ladder([2.0, 5.0], [0.25, 1.0, 2.0])
     rep = k0alpha_constant(p, 0.3, fam)
     for s in rep.samples:
-        assert s.value == pytest.approx(1.0, abs=1e-6), f"sample {s.label}"
+        assert s.value == pytest.approx(1.0, abs=1e-6), f"sample {s.index}"
     rep0 = k0_constant(p, fam)
     for s in rep0.samples:
         assert s.value == pytest.approx(1.0, abs=1e-6)
@@ -103,7 +103,7 @@ def test_alpha_zero_reduction_is_exact():
     a = k0alpha_constant(p, 0.0, fam)
     b = k0_constant(p, fam)
     for sa, sb in zip(a.samples, b.samples):
-        assert sa.value == sb.value, f"alpha=0 must be the plain constant at {sa.label}"
+        assert sa.value == sb.value, f"alpha=0 must be the plain constant at {sa.index}"
     assert a.best_value == b.best_value
 
 
@@ -122,7 +122,7 @@ def test_conjugation_symmetry():
     a = k0_constant(p, fam)
     b = k0_constant(conjugate(p), fam)
     for sa, sb in zip(a.samples, b.samples):
-        assert sa.value == pytest.approx(sb.value, abs=1e-6), f"at {sa.label}"
+        assert sa.value == pytest.approx(sb.value, abs=1e-6), f"at {sa.index}"
 
 
 def test_best_index_first_tie_wins():
@@ -245,7 +245,7 @@ def _reference_sandwich_rows(p, family):
         lower = base / (2.0 * holder)
         upper = 2.0 * holder ** 2 * k0_value / duality * base
         ok = lower * (1.0 - 1e-6) <= norm <= upper * (1.0 + 1e-6)
-        rows.append(SandwichRow(i, E.label, measure, hm, norm, lower, upper, ok))
+        rows.append(SandwichRow(i, measure, hm, norm, lower, upper, ok))
     return rows
 
 
@@ -284,7 +284,7 @@ def _replaced_k0_report(alpha, p, family, measures, compiled, q_conj, q_dual):
                                                  compiled.norms(q_conj).tolist(),
                                                  compiled.norms(q_dual).tolist())):
         value = measure ** (alpha / p.dimension - 1.0) * nc * nd
-        samples.append(K0Sample(i, E.label, measure, nc, nd, value))
+        samples.append(K0Sample(i, measure, nc, nd, value))
         if value > best_value:
             best_value, best_index = value, i
     return K0Report(alpha, best_value, best_index, samples)
@@ -334,7 +334,7 @@ def _replaced_sandwich_rows(p, family, tol=1e-6):
         lower = base / (2.0 * holder)
         upper = 2.0 * holder ** 2 * k0_value / duality * base
         ok = lower * (1.0 - tol) <= norm <= upper * (1.0 + tol)
-        rows.append(SandwichRow(i, E.label, measure, hm, norm, lower, upper, ok))
+        rows.append(SandwichRow(i, measure, hm, norm, lower, upper, ok))
     return k0_value, rows
 
 
@@ -357,7 +357,7 @@ def _replaced_iff_check(p, alpha, family, tol=1e-6, identity_tol=1e-9):
                       and sq.value <= 2.0 * sa.value * (1.0 + tol))
         if sa.value > c_conv * rep_p.best_value * rep_q.best_value * (1.0 + tol):
             converse_ok = False
-        rows.append(EquivalenceRow(sa.index, sa.label, sa.value, sp.value, sq.value,
+        rows.append(EquivalenceRow(sa.index, sa.value, sp.value, sq.value,
                                    gap, forward_ok, gap <= identity_tol))
     all_ok = converse_ok and all(r.forward_ok and r.identity_ok for r in rows)
     return EquivalenceReport(rows, c_conv, converse_ok, all_ok)
@@ -385,7 +385,7 @@ def test_family_reads_match_replaced_code_bitwise():
         assert k0alpha_iff_k0_check(p, alpha, family) == _replaced_iff_check(p, alpha, family)
         for E in family:
             inv = mean_inverse_exponent(p, E)
-            assert harmonic_mean(p, E) == (INF if inv == 0.0 else 1.0 / inv), E.label
+            assert harmonic_mean(p, E) == (INF if inv == 0.0 else 1.0 / inv), E.box
 
 
 def test_harmonic_mean_of_an_infinite_exponent_is_inf():
@@ -497,7 +497,7 @@ def test_minimal_cube_scaling_guard_catches_a_missed_window():
     D, box = Cube((2.0,), 2.0), MeasurableSet.from_box(((0.0, 4.0),))
     cells = GridDomain(((0.0, 4.0),), (64,))
     # the box compiles exactly; the mask set reads the table on its grid
-    for E, grid in ((box, None), (MeasurableSet.from_mask(cells, np.ones(64, bool)), cells)):
+    for E, grid in ((box, None), (MeasurableSet(grid_mask=(cells, np.ones(64, bool))), cells)):
         with pytest.raises(ConstructionError, match="smaller mean"):
             minimal_harmonic_mean_cube(p, D, 0.25, E, spacing=1.0)
         q = minimal_harmonic_mean_cube(p, D, 0.25, E, spacing=1.0, verify_scaling=False)
@@ -695,7 +695,7 @@ def _random_mask_case(dimension):
     mask = rng.random(grid.cells) < 0.8
     mask[(slice(0, grid.cells[0] // 4),) * dimension] = False
     axes = [np.linspace(lo + 0.1, hi - 0.1, 15) for lo, hi in D.as_box()]
-    return p, MeasurableSet.from_mask(grid, mask), axes, 0.1
+    return p, MeasurableSet(grid_mask=(grid, mask)), axes, 0.1
 
 
 def _sublevel_case():
@@ -723,7 +723,7 @@ def test_cube_mean_reader_matches_per_cube_means():
 def test_minimal_cube_of_a_mask_set_without_grid_matches_per_cube_means(dimension):
     p, D, r, spacing, grid = _mask_case(dimension)
     rng = np.random.default_rng(10 + dimension)
-    E = MeasurableSet.from_mask(grid, rng.random(grid.cells) < 0.95)
+    E = MeasurableSet(grid_mask=(grid, rng.random(grid.cells) < 0.95))
     got = minimal_harmonic_mean_cube(p, D, r, E, spacing=spacing)
     axes = [_reference_center_lattice(D.center[i], D.radius - r, spacing)
             for i in range(dimension)]
@@ -753,7 +753,7 @@ def test_minimal_cube_raises_what_the_reference_raises():
     tiny = MeasurableSet.from_box(((1.9, 2.1),))
 
     def cells(E):  # the same set as a mask on the grid, which the reference reads there
-        return MeasurableSet.from_mask(grid, E.mask_on(grid))
+        return MeasurableSet(grid_mask=(grid, E.mask_on(grid)))
 
     cases = [
         ((p, Cube((2.0,), 1.0), 1.5, whole), None),

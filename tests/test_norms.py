@@ -36,7 +36,6 @@ from varlp import (
     hm_counterexample,
     holder_constant,
     holder_pairing_check,
-    interval_has_infinite_exponent,
     interval_indicator_modular,
     interval_indicator_norm,
     interval_integral,
@@ -317,9 +316,9 @@ def test_grid_norm_solves_where_the_grid_leaves_the_domain_only_off_the_support(
 
 def test_interval_infinite_exponent_detection():
     p = two_piece_exponent(INF, 2.0)
-    assert interval_has_infinite_exponent(p, 0.0, 0.5)
-    assert interval_has_infinite_exponent(p, 0.5, 1.5)
-    assert not interval_has_infinite_exponent(p, 1.2, 1.8)
+    for (a, b), has_inf in (((0.0, 0.5), True), ((0.5, 1.5), True), ((1.2, 1.8), False)):
+        values = compile_set(p, MeasurableSet.from_box(((a, b),))).values(p)
+        assert np.isinf(values).any() == has_inf, (a, b)
 
 
 # -- constants and pairing -----------------------------------------------------
@@ -466,7 +465,7 @@ def test_set_measure_routes():
     assert box.measure == pytest.approx(3.0, rel=1e-12)
     grid = GridDomain(((0.0, 2.0), (0.0, 2.0)), (64, 64))
     mask = box.mask_on(grid)
-    counted = MeasurableSet.from_mask(grid, mask)
+    counted = MeasurableSet(grid_mask=(grid, mask))
     assert counted.measure == pytest.approx(3.0, rel=1e-12), "grid-aligned box counts exactly"
 
 
@@ -486,27 +485,35 @@ def test_a_box_of_another_dimension_is_refused():
     with pytest.raises(PreconditionError, match="^a 2-D box cannot meet a 1-D box$"):
         MeasurableSet.from_box(square).intersect_box(band)
     with pytest.raises(PreconditionError, match="^a 1-D box on a 2-D grid$"):
-        MeasurableSet.from_mask(grid, np.ones((8, 8))).intersect_box(band)
+        MeasurableSet(grid_mask=(grid, np.ones((8, 8)))).intersect_box(band)
     with pytest.raises(PreconditionError, match="^a 1-D box against a 2-D exponent$"):
         set_norm(p, MeasurableSet.from_box(band))
 
 
 def test_a_set_needs_a_box_or_a_mask():
-    for kwargs in ({}, {"label": "nothing"}):
-        with pytest.raises(PreconditionError, match="^a set needs a box or a cell mask$"):
-            MeasurableSet(**kwargs)
+    with pytest.raises(PreconditionError, match="^a set needs a box or a cell mask$"):
+        MeasurableSet()
 
 
 def test_a_misshaped_mask_is_refused():
     grid = GridDomain(((0.0, 2.0), (0.0, 1.0)), (8, 4))
     makers = (lambda m: MeasurableSet(grid_mask=(grid, m)),
-              lambda m: MeasurableSet(box=((0.0, 1.0), (0.0, 1.0)), grid_mask=(grid, m)),
-              lambda m: MeasurableSet.from_mask(grid, m))
+              lambda m: MeasurableSet(box=((0.0, 1.0), (0.0, 1.0)), grid_mask=(grid, m)))
     for make in makers:
         with pytest.raises(SpecParseError, match="^mask shape does not match grid cells$"):
             make(np.ones((4, 8), dtype=bool))
     E = MeasurableSet(grid_mask=(grid, np.ones((8, 4), dtype=int)))
     assert E.grid_mask[1].dtype == bool and E.measure == 2.0
+
+
+def test_grids_with_equal_axes_share_one_read_only_midpoint_array():
+    a = GridDomain(((0.0, 2.0), (-1.0, 1.0)), (64, 64))
+    b = GridDomain(((0.0, 2.0), (5.0, 7.0)), (64, 64))
+    mids = a.axis_midpoints(0)
+    assert b.axis_midpoints(0) is mids and b.axis_midpoints(1) is not a.axis_midpoints(1)
+    assert mids.tolist() == [0.0 + (i + 0.5) * (2.0 / 64) for i in range(64)]
+    with pytest.raises(ValueError, match="read-only"):
+        mids[0] = 1.0
 
 
 def test_sublevel_set_on_a_grid_wider_than_the_domain():
@@ -1023,7 +1030,7 @@ def test_mask_on_matches_replaced_code(rng):
         def painted(t, box=None):
             # box & {p < t} & mask as one mask set
             E = MeasurableSet.from_sublevel(p, t, domain, within=box)
-            both = MeasurableSet.from_mask(domain, E.grid_mask[1] & mask)
+            both = MeasurableSet(grid_mask=(domain, E.grid_mask[1] & mask))
             return both if box is None else both.intersect_box(box)
 
         for box in boxes:
@@ -1034,7 +1041,7 @@ def test_mask_on_matches_replaced_code(rng):
                           mask))
             cases.append((painted(1.6, box), domain, box, (p, 1.6), mask))
         cases.append((MeasurableSet.from_sublevel(p, 2.0, domain), domain, None, (p, 2.0), None))
-        cases.append((MeasurableSet.from_mask(domain, mask), domain, None, None, mask))
+        cases.append((MeasurableSet(grid_mask=(domain, mask)), domain, None, None, mask))
         cases.append((painted(4.0), domain, None, (p, 4.0), mask))
     for k, (E, domain, *parts) in enumerate(cases):
         got, want = E.mask_on(domain), seed_mask_on(domain, *parts)
@@ -1123,19 +1130,21 @@ def line_exponents(rng):
 
 def seed_compile_interval(p, a, b):
     """Atoms of the indicator of [a, b] as the replaced interval walk built
-    them: one atom per constant-piece segment, bump atoms per bump segment."""
-    ws, raws = [np.zeros(0)], [np.zeros(0)]
+    them: one atom per constant-piece segment, bump atoms per bump segment.
+    The shoulder ends that _bump_atoms returns are kept, so the norms of
+    both walks take the same floor where a shoulder ends on a pole."""
+    ws, raws, ends = [np.zeros(0)], [np.zeros(0)], []
     for piece, lo, hi in seed_effective_segments(p, a, b):
         if isinstance(piece, ConstantPiece):
             ws.append(np.array([hi - lo]))
             raws.append(np.array([piece.value]))
         else:
-            _bump_atoms(piece, lo, hi, ws, raws)
+            ends += _bump_atoms(piece, lo, hi, ws, raws)
     w = np.concatenate(ws)
     keep = w > 0.0
     (dom_lo, dom_hi), = p.domain
     return Distribution(p.pieces, w[keep], 1.0, np.concatenate(raws)[keep],
-                        max(min(b, dom_hi) - max(a, dom_lo), 0.0))
+                        max(min(b, dom_hi) - max(a, dom_lo), 0.0), tuple(ends))
 
 
 def test_interval_segments_match_replaced_code(rng):
@@ -1222,7 +1231,7 @@ def test_interval_that_misses_the_domain_compiles_to_no_atoms():
     assert interval_indicator_norm(p, -2.0, -1.0) == 0.0
     # [2, 4] meets the domain [0, 2] in one point only
     assert interval_indicator_modular(p, 2.0, 4.0, 1.0) == 0.0
-    assert not interval_has_infinite_exponent(p, -2.0, 0.0)
+    assert not np.isinf(compile_set(p, MeasurableSet.from_box(((-2.0, 0.0),))).values(p)).any()
 
 
 def test_box_of_another_dimension_is_refused():
@@ -1329,12 +1338,53 @@ def test_plateau_touching_one_point_is_not_a_level():
     assert p.strata() == Strata(False, True, False)
     assert holder_constant(p) == 1.5
     q = conjugate(p)
-    assert not interval_has_infinite_exponent(q, 0.0, 0.75)
+    assert np.isfinite(compile_set(q, MeasurableSet.from_box(((0.0, 0.75),))).values(q)).all()
     # no sup term for the null set {q = inf}; dense sampling agrees
     norm = interval_indicator_norm(q, 0.0, 0.75)
     assert norm == pytest.approx(0.99999, abs=1e-5)
     grid = GridDomain(((0.0, 0.75),), (10_000,))
     assert luxemburg_norm(GridFunction(grid, np.ones(10_000)), q) == pytest.approx(norm, rel=1e-5)
+
+
+@pytest.mark.parametrize("base, height, direction, alpha", [(2.0, 1.0, -1, 0.0),
+                                                           (1.5, 0.5, 1, 0.5)],
+                         ids=["conjugate", "sobolev"])
+def test_a_shoulder_ending_on_a_pole_floors_the_norm_at_one(base, height, direction, alpha):
+    # the shoulder on [0.5, 0.75] ends at the plateau on a raw value the read
+    # exponent maps to inf (1 for a conjugate, n/alpha = 2 for the dual of
+    # order 1/2), which it meets quadratically: the modular is inf for every
+    # lam < 1 and 0.75 at lam = 1, so the norm is exactly 1
+    p = ExponentFunction(dimension=1, domain=((0.0, 0.75),),
+                         pieces=(one_bump((0.0, 0.75), base, height, direction),))
+    q = conjugate(p) if alpha == 0.0 else sobolev_dual(p, alpha)
+    assert interval_indicator_norm(q, 0.0, 0.75) == 1.0
+    for lam in (0.9, 0.999, 0.99999):
+        assert interval_indicator_modular(q, 0.0, 0.75, lam) == INF
+    assert interval_indicator_modular(q, 0.0, 0.75, 1.0) == pytest.approx(0.75, rel=1e-12)
+    # in a family the rows without such an end keep their own norms
+    sets = [MeasurableSet.from_box(((0.0, b),)) for b in (0.75, 0.4, 0.6)]
+    want = [compile_set(p, E).norm(q) for E in sets]
+    assert _compile_family(p, sets).norms(q).tolist() == want
+    assert want[0] == 1.0 and max(want[1:]) < 1.0
+
+
+def test_a_coarse_center_counts_as_a_whole_bump():
+    # about e^35 the float spacing is 0.25 > 0.01 s, so the center that lies
+    # in the interval counts as one whole bump and the rest is base
+    lo, hi = 1586013452313430.5, 1586013452313435.8
+    assert np.spacing(math.exp(35.0)) == 0.25 and lo < math.exp(35.0) < hi
+    piece = BumpsPiece(((0.0, 1e16),), 1.5, PlateauBump(1.0, 0.25, 0.5),
+                       CenterSequence("exp", rate=1.0, count=40))
+    assert piece.run(lo, hi) == (1, 4.25, [])
+    p = ExponentFunction(dimension=1, domain=((0.0, 1e16),), pieces=(piece,))
+    norm = interval_indicator_norm(p, lo, hi)
+    assert math.isfinite(norm) and norm > 0.0
+
+
+def test_an_empty_interval_has_norm_zero():
+    p = two_piece_exponent(1.5, 3.0)
+    for a in (0.0, 0.5, 1.0, 2.0):
+        assert interval_indicator_norm(p, a, a) == 0.0
 
 
 def sliver_exponent():
