@@ -36,6 +36,7 @@ from .exponent import (
     ConstantPiece,
     ExponentFunction,
     PlateauBump,
+    _check_order,
     conjugate,
     sobolev_dual,
 )
@@ -180,8 +181,7 @@ def blowup_threshold(n, k, alpha):
     """Threshold exponent of level k: (n^2 k + n) / (n^2 k + alpha)."""
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise PreconditionError(f"level index must be a positive integer, got {k}")
-    if not (0.0 <= alpha < n):
-        raise PreconditionError(f"need 0 <= alpha < n = {n}, got {alpha}")
+    _check_order(alpha, n)
     return (n * n * k + n) / (n * n * k + alpha)
 
 
@@ -282,8 +282,7 @@ def build_blowup(p, alpha, t, k_max, cells_per_radius=4):
     n = p.dimension
     if n != 1:
         raise PreconditionError("chain builds are one-dimensional")
-    if not (0.0 <= alpha < n):
-        raise PreconditionError(f"need 0 <= alpha < n = {n}, got {alpha}")
+    _check_order(alpha, n)
     if not 4.0 < t < INF:
         raise PreconditionError(f"need finite t > 4, got t = {t}")
     if not (1 <= int(k_max) <= 10):

@@ -556,11 +556,16 @@ def conjugate(p):
     return replace(p, transforms=p.transforms + (("conjugate",),))
 
 
+def _check_order(alpha, n):
+    """Refuse a fractional order alpha outside [0, n)."""
+    if not (0.0 <= alpha < n):
+        raise PreconditionError(f"need 0 <= alpha < n = {n}, got alpha = {alpha}")
+
+
 def sobolev_dual(p, alpha):
     """Fractional dual exponent 1/q(x) = 1/p(x) - alpha/n, with q = inf where p = n/alpha."""
     n = p.dimension
-    if not (0.0 <= alpha < n):
-        raise PreconditionError(f"need 0 <= alpha < n = {n}, got alpha = {alpha}")
+    _check_order(alpha, n)
     if alpha == 0.0:
         return p
     p_plus = p.bounds()[1]

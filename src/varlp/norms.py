@@ -389,9 +389,9 @@ def _bump_atoms(piece, lo, hi, ws, raws):
     one plateau atom and one atom per shoulder Gauss node, weighted by their
     count; the base length gives one atom.  So a level of BumpsPiece.levels
     is an atom value, and the base is an atom exactly when it is a level.
-    A shoulder stretch of a bump of positive height that ends at distance m
-    or s from its center ends on the plateau value or the base, which the
-    profile meets quadratically; those are the ends returned.
+    Both ends of every shoulder stretch of a bump of positive height are
+    returned as raw values; at distance m or s, or within rounding of it, they
+    are the plateau value or the base, which the profile meets quadratically.
     """
     bump = piece.bump
     s, m = bump.support_halfwidth, bump.plateau_halfwidth
@@ -408,9 +408,8 @@ def _bump_atoms(piece, lo, hi, ws, raws):
             half, midp = 0.5 * (u1 - u0), 0.5 * (u0 + u1)
             ws.append(half * wts)
             raws.append(raw_at(np.abs(midp + half * nodes)))
-            if abs(midp) > m:
-                ends += [piece.top if abs(u) == m else piece.base
-                         for u in (u0, u1) if abs(u) in (m, s)]
+            if m < abs(midp) < s:
+                ends += [float(raw_at(abs(u))) for u in (u0, u1)]
     if whole:
         ends += [piece.top, piece.base]
         half, mid = 0.5 * (s - m), 0.5 * (s + m)

@@ -20,8 +20,8 @@ interval that covers the whole run is a floor for all of its cells, and
 only the tiles of earlier rows and the columns of the run's rows whose
 bound can beat it are computed.  Both maximals skip only values that are
 <= a value they compute, so their results are bitwise those of the full
-search.  Every kernel integral, the Riesz potential's and the pair bound's,
-is one FFT convolution with the kernel at the cell offsets.  Everything uses the
+search.  Every kernel integral is one FFT convolution with a cached kernel
+spectrum; the Riesz potential's holds the self-cell integral.  Everything uses the
 zero-extension convention: a function is 0 outside its grid, and cube
 normalizers are never clipped at the domain boundary.
 """
@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, PreconditionError
-from .exponent import _gauss_nodes
+from .exponent import _check_order, _gauss_nodes
 from .grid import Cube, GridFunction
 
 EXACT = "EXACT"
@@ -192,8 +192,7 @@ def averaging_op(f, E, alpha=0.0):
     alpha outside [0, n).
     """
     n = f.domain.dimension
-    if not (0.0 <= alpha < n):
-        raise PreconditionError(f"need 0 <= alpha < n = {n}, got alpha = {alpha}")
+    _check_order(alpha, n)
     mask = E.mask_on(f.domain)
     if not mask.any():
         raise DomainError("averaging set does not meet the grid")
@@ -360,8 +359,7 @@ def fractional_maximal(f, alpha, radii=EXACT):
     or a scaled value leaves the float range is refused.
     """
     n = f.domain.dimension
-    if not (0.0 <= alpha < n):
-        raise PreconditionError(f"need 0 <= alpha < n = {n}, got alpha = {alpha}")
+    _check_order(alpha, n)
     h = f.domain.h
     radius_list = _radius_list(radii, max(f.domain.cells))
     try:
@@ -617,22 +615,18 @@ def riesz_potential(f, alpha):
     """Fractional integral of f: convolution with the normalized power kernel.
 
     Midpoint quadrature off the diagonal plus the exact self-cell integral, in
-    dimension 1 or 2.  On a uniform grid the kernel depends only on the cell
-    offset, so the sum is one zero-padded FFT convolution.  Data on which the
-    transform leaves the float range is refused.
+    dimension 1 or 2: one FFT convolution with the cached riesz_kernel
+    spectrum the pair bound reads.  Data on which the transform leaves the
+    float range is refused.
     """
     n = f.domain.dimension
     if n > 2:
         raise PreconditionError("potential is implemented for dimensions 1 and 2")
-    gamma = riesz_gamma(alpha, n)
-    h = f.domain.h
-    dist = h * np.sqrt(sum(o.astype(float) ** 2 for o in _offsets(f.domain.cells)))
-    origin = (0,) * n
-    dist[origin] = 1.0
-    kern = dist ** (alpha - n) * f.domain.cell_volume
-    kern[origin] = _self_cell_integral(alpha, n, h)
+    gamma = riesz_gamma(alpha, n)  # first: the self-cell integral divides by alpha
+    spectrum = _kernel_spectrum(riesz_kernel(alpha, n), f.domain,
+                                _self_cell_integral(alpha, n, f.domain.h))
     with np.errstate(over="ignore", invalid="ignore"):
-        out = gamma * _convolve(f.values, np.fft.rfftn(kern))
+        out = gamma * _convolve(f.values, spectrum)
     return GridFunction(f.domain, _finite(out, "the Riesz potential"))
 
 
@@ -743,10 +737,11 @@ class FractionalKernel:
         return self.fn(x - y[:, None])
 
 
+@functools.lru_cache(maxsize=4)
 def riesz_kernel(alpha, n):
-    """The positive power kernel |x - y|^(alpha - n) as a FractionalKernel."""
-    if not (0.0 <= alpha < n):
-        raise PreconditionError(f"need 0 <= alpha < n = {n}, got alpha = {alpha}")
+    """The positive power kernel |x - y|^(alpha - n) as a FractionalKernel;
+    equal (alpha, n) give one object, so the kernel spectrum cache hits."""
+    _check_order(alpha, n)
 
     def fn(z):
         with np.errstate(divide="ignore"):
@@ -774,13 +769,14 @@ class CZOPairReport:
 
 
 @functools.lru_cache(maxsize=4)
-def _kernel_spectrum(kernel, domain):
-    """The read-only rfftn of K at the cell offsets times the cell volume, 0 at
-    offset 0.  It depends only on the kernel and the grid, so a pair check
-    computes it once for all its pairs."""
+def _kernel_spectrum(kernel, domain, origin):
+    """The read-only rfftn of K at the cell offsets times the cell volume, with
+    `origin` at offset 0: the exact self-cell integral for the Riesz potential,
+    0 for the pair bound, which never reads it.  Cached, so a pair check or a
+    repeated potential on one grid computes it once."""
     with np.errstate(over="ignore", invalid="ignore"):
         kern = kernel.fn(domain.h * np.stack(_offsets(domain.cells), axis=-1)) * domain.cell_volume
-    kern[(0,) * domain.dimension] = 0.0
+    kern[(0,) * domain.dimension] = origin
     spectrum = np.fft.rfftn(kern)
     spectrum.flags.writeable = False
     return spectrum
@@ -815,7 +811,7 @@ def czo_pair_lower_bound(kernel, f, pair):
     on_base = np.zeros(f.domain.cells)
     on_base[base] = f.values[base]
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _convolve(on_base, _kernel_spectrum(kernel, f.domain))[partner]
+        vals = _convolve(on_base, _kernel_spectrum(kernel, f.domain, 0.0))[partner]
     lhs_min = float(np.abs(_finite(vals, "the kernel integral")).min())
     return CZOPairReport(t0, applicable, lhs_min, rhs, applicable and lhs_min >= rhs * (1.0 - 1e-6))
 

@@ -623,6 +623,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
       "--seed", "5"], "paircheck_maximal_a0"),
     (["paircheck", "--alpha", "0.5", "--mode", "czo", "--count", "25", "--seed", "3"],
      "paircheck_czo"),
+    (["riesz", "--box=-0.5,0.5", "--alpha", "0.5", "--cells", "256"], "riesz"),
 ])
 def test_maximal_artifacts_match_golden_bytes(argv, golden, tmp_path):
     _assert_golden_bytes(argv, golden, tmp_path)

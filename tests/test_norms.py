@@ -1368,6 +1368,18 @@ def test_a_shoulder_ending_on_a_pole_floors_the_norm_at_one(base, height, direct
     assert want[0] == 1.0 and max(want[1:]) < 1.0
 
 
+def test_a_shoulder_ending_within_rounding_of_the_plateau_floors_the_norm():
+    # the set [0, 0.85] ends at 0.85 - 1.1 = -0.2500000000000001 from the
+    # center, 1.1e-16 short of the plateau edge, where the raw value rounds to
+    # the plateau value 1 and the conjugate is inf: the norm is 1, not the
+    # 0.9999932715614955 a test for an end at exactly m gave
+    well = BumpsPiece(((0.0, 0.85),), 2.0, PlateauBump(1.0, 0.25, 0.5),
+                      CenterSequence("fixed", positions=(1.1,)), -1)
+    q = conjugate(ExponentFunction(dimension=1, domain=((0.0, 0.85),), pieces=(well,)))
+    assert interval_indicator_norm(q, 0.0, 0.85) == 1.0
+    assert interval_indicator_modular(q, 0.0, 0.85, 0.99999) == INF
+
+
 def test_a_coarse_center_counts_as_a_whole_bump():
     # about e^35 the float spacing is 0.25 > 0.01 s, so the center that lies
     # in the interval counts as one whole bump and the rest is base

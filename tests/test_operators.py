@@ -124,6 +124,30 @@ def ref_riesz(f, alpha):
     return (riesz_gamma(alpha, n) * (kern @ f.values.ravel())).reshape(f.domain.cells)
 
 
+def ref_riesz_fft(f, alpha):
+    """riesz_potential as it built its own kernel before it read the cached
+    spectrum: h |z| at every index of the grid doubled in every axis (offset
+    -k at an index k < c, 2c - k from c on), its power times the cell
+    volume, the exact self-cell integral at offset 0, and one zero-padded
+    FFT convolution written out."""
+    dom = f.domain
+    n = dom.dimension
+    ks = [np.arange(2 * c) for c in dom.cells]
+    offsets = np.meshgrid(*[np.where(k < c, -k, 2 * c - k) for k, c in zip(ks, dom.cells)],
+                          indexing="ij")
+    dist = dom.h * np.sqrt(sum(o.astype(float) ** 2 for o in offsets))
+    origin = (0,) * n
+    dist[origin] = 1.0
+    kern = dist ** (alpha - n) * dom.cell_volume
+    kern[origin] = _self_cell_integral(alpha, n, dom.h)
+    shape = tuple(2 * c for c in dom.cells)
+    core = tuple(slice(0, c) for c in dom.cells)
+    fpad = np.zeros(shape)
+    fpad[core] = f.values
+    conv = np.fft.irfftn(np.fft.rfftn(fpad) * np.fft.rfftn(kern), s=shape, axes=tuple(range(n)))
+    return riesz_gamma(alpha, n) * conv[core]
+
+
 # large enough that the maximal's radii span several blocks
 PARITY_GRIDS = [
     GridDomain(((0.0, 1.0),), (1100,)),
@@ -846,6 +870,42 @@ def test_riesz_matches_dense_oracle(cells, rng):
         )
 
 
+def test_riesz_potential_matches_replaced_kernel_build(rng):
+    # on a line the cached riesz_kernel spectrum holds the bits of the
+    # replaced build, so the potential does too
+    for cells in (256, 1000, 4000):
+        f = GridFunction(line_grid(-0.5, 0.5, cells), rng.uniform(0.0, 1.0, cells))
+        for alpha in (0.25, 0.5, 0.9):
+            got, want = riesz_potential(f, alpha).values, ref_riesz_fft(f, alpha)
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()], (
+                f"{cells} cells, alpha={alpha}")
+    # in the plane the kernel reads the norm of h z, not h times the norm of z
+    for c in (48, 64, 100, 256):
+        plane = GridDomain(((-0.5, 0.5), (-0.5, 0.5)), (c, c))
+        f = GridFunction(plane, rng.uniform(0.0, 1.0, (c, c)))
+        for alpha in (0.5, 1.5):
+            got, want = riesz_potential(f, alpha).values, ref_riesz_fft(f, alpha)
+            assert np.max(np.abs(got - want) / want) <= 1e-15, f"{c}^2 cells, alpha={alpha}"
+
+
+def test_riesz_potential_reuses_the_cached_kernel_spectrum():
+    operators._kernel_spectrum.cache_clear()
+    ones, twos = (GridFunction(line_grid(0.0, 1.0, 300), np.full(300, v)) for v in (1.0, 2.0))
+    first = riesz_potential(ones, 0.5).values
+    info = operators._kernel_spectrum.cache_info()
+    # an equal grid and order read the spectrum the first call computed
+    assert riesz_kernel(0.5, 1) is riesz_kernel(0.5, 1)
+    assert riesz_potential(twos, 0.5).values.tolist() == (2.0 * first).tolist()
+    assert operators._kernel_spectrum.cache_info().hits == info.hits + 1
+    # the pair bound's spectrum of the same kernel and grid is 0 at offset 0,
+    # an entry of its own
+    pair = make_tu_pair(Cube((0.1,), 0.05), 8.0)
+    want = czo_pair_lower_bound(riesz_kernel(0.5, 1), ones, pair).lhs_min
+    assert operators._kernel_spectrum.cache_info().currsize == info.currsize + 1
+    operators._kernel_spectrum.cache_clear()
+    assert czo_pair_lower_bound(riesz_kernel(0.5, 1), ones, pair).lhs_min.hex() == want.hex()
+
+
 def test_riesz_potential_runs_past_twenty_thousand_cells():
     grid = line_grid(0.0, 1.0, 20001)
     f = GridFunction(grid, np.ones(20001))
@@ -1204,7 +1264,7 @@ def test_czo_kernel_spectrum_cache_keeps_each_kernel_and_grid_apart():
         for kernel, f, pair, want in cases + cases[::-1]:
             assert czo_pair_lower_bound(kernel, f, pair).lhs_min.hex() == want.hex()
     assert operators._kernel_spectrum.cache_info().currsize == 4
-    spectrum = operators._kernel_spectrum(wavy, cases[0][1].domain)
+    spectrum = operators._kernel_spectrum(wavy, cases[0][1].domain, 0.0)
     with pytest.raises(ValueError, match="read-only"):
         spectrum[0] = 0.0
 
