@@ -125,8 +125,7 @@ def build_l1_failure(alpha, r_max=1000.0):
     1, 2, 4, ..., r_max, measured and analytic window modulars, and the two
     slopes of the modular against log R (least squares over the ladder tail).
     """
-    if not (0.0 <= alpha < 1.0):
-        raise PreconditionError(f"need 0 <= alpha < 1, got {alpha}")
+    _check_order(alpha, 1)
     r_max = float(r_max)
     if not (4.0 <= r_max < INF):
         raise PreconditionError(f"window maximum must be finite and at least 4, got {r_max}")
@@ -293,6 +292,11 @@ def build_blowup(p, alpha, t, k_max, cells_per_radius=4):
     sqrt_n = math.sqrt(n)
     width = t * sqrt_n + 2.0
     rho = 2.0 ** (k_max - 1) * width
+    # level k's D spans 2^(k-1) level-1 counts; the tolerance of GridDomain.from_spacing
+    count = 2.0 * cells_per_radius * width
+    if abs(count - round(count)) > 1e-9 * count:
+        raise PreconditionError(f"t = {t} puts {count:.9g} cells across the level-1 cube D, "
+                                f"not a whole number")
     if 2.0 * cells_per_radius * rho * rho > _MAX_BLOWUP_WORK:
         raise PreconditionError(f"level {k_max} at t = {t}: 2 * cells_per_radius * rho^2 exceeds "
                                 f"{_MAX_BLOWUP_WORK} at rho = {rho:.4g} radii")
@@ -732,6 +736,15 @@ def build_ex62(count=4 * 10 ** 15):
     )
 
 
+def _check_train(alpha, p_minus, p_plus):
+    """Refuse a train outside 0 < alpha < 1 and 1 < p_minus < p_plus < 1/alpha."""
+    if not (0.0 < alpha < 1.0):
+        raise PreconditionError(f"need 0 < alpha < 1, got {alpha}")
+    if not (1.0 < p_minus < p_plus < 1.0 / alpha):
+        raise PreconditionError(f"need 1 < p_minus < p_plus < 1/alpha, "
+                                f"got {p_minus}, {p_plus}, 1/{alpha}")
+
+
 def build_ex63(alpha, p_minus, p_plus, count=10 ** 15):
     """Well train from p_plus down to p_minus spreading at rate p_plus/p_minus.
 
@@ -739,12 +752,7 @@ def build_ex63(alpha, p_minus, p_plus, count=10 ** 15):
     fractional dual loses it along the witness sequence.
     Requires 1 < p_minus < p_plus < 1/alpha.
     """
-    if not (0.0 < alpha < 1.0):
-        raise PreconditionError(f"need 0 < alpha < 1, got {alpha}")
-    if not (1.0 < p_minus < p_plus < 1.0 / alpha):
-        raise PreconditionError(
-            f"need 1 < p_minus < p_plus < 1/alpha, got {p_minus}, {p_plus}, 1/{alpha}"
-        )
+    _check_train(alpha, p_minus, p_plus)
     q_minus = 1.0 / (1.0 / p_minus - alpha)
     q_plus = 1.0 / (1.0 / p_plus - alpha)
     beta_p = p_plus / p_minus
@@ -781,12 +789,7 @@ def build_ex64(alpha, p_minus, p_plus, count=10 ** 15):
     conjugate exponent loses it along the witness sequence.
     Requires 1 < p_minus < p_plus < 1/alpha.
     """
-    if not (0.0 < alpha < 1.0):
-        raise PreconditionError(f"need 0 < alpha < 1, got {alpha}")
-    if not (1.0 < p_minus < p_plus < 1.0 / alpha):
-        raise PreconditionError(
-            f"need 1 < p_minus < p_plus < 1/alpha, got {p_minus}, {p_plus}, 1/{alpha}"
-        )
+    _check_train(alpha, p_minus, p_plus)
     conj_plus = p_minus / (p_minus - 1.0)
     conj_minus = p_plus / (p_plus - 1.0)
     beta_conj = p_minus * (p_plus - 1.0) / (p_plus * (p_minus - 1.0))

@@ -544,11 +544,7 @@ class ExponentFunction:
 
 def evaluate(p, x):
     """Exponent value at a single point."""
-    if p.dimension == 1:
-        pts = np.asarray([x], dtype=float)
-    else:
-        pts = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(p.values(pts)[0])
+    return float(p.values(x)[0])
 
 
 def conjugate(p):

@@ -6,6 +6,7 @@ exact for such functions, which is what makes the operator identities
 checkable at tight tolerances.  A closed box covers the cells whose
 midpoints it contains; GridDomain.box_cells finds them for every caller,
 from midpoints that are built once per distinct axis and shared read-only.
+A measurable set is a box or a read-only cell mask on one grid.
 """
 
 from __future__ import annotations
@@ -198,30 +199,30 @@ class Cube:
 
 @dataclass(eq=False)
 class MeasurableSet:
-    """A box, a cell mask on the grid it was built on, or both.
+    """A box, exact on any grid, or a cell mask on the grid it was built on.
 
-    The set is (box) & (mask), where the box is absent for a mask over its
-    whole grid and the mask is absent for a pure box.  A pure box is exact:
-    it has an exact measure and covers its cells on any grid.  A set with a
-    mask, MeasurableSet(grid_mask=(grid, mask)), is read on its own grid
-    only; from_sublevel paints {p < threshold} onto its grid once.
+    A mask set, MeasurableSet(grid_mask=(grid, mask)), keeps a read-only
+    copy of the mask, cut by a box given with it (as by intersect_box), and
+    is read on its own grid only; from_sublevel paints {p < threshold}.
     """
 
     box: tuple | None = None
     grid_mask: tuple | None = None
 
     def __post_init__(self):
-        if self.box is not None:
-            self.box = as_box(self.box)
         if self.grid_mask is None:
             if self.box is None:
                 raise PreconditionError("a set needs a box or a cell mask")
+            self.box = as_box(self.box)
             return
         domain, mask = self.grid_mask
-        mask = np.asarray(mask, dtype=bool)
+        mask = np.array(mask, dtype=bool)
         if mask.shape != tuple(domain.cells):
             raise SpecParseError("mask shape does not match grid cells")
-        self.grid_mask = (domain, mask)
+        if self.box is not None:
+            mask &= _window(as_box(self.box), domain)
+        mask.flags.writeable = False
+        self.box, self.grid_mask = None, (domain, mask)
 
     @classmethod
     def from_box(cls, box):
@@ -235,44 +236,37 @@ class MeasurableSet:
     def from_sublevel(cls, p, threshold, grid, within=None):
         """The cells of grid in the box within (all cells when None) where
         p < threshold at the midpoint; p need cover those window cells only."""
-        box = as_box(within) if within is not None else None
-        mask = _window(box, grid)
+        mask = _window(as_box(within) if within is not None else None, grid)
         if mask.any():
             mask &= p.values_on(grid, where=mask) < float(threshold)
-        return cls(box=box, grid_mask=(grid, mask))
+        return cls(grid_mask=(grid, mask))
 
     def intersect_box(self, box):
-        box = as_box(box)
-        if self.box is not None:
-            both = box_intersect(self.box, box)
-            if both is None:
-                raise DomainError("intersection with box is empty")
-            box = both
-        elif len(box) != self.grid_mask[0].dimension:
-            raise PreconditionError(f"a {len(box)}-D box on a "
-                                    f"{self.grid_mask[0].dimension}-D grid")
-        return MeasurableSet(box=box, grid_mask=self.grid_mask)
+        if self.grid_mask is not None:
+            return MeasurableSet(box=box, grid_mask=self.grid_mask)
+        both = box_intersect(self.box, as_box(box))
+        if both is None:
+            raise DomainError("intersection with box is empty")
+        return MeasurableSet(box=both)
 
     def is_box(self):
         return self.grid_mask is None
 
     @property
     def measure(self):
-        """Exact for a pure box; else the mask's cells in the box window
-        times the cell volume."""
+        """Exact for a box; else the mask's cells times the cell volume."""
         if self.grid_mask is None:
             return box_volume(self.box)
-        domain = self.grid_mask[0]
-        return float(self.mask_on(domain).sum()) * domain.cell_volume
+        domain, mask = self.grid_mask
+        return float(np.count_nonzero(mask)) * domain.cell_volume
 
     def mask_on(self, domain):
-        out = _window(self.box, domain)
-        if self.grid_mask is not None:
-            mdom, m = self.grid_mask
-            if mdom.box != domain.box or mdom.cells != domain.cells:
-                raise PreconditionError("mask grid does not match the evaluation grid")
-            out &= m
-        return out
+        if self.grid_mask is None:
+            return _window(self.box, domain)
+        mdom, mask = self.grid_mask
+        if mdom.box != domain.box or mdom.cells != domain.cells:
+            raise PreconditionError("mask grid does not match the evaluation grid")
+        return mask
 
 
 @functools.lru_cache(maxsize=4)

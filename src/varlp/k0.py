@@ -324,8 +324,7 @@ def _cube_mean_reader(p, E):
 
         return exact_means
 
-    grid = E.grid_mask[0]
-    mask = E.mask_on(grid)
+    grid, mask = E.grid_mask
     table = np.zeros((2,) + mask.shape)
     table[0][mask] = 1.0 / p.values_on(grid, mask)[mask]
     table[1] = mask

@@ -77,6 +77,8 @@ _CONTRACT_STEPS = 64
 _TABLE_BLOCK = 1 << 18
 # relative slack of the bound in holder_pairing_check
 _PAIRING_TOL = 1e-6
+# the least set measure whose norm is read (see Distribution.norms)
+_LEAST_MEASURE = (1.0 + 1e-9) / np.finfo(float).max
 
 
 # -- compiled distributions ---------------------------------------------------
@@ -163,7 +165,14 @@ class Distribution:
             return float(_modular(*self._split(q), lam))
 
     def norms(self, q):
-        """Luxemburg norm in q of every compiled set, all rows in one solve."""
+        """Luxemburg norm in q of every compiled set, all rows in one solve.
+
+        The repair of the root reads (f / lam)^v, 1 / measure at the root of
+        an indicator, so a set whose reciprocal measure overflows is refused."""
+        tiny = (self.measure > 0.0) & (self.measure < _LEAST_MEASURE)
+        if np.count_nonzero(tiny):
+            raise PreconditionError(f"set measure {float(np.extract(tiny, self.measure)[0])!r} "
+                                    f"is too small: its reciprocal overflows")
         w, f, v, sup = self._split(q)
         one = v.ndim == 1  # one set: a batch of one
         lam = _norms(_one_row(w), _one_row(f), v[None], sup[None]) if one else _norms(w, f, v, sup)
@@ -501,8 +510,7 @@ def compile_set(p, E):
     """
     if E.is_box():
         return _compile_box(p, E.box)
-    domain = E.grid_mask[0]
-    return _compile_cells(p, domain, E.mask_on(domain), 1.0)
+    return _compile_cells(p, *E.grid_mask, 1.0)
 
 
 def set_norm(p, E):

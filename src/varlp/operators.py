@@ -491,8 +491,7 @@ def _uncentered_on(f, alpha, lo, hi):
     the max over the whole table.  Data on which an interval value leaves
     the float range is refused.
     """
-    if not (0.0 <= alpha < 1.0):
-        raise PreconditionError(f"need 0 <= alpha < 1, got {alpha}")
+    _check_order(alpha, 1)
     h = f.domain.h
     n_cells = f.values.shape[0]
     cum = np.concatenate([[0.0], np.cumsum(np.abs(f.values))]) * h

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line runner (in-process, apart from one
 fresh-interpreter import check)."""
 
+import argparse
 import json
 import math
 import os
@@ -232,9 +233,15 @@ def test_grid_size_budgets_refuse_before_any_grid(argv, flag, values, tmp_path, 
     # a chain family past the work ceiling: 8e24 and then inf
     ["blowup", "--t", "1e12", "--k", "1"],
     ["blowup", "--t", "1e300", "--k", "1"],
+    # a set of measure 1e-310: 1 / measure overflows in the norm's repair
+    ["norm", "--box", "0,1e-310"],
+    ["k0scan", "--alpha", "0.25", "--vol-min", "1e-320", "--vol-max", "1e-310"],
+    # the level-1 cube D spans 48.8 and 95.2 cells
+    ["blowup", "--alpha", "0.25", "--t", "4.1", "--k", "2"],
+    ["blowup", "--alpha", "0.25", "--t", "9.9", "--k", "2"],
 ])
 def test_bad_input_ends_with_an_error_line(argv, tmp_path, capsys):
-    if argv[0] == "k0scan":
+    if argv[0] in ("k0scan", "norm"):
         argv = argv + ["--spec", write_spec(tmp_path, TWO_PIECE)]
     out = tmp_path / "run"
     assert main(argv + ["--out", str(out)]) == 1
@@ -508,6 +515,21 @@ def test_blowup_bad_t_exits_1(tmp_path, capsys):
     code = main(["blowup", "--t", "4", "--out", str(tmp_path / "o")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["4.5", "5", "5.5", "7.25"])
+def test_blowup_builds_at_a_whole_level_one_cell_count(t, tmp_path):
+    assert main(["blowup", "--alpha", "0.25", "--t", t, "--k", "2",
+                 "--out", str(tmp_path / "o")]) == 0
+
+
+def test_every_subcommand_takes_a_seed():
+    # the benchmark appends --seed to every README command
+    parser = cli.build_parser()
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name in sub.choices:
+        positional = ["EX61"] if name == "example" else []
+        assert parser.parse_args([name, *positional, "--seed", "7"]).seed == 7, name
 
 
 def test_cli_import_does_not_load_scipy():

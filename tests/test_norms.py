@@ -506,6 +506,32 @@ def test_a_misshaped_mask_is_refused():
     assert E.grid_mask[1].dtype == bool and E.measure == 2.0
 
 
+def test_sets_of_equal_cells_cut_alike():
+    # a sublevel set cut to a window and a mask of the same cells are one set
+    p = load_spec(os.path.join(os.path.dirname(__file__), "data", "twopiece.json"))
+    grid = GridDomain(((0.0, 2.0),), (64,))
+    painted = MeasurableSet.from_sublevel(p, 1.5, grid, within=((0.0, 1.0),))
+    given = MeasurableSet(grid_mask=(grid, painted.mask_on(grid)))
+    boxed = MeasurableSet(box=((0.0, 1.0),), grid_mask=(grid, np.ones(64, dtype=bool)))
+    for E in (painted, given, boxed):
+        assert E.box is None and E.measure == 1.0
+        assert np.array_equal(E.mask_on(grid), np.arange(64) < 32)
+        cut = E.intersect_box(((1.5, 2.0),))
+        assert cut.box is None and cut.grid_mask is not None and cut.measure == 0.0
+        with pytest.raises(PreconditionError, match="^set has no cells on this grid$"):
+            harmonic_mean(p, cut)
+
+
+def test_a_mask_set_keeps_a_read_only_copy_of_its_mask():
+    grid = GridDomain(((0.0, 1.0),), (8,))
+    mask = np.arange(8) < 4
+    E = MeasurableSet(grid_mask=(grid, mask))
+    mask[:] = False
+    assert E.measure == 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        E.grid_mask[1][0] = False
+
+
 def test_grids_with_equal_axes_share_one_read_only_midpoint_array():
     a = GridDomain(((0.0, 2.0), (-1.0, 1.0)), (64, 64))
     b = GridDomain(((0.0, 2.0), (5.0, 7.0)), (64, 64))
@@ -570,6 +596,16 @@ def test_norm_at_the_ends_of_the_float_range(route, size, pv):
         got = interval_indicator_norm(p, 0.0, size)
         want = size
     assert got == pytest.approx(want, rel=1e-10, abs=0.0), f"{route} {size:g} p={pv}: {got!r}"
+
+
+@pytest.mark.parametrize("pv", [1.0, 4.0 / 3.0, 2.0, 5.0])
+def test_an_interval_whose_reciprocal_length_overflows_has_no_norm(pv):
+    # the repair of the root reads (1 / lam)^p = 1 / L, which is inf at 1e-310
+    p = ExponentFunction.constant(pv, ((0.0, 1.0),))
+    with pytest.raises(PreconditionError, match="^set measure 1e-310 is too small"):
+        interval_indicator_norm(p, 0.0, 1e-310)
+    assert interval_indicator_norm(p, 0.0, 1e-308) == pytest.approx(1e-308 ** (1.0 / pv),
+                                                                     rel=1e-12, abs=0.0)
 
 
 # -- reference copies of the replaced code ---------------------------------------
