@@ -44,6 +44,7 @@ from .grid import Cube, GridDomain, GridFunction, MeasurableSet
 from .k0 import _k0_report, k0alpha_constant, minimal_harmonic_mean_cube
 from .norms import (
     _compile_family,
+    _family_row,
     _harmonic_means,
     compile_set,
     duality_constant,
@@ -841,15 +842,13 @@ def _witness_target_exponent(spec):
     raise PreconditionError(f"{spec.name} has no witness sequence")
 
 
-def _witness_scale(target, spec, j):
-    """(dist, measure, mean, lambda = j * measure^(1/mean)) of the j-th
-    witness interval, its mean and norm read from one compile against target."""
-    a, b = witness_interval(spec, j)
-    interval = MeasurableSet.from_box(((a, b),))
-    dist = compile_set(target, interval)
+def _witness_scale(target, dist, interval, j):
+    """(measure, mean, lambda = j * measure^(1/mean)) of the j-th witness
+    interval, its mean read from dist, the interval compiled against target."""
+    (a, b), = interval.box
     measure = b - a
     mean = float(_harmonic_means(dist, target, [interval])[0])
-    return dist, measure, mean, j * measure ** (1.0 / mean)
+    return measure, mean, j * measure ** (1.0 / mean)
 
 
 def witness_check(spec, j_values):
@@ -859,16 +858,21 @@ def witness_check(spec, j_values):
     the scale lambda = j * measure^(1/mean), and the modular of the scaled
     indicator, which at or above 1 certifies norm >= lambda.  For EX62 the
     mean bound is a fixed threshold (5); for EX63/EX64 the bound is
-    (top + rate * bottom)/2 from j >= 2.
+    (top + rate * bottom)/2 from j >= 2.  The intervals compile as one
+    family, and each j reads its own row as one compiled set.
     """
     target = _witness_target_exponent(spec)
     mean_floor = 5.0 if spec.name == "EX62" else spec.witnesses["mean_floor"]
-    rows = []
-    for j in j_values:
-        j = int(j)
+    js = [int(j) for j in j_values]
+    for j in js:
         if j < 2:
             raise PreconditionError(f"witness indices start at 2, got {j}")
-        dist, measure, mean, lam = _witness_scale(target, spec, j)
+    sets = [MeasurableSet.from_box((witness_interval(spec, j),)) for j in js]
+    family = _compile_family(target, sets)
+    rows = []
+    for r, (j, interval) in enumerate(zip(js, sets)):
+        dist = _family_row(family, r)
+        measure, mean, lam = _witness_scale(target, dist, interval, j)
         rho = dist.modular(target, lam)
         rows.append(
             {
@@ -889,8 +893,9 @@ def witness_norm_check(spec, j):
     """Direct norm solve for one witness index: returns (norm, lambda).
     The mean and the norm read one compiled interval."""
     target = _witness_target_exponent(spec)
-    dist, _, _, lam = _witness_scale(target, spec, j)
-    return dist.norm(target), lam
+    interval = MeasurableSet.from_box((witness_interval(spec, j),))
+    dist = compile_set(target, interval)
+    return dist.norm(target), _witness_scale(target, dist, interval, j)[2]
 
 
 def two_sided_interval_check(spec, intervals=None, seed=0):

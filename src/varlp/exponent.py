@@ -223,6 +223,25 @@ class CenterSequence:
             k_last -= 1
         return k_first, min(k_last, self.count)
 
+    def _index_ranges(self, lo, hi):
+        """index_range_in over arrays of (lo, hi): the same guess and scan,
+        every entry at once.  A k_first past count reads count + 1 (the
+        range is empty either way)."""
+        if self.kind == "fixed":
+            pos = np.asarray(self.positions, dtype=float)
+            return np.searchsorted(pos, lo, side="left") + 1, np.searchsorted(pos, hi, side="right")
+        top = self.count + 3.0
+        a = np.minimum(self.real_index(np.maximum(lo, 0.0)), top)
+        b = np.minimum(self.real_index(np.maximum(hi, 0.0)), top)
+        k_first = np.maximum(1, np.floor(a).astype(np.int64) - 2)
+        k_last = np.minimum(self.count, np.ceil(b).astype(np.int64) + 2)
+        with np.errstate(over="ignore"):
+            while (step := (k_first <= self.count) & (self.position(k_first) < lo)).any():
+                k_first += step
+            while (step := (k_last >= 1) & (self.position(k_last) > hi)).any():
+                k_last -= step
+        return k_first, k_last
+
     def nearest_distance(self, x):
         """Distance from each point of x to the closest center (vectorized)."""
         x = np.asarray(x, dtype=float)
@@ -342,6 +361,38 @@ class BumpsPiece:
         if not base_len > 1e-12 * max(1.0, hi - lo):
             base_len = 0.0
         return whole, base_len, windows
+
+    def _runs(self, lo, hi):
+        """run over arrays of (lo, hi), every run at once.
+
+        Returns (whole, base_len, o0, o1, straddles): whole and base_len per
+        run, and per run and candidate bump (the up to ten that run scans,
+        in its order) the window (o0, o1) where straddles holds.  Every step
+        is run's arithmetic in run's order, so each run splits bitwise as
+        run splits it alone."""
+        s = self.bump.support_halfwidth
+        k_in_first, k_in_last = self.centers._index_ranges(lo + s, hi - s)
+        k_any_first, k_any_last = self.centers._index_ranges(lo - s, hi + s)
+        offsets = np.arange(5)
+        k = np.hstack([k_any_first[:, None] + offsets, k_any_last[:, None] - 4 + offsets])
+        # the second five skip what the first five hold
+        scan = k <= k_any_last[:, None]
+        scan[:, 5:] &= k[:, 5:] >= k_any_first[:, None] + 5
+        scan &= (k < k_in_first[:, None]) | (k > k_in_last[:, None])
+        whole = np.maximum(0, k_in_last - k_in_first + 1)
+        base_len = hi - lo - whole * 2.0 * s
+        c = self.centers.position(np.where(scan, k, 1))
+        lo_, hi_ = lo[:, None], hi[:, None]
+        scan &= np.minimum(hi_, c + s) > np.maximum(lo_, c - s)
+        coarse = np.spacing(np.abs(c)) > 0.01 * s
+        o0, o1 = np.maximum(lo_ - c, -s), np.minimum(hi_ - c, s)
+        straddles = scan & ~coarse & (o0 < o1)
+        counted = scan & coarse & (lo_ <= c) & (c <= hi_)
+        for cover in np.where(counted, 2.0 * s, np.where(straddles, o1 - o0, 0.0)).T:
+            base_len = base_len - cover  # one candidate at a time, in run's order
+        whole = whole + np.count_nonzero(counted, axis=1)
+        base_len = np.where(base_len > 1e-12 * np.maximum(1.0, hi - lo), base_len, 0.0)
+        return whole, base_len, o0, o1, straddles
 
     def levels(self, run):
         """Raw levels taken on positive length in a run (see run): the base

@@ -308,17 +308,20 @@ def _center_lattice(x, half_range, spacing):
 
 def _cube_mean_reader(p, E):
     """means(axes, radius): mean of 1/p (1/inf = 0) over E cap Q for cubes Q
-    centered on the outer product of axes.  A mask set is read on its own
-    grid: Q takes its cells per axis from GridDomain.box_cells and its sums
-    from the 2^n corners of one zero-padded summed-area table of 1/p and 1
-    on E, and the mean is nan where Q has no cells of E.  For a box E all
-    the boxes E cap Q compile as one family (see norms._compile_family) and
-    their means are read from its rows; a cube outside the domain raises,
-    as for one set."""
+    centered on the outer product of axes, of one radius or of one radius
+    per cube (an array that broadcasts to the product's shape).  A mask set
+    is read on its own grid: Q takes its cells per axis from
+    GridDomain.box_cells and its sums from the 2^n corners of one
+    zero-padded summed-area table of 1/p and 1 on E, and the mean is nan
+    where Q has no cells of E.  For a box E all the boxes E cap Q compile as
+    one family (see norms._compile_family) and their means are read from its
+    rows; a cube outside the domain raises, as for one set."""
     if E.is_box():
         def exact_means(axes, radius):
             shape = tuple(len(a) for a in axes)
-            sets = [E.intersect_box(Cube([a[i] for a, i in zip(axes, idx)], radius).as_box())
+            radii = np.broadcast_to(radius, shape)
+            sets = [E.intersect_box(Cube([a[i] for a, i in zip(axes, idx)],
+                                         float(radii[idx])).as_box())
                     for idx in np.ndindex(shape)]
             return _mean_inverses(_compile_family(p, sets), p, sets).reshape(shape)
 
@@ -333,11 +336,18 @@ def _cube_mean_reader(p, E):
     table = np.pad(table, [(0, 0)] + [(1, 0)] * grid.dimension)
 
     def grid_means(axes, radius):
-        sums = table
-        cells = grid.box_cells([(a - radius, a + radius) for a in axes])
-        for axis, run in enumerate(cells):
-            sums = np.take(sums, run.stop, axis=axis + 1) - np.take(sums, run.start, axis=axis + 1)
-        inv, count = sums
+        centers = np.meshgrid(*axes, indexing="ij", sparse=True)
+        cells = grid.box_cells([(c - radius, c + radius) for c in centers])
+
+        def sums(axis, corner):
+            # the differences along axes 0..axis of the table at corner
+            # (the indices of the later axes), axis 0 innermost
+            if axis < 0:
+                return table[(slice(None),) + corner]
+            run = cells[axis]
+            return sums(axis - 1, (run.stop,) + corner) - sums(axis - 1, (run.start,) + corner)
+
+        inv, count = sums(grid.dimension - 1, ())
         return np.divide(inv, count, out=np.full(count.shape, np.nan), where=count > 0)
 
     return grid_means
@@ -384,13 +394,26 @@ def minimal_harmonic_mean_cube(p, D, r, E, spacing=None, verify_scaling=True):
     best_mean = INF if best_inv == 0.0 else 1.0 / best_inv
 
     m_max = int(R * (1.0 + 1e-12) / r) if verify_scaling else 1
-    for m in range(2, m_max + 1):
-        for i in range(n):
+    # the sampled radius-m*r cubes along one axis, every m, are read at once
+    # and checked in (m, axis, lattice) order
+    scales = range(2, m_max + 1)
+    scaled = {}
+    for i in range(n if scales else 0):
+        lats = []
+        for m in scales:
             lat = _center_lattice(D.center[i], R - m * r, spacing)
-            lat = lat[np.unique(np.linspace(0, len(lat) - 1, min(len(lat), 9)).astype(int))]
-            axes_m = [lat if j == i else np.array([D.center[j]]) for j in range(n)]
-            with np.errstate(divide="ignore"):
-                mean_m = 1.0 / means(axes_m, m * r)
+            lats.append(lat[np.unique(np.linspace(0, len(lat) - 1, min(len(lat), 9)).astype(int))])
+        sizes = [len(lat) for lat in lats]
+        along = [-1 if j == i else 1 for j in range(n)]
+        radii = np.repeat([m * r for m in scales], sizes).reshape(along)
+        with np.errstate(divide="ignore"):
+            mean = 1.0 / means([np.concatenate(lats) if j == i else np.array([D.center[j]])
+                                for j in range(n)], radii)
+        for m, lat, mean_m in zip(scales, lats, np.split(mean, np.cumsum(sizes)[:-1], axis=i)):
+            scaled[m, i] = [lat if j == i else np.array([D.center[j]]) for j in range(n)], mean_m
+    for m in scales:
+        for i in range(n):
+            axes_m, mean_m = scaled[m, i]
             beaten = np.argwhere(best_mean > mean_m + 1e-9)
             if len(beaten):
                 idx = tuple(beaten[0])

@@ -31,10 +31,13 @@ is constant and every set a box, the rows come from one level-volume
 table per call: the domain cut at every piece edge into cells, each
 labelled with the distinct value of the piece that owns it, so the volume
 a box owns at each value is a sum of clipped cell volumes and no box
-compiles alone.  Bump exponents and mask sets compile each set through
-the routes above and pad it into the matrix.  A single box
-keeps the box route: it cuts only the box, not the whole domain, and
-gives one atom per piece.
+compiles alone.  When the exponent is a line with bump pieces and every set
+an interval, the domain is cut once, each run of cells a bump piece owns
+splits for every interval at once, and the atoms land in the rows in the
+order the box route gives them, so each row is bitwise that route's
+compile of its set.  Mask sets compile each set through the grid route and
+pad it into the matrix.  A single box keeps the box route: it cuts only
+the box, not the whole domain, and splits its runs on Python floats.
 
 An integral of g(p) over a compiled set is the sum of w_i g(v_i) over its
 atoms.  The Luxemburg norm lam = exp(t) solves
@@ -63,6 +66,7 @@ from .exponent import (
     _first_piece_cells,
     _gauss_nodes,
     _owned_parts,
+    _owned_runs,
     _tf_array,
     box_intersect,
     box_volume,
@@ -213,8 +217,21 @@ def _col(x):
 
 
 def _modular(w, f, v, sup, lam):
-    """Per row: the sum over its atoms of w (f / lam)^v, plus sup / lam."""
-    return np.add.reduce(w * (f / _col(lam)) ** v, axis=-1) + sup / lam
+    """Per row: the sum over its atoms of w (f / lam)^v, plus sup / lam.
+
+    A term (f / lam)^v can overflow where w is small enough that w times it
+    is finite, as for a subnormal w; a row whose sum overflowed is read
+    again in the log domain."""
+    rho = np.add.reduce(w * (f / _col(lam)) ** v, axis=-1) + sup / lam
+    # a lone row's sum is a numpy float, compared faster than isinf reads it
+    if np.isinf(rho).any() if rho.ndim else rho == INF:
+        with np.errstate(divide="ignore"):
+            e = np.log(w) + v * (np.log(f) - np.log(_col(lam)))
+        top = np.maximum.reduce(e, axis=-1, keepdims=True)
+        top = np.where(np.isfinite(top), top, 0.0)
+        again = np.exp(top[..., 0] + np.log(np.add.reduce(np.exp(e - top), axis=-1))) + sup / lam
+        rho = np.where(np.isinf(rho), again, rho)
+    return rho
 
 
 def _norms(w, f, v, sup):
@@ -571,15 +588,19 @@ def harmonic_mean(p, E):
 def _compile_family(p, sets):
     """Compile every set of a family against p, row r for sets[r].
 
-    When every piece is constant and every set a box, all rows are read
-    from one level-volume table (see _box_rows); otherwise each set
-    compiles alone through compile_set and its atoms are padded into the
-    rows.  Errors are those of compile_set for the first set that fails.
+    When every set is a box, all rows come in one pass: from one
+    level-volume table when every piece is constant (see _box_rows), and
+    on a line with bump pieces from one cut of the domain (see _line_rows).
+    Otherwise, and for a lone box, each set compiles alone through
+    compile_set and its atoms are padded into the rows.  Errors are those
+    of compile_set for the first set that fails.
     """
     sets = list(sets)
-    if all(isinstance(piece, ConstantPiece) for piece in p.pieces) and all(
-            E.is_box() for E in sets):
-        return _box_rows(p, [E.box for E in sets])
+    if all(E.is_box() for E in sets):
+        if all(isinstance(piece, ConstantPiece) for piece in p.pieces):
+            return _box_rows(p, [E.box for E in sets])
+        if len(sets) > 1 and all(len(E.box) == p.dimension == 1 for E in sets):
+            return _line_rows(p, [E.box[0] for E in sets])
     dists = [compile_set(p, E) for E in sets]
     atoms = max((d.raw.size for d in dists), default=0)
     w, raw = np.zeros((len(dists), atoms)), np.ones((len(dists), atoms))
@@ -589,6 +610,15 @@ def _compile_family(p, sets):
         raw[r, :d.raw.size] = d.raw
         ends[r, :len(d.ends)] = d.ends
     return Distribution(p.pieces, w, 1.0, raw, np.array([d.measure for d in dists]), ends)
+
+
+def _family_row(dist, r):
+    """Row r of a compiled family of sets as one compiled set: the atoms of
+    positive weight, which lead the row, and the shoulder ends."""
+    w, ends = dist.w[r], dist.ends[r]
+    n = np.count_nonzero(w > 0.0)
+    return Distribution(dist.pieces, w[:n], dist.f, dist.raw[r, :n], float(dist.measure[r]),
+                        tuple(ends[:np.count_nonzero(~np.isnan(ends))].tolist()))
 
 
 def _box_rows(p, boxes):
@@ -644,3 +674,135 @@ def _box_rows(p, boxes):
         _check_covered(n, box_intersect(boxes[r], p.domain), float(measure[r]))
     raw = np.broadcast_to(np.array(values, dtype=float), w.shape)
     return Distribution(p.pieces, w, 1.0, raw, measure, ())
+
+
+def _line_rows(p, intervals):
+    """Rows of the indicators of intervals against a 1-D exponent with bump
+    pieces, all intervals in one pass.
+
+    The domain is cut once at every piece edge (_first_piece_cells); each
+    interval takes the cells it meets, and each run of cells a bump piece
+    owns splits for every interval at once (BumpsPiece._runs).  The atoms
+    are laid out in the order _compile_box appends them, so every row is
+    bitwise the atoms, measure and shoulder ends of _compile_box, padded at
+    the end."""
+    lo, hi = np.array(intervals, dtype=float).reshape(len(intervals), 2).T
+    (d0, d1), = p.domain
+    lo, hi = np.maximum(lo, d0), np.minimum(hi, d1)
+    edges, owner, _ = _first_piece_cells(p.pieces, p.domain)
+    e = np.array(edges[0])
+    # the cells of _first_piece_cells of each clipped interval: the domain's
+    # cells it meets, clipped to it
+    cell_lo, cell_hi = np.maximum(lo[:, None], e[:-1]), np.minimum(hi[:, None], e[1:])
+    cells = cell_hi > cell_lo
+    widths = np.where(cells, cell_hi - cell_lo, 0.0)
+    measure = np.zeros(len(lo))
+    blocks = []  # (rows, w, raw, ends) in the order of _compile_box
+    for k, piece in enumerate(p.pieces):
+        (left, right), = piece.box
+        # a piece that owns all of its block gets its clipped length, one cut
+        # into gets the sum of the cells it owns, left to right
+        cut = ((left <= e[:-1]) & (e[1:] <= right) & (owner != k) & cells).any(axis=1)
+        clipped = np.minimum(np.maximum(right, lo), hi) - np.minimum(np.maximum(left, lo), hi)
+        owned = np.cumsum(np.where(owner == k, widths, 0.0), axis=1)[:, -1]
+        v = np.where(cut, owned, clipped)
+        measure = measure + v
+        if isinstance(piece, ConstantPiece):
+            rows = np.flatnonzero(v)
+            blocks.append((rows, v[rows, None], piece.value, None))
+            continue
+        for a, b in _owned_runs(edges, owner, k):
+            run_lo, run_hi = np.maximum(lo, a), np.minimum(hi, b)
+            rows = np.flatnonzero(run_hi > run_lo)
+            if rows.size:
+                blocks += _bump_blocks(piece, rows, run_lo[rows], run_hi[rows])
+    short = np.flatnonzero(measure < (hi - lo) * (1.0 - 1e-9))
+    if short.size:
+        r = int(short[0])
+        _check_covered(1, ((float(lo[r]), float(hi[r])),), float(measure[r]))
+    w, raw, ends = _scatter_blocks(len(lo), blocks)
+    return Distribution(p.pieces, w, 1.0, raw, measure, ends)
+
+
+def _bump_blocks(piece, rows, lo, hi):
+    """The atoms of _bump_atoms for the runs [lo, hi] of the given rows, as
+    blocks (rows, w, raw, ends) in the order _bump_atoms appends them: per
+    candidate bump the Gauss nodes of each smooth stretch of its window,
+    then the plateau and shoulders of the whole bumps, then the base.  ends
+    holds a block's two shoulder ends per row, nan where it has none."""
+    bump = piece.bump
+    s, m = bump.support_halfwidth, bump.plateau_halfwidth
+    nodes, wts = _gauss_nodes()
+
+    def raw_at(dist):
+        return piece.base + piece.direction * bump.profile(dist)
+
+    def shoulder_ends(has, first, second):
+        return np.where((bump.height > 0.0) & has[:, None], np.stack([first, second], axis=1),
+                        np.nan)
+
+    whole, base_len, o0, o1, straddles = piece._runs(lo, hi)
+    blocks = []
+    for j in range(o0.shape[1]):
+        live = straddles[:, j]
+        if not live.any():
+            continue
+        r, u_lo, u_hi = rows[live], o0[live, j], o1[live, j]
+        left, right = (u_lo < -m) & (-m < u_hi), (u_lo < m) & (m < u_hi)
+        after_left = np.where(right, m, u_hi)
+        # the knots o0, -m, m, o1 that lie in the window, left to right
+        for u0, u1, keep in ((u_lo, np.where(left, -m, after_left), True),
+                             (-m, after_left, left), (m, u_hi, right)):
+            keep = np.broadcast_to(keep, r.shape)
+            if keep.any():
+                u0, u1 = np.broadcast_to(u0, r.shape)[keep], u1[keep]
+                half, midp = 0.5 * (u1 - u0), 0.5 * (u0 + u1)
+                blocks.append((r[keep], half[:, None] * wts,
+                               raw_at(np.abs(midp[:, None] + half[:, None] * nodes)),
+                               shoulder_ends((m < np.abs(midp)) & (np.abs(midp) < s),
+                                             raw_at(np.abs(u0)), raw_at(np.abs(u1)))))
+    live = whole > 0
+    if live.any():
+        twice = whole[live] * 2.0
+        half, mid = 0.5 * (s - m), 0.5 * (s + m)
+        blocks.append((rows[live], (twice * m)[:, None], piece.top,
+                       shoulder_ends(np.ones(twice.size, bool), np.full(twice.size, piece.top),
+                                     np.full(twice.size, piece.base))))
+        blocks.append((rows[live], (twice * half)[:, None] * wts, raw_at(mid + half * nodes), None))
+    live = base_len > 0.0
+    if live.any():
+        blocks.append((rows[live], base_len[live, None], piece.base, None))
+    return blocks
+
+
+def _scatter_blocks(n, blocks):
+    """(w, raw, ends) of n rows from blocks (rows, w, raw, ends): each block
+    puts its atoms, and its two ends where they are not nan, into its rows
+    after those of the blocks before it; atoms of weight 0 are dropped, as
+    _compile_box drops them, and the rest pad with w = 0, raw = 1 and
+    ends = nan."""
+    atoms, end_count = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    for rows, bw, _, bends in blocks:
+        atoms[rows] += bw.shape[1]
+        if bends is not None:
+            end_count[rows] += 2 * ~np.isnan(bends[:, 0])
+    w, ends = np.zeros((n, atoms.max(initial=0))), np.full((n, end_count.max(initial=0)), np.nan)
+    raw = np.ones(w.shape)
+    total, atoms[:], end_count[:] = atoms.sum(), 0, 0
+    for rows, bw, braw, bends in blocks:
+        cols = atoms[rows, None] + np.arange(bw.shape[1])
+        w[rows[:, None], cols], raw[rows[:, None], cols] = bw, braw
+        atoms[rows] += bw.shape[1]
+        if bends is not None:
+            has = ~np.isnan(bends[:, 0])
+            r = rows[has]
+            ends[r[:, None], end_count[r, None] + np.arange(2)] = bends[has]
+            end_count[r] += 2
+    keep = w > 0.0
+    if np.count_nonzero(keep) < total:
+        rows, cols = np.nonzero(keep)[0], (np.cumsum(keep, axis=1) - 1)[keep]
+        packed_w = np.zeros((n, np.count_nonzero(keep, axis=1).max()))
+        packed_raw = np.ones(packed_w.shape)
+        packed_w[rows, cols], packed_raw[rows, cols] = w[keep], raw[keep]
+        w, raw = packed_w, packed_raw
+    return w, raw, ends

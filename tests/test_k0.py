@@ -735,6 +735,63 @@ def test_minimal_cube_of_a_mask_set_without_grid_matches_per_cube_means(dimensio
     assert means[idx] == pytest.approx(np.nanmax(means), rel=1e-12, abs=0.0)
 
 
+def test_cube_mean_reader_takes_one_radius_per_cube():
+    # each cube reads bitwise what a read of its radius alone gives it
+    rng = np.random.default_rng(4)
+    box = (two_piece(1.5, 3.0, split=2.3, hi=4.0), MeasurableSet.from_box(((0.0, 4.0),)),
+           [np.linspace(0.5, 3.5, 13)], 0.2)
+    for p, E, axes, r in (_sublevel_case(), _random_mask_case(1), _random_mask_case(2), box):
+        means = _cube_mean_reader(p, E)
+        shape = tuple(len(a) for a in axes)
+        choices = [r, 1.5 * r, 2.0 * r]
+        radii = np.array(choices)[rng.integers(0, 3, shape)]
+        want = np.zeros(shape)
+        for radius in choices:
+            want[radii == radius] = means(axes, radius)[radii == radius]
+        assert means(axes, radii).tobytes() == want.tobytes()
+
+
+def _replaced_scaling_check(p, D, r, E, spacing, best_mean):
+    """The message of the scaling check before it read all cubes of one
+    axis at once: one read per m and axis, in (m, axis, lattice) order."""
+    means, n, R = _cube_mean_reader(p, E), D.dimension, D.radius
+    for m in range(2, int(R * (1.0 + 1e-12) / r) + 1):
+        for i in range(n):
+            lat = _reference_center_lattice(D.center[i], R - m * r, spacing)
+            lat = lat[np.unique(np.linspace(0, len(lat) - 1, min(len(lat), 9)).astype(int))]
+            axes_m = [lat if j == i else np.array([D.center[j]]) for j in range(n)]
+            with np.errstate(divide="ignore"):
+                mean_m = 1.0 / means(axes_m, m * r)
+            beaten = np.argwhere(best_mean > mean_m + 1e-9)
+            if len(beaten):
+                idx = tuple(beaten[0])
+                center = tuple(float(a[k]) for a, k in zip(axes_m, idx))
+                return (f"radius-{m}r cube at {center} has smaller mean "
+                        f"{mean_m[idx]} than the minimum {best_mean}")
+    return None
+
+
+def test_scaling_check_raises_the_first_cube_in_m_axis_lattice_order():
+    # the lattice cubes, 1/2 wide every 1, miss two low windows: the
+    # radius-3r cubes along axis 0 catch the first, and the radius-2r cubes
+    # along axis 1 the second, which is the first failure in (m, axis) order
+    p = ExponentFunction(dimension=2, domain=((-2.0, 2.0), (-2.0, 2.0)), pieces=(
+        ConstantPiece(((0.6, 0.9), (0.55, 0.7)), 1.1), ConstantPiece(((-0.4, -0.1), (0.6, 0.9)), 1.2),
+        ConstantPiece(((-2.0, 2.0), (-2.0, 2.0)), 3.0)))
+    D, r, spacing = Cube((0.0, 0.0), 2.0), 0.25, 1.0
+    grid = GridDomain(((-2.0, 2.0), (-2.0, 2.0)), (64, 64))
+    for E in (MeasurableSet.from_box(D.as_box()),
+              MeasurableSet(grid_mask=(grid, np.ones((64, 64), bool)))):
+        best = minimal_harmonic_mean_cube(p, D, r, E, spacing=spacing, verify_scaling=False)
+        inv = float(_cube_mean_reader(p, E)([np.array([c]) for c in best.center], r)[0, 0])
+        assert inv == pytest.approx(1.0 / 3.0, rel=1e-12)
+        want = _replaced_scaling_check(p, D, r, E, spacing, 1.0 / inv)
+        assert want.startswith("radius-2r cube at (0.0, 0.5) has smaller mean")
+        with pytest.raises(ConstructionError) as info:
+            minimal_harmonic_mean_cube(p, D, r, E, spacing=spacing)
+        assert str(info.value) == want
+
+
 def _raised(fn, *args, **kwargs):
     with pytest.raises((PreconditionError, ConstructionError, DomainError)) as info:
         fn(*args, **kwargs)

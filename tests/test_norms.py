@@ -1601,9 +1601,20 @@ def test_family_raises_what_compile_set_raises():
                                      ConstantPiece(((1.5, 2.0), (0.0, 1.0)), 3.0)))
     gap = ExponentFunction(dimension=1, domain=((0.0, 3.0),),
                            pieces=two_piece_exponent(1.0, 2.0).pieces)
+    # the bump lines take the batched line route, where too the first
+    # interval the pieces leave a gap in raises; one that misses the domain
+    # before it compiles to no atoms
+    bump_gap = ExponentFunction(dimension=1, domain=((0.0, 3.0),), pieces=(
+        one_bump((0.0, 1.2), 1.5, 1.0), ConstantPiece(((1.5, 3.0),), 2.0)))
+    train_gap = ExponentFunction(dimension=1, domain=((-2.0, 1e6),), pieces=(
+        ConstantPiece(((-2.0, 0.0),), 3.0),
+        BumpsPiece(((10.0, 1e6),), 1.5, PlateauBump(1.0, 0.25, 0.5),
+                   CenterSequence("power", rate=2.0, count=1000))))
     cases = [(holed, [((0.1, 0.9), (0.0, 1.0)), ((0.5, 1.8), (0.0, 1.0))]),
              (holed, [((0.1, 0.9), (0.0, 1.0)), ((3.0, 4.0), (0.0, 1.0))]),
-             (gap, [((0.5, 1.5),), ((4.0, 5.0),), ((0.5, 2.5),), ((2.5, 2.9),)])]
+             (gap, [((0.5, 1.5),), ((4.0, 5.0),), ((0.5, 2.5),), ((2.5, 2.9),)]),
+             (bump_gap, [((0.5, 1.1),), ((4.0, 5.0),), ((0.9, 2.0),), ((1.1, 1.4),)]),
+             (train_gap, [((20.0, 1e5),), ((-1.0, 5.0),), ((-3.0, 11.0),)])]
     for p, boxes in cases:
         sets = [MeasurableSet.from_box(box) for box in boxes]
         with pytest.raises(DomainError) as alone:
@@ -1703,6 +1714,194 @@ def test_table_rows_match_compile_set(seed, dimension):
         means = _mean_inverses(_compile_family(p, met), p, met)
         for E, got in zip(met, means):
             assert got == pytest.approx(mean_inverse_exponent(p, E), rel=1e-13, abs=0.0), E.box
+
+
+def _random_bump_piece(rng, box):
+    """One bump train on box: power, exp or fixed centers, raised bumps,
+    wells or bumps of height 0; power and exp centers run far past 1e13,
+    where the float spacing of a center is coarser than the bump."""
+    kind = ("power", "exp", "fixed")[int(rng.integers(0, 3))]
+    s = float(rng.uniform(0.05, 0.5))
+    if kind == "power":
+        rate = float(rng.uniform(1.0, 2.0))
+        s = min(s, 0.45 * (2.0 ** rate - 1.0))
+        centers = CenterSequence("power", rate=rate, count=int(10.0 ** rng.uniform(0.5, 13.5)))
+    elif kind == "exp":
+        rate = float(rng.uniform(0.5, 1.2))
+        s = min(s, 0.45 * (math.exp(2.0 * rate) - math.exp(rate)))
+        centers = CenterSequence("exp", rate=rate, count=int(rng.integers(3, 70)))
+    else:
+        gaps = rng.uniform(2.05, 6.0, int(rng.integers(1, 12))) * s
+        centers = CenterSequence("fixed", positions=tuple(
+            (float(rng.uniform(-3.0, 3.0)) + np.cumsum(gaps)).tolist()))
+    height = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.1, 3.0))
+    direction = int(rng.choice([1, -1]))
+    base = float(rng.uniform(1.0, 3.0)) + (height if direction == -1 else 0.0)
+    return BumpsPiece((box,), base, PlateauBump(height, s * float(rng.uniform(0.1, 0.9)), s),
+                      centers, direction)
+
+
+def _random_bump_line(rng):
+    """A line of up to 1e28 with one or two bump trains and up to three
+    constant pieces listed before or after them, which may overlap them,
+    stick out of the domain or leave gaps."""
+    lo, hi = float(rng.uniform(-3.0, 0.5)), float(10.0 ** rng.uniform(0.5, 28.0))
+    pieces = []
+    for _ in range(int(rng.integers(1, 3))):
+        box = (lo, hi) if rng.random() < 0.5 else tuple(sorted(
+            rng.uniform(lo - 1.0, min(hi, 50.0) + 1.0, 2).tolist()))
+        pieces.append(_random_bump_piece(rng, box))
+    values = FINITE_VALUES + (INF,)
+    for _ in range(int(rng.integers(0, 4))):
+        a = float(rng.uniform(lo - 1.0, min(hi, 30.0)))
+        piece = ConstantPiece(((a, a + float(10.0 ** rng.uniform(-3.0, 1.5))),),
+                              values[int(rng.integers(0, len(values)))])
+        pieces.insert(int(rng.integers(0, len(pieces) + 1)), piece)
+    if rng.random() < 0.7:
+        pieces.append(ConstantPiece(((lo, hi),), 2.0))
+    return ExponentFunction(dimension=1, domain=((lo, hi),), pieces=tuple(pieces))
+
+
+def _random_line_intervals(rng, p):
+    """Intervals 1e-12 to 1e27 long: anywhere, about the bump centers, from
+    piece edges, and straddling or past the ends of the domain."""
+    (lo, hi), = p.domain
+    centers = [float(piece.centers.position(k)) for piece in p.pieces
+               if isinstance(piece, BumpsPiece)
+               for k in (1, 2, int(rng.integers(1, piece.centers.count + 1)))]
+    edges = [x for piece in p.pieces for x in piece.box[0]]
+    starts = [float(rng.uniform(lo - 1.0, min(hi, 60.0))) for _ in range(8)]
+    starts += [c + float(rng.uniform(-1.5, 1.5)) for c in centers]
+    starts += [edges[int(rng.integers(0, len(edges)))] for _ in range(3)]
+    starts += [float(10.0 ** rng.uniform(0.0, math.log10(hi))) for _ in range(4)]
+    starts += [lo - float(rng.uniform(0.0, 2.0)), hi - float(rng.uniform(0.0, 2.0)), hi + 1.0]
+    out = []
+    for a in starts:
+        b = a + float(10.0 ** rng.uniform(-12.0, 27.0))
+        if rng.random() < 0.3:
+            b = a + float(10.0 ** rng.uniform(-12.0, 1.0))
+        if b > a:
+            out.append((a, b))
+    return out
+
+
+def _replaced_family_rows(p, sets):
+    """The per-set compile the batched line route replaces: each set
+    compiled alone, its atoms padded into the rows."""
+    dists = [compile_set(p, E) for E in sets]
+    atoms = max((d.raw.size for d in dists), default=0)
+    w, raw = np.zeros((len(dists), atoms)), np.ones((len(dists), atoms))
+    ends = np.full((len(dists), max((len(d.ends) for d in dists), default=0)), np.nan)
+    for r, d in enumerate(dists):
+        w[r, :d.raw.size] = d.w
+        raw[r, :d.raw.size] = d.raw
+        ends[r, :len(d.ends)] = d.ends
+    return w, raw, np.array([d.measure for d in dists]), ends
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_line_rows_equal_the_replaced_per_set_compile_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    p = _random_bump_line(rng)
+    sets = []
+    for interval in _random_line_intervals(rng, p):
+        E = MeasurableSet.from_box((interval,))
+        try:
+            compile_set(p, E)
+        except DomainError:
+            continue
+        sets.append(E)
+    if len(sets) < 2:
+        return
+    family = _compile_family(p, sets)
+    for name, want in zip(("w", "raw", "measure", "ends"), _replaced_family_rows(p, sets)):
+        got = np.asarray(getattr(family, name))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def test_line_rows_equal_the_replaced_per_set_compile_on_the_examples():
+    rng = np.random.default_rng(5)
+    specs = (build_ex61(0.25), build_ex62(), build_ex63(0.25, 1.2, 2.0), build_ex64(0.25, 1.2, 2.0))
+    ladder = [(1.0, 1.0 + v) for v in np.geomspace(1e-3, 1e12, 50).tolist()]
+    for spec in specs:
+        p = spec.exponent
+        for intervals in (ladder, _random_line_intervals(rng, p)):
+            sets = [MeasurableSet.from_box((iv,)) for iv in intervals]
+            family = _compile_family(p, sets)
+            for name, want in zip(("w", "raw", "measure", "ends"), _replaced_family_rows(p, sets)):
+                got = np.asarray(getattr(family, name))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (spec.name, name)
+
+
+def test_line_rows_drop_the_nodes_whose_weight_underflows():
+    # windows a few subnormals wide: most Gauss weights round to 0, and the
+    # row keeps the rest, packed, as the compile of the set alone does
+    piece = BumpsPiece(((-2.0, 5.0),), 1.5, PlateauBump(1.0, 0.25, 0.5),
+                       CenterSequence("fixed", positions=(0.0, 2.0)))
+    p = ExponentFunction(dimension=1, domain=((-2.0, 5.0),), pieces=(piece,))
+    intervals = [(0.0, 1e-323), (-5e-324, 5e-324), (0.0, 3e-322), (-1e-310, 3e-300), (0.1, 2.7)]
+    sets = [MeasurableSet.from_box((iv,)) for iv in intervals]
+    want = _replaced_family_rows(p, sets)
+    assert (want[0] > 0.0).sum(axis=1).tolist()[:3] == [0, 0, 40], "weights underflow"
+    family = _compile_family(p, sets)
+    for name, want in zip(("w", "raw", "measure", "ends"), want):
+        got = np.asarray(getattr(family, name))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def test_bump_runs_split_as_run_splits_each(rng):
+    for _ in range(200):
+        p = _random_bump_line(rng)
+        intervals = np.array(_random_line_intervals(rng, p))
+        for piece in p.pieces:
+            if not isinstance(piece, BumpsPiece):
+                continue
+            whole, base_len, o0, o1, straddles = piece._runs(intervals[:, 0], intervals[:, 1])
+            for r, (lo, hi) in enumerate(intervals.tolist()):
+                want = piece.run(lo, hi)
+                windows = list(zip(o0[r][straddles[r]].tolist(), o1[r][straddles[r]].tolist()))
+                assert (int(whole[r]), float(base_len[r]), windows) == want, (piece, lo, hi)
+
+
+def _subnormal_step_exponent():
+    """2 on [-1, 0], 1 on [0, 1]."""
+    return ExponentFunction(dimension=1, domain=((-1.0, 1.0),), pieces=(
+        ConstantPiece(((-1.0, 0.0),), 2.0), ConstantPiece(((0.0, 1.0),), 1.0)))
+
+
+def _log_domain_norm(w1, w2):
+    """Bisection oracle for the norm of w1 / lam^2 + w2 / lam = 1, with every
+    term read through exp and log, so no term overflows."""
+    def rho(t):  # at lam = exp(t)
+        return math.exp(math.log(w1) - 2.0 * t) + math.exp(math.log(w2) - t)
+
+    lo, hi = math.log(1e-300), 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if rho(mid) <= 1.0 else (mid, hi)
+    return math.exp(hi)
+
+
+@pytest.mark.parametrize("a", [-1e-310, -1e-315, -5e-324, -1e-305])
+def test_a_subnormal_atom_does_not_overflow_the_norm(a):
+    # the atom w = -a at p = 2 gives w (1 / lam)^2 with (1 / lam)^2 past the
+    # float range at the norm, while the product is about 1
+    p = _subnormal_step_exponent()
+    norm = interval_indicator_norm(p, a, 1e-300)
+    assert norm == pytest.approx(_log_domain_norm(-a, 1e-300), rel=1e-12)
+    if a == -1e-305:
+        assert norm == 3.162277660168446e-153, "a finite sum keeps its bits"
+
+
+def test_a_subnormal_atom_does_not_overflow_the_modular():
+    p = _subnormal_step_exponent()
+    dist = compile_set(p, MeasurableSet.from_box(((-1e-310, 1e-300),)))
+    for lam, want in ((1e-155, 1e-310 / 1e-310 + 1e-300 / 1e-155),
+                      (2e-155, 1e-310 / 4e-310 + 1e-300 / 2e-155)):
+        assert dist.modular(p, lam) == pytest.approx(want, rel=1e-12)
+    assert dist.modular(p, 1e-160) == pytest.approx(1e10, rel=1e-12)
+    assert dist.modular(p, 1e-310) == INF, "a sum past the float range stays inf"
 
 
 # a 256^2-cell grid norm solves one row of 65 536 atoms, long enough for a
