@@ -7,9 +7,10 @@ smooth plateau bumps repeated along a center sequence.  Derived exponents
 transform chains over the same piece data so that analytic integration
 routines keep access to the exact piece geometry.  On a grid the pieces are
 painted onto the cells they cover, so only bump pieces evaluate points.
-The levels behind bounds() and strata() come from the walk and the run
-split (_owned_parts, BumpsPiece.run) the box compiler of varlp.norms takes
-its atoms from; a constant piece is a level where it owns positive volume.
+The atoms of a box (_box_atoms) are built here too, from the parts each
+piece owns and the split of every bump run: the box compiler of varlp.norms
+reads them for a set, and bounds() and strata() read them for the
+exponent's own domain.
 
 Center sequences can hold astronomically many bumps (counts around 1e14 show
 up in the long-interval witness constructions), so nothing here ever
@@ -30,6 +31,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError, SpecParseError
 
 INF = math.inf
+_TINY = np.finfo(float).tiny
 
 
 def as_box(obj, dimension=None):
@@ -327,7 +329,8 @@ class BumpsPiece:
 
         Returns (whole, base_len, windows): the number of bumps whose whole
         support lies in [lo, hi]; the length the supports leave uncovered,
-        0 where that is rounding (at most 1e-12 of max(1, hi - lo)); and an
+        0 where that is rounding (at most 1e-12 of the length they cover, so
+        a run that meets no support keeps hi - lo exactly); and an
         (o0, o1) window for each bump that straddles an end, its support
         meeting [lo, hi] on [c + o0, c + o1] about its center c.  A center
         quantized more coarsely than the bump counts as whole when it lies
@@ -358,7 +361,7 @@ class BumpsPiece:
             if o0 < o1:
                 base_len -= o1 - o0
                 windows.append((o0, o1))
-        if not base_len > 1e-12 * max(1.0, hi - lo):
+        if not base_len > 1e-12 * (hi - lo - base_len):
             base_len = 0.0
         return whole, base_len, windows
 
@@ -391,33 +394,84 @@ class BumpsPiece:
         for cover in np.where(counted, 2.0 * s, np.where(straddles, o1 - o0, 0.0)).T:
             base_len = base_len - cover  # one candidate at a time, in run's order
         whole = whole + np.count_nonzero(counted, axis=1)
-        base_len = np.where(base_len > 1e-12 * np.maximum(1.0, hi - lo), base_len, 0.0)
+        base_len = np.where(base_len > 1e-12 * (hi - lo - base_len), base_len, 0.0)
         return whole, base_len, o0, o1, straddles
 
-    def levels(self, run):
-        """Raw levels taken on positive length in a run (see run): the base
-        where the supports leave some length uncovered, the plateau value
-        where a bump lies whole or a window meets its plateau on positive
-        length."""
-        whole, base_len, windows = run
-        m = self.bump.plateau_halfwidth
-        out = [self.base] if base_len > 0.0 else []
-        if self.bump.height > 0 and (whole or any(min(o1, m) > max(o0, -m) for o0, o1 in windows)):
-            out.append(self.top)
-        return out
 
-    def ranges(self, run):
-        """Raw ranges the bumps sweep in a run (see run): the base to the
-        plateau value for a whole bump, and for a window the values at its
-        farthest and its nearest distance from the center, exact since the
-        profile is monotone in the distance.  A range is degenerate where it
-        sweeps one value: on a plateau, or anywhere on a bump of height 0."""
-        whole, _, windows = run
-        out = [(self.base, self.top)] if whole else []
-        for o0, o1 in windows:
-            dist = [max(-o0, o1), max(o0, -o1, 0.0)]
-            out.append(tuple((self.base + self.direction * self.bump.profile(dist)).tolist()))
-        return out
+def _bump_atoms(piece, lo, hi, ws, raws):
+    """Append the atoms of one bump-piece run [lo, hi], split by BumpsPiece.run,
+    and return the raw values at the ends of its shoulders.
+
+    Each window gives Gauss nodes per smooth stretch, or one atom of the
+    stretch's length at its midpoint where the least node weight is not a
+    normal float, so no weight underflows; the whole bumps give one plateau
+    atom and one atom per shoulder Gauss node, weighted by their count; the
+    base length gives one atom.  Both ends of every shoulder stretch of a
+    bump of positive height are returned as raw values; at distance m or s,
+    or within rounding of it, they are the plateau value or the base, which
+    the profile meets quadratically.  So the base and the plateau value are
+    atoms where the run takes them on positive length, and every other value
+    it takes lies between the two ends of a shoulder stretch, which is how
+    bounds() and strata() read the atoms and ends of the exponent's domain.
+    """
+    bump = piece.bump
+    s, m = bump.support_halfwidth, bump.plateau_halfwidth
+    nodes, wts = _gauss_nodes()
+
+    def raw_at(dist):
+        return piece.base + piece.direction * bump.profile(dist)
+
+    ends = []
+    whole, base_len, windows = piece.run(lo, hi)
+    for o0, o1 in windows:
+        knots = [o0] + [o for o in (-s, -m, m, s) if o0 < o < o1] + [o1]
+        for u0, u1 in zip(knots, knots[1:]):
+            half, midp = 0.5 * (u1 - u0), 0.5 * (u0 + u1)
+            if half * wts[0] < _TINY:  # the end nodes carry the least weight
+                ws.append(np.array([u1 - u0]))
+                raws.append(raw_at(np.array([abs(midp)])))
+            else:
+                ws.append(half * wts)
+                raws.append(raw_at(np.abs(midp + half * nodes)))
+            if m < abs(midp) < s:
+                ends += [float(raw_at(abs(u))) for u in (u0, u1)]
+    if whole:
+        ends += [piece.top, piece.base]
+        half, mid = 0.5 * (s - m), 0.5 * (s + m)
+        ws.append(np.array([whole * 2.0 * m]))
+        raws.append(np.array([piece.top]))
+        ws.append((whole * 2.0 * half) * wts)
+        raws.append(raw_at(mid + half * nodes))
+    if base_len > 0.0:
+        ws.append(np.array([base_len]))
+        raws.append(np.array([piece.base]))
+    return ends if bump.height > 0.0 else []
+
+
+def _box_atoms(pieces, box):
+    """(measure, w, raw, ends) of the indicator of a box inside the domain:
+    the volume the pieces own of it, the atoms of positive weight w at the
+    raw values raw, and the raw values at the ends of the bump shoulders.
+
+    Each elementary cell of the box goes to the first piece listed whose
+    closed box covers it (see _owned_parts).  A constant piece gives one
+    atom, the volume it owns; a bump piece, which lives on a line, gives the
+    atoms of _bump_atoms for each run of cells it owns, left to right.
+    Atoms keep the order of the pieces; cells no piece covers give none.
+    """
+    parts = _owned_parts(pieces, box)
+    ws, raws, ends = [], [], []
+    for piece, v, runs in parts:
+        if runs is None:
+            ws.append(v)
+            raws.append(piece.value)
+        for lo, hi in runs or ():
+            ends += _bump_atoms(piece, lo, hi, ws, raws)
+    # without bump atoms the constant atoms make one array in one step
+    stack = np.array if all(runs is None for *_, runs in parts) else np.hstack
+    w, raw = stack(ws), stack(raws).astype(float, copy=False)
+    keep = w > 0.0
+    return sum((v for _, v, _ in parts), 0.0), w[keep], raw[keep], ends
 
 
 def _tf_array(ops, values):
@@ -548,49 +602,32 @@ class ExponentFunction:
 
     # -- structure ----------------------------------------------------------
 
-    def _raw_level_sets(self):
-        """(atoms, ranges) of raw values attained on positive measure.
+    def _domain_values(self):
+        """The exponent on the atoms and on the shoulder ends of its domain
+        compiled as a box (_box_atoms), which may leave cells no piece covers.
 
-        The domain is walked as the box compiler of varlp.norms walks a box
-        (see _owned_parts), so both read the same levels: a constant piece
-        that owns positive volume gives its value, and a bump piece gives
-        BumpsPiece.levels and BumpsPiece.ranges of every run it owns.  A
-        degenerate range is swept on positive length, so its one value is an
-        atom.
-        """
-        atoms, ranges = set(), []
-        for piece, _, runs in _owned_parts(self.pieces, self.domain):
-            if runs is None:
-                atoms.add(piece.value)
-            for lo, hi in runs or ():
-                run = piece.run(lo, hi)
-                atoms.update(piece.levels(run))
-                for low, high in piece.ranges(run):
-                    if low == high:
-                        atoms.add(low)
-                    else:
-                        ranges.append((low, high))
-        if not atoms and not ranges:
+        The atoms hold the values taken on positive measure, and every other
+        value lies between two shoulder ends, so the essential bounds are
+        the least and the greatest of both."""
+        _, _, raw, ends = _box_atoms(self.pieces, self.domain)
+        if not raw.size:
             raise DomainError("no piece owns any part of the exponent's domain")
-        return atoms, ranges
-
-    def _levels(self):
-        """The atoms and the (low, high) ranges of _raw_level_sets, transformed."""
-        atoms, ranges = self._raw_level_sets()
-        ends = np.sort(_tf_array(self.transforms, np.reshape(ranges, (-1, 2))), axis=1)
-        return _tf_array(self.transforms, sorted(atoms)).tolist(), ends.tolist()
+        return _tf_array(self.transforms, raw), _tf_array(self.transforms, ends)
 
     def strata(self):
-        atoms, ranges = self._levels()
-        has_finite = any(1.0 < v < INF for v in atoms) or any(
-            hi > 1.0 and lo < INF and hi > lo for lo, hi in ranges
-        )
-        return Strata(1.0 in atoms, has_finite, INF in atoms)
+        """Which of {p = 1}, {1 < p < inf}, {p = inf} carry measure: 1 and
+        inf where an atom takes them (a shoulder end is one point), a finite
+        value where an atom or an end does (a shoulder sweeps the values
+        between its ends)."""
+        atoms, ends = self._domain_values()
+        values = np.concatenate([atoms, ends])
+        return Strata(bool((atoms == 1.0).any()), bool(((1.0 < values) & (values < INF)).any()),
+                      bool((atoms == INF).any()))
 
     def bounds(self):
         """Essential (inf, sup) of the exponent over its domain."""
-        atoms, ranges = self._levels()
-        return min(atoms + [lo for lo, _ in ranges]), max(atoms + [hi for _, hi in ranges])
+        values = np.concatenate(self._domain_values())
+        return float(values.min()), float(values.max())
 
 
 def evaluate(p, x):

@@ -12,10 +12,10 @@ a pre-transform exponent value.  Two routes compile:
   owns.  A bump piece (one dimension only) gives, per run of cells it owns,
   the atoms of the run's split (BumpsPiece.run): Gauss nodes across the
   few bumps that straddle an end, the plateaus and shoulder Gauss nodes of
-  the whole bumps weighted by their count, and the base length.  bounds()
-  and strata() read levels from the same walk and split, which do not
-  depend on the number of bumps, so intervals of length 1e27 containing
-  1e13 bumps are fine.
+  the whole bumps weighted by their count, and the base length.  The walk
+  and split do not depend on the number of bumps, so intervals of length
+  1e27 containing 1e13 bumps are fine.  bounds() and strata() read the
+  same compile of the exponent's whole domain (exponent._box_atoms).
 
 The atoms where the exponent is inf enter the modular as one term with
 exponent 1 and weight sup |f| over them (1 for an indicator).  A bump
@@ -62,10 +62,11 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .exponent import (
     INF,
+    _TINY,
     ConstantPiece,
+    _box_atoms,
     _first_piece_cells,
     _gauss_nodes,
-    _owned_parts,
     _owned_runs,
     _tf_array,
     box_intersect,
@@ -98,12 +99,12 @@ class Distribution:
     ``raw[i]``, and ``measure`` is the measure of the compiled set (for a
     grid function, of the cells where f != 0).  ``ends`` holds the raw
     values at the ends of the bump shoulders inside the set (see
-    _bump_atoms).  A family compiles into a rows x atoms matrix, row r for
-    set r, with one measure per row and its ends padded with nan; w = 0
-    marks padding or a value the set does not meet.  ``w`` and ``f`` may be
-    scalars shared by all atoms; every atom of one set has w > 0.  {p = inf}
-    is read from the atoms by one rule: sup |f| over it is the largest f
-    over the atoms of positive weight where the exponent is inf.
+    exponent._bump_atoms).  A family compiles into a rows x atoms matrix,
+    row r for set r, with one measure per row and its ends padded with nan;
+    w = 0 marks padding or a value the set does not meet.  ``w`` and ``f``
+    may be scalars shared by all atoms; every atom of one set has w > 0.
+    {p = inf} is read from the atoms by one rule: sup |f| over it is the
+    largest f over the atoms of positive weight where the exponent is inf.
 
     Every read takes the exponent q to apply and gives one value per row.
     q must share the pieces of the compiled exponent; it may be that
@@ -407,58 +408,15 @@ def holder_pairing_check(f, g, p):
 # -- indicator norms and means for boxes and general sets -------------------
 
 
-def _bump_atoms(piece, lo, hi, ws, raws):
-    """Append the atoms of one bump-piece run [lo, hi], split by BumpsPiece.run,
-    and return the raw values at the ends of its shoulders.
-
-    Each window gives Gauss nodes per smooth stretch; the whole bumps give
-    one plateau atom and one atom per shoulder Gauss node, weighted by their
-    count; the base length gives one atom.  So a level of BumpsPiece.levels
-    is an atom value, and the base is an atom exactly when it is a level.
-    Both ends of every shoulder stretch of a bump of positive height are
-    returned as raw values; at distance m or s, or within rounding of it, they
-    are the plateau value or the base, which the profile meets quadratically.
-    """
-    bump = piece.bump
-    s, m = bump.support_halfwidth, bump.plateau_halfwidth
-    nodes, wts = _gauss_nodes()
-
-    def raw_at(dist):
-        return piece.base + piece.direction * bump.profile(dist)
-
-    ends = []
-    whole, base_len, windows = piece.run(lo, hi)
-    for o0, o1 in windows:
-        knots = [o0] + [o for o in (-s, -m, m, s) if o0 < o < o1] + [o1]
-        for u0, u1 in zip(knots, knots[1:]):
-            half, midp = 0.5 * (u1 - u0), 0.5 * (u0 + u1)
-            ws.append(half * wts)
-            raws.append(raw_at(np.abs(midp + half * nodes)))
-            if m < abs(midp) < s:
-                ends += [float(raw_at(abs(u))) for u in (u0, u1)]
-    if whole:
-        ends += [piece.top, piece.base]
-        half, mid = 0.5 * (s - m), 0.5 * (s + m)
-        ws.append(np.array([whole * 2.0 * m]))
-        raws.append(np.array([piece.top]))
-        ws.append((whole * 2.0 * half) * wts)
-        raws.append(raw_at(mid + half * nodes))
-    if base_len > 0.0:
-        ws.append(np.array([base_len]))
-        raws.append(np.array([piece.base]))
-    return ends if bump.height > 0.0 else []
-
-
 def _compile_box(p, box):
     """Atoms of the indicator of a box clipped to the exponent's domain.
 
-    Each elementary cell of the box goes to the first piece listed whose
-    closed box covers it (see exponent._owned_parts).  A constant piece gives
-    one atom, the volume it owns; a bump piece, which lives on a line, gives
-    the atoms of _bump_atoms for each run of cells it owns, left to right.
-    Atoms keep the order of the pieces.  An interval that misses the domain
-    compiles to no atoms; a box in higher dimension that misses it is an
-    error.
+    The atoms are exponent._box_atoms of the clipped box: one per constant
+    piece that owns some of it, and per run of cells a bump piece owns the
+    atoms of its split, in the order of the pieces.  bounds() and strata()
+    read the same atoms of the exponent's whole domain.  An interval that
+    misses the domain compiles to no atoms; a box in higher dimension that
+    misses it, or that the pieces leave part of bare, is an error.
     """
     if len(box) != p.dimension:
         raise PreconditionError(f"a {len(box)}-D box against a {p.dimension}-D exponent")
@@ -466,21 +424,9 @@ def _compile_box(p, box):
     if clipped is None:
         _check_covered(p.dimension, None, 0.0)
         return Distribution(p.pieces, np.zeros(0), 1.0, np.zeros(0), 0.0, ())
-    parts = _owned_parts(p.pieces, clipped)
-    measure = sum((v for _, v, _ in parts), 0.0)
+    measure, w, raw, ends = _box_atoms(p.pieces, clipped)
     _check_covered(p.dimension, clipped, measure)
-    ws, raws, ends = [], [], []
-    for piece, v, runs in parts:
-        if runs is None:
-            ws.append(v)
-            raws.append(piece.value)
-        for lo, hi in runs or ():
-            ends += _bump_atoms(piece, lo, hi, ws, raws)
-    # without bump atoms the constant atoms make one array in one step
-    stack = np.array if all(runs is None for *_, runs in parts) else np.hstack
-    w, raw = stack(ws), stack(raws).astype(float, copy=False)
-    keep = w > 0.0
-    return Distribution(p.pieces, w[keep], 1.0, raw[keep], measure, tuple(ends))
+    return Distribution(p.pieces, w, 1.0, raw, measure, tuple(ends))
 
 
 def _check_covered(n, clipped, measure):
@@ -559,8 +505,13 @@ def _measures(dist, sets):
 
 def _mean_inverses(dist, p, sets):
     """Average of 1/p over every set compiled into dist, with 1/inf = 0;
-    a set of measure 0 is refused (see _measures)."""
-    return dist.integrals(p, _inverse) / _measures(dist, sets)
+    a set of measure 0 is refused (see _measures).  Each set is first scaled
+    by the power of two that puts its measure in [0.5, 1): exact, so only a
+    set of subnormal weights reads other bits, those it keeps by it."""
+    measure = _measures(dist, sets)
+    shift = -np.frexp(measure)[1]
+    w = np.ldexp(dist.w, shift[..., None])
+    return np.add.reduce(w * _inverse(dist.values(p)), axis=-1) / np.ldexp(measure, shift)
 
 
 def mean_inverse_exponent(p, E):
@@ -638,9 +589,9 @@ def _box_rows(p, boxes):
     values.
     """
     n = p.dimension
-    for box in boxes:
-        if len(box) != n:
-            raise PreconditionError(f"a {len(box)}-D box against a {n}-D exponent")
+    # the boxes before the first of another dimension raise their errors first
+    cut = next((r for r, box in enumerate(boxes) if len(box) != n), len(boxes))
+    boxes, other = boxes[:cut], boxes[cut:]
     edges, owner, _ = _first_piece_cells(p.pieces, p.domain)
     values = []
     for k in np.unique(owner[owner >= 0]).tolist():
@@ -672,6 +623,8 @@ def _box_rows(p, boxes):
     short = (hi <= lo).any(axis=1) | (measure < np.multiply.reduce(hi - lo, axis=1) * (1.0 - 1e-9))
     for r in np.flatnonzero(short).tolist():
         _check_covered(n, box_intersect(boxes[r], p.domain), float(measure[r]))
+    if other:
+        raise PreconditionError(f"a {len(other[0])}-D box against a {n}-D exponent")
     raw = np.broadcast_to(np.array(values, dtype=float), w.shape)
     return Distribution(p.pieces, w, 1.0, raw, measure, ())
 
@@ -725,11 +678,14 @@ def _line_rows(p, intervals):
 
 
 def _bump_blocks(piece, rows, lo, hi):
-    """The atoms of _bump_atoms for the runs [lo, hi] of the given rows, as
-    blocks (rows, w, raw, ends) in the order _bump_atoms appends them: per
-    candidate bump the Gauss nodes of each smooth stretch of its window,
-    then the plateau and shoulders of the whole bumps, then the base.  ends
-    holds a block's two shoulder ends per row, nan where it has none."""
+    """The atoms of exponent._bump_atoms for the runs [lo, hi] of the given
+    rows, as blocks (rows, w, raw, ends) in the order _bump_atoms appends
+    them: per candidate bump the Gauss nodes of each smooth stretch of its
+    window, then the plateau and shoulders of the whole bumps, then the
+    base.  A row whose stretch is too short for its node weights to stay
+    normal floats takes its one midpoint atom in the block's first column,
+    weight 0 in the others.  ends holds a block's two shoulder ends per
+    row, nan where it has none."""
     bump = piece.bump
     s, m = bump.support_halfwidth, bump.plateau_halfwidth
     nodes, wts = _gauss_nodes()
@@ -757,8 +713,13 @@ def _bump_blocks(piece, rows, lo, hi):
             if keep.any():
                 u0, u1 = np.broadcast_to(u0, r.shape)[keep], u1[keep]
                 half, midp = 0.5 * (u1 - u0), 0.5 * (u0 + u1)
-                blocks.append((r[keep], half[:, None] * wts,
-                               raw_at(np.abs(midp[:, None] + half[:, None] * nodes)),
+                bw = half[:, None] * wts
+                braw = raw_at(np.abs(midp[:, None] + half[:, None] * nodes))
+                under = half * wts[0] < _TINY  # the end nodes carry the least weight
+                if under.any():
+                    bw[under] = 0.0
+                    bw[under, 0], braw[under, 0] = (u1 - u0)[under], raw_at(np.abs(midp[under]))
+                blocks.append((r[keep], bw, braw,
                                shoulder_ends((m < np.abs(midp)) & (np.abs(midp) < s),
                                              raw_at(np.abs(u0)), raw_at(np.abs(u1)))))
     live = whole > 0

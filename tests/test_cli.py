@@ -800,6 +800,24 @@ def test_k0scan_at_a_jump_reads_no_sliver(tmp_path):
     assert [row[2] for row in rows] == ["1"] * 10
 
 
+def test_runs_shorter_than_1e_12_in_a_bump_base_keep_their_length(tmp_path):
+    # [2, 2 + L] with L about 1e-13, and every interval of the scan, lies in
+    # the bump piece's base p = 1.5: the norm is L^(2/3), every sample is 1
+    spec = os.path.join(DATA, "cutbump.json")
+    argv = ["norm", "--spec", spec, "--box", "2.0,2.0000000000001"]
+    assert main(argv + ["--out", str(tmp_path / "norm")]) == 0
+    lines = (tmp_path / "norm" / "summary.txt").read_text().splitlines()
+    norm = float(lines[0].removeprefix("norm = "))
+    assert norm == pytest.approx((2.0000000000001 - 2.0) ** (2.0 / 3.0), rel=1e-8), lines
+    argv = ["k0scan", "--spec", spec, "--anchor", "2", "--vol-min", "1e-14", "--vol-max", "1e-10",
+            "--num", "20", "--alpha", "0.25"]
+    out = tmp_path / "k0scan"
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 20 and all(abs(float(row[2]) - 1.0) <= 1e-12 for row in rows), rows
+    assert "sandwich holds = True" in (out / "summary.txt").read_text().splitlines()
+
+
 def _no_grid(*args, **kwargs):
     raise AssertionError("no grid may be allocated")
 

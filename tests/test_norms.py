@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import varlp
 from varlp import (
@@ -52,8 +53,10 @@ from varlp.exponent import (
     CenterSequence,
     PlateauBump,
     Strata,
+    _bump_atoms,
     _first_piece_cells,
     _gauss_nodes,
+    _owned_parts,
     _tf_array,
     box_intersect,
     box_volume,
@@ -61,7 +64,6 @@ from varlp.exponent import (
 )
 from varlp.norms import (
     Distribution,
-    _bump_atoms,
     _compile_family,
     _mean_inverses,
     _norms,
@@ -1278,7 +1280,60 @@ def test_box_of_another_dimension_is_refused():
         set_norm(two_piece_exponent(1.0, 2.0), MeasurableSet.from_box(((0.0, 1.0), (0.0, 1.0))))
 
 
-def test_level_sets_match_replaced_code(rng, monkeypatch):
+def _replaced_raw_level_sets(p):
+    """The second walk of the pieces that bounds() and strata() read before
+    they read the domain's compile (ExponentFunction._raw_level_sets with
+    BumpsPiece.levels and BumpsPiece.ranges): the raw atoms, and the raw
+    (low, high) ranges the bump shoulders sweep, taken on positive measure."""
+    atoms, ranges = set(), []
+    for piece, _, runs in _owned_parts(p.pieces, p.domain):
+        if runs is None:
+            atoms.add(piece.value)
+        for lo, hi in runs or ():
+            whole, base_len, windows = piece.run(lo, hi)
+            m = piece.bump.plateau_halfwidth
+            if base_len > 0.0:
+                atoms.add(piece.base)
+            if piece.bump.height > 0 and (whole or any(min(o1, m) > max(o0, -m)
+                                                       for o0, o1 in windows)):
+                atoms.add(piece.top)
+            swept = [(piece.base, piece.top)] if whole else []
+            for o0, o1 in windows:
+                dist = [max(-o0, o1), max(o0, -o1, 0.0)]
+                values = piece.base + piece.direction * piece.bump.profile(dist)
+                swept.append(tuple(values.tolist()))
+            for low, high in swept:
+                if low == high:
+                    atoms.add(low)
+                else:
+                    ranges.append((low, high))
+    return atoms, ranges
+
+
+def _bounds_and_strata_of_levels(q, atoms, ranges):
+    """(bounds(), strata()) of q as the replaced reader took them from raw
+    atoms and ranges; None where there is no level."""
+    if not atoms and not ranges:
+        return None
+    ends = np.sort(_tf_array(q.transforms, np.reshape(ranges, (-1, 2))), axis=1).tolist()
+    atoms = _tf_array(q.transforms, sorted(atoms)).tolist()
+    has_finite = any(1.0 < v < INF for v in atoms) or any(
+        hi > 1.0 and lo < INF and hi > lo for lo, hi in ends)
+    return ((min(atoms + [lo for lo, _ in ends]), max(atoms + [hi for _, hi in ends])),
+            Strata(1.0 in atoms, has_finite, INF in atoms))
+
+
+def _read_bounds_and_strata(q):
+    try:
+        return q.bounds(), q.strata()
+    except DomainError as exc:
+        assert str(exc) == "no piece owns any part of the exponent's domain"
+        with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+            q.strata()
+        return None
+
+
+def _level_set_corpus(rng):
     # the replaced code kept every level a bump piece could take once earlier
     # pieces cut into it, and counted plateaus and shoulders that only touch
     # the domain; bump lines are held to dense sampling below instead, and
@@ -1288,20 +1343,51 @@ def test_level_sets_match_replaced_code(rng, monkeypatch):
                  if not any(isinstance(q, BumpsPiece) for q in p.pieces)] + lines[300:]
     exponents += [random_overlapping_plane(rng) for _ in range(60)]
     exponents += [random_tiling(rng, 10) for _ in range(20)]
-    exponents += [frame_exponent(), hm_counterexample().exponent]
+    return exponents + [frame_exponent(), hm_counterexample().exponent]
+
+
+def test_level_sets_match_replaced_code(rng):
+    exponents = _level_set_corpus(rng)
     assert len(exponents) > 170
     for p in exponents:
-        want_atoms, want_intervals = seed_raw_level_sets(p)
-        if not want_atoms and not want_intervals:  # the replaced code read no level
-            with pytest.raises(DomainError, match="^no piece owns any part of the exponent's domain$"):
-                p._raw_level_sets()
-            continue
-        atoms, intervals = p._raw_level_sets()
-        assert atoms == want_atoms and intervals == want_intervals, p.pieces
-        got = [(q.bounds(), q.strata()) for q in (p, conjugate(p))]
-        with monkeypatch.context() as m:
-            m.setattr(ExponentFunction, "_raw_level_sets", seed_raw_level_sets)
-            assert got == [(q.bounds(), q.strata()) for q in (p, conjugate(p))], p.pieces
+        levels = seed_raw_level_sets(p)
+        for q in (p, conjugate(p)):
+            assert _read_bounds_and_strata(q) == _bounds_and_strata_of_levels(q, *levels), p.pieces
+
+
+def _with_duals(p):
+    """p, its conjugate, and its fractional duals of the orders that put
+    n / alpha at p_plus and at twice p_plus, where such an order is legal."""
+    out = [p, conjugate(p)]
+    p_plus = p.bounds()[1]
+    for alpha in (p.dimension / p_plus, 0.5 * p.dimension / p_plus):
+        if 0.0 < alpha < p.dimension:
+            out.append(sobolev_dual(p, alpha))
+    return out
+
+
+def test_bounds_and_strata_equal_the_replaced_walk_bitwise(rng):
+    exponents = _level_set_corpus(rng) + line_exponents(rng)
+    data = pathlib.Path(__file__).parent / "data"
+    exponents += [load_spec(path) for path in sorted(data.glob("*.json"))]
+    exponents += [spec.exponent for spec in (build_ex61(0.25), build_ex62(),
+                                             build_ex63(0.25, 1.2, 2.0), build_ex64(0.25, 1.2, 2.0))]
+    exponents += [default_blowup_exponent(), hm_counterexample().exponent]
+    # one bump whose base or plateau is 1 on a whole support, inside a
+    # shoulder, touching the plateau in one point and on a longer line
+    exponents += [ExponentFunction(dimension=1, domain=(domain,),
+                                   pieces=(one_bump((0.0, 3.0), *bump),))
+                  for domain in ((0.5, 1.5), (0.6, 0.7), (0.0, 0.75), (0.0, 3.0))
+                  for bump in ((1.0, 1.0), (2.0, 1.0, -1), (2.0, 0.0))]
+    compared = 0
+    for p in exponents:
+        levels = _replaced_raw_level_sets(p)
+        for q in _with_duals(p) if levels != (set(), []) else [p, conjugate(p)]:
+            got, want = _read_bounds_and_strata(q), _bounds_and_strata_of_levels(q, *levels)
+            # == on floats >= 1 compares their bits
+            assert got == want, (p.pieces, q.transforms)
+            compared += 1
+    assert compared > 1000
 
 
 def test_level_sets_match_dense_sampling(rng):
@@ -1613,6 +1699,8 @@ def test_family_raises_what_compile_set_raises():
     cases = [(holed, [((0.1, 0.9), (0.0, 1.0)), ((0.5, 1.8), (0.0, 1.0))]),
              (holed, [((0.1, 0.9), (0.0, 1.0)), ((3.0, 4.0), (0.0, 1.0))]),
              (gap, [((0.5, 1.5),), ((4.0, 5.0),), ((0.5, 2.5),), ((2.5, 2.9),)]),
+             # the gap is found before the box of another dimension after it
+             (gap, [((0.5, 2.5),), ((0.0, 1.0), (0.0, 1.0))]),
              (bump_gap, [((0.5, 1.1),), ((4.0, 5.0),), ((0.9, 2.0),), ((1.1, 1.4),)]),
              (train_gap, [((20.0, 1e5),), ((-1.0, 5.0),), ((-3.0, 11.0),)])]
     for p, boxes in cases:
@@ -1801,6 +1889,7 @@ def _replaced_family_rows(p, sets):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
+@example(seed=78630)  # draws a run shorter than 1e-12 in a bump base
 def test_line_rows_equal_the_replaced_per_set_compile_bitwise(seed):
     rng = np.random.default_rng(seed)
     p = _random_bump_line(rng)
@@ -1834,20 +1923,51 @@ def test_line_rows_equal_the_replaced_per_set_compile_on_the_examples():
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (spec.name, name)
 
 
-def test_line_rows_drop_the_nodes_whose_weight_underflows():
-    # windows a few subnormals wide: most Gauss weights round to 0, and the
-    # row keeps the rest, packed, as the compile of the set alone does
-    piece = BumpsPiece(((-2.0, 5.0),), 1.5, PlateauBump(1.0, 0.25, 0.5),
+def test_line_rows_take_one_midpoint_atom_where_node_weights_underflow():
+    # windows a few subnormals wide, where the Gauss weights would round to
+    # 0 or lose their bits: each stretch is one atom of its whole length
+    piece = BumpsPiece(((-2.0, 5.0),), 1.0, PlateauBump(1.5, 0.25, 0.5),
                        CenterSequence("fixed", positions=(0.0, 2.0)))
     p = ExponentFunction(dimension=1, domain=((-2.0, 5.0),), pieces=(piece,))
     intervals = [(0.0, 1e-323), (-5e-324, 5e-324), (0.0, 3e-322), (-1e-310, 3e-300), (0.1, 2.7)]
     sets = [MeasurableSet.from_box((iv,)) for iv in intervals]
     want = _replaced_family_rows(p, sets)
-    assert (want[0] > 0.0).sum(axis=1).tolist()[:3] == [0, 0, 40], "weights underflow"
+    assert (want[0] > 0.0).sum(axis=1).tolist()[:4] == [1, 1, 1, 48]
     family = _compile_family(p, sets)
     for name, want in zip(("w", "raw", "measure", "ends"), want):
         got = np.asarray(getattr(family, name))
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    # the exponent is 2.5 on the plateau
+    for E in sets[:3]:
+        assert harmonic_mean(p, E) == 2.5
+        assert mean_inverse_exponent(p, E) == 0.4
+    assert _mean_inverses(family, p, sets)[:3].tolist() == [0.4] * 3
+
+
+def test_base_runs_shorter_than_the_old_rounding_floor_keep_their_length():
+    # runs of 1e-300 to 1e-12 in a bump base are all base: one atom of the
+    # run's length at the base, on the single-set route and the family route
+    intervals = [(0.0, v) for v in np.geomspace(1e-300, 1e-12, 41).tolist()]
+    intervals += [(2.5, 2.5 + v) for v in np.geomspace(1e-15, 1e-12, 7).tolist()]
+    for p in (load_spec(pathlib.Path(__file__).parent / "data" / "cutbump.json"),
+              bump_train_exponent(count=9), build_ex62().exponent,
+              build_ex63(0.25, 1.2, 2.0).exponent):
+        base = p.pieces[-1].base
+        # [0, 0.5] and [1.5, 2.6] lie in the base of each
+        sets = [MeasurableSet.from_box((iv,)) for iv in intervals]
+        for E in sets:
+            (lo, hi), = E.box
+            dist = compile_set(p, E)
+            got = (dist.w.tolist(), dist.raw.tolist(), dist.measure)
+            assert got == ([hi - lo], [base], hi - lo), (p.pieces, E.box)
+        w, raw, measure, _ = _replaced_family_rows(p, sets)
+        family = _compile_family(p, sets)
+        assert family.w.tobytes() == w.tobytes() and family.raw.tobytes() == raw.tobytes()
+        assert family.measure.tobytes() == measure.tobytes()
+        np.testing.assert_allclose(_mean_inverses(family, p, sets), 1.0 / base, rtol=1e-15)
+        norms = family.norms(p)
+        np.testing.assert_allclose(norms, measure ** (1.0 / base), rtol=1e-12)
+        assert norms.tolist() == [compile_set(p, E).norm(p) for E in sets]
 
 
 def test_bump_runs_split_as_run_splits_each(rng):
