@@ -68,7 +68,6 @@ from .k0 import (
     CubeFamily,
     averaging_uniform_bound,
     dual_witness,
-    k0_constant,
     k0alpha_constant,
     k0alpha_iff_k0_check,
     minimal_harmonic_mean_cube,

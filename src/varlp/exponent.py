@@ -8,9 +8,10 @@ transform chains over the same piece data so that analytic integration
 routines keep access to the exact piece geometry.  On a grid the pieces are
 painted onto the cells they cover, so only bump pieces evaluate points.
 The atoms of a box (_box_atoms) are built here too, from the parts each
-piece owns and the split of every bump run: the box compiler of varlp.norms
-reads them for a set, and bounds() and strata() read them for the
-exponent's own domain.
+piece owns and the one split of bump runs (BumpsPiece._runs, read by
+_bump_blocks): the box compiler of varlp.norms reads them for a set and,
+through the same split, for a family of intervals, and bounds() and
+strata() read them, cached, for the exponent's own domain.
 
 Center sequences can hold astronomically many bumps (counts around 1e14 show
 up in the long-interval witness constructions), so nothing here ever
@@ -204,31 +205,14 @@ class CenterSequence:
             return np.where(x > 0, np.log(np.maximum(x, 1e-300)) / self.rate, 0.0)
         return np.where(x > 0, np.maximum(x, 0.0) ** (1.0 / self.rate), 0.0)
 
-    def index_range_in(self, lo, hi):
-        """(k_first, k_last) with c_k in [lo, hi]; empty when k_last < k_first.
-
-        Inversion of the center map is verified by a short scan so float
-        rounding at huge coordinates cannot drop or double-count a center.
-        """
-        if self.kind == "fixed":
-            pos = np.asarray(self.positions, dtype=float)
-            k_first = int(np.searchsorted(pos, lo, side="left")) + 1
-            k_last = int(np.searchsorted(pos, hi, side="right"))
-            return k_first, k_last
-        a = float(self.real_index(max(lo, 0.0)))
-        b = float(self.real_index(max(hi, 0.0)))
-        k_first = max(1, int(math.floor(a)) - 2)
-        while k_first <= self.count and float(self.position(k_first)) < lo:
-            k_first += 1
-        k_last = min(self.count, int(math.ceil(b)) + 2)
-        while k_last >= 1 and float(self.position(k_last)) > hi:
-            k_last -= 1
-        return k_first, min(k_last, self.count)
-
     def _index_ranges(self, lo, hi):
-        """index_range_in over arrays of (lo, hi): the same guess and scan,
-        every entry at once.  A k_first past count reads count + 1 (the
-        range is empty either way)."""
+        """(k_first, k_last) per entry of the arrays lo, hi: the first and
+        last index k with c_k in [lo, hi], empty where k_last < k_first.
+
+        The inverse of the center map gives a guess, which a short scan of
+        the centers themselves corrects, so float rounding at huge
+        coordinates cannot drop or double-count a center.  A k_first past
+        count reads count + 1 (the range is empty either way)."""
         if self.kind == "fixed":
             pos = np.asarray(self.positions, dtype=float)
             return np.searchsorted(pos, lo, side="left") + 1, np.searchsorted(pos, hi, side="right")
@@ -324,58 +308,31 @@ class BumpsPiece:
         d = self.centers.nearest_distance(pts[:, 0])
         return self.base + self.direction * self.bump.profile(d)
 
-    def run(self, lo, hi):
-        """Split [lo, hi] at the bumps whose supports meet it.
-
-        Returns (whole, base_len, windows): the number of bumps whose whole
-        support lies in [lo, hi]; the length the supports leave uncovered,
-        0 where that is rounding (at most 1e-12 of the length they cover, so
-        a run that meets no support keeps hi - lo exactly); and an
-        (o0, o1) window for each bump that straddles an end, its support
-        meeting [lo, hi] on [c + o0, c + o1] about its center c.  A center
-        quantized more coarsely than the bump counts as whole when it lies
-        in [lo, hi] (O(1) absolute error).  Supports are pairwise disjoint,
-        so at most a couple of bumps straddle each end, and the split does
-        not depend on the number of bumps.
-        """
-        s = self.bump.support_halfwidth
-        k_in_first, k_in_last = self.centers.index_range_in(lo + s, hi - s)
-        k_any_first, k_any_last = self.centers.index_range_in(lo - s, hi + s)
-        candidates = set(range(k_any_first, min(k_any_first + 4, k_any_last) + 1))
-        candidates |= set(range(max(k_any_first, k_any_last - 4), k_any_last + 1))
-        whole = max(0, k_in_last - k_in_first + 1)
-        base_len = hi - lo - whole * 2.0 * s
-        windows = []
-        for k in sorted(candidates):
-            if k_in_first <= k <= k_in_last:
-                continue
-            c = float(self.centers.position(k))
-            if not min(hi, c + s) > max(lo, c - s):
-                continue
-            if np.spacing(abs(c)) > 0.01 * s:
-                if lo <= c <= hi:
-                    base_len -= 2.0 * s
-                    whole += 1
-                continue
-            o0, o1 = max(lo - c, -s), min(hi - c, s)
-            if o0 < o1:
-                base_len -= o1 - o0
-                windows.append((o0, o1))
-        if not base_len > 1e-12 * (hi - lo - base_len):
-            base_len = 0.0
-        return whole, base_len, windows
-
     def _runs(self, lo, hi):
-        """run over arrays of (lo, hi), every run at once.
+        """Split every run [lo, hi] of the arrays lo, hi at the bumps whose
+        supports meet it.
 
-        Returns (whole, base_len, o0, o1, straddles): whole and base_len per
-        run, and per run and candidate bump (the up to ten that run scans,
-        in its order) the window (o0, o1) where straddles holds.  Every step
-        is run's arithmetic in run's order, so each run splits bitwise as
-        run splits it alone."""
+        Returns (whole, base_len, o0, o1, straddles), per run: the number of
+        bumps whose whole support lies in [lo, hi]; the length the supports
+        leave uncovered, 0 where that is rounding (at most 1e-12 of the
+        length they cover, so a run that meets no support keeps hi - lo
+        exactly); and per candidate bump (the five from each end of the
+        centers whose supports may meet the run, left to right, each once)
+        the window (o0, o1) where straddles holds: the bump straddles an
+        end, its support meeting [lo, hi] on [c + o0, c + o1] about its
+        center c.  A center quantized more coarsely than the bump (float
+        spacing above 0.01 s) counts as whole when it lies in [lo, hi]
+        (O(1) absolute error).  Supports are pairwise disjoint, so at most a
+        couple of bumps straddle each end, and the split does not depend on
+        the number of bumps.  No step mixes runs, so a run splits bitwise
+        the same alone or among others."""
         s = self.bump.support_halfwidth
-        k_in_first, k_in_last = self.centers._index_ranges(lo + s, hi - s)
-        k_any_first, k_any_last = self.centers._index_ranges(lo - s, hi + s)
+        # the centers of the supports inside the run, then of those meeting it
+        k_first, k_last = self.centers._index_ranges(np.concatenate([lo + s, lo - s]),
+                                                     np.concatenate([hi - s, hi + s]))
+        n = len(lo)
+        k_in_first, k_in_last = k_first[:n], k_last[:n]
+        k_any_first, k_any_last = k_first[n:], k_last[n:]
         offsets = np.arange(5)
         k = np.hstack([k_any_first[:, None] + offsets, k_any_last[:, None] - 4 + offsets])
         # the second five skip what the first five hold
@@ -392,28 +349,31 @@ class BumpsPiece:
         straddles = scan & ~coarse & (o0 < o1)
         counted = scan & coarse & (lo_ <= c) & (c <= hi_)
         for cover in np.where(counted, 2.0 * s, np.where(straddles, o1 - o0, 0.0)).T:
-            base_len = base_len - cover  # one candidate at a time, in run's order
+            base_len = base_len - cover  # one candidate at a time, left to right
         whole = whole + np.count_nonzero(counted, axis=1)
         base_len = np.where(base_len > 1e-12 * (hi - lo - base_len), base_len, 0.0)
         return whole, base_len, o0, o1, straddles
 
 
-def _bump_atoms(piece, lo, hi, ws, raws):
-    """Append the atoms of one bump-piece run [lo, hi], split by BumpsPiece.run,
-    and return the raw values at the ends of its shoulders.
+def _bump_blocks(piece, rows, lo, hi):
+    """The atoms of the runs [lo, hi] of a bump piece, run i in row rows[i],
+    as blocks (rows, w, raw, ends), split by BumpsPiece._runs.
 
-    Each window gives Gauss nodes per smooth stretch, or one atom of the
-    stretch's length at its midpoint where the least node weight is not a
-    normal float, so no weight underflows; the whole bumps give one plateau
-    atom and one atom per shoulder Gauss node, weighted by their count; the
-    base length gives one atom.  Both ends of every shoulder stretch of a
-    bump of positive height are returned as raw values; at distance m or s,
-    or within rounding of it, they are the plateau value or the base, which
-    the profile meets quadratically.  So the base and the plateau value are
-    atoms where the run takes them on positive length, and every other value
-    it takes lies between the two ends of a shoulder stretch, which is how
-    bounds() and strata() read the atoms and ends of the exponent's domain.
-    """
+    The blocks come in the order a row takes its atoms: per candidate bump
+    the Gauss nodes of each smooth stretch of its window, then one plateau
+    atom and the shoulder Gauss nodes of the whole bumps, weighted by their
+    count, then one atom of the base length.  A row whose stretch is too
+    short for its node weights to stay normal floats takes one atom of the
+    stretch's length at its midpoint, in the block's first column, weight 0
+    in the others, so no weight underflows.  ends holds a block's two
+    shoulder ends per row, nan where it has none: both ends of every
+    shoulder stretch of a bump of positive height, as raw values.  At
+    distance m or s, or within rounding of it, they are the plateau value
+    or the base, which the profile meets quadratically.  So the base and
+    the plateau value are atoms where a run takes them on positive length,
+    and every other value it takes lies between the two ends of a shoulder
+    stretch, which is how bounds() and strata() read the atoms and ends of
+    the exponent's domain."""
     bump = piece.bump
     s, m = bump.support_halfwidth, bump.plateau_halfwidth
     nodes, wts = _gauss_nodes()
@@ -421,31 +381,78 @@ def _bump_atoms(piece, lo, hi, ws, raws):
     def raw_at(dist):
         return piece.base + piece.direction * bump.profile(dist)
 
-    ends = []
-    whole, base_len, windows = piece.run(lo, hi)
-    for o0, o1 in windows:
-        knots = [o0] + [o for o in (-s, -m, m, s) if o0 < o < o1] + [o1]
-        for u0, u1 in zip(knots, knots[1:]):
-            half, midp = 0.5 * (u1 - u0), 0.5 * (u0 + u1)
-            if half * wts[0] < _TINY:  # the end nodes carry the least weight
-                ws.append(np.array([u1 - u0]))
-                raws.append(raw_at(np.array([abs(midp)])))
-            else:
-                ws.append(half * wts)
-                raws.append(raw_at(np.abs(midp + half * nodes)))
-            if m < abs(midp) < s:
-                ends += [float(raw_at(abs(u))) for u in (u0, u1)]
-    if whole:
-        ends += [piece.top, piece.base]
+    def shoulder_ends(has, first, second):
+        return np.where((bump.height > 0.0) & has[:, None], np.stack([first, second], axis=1),
+                        np.nan)
+
+    whole, base_len, o0, o1, straddles = piece._runs(lo, hi)
+    blocks = []
+    for j in np.flatnonzero(straddles.any(axis=0)).tolist():
+        live = straddles[:, j]
+        r, u_lo, u_hi = rows[live], o0[live, j], o1[live, j]
+        left, right = (u_lo < -m) & (-m < u_hi), (u_lo < m) & (m < u_hi)
+        after_left = np.where(right, m, u_hi)
+        # the knots o0, -m, m, o1 that lie in the window, left to right
+        for u0, u1, keep in ((u_lo, np.where(left, -m, after_left), True),
+                             (-m, after_left, left), (m, u_hi, right)):
+            keep = np.broadcast_to(keep, r.shape)
+            if keep.any():
+                u0, u1 = np.broadcast_to(u0, r.shape)[keep], u1[keep]
+                half, midp = 0.5 * (u1 - u0), 0.5 * (u0 + u1)
+                bw = half[:, None] * wts
+                braw = raw_at(np.abs(midp[:, None] + half[:, None] * nodes))
+                under = half * wts[0] < _TINY  # the end nodes carry the least weight
+                if under.any():
+                    bw[under] = 0.0
+                    bw[under, 0], braw[under, 0] = (u1 - u0)[under], raw_at(np.abs(midp[under]))
+                blocks.append((r[keep], bw, braw,
+                               shoulder_ends((m < np.abs(midp)) & (np.abs(midp) < s),
+                                             raw_at(np.abs(u0)), raw_at(np.abs(u1)))))
+    live = whole > 0
+    if live.any():
+        twice = whole[live] * 2.0
         half, mid = 0.5 * (s - m), 0.5 * (s + m)
-        ws.append(np.array([whole * 2.0 * m]))
-        raws.append(np.array([piece.top]))
-        ws.append((whole * 2.0 * half) * wts)
-        raws.append(raw_at(mid + half * nodes))
-    if base_len > 0.0:
-        ws.append(np.array([base_len]))
-        raws.append(np.array([piece.base]))
-    return ends if bump.height > 0.0 else []
+        blocks.append((rows[live], (twice * m)[:, None], piece.top,
+                       shoulder_ends(np.ones(twice.size, bool), np.full(twice.size, piece.top),
+                                     np.full(twice.size, piece.base))))
+        blocks.append((rows[live], (twice * half)[:, None] * wts, raw_at(mid + half * nodes), None))
+    live = base_len > 0.0
+    if live.any():
+        blocks.append((rows[live], base_len[live, None], piece.base, None))
+    return blocks
+
+
+def _scatter_blocks(n, blocks):
+    """(w, raw, ends) of n rows from blocks (rows, w, raw, ends): each block
+    puts its atoms, and its two ends where they are not nan, into its rows
+    after those of the blocks before it; atoms of weight 0 are dropped, so
+    every row leads with its atoms of positive weight, and the rest pad with
+    w = 0, raw = 1 and ends = nan."""
+    atoms, end_count = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    for rows, bw, _, bends in blocks:
+        atoms[rows] += bw.shape[1]
+        if bends is not None:
+            end_count[rows] += 2 * ~np.isnan(bends[:, 0])
+    w, ends = np.zeros((n, atoms.max(initial=0))), np.full((n, end_count.max(initial=0)), np.nan)
+    raw = np.ones(w.shape)
+    total, atoms[:], end_count[:] = atoms.sum(), 0, 0
+    for rows, bw, braw, bends in blocks:
+        cols = atoms[rows, None] + np.arange(bw.shape[1])
+        w[rows[:, None], cols], raw[rows[:, None], cols] = bw, braw
+        atoms[rows] += bw.shape[1]
+        if bends is not None:
+            has = ~np.isnan(bends[:, 0])
+            r = rows[has]
+            ends[r[:, None], end_count[r, None] + np.arange(2)] = bends[has]
+            end_count[r] += 2
+    keep = w > 0.0
+    if np.count_nonzero(keep) < total:
+        rows, cols = np.nonzero(keep)[0], (np.cumsum(keep, axis=1) - 1)[keep]
+        packed_w = np.zeros((n, np.count_nonzero(keep, axis=1).max()))
+        packed_raw = np.ones(packed_w.shape)
+        packed_w[rows, cols], packed_raw[rows, cols] = w[keep], raw[keep]
+        w, raw = packed_w, packed_raw
+    return w, raw, ends
 
 
 def _box_atoms(pieces, box):
@@ -455,9 +462,11 @@ def _box_atoms(pieces, box):
 
     Each elementary cell of the box goes to the first piece listed whose
     closed box covers it (see _owned_parts).  A constant piece gives one
-    atom, the volume it owns; a bump piece, which lives on a line, gives the
-    atoms of _bump_atoms for each run of cells it owns, left to right.
-    Atoms keep the order of the pieces; cells no piece covers give none.
+    atom, the volume it owns.  A bump piece, which lives on a line, splits
+    the runs of cells it owns in one _bump_blocks call, one row per run,
+    and its atoms and ends are read row by row, so they keep the runs'
+    order, left to right.  Atoms keep the order of the pieces; cells no
+    piece covers give none.
     """
     parts = _owned_parts(pieces, box)
     ws, raws, ends = [], [], []
@@ -465,13 +474,29 @@ def _box_atoms(pieces, box):
         if runs is None:
             ws.append(v)
             raws.append(piece.value)
-        for lo, hi in runs or ():
-            ends += _bump_atoms(piece, lo, hi, ws, raws)
+        else:
+            lo, hi = np.array(runs).T
+            rows = np.arange(len(runs))
+            w, raw, e = _scatter_blocks(len(runs), _bump_blocks(piece, rows, lo, hi))
+            atoms = w > 0.0
+            ws.append(w[atoms])
+            raws.append(raw[atoms])
+            ends += e[~np.isnan(e)].tolist()
     # without bump atoms the constant atoms make one array in one step
     stack = np.array if all(runs is None for *_, runs in parts) else np.hstack
-    w, raw = stack(ws), stack(raws).astype(float, copy=False)
-    keep = w > 0.0
-    return sum((v for _, v, _ in parts), 0.0), w[keep], raw[keep], ends
+    measure = sum((v for _, v, _ in parts), 0.0)
+    return measure, stack(ws), stack(raws).astype(float, copy=False), ends
+
+
+@functools.lru_cache(maxsize=16)
+def _domain_atoms(pieces, domain):
+    """The read-only raw values of the atoms and of the shoulder ends of a
+    domain compiled as a box (_box_atoms).  Cached on the pieces, so an
+    exponent, its conjugate and its fractional duals compile it once."""
+    _, _, raw, ends = _box_atoms(pieces, domain)
+    ends = np.array(ends, dtype=float)
+    raw.flags.writeable = ends.flags.writeable = False
+    return raw, ends
 
 
 def _tf_array(ops, values):
@@ -604,12 +629,13 @@ class ExponentFunction:
 
     def _domain_values(self):
         """The exponent on the atoms and on the shoulder ends of its domain
-        compiled as a box (_box_atoms), which may leave cells no piece covers.
+        compiled as a box (_domain_atoms), which may leave cells no piece
+        covers.
 
         The atoms hold the values taken on positive measure, and every other
         value lies between two shoulder ends, so the essential bounds are
         the least and the greatest of both."""
-        _, _, raw, ends = _box_atoms(self.pieces, self.domain)
+        raw, ends = _domain_atoms(self.pieces, self.domain)
         if not raw.size:
             raise DomainError("no piece owns any part of the exponent's domain")
         return _tf_array(self.transforms, raw), _tf_array(self.transforms, ends)

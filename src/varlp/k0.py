@@ -122,11 +122,6 @@ def _k0_report(alpha, n, measures, norms_conjugate, norms_dual):
     return K0Report(alpha, best_value, best_index, samples)
 
 
-def k0_constant(p, family):
-    """Family supremum of measure(E)^(-1) * ||chi_E||_p * ||chi_E||_p'."""
-    return k0alpha_constant(p, 0.0, family)
-
-
 def dual_witness(p, E, domain):
     """Unit-modular witness concentrated on E.
 
@@ -222,7 +217,8 @@ def norm_harmonic_sandwich(p, family):
 
     lower = measure^(1/p_E) / (2K) and upper = (2 K^2 K0 / k) measure^(1/p_E)
     with K, k the pairing constants of p and K0 the family constant
-    (k0_constant).  The norms in p and p' come from one batched solve each.
+    (k0alpha_constant at alpha = 0).  The norms in p and p' come from one
+    batched solve each.
     """
     holder, duality = holder_constant(p), duality_constant(p)
     sets, measures, compiled = _family_rows(p, family)

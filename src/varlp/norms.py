@@ -10,7 +10,7 @@ a pre-transform exponent value.  Two routes compile:
   cut into the cells each piece owns, where pieces may overlap and the
   first one listed wins.  A constant piece gives one atom, the volume it
   owns.  A bump piece (one dimension only) gives, per run of cells it owns,
-  the atoms of the run's split (BumpsPiece.run): Gauss nodes across the
+  the atoms of the run's split (BumpsPiece._runs): Gauss nodes across the
   few bumps that straddle an end, the plateaus and shoulder Gauss nodes of
   the whole bumps weighted by their count, and the base length.  The walk
   and split do not depend on the number of bumps, so intervals of length
@@ -37,7 +37,10 @@ splits for every interval at once, and the atoms land in the rows in the
 order the box route gives them, so each row is bitwise that route's
 compile of its set.  Mask sets compile each set through the grid route and
 pad it into the matrix.  A single box keeps the box route: it cuts only
-the box, not the whole domain, and splits its runs on Python floats.
+the box, not the whole domain.  Both routes split bump runs in one place
+(exponent._bump_blocks over BumpsPiece._runs): a single box splits the
+runs each bump piece owns of it in one call, and a family splits each
+run of the domain for every interval at once.
 
 An integral of g(p) over a compiled set is the sum of w_i g(v_i) over its
 atoms.  The Luxemburg norm lam = exp(t) solves
@@ -62,12 +65,12 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .exponent import (
     INF,
-    _TINY,
     ConstantPiece,
     _box_atoms,
+    _bump_blocks,
     _first_piece_cells,
-    _gauss_nodes,
     _owned_runs,
+    _scatter_blocks,
     _tf_array,
     box_intersect,
     box_volume,
@@ -99,7 +102,7 @@ class Distribution:
     ``raw[i]``, and ``measure`` is the measure of the compiled set (for a
     grid function, of the cells where f != 0).  ``ends`` holds the raw
     values at the ends of the bump shoulders inside the set (see
-    exponent._bump_atoms).  A family compiles into a rows x atoms matrix,
+    exponent._bump_blocks).  A family compiles into a rows x atoms matrix,
     row r for set r, with one measure per row and its ends padded with nan;
     w = 0 marks padding or a value the set does not meet.  ``w`` and ``f``
     may be scalars shared by all atoms; every atom of one set has w > 0.
@@ -413,10 +416,11 @@ def _compile_box(p, box):
 
     The atoms are exponent._box_atoms of the clipped box: one per constant
     piece that owns some of it, and per run of cells a bump piece owns the
-    atoms of its split, in the order of the pieces.  bounds() and strata()
-    read the same atoms of the exponent's whole domain.  An interval that
-    misses the domain compiles to no atoms; a box in higher dimension that
-    misses it, or that the pieces leave part of bare, is an error.
+    atoms of its split, in the order of the pieces and of the runs.
+    bounds() and strata() read the same atoms of the exponent's whole
+    domain.  An interval that misses the domain compiles to no atoms; a box
+    in higher dimension that misses it, or that the pieces leave part of
+    bare, is an error.
     """
     if len(box) != p.dimension:
         raise PreconditionError(f"a {len(box)}-D box against a {p.dimension}-D exponent")
@@ -635,10 +639,10 @@ def _line_rows(p, intervals):
 
     The domain is cut once at every piece edge (_first_piece_cells); each
     interval takes the cells it meets, and each run of cells a bump piece
-    owns splits for every interval at once (BumpsPiece._runs).  The atoms
-    are laid out in the order _compile_box appends them, so every row is
-    bitwise the atoms, measure and shoulder ends of _compile_box, padded at
-    the end."""
+    owns splits for every interval at once (exponent._bump_blocks).  The
+    atoms are laid out in the order _compile_box appends them, so every row
+    is bitwise the atoms, measure and shoulder ends of _compile_box, padded
+    at the end."""
     lo, hi = np.array(intervals, dtype=float).reshape(len(intervals), 2).T
     (d0, d1), = p.domain
     lo, hi = np.maximum(lo, d0), np.minimum(hi, d1)
@@ -675,95 +679,3 @@ def _line_rows(p, intervals):
         _check_covered(1, ((float(lo[r]), float(hi[r])),), float(measure[r]))
     w, raw, ends = _scatter_blocks(len(lo), blocks)
     return Distribution(p.pieces, w, 1.0, raw, measure, ends)
-
-
-def _bump_blocks(piece, rows, lo, hi):
-    """The atoms of exponent._bump_atoms for the runs [lo, hi] of the given
-    rows, as blocks (rows, w, raw, ends) in the order _bump_atoms appends
-    them: per candidate bump the Gauss nodes of each smooth stretch of its
-    window, then the plateau and shoulders of the whole bumps, then the
-    base.  A row whose stretch is too short for its node weights to stay
-    normal floats takes its one midpoint atom in the block's first column,
-    weight 0 in the others.  ends holds a block's two shoulder ends per
-    row, nan where it has none."""
-    bump = piece.bump
-    s, m = bump.support_halfwidth, bump.plateau_halfwidth
-    nodes, wts = _gauss_nodes()
-
-    def raw_at(dist):
-        return piece.base + piece.direction * bump.profile(dist)
-
-    def shoulder_ends(has, first, second):
-        return np.where((bump.height > 0.0) & has[:, None], np.stack([first, second], axis=1),
-                        np.nan)
-
-    whole, base_len, o0, o1, straddles = piece._runs(lo, hi)
-    blocks = []
-    for j in range(o0.shape[1]):
-        live = straddles[:, j]
-        if not live.any():
-            continue
-        r, u_lo, u_hi = rows[live], o0[live, j], o1[live, j]
-        left, right = (u_lo < -m) & (-m < u_hi), (u_lo < m) & (m < u_hi)
-        after_left = np.where(right, m, u_hi)
-        # the knots o0, -m, m, o1 that lie in the window, left to right
-        for u0, u1, keep in ((u_lo, np.where(left, -m, after_left), True),
-                             (-m, after_left, left), (m, u_hi, right)):
-            keep = np.broadcast_to(keep, r.shape)
-            if keep.any():
-                u0, u1 = np.broadcast_to(u0, r.shape)[keep], u1[keep]
-                half, midp = 0.5 * (u1 - u0), 0.5 * (u0 + u1)
-                bw = half[:, None] * wts
-                braw = raw_at(np.abs(midp[:, None] + half[:, None] * nodes))
-                under = half * wts[0] < _TINY  # the end nodes carry the least weight
-                if under.any():
-                    bw[under] = 0.0
-                    bw[under, 0], braw[under, 0] = (u1 - u0)[under], raw_at(np.abs(midp[under]))
-                blocks.append((r[keep], bw, braw,
-                               shoulder_ends((m < np.abs(midp)) & (np.abs(midp) < s),
-                                             raw_at(np.abs(u0)), raw_at(np.abs(u1)))))
-    live = whole > 0
-    if live.any():
-        twice = whole[live] * 2.0
-        half, mid = 0.5 * (s - m), 0.5 * (s + m)
-        blocks.append((rows[live], (twice * m)[:, None], piece.top,
-                       shoulder_ends(np.ones(twice.size, bool), np.full(twice.size, piece.top),
-                                     np.full(twice.size, piece.base))))
-        blocks.append((rows[live], (twice * half)[:, None] * wts, raw_at(mid + half * nodes), None))
-    live = base_len > 0.0
-    if live.any():
-        blocks.append((rows[live], base_len[live, None], piece.base, None))
-    return blocks
-
-
-def _scatter_blocks(n, blocks):
-    """(w, raw, ends) of n rows from blocks (rows, w, raw, ends): each block
-    puts its atoms, and its two ends where they are not nan, into its rows
-    after those of the blocks before it; atoms of weight 0 are dropped, as
-    _compile_box drops them, and the rest pad with w = 0, raw = 1 and
-    ends = nan."""
-    atoms, end_count = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
-    for rows, bw, _, bends in blocks:
-        atoms[rows] += bw.shape[1]
-        if bends is not None:
-            end_count[rows] += 2 * ~np.isnan(bends[:, 0])
-    w, ends = np.zeros((n, atoms.max(initial=0))), np.full((n, end_count.max(initial=0)), np.nan)
-    raw = np.ones(w.shape)
-    total, atoms[:], end_count[:] = atoms.sum(), 0, 0
-    for rows, bw, braw, bends in blocks:
-        cols = atoms[rows, None] + np.arange(bw.shape[1])
-        w[rows[:, None], cols], raw[rows[:, None], cols] = bw, braw
-        atoms[rows] += bw.shape[1]
-        if bends is not None:
-            has = ~np.isnan(bends[:, 0])
-            r = rows[has]
-            ends[r[:, None], end_count[r, None] + np.arange(2)] = bends[has]
-            end_count[r] += 2
-    keep = w > 0.0
-    if np.count_nonzero(keep) < total:
-        rows, cols = np.nonzero(keep)[0], (np.cumsum(keep, axis=1) - 1)[keep]
-        packed_w = np.zeros((n, np.count_nonzero(keep, axis=1).max()))
-        packed_raw = np.ones(packed_w.shape)
-        packed_w[rows, cols], packed_raw[rows, cols] = w[keep], raw[keep]
-        w, raw = packed_w, packed_raw
-    return w, raw, ends

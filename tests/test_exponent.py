@@ -70,20 +70,27 @@ def test_shoulder_integral_matches_dense_quadrature():
 # -- center sequences ---------------------------------------------------------
 
 
+def index_range(cs, lo, hi):
+    """(k_first, k_last) of the centers in [lo, hi], read through
+    _index_ranges on one-element arrays."""
+    k_first, k_last = cs._index_ranges(np.array([lo]), np.array([hi]))
+    return int(k_first[0]), int(k_last[0])
+
+
 def test_center_sequence_exponential_positions():
     cs = CenterSequence(kind="exp", rate=1.0, count=400)
     assert cs.position(1) == pytest.approx(math.e)
     assert cs.position(3) == pytest.approx(math.exp(3.0))
-    k0, k1 = cs.index_range_in(2.0, 60.0)
+    k0, k1 = index_range(cs, 2.0, 60.0)
     assert (k0, k1) == (1, 4), f"centers in [2, 60] should be e^1..e^4, got {(k0, k1)}"
 
 
 def test_center_sequence_power_huge_count():
     cs = CenterSequence(kind="power", rate=2.0, count=4 * 10 ** 15)
     assert cs.position(10 ** 7) == 1e14
-    k0, k1 = cs.index_range_in(1e14 - 1e7, 1e14 + 1e7)
+    k0, k1 = index_range(cs, 1e14 - 1e7, 1e14 + 1e7)
     assert k0 == 10 ** 7 and k1 == 10 ** 7, "window around k^2 = 1e14 holds exactly one center"
-    lo, hi = cs.index_range_in(24.5, 123.0)
+    lo, hi = index_range(cs, 24.5, 123.0)
     assert (lo, hi) == (5, 11), f"k^2 in (24.5, 123) is k = 5..11, got {(lo, hi)}"
 
 

@@ -26,7 +26,6 @@ from varlp import (
     duality_constant,
     harmonic_mean,
     holder_constant,
-    k0_constant,
     k0alpha_constant,
     k0alpha_iff_k0_check,
     load_spec,
@@ -92,7 +91,7 @@ def test_constant_exponent_samples_are_one():
     rep = k0alpha_constant(p, 0.3, fam)
     for s in rep.samples:
         assert s.value == pytest.approx(1.0, abs=1e-6), f"sample {s.index}"
-    rep0 = k0_constant(p, fam)
+    rep0 = k0alpha_constant(p, 0.0, fam)
     for s in rep0.samples:
         assert s.value == pytest.approx(1.0, abs=1e-6)
 
@@ -101,7 +100,7 @@ def test_alpha_zero_reduction_is_exact():
     p = two_piece(1.5, 3.0)
     fam = interval_ladder([0.5, 1.0, 1.5], [0.1, 0.4])
     a = k0alpha_constant(p, 0.0, fam)
-    b = k0_constant(p, fam)
+    b = k0alpha_constant(p, 0.0, fam)
     for sa, sb in zip(a.samples, b.samples):
         assert sa.value == sb.value, f"alpha=0 must be the plain constant at {sa.index}"
     assert a.best_value == b.best_value
@@ -111,16 +110,16 @@ def test_family_monotonicity():
     p = cx.build_ex62(count=10 ** 6).exponent
     small = CubeFamily.from_boxes([((1.0, 5.0),), ((1.0, 17.0),)])
     large = CubeFamily.from_boxes([((1.0, 5.0),), ((1.0, 17.0),), ((1.0, 82.0),), ((0.0, 260.0),)])
-    rep_small = k0_constant(p, small)
-    rep_large = k0_constant(p, large)
+    rep_small = k0alpha_constant(p, 0.0, small)
+    rep_large = k0alpha_constant(p, 0.0, large)
     assert rep_large.best_value >= rep_small.best_value - 1e-12
 
 
 def test_conjugation_symmetry():
     p = two_piece(1.5, 3.0)
     fam = CubeFamily.from_boxes([((0.2, 0.9),), ((0.7, 1.6),), ((0.1, 1.9),)])
-    a = k0_constant(p, fam)
-    b = k0_constant(conjugate(p), fam)
+    a = k0alpha_constant(p, 0.0, fam)
+    b = k0alpha_constant(conjugate(p), 0.0, fam)
     for sa, sb in zip(a.samples, b.samples):
         assert sa.value == pytest.approx(sb.value, abs=1e-6), f"at {sa.index}"
 
@@ -128,7 +127,7 @@ def test_conjugation_symmetry():
 def test_best_index_first_tie_wins():
     p = ExponentFunction.constant(2.0, ((0.0, 4.0),))
     fam = CubeFamily.from_boxes([((1.0, 2.0),), ((1.0, 2.0),), ((1.0, 2.0),)])
-    rep = k0_constant(p, fam)
+    rep = k0alpha_constant(p, 0.0, fam)
     assert rep.best_index == 0
 
 
@@ -235,7 +234,7 @@ def _reference_sandwich_rows(p, family):
     """Rows of norm_harmonic_sandwich(p, family) as computed before each set
     was compiled once: the harmonic mean and the norm each compile the set."""
     holder, duality = holder_constant(p), duality_constant(p)
-    k0_value = k0_constant(p, family).best_value
+    k0_value = k0alpha_constant(p, 0.0, family).best_value
     rows = []
     for i, E in enumerate(family):
         measure = E.intersect_box(p.domain).measure

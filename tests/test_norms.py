@@ -49,11 +49,11 @@ from varlp import (
 )
 from varlp.exponent import (
     INF,
+    _TINY,
     BumpsPiece,
     CenterSequence,
     PlateauBump,
     Strata,
-    _bump_atoms,
     _first_piece_cells,
     _gauss_nodes,
     _owned_parts,
@@ -695,13 +695,130 @@ def seed_box_volumes(p, box):
     return vols
 
 
+def _replaced_index_range_in(centers, lo, hi):
+    """The replaced CenterSequence.index_range_in: (k_first, k_last) with
+    c_k in [lo, hi]; empty when k_last < k_first.
+
+    Inversion of the center map is verified by a short scan so float
+    rounding at huge coordinates cannot drop or double-count a center.
+    """
+    if centers.kind == "fixed":
+        pos = np.asarray(centers.positions, dtype=float)
+        k_first = int(np.searchsorted(pos, lo, side="left")) + 1
+        k_last = int(np.searchsorted(pos, hi, side="right"))
+        return k_first, k_last
+    a = float(centers.real_index(max(lo, 0.0)))
+    b = float(centers.real_index(max(hi, 0.0)))
+    k_first = max(1, int(math.floor(a)) - 2)
+    while k_first <= centers.count and float(centers.position(k_first)) < lo:
+        k_first += 1
+    k_last = min(centers.count, int(math.ceil(b)) + 2)
+    while k_last >= 1 and float(centers.position(k_last)) > hi:
+        k_last -= 1
+    return k_first, min(k_last, centers.count)
+
+
+def _replaced_run(piece, lo, hi):
+    """The replaced BumpsPiece.run: split [lo, hi] at the bumps whose
+    supports meet it.
+
+    Returns (whole, base_len, windows): the number of bumps whose whole
+    support lies in [lo, hi]; the length the supports leave uncovered,
+    0 where that is rounding (at most 1e-12 of the length they cover, so
+    a run that meets no support keeps hi - lo exactly); and an
+    (o0, o1) window for each bump that straddles an end, its support
+    meeting [lo, hi] on [c + o0, c + o1] about its center c.  A center
+    quantized more coarsely than the bump counts as whole when it lies
+    in [lo, hi] (O(1) absolute error).  Supports are pairwise disjoint,
+    so at most a couple of bumps straddle each end, and the split does
+    not depend on the number of bumps.
+    """
+    s = piece.bump.support_halfwidth
+    k_in_first, k_in_last = _replaced_index_range_in(piece.centers, lo + s, hi - s)
+    k_any_first, k_any_last = _replaced_index_range_in(piece.centers, lo - s, hi + s)
+    candidates = set(range(k_any_first, min(k_any_first + 4, k_any_last) + 1))
+    candidates |= set(range(max(k_any_first, k_any_last - 4), k_any_last + 1))
+    whole = max(0, k_in_last - k_in_first + 1)
+    base_len = hi - lo - whole * 2.0 * s
+    windows = []
+    for k in sorted(candidates):
+        if k_in_first <= k <= k_in_last:
+            continue
+        c = float(piece.centers.position(k))
+        if not min(hi, c + s) > max(lo, c - s):
+            continue
+        if np.spacing(abs(c)) > 0.01 * s:
+            if lo <= c <= hi:
+                base_len -= 2.0 * s
+                whole += 1
+            continue
+        o0, o1 = max(lo - c, -s), min(hi - c, s)
+        if o0 < o1:
+            base_len -= o1 - o0
+            windows.append((o0, o1))
+    if not base_len > 1e-12 * (hi - lo - base_len):
+        base_len = 0.0
+    return whole, base_len, windows
+
+
+def _replaced_bump_atoms(piece, lo, hi, ws, raws):
+    """The replaced exponent._bump_atoms: append the atoms of one bump-piece
+    run [lo, hi], split by BumpsPiece.run, and return the raw values at the
+    ends of its shoulders.
+
+    Each window gives Gauss nodes per smooth stretch, or one atom of the
+    stretch's length at its midpoint where the least node weight is not a
+    normal float, so no weight underflows; the whole bumps give one plateau
+    atom and one atom per shoulder Gauss node, weighted by their count; the
+    base length gives one atom.  Both ends of every shoulder stretch of a
+    bump of positive height are returned as raw values; at distance m or s,
+    or within rounding of it, they are the plateau value or the base, which
+    the profile meets quadratically.  So the base and the plateau value are
+    atoms where the run takes them on positive length, and every other value
+    it takes lies between the two ends of a shoulder stretch, which is how
+    bounds() and strata() read the atoms and ends of the exponent's domain.
+    """
+    bump = piece.bump
+    s, m = bump.support_halfwidth, bump.plateau_halfwidth
+    nodes, wts = _gauss_nodes()
+
+    def raw_at(dist):
+        return piece.base + piece.direction * bump.profile(dist)
+
+    ends = []
+    whole, base_len, windows = _replaced_run(piece, lo, hi)
+    for o0, o1 in windows:
+        knots = [o0] + [o for o in (-s, -m, m, s) if o0 < o < o1] + [o1]
+        for u0, u1 in zip(knots, knots[1:]):
+            half, midp = 0.5 * (u1 - u0), 0.5 * (u0 + u1)
+            if half * wts[0] < _TINY:  # the end nodes carry the least weight
+                ws.append(np.array([u1 - u0]))
+                raws.append(raw_at(np.array([abs(midp)])))
+            else:
+                ws.append(half * wts)
+                raws.append(raw_at(np.abs(midp + half * nodes)))
+            if m < abs(midp) < s:
+                ends += [float(raw_at(abs(u))) for u in (u0, u1)]
+    if whole:
+        ends += [piece.top, piece.base]
+        half, mid = 0.5 * (s - m), 0.5 * (s + m)
+        ws.append(np.array([whole * 2.0 * m]))
+        raws.append(np.array([piece.top]))
+        ws.append((whole * 2.0 * half) * wts)
+        raws.append(raw_at(mid + half * nodes))
+    if base_len > 0.0:
+        ws.append(np.array([base_len]))
+        raws.append(np.array([piece.base]))
+    return ends if bump.height > 0.0 else []
+
+
 def seed_full_and_straddling(piece, lo, hi):
     """The replaced BumpsPiece.full_and_straddling: ((k_first, k_last),
     straddlers), the index range of the centers whose whole support lies in
     [lo, hi] and the (k, c_k) whose support crosses an end."""
     s = piece.bump.support_halfwidth
-    k_in_first, k_in_last = piece.centers.index_range_in(lo + s, hi - s)
-    k_any_first, k_any_last = piece.centers.index_range_in(lo - s, hi + s)
+    k_in_first, k_in_last = _replaced_index_range_in(piece.centers, lo + s, hi - s)
+    k_any_first, k_any_last = _replaced_index_range_in(piece.centers, lo - s, hi + s)
     candidates = set(range(k_any_first, min(k_any_first + 4, k_any_last) + 1))
     candidates |= set(range(max(k_any_first, k_any_last - 4), k_any_last + 1))
     straddlers = []
@@ -746,9 +863,9 @@ def seed_raw_level_sets(p):
                 atoms.add(piece.top)
                 intervals.append((piece.base, piece.top))
             continue
-        kf, kl = piece.centers.index_range_in(lo - s, hi + s)
+        kf, kl = _replaced_index_range_in(piece.centers, lo - s, hi + s)
         touches_support = kl >= kf
-        pf, pl = piece.centers.index_range_in(lo - m, hi + m)
+        pf, pl = _replaced_index_range_in(piece.centers, lo - m, hi + m)
         touches_plateau = pl >= pf
         cover = seed_support_cover_length(piece, lo, hi) if touches_support else 0.0
         if (hi - lo) - cover > 1e-12 * max(1.0, hi - lo):
@@ -881,7 +998,7 @@ def seed_interval_has_inf(p, a, b):
                 return True
         if _tf_scalar(p.transforms, piece.top) == INF and piece.bump.height > 0:
             mw = piece.bump.plateau_halfwidth
-            kf, kl = piece.centers.index_range_in(lo - mw, hi + mw)
+            kf, kl = _replaced_index_range_in(piece.centers, lo - mw, hi + mw)
             if kl >= kf:
                 return True
     return False
@@ -1169,7 +1286,7 @@ def line_exponents(rng):
 def seed_compile_interval(p, a, b):
     """Atoms of the indicator of [a, b] as the replaced interval walk built
     them: one atom per constant-piece segment, bump atoms per bump segment.
-    The shoulder ends that _bump_atoms returns are kept, so the norms of
+    The shoulder ends that _replaced_bump_atoms returns are kept, so the norms of
     both walks take the same floor where a shoulder ends on a pole."""
     ws, raws, ends = [np.zeros(0)], [np.zeros(0)], []
     for piece, lo, hi in seed_effective_segments(p, a, b):
@@ -1177,7 +1294,7 @@ def seed_compile_interval(p, a, b):
             ws.append(np.array([hi - lo]))
             raws.append(np.array([piece.value]))
         else:
-            ends += _bump_atoms(piece, lo, hi, ws, raws)
+            ends += _replaced_bump_atoms(piece, lo, hi, ws, raws)
     w = np.concatenate(ws)
     keep = w > 0.0
     (dom_lo, dom_hi), = p.domain
@@ -1186,7 +1303,7 @@ def seed_compile_interval(p, a, b):
 
 
 def test_interval_segments_match_replaced_code(rng):
-    compared = bitwise = 0
+    compared = bitwise = batched = 0
     for p in line_exponents(rng):
         piece_edges = [x for piece in p.pieces for x in piece.box[0]]
         for _ in range(20):
@@ -1217,8 +1334,11 @@ def test_interval_segments_match_replaced_code(rng):
                 bitwise += 1
             for x, y in norms:
                 assert x == pytest.approx(y, rel=1e-13, abs=0.0), where
+            # a bump piece that owns two runs splits both in one call
+            bumps = [id(q) for q, _, _ in segments if isinstance(q, BumpsPiece)]
+            batched += len(set(bumps)) < len(bumps)
             compared += 1
-    assert compared > 4000 and bitwise > 4000
+    assert compared > 4000 and bitwise > 4000 and batched > 0
 
 
 def test_box_volumes_match_replaced_code(rng):
@@ -1290,7 +1410,7 @@ def _replaced_raw_level_sets(p):
         if runs is None:
             atoms.add(piece.value)
         for lo, hi in runs or ():
-            whole, base_len, windows = piece.run(lo, hi)
+            whole, base_len, windows = _replaced_run(piece, lo, hi)
             m = piece.bump.plateau_halfwidth
             if base_len > 0.0:
                 atoms.add(piece.base)
@@ -1388,6 +1508,27 @@ def test_bounds_and_strata_equal_the_replaced_walk_bitwise(rng):
             assert got == want, (p.pieces, q.transforms)
             compared += 1
     assert compared > 1000
+
+
+def test_one_domain_compile_serves_every_structure_read(monkeypatch):
+    # bounds, strata and the pairing constants of p and its conjugate all
+    # read one cached compile of the domain, and its arrays are read-only
+    p = load_spec(pathlib.Path(__file__).parent / "data" / "cutbump.json")
+    box_atoms, calls = varlp.exponent._box_atoms, []
+
+    def counted(pieces, box):
+        if box == p.domain:
+            calls.append(box)
+        return box_atoms(pieces, box)
+
+    monkeypatch.setattr(varlp.exponent, "_box_atoms", counted)
+    varlp.exponent._domain_atoms.cache_clear()
+    for q in (p, conjugate(p)):
+        q.bounds(), q.strata(), holder_constant(q), duality_constant(q)
+    assert len(calls) == 1
+    raw, ends = varlp.exponent._domain_atoms(p.pieces, p.domain)
+    assert not raw.flags.writeable and not ends.flags.writeable
+    assert p.bounds() == (1.5, 2.0)
 
 
 def test_level_sets_match_dense_sampling(rng):
@@ -1509,7 +1650,8 @@ def test_a_coarse_center_counts_as_a_whole_bump():
     assert np.spacing(math.exp(35.0)) == 0.25 and lo < math.exp(35.0) < hi
     piece = BumpsPiece(((0.0, 1e16),), 1.5, PlateauBump(1.0, 0.25, 0.5),
                        CenterSequence("exp", rate=1.0, count=40))
-    assert piece.run(lo, hi) == (1, 4.25, [])
+    whole, base_len, _, _, straddles = piece._runs(np.array([lo]), np.array([hi]))
+    assert (whole.tolist(), base_len.tolist(), straddles.any()) == ([1], [4.25], False)
     p = ExponentFunction(dimension=1, domain=((0.0, 1e16),), pieces=(piece,))
     norm = interval_indicator_norm(p, lo, hi)
     assert math.isfinite(norm) and norm > 0.0
@@ -1979,7 +2121,7 @@ def test_bump_runs_split_as_run_splits_each(rng):
                 continue
             whole, base_len, o0, o1, straddles = piece._runs(intervals[:, 0], intervals[:, 1])
             for r, (lo, hi) in enumerate(intervals.tolist()):
-                want = piece.run(lo, hi)
+                want = _replaced_run(piece, lo, hi)
                 windows = list(zip(o0[r][straddles[r]].tolist(), o1[r][straddles[r]].tolist()))
                 assert (int(whole[r]), float(base_len[r]), windows) == want, (piece, lo, hi)
 
