@@ -202,6 +202,9 @@ def _run_k0scan(args):
         raise PreconditionError("need 0 < --vol-min <= --vol-max < inf")
     if not math.isfinite(args.anchor):
         raise PreconditionError(f"--anchor must be finite, got {args.anchor}")
+    if not args.anchor < args.anchor + args.vol_min <= args.anchor + args.vol_max < math.inf:
+        raise PreconditionError(f"--anchor {args.anchor} plus --vol-min rounds to it or plus "
+                                f"--vol-max overflows")
     volumes = np.geomspace(args.vol_min, args.vol_max, args.num)
     # boxes, not center and radius: anchor + v/2 - v/2 can round below the
     # anchor and read a sliver of the piece to its left

@@ -10,8 +10,9 @@ painted onto the cells they cover, so only bump pieces evaluate points.
 The atoms of a box (_box_atoms) are built here too, from the parts each
 piece owns and the one split of bump runs (BumpsPiece._runs, read by
 _bump_blocks): the box compiler of varlp.norms reads them for a set and,
-through the same split, for a family of intervals, and bounds() and
-strata() read them, cached, for the exponent's own domain.
+through the same split over the cached cut of the domain (_domain_cells),
+for a family of boxes, and bounds() and strata() read them, cached, for the
+exponent's own domain.
 
 Center sequences can hold astronomically many bumps (counts around 1e14 show
 up in the long-interval witness constructions), so nothing here ever
@@ -73,14 +74,15 @@ def _first_piece_cells(pieces, box):
     """Cut a box at every piece edge inside it and give each elementary cell
     to the first piece whose closed box covers it.
 
-    Returns (edges, owner, volumes): the sorted cut positions per axis, box
-    ends included; the index of the piece that owns each cell, -1 where no
-    piece covers it; and the volume each piece owns in the box.  A piece
-    covers the block of cells between its edges and never part of a cell,
-    so painting the blocks from the last piece to the first gives the owner
-    of every cell exactly, however many pieces overlap.  A piece that owns
-    its whole block gets the volume of its part of the box, bit for bit; a
-    piece that earlier ones cut into gets the sum over the cells it owns.
+    Returns (edges, owner, volumes, blocks): the sorted cut positions per
+    axis, box ends included; the index of the piece that owns each cell, -1
+    where no piece covers it; the volume each piece owns in the box; and per
+    piece and axis, the slice of the cells between its edges (its block).
+    A piece covers its block and never part of a cell, so painting the
+    blocks from the last piece to the first gives the owner of every cell
+    exactly, however many pieces overlap.  A piece that owns its whole block
+    gets the volume of its part of the box, bit for bit; a piece that
+    earlier ones cut into gets the sum over the cells it owns, in C order.
     """
     edges = [sorted({lo, hi}.union(x for piece in pieces for x in piece.box[axis] if lo < x < hi))
              for axis, (lo, hi) in enumerate(box)]
@@ -100,7 +102,24 @@ def _first_piece_cells(pieces, box):
         sums = np.bincount(labels, cell_volumes.ravel(), len(pieces) + 1)[1:].tolist()
         volumes = [v if count == size else total
                    for v, total, count, size in zip(volumes, sums, owned, sizes)]
-    return edges, owner, volumes
+    return edges, owner, volumes, blocks
+
+
+@functools.lru_cache(maxsize=16)
+def _domain_cells(pieces, domain):
+    """The cells of _first_piece_cells of a domain, as read-only arrays:
+    (edges, owner, blocks, cut), with blocks[k, axis] the [start, stop) of
+    piece k's block and cut[k] whether earlier pieces own cells of it.
+    Cached on the pieces, so an exponent, its conjugate and its fractional
+    duals cut their domain once for every family of boxes."""
+    edges, owner, _, blocks = _first_piece_cells(pieces, domain)
+    edges = tuple(np.array(e) for e in edges)
+    blocks = np.array([[(c.start, c.stop) for c in cells] for cells in blocks])
+    sizes = np.multiply.reduce(blocks[:, :, 1] - blocks[:, :, 0], axis=1)
+    cut = np.bincount(owner.ravel() + 1, minlength=len(pieces) + 1)[1:] != sizes
+    for a in edges + (owner, blocks, cut):
+        a.flags.writeable = False
+    return edges, owner, blocks, cut
 
 
 def _owned_runs(edges, owner, k):
@@ -115,7 +134,7 @@ def _owned_parts(pieces, box):
     """(piece, volume, runs) for every piece that owns positive volume of
     the box, in piece order: runs is None for a constant piece and the
     _owned_runs of a bump piece, which lives on a line."""
-    edges, owner, volumes = _first_piece_cells(pieces, box)
+    edges, owner, volumes, _ = _first_piece_cells(pieces, box)
     return [(piece, v, None if isinstance(piece, ConstantPiece) else _owned_runs(edges, owner, k))
             for k, (piece, v) in enumerate(zip(pieces, volumes)) if v > 0.0]
 

@@ -26,21 +26,21 @@ compiled shoulder ends, that no quadrature node can see.
 
 A family of sets (the cubes of a K0 scan, the intervals of a witness
 ladder) compiles into one Distribution whose arrays are a rows x atoms
-matrix, one row per set, padded with atoms of weight 0.  When every piece
-is constant and every set a box, the rows come from one level-volume
-table per call: the domain cut at every piece edge into cells, each
-labelled with the distinct value of the piece that owns it, so the volume
-a box owns at each value is a sum of clipped cell volumes and no box
-compiles alone.  When the exponent is a line with bump pieces and every set
-an interval, the domain is cut once, each run of cells a bump piece owns
-splits for every interval at once, and the atoms land in the rows in the
-order the box route gives them, so each row is bitwise that route's
-compile of its set.  Mask sets compile each set through the grid route and
-pad it into the matrix.  A single box keeps the box route: it cuts only
-the box, not the whole domain.  Both routes split bump runs in one place
+matrix, one row per set, padded with atoms of weight 0.  A family of boxes,
+in any dimension and a family of one included, compiles in one pass over
+one cut of the exponent's domain, made once per exponent and cached
+(exponent._domain_cells): each box clips the cells it meets, every piece
+gets the volume the box route gives it, by the same rule and with the same
+sums, and each run of cells a bump piece owns splits for every box at once.
+So the atoms of positive weight of each row, their raw values, its measure
+and its shoulder ends are bitwise the box route's compile of its set.  With
+only constant pieces a row has one column per piece; with bump pieces the
+rows are packed.  Mask sets compile each set through the grid route and pad
+it into the matrix.  A single box keeps the box route: it cuts only the
+box, not the whole domain.  Both routes split bump runs in one place
 (exponent._bump_blocks over BumpsPiece._runs): a single box splits the
-runs each bump piece owns of it in one call, and a family splits each
-run of the domain for every interval at once.
+runs each bump piece owns of it in one call, and a family splits each run
+of the domain for every box at once.
 
 An integral of g(p) over a compiled set is the sum of w_i g(v_i) over its
 atoms.  The Luxemburg norm lam = exp(t) solves
@@ -68,7 +68,7 @@ from .exponent import (
     ConstantPiece,
     _box_atoms,
     _bump_blocks,
-    _first_piece_cells,
+    _domain_cells,
     _owned_runs,
     _scatter_blocks,
     _tf_array,
@@ -81,7 +81,7 @@ from .exponent import (
 # the cap only turns a broken invariant into an error instead of a hang
 _NEWTON_STEPS = 200
 _CONTRACT_STEPS = 64
-# box-cell products per pass of the level-volume table
+# box-cell products per pass of a family compile (_box_rows)
 _TABLE_BLOCK = 1 << 18
 # relative slack of the bound in holder_pairing_check
 _PAIRING_TOL = 1e-6
@@ -252,9 +252,11 @@ def _norms(w, f, v, sup):
     stays left of the root.  A row stops when its step no longer moves t,
     which includes reaching the root, and then has the rounding of the log
     domain repaired upward until its modular itself is at most 1.  Rows
-    never mix: every reduction runs along one row's atoms, so a row's norm
-    does not depend on the other rows.  A row with no atom and no sup has
-    norm 0.
+    never mix: every reduction runs along one row's atoms, so among rows of
+    one width a row's norm does not depend on the other rows.  Its width
+    does matter: numpy sums a row pairwise, so padding a row with atoms of
+    weight 0 can move its norm in the last bit.  A row with no atom and no
+    sup has norm 0.
     """
     n = len(sup)
     with np.errstate(divide="ignore", over="ignore"):
@@ -435,11 +437,15 @@ def _compile_box(p, box):
 
 def _check_covered(n, clipped, measure):
     """Refuse an n-D box whose part in the exponent's domain, clipped (None
-    when it misses the domain), the pieces own only measure of.  An
-    interval that misses the domain is no error: it compiles to no atoms."""
+    when it misses the domain), has volume 0.0 or the pieces own only
+    measure of.  An interval that misses the domain is no error: it
+    compiles to no atoms.  Only a product of sides can underflow: no side of
+    clipped is 0."""
     if clipped is None:
         if n > 1:
             raise DomainError("set lies outside the exponent's domain")
+    elif box_volume(clipped) == 0.0:
+        raise PreconditionError(f"the volume of box {clipped} underflows to 0")
     elif measure < box_volume(clipped) * (1.0 - 1e-9):
         if n > 1:
             raise DomainError("box is not covered by the exponent pieces")
@@ -543,19 +549,15 @@ def harmonic_mean(p, E):
 def _compile_family(p, sets):
     """Compile every set of a family against p, row r for sets[r].
 
-    When every set is a box, all rows come in one pass: from one
-    level-volume table when every piece is constant (see _box_rows), and
-    on a line with bump pieces from one cut of the domain (see _line_rows).
-    Otherwise, and for a lone box, each set compiles alone through
-    compile_set and its atoms are padded into the rows.  Errors are those
-    of compile_set for the first set that fails.
+    A family of boxes, a family of one included, compiles in one pass over
+    the exponent's cached cut of its domain (see _box_rows).  A family with
+    a mask set compiles each set alone through compile_set and pads its
+    atoms into the rows.  Errors are those of compile_set for the first set
+    that fails.
     """
     sets = list(sets)
     if all(E.is_box() for E in sets):
-        if all(isinstance(piece, ConstantPiece) for piece in p.pieces):
-            return _box_rows(p, [E.box for E in sets])
-        if len(sets) > 1 and all(len(E.box) == p.dimension == 1 for E in sets):
-            return _line_rows(p, [E.box[0] for E in sets])
+        return _box_rows(p, [E.box for E in sets])
     dists = [compile_set(p, E) for E in sets]
     atoms = max((d.raw.size for d in dists), default=0)
     w, raw = np.zeros((len(dists), atoms)), np.ones((len(dists), atoms))
@@ -568,114 +570,89 @@ def _compile_family(p, sets):
 
 
 def _family_row(dist, r):
-    """Row r of a compiled family of sets as one compiled set: the atoms of
-    positive weight, which lead the row, and the shoulder ends."""
+    """Row r of a compiled family of sets as one compiled set: its atoms of
+    positive weight and its shoulder ends."""
     w, ends = dist.w[r], dist.ends[r]
-    n = np.count_nonzero(w > 0.0)
-    return Distribution(dist.pieces, w[:n], dist.f, dist.raw[r, :n], float(dist.measure[r]),
-                        tuple(ends[:np.count_nonzero(~np.isnan(ends))].tolist()))
+    atoms = w > 0.0
+    return Distribution(dist.pieces, w[atoms], dist.f, dist.raw[r][atoms], float(dist.measure[r]),
+                        tuple(ends[~np.isnan(ends)].tolist()))
 
 
 def _box_rows(p, boxes):
-    """Rows of the indicators of boxes against a constant-piece exponent.
+    """Rows of the indicators of boxes clipped to the exponent's domain,
+    all in one pass, each row bitwise the atoms, measure and shoulder ends
+    of _compile_box in its order.
 
-    The level-volume table cuts the domain at every piece edge into the
-    cells of _first_piece_cells and gives each cell the level (distinct raw
-    value) of the first piece that covers it; on a line, runs of one level
-    merge into one cell.  The volume W_j a box owns at level j is linear in
-    the table: the sum over the cells of level j of the cell volume inside
-    the box, a product of one clipped length per axis.  Every term is one
-    difference of nearby numbers, so W_j keeps its relative precision
-    however small the box is against the domain.  The boxes pass in blocks
-    of at most _TABLE_BLOCK box-cell products, so memory does not grow with
-    the family.  Levels are ordered by the first piece that owns them, which
-    keeps the atom order of _compile_box when the pieces have distinct
-    values.
+    Each box clips the cells of the domain's cached cut that it meets
+    (exponent._domain_cells).  A piece that owns every cell of its block
+    inside the box gets the product of its clipped sides in axis order, one
+    that an earlier piece cuts into the sum of the cells it owns, in C
+    order, as _first_piece_cells gives them.  The boxes pass in blocks of
+    at most _TABLE_BLOCK box-cell products.  With only constant pieces,
+    column k of a row is what piece k owns of the box, so a row's width
+    does not depend on the family.  On a line with bump pieces each run of
+    cells a bump piece owns splits for every box at once
+    (exponent._bump_blocks), and the rows are packed.
     """
     n = p.dimension
     # the boxes before the first of another dimension raise their errors first
-    cut = next((r for r, box in enumerate(boxes) if len(box) != n), len(boxes))
-    boxes, other = boxes[:cut], boxes[cut:]
-    edges, owner, _ = _first_piece_cells(p.pieces, p.domain)
-    values = []
-    for k in np.unique(owner[owner >= 0]).tolist():
-        if p.pieces[k].value not in values:
-            values.append(p.pieces[k].value)
-    level = np.array([values.index(pc.value) if pc.value in values else -1
-                      for pc in p.pieces] + [-1])[owner]
-    edges = [np.asarray(e) for e in edges]
-    if n == 1:
-        keep = np.flatnonzero(np.diff(level, prepend=-2, append=-2))
-        edges, level = [edges[0][keep]], level[keep[:-1]]
-    level = level.ravel()
-    order = np.argsort(level, kind="stable")[np.count_nonzero(level < 0):]
-    starts = np.flatnonzero(np.diff(level[order], prepend=-1))
+    split = next((r for r, box in enumerate(boxes) if len(box) != n), len(boxes))
+    boxes, other = boxes[:split], boxes[split:]
+    edges, owner, block, cut = _domain_cells(p.pieces, p.domain)
     ends = np.array(boxes, dtype=float).reshape(len(boxes), n, 2)
     dom = np.array(p.domain)
     lo, hi = np.maximum(ends[:, :, 0], dom[:, 0]), np.minimum(ends[:, :, 1], dom[:, 1])
-    w = np.zeros((len(boxes), starts.size))
-    step = max(1, _TABLE_BLOCK // level.size)
-    for r in range(0, len(boxes) if order.size else 0, step):
-        cells = None
+    # per box and piece, the piece's sides clipped to the box, and their product
+    sides = np.array([piece.box for piece in p.pieces])
+    v = np.multiply.reduce(np.minimum(np.maximum(sides[:, :, 1], lo[:, None]), hi[:, None])
+                           - np.minimum(np.maximum(sides[:, :, 0], lo[:, None]), hi[:, None]),
+                           axis=2)
+    # a piece that owns its whole block in the domain owns it in every box
+    if cut.any():
+        # per box and piece, the cells of its block inside the box: per
+        # axis, the cells [first, stop) of positive width inside the box
+        span = 1
         for axis, e in enumerate(edges):
-            upper = np.minimum(hi[r:r + step, axis, None], e[1:])
-            inside = np.maximum(upper - np.maximum(lo[r:r + step, axis, None], e[:-1]), 0.0)
-            cells = inside if cells is None else (cells[:, :, None] * inside[:, None, :]).reshape(
-                len(inside), cells.shape[1] * inside.shape[1])
-        w[r:r + step] = np.add.reduceat(cells[:, order], starts, axis=1)
-    measure = np.add.reduce(w, axis=1)
-    short = (hi <= lo).any(axis=1) | (measure < np.multiply.reduce(hi - lo, axis=1) * (1.0 - 1e-9))
+            first = np.searchsorted(e, lo[:, axis], "right")[:, None] - 1
+            stop = np.searchsorted(e, hi[:, axis], "left")[:, None]
+            span = span * np.maximum(np.minimum(block[:, axis, 1], stop)
+                                     - np.maximum(block[:, axis, 0], first), 0)
+        k = len(p.pieces) + 1
+        labels = owner.ravel() + 1
+        step = max(1, _TABLE_BLOCK // labels.size)
+        for r in range(0, len(boxes), step):
+            rows = slice(r, r + step)
+            count = len(v[rows])
+            cells, hits = np.ones(count), np.ones(count, bool)
+            for axis, e in enumerate(edges):
+                width = np.maximum(np.minimum(hi[rows, axis, None], e[1:])
+                                   - np.maximum(lo[rows, axis, None], e[:-1]), 0.0)
+                width = width.reshape((count,) + (1,) * axis + (-1,))
+                cells, hits = cells[..., None] * width, hits[..., None] & (width > 0.0)
+            at = (labels + k * np.arange(count)[:, None]).ravel()
+            owned = np.bincount(at, hits.ravel(), k * count).reshape(count, k)[:, 1:]
+            sums = np.bincount(at, cells.ravel(), k * count).reshape(count, k)[:, 1:]
+            v[rows] = np.where(owned == span[rows], v[rows], sums)
+    measure = np.cumsum(v, axis=1)[:, -1]
+    volume = np.multiply.reduce(hi - lo, axis=1)
+    short = (hi <= lo).any(axis=1) | (volume == 0.0) | (measure < volume * (1.0 - 1e-9))
     for r in np.flatnonzero(short).tolist():
         _check_covered(n, box_intersect(boxes[r], p.domain), float(measure[r]))
     if other:
         raise PreconditionError(f"a {len(other[0])}-D box against a {n}-D exponent")
-    raw = np.broadcast_to(np.array(values, dtype=float), w.shape)
-    return Distribution(p.pieces, w, 1.0, raw, measure, ())
-
-
-def _line_rows(p, intervals):
-    """Rows of the indicators of intervals against a 1-D exponent with bump
-    pieces, all intervals in one pass.
-
-    The domain is cut once at every piece edge (_first_piece_cells); each
-    interval takes the cells it meets, and each run of cells a bump piece
-    owns splits for every interval at once (exponent._bump_blocks).  The
-    atoms are laid out in the order _compile_box appends them, so every row
-    is bitwise the atoms, measure and shoulder ends of _compile_box, padded
-    at the end."""
-    lo, hi = np.array(intervals, dtype=float).reshape(len(intervals), 2).T
-    (d0, d1), = p.domain
-    lo, hi = np.maximum(lo, d0), np.minimum(hi, d1)
-    edges, owner, _ = _first_piece_cells(p.pieces, p.domain)
-    e = np.array(edges[0])
-    # the cells of _first_piece_cells of each clipped interval: the domain's
-    # cells it meets, clipped to it
-    cell_lo, cell_hi = np.maximum(lo[:, None], e[:-1]), np.minimum(hi[:, None], e[1:])
-    cells = cell_hi > cell_lo
-    widths = np.where(cells, cell_hi - cell_lo, 0.0)
-    measure = np.zeros(len(lo))
+    if all(isinstance(piece, ConstantPiece) for piece in p.pieces):
+        raw = np.broadcast_to(np.array([piece.value for piece in p.pieces], dtype=float), v.shape)
+        return Distribution(p.pieces, v, 1.0, raw, measure, np.full((len(v), 0), np.nan))
     blocks = []  # (rows, w, raw, ends) in the order of _compile_box
-    for k, piece in enumerate(p.pieces):
-        (left, right), = piece.box
-        # a piece that owns all of its block gets its clipped length, one cut
-        # into gets the sum of the cells it owns, left to right
-        cut = ((left <= e[:-1]) & (e[1:] <= right) & (owner != k) & cells).any(axis=1)
-        clipped = np.minimum(np.maximum(right, lo), hi) - np.minimum(np.maximum(left, lo), hi)
-        owned = np.cumsum(np.where(owner == k, widths, 0.0), axis=1)[:, -1]
-        v = np.where(cut, owned, clipped)
-        measure = measure + v
+    for j, piece in enumerate(p.pieces):
         if isinstance(piece, ConstantPiece):
-            rows = np.flatnonzero(v)
-            blocks.append((rows, v[rows, None], piece.value, None))
+            rows = np.flatnonzero(v[:, j])
+            blocks.append((rows, v[rows, j, None], piece.value, None))
             continue
-        for a, b in _owned_runs(edges, owner, k):
-            run_lo, run_hi = np.maximum(lo, a), np.minimum(hi, b)
+        for a, b in _owned_runs(edges, owner, j):
+            run_lo, run_hi = np.maximum(lo[:, 0], a), np.minimum(hi[:, 0], b)
             rows = np.flatnonzero(run_hi > run_lo)
             if rows.size:
                 blocks += _bump_blocks(piece, rows, run_lo[rows], run_hi[rows])
-    short = np.flatnonzero(measure < (hi - lo) * (1.0 - 1e-9))
-    if short.size:
-        r = int(short[0])
-        _check_covered(1, ((float(lo[r]), float(hi[r])),), float(measure[r]))
-    w, raw, ends = _scatter_blocks(len(lo), blocks)
+    w, raw, ends = _scatter_blocks(len(v), blocks)
     return Distribution(p.pieces, w, 1.0, raw, measure, ends)

@@ -239,9 +239,12 @@ def test_grid_size_budgets_refuse_before_any_grid(argv, flag, values, tmp_path, 
     # the level-1 cube D spans 48.8 and 95.2 cells
     ["blowup", "--alpha", "0.25", "--t", "4.1", "--k", "2"],
     ["blowup", "--alpha", "0.25", "--t", "9.9", "--k", "2"],
+    # a square whose sides are normal floats and whose volume underflows to 0
+    ["norm", "--spec", os.path.join(os.path.dirname(__file__), "data", "fourpiece2d.json"),
+     "--box", "0,1e-200;0,1e-200"],
 ])
 def test_bad_input_ends_with_an_error_line(argv, tmp_path, capsys):
-    if argv[0] in ("k0scan", "norm"):
+    if argv[0] in ("k0scan", "norm") and "--spec" not in argv:
         argv = argv + ["--spec", write_spec(tmp_path, TWO_PIECE)]
     out = tmp_path / "run"
     assert main(argv + ["--out", str(out)]) == 1
@@ -785,6 +788,20 @@ def test_k0scan_on_a_bump_piece_cut_by_a_constant(tmp_path, capsys):
     lines = (out / "summary.txt").read_text().splitlines()
     assert "exponent bounds = (1.5, 2)" in lines, lines
     assert "pairing constant K = 1.16666667" in lines, lines
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [["--anchor", "1", "--vol-min", "1e-17", "--vol-max", "1e-10"],
+                                   ["--anchor", "1e308", "--vol-max", "1e308"]])
+def test_k0scan_refuses_intervals_that_round_to_a_point_or_overflow(flags, tmp_path, capsys):
+    # 1 + 1e-17 rounds to 1, and 1e308 + 1e308 is inf
+    out = tmp_path / "run"
+    argv = ["k0scan", "--spec", os.path.join(DATA, "twopiece.json")] + flags
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: --anchor {float(flags[1])} plus --vol-min rounds to it or plus "
+                   f"--vol-max overflows\n"), err
+    assert not (out / "results.csv").exists()
 
 
 def test_k0scan_at_a_jump_reads_no_sliver(tmp_path):

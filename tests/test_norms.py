@@ -65,6 +65,7 @@ from varlp.exponent import (
 from varlp.norms import (
     Distribution,
     _compile_family,
+    _family_row,
     _mean_inverses,
     _norms,
     compile_set,
@@ -1843,6 +1844,7 @@ def test_family_raises_what_compile_set_raises():
              (gap, [((0.5, 1.5),), ((4.0, 5.0),), ((0.5, 2.5),), ((2.5, 2.9),)]),
              # the gap is found before the box of another dimension after it
              (gap, [((0.5, 2.5),), ((0.0, 1.0), (0.0, 1.0))]),
+             (holed, [((0.1, 0.9), (0.0, 1.0)), ((1.2, 1.4), (0.2, 0.4)), ((0.0, 1.0),)]),
              (bump_gap, [((0.5, 1.1),), ((4.0, 5.0),), ((0.9, 2.0),), ((1.1, 1.4),)]),
              (train_gap, [((20.0, 1e5),), ((-1.0, 5.0),), ((-3.0, 11.0),)])]
     for p, boxes in cases:
@@ -1868,7 +1870,54 @@ def test_table_rows_of_a_many_piece_plane_match_sets_compiled_alone(rng):
             assert got[k] == alone[k].norms(q)[0], f"set {k}"
             assert got[k] == pytest.approx(compiled[k].norm(q), rel=1e-13, abs=0.0), f"set {k}"
     for k, dist in enumerate(compiled):
-        assert family.measure[k] == pytest.approx(dist.measure, rel=1e-13, abs=0.0), f"set {k}"
+        _assert_row_is_the_set_compiled_alone(family, k, dist, f"set {k}")
+
+
+def _assert_row_is_the_set_compiled_alone(family, k, dist, name):
+    """Row k of a compiled family holds, bit for bit, the atoms of positive
+    weight, their raw values and the measure of the set compiled alone."""
+    atoms = family.w[k] > 0.0
+    assert family.w[k][atoms].tobytes() == dist.w.tobytes(), name
+    assert family.raw[k][atoms].tobytes() == dist.raw.tobytes(), name
+    assert family.measure[k] == dist.measure, name
+
+
+def test_a_family_row_read_alone_is_the_set_compiled_alone_bitwise(rng):
+    # the boxes that miss the innermost square or the first tile start their
+    # rows with weight 0
+    line = ExponentFunction(dimension=1, domain=((-2.0, 2.0),), pieces=(
+        ConstantPiece(((-1.0, 0.5),), 1.0), ConstantPiece(((0.0, 1.5),), 3.0),
+        ConstantPiece(((-2.0, 2.0),), INF)))
+    for p in (line, nested_exponent(17, 1), nested_exponent(17, 2), random_tiling(rng),
+              bump_train_exponent(), build_ex62().exponent):
+        boxes = [random_box(rng, p.domain) for _ in range(30)]
+        if p.dimension == 1:
+            boxes += [((x, x + v),) for x, v in zip(rng.uniform(-1.0, 12.0, 10).tolist(),
+                                                     np.geomspace(1e-9, 1e3, 10).tolist())]
+        sets = [MeasurableSet.from_box(box) for box in boxes]
+        family = _compile_family(p, sets)
+        for k, E in enumerate(sets):
+            got, want = _family_row(family, k), compile_set(p, E)
+            assert got.w.tobytes() == want.w.tobytes(), (p.pieces, E.box)
+            assert got.raw.tobytes() == want.raw.tobytes(), (p.pieces, E.box)
+            assert (got.measure, got.ends) == (want.measure, want.ends), (p.pieces, E.box)
+
+
+def test_a_box_whose_volume_underflows_is_refused():
+    # sides of 1e-200 are normal floats, and their product 1e-400 is 0.0
+    p = load_spec(pathlib.Path(__file__).parent / "data" / "fourpiece2d.json")
+    tiny = MeasurableSet.from_box(((0.0, 1e-200), (0.0, 1e-200)))
+    message = re.escape("the volume of box ((0.0, 1e-200), (0.0, 1e-200)) underflows to 0")
+    for read in (compile_set, set_norm, harmonic_mean, mean_inverse_exponent):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            read(p, tiny)
+    # the first failing set raises, before the box outside the domain after it
+    sets = [MeasurableSet.from_box(((0.1, 0.2), (0.1, 0.2))), tiny,
+            MeasurableSet.from_box(((3.0, 4.0), (0.0, 1.0)))]
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        _compile_family(p, sets)
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        varlp.k0alpha_constant(p, 0.0, varlp.CubeFamily.from_boxes([E.box for E in sets]))
 
 
 def test_table_memory_does_not_grow_with_the_family(rng):
@@ -1937,8 +1986,8 @@ def test_table_rows_match_compile_set(seed, dimension):
             want = compile_set(p, E).norm(q)
             assert got == pytest.approx(want, rel=1e-13, abs=0.0), E.box
     compiled = [compile_set(p, E) for E in sets]
-    for E, dist, measure in zip(sets, compiled, family.measure):
-        assert measure == pytest.approx(dist.measure, rel=1e-13, abs=0.0), E.box
+    for k, (E, dist) in enumerate(zip(sets, compiled)):
+        _assert_row_is_the_set_compiled_alone(family, k, dist, E.box)
     met = [E for E, dist in zip(sets, compiled) if dist.measure > 0.0]
     if met:
         means = _mean_inverses(_compile_family(p, met), p, met)
