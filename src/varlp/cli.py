@@ -11,7 +11,11 @@ produce byte-identical outputs.  Each subcommand accepts only the flags
 it reads.  ``norm`` and ``modular`` compile a ``--box`` exactly in any
 dimension or a ``--csv`` on its own grid, once, and ``--lam`` scales the
 compiled input; ``maximal`` and ``riesz`` paint a ``--box`` onto a grid of
-``--cells`` per axis.
+``--cells`` per axis.  Only the grid and operator layers load with this
+module: a handler imports the exponent, norm, K0 and construction layers
+it calls when it runs, so ``paircheck``, and ``maximal`` and ``riesz``
+without a ``--spec``, load none of them, and ``norm`` and ``modular``
+load no K0 or construction code.
 
 Exit codes: 0 on success, 1 when a precondition or construction fails or
 a subcommand's checks do not hold, 2 when an input file cannot be parsed.
@@ -19,7 +23,6 @@ a subcommand's checks do not hold, 2 when an input file cannot be parsed.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -28,12 +31,8 @@ import sys
 
 import numpy as np
 
-from . import constructions as cons
 from .errors import ConstructionError, DomainError, PreconditionError, SpecParseError
-from .exponent import box_intersect, load_spec
-from .grid import Cube, GridDomain, GridFunction, MeasurableSet, as_box
-from .k0 import CubeFamily, k0alpha_constant, norm_harmonic_sandwich
-from .norms import _compile_grid, compile_set, duality_constant, holder_constant
+from .grid import Cube, GridDomain, GridFunction, MeasurableSet, as_box, box_intersect
 from .operators import (
     DYADIC,
     EXACT,
@@ -76,6 +75,8 @@ def _write_artifacts(outdir, header, rows, lines):
 
 
 def _constant_lines(p):
+    from .norms import duality_constant, holder_constant
+
     return [
         "pairing constant K = %.9g" % holder_constant(p),
         "duality constant k = %.9g" % duality_constant(p),
@@ -88,6 +89,8 @@ def _load_exponent(args, required=True):
         if required:
             raise PreconditionError("this subcommand needs --spec")
         return None
+    from .exponent import load_spec
+
     return load_spec(args.spec)
 
 
@@ -130,6 +133,8 @@ def _compiled_input(args, p):
     """(compiled input, route) for norm and modular: a --csv compiles on its
     own grid (route grid), a --box exactly in any dimension (route interval
     on a line, box otherwise)."""
+    from .norms import _compile_grid, compile_set
+
     f = _read_input(args, p)
     if isinstance(f, GridFunction):
         return _compile_grid(f, p), "grid"
@@ -195,6 +200,8 @@ def _run_riesz(args):
 
 
 def _run_k0scan(args):
+    from .k0 import CubeFamily, k0alpha_constant, norm_harmonic_sandwich
+
     p = _load_exponent(args)
     if p.dimension != 1:
         raise PreconditionError("the scan subcommand is one-dimensional")
@@ -269,6 +276,8 @@ def _run_paircheck(args):
 
 
 def _example_l1_failure(args):
+    from . import constructions as cons
+
     out = cons.build_l1_failure(args.alpha, r_max=args.rmax)
     rows = list(zip(out["ladder"], out["partial_modulars"], out["analytic_partials"]))
     lines = [
@@ -280,6 +289,8 @@ def _example_l1_failure(args):
 
 
 def _example_ex61(args):
+    from . import constructions as cons
+
     spec = cons.build_ex61(args.alpha)
     chk = cons.ex61_divergence_check(spec, args.k)
     rows = [
@@ -304,6 +315,8 @@ def _example_ex61(args):
 
 def _witness_table(args, spec):
     """Witness rows j = 2..--j-max of an EX62/EX63/EX64 spec."""
+    from . import constructions as cons
+
     rows_raw = cons.witness_check(spec, range(2, args.j_max + 1))
     rows = [
         (r["j"], r["measure"], r["mean"], r["lambda"], r["modular"],
@@ -318,6 +331,8 @@ def _witness_table(args, spec):
 
 
 def _example_ex62(args):
+    from . import constructions as cons
+
     spec = cons.build_ex62()
     header, rows, lines = _witness_table(args, spec)
     two = cons.two_sided_interval_check(spec, seed=args.seed)
@@ -331,14 +346,20 @@ def _example_ex62(args):
 
 
 def _example_ex63(args):
+    from . import constructions as cons
+
     return _witness_table(args, cons.build_ex63(args.alpha, args.p_minus, args.p_plus))
 
 
 def _example_ex64(args):
+    from . import constructions as cons
+
     return _witness_table(args, cons.build_ex64(args.alpha, args.p_minus, args.p_plus))
 
 
 def _example_hm_counter(args):
+    from . import constructions as cons
+
     w = cons.hm_counterexample().witnesses
     rows = [("containing_mean", w["mean_big"], w["formula_big"]),
             ("subcube_mean", w["mean_sub"], w["formula_sub"])]
@@ -364,14 +385,16 @@ def _run_example(args):
     name = args.name.upper()
     if name not in _EXAMPLES:
         raise PreconditionError(
-            f"unknown example {args.name!r}; choose from {cons.EXAMPLE_NAMES}"
+            f"unknown example {args.name!r}; choose from {tuple(_EXAMPLES)}"
         )
     header, rows, lines = _EXAMPLES[name](args)
     return header, rows, ["example = " + name, "seed = %d" % args.seed] + lines, True
 
 
 def _run_blowup(args):
-    p = load_spec(args.spec) if args.spec else cons.default_blowup_exponent()
+    from . import constructions as cons
+
+    p = _load_exponent(args) if args.spec else cons.default_blowup_exponent()
     fam = cons.build_blowup(p, args.alpha, args.t, args.k,
                             cells_per_radius=args.cells_per_radius)
     geo = cons.check_blowup_geometry(fam)
@@ -419,10 +442,10 @@ _WORK_RANGES = {"--num": (1, 10_000), "--count": (1, 10_000), "--j-max": (2, 10_
 
 # the most cells a grid built from --cells may hold in all, and the most
 # paircheck's line may hold.  At these ceilings EXACT maximal takes about
-# 0.7 s on a line (0.2 s of it writing results.csv) and 0.8 s on 256^2
-# cells (7.9 s on 512^2), and paircheck with 25 pairs about 0.4-0.5 s in
-# maximal mode and 0.2-0.3 s in czo mode, with the interpreter's start, on
-# 2 vCPUs
+# 0.5 s on a line (0.1 s of it formatting and writing results.csv) and
+# 0.6-0.75 s on 256^2 cells (the operator alone takes 8.8 s on 512^2), and
+# paircheck with 25 pairs about 0.35-0.45 s in maximal mode and 0.25-0.3 s
+# in czo mode, with the interpreter's start, on 2 vCPUs
 _MAX_GRID_CELLS = 1 << 16
 _MAX_PAIRCHECK_CELLS = 1 << 14
 
@@ -431,6 +454,8 @@ _MAX_PAIRCHECK_CELLS = 1 << 14
 def build_parser():
     """The parser, built once per process.  Each subcommand's default `func`
     is its handler's name, which main looks up in this module at call time."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="varlp",
         description="Variable-exponent norms, maximal operators, and worked constructions.",
@@ -473,7 +498,7 @@ def build_parser():
 
     sp = add("example", _run_example, "build a named construction and its checks",
              "--alpha")
-    sp.add_argument("name", help="one of %s" % ", ".join(cons.EXAMPLE_NAMES))
+    sp.add_argument("name", help="one of %s" % ", ".join(_EXAMPLES))
     sp.add_argument("--k", type=int, default=50, help="partial series length")
     sp.add_argument("--j-max", type=int, default=6, help="last witness index (2 to 10000)")
     sp.add_argument("--rmax", type=float, default=1000.0, help="largest window (4 to 1000)")

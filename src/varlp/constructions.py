@@ -36,11 +36,10 @@ from .exponent import (
     ConstantPiece,
     ExponentFunction,
     PlateauBump,
-    _check_order,
     conjugate,
     sobolev_dual,
 )
-from .grid import Cube, GridDomain, GridFunction, MeasurableSet
+from .grid import Cube, GridDomain, GridFunction, MeasurableSet, _check_order
 from .k0 import _k0_report, k0alpha_constant, minimal_harmonic_mean_cube
 from .norms import (
     _compile_family,
@@ -69,7 +68,7 @@ _GEOMETRY_TOL = 1e-9
 # the most work, 2 * cells_per_radius * rho^2, a chain build may ask for: its
 # cube search reads rho = 2^(k-1) (t sqrt(n) + 2) radii over its deepest grid
 # of 2 * cells_per_radius * rho cells.  The slowest run it allows timed,
-# `varlp blowup --k 5 --t 6 --cells-per-radius 4096`, took 2.8-3.2 s with the
+# `varlp blowup --k 5 --t 6 --cells-per-radius 4096`, took 2.5-3.5 s with the
 # interpreter's start (2 vCPUs)
 _MAX_BLOWUP_WORK = 1 << 27
 
@@ -432,10 +431,11 @@ def blowup_modular_growth(fam, c_scale):
     For each level the maximal function is evaluated through the covering
     cubes of the translate pairs (an exact lower envelope of the uncentered
     maximal), scaled by 1/c_scale, and its dual modular is accumulated over
-    the partner cubes against the threshold set.
+    the partner cubes against the threshold set.  A scale that is not
+    positive and finite, or so small that a level's term overflows, is
+    refused: the series would not bound anything.
     """
-    if not c_scale > 0.0:
-        raise PreconditionError(f"scale must be positive, got {c_scale}")
+    _check_scale(c_scale)
     p, alpha, n = fam.p, fam.alpha, fam.n
     q = sobolev_dual(p, alpha)
     series = []
@@ -455,8 +455,16 @@ def blowup_modular_growth(fam, c_scale):
             with np.errstate(over="ignore"):
                 contrib = (value / c_scale) ** qv[cells][on_e]
             total += float(contrib.sum()) * cell
+        if not math.isfinite(total):
+            raise PreconditionError(f"the level {lv.k} series term overflows at scale "
+                                    f"C = {c_scale!r}")
         series.append(total)
     return series
+
+
+def _check_scale(c_scale):
+    if not (c_scale > 0.0 and math.isfinite(c_scale)):
+        raise PreconditionError(f"scale must be positive and finite, got {c_scale}")
 
 
 def blowup_growth_floor(fam, c_scale, family_k0=None):
@@ -464,19 +472,27 @@ def blowup_growth_floor(fam, c_scale, family_k0=None):
 
     (2^(-alpha-n-5) ((t+2) sqrt(n))^(alpha-n) k / (C K^3 K0))^((n+1)/(n-alpha))
     with K, k the pairing constants of the exponent and K0 the interval
-    constant over the chain family (1.0 when not supplied).
+    constant over the chain family (1.0 when not supplied).  A scale that is
+    not positive and finite, or a floor that overflows, is refused.
     """
+    _check_scale(c_scale)
     p, alpha, t, n = fam.p, fam.alpha, fam.t, fam.n
     kk = holder_constant(p)
     k_small = duality_constant(p)
     k0 = 1.0 if family_k0 is None else float(family_k0)
-    base = (
-        2.0 ** (-alpha - n - 5.0)
-        * ((t + 2.0) * math.sqrt(n)) ** (alpha - n)
-        * k_small
-        / (c_scale * kk ** 3 * k0)
-    )
-    return base ** ((n + 1.0) / (n - alpha))
+    try:
+        base = (
+            2.0 ** (-alpha - n - 5.0)
+            * ((t + 2.0) * math.sqrt(n)) ** (alpha - n)
+            * k_small
+            / (c_scale * kk ** 3 * k0)
+        )
+        floor = base ** ((n + 1.0) / (n - alpha))
+    except (OverflowError, ZeroDivisionError):
+        floor = math.inf
+    if not math.isfinite(floor):
+        raise PreconditionError(f"the growth floor overflows at scale C = {c_scale!r}")
+    return floor
 
 
 def blowup_family_k0(fam):
@@ -898,26 +914,26 @@ def witness_norm_check(spec, j):
     return dist.norm(target), _witness_scale(target, dist, interval, j)[2]
 
 
-def two_sided_interval_check(spec, intervals=None, seed=0):
+def two_sided_interval_check(spec, seed=0):
     """Measured two-sidedness of norm vs measure^(1/harmonic mean) for EX62.
 
     The lower constant 1/(2K) is certified; the upper constant is measured
     and reported, with the long-interval branch additionally capped by the
     closed-form maximum of x^(2(1 - (6/5) x^-2 ((5/6) x^2 - 2x - 1/6))).
-    The intervals compile once, as one family: each harmonic mean and each
-    norm is read from the same row, and the norms come from one batched
-    solve."""
+    The 40 intervals are drawn from seed: log-uniform lengths in [1e-2, 1e6]
+    from starts uniform in [0, 100].  They compile once, as one family: each
+    harmonic mean and each norm is read from the same row, and the norms
+    come from one batched solve."""
     if spec.name != "EX62":
         raise PreconditionError(f"two-sided check is the EX62 scan, got {spec.name}")
     p = spec.exponent
     lower = 1.0 / (2.0 * holder_constant(p))
-    if intervals is None:
-        rng = np.random.default_rng(seed)
-        intervals = []
-        for _ in range(40):
-            length = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e6))))
-            start = float(rng.uniform(0.0, 100.0))
-            intervals.append((start, start + length))
+    rng = np.random.default_rng(seed)
+    intervals = []
+    for _ in range(40):
+        length = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e6))))
+        start = float(rng.uniform(0.0, 100.0))
+        intervals.append((start, start + length))
     xs = np.linspace(1.0, 40.0, 4001)
     with np.errstate(all="ignore"):
         shape = xs ** (2.0 * (1.0 - 1.2 * (xs ** -2.0) * (xs * xs * 5.0 / 6.0 - 2.0 * xs - 1.0 / 6.0)))

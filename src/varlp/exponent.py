@@ -31,43 +31,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, PreconditionError, SpecParseError
+from .grid import _check_order, _gauss_nodes, as_box, box_intersect, box_volume
 
 INF = math.inf
 _TINY = np.finfo(float).tiny
-
-
-def as_box(obj, dimension=None):
-    """Normalize to a tuple of (lo, hi) float pairs, validating shape."""
-    try:
-        box = tuple((float(lo), float(hi)) for lo, hi in obj)
-    except (TypeError, ValueError) as exc:
-        raise SpecParseError(f"malformed box: {obj!r}") from exc
-    if dimension is not None and len(box) != dimension:
-        raise SpecParseError(f"box has {len(box)} axes, expected {dimension}")
-    for lo, hi in box:
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise SpecParseError(f"degenerate box axis ({lo}, {hi})")
-    return box
-
-
-def box_volume(box):
-    vol = 1.0
-    for lo, hi in box:
-        vol *= hi - lo
-    return vol
-
-
-def box_intersect(a, b):
-    """Intersection of two boxes, or None when the overlap has measure zero."""
-    if len(a) != len(b):
-        raise PreconditionError(f"a {len(a)}-D box cannot meet a {len(b)}-D box")
-    out = []
-    for (alo, ahi), (blo, bhi) in zip(a, b):
-        lo, hi = max(alo, blo), min(ahi, bhi)
-        if hi <= lo:
-            return None
-        out.append((lo, hi))
-    return tuple(out)
 
 
 def _first_piece_cells(pieces, box):
@@ -168,12 +135,6 @@ class PlateauBump:
         m, s = self.plateau_halfwidth, self.support_halfwidth
         u = np.clip((s - d) / (s - m), 0.0, 1.0)
         return self.height * u * u * (3.0 - 2.0 * u)
-
-
-@functools.cache
-def _gauss_nodes():
-    """Nodes and weights of 48-point Gauss-Legendre quadrature on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(48)
 
 
 @dataclass(frozen=True)
@@ -683,12 +644,6 @@ def evaluate(p, x):
 def conjugate(p):
     """Pointwise conjugate exponent: 1/p(x) + 1/p'(x) = 1, with 1/inf = 0."""
     return replace(p, transforms=p.transforms + (("conjugate",),))
-
-
-def _check_order(alpha, n):
-    """Refuse a fractional order alpha outside [0, n)."""
-    if not (0.0 <= alpha < n):
-        raise PreconditionError(f"need 0 <= alpha < n = {n}, got alpha = {alpha}")
 
 
 def sobolev_dual(p, alpha):

@@ -7,6 +7,11 @@ checkable at tight tolerances.  A closed box covers the cells whose
 midpoints it contains; GridDomain.box_cells finds them for every caller,
 from midpoints that are built once per distinct axis and shared read-only.
 A measurable set is a box or a read-only cell mask on one grid.
+
+This is the lowest layer: it imports no varlp module but the exceptions,
+and holds the box helpers, the check of a fractional order and the
+quadrature nodes that the exponent and operator layers share, so the
+operators never load the exponent code.
 """
 
 from __future__ import annotations
@@ -19,7 +24,52 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, SpecParseError
-from .exponent import as_box, box_intersect, box_volume
+
+
+def as_box(obj, dimension=None):
+    """Normalize to a tuple of (lo, hi) float pairs, validating shape."""
+    try:
+        box = tuple((float(lo), float(hi)) for lo, hi in obj)
+    except (TypeError, ValueError) as exc:
+        raise SpecParseError(f"malformed box: {obj!r}") from exc
+    if dimension is not None and len(box) != dimension:
+        raise SpecParseError(f"box has {len(box)} axes, expected {dimension}")
+    for lo, hi in box:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise SpecParseError(f"degenerate box axis ({lo}, {hi})")
+    return box
+
+
+def box_volume(box):
+    vol = 1.0
+    for lo, hi in box:
+        vol *= hi - lo
+    return vol
+
+
+def box_intersect(a, b):
+    """Intersection of two boxes, or None when the overlap has measure zero."""
+    if len(a) != len(b):
+        raise PreconditionError(f"a {len(a)}-D box cannot meet a {len(b)}-D box")
+    out = []
+    for (alo, ahi), (blo, bhi) in zip(a, b):
+        lo, hi = max(alo, blo), min(ahi, bhi)
+        if hi <= lo:
+            return None
+        out.append((lo, hi))
+    return tuple(out)
+
+
+def _check_order(alpha, n):
+    """Refuse a fractional order alpha outside [0, n)."""
+    if not (0.0 <= alpha < n):
+        raise PreconditionError(f"need 0 <= alpha < n = {n}, got alpha = {alpha}")
+
+
+@functools.cache
+def _gauss_nodes():
+    """Nodes and weights of 48-point Gauss-Legendre quadrature on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(48)
 
 
 @dataclass(frozen=True)

@@ -72,10 +72,9 @@ from .exponent import (
     _owned_runs,
     _scatter_blocks,
     _tf_array,
-    box_intersect,
-    box_volume,
     conjugate,
 )
+from .grid import box_intersect, box_volume
 
 # Newton from the left end reaches machine precision in a handful of steps;
 # the cap only turns a broken invariant into an error instead of a hang

@@ -36,8 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, PreconditionError
-from .exponent import _check_order, _gauss_nodes
-from .grid import Cube, GridFunction
+from .grid import Cube, GridFunction, _check_order, _gauss_nodes
 
 EXACT = "EXACT"
 DYADIC = "DYADIC"

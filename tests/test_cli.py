@@ -1,7 +1,8 @@
-"""End-to-end tests for the command-line runner (in-process, apart from one
-fresh-interpreter import check)."""
+"""End-to-end tests for the command-line runner (in-process, apart from the
+fresh-interpreter checks of which modules load)."""
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -520,6 +521,18 @@ def test_blowup_bad_t_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c_scale, why", [
+    ("1e-320", "the level 1 series term overflows at scale C = 1e-320"),
+    ("inf", "scale must be positive and finite, got inf"),
+])
+def test_blowup_refuses_a_scale_it_cannot_certify(c_scale, why, tmp_path, capsys):
+    # C = 1e-320 gives an inf series and floor and C = inf gives 0s: neither is a bound
+    out = tmp_path / "o"
+    assert main(["blowup", "--alpha", "0.25", "--c-scale", c_scale, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {why}\n"
+    assert not (out / "summary.txt").exists()
+
+
 @pytest.mark.parametrize("t", ["4.5", "5", "5.5", "7.25"])
 def test_blowup_builds_at_a_whole_level_one_cell_count(t, tmp_path):
     assert main(["blowup", "--alpha", "0.25", "--t", t, "--k", "2",
@@ -535,16 +548,70 @@ def test_every_subcommand_takes_a_seed():
         assert parser.parse_args([name, *positional, "--seed", "7"]).seed == 7, name
 
 
-def test_cli_import_does_not_load_scipy():
-    # scipy is a test-only dependency; the runtime must not pull it in
+def _loaded_after(code):
+    """The varlp modules, and whether numpy and scipy are loaded, after code
+    runs in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(varlp.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    probe = "import sys, varlp.cli; print('scipy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120)
+    probe = code + ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
+                    " if m.split('.')[0] in ('varlp', 'numpy', 'scipy'))))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False", "importing varlp.cli loaded scipy"
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    return ({m for m in loaded if m.startswith("varlp.")},
+            "numpy" in loaded, "scipy" in loaded)
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency; the runtime must not pull it in
+    _, _, scipy = _loaded_after("import varlp.cli")
+    assert not scipy, "importing varlp.cli loaded scipy"
+
+
+def test_import_varlp_loads_only_the_exceptions():
+    modules, numpy, _ = _loaded_after("import varlp")
+    assert modules == {"varlp.errors"} and not numpy
+
+
+def test_operator_commands_load_no_norm_stack(tmp_path):
+    runs = [["maximal", "--box=-0.5,0.5", "--alpha", "0.5", "--cells", "64"],
+            ["riesz", "--box=-0.5,0.5", "--alpha", "0.5", "--cells", "64"],
+            ["paircheck", "--alpha", "0.5", "--mode", "maximal", "--count", "2"],
+            ["paircheck", "--alpha", "0.5", "--mode", "czo", "--count", "2"]]
+    code = "from varlp.cli import main\n" + "".join(
+        f"assert main({argv + ['--out', str(tmp_path / str(i))]!r}) == 0\n"
+        for i, argv in enumerate(runs))
+    modules, _, _ = _loaded_after(code)
+    assert {"varlp.cli", "varlp.grid", "varlp.operators"} <= modules
+    assert not modules & {"varlp.exponent", "varlp.norms", "varlp.k0", "varlp.constructions"}
+
+
+def test_norm_command_loads_no_k0_or_construction_code(tmp_path):
+    spec = write_spec(tmp_path, TWO_PIECE)
+    argv = ["norm", "--spec", spec, "--box", "0,2", "--out", str(tmp_path / "run")]
+    modules, _, _ = _loaded_after(f"from varlp.cli import main\nassert main({argv!r}) == 0")
+    assert {"varlp.exponent", "varlp.norms"} <= modules
+    assert not modules & {"varlp.k0", "varlp.constructions"}
+
+
+def test_every_public_name_reads_through_its_module(monkeypatch):
+    for name in varlp.__all__:
+        module = importlib.import_module("varlp." + varlp._MODULE_OF.get(name, "errors"))
+        want = module if name == module.__name__.split(".")[1] else getattr(module, name)
+        assert getattr(varlp, name) is want, name
+    assert set(varlp.__all__) <= set(dir(varlp))
+    # a name is never bound in the package, so a wrapper bound in its module
+    # (as the benchmark's tracer binds one) is what the package gives
+    wrapper = object()
+    monkeypatch.setattr(varlp.operators, "fractional_maximal", wrapper)
+    assert varlp.fractional_maximal is wrapper
+    namespace = {}
+    exec("from varlp import *", namespace)
+    assert all(namespace[name] is getattr(varlp, name) for name in varlp.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        varlp.no_such_name
 
 
 def readme_commands():
