@@ -842,8 +842,14 @@ def build_ex64(alpha, p_minus, p_plus, count=10 ** 15):
 
 
 def witness_interval(spec, j):
-    """The j-th witness interval (a, b): measure exactly j^witness_power."""
-    length = float(j) ** spec.witnesses["witness_power"]
+    """The j-th witness interval (a, b): measure exactly j^witness_power.
+    A length past the float range is refused."""
+    power = spec.witnesses["witness_power"]
+    try:
+        length = float(j) ** power
+    except OverflowError:
+        raise PreconditionError(f"witness interval {j} is too long: its length "
+                                f"{j}^{power!r} overflows") from None
     return (0.75, 0.75 + length)
 
 
@@ -874,8 +880,9 @@ def witness_check(spec, j_values):
     the scale lambda = j * measure^(1/mean), and the modular of the scaled
     indicator, which at or above 1 certifies norm >= lambda.  For EX62 the
     mean bound is a fixed threshold (5); for EX63/EX64 the bound is
-    (top + rate * bottom)/2 from j >= 2.  The intervals compile as one
-    family, and each j reads its own row as one compiled set.
+    (top + rate * bottom)/2 from j >= 2.  Every j is checked, and its
+    interval built, before any interval compiles; the intervals compile as
+    one family, and each j reads its own row as one compiled set.
     """
     target = _witness_target_exponent(spec)
     mean_floor = 5.0 if spec.name == "EX62" else spec.witnesses["mean_floor"]

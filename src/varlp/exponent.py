@@ -7,12 +7,18 @@ smooth plateau bumps repeated along a center sequence.  Derived exponents
 transform chains over the same piece data so that analytic integration
 routines keep access to the exact piece geometry.  On a grid the pieces are
 painted onto the cells they cover, so only bump pieces evaluate points.
-The atoms of a box (_box_atoms) are built here too, from the parts each
-piece owns and the one split of bump runs (BumpsPiece._runs, read by
-_bump_blocks): the box compiler of varlp.norms reads them for a set and,
-through the same split over the cached cut of the domain (_domain_cells),
-for a family of boxes, and bounds() and strata() read them, cached, for the
-exponent's own domain.
+
+Boxes compile into atoms here, for varlp.norms and for bounds() and
+strata().  Each cell of a box's cut goes to the first piece listed that
+covers it (_first_piece_cells); a constant piece gives one atom, the volume
+it owns, and a bump piece, which lives on a line, splits each run of cells
+it owns in the one split of bump runs (BumpsPiece._runs, read by
+_bump_blocks).  A single box cuts only itself (_box_atoms).  The domain is
+cut once per set of pieces and cached (_domain_cells), so an exponent, its
+conjugate and its fractional duals share the cut: bounds() and strata() read
+its atoms, and a family of boxes (the cubes of a K0 scan, the intervals of a
+witness ladder) compiles in one pass over it (_family_atoms), each row
+bitwise the atoms of its box alone.
 
 Center sequences can hold astronomically many bumps (counts around 1e14 show
 up in the long-interval witness constructions), so nothing here ever
@@ -35,21 +41,24 @@ from .grid import _check_order, _gauss_nodes, as_box, box_intersect, box_volume
 
 INF = math.inf
 _TINY = np.finfo(float).tiny
+# box-cell products per pass of a family compile (_family_atoms)
+_TABLE_BLOCK = 1 << 18
 
 
 def _first_piece_cells(pieces, box):
     """Cut a box at every piece edge inside it and give each elementary cell
     to the first piece whose closed box covers it.
 
-    Returns (edges, owner, volumes, blocks): the sorted cut positions per
-    axis, box ends included; the index of the piece that owns each cell, -1
-    where no piece covers it; the volume each piece owns in the box; and per
-    piece and axis, the slice of the cells between its edges (its block).
-    A piece covers its block and never part of a cell, so painting the
-    blocks from the last piece to the first gives the owner of every cell
-    exactly, however many pieces overlap.  A piece that owns its whole block
-    gets the volume of its part of the box, bit for bit; a piece that
-    earlier ones cut into gets the sum over the cells it owns, in C order.
+    Returns (edges, owner, volumes, blocks, cut): the sorted cut positions
+    per axis, box ends included; the index of the piece that owns each cell,
+    -1 where no piece covers it; the volume each piece owns in the box; per
+    piece and axis, the slice of the cells between its edges (its block);
+    and per piece whether earlier pieces own cells of its block.  A piece
+    covers its block and never part of a cell, so painting the blocks from
+    the last piece to the first gives the owner of every cell exactly,
+    however many pieces overlap.  A piece that owns its whole block gets the
+    volume of its part of the box, bit for bit; a piece that earlier ones
+    cut into gets the sum over the cells it owns, in C order.
     """
     edges = [sorted({lo, hi}.union(x for piece in pieces for x in piece.box[axis] if lo < x < hi))
              for axis, (lo, hi) in enumerate(box)]
@@ -61,32 +70,31 @@ def _first_piece_cells(pieces, box):
         owner[blocks[i]] = i
     labels = owner.ravel() + 1
     owned = np.bincount(labels, minlength=len(pieces) + 1)[1:].tolist()
-    sizes = [math.prod([c.stop - c.start for c in cells]) for cells in blocks]
+    cut = [count != math.prod([c.stop - c.start for c in cells])
+           for count, cells in zip(owned, blocks)]
     volumes = [box_volume([(e[c.start], e[c.stop]) for e, c in zip(edges, cells)])
                for cells in blocks]
-    if owned != sizes:
+    if any(cut):
         cell_volumes = math.prod(np.ix_(*map(np.diff, edges)))
         sums = np.bincount(labels, cell_volumes.ravel(), len(pieces) + 1)[1:].tolist()
-        volumes = [v if count == size else total
-                   for v, total, count, size in zip(volumes, sums, owned, sizes)]
-    return edges, owner, volumes, blocks
+        volumes = [total if c else v for v, total, c in zip(volumes, sums, cut)]
+    return edges, owner, volumes, blocks, cut
 
 
 @functools.lru_cache(maxsize=16)
 def _domain_cells(pieces, domain):
-    """The cells of _first_piece_cells of a domain, as read-only arrays:
-    (edges, owner, blocks, cut), with blocks[k, axis] the [start, stop) of
-    piece k's block and cut[k] whether earlier pieces own cells of it.
-    Cached on the pieces, so an exponent, its conjugate and its fractional
-    duals cut their domain once for every family of boxes."""
-    edges, owner, _, blocks = _first_piece_cells(pieces, domain)
+    """_first_piece_cells of a domain with read-only arrays: (edges, owner,
+    volumes, blocks, cut), with blocks[k, axis] the [start, stop) of piece
+    k's block.  Cached on the pieces, so an exponent, its conjugate and its
+    fractional duals cut their domain once, for bounds() and strata() and
+    for every family of boxes."""
+    edges, owner, volumes, blocks, cut = _first_piece_cells(pieces, domain)
     edges = tuple(np.array(e) for e in edges)
     blocks = np.array([[(c.start, c.stop) for c in cells] for cells in blocks])
-    sizes = np.multiply.reduce(blocks[:, :, 1] - blocks[:, :, 0], axis=1)
-    cut = np.bincount(owner.ravel() + 1, minlength=len(pieces) + 1)[1:] != sizes
+    cut = np.array(cut)
     for a in edges + (owner, blocks, cut):
         a.flags.writeable = False
-    return edges, owner, blocks, cut
+    return edges, owner, tuple(volumes), blocks, cut
 
 
 def _owned_runs(edges, owner, k):
@@ -95,15 +103,6 @@ def _owned_runs(edges, owner, k):
     owned = np.concatenate(([False], owner == k, [False]))
     ends = np.flatnonzero(owned[1:] != owned[:-1]).tolist()
     return [(edges[0][a], edges[0][b]) for a, b in zip(ends[::2], ends[1::2])]
-
-
-def _owned_parts(pieces, box):
-    """(piece, volume, runs) for every piece that owns positive volume of
-    the box, in piece order: runs is None for a constant piece and the
-    _owned_runs of a bump piece, which lives on a line."""
-    edges, owner, volumes, _ = _first_piece_cells(pieces, box)
-    return [(piece, v, None if isinstance(piece, ConstantPiece) else _owned_runs(edges, owner, k))
-            for k, (piece, v) in enumerate(zip(pieces, volumes)) if v > 0.0]
 
 
 def points_in_box(pts, box):
@@ -435,48 +434,122 @@ def _scatter_blocks(n, blocks):
     return w, raw, ends
 
 
-def _box_atoms(pieces, box):
-    """(measure, w, raw, ends) of the indicator of a box inside the domain:
+def _cell_atoms(pieces, edges, owner, volumes):
+    """(measure, w, raw, ends) of a box from its cut (_first_piece_cells):
     the volume the pieces own of it, the atoms of positive weight w at the
     raw values raw, and the raw values at the ends of the bump shoulders.
 
-    Each elementary cell of the box goes to the first piece listed whose
-    closed box covers it (see _owned_parts).  A constant piece gives one
-    atom, the volume it owns.  A bump piece, which lives on a line, splits
-    the runs of cells it owns in one _bump_blocks call, one row per run,
-    and its atoms and ends are read row by row, so they keep the runs'
-    order, left to right.  Atoms keep the order of the pieces; cells no
-    piece covers give none.
+    A constant piece gives one atom, the volume it owns.  A bump piece,
+    which lives on a line, splits the runs of cells it owns in one
+    _bump_blocks call, one row per run, and its atoms and ends are read row
+    by row, so they keep the runs' order, left to right.  Atoms keep the
+    order of the pieces; cells no piece covers give none.
     """
-    parts = _owned_parts(pieces, box)
-    ws, raws, ends = [], [], []
-    for piece, v, runs in parts:
-        if runs is None:
+    measure, ws, raws, ends, bumps = 0.0, [], [], [], False
+    for k, (piece, v) in enumerate(zip(pieces, volumes)):
+        if not v > 0.0:
+            continue
+        measure += v
+        if isinstance(piece, ConstantPiece):
             ws.append(v)
             raws.append(piece.value)
-        else:
-            lo, hi = np.array(runs).T
-            rows = np.arange(len(runs))
-            w, raw, e = _scatter_blocks(len(runs), _bump_blocks(piece, rows, lo, hi))
-            atoms = w > 0.0
-            ws.append(w[atoms])
-            raws.append(raw[atoms])
-            ends += e[~np.isnan(e)].tolist()
+            continue
+        lo, hi = np.array(_owned_runs(edges, owner, k)).T
+        w, raw, e = _scatter_blocks(len(lo), _bump_blocks(piece, np.arange(len(lo)), lo, hi))
+        atoms = w > 0.0
+        ws.append(w[atoms])
+        raws.append(raw[atoms])
+        ends += e[~np.isnan(e)].tolist()
+        bumps = True
     # without bump atoms the constant atoms make one array in one step
-    stack = np.array if all(runs is None for *_, runs in parts) else np.hstack
-    measure = sum((v for _, v, _ in parts), 0.0)
+    stack = np.hstack if bumps else np.array
     return measure, stack(ws), stack(raws).astype(float, copy=False), ends
+
+
+def _box_atoms(pieces, box):
+    """_cell_atoms of a box inside the domain, which cuts only the box."""
+    return _cell_atoms(pieces, *_first_piece_cells(pieces, box)[:3])
 
 
 @functools.lru_cache(maxsize=16)
 def _domain_atoms(pieces, domain):
     """The read-only raw values of the atoms and of the shoulder ends of a
-    domain compiled as a box (_box_atoms).  Cached on the pieces, so an
-    exponent, its conjugate and its fractional duals compile it once."""
-    _, _, raw, ends = _box_atoms(pieces, domain)
+    domain, read from its cached cut (_domain_cells).  Cached on the pieces,
+    so an exponent, its conjugate and its fractional duals compile it once."""
+    _, _, raw, ends = _cell_atoms(pieces, *_domain_cells(pieces, domain)[:3])
     ends = np.array(ends, dtype=float)
     raw.flags.writeable = ends.flags.writeable = False
     return raw, ends
+
+
+def _family_atoms(pieces, domain, boxes):
+    """(lo, hi, measure, w, raw, ends) of a family of boxes in one pass: per
+    box its ends clipped to the domain and, one row per box, bitwise the
+    measure, atoms and shoulder ends of _cell_atoms of the clipped box.
+
+    Each box clips the cells of the domain's cached cut (_domain_cells)
+    that it meets.  A piece that owns every cell of its block inside the
+    box gets the product of its clipped sides in axis order, one that an
+    earlier piece cuts into the sum of the cells it owns, in C order, as
+    _first_piece_cells gives them.  The boxes pass in blocks of at most
+    _TABLE_BLOCK box-cell products.  With only constant pieces, column k of
+    a row is what piece k owns of the box, so a row's width does not depend
+    on the family.  On a line with bump pieces each run of cells a bump
+    piece owns splits for every box at once (_bump_blocks), and the rows
+    are packed (_scatter_blocks).
+    """
+    n = len(domain)
+    edges, owner, _, block, cut = _domain_cells(pieces, domain)
+    ends = np.array(boxes, dtype=float).reshape(len(boxes), n, 2)
+    dom = np.array(domain)
+    lo, hi = np.maximum(ends[:, :, 0], dom[:, 0]), np.minimum(ends[:, :, 1], dom[:, 1])
+    # per box and piece, the piece's sides clipped to the box, and their product
+    sides = np.array([piece.box for piece in pieces])
+    v = np.multiply.reduce(np.minimum(np.maximum(sides[:, :, 1], lo[:, None]), hi[:, None])
+                           - np.minimum(np.maximum(sides[:, :, 0], lo[:, None]), hi[:, None]),
+                           axis=2)
+    # a piece that owns its whole block in the domain owns it in every box
+    if cut.any():
+        # per box and piece, the cells of its block inside the box: per
+        # axis, the cells [first, stop) of positive width inside the box
+        span = 1
+        for axis, e in enumerate(edges):
+            first = np.searchsorted(e, lo[:, axis], "right")[:, None] - 1
+            stop = np.searchsorted(e, hi[:, axis], "left")[:, None]
+            span = span * np.maximum(np.minimum(block[:, axis, 1], stop)
+                                     - np.maximum(block[:, axis, 0], first), 0)
+        k = len(pieces) + 1
+        labels = owner.ravel() + 1
+        step = max(1, _TABLE_BLOCK // labels.size)
+        for r in range(0, len(boxes), step):
+            rows = slice(r, r + step)
+            count = len(v[rows])
+            cells, hits = np.ones(count), np.ones(count, bool)
+            for axis, e in enumerate(edges):
+                width = np.maximum(np.minimum(hi[rows, axis, None], e[1:])
+                                   - np.maximum(lo[rows, axis, None], e[:-1]), 0.0)
+                width = width.reshape((count,) + (1,) * axis + (-1,))
+                cells, hits = cells[..., None] * width, hits[..., None] & (width > 0.0)
+            at = (labels + k * np.arange(count)[:, None]).ravel()
+            owned = np.bincount(at, hits.ravel(), k * count).reshape(count, k)[:, 1:]
+            sums = np.bincount(at, cells.ravel(), k * count).reshape(count, k)[:, 1:]
+            v[rows] = np.where(owned == span[rows], v[rows], sums)
+    measure = np.cumsum(v, axis=1)[:, -1]
+    if all(isinstance(piece, ConstantPiece) for piece in pieces):
+        raw = np.broadcast_to(np.array([piece.value for piece in pieces], dtype=float), v.shape)
+        return lo, hi, measure, v, raw, np.full((len(v), 0), np.nan)
+    blocks = []  # (rows, w, raw, ends) in the order of _cell_atoms
+    for j, piece in enumerate(pieces):
+        if isinstance(piece, ConstantPiece):
+            rows = np.flatnonzero(v[:, j])
+            blocks.append((rows, v[rows, j, None], piece.value, None))
+            continue
+        for a, b in _owned_runs(edges, owner, j):
+            run_lo, run_hi = np.maximum(lo[:, 0], a), np.minimum(hi[:, 0], b)
+            rows = np.flatnonzero(run_hi > run_lo)
+            if rows.size:
+                blocks += _bump_blocks(piece, rows, run_lo[rows], run_hi[rows])
+    return (lo, hi, measure) + _scatter_blocks(len(v), blocks)
 
 
 def _tf_array(ops, values):

@@ -114,8 +114,13 @@ class GridDomain:
     @property
     def cell_volume(self):
         """h^n, which scales every integral on the grid; a volume below the
-        smallest normal float has lost its digits, so it is refused."""
-        volume = self.h ** self.dimension
+        smallest normal float has lost its digits and one above the largest
+        float has none, so both are refused."""
+        try:
+            volume = self.h ** self.dimension
+        except OverflowError:
+            raise PreconditionError(f"cell width {self.h!r} is too large: the cell volume "
+                                    f"h^{self.dimension} overflows") from None
         if not volume >= sys.float_info.min:
             raise PreconditionError(f"cell width {self.h!r} is too small: the cell volume "
                                     f"h^{self.dimension} = {volume!r} underflows")

@@ -6,16 +6,16 @@ a pre-transform exponent value.  Two routes compile:
 
 * a grid function: one atom per cell with f != 0 (midpoint sampling, exact
   for piecewise-constant data aligned with the cells);
-* the indicator of a box in any dimension, intervals included: the box is
-  cut into the cells each piece owns, where pieces may overlap and the
-  first one listed wins.  A constant piece gives one atom, the volume it
-  owns.  A bump piece (one dimension only) gives, per run of cells it owns,
-  the atoms of the run's split (BumpsPiece._runs): Gauss nodes across the
-  few bumps that straddle an end, the plateaus and shoulder Gauss nodes of
-  the whole bumps weighted by their count, and the base length.  The walk
-  and split do not depend on the number of bumps, so intervals of length
-  1e27 containing 1e13 bumps are fine.  bounds() and strata() read the
-  same compile of the exponent's whole domain (exponent._box_atoms).
+* the indicator of a box in any dimension, intervals included: the atoms
+  of exponent._box_atoms, where pieces may overlap and the first one
+  listed wins.  A constant piece gives one atom, the volume it owns.  A
+  bump piece (one dimension only) gives, per run of cells it owns, the
+  atoms of the run's split (BumpsPiece._runs): Gauss nodes across the few
+  bumps that straddle an end, the plateaus and shoulder Gauss nodes of the
+  whole bumps weighted by their count, and the base length.  The walk and
+  split do not depend on the number of bumps, so intervals of length 1e27
+  containing 1e13 bumps are fine.  bounds() and strata() read the same
+  atoms of the exponent's whole domain.
 
 The atoms where the exponent is inf enter the modular as one term with
 exponent 1 and weight sup |f| over them (1 for an indicator).  A bump
@@ -26,21 +26,11 @@ compiled shoulder ends, that no quadrature node can see.
 
 A family of sets (the cubes of a K0 scan, the intervals of a witness
 ladder) compiles into one Distribution whose arrays are a rows x atoms
-matrix, one row per set, padded with atoms of weight 0.  A family of boxes,
-in any dimension and a family of one included, compiles in one pass over
-one cut of the exponent's domain, made once per exponent and cached
-(exponent._domain_cells): each box clips the cells it meets, every piece
-gets the volume the box route gives it, by the same rule and with the same
-sums, and each run of cells a bump piece owns splits for every box at once.
-So the atoms of positive weight of each row, their raw values, its measure
-and its shoulder ends are bitwise the box route's compile of its set.  With
-only constant pieces a row has one column per piece; with bump pieces the
-rows are packed.  Mask sets compile each set through the grid route and pad
-it into the matrix.  A single box keeps the box route: it cuts only the
-box, not the whole domain.  Both routes split bump runs in one place
-(exponent._bump_blocks over BumpsPiece._runs): a single box splits the
-runs each bump piece owns of it in one call, and a family splits each run
-of the domain for every box at once.
+matrix, one row per set, padded with atoms of weight 0.  A family of boxes
+takes its rows from exponent._family_atoms, one pass over the exponent's
+cached cut of its domain, each row bitwise the box route's compile of its
+set; here it is only checked for coverage.  Mask sets compile each set
+through the grid route and pad it into the matrix.
 
 An integral of g(p) over a compiled set is the sum of w_i g(v_i) over its
 atoms.  The Luxemburg norm lam = exp(t) solves
@@ -63,25 +53,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .exponent import (
-    INF,
-    ConstantPiece,
-    _box_atoms,
-    _bump_blocks,
-    _domain_cells,
-    _owned_runs,
-    _scatter_blocks,
-    _tf_array,
-    conjugate,
-)
+from .exponent import INF, _box_atoms, _family_atoms, _tf_array, conjugate
 from .grid import box_intersect, box_volume
 
 # Newton from the left end reaches machine precision in a handful of steps;
 # the cap only turns a broken invariant into an error instead of a hang
 _NEWTON_STEPS = 200
 _CONTRACT_STEPS = 64
-# box-cell products per pass of a family compile (_box_rows)
-_TABLE_BLOCK = 1 << 18
 # relative slack of the bound in holder_pairing_check
 _PAIRING_TOL = 1e-6
 # the least set measure whose norm is read (see Distribution.norms)
@@ -549,14 +527,25 @@ def _compile_family(p, sets):
     """Compile every set of a family against p, row r for sets[r].
 
     A family of boxes, a family of one included, compiles in one pass over
-    the exponent's cached cut of its domain (see _box_rows).  A family with
-    a mask set compiles each set alone through compile_set and pads its
-    atoms into the rows.  Errors are those of compile_set for the first set
-    that fails.
+    the exponent's cached cut of its domain (exponent._family_atoms), each
+    row bitwise the compile_set of its box, and is then checked for coverage
+    box by box.  A family with a mask set compiles each set alone through
+    compile_set and pads its atoms into the rows.  Errors are those of
+    compile_set for the first set that fails.
     """
     sets = list(sets)
     if all(E.is_box() for E in sets):
-        return _box_rows(p, [E.box for E in sets])
+        boxes, n = [E.box for E in sets], p.dimension
+        # the boxes before the first of another dimension raise their errors first
+        split = next((r for r, box in enumerate(boxes) if len(box) != n), len(boxes))
+        lo, hi, measure, w, raw, ends = _family_atoms(p.pieces, p.domain, boxes[:split])
+        volume = np.multiply.reduce(hi - lo, axis=1)
+        short = (hi <= lo).any(axis=1) | (volume == 0.0) | (measure < volume * (1.0 - 1e-9))
+        for r in np.flatnonzero(short).tolist():
+            _check_covered(n, box_intersect(boxes[r], p.domain), float(measure[r]))
+        if split < len(boxes):
+            raise PreconditionError(f"a {len(boxes[split])}-D box against a {n}-D exponent")
+        return Distribution(p.pieces, w, 1.0, raw, measure, ends)
     dists = [compile_set(p, E) for E in sets]
     atoms = max((d.raw.size for d in dists), default=0)
     w, raw = np.zeros((len(dists), atoms)), np.ones((len(dists), atoms))
@@ -575,83 +564,3 @@ def _family_row(dist, r):
     atoms = w > 0.0
     return Distribution(dist.pieces, w[atoms], dist.f, dist.raw[r][atoms], float(dist.measure[r]),
                         tuple(ends[~np.isnan(ends)].tolist()))
-
-
-def _box_rows(p, boxes):
-    """Rows of the indicators of boxes clipped to the exponent's domain,
-    all in one pass, each row bitwise the atoms, measure and shoulder ends
-    of _compile_box in its order.
-
-    Each box clips the cells of the domain's cached cut that it meets
-    (exponent._domain_cells).  A piece that owns every cell of its block
-    inside the box gets the product of its clipped sides in axis order, one
-    that an earlier piece cuts into the sum of the cells it owns, in C
-    order, as _first_piece_cells gives them.  The boxes pass in blocks of
-    at most _TABLE_BLOCK box-cell products.  With only constant pieces,
-    column k of a row is what piece k owns of the box, so a row's width
-    does not depend on the family.  On a line with bump pieces each run of
-    cells a bump piece owns splits for every box at once
-    (exponent._bump_blocks), and the rows are packed.
-    """
-    n = p.dimension
-    # the boxes before the first of another dimension raise their errors first
-    split = next((r for r, box in enumerate(boxes) if len(box) != n), len(boxes))
-    boxes, other = boxes[:split], boxes[split:]
-    edges, owner, block, cut = _domain_cells(p.pieces, p.domain)
-    ends = np.array(boxes, dtype=float).reshape(len(boxes), n, 2)
-    dom = np.array(p.domain)
-    lo, hi = np.maximum(ends[:, :, 0], dom[:, 0]), np.minimum(ends[:, :, 1], dom[:, 1])
-    # per box and piece, the piece's sides clipped to the box, and their product
-    sides = np.array([piece.box for piece in p.pieces])
-    v = np.multiply.reduce(np.minimum(np.maximum(sides[:, :, 1], lo[:, None]), hi[:, None])
-                           - np.minimum(np.maximum(sides[:, :, 0], lo[:, None]), hi[:, None]),
-                           axis=2)
-    # a piece that owns its whole block in the domain owns it in every box
-    if cut.any():
-        # per box and piece, the cells of its block inside the box: per
-        # axis, the cells [first, stop) of positive width inside the box
-        span = 1
-        for axis, e in enumerate(edges):
-            first = np.searchsorted(e, lo[:, axis], "right")[:, None] - 1
-            stop = np.searchsorted(e, hi[:, axis], "left")[:, None]
-            span = span * np.maximum(np.minimum(block[:, axis, 1], stop)
-                                     - np.maximum(block[:, axis, 0], first), 0)
-        k = len(p.pieces) + 1
-        labels = owner.ravel() + 1
-        step = max(1, _TABLE_BLOCK // labels.size)
-        for r in range(0, len(boxes), step):
-            rows = slice(r, r + step)
-            count = len(v[rows])
-            cells, hits = np.ones(count), np.ones(count, bool)
-            for axis, e in enumerate(edges):
-                width = np.maximum(np.minimum(hi[rows, axis, None], e[1:])
-                                   - np.maximum(lo[rows, axis, None], e[:-1]), 0.0)
-                width = width.reshape((count,) + (1,) * axis + (-1,))
-                cells, hits = cells[..., None] * width, hits[..., None] & (width > 0.0)
-            at = (labels + k * np.arange(count)[:, None]).ravel()
-            owned = np.bincount(at, hits.ravel(), k * count).reshape(count, k)[:, 1:]
-            sums = np.bincount(at, cells.ravel(), k * count).reshape(count, k)[:, 1:]
-            v[rows] = np.where(owned == span[rows], v[rows], sums)
-    measure = np.cumsum(v, axis=1)[:, -1]
-    volume = np.multiply.reduce(hi - lo, axis=1)
-    short = (hi <= lo).any(axis=1) | (volume == 0.0) | (measure < volume * (1.0 - 1e-9))
-    for r in np.flatnonzero(short).tolist():
-        _check_covered(n, box_intersect(boxes[r], p.domain), float(measure[r]))
-    if other:
-        raise PreconditionError(f"a {len(other[0])}-D box against a {n}-D exponent")
-    if all(isinstance(piece, ConstantPiece) for piece in p.pieces):
-        raw = np.broadcast_to(np.array([piece.value for piece in p.pieces], dtype=float), v.shape)
-        return Distribution(p.pieces, v, 1.0, raw, measure, np.full((len(v), 0), np.nan))
-    blocks = []  # (rows, w, raw, ends) in the order of _compile_box
-    for j, piece in enumerate(p.pieces):
-        if isinstance(piece, ConstantPiece):
-            rows = np.flatnonzero(v[:, j])
-            blocks.append((rows, v[rows, j, None], piece.value, None))
-            continue
-        for a, b in _owned_runs(edges, owner, j):
-            run_lo, run_hi = np.maximum(lo[:, 0], a), np.minimum(hi[:, 0], b)
-            rows = np.flatnonzero(run_hi > run_lo)
-            if rows.size:
-                blocks += _bump_blocks(piece, rows, run_lo[rows], run_hi[rows])
-    w, raw, ends = _scatter_blocks(len(v), blocks)
-    return Distribution(p.pieces, w, 1.0, raw, measure, ends)

@@ -742,8 +742,10 @@ def riesz_kernel(alpha, n):
     _check_order(alpha, n)
 
     def fn(z):
+        # |z| without squaring the offsets, whose squares leave the float range
+        r = np.abs(z[..., 0]) if n == 1 else np.hypot.reduce(z, axis=-1)
         with np.errstate(divide="ignore"):
-            return np.linalg.norm(z, axis=-1) ** (alpha - n)
+            return r ** (alpha - n)
 
     return FractionalKernel(fn=fn, alpha=alpha, c0=1.0, delta=1.0, lower=1.0, dimension=n)
 

@@ -142,6 +142,46 @@ def test_exit_code_2_on_bad_piece_kind(tmp_path, capsys):
     assert code == 2
 
 
+def _bumps(**value):
+    """A spec with one bumps piece whose value object is value."""
+    return {"dimension": 1, "domain": [[0.0, 2.0]],
+            "pieces": [{"box": [[0.0, 2.0]], "kind": "bumps", "value": value}]}
+
+
+_BUMP = {"base": 1.5, "height": 0.5, "plateau_halfwidth": 0.1, "support_halfwidth": 0.2,
+         "centers": {"kind": "power", "rate": 1.0, "count": 1}}
+
+
+@pytest.mark.parametrize("payload, message", [
+    (None, "cannot read spec file "),
+    ([TWO_PIECE], "spec root must be an object"),
+    ({"dimension": 1, "domain": [[0.0, 2.0]]}, "spec missing field 'pieces'"),
+    (dict(TWO_PIECE, dimension="one"), "malformed spec header: "),
+    (dict(TWO_PIECE, pieces=[]), "spec needs a nonempty pieces list"),
+    (dict(TWO_PIECE, pieces=[[0.0, 2.0]]), "piece entries must be objects, got [0.0, 2.0]"),
+    (dict(TWO_PIECE, pieces=[{"box": [[0.0, 2.0]]}]), "piece missing field 'kind'"),
+    (dict(TWO_PIECE, pieces=[{"box": [[0.0, 2.0]], "kind": "constant", "value": "big"}]),
+     "bad exponent value string 'big'"),
+    (dict(TWO_PIECE, pieces=[{"box": [[0.0, 2.0]], "kind": "constant", "value": [2.0]}]),
+     "bad exponent value [2.0]"),
+    (dict(TWO_PIECE, pieces=[{"box": [[0.0, 2.0]], "kind": "bumps", "value": 2.0}]),
+     "bumps piece needs an object under 'value'"),
+    (_bumps(**{k: v for k, v in _BUMP.items() if k != "centers"}),
+     "bumps piece missing field 'centers'"),
+    (_bumps(**dict(_BUMP, height="tall")), "malformed bumps piece: "),
+    (_bumps(**dict(_BUMP, direction="sideways")),
+     "bump direction must be 'up' or 'down', got 'sideways'"),
+], ids=["no-file", "root", "field", "header", "no-pieces", "entry", "kind-field", "value-string",
+        "value", "bumps-value", "bumps-field", "bumps-number", "bumps-direction"])
+def test_malformed_spec_ends_with_one_error_line(payload, message, tmp_path, capsys):
+    spec = str(tmp_path / "missing.json") if payload is None else write_spec(tmp_path, payload)
+    out = tmp_path / "run"
+    assert main(["norm", "--spec", spec, "--box", "0,2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and err.count("\n") == 1, err
+    assert not (out / "results.csv").exists()
+
+
 def test_exit_code_1_without_spec(tmp_path, capsys):
     code = main(["norm", "--box", "0,1", "--out", str(tmp_path / "o")])
     assert code == 1
@@ -243,6 +283,9 @@ def test_grid_size_budgets_refuse_before_any_grid(argv, flag, values, tmp_path, 
     # a square whose sides are normal floats and whose volume underflows to 0
     ["norm", "--spec", os.path.join(os.path.dirname(__file__), "data", "fourpiece2d.json"),
      "--box", "0,1e-200;0,1e-200"],
+    # cells of side 1.25e159, whose area overflows
+    ["riesz", "--box=-1e160,1e160;-1e160,1e160", "--cells", "16", "--alpha", "0.5"],
+    ["maximal", "--box=-1e160,1e160;-1e160,1e160", "--cells", "16", "--alpha", "0.5"],
 ])
 def test_bad_input_ends_with_an_error_line(argv, tmp_path, capsys):
     if argv[0] in ("k0scan", "norm") and "--spec" not in argv:

@@ -17,6 +17,7 @@ from varlp import (
     conjugate,
     luxemburg_norm,
 )
+from varlp import constructions
 from varlp.constructions import (
     EXAMPLE_NAMES,
     ExampleSpec,
@@ -465,6 +466,27 @@ def test_witness_interval_lengths(spec62, spec63):
         for j in (2, 3):
             lo, hi = witness_interval(sp, j)
             assert hi - lo == pytest.approx(float(j) ** power, rel=1e-12)
+
+
+@pytest.mark.parametrize("build, p_plus, j_max, first", [
+    (build_ex63, 1.21, 2, 2),  # witness power 1529.9: 2^power overflows
+    (build_ex64, 1.21, 6, 4),  # witness power 570.5: 4^power overflows
+    (build_ex63, 1.2000001, 6, 2),
+    (build_ex64, 1.2000001, 6, 2),
+])
+def test_witness_whose_length_overflows_is_refused_before_any_compile(build, p_plus, j_max,
+                                                                     first, monkeypatch):
+    def no_compile(*args):
+        raise AssertionError("compiled a witness interval")
+
+    monkeypatch.setattr(constructions, "_compile_family", no_compile)
+    monkeypatch.setattr(constructions, "compile_set", no_compile)
+    sp = build(0.25, 1.2, p_plus)
+    message = f"^witness interval {first} is too long: its length {first}\\^.* overflows$"
+    with pytest.raises(PreconditionError, match=message):
+        witness_check(sp, range(2, j_max + 1))
+    with pytest.raises(PreconditionError, match=message):
+        witness_norm_check(sp, first)
 
 
 def test_witness_rows_hold(spec62, spec63, spec64):

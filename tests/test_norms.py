@@ -56,7 +56,7 @@ from varlp.exponent import (
     Strata,
     _first_piece_cells,
     _gauss_nodes,
-    _owned_parts,
+    _owned_runs,
     _tf_array,
     box_intersect,
     box_volume,
@@ -1407,10 +1407,14 @@ def _replaced_raw_level_sets(p):
     BumpsPiece.levels and BumpsPiece.ranges): the raw atoms, and the raw
     (low, high) ranges the bump shoulders sweep, taken on positive measure."""
     atoms, ranges = set(), []
-    for piece, _, runs in _owned_parts(p.pieces, p.domain):
-        if runs is None:
+    edges, owner, volumes, _, _ = _first_piece_cells(p.pieces, p.domain)
+    for k, (piece, v) in enumerate(zip(p.pieces, volumes)):
+        if not v > 0.0:
+            continue
+        if isinstance(piece, ConstantPiece):
             atoms.add(piece.value)
-        for lo, hi in runs or ():
+            continue
+        for lo, hi in _owned_runs(edges, owner, k):
             whole, base_len, windows = _replaced_run(piece, lo, hi)
             m = piece.bump.plateau_halfwidth
             if base_len > 0.0:
@@ -1515,21 +1519,47 @@ def test_one_domain_compile_serves_every_structure_read(monkeypatch):
     # bounds, strata and the pairing constants of p and its conjugate all
     # read one cached compile of the domain, and its arrays are read-only
     p = load_spec(pathlib.Path(__file__).parent / "data" / "cutbump.json")
-    box_atoms, calls = varlp.exponent._box_atoms, []
+    first_piece_cells, calls = varlp.exponent._first_piece_cells, []
 
     def counted(pieces, box):
         if box == p.domain:
             calls.append(box)
-        return box_atoms(pieces, box)
+        return first_piece_cells(pieces, box)
 
-    monkeypatch.setattr(varlp.exponent, "_box_atoms", counted)
+    monkeypatch.setattr(varlp.exponent, "_first_piece_cells", counted)
     varlp.exponent._domain_atoms.cache_clear()
+    varlp.exponent._domain_cells.cache_clear()
     for q in (p, conjugate(p)):
         q.bounds(), q.strata(), holder_constant(q), duality_constant(q)
     assert len(calls) == 1
     raw, ends = varlp.exponent._domain_atoms(p.pieces, p.domain)
     assert not raw.flags.writeable and not ends.flags.writeable
     assert p.bounds() == (1.5, 2.0)
+
+
+@pytest.mark.parametrize("name", ["twopiece", "cutbump", "nested17"])
+def test_one_cut_of_the_domain_serves_a_k0_read_and_every_structure_read(name, monkeypatch):
+    # a K0 read compiles its family over the cached cut of the domain, and
+    # bounds() and strata() of p, its conjugate and its fractional dual read
+    # their atoms from the same cut: the domain is cut once
+    p = load_spec(pathlib.Path(__file__).parent / "data" / f"{name}.json")
+    first_piece_cells, calls = varlp.exponent._first_piece_cells, []
+
+    def counted(pieces, box):
+        if box == p.domain:
+            calls.append(box)
+        return first_piece_cells(pieces, box)
+
+    monkeypatch.setattr(varlp.exponent, "_first_piece_cells", counted)
+    varlp.exponent._domain_atoms.cache_clear()
+    varlp.exponent._domain_cells.cache_clear()
+    (lo, hi), = p.domain
+    family = [MeasurableSet.from_box(((lo + (hi - lo) * a, lo + (hi - lo) * b),))
+              for a, b in ((0.0, 1.0), (0.1, 0.6), (0.45, 0.55), (0.7, 0.7001))]
+    varlp.k0alpha_constant(p, 0.25, family)
+    for q in (p, conjugate(p), sobolev_dual(p, 0.25)):
+        q.bounds(), q.strata()
+    assert len(calls) == 1
 
 
 def test_level_sets_match_dense_sampling(rng):
@@ -1854,6 +1884,20 @@ def test_family_raises_what_compile_set_raises():
                 compile_set(p, E)
         with pytest.raises(DomainError, match=f"^{re.escape(str(alone.value))}$"):
             _compile_family(p, sets)
+
+
+@pytest.mark.parametrize("kind", ["constant", "bumps", "plane"])
+def test_family_with_a_later_box_of_another_dimension_raises_what_compile_set_raises(kind):
+    p = {"constant": two_piece_exponent(1.0, 2.0),
+         "bumps": ExponentFunction(dimension=1, domain=((0.0, 3.0),),
+                                   pieces=(one_bump((0.0, 3.0), 1.5, 1.0),)),
+         "plane": hm_counterexample().exponent}[kind]
+    good = [MeasurableSet.from_box(tuple((lo, 0.5 * (lo + hi)) for lo, hi in p.domain))]
+    other = MeasurableSet.from_box(((0.0, 1.0),) * (3 - p.dimension))
+    with pytest.raises(PreconditionError) as alone:
+        compile_set(p, other)
+    with pytest.raises(PreconditionError, match=f"^{re.escape(str(alone.value))}$"):
+        _compile_family(p, good * 2 + [other] + good)
 
 
 def test_table_rows_of_a_many_piece_plane_match_sets_compiled_alone(rng):

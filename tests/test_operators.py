@@ -607,6 +607,22 @@ def test_overflow_of_finite_data_is_a_precondition_failure(dimension, call, what
             call(f)
 
 
+@pytest.mark.parametrize("dimension, call, message", [
+    (2, lambda f: fractional_maximal_uncentered(f, 0.5),
+     "uncentered maximal is implemented in one dimension"),
+    (2, lambda f: maximal_pair_lower_bound(f, make_tu_pair(Cube((0.1, 0.1), 0.02), 5.0), 0.5),
+     "pair lower bound is implemented in one dimension"),
+    (3, lambda f: riesz_potential(f, 0.5), "potential is implemented for dimensions 1 and 2"),
+    (2, lambda f: czo_pair_lower_bound(riesz_kernel(0.5, 1), f,
+                                       make_tu_pair(Cube((0.1, 0.1), 0.02), 5.0)),
+     "kernel dimension does not match the grid"),
+], ids=["uncentered-plane", "pair-bound-plane", "riesz-3d", "czo-kernel-line-on-plane"])
+def test_operator_outside_its_dimensions_is_refused(dimension, call, message):
+    grid = GridDomain(((0.0, 1.0),) * dimension, (8,) * dimension)
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        call(GridFunction(grid, np.ones(grid.cells)))
+
+
 @pytest.mark.parametrize("cells", [2, 16])
 def test_subnormal_cell_width_raises_precondition(cells):
     grid = line_grid(0.0, 2e-310, cells)
@@ -854,6 +870,17 @@ def test_riesz_potential_zero_and_preconditions():
         riesz_potential(f, 0.0)
     with pytest.raises(PreconditionError):
         riesz_potential(f, 1.0)
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e160, 1e300])
+def test_riesz_potential_is_homogeneous_at_extreme_scales(s):
+    # I_alpha(chi(./s)) = s^alpha I_alpha chi: the kernel reads |x - y|
+    # without squaring the offsets, whose squares leave the float range
+    alpha = 0.5
+    unit = indicator_on(line_grid(-1.0, 1.0, 64), -0.5, 0.5)
+    scaled = GridFunction(line_grid(-s, s, 64), unit.values)
+    np.testing.assert_allclose(riesz_potential(scaled, alpha).values / s ** alpha,
+                               riesz_potential(unit, alpha).values, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("cells", [(1500,), (40, 40), (50, 18)], ids=["1d", "2d-square", "2d-50x18"])
