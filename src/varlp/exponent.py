@@ -9,16 +9,16 @@ routines keep access to the exact piece geometry.  On a grid the pieces are
 painted onto the cells they cover, so only bump pieces evaluate points.
 
 Boxes compile into atoms here, for varlp.norms and for bounds() and
-strata().  Each cell of a box's cut goes to the first piece listed that
-covers it (_first_piece_cells); a constant piece gives one atom, the volume
-it owns, and a bump piece, which lives on a line, splits each run of cells
-it owns in the one split of bump runs (BumpsPiece._runs, read by
-_bump_blocks).  A single box cuts only itself (_box_atoms).  The domain is
-cut once per set of pieces and cached (_domain_cells), so an exponent, its
-conjugate and its fractional duals share the cut: bounds() and strata() read
-its atoms, and a family of boxes (the cubes of a K0 scan, the intervals of a
-witness ladder) compiles in one pass over it (_family_atoms), each row
-bitwise the atoms of its box alone.
+strata(), by one compiler (_family_atoms).  The domain is cut once per set
+of pieces and cached (_domain_cells): each cell of the cut goes to the
+first piece listed that covers it (_first_piece_cells), so an exponent, its
+conjugate and its fractional duals share the cut.  A family of boxes (the
+cubes of a K0 scan, the intervals of a witness ladder, a single box as a
+family of one, the domain itself for bounds() and strata()) compiles in one
+pass over it, each row the atoms of its box: a constant piece gives one
+atom, the volume it owns, and a bump piece, which lives on a line, splits
+each run of cells it owns in the one split of bump runs (BumpsPiece._runs,
+read by _bump_blocks).
 
 Center sequences can hold astronomically many bumps (counts around 1e14 show
 up in the long-interval witness constructions), so nothing here ever
@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, PreconditionError, SpecParseError
-from .grid import _check_order, _gauss_nodes, as_box, box_intersect, box_volume
+from .grid import _check_order, _gauss_nodes, as_box
 
 INF = math.inf
 _TINY = np.finfo(float).tiny
@@ -49,16 +49,13 @@ def _first_piece_cells(pieces, box):
     """Cut a box at every piece edge inside it and give each elementary cell
     to the first piece whose closed box covers it.
 
-    Returns (edges, owner, volumes, blocks, cut): the sorted cut positions
-    per axis, box ends included; the index of the piece that owns each cell,
-    -1 where no piece covers it; the volume each piece owns in the box; per
-    piece and axis, the slice of the cells between its edges (its block);
-    and per piece whether earlier pieces own cells of its block.  A piece
-    covers its block and never part of a cell, so painting the blocks from
-    the last piece to the first gives the owner of every cell exactly,
-    however many pieces overlap.  A piece that owns its whole block gets the
-    volume of its part of the box, bit for bit; a piece that earlier ones
-    cut into gets the sum over the cells it owns, in C order.
+    Returns (edges, owner, blocks, cut): the sorted cut positions per axis,
+    box ends included; the index of the piece that owns each cell, -1 where
+    no piece covers it; per piece and axis, the slice of the cells between
+    its edges (its block); and per piece whether earlier pieces own cells of
+    its block.  A piece covers its block and never part of a cell, so
+    painting the blocks from the last piece to the first gives the owner of
+    every cell exactly, however many pieces overlap.
     """
     edges = [sorted({lo, hi}.union(x for piece in pieces for x in piece.box[axis] if lo < x < hi))
              for axis, (lo, hi) in enumerate(box)]
@@ -68,33 +65,29 @@ def _first_piece_cells(pieces, box):
     owner = np.full([len(e) - 1 for e in edges], -1)
     for i in reversed(range(len(pieces))):
         owner[blocks[i]] = i
-    labels = owner.ravel() + 1
-    owned = np.bincount(labels, minlength=len(pieces) + 1)[1:].tolist()
+    owned = np.bincount(owner.ravel() + 1, minlength=len(pieces) + 1)[1:].tolist()
     cut = [count != math.prod([c.stop - c.start for c in cells])
            for count, cells in zip(owned, blocks)]
-    volumes = [box_volume([(e[c.start], e[c.stop]) for e, c in zip(edges, cells)])
-               for cells in blocks]
-    if any(cut):
-        cell_volumes = math.prod(np.ix_(*map(np.diff, edges)))
-        sums = np.bincount(labels, cell_volumes.ravel(), len(pieces) + 1)[1:].tolist()
-        volumes = [total if c else v for v, total, c in zip(volumes, sums, cut)]
-    return edges, owner, volumes, blocks, cut
+    return edges, owner, blocks, cut
 
 
-@functools.lru_cache(maxsize=16)
+# every box compile reads the cut of its exponent's domain, so the domain
+# caches hold enough sets of pieces that reads cycling over a few dozen
+# exponents, a box at a time, find their cut again
+@functools.lru_cache(maxsize=64)
 def _domain_cells(pieces, domain):
     """_first_piece_cells of a domain with read-only arrays: (edges, owner,
-    volumes, blocks, cut), with blocks[k, axis] the [start, stop) of piece
-    k's block.  Cached on the pieces, so an exponent, its conjugate and its
-    fractional duals cut their domain once, for bounds() and strata() and
-    for every family of boxes."""
-    edges, owner, volumes, blocks, cut = _first_piece_cells(pieces, domain)
+    blocks, cut), with blocks[k, axis] the [start, stop) of piece k's block.
+    Cached on the pieces, so an exponent, its conjugate and its fractional
+    duals cut their domain once, for bounds() and strata() and for every
+    box they compile."""
+    edges, owner, blocks, cut = _first_piece_cells(pieces, domain)
     edges = tuple(np.array(e) for e in edges)
     blocks = np.array([[(c.start, c.stop) for c in cells] for cells in blocks])
     cut = np.array(cut)
     for a in edges + (owner, blocks, cut):
         a.flags.writeable = False
-    return edges, owner, tuple(volumes), blocks, cut
+    return edges, owner, blocks, cut
 
 
 def _owned_runs(edges, owner, k):
@@ -434,72 +427,41 @@ def _scatter_blocks(n, blocks):
     return w, raw, ends
 
 
-def _cell_atoms(pieces, edges, owner, volumes):
-    """(measure, w, raw, ends) of a box from its cut (_first_piece_cells):
-    the volume the pieces own of it, the atoms of positive weight w at the
-    raw values raw, and the raw values at the ends of the bump shoulders.
-
-    A constant piece gives one atom, the volume it owns.  A bump piece,
-    which lives on a line, splits the runs of cells it owns in one
-    _bump_blocks call, one row per run, and its atoms and ends are read row
-    by row, so they keep the runs' order, left to right.  Atoms keep the
-    order of the pieces; cells no piece covers give none.
-    """
-    measure, ws, raws, ends, bumps = 0.0, [], [], [], False
-    for k, (piece, v) in enumerate(zip(pieces, volumes)):
-        if not v > 0.0:
-            continue
-        measure += v
-        if isinstance(piece, ConstantPiece):
-            ws.append(v)
-            raws.append(piece.value)
-            continue
-        lo, hi = np.array(_owned_runs(edges, owner, k)).T
-        w, raw, e = _scatter_blocks(len(lo), _bump_blocks(piece, np.arange(len(lo)), lo, hi))
-        atoms = w > 0.0
-        ws.append(w[atoms])
-        raws.append(raw[atoms])
-        ends += e[~np.isnan(e)].tolist()
-        bumps = True
-    # without bump atoms the constant atoms make one array in one step
-    stack = np.hstack if bumps else np.array
-    return measure, stack(ws), stack(raws).astype(float, copy=False), ends
-
-
-def _box_atoms(pieces, box):
-    """_cell_atoms of a box inside the domain, which cuts only the box."""
-    return _cell_atoms(pieces, *_first_piece_cells(pieces, box)[:3])
-
-
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=64)
 def _domain_atoms(pieces, domain):
     """The read-only raw values of the atoms and of the shoulder ends of a
-    domain, read from its cached cut (_domain_cells).  Cached on the pieces,
-    so an exponent, its conjugate and its fractional duals compile it once."""
-    _, _, raw, ends = _cell_atoms(pieces, *_domain_cells(pieces, domain)[:3])
-    ends = np.array(ends, dtype=float)
+    domain: the row of the domain compiled as a family of one
+    (_family_atoms).  Cached on the pieces, so an exponent, its conjugate
+    and its fractional duals compile it once."""
+    _, _, _, w, raw, ends = _family_atoms(pieces, domain, [domain])
+    raw, ends = raw[0][w[0] > 0.0], ends[0][~np.isnan(ends[0])]
     raw.flags.writeable = ends.flags.writeable = False
     return raw, ends
 
 
 def _family_atoms(pieces, domain, boxes):
     """(lo, hi, measure, w, raw, ends) of a family of boxes in one pass: per
-    box its ends clipped to the domain and, one row per box, bitwise the
-    measure, atoms and shoulder ends of _cell_atoms of the clipped box.
+    box its ends clipped to the domain and, one row per box, the volume the
+    pieces own of the clipped box, its atoms at the raw values raw, and the
+    raw values at the ends of the bump shoulders inside it.  A row depends
+    on its box alone, not on the rest of the family, so a single box is
+    compiled as a family of one.
 
     Each box clips the cells of the domain's cached cut (_domain_cells)
     that it meets.  A piece that owns every cell of its block inside the
     box gets the product of its clipped sides in axis order, one that an
-    earlier piece cuts into the sum of the cells it owns, in C order, as
-    _first_piece_cells gives them.  The boxes pass in blocks of at most
-    _TABLE_BLOCK box-cell products.  With only constant pieces, column k of
-    a row is what piece k owns of the box, so a row's width does not depend
-    on the family.  On a line with bump pieces each run of cells a bump
-    piece owns splits for every box at once (_bump_blocks), and the rows
-    are packed (_scatter_blocks).
+    earlier piece cuts into the sum of the cells it owns, in C order.  The
+    boxes pass in blocks of at most _TABLE_BLOCK box-cell products.  A
+    constant piece gives one atom, the volume it owns; with only constant
+    pieces, column k of a row is what piece k owns of the box, so a row's
+    width does not depend on the family.  On a line each run of cells a
+    bump piece owns splits for every box at once (_bump_blocks), one atom
+    block after another in the order of the pieces and of the runs, left to
+    right, and the rows are packed (_scatter_blocks), so every row leads
+    with its atoms of positive weight.
     """
     n = len(domain)
-    edges, owner, _, block, cut = _domain_cells(pieces, domain)
+    edges, owner, block, cut = _domain_cells(pieces, domain)
     ends = np.array(boxes, dtype=float).reshape(len(boxes), n, 2)
     dom = np.array(domain)
     lo, hi = np.maximum(ends[:, :, 0], dom[:, 0]), np.minimum(ends[:, :, 1], dom[:, 1])
@@ -538,7 +500,7 @@ def _family_atoms(pieces, domain, boxes):
     if all(isinstance(piece, ConstantPiece) for piece in pieces):
         raw = np.broadcast_to(np.array([piece.value for piece in pieces], dtype=float), v.shape)
         return lo, hi, measure, v, raw, np.full((len(v), 0), np.nan)
-    blocks = []  # (rows, w, raw, ends) in the order of _cell_atoms
+    blocks = []  # (rows, w, raw, ends) in the order of the pieces and runs
     for j, piece in enumerate(pieces):
         if isinstance(piece, ConstantPiece):
             rows = np.flatnonzero(v[:, j])

@@ -191,7 +191,11 @@ class GridFunction:
         try:
             with open(path) as fh:
                 header = fh.readline().strip().split(",")
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                # the lines loadtxt reads: not blank once a # comment is cut
+                rows = [line for line in fh if line.partition("#")[0].strip()]
+                if not rows:
+                    raise SpecParseError("grid csv has no data rows")
+                data = np.loadtxt(rows, delimiter=",", ndmin=2)
         except (OSError, ValueError) as exc:
             raise SpecParseError(f"cannot read grid csv {path}: {exc}") from exc
         n = len(header) - 1
@@ -214,13 +218,13 @@ class GridFunction:
         spacings = [float(m[1] - m[0]) if len(m) > 1 else spacings[0] for m in axes]
         box = tuple((float(m[0]) - h / 2, float(m[-1]) + h / 2) for m, h in zip(axes, spacings))
         domain = GridDomain(box, cells)
-        vals = np.full(cells, np.nan)
+        vals, filled = np.zeros(cells), np.zeros(cells, bool)
         idx = []
         for i, h in enumerate(spacings):
             j = np.round((data[:, i] - box[i][0] - h / 2) / h).astype(int)
             idx.append(np.clip(j, 0, cells[i] - 1))
-        vals[tuple(idx)] = data[:, -1]
-        if np.isnan(vals).any():
+        vals[tuple(idx)], filled[tuple(idx)] = data[:, -1], True
+        if not filled.all():
             raise SpecParseError("grid csv rows do not form a complete grid")
         return cls(domain, vals)
 

@@ -6,16 +6,17 @@ a pre-transform exponent value.  Two routes compile:
 
 * a grid function: one atom per cell with f != 0 (midpoint sampling, exact
   for piecewise-constant data aligned with the cells);
-* the indicator of a box in any dimension, intervals included: the atoms
-  of exponent._box_atoms, where pieces may overlap and the first one
-  listed wins.  A constant piece gives one atom, the volume it owns.  A
-  bump piece (one dimension only) gives, per run of cells it owns, the
-  atoms of the run's split (BumpsPiece._runs): Gauss nodes across the few
-  bumps that straddle an end, the plateaus and shoulder Gauss nodes of the
-  whole bumps weighted by their count, and the base length.  The walk and
-  split do not depend on the number of bumps, so intervals of length 1e27
-  containing 1e13 bumps are fine.  bounds() and strata() read the same
-  atoms of the exponent's whole domain.
+* the indicator of a box in any dimension, intervals included: row 0 of
+  the box compiled as a family of one (exponent._family_atoms), where
+  pieces may overlap and the first one listed wins.  A constant piece
+  gives one atom, the volume it owns.  A bump piece (one dimension only)
+  gives, per run of cells it owns, the atoms of the run's split
+  (BumpsPiece._runs): Gauss nodes across the few bumps that straddle an
+  end, the plateaus and shoulder Gauss nodes of the whole bumps weighted
+  by their count, and the base length.  The split does not depend on the
+  number of bumps, so intervals of length 1e27 containing 1e13 bumps are
+  fine.  bounds() and strata() read the same atoms of the exponent's whole
+  domain.
 
 The atoms where the exponent is inf enter the modular as one term with
 exponent 1 and weight sup |f| over them (1 for an indicator).  A bump
@@ -28,9 +29,9 @@ A family of sets (the cubes of a K0 scan, the intervals of a witness
 ladder) compiles into one Distribution whose arrays are a rows x atoms
 matrix, one row per set, padded with atoms of weight 0.  A family of boxes
 takes its rows from exponent._family_atoms, one pass over the exponent's
-cached cut of its domain, each row bitwise the box route's compile of its
-set; here it is only checked for coverage.  Mask sets compile each set
-through the grid route and pad it into the matrix.
+cached cut of its domain; here it is only checked for coverage.  A single
+box is such a family of one.  Mask sets compile each set through the grid
+route and pad it into the matrix.
 
 An integral of g(p) over a compiled set is the sum of w_i g(v_i) over its
 atoms.  The Luxemburg norm lam = exp(t) solves
@@ -48,12 +49,13 @@ one compiled set or family serves all of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
-from .exponent import INF, _box_atoms, _family_atoms, _tf_array, conjugate
+from .errors import DomainError, PreconditionError, SpecParseError
+from .exponent import INF, _family_atoms, _tf_array, conjugate
 from .grid import box_intersect, box_volume
 
 # Newton from the left end reaches machine precision in a handful of steps;
@@ -390,26 +392,37 @@ def holder_pairing_check(f, g, p):
 # -- indicator norms and means for boxes and general sets -------------------
 
 
-def _compile_box(p, box):
-    """Atoms of the indicator of a box clipped to the exponent's domain.
+def _compile_boxes(p, boxes):
+    """The indicators of boxes clipped to the exponent's domain, row r for
+    boxes[r], from one pass over the exponent's cached cut of its domain
+    (exponent._family_atoms): per row one atom per constant piece that owns
+    some of the box, and per run of cells a bump piece owns the atoms of
+    its split, in the order of the pieces and of the runs.
 
-    The atoms are exponent._box_atoms of the clipped box: one per constant
-    piece that owns some of it, and per run of cells a bump piece owns the
-    atoms of its split, in the order of the pieces and of the runs.
-    bounds() and strata() read the same atoms of the exponent's whole
-    domain.  An interval that misses the domain compiles to no atoms; a box
-    in higher dimension that misses it, or that the pieces leave part of
-    bare, is an error.
+    Then each box is checked for coverage: an interval that misses the
+    domain compiles to no atoms; a box in higher dimension that misses it,
+    or that the pieces leave part of bare, is an error, as is a box of
+    another dimension.  The first box that fails raises.
     """
-    if len(box) != p.dimension:
-        raise PreconditionError(f"a {len(box)}-D box against a {p.dimension}-D exponent")
-    clipped = box_intersect(box, p.domain)
-    if clipped is None:
-        _check_covered(p.dimension, None, 0.0)
-        return Distribution(p.pieces, np.zeros(0), 1.0, np.zeros(0), 0.0, ())
-    measure, w, raw, ends = _box_atoms(p.pieces, clipped)
-    _check_covered(p.dimension, clipped, measure)
-    return Distribution(p.pieces, w, 1.0, raw, measure, tuple(ends))
+    n = p.dimension
+    # the boxes before the first of another dimension raise their errors first
+    split = next((r for r, box in enumerate(boxes) if len(box) != n), len(boxes))
+    lo, hi, measure, w, raw, ends = _family_atoms(p.pieces, p.domain, boxes[:split])
+    volume = np.multiply.reduce(hi - lo, axis=1)
+    short = (hi <= lo).any(axis=1) | (volume == 0.0) | (measure < volume * (1.0 - 1e-9))
+    for r in np.flatnonzero(short).tolist():
+        _check_covered(n, box_intersect(boxes[r], p.domain), float(measure[r]))
+    if split < len(boxes):
+        raise PreconditionError(f"a {len(boxes[split])}-D box against a {n}-D exponent")
+    return Distribution(p.pieces, w, 1.0, raw, measure, ends)
+
+
+def _compile_box(p, box):
+    """Atoms of the indicator of a box clipped to the exponent's domain: the
+    box compiled as a family of one (_compile_boxes), read as one set.
+    bounds() and strata() read the same atoms of the exponent's whole
+    domain."""
+    return _family_row(_compile_boxes(p, [box]), 0)
 
 
 def _check_covered(n, clipped, measure):
@@ -430,6 +443,14 @@ def _check_covered(n, clipped, measure):
         raise DomainError(f"interval ({a}, {b}) is not covered by the exponent pieces")
 
 
+def _compile_interval(p, a, b):
+    """The interval [a, b] compiled as a box: empty when b <= a, clipped to
+    the domain where an end is infinite, and refused with a nan end."""
+    if math.isnan(a) or math.isnan(b):
+        raise SpecParseError(f"degenerate box axis ({float(a)}, {float(b)})")
+    return _compile_box(p, ((a, b),))
+
+
 def interval_integral(p, a, b, g):
     """Integral over [a, b] of g(p(x)) for a one-dimensional exponent.
 
@@ -437,19 +458,19 @@ def interval_integral(p, a, b, g):
     values and must map the value inf to something finite (or the result
     is inf).
     """
-    return _compile_box(p, ((a, b),)).integral(p, g)
+    return _compile_interval(p, a, b).integral(p, g)
 
 
 def interval_indicator_modular(p, a, b, lam):
     """Modular of (indicator of [a, b]) / lam via the box route."""
-    return _compile_box(p, ((a, b),)).modular(p, lam)
+    return _compile_interval(p, a, b).modular(p, lam)
 
 
 def interval_indicator_norm(p, a, b):
     """Luxemburg norm of the indicator of [a, b] via the box route."""
     if b <= a:
         return 0.0
-    return _compile_box(p, ((a, b),)).norm(p)
+    return _compile_interval(p, a, b).norm(p)
 
 
 def compile_set(p, E):
@@ -526,26 +547,14 @@ def harmonic_mean(p, E):
 def _compile_family(p, sets):
     """Compile every set of a family against p, row r for sets[r].
 
-    A family of boxes, a family of one included, compiles in one pass over
-    the exponent's cached cut of its domain (exponent._family_atoms), each
-    row bitwise the compile_set of its box, and is then checked for coverage
-    box by box.  A family with a mask set compiles each set alone through
+    A family of boxes compiles in one pass (_compile_boxes), as a single
+    box does.  A family with a mask set compiles each set alone through
     compile_set and pads its atoms into the rows.  Errors are those of
     compile_set for the first set that fails.
     """
     sets = list(sets)
     if all(E.is_box() for E in sets):
-        boxes, n = [E.box for E in sets], p.dimension
-        # the boxes before the first of another dimension raise their errors first
-        split = next((r for r, box in enumerate(boxes) if len(box) != n), len(boxes))
-        lo, hi, measure, w, raw, ends = _family_atoms(p.pieces, p.domain, boxes[:split])
-        volume = np.multiply.reduce(hi - lo, axis=1)
-        short = (hi <= lo).any(axis=1) | (volume == 0.0) | (measure < volume * (1.0 - 1e-9))
-        for r in np.flatnonzero(short).tolist():
-            _check_covered(n, box_intersect(boxes[r], p.domain), float(measure[r]))
-        if split < len(boxes):
-            raise PreconditionError(f"a {len(boxes[split])}-D box against a {n}-D exponent")
-        return Distribution(p.pieces, w, 1.0, raw, measure, ends)
+        return _compile_boxes(p, [E.box for E in sets])
     dists = [compile_set(p, E) for E in sets]
     atoms = max((d.raw.size for d in dists), default=0)
     w, raw = np.zeros((len(dists), atoms)), np.ones((len(dists), atoms))

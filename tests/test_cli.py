@@ -373,8 +373,12 @@ def test_a_box_of_another_dimension_is_refused(command, spec, box, tmp_path, cap
     ("x1,value\n0.5,1\n", "cannot infer spacing from a single-cell grid"),
     ("x1,x2,value\n0.25,0.5,1\n0.25,1.5,1\n0.75,0.5,1\n0.75,1.5,1\n",
      "grid spacing differs across axes: [0.5, 1.0]"),
+    # numpy warns on a body with no rows; a nan value is no missing cell
+    ("", "grid csv has no data rows"),
+    ("x1,value\n", "grid csv has no data rows"),
+    ("x1,value\n0.25,nan\n0.75,1\n", "grid function values must be finite"),
 ], ids=["header", "columns", "text", "missing", "uneven", "short", "repeated", "one-cell",
-        "spacings"])
+        "spacings", "empty", "header-only", "nan"])
 def test_malformed_csv_ends_with_one_error_line(text, message, tmp_path, capsys):
     path = tmp_path / "f.csv"
     if text is not None:
@@ -783,6 +787,19 @@ def _assert_golden_bytes(argv, golden, tmp_path):
     (["example", "EX61", "--alpha", "0.25", "--k", "20"], "ex61"),
     (["example", "EX63", "--alpha", "0.25"], "ex63"),
     (["example", "EX64", "--alpha", "0.25"], "ex64"),
+    # single boxes: a family of one
+    (["norm", "--spec", os.path.join(os.path.dirname(__file__), "data", "nested17.json"),
+      "--box=-1,1"], "norm_nested17"),
+    (["norm", "--spec", os.path.join(os.path.dirname(__file__), "data", "cutbump.json"),
+      "--box", "0,3"], "norm_cutbump"),
+    (["norm", "--spec", os.path.join(os.path.dirname(__file__), "data", "cutbump.json"),
+      "--box", "2.0,2.0000000000001"], "norm_cutbump_short"),
+    (["norm", "--spec", os.path.join(os.path.dirname(__file__), "data", "flatbump.json"),
+      "--box", "0.5,1.5"], "norm_flatbump"),
+    (["norm", "--spec", os.path.join(os.path.dirname(__file__), "data", "fourpiece2d.json"),
+      "--box", "0.1,0.9;0.1,0.9"], "norm_fourpiece2d_cut"),
+    (["modular", "--spec", os.path.join(os.path.dirname(__file__), "data", "fourpiece2d.json"),
+      "--box", "0,1;0,1", "--lam", "1.5"], "modular_fourpiece2d"),
 ])
 def test_norm_artifacts_match_golden_bytes(argv, golden, tmp_path):
     _assert_golden_bytes(argv, golden, tmp_path)

@@ -54,14 +54,16 @@ from varlp.exponent import (
     CenterSequence,
     PlateauBump,
     Strata,
+    _bump_blocks,
+    _family_atoms,
     _first_piece_cells,
     _gauss_nodes,
     _owned_runs,
+    _scatter_blocks,
     _tf_array,
-    box_intersect,
-    box_volume,
     evaluate,
 )
+from varlp.grid import box_intersect, box_volume
 from varlp.norms import (
     Distribution,
     _compile_family,
@@ -1363,7 +1365,8 @@ def test_box_volumes_match_replaced_code(rng):
     for p in overlapping:
         for _ in range(5):
             clipped = box_intersect(random_box(rng, p.domain), p.domain)
-            got = _first_piece_cells(p.pieces, clipped)[2]
+            # with only constant pieces, column k of a row is what piece k owns
+            got = _family_atoms(p.pieces, p.domain, [clipped])[3][0]
             np.testing.assert_allclose(got, seed_box_volumes(p, clipped), rtol=1e-12,
                                        atol=1e-12 * box_volume(clipped))
 
@@ -1380,6 +1383,36 @@ def test_box_route_errors_match_replaced_code():
     gap = ExponentFunction(dimension=1, domain=((0.0, 3.0),), pieces=gap.pieces)
     with pytest.raises(DomainError, match=re.escape("interval (0.5, 2.5) is not covered")):
         interval_indicator_norm(gap, 0.5, 2.5)
+
+
+_INTERVAL_READS = {
+    "norm": interval_indicator_norm,
+    "integral": lambda p, a, b: interval_integral(p, a, b, np.ones_like),
+    "modular": lambda p, a, b: interval_indicator_modular(p, a, b, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", ["twopiece", "cutbump"])
+@pytest.mark.parametrize("read", sorted(_INTERVAL_READS))
+@pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.nan)])
+def test_an_interval_with_a_nan_end_is_refused(name, read, a, b):
+    # as MeasurableSet.from_box refuses it, not read as an empty interval
+    p = load_spec(pathlib.Path(__file__).parent / "data" / f"{name}.json")
+    message = re.escape(f"degenerate box axis ({a}, {b})")
+    with pytest.raises(SpecParseError, match=f"^{message}$"):
+        MeasurableSet.from_box(((a, b),))
+    with pytest.raises(SpecParseError, match=f"^{message}$"):
+        _INTERVAL_READS[read](p, a, b)
+
+
+def test_interval_wrappers_keep_empty_and_infinite_ends():
+    p = load_spec(pathlib.Path(__file__).parent / "data" / "twopiece.json")
+    for read in _INTERVAL_READS.values():
+        assert read(p, 1.0, 0.5) == 0.0
+        assert read(p, 1.5, 1.5) == 0.0
+    # an infinite end clips to the domain [0, 2]
+    assert interval_indicator_norm(p, -INF, INF) == interval_indicator_norm(p, 0.0, 2.0)
+    assert interval_integral(p, 1.0, INF, np.ones_like) == 1.0
 
 
 def test_interval_that_misses_the_domain_compiles_to_no_atoms():
@@ -1407,9 +1440,9 @@ def _replaced_raw_level_sets(p):
     BumpsPiece.levels and BumpsPiece.ranges): the raw atoms, and the raw
     (low, high) ranges the bump shoulders sweep, taken on positive measure."""
     atoms, ranges = set(), []
-    edges, owner, volumes, _, _ = _first_piece_cells(p.pieces, p.domain)
-    for k, (piece, v) in enumerate(zip(p.pieces, volumes)):
-        if not v > 0.0:
+    edges, owner, _, _ = _first_piece_cells(p.pieces, p.domain)
+    for k, piece in enumerate(p.pieces):
+        if not (owner == k).any():
             continue
         if isinstance(piece, ConstantPiece):
             atoms.add(piece.value)
@@ -1537,29 +1570,37 @@ def test_one_domain_compile_serves_every_structure_read(monkeypatch):
     assert p.bounds() == (1.5, 2.0)
 
 
-@pytest.mark.parametrize("name", ["twopiece", "cutbump", "nested17"])
+@pytest.mark.parametrize("name", ["twopiece", "cutbump", "nested17", "fourpiece2d"])
 def test_one_cut_of_the_domain_serves_a_k0_read_and_every_structure_read(name, monkeypatch):
-    # a K0 read compiles its family over the cached cut of the domain, and
+    # a K0 read compiles its family over the cached cut of the domain, a
+    # single box or interval compiles over it as a family of one, and
     # bounds() and strata() of p, its conjugate and its fractional dual read
-    # their atoms from the same cut: the domain is cut once
+    # their atoms from the same cut: the domain is cut once, and no other box
     p = load_spec(pathlib.Path(__file__).parent / "data" / f"{name}.json")
     first_piece_cells, calls = varlp.exponent._first_piece_cells, []
 
     def counted(pieces, box):
-        if box == p.domain:
-            calls.append(box)
+        calls.append(box)
         return first_piece_cells(pieces, box)
 
     monkeypatch.setattr(varlp.exponent, "_first_piece_cells", counted)
     varlp.exponent._domain_atoms.cache_clear()
     varlp.exponent._domain_cells.cache_clear()
-    (lo, hi), = p.domain
-    family = [MeasurableSet.from_box(((lo + (hi - lo) * a, lo + (hi - lo) * b),))
-              for a, b in ((0.0, 1.0), (0.1, 0.6), (0.45, 0.55), (0.7, 0.7001))]
-    varlp.k0alpha_constant(p, 0.25, family)
-    for q in (p, conjugate(p), sobolev_dual(p, 0.25)):
+    boxes = [tuple((lo + (hi - lo) * a, lo + (hi - lo) * b) for lo, hi in p.domain)
+             for a, b in ((0.0, 1.0), (0.1, 0.6), (0.45, 0.55), (0.7, 0.7001))]
+    family = [MeasurableSet.from_box(box) for box in boxes]
+    # the square's exponent reaches inf, so it has no fractional dual
+    alpha = 0.25 if p.dimension == 1 else 0.0
+    varlp.k0alpha_constant(p, alpha, family)
+    for E in family:
+        compile_set(p, E)
+    if p.dimension == 1:
+        for (a, b), in boxes:
+            interval_indicator_norm(p, a, b), interval_indicator_modular(p, a, b, 1.5)
+            interval_integral(p, a, b, np.ones_like)
+    for q in (p, conjugate(p), sobolev_dual(p, alpha)):
         q.bounds(), q.strata()
-    assert len(calls) == 1
+    assert calls == [p.domain]
 
 
 def test_level_sets_match_dense_sampling(rng):
@@ -1926,6 +1967,49 @@ def _assert_row_is_the_set_compiled_alone(family, k, dist, name):
     assert family.measure[k] == dist.measure, name
 
 
+def _replaced_box_atoms(pieces, box):
+    """(measure, w, raw, ends) of a box inside the domain as the replaced
+    single-box walk compiled it, cutting only the box: a piece that owns its
+    whole block there gets the volume of its part of the box, one that
+    earlier pieces cut into the sum of the cells it owns, in C order; then a
+    constant piece gives one atom of its volume, and a bump piece the split
+    of each run of cells it owns, in the order of the pieces and the runs."""
+    edges, owner, blocks, cut = _first_piece_cells(pieces, box)
+    volumes = [box_volume([(e[c.start], e[c.stop]) for e, c in zip(edges, cells)])
+               for cells in blocks]
+    if any(cut):
+        cell_volumes = math.prod(np.ix_(*map(np.diff, edges)))
+        sums = np.bincount(owner.ravel() + 1, cell_volumes.ravel(), len(pieces) + 1)[1:].tolist()
+        volumes = [total if c else v for v, total, c in zip(volumes, sums, cut)]
+    measure, ws, raws, ends, bumps = 0.0, [], [], [], False
+    for k, (piece, v) in enumerate(zip(pieces, volumes)):
+        if not v > 0.0:
+            continue
+        measure += v
+        if isinstance(piece, ConstantPiece):
+            ws.append(v)
+            raws.append(piece.value)
+            continue
+        lo, hi = np.array(_owned_runs(edges, owner, k)).T
+        w, raw, e = _scatter_blocks(len(lo), _bump_blocks(piece, np.arange(len(lo)), lo, hi))
+        atoms = w > 0.0
+        ws.append(w[atoms])
+        raws.append(raw[atoms])
+        ends += e[~np.isnan(e)].tolist()
+        bumps = True
+    stack = np.hstack if bumps else np.array
+    return measure, stack(ws), stack(raws).astype(float, copy=False), ends
+
+
+def _replaced_set_atoms(p, box):
+    """_replaced_box_atoms of a box clipped to the domain; an interval that
+    misses the domain has no atoms."""
+    clipped = box_intersect(box, p.domain)
+    if clipped is None:
+        return 0.0, np.zeros(0), np.zeros(0), []
+    return _replaced_box_atoms(p.pieces, clipped)
+
+
 def test_a_family_row_read_alone_is_the_set_compiled_alone_bitwise(rng):
     # the boxes that miss the innermost square or the first tile start their
     # rows with weight 0
@@ -1941,10 +2025,12 @@ def test_a_family_row_read_alone_is_the_set_compiled_alone_bitwise(rng):
         sets = [MeasurableSet.from_box(box) for box in boxes]
         family = _compile_family(p, sets)
         for k, E in enumerate(sets):
-            got, want = _family_row(family, k), compile_set(p, E)
-            assert got.w.tobytes() == want.w.tobytes(), (p.pieces, E.box)
-            assert got.raw.tobytes() == want.raw.tobytes(), (p.pieces, E.box)
-            assert (got.measure, got.ends) == (want.measure, want.ends), (p.pieces, E.box)
+            got, alone = _family_row(family, k), compile_set(p, E)
+            measure, w, raw, ends = _replaced_set_atoms(p, E.box)
+            for dist in (got, alone):
+                assert dist.w.tobytes() == w.tobytes(), (p.pieces, E.box)
+                assert dist.raw.tobytes() == raw.tobytes(), (p.pieces, E.box)
+                assert (dist.measure, dist.ends) == (measure, tuple(ends)), (p.pieces, E.box)
 
 
 def test_a_box_whose_volume_underflows_is_refused():
@@ -2110,16 +2196,17 @@ def _random_line_intervals(rng, p):
 
 def _replaced_family_rows(p, sets):
     """The per-set compile the batched line route replaces: each set
-    compiled alone, its atoms padded into the rows."""
-    dists = [compile_set(p, E) for E in sets]
-    atoms = max((d.raw.size for d in dists), default=0)
-    w, raw = np.zeros((len(dists), atoms)), np.ones((len(dists), atoms))
-    ends = np.full((len(dists), max((len(d.ends) for d in dists), default=0)), np.nan)
-    for r, d in enumerate(dists):
-        w[r, :d.raw.size] = d.w
-        raw[r, :d.raw.size] = d.raw
-        ends[r, :len(d.ends)] = d.ends
-    return w, raw, np.array([d.measure for d in dists]), ends
+    compiled alone by the replaced single-box walk, its atoms padded into
+    the rows."""
+    rows = [_replaced_set_atoms(p, E.box) for E in sets]
+    atoms = max((row[1].size for row in rows), default=0)
+    w, raw = np.zeros((len(rows), atoms)), np.ones((len(rows), atoms))
+    ends = np.full((len(rows), max((len(row[3]) for row in rows), default=0)), np.nan)
+    for r, (_, row_w, row_raw, row_ends) in enumerate(rows):
+        w[r, :row_w.size] = row_w
+        raw[r, :row_w.size] = row_raw
+        ends[r, :len(row_ends)] = row_ends
+    return w, raw, np.array([row[0] for row in rows]), ends
 
 
 @settings(max_examples=150, deadline=None)
