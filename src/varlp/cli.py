@@ -219,10 +219,7 @@ def _run_k0scan(args):
     centers = [args.anchor + v / 2.0 for v in volumes]
     radii = [v / 2.0 for v in volumes]
     report = k0alpha_constant(p, args.alpha, family)
-    rows = [
-        (c, r, s.value)
-        for c, r, s in zip(centers, radii, report.samples)
-    ]
+    rows = list(zip(centers, radii, report.value.tolist()))
     sandwich = norm_harmonic_sandwich(p, family)
     lines = [
         "alpha = %.9g" % args.alpha,

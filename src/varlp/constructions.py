@@ -40,7 +40,7 @@ from .exponent import (
     sobolev_dual,
 )
 from .grid import Cube, GridDomain, GridFunction, MeasurableSet, _check_order
-from .k0 import _k0_report, k0alpha_constant, minimal_harmonic_mean_cube
+from .k0 import CubeFamily, _k0_report, k0alpha_constant, minimal_harmonic_mean_cube
 from .norms import (
     _compile_family,
     _family_row,
@@ -68,8 +68,8 @@ _GEOMETRY_TOL = 1e-9
 # the most work, 2 * cells_per_radius * rho^2, a chain build may ask for: its
 # cube search reads rho = 2^(k-1) (t sqrt(n) + 2) radii over its deepest grid
 # of 2 * cells_per_radius * rho cells.  The slowest run it allows timed,
-# `varlp blowup --k 5 --t 6 --cells-per-radius 4096`, took 2.5-3.5 s with the
-# interpreter's start (2 vCPUs)
+# `varlp blowup --k 5 --t 6 --cells-per-radius 4096`, took 1.5 s with the
+# interpreter's start, 0.3 s of it in build_blowup (2 vCPUs)
 _MAX_BLOWUP_WORK = 1 << 27
 
 
@@ -508,7 +508,7 @@ def blowup_family_k0(fam):
                  for cube in list(lv.chain) + [pr.partner for pr in lv.pairs]]
     compiled = _compile_family(p, sets)
     met = np.flatnonzero(compiled.measure > 0.0)
-    report = _k0_report(0.0, p.dimension, compiled.measure[met].tolist(),
+    report = _k0_report(0.0, p.dimension, compiled.measure[met],
                         compiled.norms(conjugate(p))[met], compiled.norms(p)[met])
     return max(0.0, report.best_value)
 
@@ -694,9 +694,11 @@ def ex61_interval_constant_scan(spec, big_k, per_run=None):
     p = spec.exponent
 
     def scan(pp, intervals):
-        sets = [MeasurableSet.from_box(((a, b),)) for a, b, _ in intervals]
-        return [{"label": label, "measure": s.measure, "value": s.value}
-                for (_, _, label), s in zip(intervals, k0alpha_constant(pp, alpha, sets).samples)]
+        family = CubeFamily.from_boxes([((a, b),) for a, b, _ in intervals])
+        report = k0alpha_constant(pp, alpha, family)
+        return [{"label": label, "measure": measure, "value": value}
+                for (_, _, label), measure, value in zip(intervals, report.measure.tolist(),
+                                                         report.value.tolist())]
 
     base_anchor = math.exp(1.0) + 1.0
     vol_count = 7 * density

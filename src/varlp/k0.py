@@ -6,13 +6,15 @@ of sets, so every reported value is a lower bound for the true supremum.
 Unboundedness claims are therefore always phrased through monotone growth
 along an explicit witness sequence, never as a proven divergence.
 
-A family is compiled once (_family_rows), and every measure, K0^alpha
-sample and harmonic mean is read from its rows, each sample through one
-formula (_k0_report).
+A family of boxes is one array of box ends (CubeFamily), compiled once
+(_family_rows) without a set object per box, and every measure, K0^alpha
+sample and harmonic mean is read from its rows as a column, each sample
+through one formula (_k0_report).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError, PreconditionError
 from .exponent import INF, conjugate, sobolev_dual
-from .grid import Cube, GridFunction, MeasurableSet
+from .grid import Cube, GridFunction, MeasurableSet, as_box
 from .norms import (
     _compile_family,
     _harmonic_means,
@@ -42,28 +44,62 @@ _CHECK_TOL = 1e-6
 _IDENTITY_TOL = 1e-9
 
 
-@dataclass
 class CubeFamily:
-    """Finite family of measurable sets."""
+    """Finite family of measurable sets, indexed by row.
 
-    sets: tuple
+    A family of boxes holds them as one read-only (m, n, 2) float array,
+    boxes, of their ends, validated once, and builds a set only when a row
+    is read (by iteration or index); its compile and every K0 read take the
+    array as it is.  A family with a cell-mask set holds its sets, and boxes is
+    None.
+    """
 
-    def __post_init__(self):
-        self.sets = tuple(self.sets)
+    def __init__(self, sets=(), boxes=None):
+        if boxes is None:
+            sets = tuple(sets)
+            if not all(E.is_box() for E in sets):
+                self.boxes, self._sets = None, sets
+                return
+            boxes = [E.box for E in sets]
+        self.boxes, self._sets = _box_array(boxes), None
 
     @classmethod
     def from_cubes(cls, cubes):
-        return cls(tuple(MeasurableSet.from_cube(c) for c in cubes))
+        return cls(boxes=[c.as_box() for c in cubes])
 
     @classmethod
     def from_boxes(cls, boxes):
-        return cls(tuple(MeasurableSet.from_box(b) for b in boxes))
+        return cls(boxes=boxes)
+
+    def __getitem__(self, i):
+        if self.boxes is None:
+            return self._sets[i]
+        return MeasurableSet.from_box(self.boxes[i].tolist())
 
     def __iter__(self):
-        return iter(self.sets)
+        return (self[i] for i in range(len(self)))
 
     def __len__(self):
-        return len(self.sets)
+        return len(self._sets) if self.boxes is None else len(self.boxes)
+
+
+def _box_array(boxes):
+    """The boxes as one (m, n, 2) float array, each checked as as_box checks
+    it, and all of the first box's dimension; the first box that fails
+    raises as_box's error."""
+    boxes = boxes if isinstance(boxes, np.ndarray) else list(boxes)
+    try:
+        ends = np.array(boxes, dtype=float)
+    except (TypeError, ValueError):
+        ends = None
+    if not (ends is not None and ends.ndim == 3 and ends.shape[2] == 2
+            and np.isfinite(ends).all() and (ends[..., 0] < ends[..., 1]).all()):
+        rows = []
+        for box in boxes:
+            rows.append(as_box(box, len(rows[0]) if rows else None))
+        ends = np.array(rows, dtype=float).reshape(len(rows), -1, 2) if rows else np.empty((0, 0, 2))
+    ends.flags.writeable = False
+    return ends
 
 
 @dataclass(frozen=True)
@@ -78,12 +114,24 @@ class K0Sample:
     value: float
 
 
-@dataclass
+@dataclass(eq=False)
 class K0Report:
+    """The K0^alpha samples of a family as columns (float arrays indexed by
+    row) and their sup; samples lists them as K0Sample objects, built on
+    first read."""
+
     alpha: float
     best_value: float
     best_index: int
-    samples: list
+    measure: np.ndarray
+    norm_conjugate: np.ndarray
+    norm_dual: np.ndarray
+    value: np.ndarray
+
+    @functools.cached_property
+    def samples(self):
+        columns = (self.measure, self.norm_conjugate, self.norm_dual, self.value)
+        return [K0Sample(i, *row) for i, row in enumerate(zip(*(c.tolist() for c in columns)))]
 
 
 def k0alpha_constant(p, alpha, family):
@@ -99,27 +147,29 @@ def k0alpha_constant(p, alpha, family):
 
 
 def _family_rows(p, family):
-    """(sets, measures, compiled): the family as a list, all its sets
-    compiled against p as one family, and the measure of each set in the
-    domain read from the compiled rows; a set of measure 0 is refused (see
-    norms._measures)."""
-    sets = list(family)
-    compiled = _compile_family(p, sets)
-    return sets, _measures(compiled, sets).tolist(), compiled
+    """(family, measures, compiled): the family as a CubeFamily, all its
+    sets compiled against p as one family, and the measure of each set in
+    the domain read from the compiled rows; a set of measure 0 is refused
+    (see norms._measures)."""
+    if not isinstance(family, CubeFamily):
+        family = CubeFamily(family)
+    compiled = _compile_family(p, family)
+    return family, _measures(compiled, family), compiled
 
 
 def _k0_report(alpha, n, measures, norms_conjugate, norms_dual):
     """The samples measure^(alpha/n - 1) * ||chi_E||_p' * ||chi_E||_q of
-    the compiled rows, indexed by row, and their sup."""
-    samples = []
-    best_value, best_index = -math.inf, -1
-    for i, (measure, nc, nd) in enumerate(zip(measures, norms_conjugate.tolist(),
-                                              norms_dual.tolist())):
-        value = measure ** (alpha / n - 1.0) * nc * nd
-        samples.append(K0Sample(i, measure, nc, nd, value))
-        if value > best_value:
-            best_value, best_index = value, i
-    return K0Report(alpha, best_value, best_index, samples)
+    the compiled rows, indexed by row, and their sup.  The power is
+    Python's float **, whose last bit numpy's can differ in; nan never
+    wins."""
+    exponent = alpha / n - 1.0
+    measures = np.asarray(measures, dtype=float)
+    power = np.array([m ** exponent for m in measures.tolist()], dtype=float)
+    value = power * norms_conjugate * norms_dual
+    ranked = np.where(np.isnan(value), -math.inf, value)
+    best = int(np.argmax(ranked)) if ranked.size and ranked.max() > -math.inf else -1
+    return K0Report(alpha, float(value[best]) if best >= 0 else -math.inf, best, measures,
+                    norms_conjugate, norms_dual, value)
 
 
 def dual_witness(p, E, domain):
@@ -221,14 +271,14 @@ def norm_harmonic_sandwich(p, family):
     batched solve each.
     """
     holder, duality = holder_constant(p), duality_constant(p)
-    sets, measures, compiled = _family_rows(p, family)
+    family, measures, compiled = _family_rows(p, family)
     norms_p = compiled.norms(p)
     # the dual exponent of order 0 is p itself
     k0_value = _k0_report(0.0, p.dimension, measures, compiled.norms(conjugate(p)),
                           norms_p).best_value
-    means = _harmonic_means(compiled, p, sets).tolist()
+    means = _harmonic_means(compiled, p, family).tolist()
     rows = []
-    for i, (measure, norm, hm) in enumerate(zip(measures, norms_p.tolist(), means)):
+    for i, (measure, norm, hm) in enumerate(zip(measures.tolist(), norms_p.tolist(), means)):
         base = measure ** (0.0 if hm == INF else 1.0 / hm)
         lower = base / (2.0 * holder)
         upper = 2.0 * holder ** 2 * k0_value / duality * base
@@ -269,7 +319,7 @@ def k0alpha_iff_k0_check(p, alpha, family):
     """
     n = p.dimension
     q = sobolev_dual(p, alpha)
-    sets, measures, compiled = _family_rows(p, family)
+    family, measures, compiled = _family_rows(p, family)
     norm_p, norm_pc, norm_q, norm_qc = (compiled.norms(r)
                                         for r in (p, conjugate(p), q, conjugate(q)))
     rep_alpha = _k0_report(alpha, n, measures, norm_pc, norm_q)
@@ -277,22 +327,27 @@ def k0alpha_iff_k0_check(p, alpha, family):
     rep_q = _k0_report(0.0, n, measures, norm_qc, norm_q)
     c_conv = 4.0 * holder_constant(p) * holder_constant(q)
     rows, converse_ok = [], True
-    inverses = zip(_mean_inverses(compiled, p, sets).tolist(),
-                   _mean_inverses(compiled, q, sets).tolist())
-    samples = zip(rep_alpha.samples, rep_p.samples, rep_q.samples)
-    for (sa, sp, sq), (inv_p, inv_q) in zip(samples, inverses):
+    inverses = zip(_mean_inverses(compiled, p, family).tolist(),
+                   _mean_inverses(compiled, q, family).tolist())
+    values = zip(rep_alpha.value.tolist(), rep_p.value.tolist(), rep_q.value.tolist())
+    for i, ((va, vp, vq), (inv_p, inv_q)) in enumerate(zip(values, inverses)):
         gap = abs((1.0 - inv_p) + inv_q - (1.0 - alpha / n))
-        forward_ok = (sp.value <= 2.0 * sa.value * (1.0 + _CHECK_TOL)
-                      and sq.value <= 2.0 * sa.value * (1.0 + _CHECK_TOL))
-        if sa.value > c_conv * rep_p.best_value * rep_q.best_value * (1.0 + _CHECK_TOL):
+        forward_ok = (vp <= 2.0 * va * (1.0 + _CHECK_TOL)
+                      and vq <= 2.0 * va * (1.0 + _CHECK_TOL))
+        if va > c_conv * rep_p.best_value * rep_q.best_value * (1.0 + _CHECK_TOL):
             converse_ok = False
-        rows.append(EquivalenceRow(sa.index, sa.value, sp.value, sq.value,
-                                   gap, forward_ok, gap <= _IDENTITY_TOL))
+        rows.append(EquivalenceRow(i, va, vp, vq, gap, forward_ok, gap <= _IDENTITY_TOL))
     all_ok = converse_ok and all(r.forward_ok and r.identity_ok for r in rows)
     return EquivalenceReport(rows, c_conv, converse_ok, all_ok)
 
 
 # -- harmonic-mean minimization over cube positions ---------------------------
+
+
+# the most cubes a lattice search reads: (2 (R - r) / spacing + 1)^n on the
+# lattice and 9 n R / r in the scaling check.  Above the deepest search a
+# chain build admits (constructions._MAX_BLOWUP_WORK / 6, about 2.2e7 cubes)
+_MAX_LATTICE_CUBES = 1 << 25
 
 
 def _center_lattice(x, half_range, spacing):
@@ -302,6 +357,36 @@ def _center_lattice(x, half_range, spacing):
     return x - half_range + spacing * np.arange(count)
 
 
+def _lattice_samples(half_ranges, spacing):
+    """(at, valid, alone): per half range of an array, the indices into its
+    _center_lattice that np.linspace(0, count - 1, min(count, 9)) picks,
+    as the rows of an (s, 9) int array at with the first min(count, 9)
+    entries of each row valid, found from the count alone; alone marks the
+    half ranges whose lattice is the center x itself.  Center k of a row
+    is then (x - half_range) + spacing * at[k], as in _center_lattice."""
+    alone = half_ranges < spacing * 1e-12
+    count = np.where(alone, 1, np.floor(2.0 * half_ranges / spacing + 1e-9) + 1).astype(np.int64)
+    at = np.broadcast_to(np.arange(9), (len(count), 9)).copy()
+    wide = count >= 9
+    at[wide] = np.linspace(0, count[wide] - 1, 9, axis=1).astype(np.int64)
+    return at, np.arange(9) < np.minimum(count, 9)[:, None], alone
+
+
+def _lattice_winner(inv):
+    """Flat index of the winner of a row-major scan of the means of 1/p
+    (nan for a cube that misses E): a cube wins when it beats the best so
+    far by a relative 1e-15; None when every mean is nan.  The means are
+    at least 0, so only a record, a mean above every earlier one, can win,
+    and only the records are visited."""
+    flat = inv.ravel()
+    ahead = np.fmax.accumulate(np.concatenate(([-math.inf], flat)))[:-1]
+    best, best_inv = None, -1.0
+    for j in np.flatnonzero(flat > ahead).tolist():
+        if flat[j] > best_inv * (1.0 + 1e-15):
+            best, best_inv = j, flat[j]
+    return best
+
+
 def _cube_mean_reader(p, E):
     """means(axes, radius): mean of 1/p (1/inf = 0) over E cap Q for cubes Q
     centered on the outer product of axes, of one radius or of one radius
@@ -309,17 +394,25 @@ def _cube_mean_reader(p, E):
     is read on its own grid: Q takes its cells per axis from
     GridDomain.box_cells and its sums from the 2^n corners of one
     zero-padded summed-area table of 1/p and 1 on E, and the mean is nan
-    where Q has no cells of E.  For a box E all the boxes E cap Q compile as
-    one family (see norms._compile_family) and their means are read from its
-    rows; a cube outside the domain raises, as for one set."""
+    where Q has no cells of E.  For a box E the boxes E cap Q are clipped
+    as one array and compile as one family (see norms._compile_family),
+    their means read from its rows; the first cube that is degenerate,
+    misses E or lies outside the domain raises, as for one set."""
     if E.is_box():
+        sides = np.array(E.box)
+
         def exact_means(axes, radius):
             shape = tuple(len(a) for a in axes)
-            radii = np.broadcast_to(radius, shape)
-            sets = [E.intersect_box(Cube([a[i] for a, i in zip(axes, idx)],
-                                         float(radii[idx])).as_box())
-                    for idx in np.ndindex(shape)]
-            return _mean_inverses(_compile_family(p, sets), p, sets).reshape(shape)
+            centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+            radii = np.broadcast_to(radius, shape).reshape(-1, 1)
+            lo, hi = centers - radii, centers + radii
+            cut = np.stack([np.maximum(lo, sides[:, 0]), np.minimum(hi, sides[:, 1])], axis=-1)
+            ok = np.isfinite(lo) & np.isfinite(hi) & (lo < hi) & (cut[..., 0] < cut[..., 1])
+            bad = np.flatnonzero(~ok.all(axis=1))
+            if bad.size:
+                E.intersect_box(Cube(centers[bad[0]], float(radii[bad[0], 0])).as_box())
+            family = CubeFamily.from_boxes(cut)
+            return _mean_inverses(_compile_family(p, family), p, family).reshape(shape)
 
         return exact_means
 
@@ -353,20 +446,31 @@ def minimal_harmonic_mean_cube(p, D, r, E, spacing=None, verify_scaling=True):
     """Cube of radius r inside D whose intersection with E has the smallest
     harmonic mean exponent, found by scanning a center lattice.
 
-    Requires 0 < r <= radius(D), the complement D minus E smaller than one
-    radius-r cube, and a bounded exponent on D and E.  The set picks the
-    route (see _cube_mean_reader): for a mask set all cubes read one
-    summed-area table of 1/p over its cells on its own grid, and the lattice
-    spacing defaults to that grid's h; for a box the cubes compile exactly,
-    as one family, and the spacing defaults to r/8.  In row-major order a
-    cube wins when it beats the best so far by a relative 1e-15.  With
-    verify_scaling, cubes of radius m*r sampled inside D must not beat the
-    minimum (their mean is a weighted average over radius-r subcubes), a
-    guard against lattice misalignment.
+    Requires 0 < r <= radius(D), a positive finite spacing, at most
+    _MAX_LATTICE_CUBES cubes to read, the complement D minus E
+    smaller than one radius-r cube, and a bounded exponent on D and E.  The
+    set picks the route (see _cube_mean_reader): for a mask set all cubes
+    read one summed-area table of 1/p over its cells on its own grid, and
+    the lattice spacing defaults to that grid's h; for a box the cubes
+    compile exactly, as one family, and the spacing defaults to r/8.  In
+    row-major order a cube wins when it beats the best so far by a
+    relative 1e-15 (_lattice_winner).  With verify_scaling, cubes of
+    radius m*r sampled inside D must not beat the minimum (their mean is a
+    weighted average over radius-r subcubes), a guard against lattice
+    misalignment (_check_scaling).
     """
     n, R = D.dimension, D.radius
     if not (0.0 < r <= R * (1.0 + 1e-12)):
         raise PreconditionError(f"need 0 < r <= {R}, got r = {r}")
+    if spacing is None:
+        spacing = r / 8.0 if E.is_box() else E.grid_mask[0].h
+    if not (spacing > 0.0 and math.isfinite(spacing)):
+        raise PreconditionError(f"lattice spacing must be positive and finite, got {spacing}")
+    cubes = math.prod([2.0 * (R - r) / spacing + 1.0] * n) + (9.0 * n * R / r if verify_scaling
+                                                                 else 0.0)
+    if cubes > _MAX_LATTICE_CUBES:
+        raise PreconditionError(f"the search would read about {cubes:.3g} cubes (spacing "
+                                f"{spacing}, r = {r}), more than {_MAX_LATTICE_CUBES}")
     d_set = E.intersect_box(D.as_box())
     gap = MeasurableSet.from_cube(D).measure - d_set.measure
     if gap >= (2.0 * r) ** n:
@@ -375,50 +479,51 @@ def minimal_harmonic_mean_cube(p, D, r, E, spacing=None, verify_scaling=True):
         )
     if compile_set(p, d_set).values(p).max(initial=-INF) == INF:
         raise PreconditionError("exponent must be bounded on D and E")
-    if spacing is None:
-        spacing = r / 8.0 if E.is_box() else E.grid_mask[0].h
     means = _cube_mean_reader(p, E)
 
     axes = [_center_lattice(D.center[i], R - r, spacing) for i in range(n)]
     inv = means(axes, r)
-    best_inv, best_idx = -1.0, None
-    for idx in np.ndindex(inv.shape):  # nan (a cube that misses E) never wins
-        if inv[idx] > best_inv * (1.0 + 1e-15):
-            best_inv, best_idx = inv[idx], idx
-    if best_idx is None:
+    best = _lattice_winner(inv)
+    if best is None:
         raise ConstructionError("no candidate cube met E on the lattice")
-    best_mean = INF if best_inv == 0.0 else 1.0 / best_inv
-
-    m_max = int(R * (1.0 + 1e-12) / r) if verify_scaling else 1
-    # the sampled radius-m*r cubes along one axis, every m, are read at once
-    # and checked in (m, axis, lattice) order
-    scales = range(2, m_max + 1)
-    scaled = {}
-    for i in range(n if scales else 0):
-        lats = []
-        for m in scales:
-            lat = _center_lattice(D.center[i], R - m * r, spacing)
-            lats.append(lat[np.unique(np.linspace(0, len(lat) - 1, min(len(lat), 9)).astype(int))])
-        sizes = [len(lat) for lat in lats]
-        along = [-1 if j == i else 1 for j in range(n)]
-        radii = np.repeat([m * r for m in scales], sizes).reshape(along)
-        with np.errstate(divide="ignore"):
-            mean = 1.0 / means([np.concatenate(lats) if j == i else np.array([D.center[j]])
-                                for j in range(n)], radii)
-        for m, lat, mean_m in zip(scales, lats, np.split(mean, np.cumsum(sizes)[:-1], axis=i)):
-            scaled[m, i] = [lat if j == i else np.array([D.center[j]]) for j in range(n)], mean_m
-    for m in scales:
-        for i in range(n):
-            axes_m, mean_m = scaled[m, i]
-            beaten = np.argwhere(best_mean > mean_m + 1e-9)
-            if len(beaten):
-                idx = tuple(beaten[0])
-                center = tuple(float(a[k]) for a, k in zip(axes_m, idx))
-                raise ConstructionError(
-                    f"radius-{m}r cube at {center} has smaller mean "
-                    f"{mean_m[idx]} than the minimum {best_mean}"
-                )
+    best_idx = np.unravel_index(best, inv.shape)
+    best_inv = inv[best_idx]
+    if verify_scaling:
+        _check_scaling(means, D, r, spacing, INF if best_inv == 0.0 else 1.0 / best_inv)
     return Cube([a[i] for a, i in zip(axes, best_idx)], r)
+
+
+def _check_scaling(means, D, r, spacing, best_mean):
+    """Raise for the first cube of radius m*r, 2 <= m <= R/r, that beats
+    best_mean by 1e-9, in (m, axis, lattice) order.  Along each axis the
+    cubes of every m are read at once: the at most 9 centers
+    _lattice_samples picks from the lattice of half range R - m*r, the
+    other axes at the center of D."""
+    n, R = D.dimension, D.radius
+    scales = np.arange(2, int(R * (1.0 + 1e-12) / r) + 1)
+    if not scales.size:
+        return
+    half = R - scales * r
+    at, valid, alone = _lattice_samples(half, spacing)
+    scale, rank = np.nonzero(valid)
+    along = [[-1 if j == i else 1 for j in range(n)] for i in range(n)]
+    radii = (scales * r)[scale]
+    lats, mean = [], np.empty((n, len(scale)))
+    for i in range(n):
+        x = D.center[i]
+        lats.append(np.where(alone[:, None], x, (x - half)[:, None] + spacing * at)[valid])
+        with np.errstate(divide="ignore"):
+            mean[i] = np.ravel(1.0 / means([lats[i] if j == i else np.array([D.center[j]])
+                                             for j in range(n)], radii.reshape(along[i])))
+    axis, k = np.nonzero(best_mean > mean + 1e-9)
+    if axis.size:
+        first = np.argmin((scale[k] * n + axis) * 9 + rank[k])
+        i, k = int(axis[first]), int(k[first])
+        center = tuple(float(lats[i][k]) if j == i else D.center[j] for j in range(n))
+        raise ConstructionError(
+            f"radius-{int(scales[scale[k]])}r cube at {center} has smaller mean "
+            f"{mean[i, k]} than the minimum {best_mean}"
+        )
 
 
 def subdivision_identity_gap(p, K, E, m):

@@ -394,7 +394,8 @@ def holder_pairing_check(f, g, p):
 
 def _compile_boxes(p, boxes):
     """The indicators of boxes clipped to the exponent's domain, row r for
-    boxes[r], from one pass over the exponent's cached cut of its domain
+    boxes[r] (a list of boxes or one (m, n, 2) array of their ends), from
+    one pass over the exponent's cached cut of its domain
     (exponent._family_atoms): per row one atom per constant piece that owns
     some of the box, and per run of cells a bump piece owns the atoms of
     its split, in the order of the pieces and of the runs.
@@ -406,12 +407,16 @@ def _compile_boxes(p, boxes):
     """
     n = p.dimension
     # the boxes before the first of another dimension raise their errors first
-    split = next((r for r, box in enumerate(boxes) if len(box) != n), len(boxes))
+    if isinstance(boxes, np.ndarray):
+        split = len(boxes) if boxes.shape[1] == n else 0
+    else:
+        split = next((r for r, box in enumerate(boxes) if len(box) != n), len(boxes))
     lo, hi, measure, w, raw, ends = _family_atoms(p.pieces, p.domain, boxes[:split])
     volume = np.multiply.reduce(hi - lo, axis=1)
     short = (hi <= lo).any(axis=1) | (volume == 0.0) | (measure < volume * (1.0 - 1e-9))
     for r in np.flatnonzero(short).tolist():
-        _check_covered(n, box_intersect(boxes[r], p.domain), float(measure[r]))
+        box = np.asarray(boxes[r], dtype=float).tolist()
+        _check_covered(n, box_intersect(box, p.domain), float(measure[r]))
     if split < len(boxes):
         raise PreconditionError(f"a {len(boxes[split])}-D box against a {n}-D exponent")
     return Distribution(p.pieces, w, 1.0, raw, measure, ends)
@@ -548,10 +553,14 @@ def _compile_family(p, sets):
     """Compile every set of a family against p, row r for sets[r].
 
     A family of boxes compiles in one pass (_compile_boxes), as a single
-    box does.  A family with a mask set compiles each set alone through
-    compile_set and pads its atoms into the rows.  Errors are those of
-    compile_set for the first set that fails.
+    box does; a family that holds its boxes as one (m, n, 2) array of
+    their ends, boxes (as k0.CubeFamily does), passes that array, so no
+    set is built.  A family with a mask set compiles each set alone
+    through compile_set and pads its atoms into the rows.  Errors are
+    those of compile_set for the first set that fails.
     """
+    if getattr(sets, "boxes", None) is not None:
+        return _compile_boxes(p, sets.boxes)
     sets = list(sets)
     if all(E.is_box() for E in sets):
         return _compile_boxes(p, [E.box for E in sets])

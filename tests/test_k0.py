@@ -3,6 +3,9 @@
 import itertools
 import math
 import os
+import re
+import time
+import types
 
 import numpy as np
 import pytest
@@ -41,10 +44,11 @@ from varlp.exponent import INF, ConstantPiece
 from varlp.k0 import (
     EquivalenceReport,
     EquivalenceRow,
-    K0Report,
     K0Sample,
     SandwichRow,
     _cube_mean_reader,
+    _lattice_samples,
+    _lattice_winner,
 )
 from varlp.norms import (
     _compile_family,
@@ -286,7 +290,13 @@ def _replaced_k0_report(alpha, p, family, measures, compiled, q_conj, q_dual):
         samples.append(K0Sample(i, measure, nc, nd, value))
         if value > best_value:
             best_value, best_index = value, i
-    return K0Report(alpha, best_value, best_index, samples)
+    return types.SimpleNamespace(alpha=alpha, best_value=best_value, best_index=best_index,
+                                 samples=samples)
+
+
+def _read(report):
+    """What a K0 report says, its samples read as objects."""
+    return report.alpha, report.best_value, report.best_index, report.samples
 
 
 def _replaced_family_measures(p, family):
@@ -379,8 +389,8 @@ def test_family_reads_match_replaced_code_bitwise():
         sandwich = norm_harmonic_sandwich(p, family)
         assert (sandwich.k0, sandwich.rows) == _replaced_sandwich_rows(p, family)
         for order in (0.0, alpha):
-            assert k0alpha_constant(p, order, family) == _replaced_k0alpha_constant(p, order,
-                                                                                      family)
+            assert _read(k0alpha_constant(p, order, family)) == _read(
+                _replaced_k0alpha_constant(p, order, family))
         assert k0alpha_iff_k0_check(p, alpha, family) == _replaced_iff_check(p, alpha, family)
         for E in family:
             inv = mean_inverse_exponent(p, E)
@@ -606,12 +616,19 @@ def _reference_minimal_cube(p, D, r, E, grid=None, spacing=None, verify_scaling=
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25])
 def test_minimal_cube_matches_reference_on_blowup_levels(alpha):
-    fam = cx.build_blowup(cx.default_blowup_exponent(), alpha, 5.0, 6)
+    # from level 7 on, the reference's per-cube scaling check (6 s at level
+    # 10) is replaced by the per-scale one it was pinned to
+    fam = cx.build_blowup(cx.default_blowup_exponent(), alpha, 5.0, 10)
     for lv in fam.levels:
         args = (fam.p, lv.cube_d, lv.small_radius, lv.threshold_set)
         got = minimal_harmonic_mean_cube(*args)
-        want = _reference_minimal_cube(*args, grid=lv.grid)
+        want = _reference_minimal_cube(*args, grid=lv.grid, verify_scaling=lv.k <= 6)
         assert got == want, f"level {lv.k}: anchor {got} vs {want}"
+        if lv.k > 6:
+            means = _cube_mean_reader(fam.p, lv.threshold_set)
+            best_mean = 1.0 / float(means([np.array(got.center)], lv.small_radius)[0])
+            assert _replaced_scaling_check(fam.p, lv.cube_d, lv.small_radius, lv.threshold_set,
+                                           lv.grid.h, best_mean) is None
 
 
 def test_minimal_cube_matches_reference_without_grid():
@@ -918,3 +935,198 @@ def test_cube_refuses_a_non_finite_center(center):
     for point in ((center,), (0.0, center)):
         with pytest.raises(SpecParseError, match="cube center must be finite"):
             Cube(point, 0.5)
+
+
+# -- the one-pass cube search ----------------------------------------------------
+
+
+def _sequential_winner(inv):
+    """The lattice winner as the search found it before it read only the
+    records: every cube in row-major order."""
+    best_inv, best = -1.0, None
+    for j, value in enumerate(inv.ravel()):
+        if value > best_inv * (1.0 + 1e-15):
+            best_inv, best = value, j
+    return best
+
+
+def test_lattice_winner_matches_a_sequential_scan():
+    rng = np.random.default_rng(37)
+    one = 1.0 / 3.0
+    cases = [
+        # near ties: within 1e-15 relative the first holds, above it the later wins
+        np.array([one, one * (1.0 + 5e-16), one * (1.0 + 9e-16), one * (1.0 + 2e-15)]),
+        np.array([one * (1.0 + 9e-16), one, one * (1.0 + 1.9e-15), one * (1.0 + 2.1e-15)]),
+        one * (1.0 + 4e-16 * np.arange(40)),
+        # nan gaps, leading, inside and trailing
+        np.array([np.nan, np.nan, 0.25, np.nan, 0.5, np.nan, 0.5, 0.75, np.nan]),
+        # increasing and decreasing runs, ties and zeros (a mean at p = inf)
+        np.linspace(0.1, 0.9, 500),
+        np.linspace(0.9, 0.1, 500),
+        np.array([0.0, 0.0, 0.5, 0.5, 0.0]),
+        np.zeros(7),
+        np.array([0.5]),
+        np.full(6, np.nan),
+        np.full((3, 4), np.nan),
+    ]
+    for _ in range(200):
+        shape = tuple(rng.integers(1, 12, rng.integers(1, 3)))
+        values = rng.choice([0.2, 0.4, 0.6], shape) * (1.0 + rng.integers(-3, 4, shape) * 4e-16)
+        values[rng.random(shape) < 0.3] = np.nan
+        cases.append(values)
+    for inv in cases:
+        assert _lattice_winner(inv) == _sequential_winner(inv), inv
+
+
+def _replaced_lattice_samples(x, half_range, spacing):
+    """The sampled centers of one scale, from the scale's full lattice."""
+    lat = _reference_center_lattice(x, half_range, spacing)
+    return lat[np.unique(np.linspace(0, len(lat) - 1, min(len(lat), 9)).astype(int))]
+
+
+def test_lattice_samples_match_the_full_lattices_bitwise():
+    rng = np.random.default_rng(38)
+    for _ in range(60):
+        x, radius = float(rng.uniform(-3.0, 3.0)), float(10.0 ** rng.uniform(-3.0, 1.0))
+        # up to 3 584 scales, or lattices of up to 2e4 centers
+        ratio, fine = [(1.0, 8.0), (1.5, 3.0), (2.0, 1024.0), (7.3, 1024.0), (64.0, 8.0),
+                       (900.0, 3.0), (3584.0, 1.0)][rng.integers(7)]
+        r = radius / ratio
+        spacing = r / float(rng.uniform(1.0, fine))
+        scales = np.arange(2, int(radius * (1.0 + 1e-12) / r) + 1)
+        half = radius - scales * r
+        at, valid, alone = _lattice_samples(half, spacing)
+        for row, m in enumerate(scales.tolist()):
+            want = _replaced_lattice_samples(x, radius - m * r, spacing)
+            got = (x if alone[row] else (x - half[row]) + spacing * at[row])
+            got = np.broadcast_to(got, (9,))[valid[row]]
+            assert got.tobytes() == want.tobytes(), (x, radius, r, spacing, m)
+
+
+def test_cube_search_refuses_a_zero_spacing():
+    p, E = ExponentFunction.constant(2.0, ((0.0, 4.0),)), MeasurableSet.from_box(((0.0, 4.0),))
+    with pytest.raises(PreconditionError, match="^lattice spacing must be positive and finite"):
+        minimal_harmonic_mean_cube(p, Cube((2.0,), 2.0), 0.25, E, spacing=0.0)
+
+
+def test_cube_search_refuses_a_nan_spacing():
+    p, E = ExponentFunction.constant(2.0, ((0.0, 4.0),)), MeasurableSet.from_box(((0.0, 4.0),))
+    with pytest.raises(PreconditionError, match="^lattice spacing must be positive and finite"):
+        minimal_harmonic_mean_cube(p, Cube((2.0,), 2.0), 0.25, E, spacing=math.nan)
+
+
+def test_cube_search_refuses_a_negative_spacing():
+    p, E = ExponentFunction.constant(2.0, ((0.0, 4.0),)), MeasurableSet.from_box(((0.0, 4.0),))
+    with pytest.raises(PreconditionError, match="^lattice spacing must be positive and finite"):
+        minimal_harmonic_mean_cube(p, Cube((2.0,), 2.0), 0.25, E, spacing=-0.5)
+
+
+def test_cube_search_refuses_a_lattice_over_its_budget(monkeypatch):
+    # 2 (2 - 0.25) / 1e-9 + 1, about 3.5e9 cubes, is refused before any read
+    import varlp.k0 as k0
+
+    def no_read(p, E):
+        raise AssertionError("the lattice was read")
+
+    monkeypatch.setattr(k0, "_cube_mean_reader", no_read)
+    p, E = ExponentFunction.constant(2.0, ((0.0, 4.0),)), MeasurableSet.from_box(((0.0, 4.0),))
+    D = Cube((2.0,), 2.0)
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match=r"^the search would read about 3\.5e\+09 cubes"):
+        minimal_harmonic_mean_cube(p, D, 0.25, E, spacing=1e-9)
+    for spacing in (5e-324, 1e-300):
+        with pytest.raises(PreconditionError, match="cubes .* more than 33554432$"):
+            minimal_harmonic_mean_cube(p, D, 0.25, E, spacing=spacing)
+    # five lattice cubes, but 2e9 radii for the scaling check to sample
+    with pytest.raises(PreconditionError, match=r"^the search would read about 1\.8e\+10 cubes"):
+        minimal_harmonic_mean_cube(p, D, 1e-9, E, spacing=1.0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_lattice_that_misses_every_cell_is_refused():
+    # cells 1 wide and cubes 0.2 wide at 0.1, 1.1, 2.1, 3.1: no cube holds a
+    # cell midpoint, so every mean is nan
+    p = ExponentFunction.constant(2.0, ((0.0, 4.0),))
+    grid = GridDomain(((0.0, 4.0),), (4,))
+    E = MeasurableSet(grid_mask=(grid, np.ones(4, bool)))
+    args = (p, Cube((2.0,), 2.0), 0.1, E)
+    assert np.isnan(_cube_mean_reader(p, E)([np.array([0.1, 1.1, 2.1, 3.1])], 0.1)).all()
+    want = (ConstructionError, "no candidate cube met E on the lattice")
+    assert _raised(minimal_harmonic_mean_cube, *args) == want
+    assert _raised(_reference_minimal_cube, *args, grid=grid) == want
+
+
+# -- families as arrays ------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, cls, name):
+    """Count the calls of cls.name from now on."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_a_family_read_builds_no_set_or_sample_objects(monkeypatch):
+    rng = np.random.default_rng(39)
+    p = two_piece(1.5, 3.0)
+    ends = np.sort(rng.uniform(0.0, 2.0, (10_000, 2)), axis=1)
+    boxes = [((a, b),) for a, b in ends.tolist()]
+    family = CubeFamily.from_boxes(boxes)
+    sets = _count_calls(monkeypatch, MeasurableSet, "__post_init__")
+    samples = _count_calls(monkeypatch, K0Sample, "__init__")
+    report = k0alpha_constant(p, 0.25, family)
+    sandwich = norm_harmonic_sandwich(p, family)
+    assert (len(sets), len(samples)) == (0, 0)
+    assert len(sandwich.rows) == len(report.value) == 10_000
+    # the samples, built on first read and kept, are those of the replaced loop
+    assert report.samples is report.samples and len(samples) == 10_000
+    monkeypatch.undo()
+    want = _replaced_k0alpha_constant(p, 0.25, family)
+    assert _read(report) == _read(want)
+    assert report.value.tolist() == [s.value for s in want.samples]
+
+
+def test_cube_family_reads_its_rows_as_sets():
+    boxes = [((0.5, 1.0),), ((3.5, 4.0),), ((-1.0, 0.25),)]
+    family = CubeFamily.from_boxes(boxes)
+    assert family.boxes.shape == (3, 1, 2) and len(family) == 3
+    assert [E.box for E in family] == boxes and family[1].box == boxes[1]
+    cubes = [Cube((0.5, 1.5), 0.25), Cube((2.0, 2.0), 1.0)]
+    assert [E.box for E in CubeFamily.from_cubes(cubes)] == [c.as_box() for c in cubes]
+    # a family with a mask set keeps its sets
+    mask = MeasurableSet(grid_mask=(GridDomain(((0.0, 2.0),), (8,)), np.ones(8, bool)))
+    mixed = CubeFamily([MeasurableSet.from_box(boxes[0]), mask])
+    assert mixed.boxes is None and mixed[1] is mask and len(list(mixed)) == 2
+    assert CubeFamily([]).boxes.shape[0] == 0 and len(CubeFamily.from_boxes([])) == 0
+
+
+def test_cube_family_refuses_a_bad_box_with_as_box_messages():
+    good = ((0.0, 1.0),)
+    for bad, message in ((((1.0, 0.5),), "degenerate box axis (1.0, 0.5)"),
+                         (((0.0, math.nan),), "degenerate box axis (0.0, nan)"),
+                         (((math.nan, 1.0),), "degenerate box axis (nan, 1.0)"),
+                         (((0.0, math.inf),), "degenerate box axis (0.0, inf)"),
+                         ((("a", 1.0),), "malformed box: (('a', 1.0),)")):
+        with pytest.raises(SpecParseError) as alone:
+            MeasurableSet.from_box(bad)
+        assert str(alone.value) == message
+        # the first bad box raises, before a later one
+        for make in (CubeFamily.from_boxes, lambda b: CubeFamily(map(MeasurableSet.from_box, b))):
+            with pytest.raises(SpecParseError, match=f"^{re.escape(message)}$"):
+                make([good, bad, ((2.0, 1.0),)])
+
+
+def test_cube_family_refuses_boxes_of_two_dimensions_where_it_is_built():
+    line, square = ((0.0, 1.0),), ((0.0, 1.0), (0.0, 1.0))
+    for boxes, message in (([line, line, square], "box has 2 axes, expected 1"),
+                           ([square, line], "box has 1 axes, expected 2")):
+        for make in (CubeFamily.from_boxes,
+                     lambda b: CubeFamily([MeasurableSet.from_box(x) for x in b])):
+            with pytest.raises(SpecParseError, match=f"^{message}$"):
+                make(boxes)
